@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import linalg
 from .linalg import (
     FlopCounter,
     NotPositiveDefinite,
@@ -78,13 +77,17 @@ def srif_marginalize(R, p, flops: FlopCounter | None = None):
         return R[1:, 1:].copy()
     W = _permute_to_front(R, p)
     for j in range(p, 0, -1):
-        G = givens_from_pair(W[j - 1, 0], W[j, 0], i=j - 1, j=j, flops=flops)
-        apply_givens_rows(W, G, cols=slice(j, n), flops=flops)
+        G = givens_from_pair(W[j - 1, 0], W[j, 0], i=j - 1, j=j)
+        apply_givens_rows(W, G, cols=slice(j, n))
         # the leading column pair rotates to (r, 0)
         W[j - 1, 0] = G.c * W[j - 1, 0] + G.s * W[j, 0]
         W[j, 0] = 0.0
-        if flops is not None:
-            flops.add(adds=1, muls=2)
+    if flops is not None:
+        # per rotation j = p..1: form it, apply it to the n - j trailing
+        # columns, and rotate the leading pair
+        ncols = p * n - p * (p + 1) // 2
+        flops.add(adds=2 * p + 2 * ncols, muls=4 * p + 4 * ncols,
+                  divs=2 * p, sqrts=p)
     out = W[1:, 1:].copy()
     sign_normalize_rows(out)
     return out
@@ -109,16 +112,14 @@ def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
     return out
 
 
-def marginalize_block(R, indices, flops: FlopCounter | None = None,
-                      householder=False):
+def marginalize_block(R, indices, flops: FlopCounter | None = None):
     """Marginalize whole blocks given their ascending scalar indices.
 
     Applies the scalar algorithm to each index in turn; indices shift down
     as earlier scalars are removed.
     """
-    fn = marginalize_oracle_householder if householder else srif_marginalize
     for k, p in enumerate(sorted(indices)):
-        R = fn(R, p - k, flops=flops)
+        R = srif_marginalize(R, p - k, flops=flops)
     return R
 
 
@@ -226,54 +227,42 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
 class Preconditioner:
     """M = M_Jacobi @ M_SPAI, stored implicitly.
 
-    M_SPAI copies the pose-pose coupling entries of the prior R22 on the
-    sparsity set S (matching component k of pose i against component k of
-    pose j) and is identity elsewhere on the diagonal except on pose
-    diagonal entries, which also lie in S. M_Jacobi holds the column
-    norms of R22 @ M_SPAI^-1. Both apply without explicit construction.
+    M_SPAI copies the prior R22's entries on the sparsity set S, which
+    pairs component k of pose i with component k of pose j (diagonal
+    included), and is the identity elsewhere. Restricted to the columns
+    idx[k] = pose_offsets + k it is the upper-triangular blocks[k], and
+    those six column sets are disjoint, so M_SPAI is six small triangular
+    systems. M_Jacobi holds the column norms of R22 @ M_SPAI^-1.
     """
 
     n2: int
-    diag: np.ndarray                  # diagonal of M_SPAI
-    cols: dict                        # col -> list of (row, value), row < col
-    rows: dict                        # row -> list of (col, value), col > row
+    idx: np.ndarray                   # (6, poses) columns of each block
+    blocks: np.ndarray                # (6, poses, poses) upper triangular
     jacobi: np.ndarray                # positive diagonal of M_Jacobi
     degenerate: list = field(default_factory=list)
 
     def dense(self):
-        M = np.diag(self.diag.astype(np.float64))
-        for j, ent in self.cols.items():
-            for i, v in ent:
-                M[i, j] = v
+        M = np.eye(self.n2)
+        for ix, B in zip(self.idx, self.blocks):
+            M[np.ix_(ix, ix)] = B
         return np.diag(self.jacobi.astype(np.float64)) @ M
 
-
-def _spai_structure(pose_offsets, n2):
-    """Index pairs of S (strictly upper part) grouped by column."""
-    pairs = []
-    for a, oi in enumerate(pose_offsets):
-        for oj in pose_offsets[a + 1:]:
-            for k in range(6):
-                pairs.append((oi + k, oj + k))
-    return pairs
+    def nnz(self):
+        """Off-diagonal entries of M_SPAI."""
+        l = self.idx.shape[1]
+        return 6 * l * (l - 1) // 2
 
 
 def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     """SPAI + Jacobi preconditioner from the prior R22 factor.
 
-    pose_offsets are the offsets of the 6-dim pose error blocks within
-    the x2 partition. Zero column norms are pinned to 1 and flagged.
+    pose_offsets are the ascending offsets of the 6-dim pose error blocks
+    within the x2 partition. Zero column norms are pinned to 1 and flagged.
     """
     n2 = R22.shape[0]
-    diag = np.ones(n2, dtype=R22.dtype)
-    for off in pose_offsets:
-        diag[off:off + 6] = np.diag(R22)[off:off + 6]
-    cols, rows = {}, {}
-    for i, j in _spai_structure(pose_offsets, n2):
-        v = R22[i, j]
-        cols.setdefault(j, []).append((i, v))
-        rows.setdefault(i, []).append((j, v))
-    pc = Preconditioner(n2, diag, cols, rows, np.ones(n2, dtype=R22.dtype))
+    idx = np.add.outer(np.arange(6), np.asarray(pose_offsets, dtype=int))
+    blocks = np.triu(R22[idx[:, :, None], idx[:, None, :]])
+    pc = Preconditioner(n2, idx, blocks, np.ones(n2, dtype=R22.dtype))
     R22s = _apply_spai_inverse_right(pc, R22, flops=flops)
     norms = np.sqrt(np.einsum("ij,ij->j", R22s, R22s))
     if flops is not None:
@@ -286,18 +275,16 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
 
 
 def _apply_spai_inverse_right(pc: Preconditioner, A, flops=None):
-    """X = A @ M_SPAI^-1 by sparse column-oriented back substitution."""
+    """X = A @ M_SPAI^-1: one triangular solve X_k B_k = A_k per block."""
     X = np.array(A, copy=True)
-    m = X.shape[0]
-    nflops = 0
-    for j in range(pc.n2):
-        for i, v in pc.cols.get(j, ()):
-            X[:, j] -= X[:, i] * v
-            nflops += 2 * m
-        if pc.diag[j] != 1.0:
-            X[:, j] /= pc.diag[j]
-            nflops += m
+    for ix, B in zip(pc.idx, pc.blocks):
+        X[:, ix] = scipy.linalg.solve_triangular(B, X[:, ix].T, trans="T").T
     if flops is not None:
+        # sparse back substitution: 2m per off-diagonal entry, m per
+        # diagonal entry other than 1
+        m = X.shape[0]
+        diag = np.diagonal(pc.blocks, axis1=1, axis2=2)
+        nflops = m * (2 * pc.nnz() + np.count_nonzero(diag != 1.0))
         flops.add(adds=nflops // 2, muls=nflops - nflops // 2)
     return X
 
@@ -312,37 +299,29 @@ def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
 
 
 def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
-    """A @ M = (A @ M_Jacobi) @ M_SPAI."""
-    B = A * pc.jacobi[None, :]
-    X = B * pc.diag[None, :]
-    for j, ent in pc.cols.items():
-        for i, v in ent:
-            X[:, j] += B[:, i] * v
+    """A @ M = (A @ M_Jacobi) @ M_SPAI, one block product per component."""
+    X = A * pc.jacobi[None, :]
+    for ix, B in zip(pc.idx, pc.blocks):
+        X[:, ix] = X[:, ix] @ B
     if flops is not None:
-        m = A.shape[0]
-        nnz = sum(len(e) for e in pc.cols.values())
+        m, nnz = A.shape[0], pc.nnz()
         flops.add(muls=2 * m * pc.n2 + 2 * m * nnz, adds=m * nnz)
     return X
 
 
 def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
-    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z) via sparse row back substitution."""
-    y = z / pc.jacobi
-    x = np.zeros_like(y)
-    for j in range(pc.n2 - 1, -1, -1):
-        acc = y[j]
-        for k, v in pc.rows.get(j, ()):
-            acc = acc - v * x[k]
-        x[j] = acc / pc.diag[j]
+    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one triangular solve per block."""
+    x = z / pc.jacobi
+    for ix, B in zip(pc.idx, pc.blocks):
+        x[ix] = scipy.linalg.solve_triangular(B, x[ix])
     if flops is not None:
-        nnz = sum(len(e) for e in pc.rows.values())
+        nnz = pc.nnz()
         flops.add(adds=nnz, muls=nnz, divs=2 * pc.n2)
     return x
 
 
 def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
-                  flops: FlopCounter | None = None,
-                  precond: Preconditioner | None = None):
+                  flops: FlopCounter | None = None):
     """Preconditioned Cholesky SRIF update.
 
     Builds M from the prior R22, preconditions the rows first, and forms
@@ -357,8 +336,7 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     n2 = n - n1
     m = H2.shape[0]
     R22 = R[n1:, n1:]
-    pc = precond if precond is not None else build_preconditioner(
-        R22, pose_offsets_x2, flops=flops)
+    pc = build_preconditioner(R22, pose_offsets_x2, flops=flops)
     R22p = apply_preconditioner_inverse(pc, R22, flops=flops)
     H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype), flops=flops)
     N = form_normal_half(np.vstack([R22p, H2p]), flops=flops)

@@ -1,15 +1,17 @@
 """Dense numerical kernels parameterized over floating-point precision.
 
-Givens and Householder QR, Cholesky factorization, triangular solves and
-spectral condition numbers, all preserving the dtype of their inputs
-(float32 or float64) and optionally instrumented with a FLOP counter.
+Givens rotations, Householder QR and Cholesky factorization (LAPACK),
+normal-equation products (BLAS), triangular solves and spectral condition
+numbers, all preserving the dtype of their inputs (float32 or float64) and
+optionally instrumented with a FLOP counter that records the textbook
+algorithm's operation count.
 Condition numbers are always evaluated in float64 so the diagnostics do
 not inherit the instability they are measuring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -54,20 +56,6 @@ class FlopCounter:
 
     def total(self) -> int:
         return self.adds + self.muls + self.divs + self.sqrts
-
-    def reset(self):
-        self.adds = self.muls = self.divs = self.sqrts = 0
-
-    def snapshot(self) -> "FlopCounter":
-        return FlopCounter(self.adds, self.muls, self.divs, self.sqrts)
-
-    def __sub__(self, other: "FlopCounter") -> "FlopCounter":
-        return FlopCounter(
-            self.adds - other.adds,
-            self.muls - other.muls,
-            self.divs - other.divs,
-            self.sqrts - other.sqrts,
-        )
 
 
 @dataclass
@@ -134,59 +122,39 @@ def sign_normalize_rows(R, rhs=None):
 
 
 def householder_qr(A, rhs=None, flops: FlopCounter | None = None, overwrite=False):
-    """Householder QR of A, never forming Q explicitly.
+    """Householder QR of A (LAPACK ?geqrf), never forming Q explicitly.
 
     Returns (R, transformed_rhs). For m >= n, R is the n x n
     upper-triangular factor with A.T @ A = R.T @ R; for wide inputs the
     full m x n upper-trapezoidal factor is returned. transformed_rhs is
-    Q.T @ rhs (all m rows; the caller splits off the top n). Rank
-    deficiency is permitted and shows up as (near-)zero diagonal entries.
+    Q.T @ rhs (all m rows, via ?ormqr; the caller splits off the top n).
+    Rank deficiency is permitted and shows up as (near-)zero diagonal
+    entries.
+
+    The FLOP count is that of the textbook column sweep (Golub & Van Loan
+    Alg. 5.2.1) over min(n, m - 1) columns; a column whose norm is zero
+    when reached, i.e. a zero diagonal entry of R, only pays for its norm.
     """
-    W = A if overwrite else np.array(A, copy=True)
-    m, n = W.shape
-    b = None
+    geqrf, ormqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "ormqr"), (A,))
+    qr, tau, _, _ = geqrf(A, overwrite_a=overwrite)
+    m, n = qr.shape
+    R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
+    b, nrhs = None, 0
     if rhs is not None:
-        b = rhs if overwrite else np.array(rhs, copy=True)
-        if b.ndim == 1:
-            b = b[:, None]
-            squeeze = True
-        else:
-            squeeze = False
-    for k in range(min(n, m - 1)):
-        x = W[k:, k]
-        normx = np.linalg.norm(x)
-        if flops is not None:
-            flops.add(adds=m - k - 1, muls=m - k, sqrts=1)
-        if normx == 0.0:
-            continue
-        alpha = -np.copysign(normx, x[0])
-        v = x.copy()
-        v[0] -= alpha
-        vtv = v @ v
-        if flops is not None:
-            flops.add(adds=m - k, muls=m - k)
-        if vtv == 0.0:
-            continue
-        beta = W.dtype.type(2.0) / vtv
-        # reflect trailing columns of W
-        if k + 1 < n:
-            C = W[k:, k + 1:]
-            w = beta * (v @ C)
-            C -= np.outer(v, w)
-            if flops is not None:
-                nc = n - k - 1
-                flops.add(adds=2 * (m - k) * nc, muls=2 * (m - k) * nc + nc, divs=0)
-        W[k, k] = alpha
-        W[k + 1:, k] = 0.0
-        if b is not None:
-            w = beta * (v @ b[k:])
-            b[k:] -= np.outer(v, w)
-            if flops is not None:
-                nc = b.shape[1]
-                flops.add(adds=2 * (m - k) * nc, muls=2 * (m - k) * nc + nc)
-    R = np.triu(W[:n, :n]) if m >= n else np.triu(W)
-    if b is not None and squeeze:
-        b = b[:, 0]
+        b = np.asarray(rhs).reshape(m, -1)
+        nrhs = b.shape[1]
+        b, _, _ = ormqr("L", "T", qr[:, :tau.shape[0]], tau, b, max(1, nrhs),
+                        overwrite_c=overwrite)
+        if np.ndim(rhs) == 1:
+            b = b[:, 0]
+    if flops is not None:
+        k = np.arange(min(n, m - 1))
+        kl = k[np.diag(qr)[: k.size] != 0]   # columns with a reflector
+        cols = n - kl - 1 + nrhs             # trailing columns it updates
+        reflect = (m - kl) * (1 + 2 * cols)
+        flops.add(adds=(m - k - 1).sum() + reflect.sum(),
+                  muls=(m - k).sum() + (reflect + cols).sum(),
+                  sqrts=k.size)
     return R, b
 
 
@@ -211,9 +179,9 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
 def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
     """Upper-triangular U with U.T @ U = S and positive diagonal.
 
-    Raises NotPositiveDefinite (with the pivot index) when a pivot is
-    <= 0 -- the signature of a conditioning failure at the active
-    precision.
+    Raises NotPositiveDefinite (with the pivot index and value) when a
+    pivot is <= 0 or not finite -- the signature of a conditioning
+    failure at the active precision.
     """
     S = np.asarray(S)
     n = S.shape[0]
@@ -223,20 +191,27 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
         scale = np.abs(S) + np.abs(S.T) + eps_of(S.dtype)
         if not np.all(np.abs(S - S.T) <= 4.0 * eps_of(S.dtype) * scale):
             raise ValueError("matrix is not symmetric to 4 eps")
-    U = np.zeros_like(S)
-    for k in range(n):
-        uk = U[:k, k]
-        d = S[k, k] - uk @ uk
-        if flops is not None:
-            flops.add(adds=k, muls=k, sqrts=1)
-        if d <= 0.0 or not np.isfinite(d):
-            raise NotPositiveDefinite(k, float(d))
-        U[k, k] = np.sqrt(d)
-        if k + 1 < n:
-            U[k, k + 1:] = (S[k, k + 1:] - uk @ U[:k, k + 1:]) / U[k, k]
-            if flops is not None:
-                nc = n - k - 1
-                flops.add(adds=2 * k * nc + nc, muls=2 * k * nc, divs=nc)
+    potrf, = scipy.linalg.lapack.get_lapack_funcs(("potrf",), (S,))
+    U, info = potrf(S, lower=0, clean=1)
+    # pivots [0, q) factored; ?potrf stops at a pivot <= 0 and stores it
+    # on the diagonal, but runs on through NaN and +inf, which leave
+    # sqrt(pivot) there
+    q = info - 1 if info > 0 else n
+    bad = np.flatnonzero(~np.isfinite(np.diag(U)[:q]))
+    failed = bad.size > 0 or info > 0
+    if bad.size:
+        q = int(bad[0])
+    if flops is not None:
+        # the column sweep's count: q full steps, then the failing pivot
+        k = np.arange(q)
+        nc = n - k - 1
+        steps = q + failed
+        flops.add(adds=steps * (steps - 1) // 2 + (2 * k * nc + nc).sum(),
+                  muls=steps * (steps - 1) // 2 + (2 * k * nc).sum(),
+                  divs=nc.sum(), sqrts=steps)
+    if failed:
+        d = float(U[q, q])
+        raise NotPositiveDefinite(q, d * d if bad.size else d)
     return U
 
 
@@ -268,15 +243,14 @@ def solve_upper_transposed(U, b, flops: FlopCounter | None = None):
 
 
 def form_normal_half(A, flops: FlopCounter | None = None):
-    """A.T @ A computed column-by-column on the upper triangle, mirrored.
+    """A.T @ A on the upper triangle (BLAS ?syrk), mirrored.
 
     Only the upper half is computed (roughly m*n**2 FLOPs instead of
     2*m*n**2) and the result is exactly symmetric by construction.
     """
     m, n = A.shape
-    S = np.empty((n, n), dtype=A.dtype)
-    for j in range(n):
-        S[: j + 1, j] = A[:, : j + 1].T @ A[:, j]
+    syrk, = scipy.linalg.blas.get_blas_funcs(("syrk",), (A,))
+    S = syrk(1.0, A, trans=1, lower=0)
     lo = np.tril_indices(n, -1)
     S[lo] = S.T[lo]
     if flops is not None:

@@ -361,8 +361,7 @@ def msckf_nullspace_project(Hf, Hx_blocks, r):
 
 
 def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
-                     new_anchor: Pose, p_ic, q_ic,
-                     new_anchor_id=None) -> InverseDepthFeature:
+                     new_anchor: Pose, p_ic, q_ic) -> InverseDepthFeature:
     """Re-express a feature w.r.t. a new anchor camera frame.
 
     The represented global point is unchanged. Raises NonPositiveDepth if
@@ -376,7 +375,7 @@ def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
     rng = np.linalg.norm(y)
     alpha, beta = bearing_angles(y)
     return InverseDepthFeature(
-        anchor_pose_id=new_anchor.id if new_anchor_id is None else new_anchor_id,
+        anchor_pose_id=new_anchor.id,
         params=np.array([alpha, beta, 1.0 / rng]),
         id=feature.id,
     )

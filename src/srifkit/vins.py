@@ -150,7 +150,6 @@ class VinsEstimator:
         self.cond_log = ConditioningLog(config.svd_stride)
         self.events = []
         self._scale_freeze = None
-        self._prior_R22 = None
 
         truth = dataset.truth
         spec = dataset.spec
@@ -332,10 +331,12 @@ class VinsEstimator:
             if fc is not None:
                 m = self.R.shape[0]
                 fc.add(adds=3 * 3 * m * 3, muls=3 * 3 * m * 3 + 54)
-            # the 3x3 feature diagonal block went dense; rotate it back
+            # the 3x3 feature diagonal block went dense; its rows are the
+            # only ones with entries below the diagonal, so rotate just them
             from .linalg import givens_triangularize, sign_normalize_rows
-            givens_triangularize(self.R, flops=fc)
-            sign_normalize_rows(self.R)
+            slab = self.R[sf, sf.start:]
+            givens_triangularize(slab, flops=fc)
+            sign_normalize_rows(slab)
         feat.anchor_pose_id = new_anchor.id
         feat.params = base.params
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srifkit.filters import (
     Preconditioner,
@@ -18,7 +20,7 @@ from srifkit.filters import (
     srif_marginalize,
     srif_update_partitioned,
 )
-from srifkit.linalg import FlopCounter, NotPositiveDefinite, cond_spectral
+from srifkit.linalg import FlopCounter, NotPositiveDefinite, cond_spectral, eps_of
 from srifkit.models import TransitionBlock
 from srifkit.state import Pose, build_layout
 
@@ -298,7 +300,7 @@ class TestPreconditioner:
         pc = build_preconditioner(R22, offs)
         fc = FlopCounter()
         apply_preconditioner_inverse(pc, rng.normal(size=(m, n2)), flops=fc)
-        nnz = sum(len(e) for e in pc.cols.values())
+        nnz = np.count_nonzero(np.triu(pc.blocks, 1))
         assert fc.total() <= 4 * (nnz + n2) * m
 
 
@@ -363,6 +365,82 @@ class TestPcsrifUpdate:
         apply_preconditioner_inverse(pc, H2, flops=fa)
         apply_preconditioner_inverse(pc, R[n1:, n1:], flops=fa)
         assert fa.total() <= 0.10 * fq.total()
+
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+class TestUpdateProperties:
+    """Posterior identity and exact triangularity over random instances."""
+
+    @staticmethod
+    def _instance(seed, dtype, m, poses, extra, n1, rank_deficient):
+        rng = np.random.default_rng(seed)
+        n2 = 6 * poses + extra
+        R = random_spd_factor(rng, n1 + n2)
+        H2 = rng.normal(size=(m, n2))
+        if rank_deficient and m:
+            H2[:, 0] = 0.0
+            H2[:, -1] = H2[:, n2 // 2]
+        r = rng.normal(size=m)
+        offsets = [extra + 6 * i for i in range(poses)]
+        return R.astype(dtype), H2.astype(dtype), r.astype(dtype), offsets
+
+    @staticmethod
+    def _check_posterior(res, R, H2, n1, dtype):
+        n = R.shape[0]
+        H = np.zeros((H2.shape[0], n))
+        H[:, n1:] = H2
+        R64 = R.astype(np.float64)
+        info = R64.T @ R64 + H.T @ H
+        Rp = res.R_post.astype(np.float64)
+        assert res.R_post.dtype == dtype and res.dx.dtype == dtype
+        assert np.array_equal(np.tril(res.R_post, -1), np.zeros_like(res.R_post))
+        tol = 10 * (n + H2.shape[0]) * eps_of(dtype)
+        assert np.linalg.norm(Rp.T @ Rp - info) <= tol * np.linalg.norm(info)
+
+    @PROPERTY
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
+           poses=st.integers(0, 3), extra=st.integers(1, 4),
+           n1=st.integers(0, 3), rank_deficient=st.booleans())
+    def test_srif_update(self, dtype, seed, m, poses, extra, n1, rank_deficient):
+        R, H2, r, _ = self._instance(seed, dtype, m, poses, extra, n1,
+                                     rank_deficient)
+        res = srif_update_partitioned(R, H2, r, n1)
+        self._check_posterior(res, R, H2, n1, dtype)
+
+    @PROPERTY
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
+           poses=st.integers(0, 3), extra=st.integers(1, 4),
+           n1=st.integers(0, 3))
+    def test_pcsrif_update(self, dtype, seed, m, poses, extra, n1):
+        R, H2, r, offsets = self._instance(seed, dtype, m, poses, extra, n1,
+                                           False)
+        res = pcsrif_update(R, H2, r, n1, offsets)
+        self._check_posterior(res, R, H2, n1, dtype)
+
+
+class TestUpdateFlopTotals:
+    """Counted FLOPs at the claim-4 instance (m=995, n2=122), pinned to
+    the counts of the column-by-column loops the LAPACK calls replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pinned(self, dtype):
+        rng = np.random.default_rng(2)
+        m, n1, n2 = 995, 9, 122
+        offsets = [1 + 6 * i for i in range(11)]
+        R = random_factor(rng, n1 + n2).astype(dtype)
+        H2 = rng.normal(size=(m, n2)).astype(dtype)
+        r = rng.normal(size=m).astype(dtype)
+        fq, fp = FlopCounter(), FlopCounter()
+        srif_update_partitioned(R, H2, r, n1, flops=fq)
+        pcsrif_update(R, H2, r, n1, offsets, flops=fp)
+        assert (fq.adds, fq.muls, fq.divs, fq.sqrts) == (
+            16430056, 16437681, 131, 122)
+        assert (fp.adds, fp.muls, fp.divs, fp.sqrts) == (
+            9635783, 9706055, 144152, 244)
 
 
 class TestIfOracle:

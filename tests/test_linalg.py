@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srifkit import linalg
 from srifkit.linalg import (
@@ -253,3 +255,109 @@ class TestCondSpectral:
         A[0, 0] = 1.0
         k, _, smin = cond_spectral(A)
         assert smin == 0.0 and k == float("inf")
+
+
+# -- properties over random shapes, both precisions --------------------------
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# the same examples every run, so a tier-1 failure reproduces
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+def householder_flops_by_loop(A, nrhs=0):
+    """FLOPs of the textbook column sweep, counted as it runs in float64."""
+    W = np.array(A, dtype=np.float64)
+    m, n = W.shape
+    fc = FlopCounter()
+    for k in range(min(n, m - 1)):
+        x = W[k:, k].copy()
+        normx = np.linalg.norm(x)
+        fc.add(adds=m - k - 1, muls=m - k, sqrts=1)
+        if normx == 0.0:
+            continue
+        x[0] += np.copysign(normx, x[0])
+        W[k:, k:] -= np.outer(x, (2.0 / (x @ x)) * (x @ W[k:, k:]))
+        nc = n - k - 1 + nrhs
+        fc.add(adds=(m - k) * (1 + 2 * nc), muls=(m - k) * (1 + 2 * nc) + nc)
+    return fc
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(dtype=DTYPES, seed=SEEDS, m=st.integers(1, 30), n=st.integers(1, 12),
+           nzero=st.integers(0, 3))
+    def test_householder_qr(self, dtype, seed, m, n, nzero):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, n)).astype(dtype)
+        zero = rng.choice(n, size=min(nzero, n), replace=False)
+        A[:, zero] = 0.0
+        b = rng.normal(size=m).astype(dtype)
+        fc = FlopCounter()
+        R, t = householder_qr(A, b, flops=fc)
+        eps = linalg.eps_of(dtype)
+        A64, R64, t64 = (x.astype(np.float64) for x in (A, R, t))
+        assert R.dtype == dtype and t.dtype == dtype
+        assert R.shape == (min(m, n), n) and t.shape == (m,)
+        assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
+        assert np.all(R[:, zero] == 0.0)
+        tol = 20 * (m + n) * eps
+        G = A64.T @ A64
+        scale = np.linalg.norm(A64) ** 2 + 1e-30
+        assert np.linalg.norm(G - R64.T @ R64) <= tol * scale
+        assert abs(np.linalg.norm(t64) - np.linalg.norm(b)) <= tol * np.linalg.norm(b)
+        # t = Q.T b for the same Q: A.T b = R.T (top rows of t)
+        Atb = A64.T @ b.astype(np.float64)
+        assert np.linalg.norm(Atb - R64.T @ t64[:R.shape[0]]) <= tol * np.sqrt(
+            scale) * np.linalg.norm(b)
+        assert fc.total() == householder_flops_by_loop(A, nrhs=1).total()
+
+    @PROPERTY
+    @given(dtype=DTYPES, seed=SEEDS, n=st.integers(1, 12), data=st.data())
+    def test_cholesky_pivot_is_first_failing_minor(self, dtype, seed, n, data):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n + 2, n))
+        S = B.T @ B + np.eye(n)          # every leading minor has eigenvalues >= 1
+        j = data.draw(st.integers(0, n - 1))
+        S[j, j] -= 10.0 * (np.abs(S).sum() + 1.0)
+        with pytest.raises(NotPositiveDefinite) as e:
+            cholesky_upper(S.astype(dtype))
+        assert e.value.pivot == j
+        first_bad = next(k for k in range(n)
+                         if np.linalg.eigvalsh(S[:k + 1, :k + 1])[0] <= 0)
+        assert e.value.pivot == first_bad
+        schur = S[j, j] - S[:j, j] @ np.linalg.solve(S[:j, :j], S[:j, j])
+        assert np.isclose(e.value.value, schur, rtol=100 * n * linalg.eps_of(dtype))
+
+    @PROPERTY
+    @given(dtype=DTYPES, seed=SEEDS, n=st.integers(1, 12), data=st.data())
+    def test_cholesky_nan_pivot(self, dtype, seed, n, data):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n + 2, n))
+        S = (B.T @ B + np.eye(n)).astype(dtype)
+        j = data.draw(st.integers(0, n - 1))
+        i = data.draw(st.integers(0, j))
+        S[i, j] = np.nan                 # upper triangle: first in minor j
+        with pytest.raises(NotPositiveDefinite) as e:
+            cholesky_upper(S, check_symmetry=False)
+        assert e.value.pivot == j
+        assert np.isnan(e.value.value)
+
+    @PROPERTY
+    @given(dtype=DTYPES, seed=SEEDS, m=st.integers(1, 30), n=st.integers(1, 12))
+    def test_normal_half_exactly_symmetric(self, dtype, seed, m, n):
+        A = np.random.default_rng(seed).normal(size=(m, n)).astype(dtype)
+        S = form_normal_half(A)
+        assert S.dtype == dtype
+        assert np.array_equal(S, S.T)
+        A64 = A.astype(np.float64)
+        assert np.allclose(S, A64.T @ A64, rtol=0,
+                           atol=4 * m * linalg.eps_of(dtype) * np.abs(A64).max() ** 2)
+
+    def test_cholesky_failure_flops_by_hand(self):
+        # pivot 0 (sqrt) and its row (1 add, 1 div), then pivot 1 fails
+        # after its dot product (1 add, 1 mul, 1 sqrt)
+        fc = FlopCounter()
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]), flops=fc)
+        assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (2, 1, 1, 2)

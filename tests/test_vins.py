@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from srifkit import vins
 from srifkit.models import ImuNoise
 from srifkit.sim import (
     ScenarioSpec,
@@ -42,6 +43,28 @@ class TestCrossEstimatorEquivalence:
         ref = runs["srif"].positions
         for est in ESTIMATORS:
             div = np.abs(runs[est].positions - ref).max()
+            assert div <= 1e-6, f"{est} diverged by {div}"
+
+    def test_backends_agree_through_reanchoring(self, monkeypatch):
+        # at window 4 SLAM features outlive their anchor pose, which the
+        # default window of 11 never lets happen on this scenario
+        calls = []
+        reanchor = vins.reanchor_feature
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return reanchor(*args, **kwargs)
+
+        monkeypatch.setattr(vins, "reanchor_feature", counted)
+        ds = gen_dataset(_short(seed=0, duration=20.0))
+        runs = {}
+        for est in ("kf", "srif", "pcsrif"):
+            before = len(calls)
+            runs[est] = run_filter(ds, FilterConfig(estimator=est, window=4))
+            assert len(calls) > before, f"{est} never reanchored"
+        ref = runs["srif"].positions
+        for est, res in runs.items():
+            div = np.abs(res.positions - ref).max()
             assert div <= 1e-6, f"{est} diverged by {div}"
 
     def test_flop_phases_reported(self):
