@@ -3,10 +3,12 @@
 Matrix-level operations shared by the three estimators:
 
 * Givens-based scalar marginalization exploiting the upper-triangular
-  structure (O(n*p) per scalar), plus a dense Householder oracle with the
-  classical O(n*p^2) cost for cross-validation.
+  structure (O(n*p) per scalar, one chain of rotations applied in closed
+  form), plus a dense Householder oracle with the classical O(n*p^2) cost
+  for cross-validation.
 * State augmentation folding the linearized process model into the factor
-  and re-triangularizing with sparse Givens sweeps.
+  and re-triangularizing with sparse Givens sweeps that rotate only the
+  constraint rows, one closed-form chain per column.
 * The partitioned measurement update in three mathematically equivalent
   flavors: QR on the stacked factor, Cholesky on the unpreconditioned
   normal equation (the instability demonstrator), and Cholesky on the
@@ -28,10 +30,9 @@ import scipy.linalg
 from .linalg import (
     FlopCounter,
     NotPositiveDefinite,
-    apply_givens_rows,
+    _givens_chain,
     cholesky_upper,
     form_normal_half,
-    givens_from_pair,
     givens_triangularize,
     householder_qr,
     sign_normalize_rows,
@@ -66,9 +67,11 @@ def srif_marginalize(R, p, flops: FlopCounter | None = None):
     """Marginalize the scalar state at index p (0-based) from factor R.
 
     Cyclically permutes column p to the front, then zeroes the leading
-    column bottom-up with Givens rotations that touch only the trailing
-    column range, exploiting the banded fill of the permuted factor.
-    Returns the (n-1) x (n-1) upper-triangular marginal factor.
+    column bottom-up with Givens rotations of adjacent rows, each touching
+    only the trailing column range, exploiting the banded fill of the
+    permuted factor. The rotations form one chain that carries row p up to
+    row 0 and leaves each row it passes one row lower. Returns the
+    (n-1) x (n-1) upper-triangular marginal factor.
     """
     n = R.shape[0]
     if not 0 <= p < n:
@@ -76,12 +79,16 @@ def srif_marginalize(R, p, flops: FlopCounter | None = None):
     if p == 0:
         return R[1:, 1:].copy()
     W = _permute_to_front(R, p)
-    for j in range(p, 0, -1):
-        G = givens_from_pair(W[j - 1, 0], W[j, 0], i=j - 1, j=j)
-        apply_givens_rows(W, G, cols=slice(j, n))
-        # the leading column pair rotates to (r, 0)
-        W[j - 1, 0] = G.c * W[j - 1, 0] + G.s * W[j, 0]
-        W[j, 0] = 0.0
+    # a rotation of two rows whose leading entries are both 0 is the
+    # identity, so rows below the lowest nonzero leading entry stay put
+    # and the chain starts from the row just under it (or from row p)
+    nz = np.flatnonzero(W[:p + 1, 0])
+    start = min(nz[-1] + 1, p) if nz.size else 0
+    if start > 0:
+        rot = _givens_chain(W[start::-1])
+        # rotating (passed, carried) rather than (carried, passed) flips
+        # the sign of the row rotated out
+        np.negative(rot[:0:-1], out=W[1:start + 1])
     if flops is not None:
         # per rotation j = p..1: form it, apply it to the n - j trailing
         # columns, and rotate the leading pair

@@ -1,10 +1,11 @@
 """Dense numerical kernels parameterized over floating-point precision.
 
-Givens rotations, Householder QR and Cholesky factorization (LAPACK),
-normal-equation products (BLAS), triangular solves and spectral condition
-numbers, all preserving the dtype of their inputs (float32 or float64) and
-optionally instrumented with a FLOP counter that records the textbook
-algorithm's operation count.
+Givens sweeps (each column's chain of rotations applied at once in closed
+form), Householder QR and Cholesky factorization (LAPACK), normal-equation
+products (BLAS), triangular solves and spectral condition numbers, all
+preserving the dtype of their inputs (float32 or float64) and optionally
+instrumented with a FLOP counter that records the textbook algorithm's
+operation count, one closed-form count per call.
 Condition numbers are always evaluated in float64 so the diagnostics do
 not inherit the instability they are measuring.
 """
@@ -58,51 +59,8 @@ class FlopCounter:
         return self.adds + self.muls + self.divs + self.sqrts
 
 
-@dataclass
-class GivensRotation:
-    """Plane rotation with c**2 + s**2 = 1 acting on rows i and j."""
-
-    c: float
-    s: float
-    i: int = 0
-    j: int = 1
-
-
 def eps_of(dtype) -> float:
     return float(np.finfo(np.dtype(dtype)).eps)
-
-
-def givens_from_pair(a, b, i=0, j=1, flops: FlopCounter | None = None) -> GivensRotation:
-    """Rotation G such that G.T @ [a, b] = [r, 0] with r >= 0.
-
-    The a = b = 0 case returns the identity rotation (r = 0).
-    """
-    dt = np.result_type(a, b)
-    a = np.asarray(a, dtype=dt)[()]
-    b = np.asarray(b, dtype=dt)[()]
-    if flops is not None:
-        flops.add(adds=1, muls=2, divs=2, sqrts=1)
-    if b == 0 and a == 0:
-        return GivensRotation(dt.type(1.0), dt.type(0.0), i, j)
-    r = np.hypot(a, b)
-    return GivensRotation(a / r, b / r, i, j)
-
-
-def apply_givens_rows(M, G: GivensRotation, cols=slice(None), flops: FlopCounter | None = None):
-    """Apply G.T to rows G.i and G.j of M over the given columns, in place.
-
-    Returns M. Frobenius norm of the two affected rows (restricted to the
-    column range) is preserved up to roundoff.
-    """
-    i, j = G.i, G.j
-    ri = np.array(M[i, cols], copy=True)
-    rj = np.array(M[j, cols], copy=True)
-    M[i, cols] = G.c * ri + G.s * rj
-    M[j, cols] = -G.s * ri + G.c * rj
-    if flops is not None:
-        ncol = ri.shape[0] if ri.ndim else 1
-        flops.add(adds=2 * ncol, muls=4 * ncol)
-    return M
 
 
 def sign_normalize_rows(R, rhs=None):
@@ -158,21 +116,67 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None, overwrite=Fals
     return R, b
 
 
+def _givens_chain(B):
+    """Rotate rows 1..k of B into row 0 in turn with Givens rotations.
+
+    Rotation i zeroes B[i, 0] against the carried row, whose leading entry
+    grows as r_i = hypot(B[0, 0], B[1, 0], ..., B[i, 0]) with r_0 = B[0, 0].
+    Then c_i = r_{i-1} / r_i, s_i = B[i, 0] / r_i, and the carried row after
+    rotation i is S_i / r_i, where S_i = sum_{l <= i} B[l, 0] * B[l] is a
+    cumulative sum, so the whole chain is a few array operations. Returns
+    the rotated block: row 0 is the carried row, with leading entry r_k,
+    and row i is c_i * B[i] - s_i * (carried row before rotation i), with
+    leading entry 0. Needs r_i > 0 for i >= 1, i.e. B[0, 0] or B[1, 0]
+    nonzero; NaN leading entries spread as in a rotation-by-rotation sweep.
+    """
+    lead = B[:, 0]
+    r = np.hypot.accumulate(lead)
+    # scale the weights by r_k so the products cannot overflow
+    t = r[-1] if np.isfinite(r[-1]) else 1.0
+    S = np.cumsum((lead / t)[:, None] * B, axis=0)
+    prev = np.empty_like(B[1:])
+    prev[0] = B[0]
+    np.divide(S[1:-1], (r[1:-1] / t)[:, None], out=prev[1:])
+    out = np.empty_like(B)
+    out[1:] = (r[:-1] / r[1:])[:, None] * B[1:] - (lead[1:] / r[1:])[:, None] * prev
+    out[0] = S[-1] * (t / r[-1])
+    out[1:, 0] = 0.0
+    out[0, 0] = r[-1]
+    return out
+
+
 def givens_triangularize(A, flops: FlopCounter | None = None):
     """Zero all below-diagonal entries of A in place with Givens rotations.
 
-    Sweeps column by column and skips entries that are already zero, so
-    nearly-triangular inputs cost far less than a dense QR. Returns A.
+    Sweeps column by column and rotates only the entries that are nonzero
+    when their column is reached, so nearly-triangular inputs cost far less
+    than a dense QR. Each column's rotations are one chain against its
+    diagonal row. Only rows that start with entries below the diagonal are
+    ever rotated into it, because rotations keep every other row zero left
+    of its diagonal. Returns A.
+
+    The FLOP count is the rotation-by-rotation one: forming a rotation costs
+    1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2
+    adds and 4 muls per column of j..n-1.
     """
     m, n = A.shape
-    for j in range(min(n, m - 1)):
-        col = A[j + 1:, j]
-        nz = np.nonzero(col)[0]
-        for off in nz:
-            r = j + 1 + off
-            G = givens_from_pair(A[j, j], A[r, j], i=j, j=r, flops=flops)
-            apply_givens_rows(A, G, cols=slice(j, n), flops=flops)
-            A[r, j] = 0.0
+    rows = np.flatnonzero(np.any(np.tril(A, -1) != 0, axis=1))
+    below = np.arange(n) < rows[:, None]
+    nrot = nwork = 0
+    while True:
+        hit = (A[rows] != 0) & below
+        cols = np.flatnonzero(hit.any(axis=0))
+        if cols.size == 0:
+            break
+        j = cols[0]
+        nz = rows[hit[:, j]]
+        idx = np.concatenate(([j], nz))
+        A[idx, j:] = _givens_chain(A[idx, j:])
+        nrot += nz.size
+        nwork += nz.size * (n - j)
+    if flops is not None:
+        flops.add(adds=nrot + 2 * nwork, muls=2 * nrot + 4 * nwork,
+                  divs=2 * nrot, sqrts=nrot)
     return A
 
 

@@ -231,6 +231,28 @@ def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic, q_ic,
     return A @ (bearing_vector(alpha, beta) / rho) + t_A
 
 
+def _point_jacobians(A, B, X, p_anchor, p_obs, params):
+    """Jacobians of y = B.T (X - t_B), the point X = A f + t_A of an
+    inverse-depth feature seen from a second camera.
+
+    A and B are the anchor and observing world-from-camera rotations, and
+    p_anchor and p_obs the IMU positions their pose errors rotate about.
+    Returns d y / d (anchor pose), d y / d (observing pose), each 3 x 6 in
+    (position, left-global orientation) order, and d y / d params (3 x 3).
+    """
+    alpha, beta, rho = params
+    dy_anchor = np.zeros((3, 6))
+    dy_anchor[:, 0:3] = B.T
+    dy_anchor[:, 3:6] = -B.T @ skew(X - p_anchor)
+    dy_obs = np.zeros((3, 6))
+    dy_obs[:, 0:3] = -B.T
+    dy_obs[:, 3:6] = B.T @ skew(X - p_obs)
+    dy_feat = np.zeros((3, 3))
+    dy_feat[:, 0:2] = B.T @ A @ bearing_jacobian(alpha, beta) / rho
+    dy_feat[:, 2] = -B.T @ A @ bearing_vector(alpha, beta) / rho ** 2
+    return dy_anchor, dy_obs, dy_feat
+
+
 def project_feature(state, feature: InverseDepthFeature, observing_pose_id,
                     frame_motion=None, min_depth=MIN_DEPTH,
                     with_jacobians=True):
@@ -275,26 +297,15 @@ def project_feature(state, feature: InverseDepthFeature, observing_pose_id,
         [fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
         [0.0, fy / y[2], -fy * y[1] / y[2] ** 2],
     ])
-    alpha, beta, rho = feature.params
-    u = bearing_vector(alpha, beta)
-    Ju = bearing_jacobian(alpha, beta)
     R_ic = quat_to_mat(state.q_ic)
     # d y / d (error blocks)
     dy = {}
-    dy_anchor = np.zeros((3, 6))
-    dy_anchor[:, 0:3] = B.T
-    dy_anchor[:, 3:6] = -B.T @ skew(X - pa)
-    dy_obs = np.zeros((3, 6))
-    dy_obs[:, 0:3] = -B.T
-    dy_obs[:, 3:6] = B.T @ skew(X - po)
+    dy_anchor, dy_obs, dy_feat = _point_jacobians(A, B, X, pa, po, feature.params)
     if anchor.id == observer.id:
         dy[f"pose:{anchor.id}"] = dy_anchor + dy_obs
     else:
         dy[f"pose:{anchor.id}"] = dy_anchor
         dy[f"pose:{observer.id}"] = dy_obs
-    dy_feat = np.zeros((3, 3))
-    dy_feat[:, 0:2] = B.T @ A @ Ju / rho
-    dy_feat[:, 2] = -B.T @ A @ u / rho ** 2
     dy[f"feat:{feature.id}"] = dy_feat
     # IMU rotations at the (possibly advanced) exposure times
     R_a_wi = A @ R_ic.T
@@ -361,24 +372,38 @@ def msckf_nullspace_project(Hf, Hx_blocks, r):
 
 
 def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
-                     new_anchor: Pose, p_ic, q_ic) -> InverseDepthFeature:
+                     new_anchor: Pose, p_ic, q_ic):
     """Re-express a feature w.r.t. a new anchor camera frame.
 
-    The represented global point is unchanged. Raises NonPositiveDepth if
-    the point falls behind the new anchor camera.
+    The represented global point is unchanged. Returns (feature, J_feat,
+    J_old, J_new): the reanchored feature and the Jacobians of its
+    parameters w.r.t. the old parameters (3 x 3) and the old and new
+    anchor pose errors (3 x 6 each). Raises NonPositiveDepth if the point
+    falls behind the new anchor camera.
     """
     X = feature_point_global(feature, old_anchor, p_ic, q_ic)
-    B, t_B = camera_pose(new_anchor, p_ic, q_ic)[:2]
+    B, t_B, _, p_new = camera_pose(new_anchor, p_ic, q_ic)
     y = B.T @ (X - t_B)
     if y[2] <= 0:
         raise NonPositiveDepth(f"depth {y[2]:.4f} after reanchoring")
     rng = np.linalg.norm(y)
     alpha, beta = bearing_angles(y)
-    return InverseDepthFeature(
+    out = InverseDepthFeature(
         anchor_pose_id=new_anchor.id,
         params=np.array([alpha, beta, 1.0 / rng]),
         id=feature.id,
     )
+    # d (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|) / d y
+    h2 = y[0] ** 2 + y[2] ** 2
+    h = np.sqrt(h2)
+    dparams = np.array([
+        [y[2] / h2, 0.0, -y[0] / h2],
+        [-y[0] * y[1] / (h * rng ** 2), h / rng ** 2, -y[2] * y[1] / (h * rng ** 2)],
+        -y / rng ** 3,
+    ])
+    A, _, _, p_old = camera_pose(old_anchor, p_ic, q_ic)
+    dy_old, dy_new, dy_feat = _point_jacobians(A, B, X, p_old, p_new, feature.params)
+    return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
 def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,

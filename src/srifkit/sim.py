@@ -313,12 +313,24 @@ def _write_arr(fh, arr, dtype):
     fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n):
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated scenario cache: wanted {n} bytes at offset "
+                         f"{fh.tell() - len(data)}, got {len(data)}")
+    return data
+
+
+def _unpack(fh, fmt):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
 def _read_arr(fh, dtype):
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+    (ndim,) = _unpack(fh, "<B")
+    shape = _unpack(fh, f"<{ndim}q")
     count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(fh.read(count * np.dtype(dtype).itemsize), dtype=dtype)
-    return arr.reshape(shape).copy()
+    data = _read_exact(fh, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
 
 def save_cache(path, ds):
@@ -342,20 +354,25 @@ def save_cache(path, ds):
 
 
 def load_cache(path):
+    """Read a cache written by save_cache.
+
+    Raises ValueError on a bad magic, an unknown version, or a file that
+    ends before its declared contents ("truncated scenario cache").
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != CACHE_MAGIC:
             raise ValueError("not a scenario cache (bad magic)")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = _unpack(fh, "<H")
         if version != CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
-        (blob_len,) = struct.unpack("<q", fh.read(8))
-        spec = ScenarioSpec.from_json(fh.read(blob_len).decode())
+        (blob_len,) = _unpack(fh, "<q")
+        spec = ScenarioSpec.from_json(_read_exact(fh, blob_len).decode())
         arrs = [_read_arr(fh, "<f8") for _ in range(11)]
         truth = GroundTruth(*arrs[:8])
-        (n_frames,) = struct.unpack("<q", fh.read(8))
+        (n_frames,) = _unpack(fh, "<q")
         frames = []
         for _ in range(n_frames):
-            index, t = struct.unpack("<qd", fh.read(16))
+            index, t = _unpack(fh, "<qd")
             fids = _read_arr(fh, "<i8")
             kinds = _read_arr(fh, "<i8")
             pixels = _read_arr(fh, "<f8")

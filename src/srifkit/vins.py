@@ -39,8 +39,6 @@ from .state import (
     VinsStateVector,
     boxplus,
     layout_of,
-    quat_from_rotvec,
-    quat_mul,
 )
 
 ESTIMATORS = ("kf", "srif", "pcsrif", "if-oracle")
@@ -272,40 +270,9 @@ class VinsEstimator:
         self.x.features = [f for f in self.x.features if f.id not in dead]
         self.layout = layout_of(self.x)
 
-    def _reanchor_jacobian(self, feat, old_anchor, new_anchor):
-        """FD Jacobian of the reanchored parameters w.r.t. the error states."""
-        h = 1e-6
-        base = reanchor_feature(feat, old_anchor, new_anchor,
-                                self.x.p_ic, self.x.q_ic)
-
-        def perturbed(dfeat, da, db):
-            f = feat.copy()
-            f.params = f.params + dfeat
-            oa, nb = old_anchor.copy(), new_anchor.copy()
-            oa.p = oa.p + da[:3]
-            oa.q = quat_mul(quat_from_rotvec(da[3:]), oa.q)
-            nb.p = nb.p + db[:3]
-            nb.q = quat_mul(quat_from_rotvec(db[3:]), nb.q)
-            return reanchor_feature(f, oa, nb, self.x.p_ic, self.x.q_ic).params
-
-        cols = []
-        z3, z6 = np.zeros(3), np.zeros(6)
-        for k in range(3):
-            d = np.zeros(3)
-            d[k] = h
-            cols.append((perturbed(d, z6, z6) - perturbed(-d, z6, z6)) / (2 * h))
-        Jff = np.column_stack(cols)
-        cols_a, cols_b = [], []
-        for k in range(6):
-            d = np.zeros(6)
-            d[k] = h
-            cols_a.append((perturbed(z3, d, z6) - perturbed(z3, -d, z6)) / (2 * h))
-            cols_b.append((perturbed(z3, z6, d) - perturbed(z3, z6, -d)) / (2 * h))
-        return base, Jff, np.column_stack(cols_a), np.column_stack(cols_b)
-
     def _reanchor(self, feat, old_anchor, new_anchor):
-        base, Jff, Jfa, Jfb = self._reanchor_jacobian(feat, old_anchor,
-                                                      new_anchor)
+        base, Jff, Jfa, Jfb = reanchor_feature(
+            feat, old_anchor, new_anchor, self.x.p_ic, self.x.q_ic)
         lay = self.layout
         sf = lay.slice(f"feat:{feat.id}")
         sa = lay.slice(f"pose:{old_anchor.id}")

@@ -24,6 +24,11 @@ from srifkit.linalg import FlopCounter, NotPositiveDefinite, cond_spectral, eps_
 from srifkit.models import TransitionBlock
 from srifkit.state import Pose, build_layout
 
+from givens_reference import marginalize_by_rotation
+
+# the same examples every run, so a tier-1 failure reproduces
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
 
 def random_factor(rng, n, diag_floor=0.5):
     R = np.triu(rng.normal(size=(n, n)))
@@ -101,6 +106,57 @@ class TestMarginalize:
         a = marginalize_block(R, [3, 4, 5])
         b = marginalize_block(marginalize_block(R, [5]), [3, 4])
         assert np.allclose(a.T @ a, b.T @ b, atol=1e-9 * np.linalg.norm(a.T @ a))
+
+
+class TestMarginalizeSweep:
+    """srif_marginalize against the rotation-by-rotation sweep, every p."""
+
+    @staticmethod
+    def _compare(R, dtype):
+        n = R.shape[0]
+        for p in range(n):
+            fg, fr = FlopCounter(), FlopCounter()
+            got = srif_marginalize(R, p, flops=fg)
+            ref = marginalize_by_rotation(R, p, flops=fr)
+            assert got.dtype == dtype
+            assert fg == fr
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), p
+            ok = ~np.isnan(ref)
+            # sign normalization spreads a NaN diagonal along its row
+            assert np.all(np.tril(got, -1)[ok] == 0.0)
+            tol = 8 * n * eps_of(dtype) * np.linalg.norm(np.nan_to_num(R.astype(np.float64)))
+            assert np.abs(got[ok].astype(np.float64) - ref[ok]).max(
+                initial=0.0) <= tol, p
+
+    @PROPERTY
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20),
+           zero_share=st.sampled_from([0.0, 0.3, 0.7]))
+    def test_matches_rotation_by_rotation(self, dtype, seed, n, zero_share):
+        rng = np.random.default_rng(seed)
+        R = random_factor(rng, n)
+        # zeros above the diagonal: some leading entries of the chain are 0
+        R[np.triu(rng.random((n, n)) < zero_share, 1)] = 0.0
+        self._compare(R.astype(dtype), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_diagonal_takes_identity_rotations(self, dtype):
+        # R[p, p] = 0 with zeros above it: the bottom rotations have
+        # a = b = 0, and an all-zero column has only those
+        rng = np.random.default_rng(40)
+        R = random_factor(rng, 9)
+        R[:6, 5] = 0.0
+        R[2:5, 4] = 0.0
+        R[:, 7] = 0.0
+        self._compare(R.astype(dtype), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_propagates_as_rotation_by_rotation(self, dtype):
+        rng = np.random.default_rng(41)
+        for i, j in [(0, 0), (2, 5), (4, 4), (1, 7), (6, 8)]:
+            R = random_factor(rng, 9)
+            R[i, j] = np.nan
+            self._compare(R.astype(dtype), dtype)
 
 
 def make_tb(rng, scale_phi=1.0, sqrt_info=None):
@@ -365,9 +421,6 @@ class TestPcsrifUpdate:
         apply_preconditioner_inverse(pc, H2, flops=fa)
         apply_preconditioner_inverse(pc, R[n1:, n1:], flops=fa)
         assert fa.total() <= 0.10 * fq.total()
-
-
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
 
 class TestUpdateProperties:

@@ -8,17 +8,17 @@ from srifkit.linalg import (
     FlopCounter,
     NotPositiveDefinite,
     SingularTriangular,
-    apply_givens_rows,
     cholesky_upper,
     cond_spectral,
     form_normal_half,
-    givens_from_pair,
     givens_triangularize,
     householder_qr,
     sign_normalize_rows,
     solve_upper,
     solve_upper_transposed,
 )
+
+from givens_reference import apply_givens_rows, givens_from_pair, triangularize_by_rotation
 
 
 class TestGivens:
@@ -361,3 +361,86 @@ class TestKernelProperties:
         with pytest.raises(NotPositiveDefinite):
             cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]), flops=fc)
         assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (2, 1, 1, 2)
+
+
+def _strong_triangle(rng, n):
+    """Upper triangle with a dominant diagonal, so its R factor is well
+    determined and the two sweeps can be compared entry by entry."""
+    return np.triu(0.3 * rng.normal(size=(n, n)), 1) + np.diag(1.0 + rng.random(n))
+
+
+def _sweep_input(kind, rng, m, n):
+    if kind == "nearly":
+        # a few subdiagonals, some of their entries already zero
+        A = np.triu(0.3 * rng.normal(size=(m, n)), -int(rng.integers(1, 4)))
+        A[rng.random(A.shape) < 0.3] = 0.0
+        k = min(m, n)
+        A[np.arange(k), np.arange(k)] = 1.0 + rng.random(k)
+        return A
+    if kind == "augment":
+        # srif_augment's layout: prior triangle rows keep their positions,
+        # 15 constraint rows fill the empty slots, dense left of their slot
+        n_aug = n + 15
+        slots = np.sort(rng.choice(n_aug, size=15, replace=False))
+        prior = np.setdiff1d(np.arange(n_aug), slots)
+        A = np.zeros((n_aug, n_aug))
+        A[np.ix_(prior, prior)] = _strong_triangle(rng, n)
+        for q in slots:
+            A[q, :q] = rng.normal(size=q)
+            A[q, q] = 1.0 + rng.random()
+            later = slots[slots > q]
+            A[q, later] = 0.3 * rng.normal(size=later.size)
+        return A
+    # reanchor: the feature's 3-row slab, whose leading 3 x 3 block is dense
+    A = 0.3 * rng.normal(size=(3, n + 3))
+    A[:, :3] += np.diag(1.0 + rng.random(3))
+    return A
+
+
+class TestGivensSweeps:
+    """givens_triangularize against the rotation-by-rotation sweep."""
+
+    @PROPERTY
+    @given(dtype=DTYPES, seed=SEEDS, m=st.integers(1, 16), n=st.integers(1, 12),
+           kind=st.sampled_from(["nearly", "augment", "reanchor"]))
+    def test_matches_rotation_by_rotation(self, dtype, seed, m, n, kind):
+        A = _sweep_input(kind, np.random.default_rng(seed), m, n).astype(dtype)
+        got, ref = A.copy(), A.copy()
+        fg, fr = FlopCounter(), FlopCounter()
+        givens_triangularize(got, flops=fg)
+        triangularize_by_rotation(ref, flops=fr)
+        assert got.dtype == dtype
+        assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
+        assert (fg.adds, fg.muls, fg.divs, fg.sqrts) == (fr.adds, fr.muls, fr.divs, fr.sqrts)
+        # same rotations, same signs: no sign normalization needed
+        tol = 8 * sum(A.shape) * linalg.eps_of(dtype)
+        assert np.abs(got.astype(np.float64) - ref).max() <= tol * np.linalg.norm(
+            A.astype(np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_pivot(self, dtype):
+        # a0 = 0: the first rotation is the swap c = 0, s = 1
+        rng = np.random.default_rng(15)
+        A = np.triu(rng.normal(size=(6, 5)), -2).astype(dtype)
+        A[0, 0] = 0.0
+        got, ref = A.copy(), A.copy()
+        fg, fr = FlopCounter(), FlopCounter()
+        givens_triangularize(got, flops=fg)
+        triangularize_by_rotation(ref, flops=fr)
+        assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
+        assert fg == fr
+        assert np.allclose(got, ref, rtol=0, atol=32 * linalg.eps_of(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_propagates_as_rotation_by_rotation(self, dtype):
+        rng = np.random.default_rng(16)
+        for i, j in [(3, 1), (0, 4), (5, 0), (2, 2)]:
+            A = np.triu(rng.normal(size=(7, 6)), -2).astype(dtype)
+            A[i, j] = np.nan
+            got, ref = A.copy(), A.copy()
+            givens_triangularize(got)
+            triangularize_by_rotation(ref)
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), (i, j)
+            ok = ~np.isnan(ref)
+            assert np.allclose(got[ok], ref[ok], rtol=0,
+                               atol=32 * linalg.eps_of(dtype))

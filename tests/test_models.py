@@ -302,7 +302,7 @@ class TestReanchor:
         p_ic, q_ic = self._extr()
         pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)
         f = InverseDepthFeature(0, np.array([0.1, 0.05, 0.5]), id=0)
-        g = reanchor_feature(f, pose, pose, p_ic, q_ic)
+        g = reanchor_feature(f, pose, pose, p_ic, q_ic)[0]
         assert np.allclose(g.params, f.params, atol=1e-12)
 
     def test_axial_translation(self):
@@ -311,7 +311,7 @@ class TestReanchor:
         new = Pose(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
                    0.1, id=1)
         f = InverseDepthFeature(0, np.array([0.0, 0.0, 1.0 / 3.0]), id=0)
-        g = reanchor_feature(f, old, new, p_ic, q_ic)
+        g = reanchor_feature(f, old, new, p_ic, q_ic)[0]
         assert np.isclose(g.params[2], 0.5, atol=1e-12)
 
     def test_global_point_roundtrip(self):
@@ -328,7 +328,7 @@ class TestReanchor:
                                                  rng.uniform(0.2, 1.0)]), id=0)
             X0 = feature_point_global(f, old, p_ic, q_ic)
             try:
-                g = reanchor_feature(f, old, new, p_ic, q_ic)
+                g = reanchor_feature(f, old, new, p_ic, q_ic)[0]
             except NonPositiveDepth:
                 continue
             X1 = feature_point_global(g, new, p_ic, q_ic)
@@ -342,6 +342,52 @@ class TestReanchor:
         f = InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0)
         with pytest.raises(NonPositiveDepth):
             reanchor_feature(f, old, new, p_ic, q_ic)
+
+    @staticmethod
+    def _jacobians_by_central_differences(feat, old_anchor, new_anchor, p_ic, q_ic):
+        h = 1e-6
+
+        def perturbed(dfeat, da, db):
+            f = feat.copy()
+            f.params = f.params + dfeat
+            oa, nb = old_anchor.copy(), new_anchor.copy()
+            oa.p = oa.p + da[:3]
+            oa.q = quat_mul(quat_from_rotvec(da[3:]), oa.q)
+            nb.p = nb.p + db[:3]
+            nb.q = quat_mul(quat_from_rotvec(db[3:]), nb.q)
+            return reanchor_feature(f, oa, nb, p_ic, q_ic)[0].params
+
+        z3, z6 = np.zeros(3), np.zeros(6)
+        Jff = np.column_stack([(perturbed(d, z6, z6) - perturbed(-d, z6, z6)) / (2 * h)
+                               for d in h * np.eye(3)])
+        Jfa = np.column_stack([(perturbed(z3, d, z6) - perturbed(z3, -d, z6)) / (2 * h)
+                               for d in h * np.eye(6)])
+        Jfb = np.column_stack([(perturbed(z3, z6, d) - perturbed(z3, z6, -d)) / (2 * h)
+                               for d in h * np.eye(6)])
+        return Jff, Jfa, Jfb
+
+    def test_jacobians_match_central_differences(self):
+        rng = np.random.default_rng(9)
+        p_ic = np.array([0.03, 0.01, -0.02])
+        q_ic = quat_from_rotvec(rng.normal(size=3) * 0.1)
+        checked = 0
+        for _ in range(20):
+            old = Pose(rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.3),
+                       0.0, id=0)
+            new = Pose(old.p + rng.normal(size=3) * 0.3,
+                       quat_from_rotvec(rng.normal(size=3) * 0.3), 0.1, id=1)
+            f = InverseDepthFeature(0, np.array([rng.uniform(-0.3, 0.3),
+                                                 rng.uniform(-0.3, 0.3),
+                                                 rng.uniform(0.2, 1.0)]), id=0)
+            try:
+                _, *J = reanchor_feature(f, old, new, p_ic, q_ic)
+            except NonPositiveDepth:
+                continue
+            J_fd = self._jacobians_by_central_differences(f, old, new, p_ic, q_ic)
+            for got, ref in zip(J, J_fd):
+                assert np.abs(got - ref).max() <= 1e-6
+            checked += 1
+        assert checked >= 10
 
 
 class TestTriangulation:

@@ -181,6 +181,21 @@ class TestCache:
             assert np.array_equal(a.feature_ids, b.feature_ids)
             assert np.array_equal(a.pixels, b.pixels)
 
+    def test_truncated_fails_at_the_boundary(self, tmp_path):
+        path = tmp_path / "scene.bin"
+        save_cache(path, gen_dataset(ScenarioSpec(duration=4.0, seed=9)))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        spec_end = 14 + int.from_bytes(blob[6:14], "little")   # magic, version, length
+        # inside the version, the spec length, the spec and the first array
+        # header, then cuts spread over the arrays and frames
+        cuts = [5, 9, 20, spec_end, spec_end + 4, len(blob) - 1]
+        cuts += np.linspace(spec_end + 9, len(blob) - 2, 25).astype(int).tolist()
+        for n in cuts:
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match="truncated scenario cache"):
+                load_cache(cut)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
