@@ -63,6 +63,21 @@ def _permute_to_front(R, p):
     return R[:, perm]
 
 
+def _drop_uninformed(W, p, flops):
+    """Marginal factor when column 0 of the permuted factor W is zero.
+
+    The state then carries no information, so the marginal is R with
+    column p deleted: n rows over n - 1 columns. Rows 0..p-1 stay
+    triangular; row p and the rows below it, shifted one column left,
+    form a staircase with one row too many, which a chain of rotations
+    run down from row p re-triangularizes, leaving the last row zero.
+    """
+    givens_triangularize(W[p:, p + 1:], flops=flops)
+    out = W[:-1, 1:].copy()
+    sign_normalize_rows(out)
+    return out
+
+
 def srif_marginalize(R, p, flops: FlopCounter | None = None):
     """Marginalize the scalar state at index p (0-based) from factor R.
 
@@ -70,13 +85,15 @@ def srif_marginalize(R, p, flops: FlopCounter | None = None):
     column bottom-up with Givens rotations of adjacent rows, each touching
     only the trailing column range, exploiting the banded fill of the
     permuted factor. The rotations form one chain that carries row p up to
-    row 0 and leaves each row it passes one row lower. Returns the
-    (n-1) x (n-1) upper-triangular marginal factor.
+    row 0 and leaves each row it passes one row lower. When column p is
+    zero in rows 0..p the chain is empty, and the column is deleted
+    instead (`_drop_uninformed`). Returns the (n-1) x (n-1)
+    upper-triangular marginal factor.
     """
     n = R.shape[0]
     if not 0 <= p < n:
         raise IndexError(f"p={p} out of range for n={n}")
-    if p == 0:
+    if p == 0 and R[0, 0] != 0:
         return R[1:, 1:].copy()
     W = _permute_to_front(R, p)
     # a rotation of two rows whose leading entries are both 0 is the
@@ -95,6 +112,8 @@ def srif_marginalize(R, p, flops: FlopCounter | None = None):
         ncols = p * n - p * (p + 1) // 2
         flops.add(adds=2 * p + 2 * ncols, muls=4 * p + 4 * ncols,
                   divs=2 * p, sqrts=p)
+    if start == 0:
+        return _drop_uninformed(W, p, flops)
     out = W[1:, 1:].copy()
     sign_normalize_rows(out)
     return out
@@ -109,9 +128,11 @@ def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
     n = R.shape[0]
     if not 0 <= p < n:
         raise IndexError(f"p={p} out of range for n={n}")
-    if p == 0:
+    if p == 0 and R[0, 0] != 0:
         return R[1:, 1:].copy()
     W = _permute_to_front(R, p)
+    if not W[: p + 1, 0].any():
+        return _drop_uninformed(W, p, flops)
     top, _ = householder_qr(W[: p + 1], flops=flops)
     W[: p + 1] = top
     out = W[1:, 1:].copy()
@@ -247,12 +268,6 @@ class Preconditioner:
     blocks: np.ndarray                # (6, poses, poses) upper triangular
     jacobi: np.ndarray                # positive diagonal of M_Jacobi
     degenerate: list = field(default_factory=list)
-
-    def dense(self):
-        M = np.eye(self.n2)
-        for ix, B in zip(self.idx, self.blocks):
-            M[np.ix_(ix, ix)] = B
-        return np.diag(self.jacobi.astype(np.float64)) @ M
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""

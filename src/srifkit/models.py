@@ -1,8 +1,11 @@
 """Linearized process and measurement models.
 
 IMU error-state transition for state augmentation, inverse-depth pinhole
-projection with analytic Jacobians, left-null-space elimination of
-track-end features, noise whitening, and feature reanchoring.
+projection with analytic Jacobians (the time-offset column included),
+per-frame camera poses of the whole window with their time-offset
+derivatives, vectorized Gauss-Newton triangulation, left-null-space
+elimination of track-end features, noise whitening, and feature
+reanchoring.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -11,7 +14,8 @@ The 15-dim IMU transition block is ordered (bg, ba, v, p, theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +54,12 @@ class ImuSample:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.omega).all()
+                and np.isfinite(self.accel).all()):
+            raise ValueError(f"non-finite IMU sample: omega={self.omega}, "
+                             f"accel={self.accel}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass
@@ -90,12 +98,6 @@ class LinearizedMeasurement:
 
     residual: np.ndarray       # (m,), unit noise covariance
     blocks: dict               # block name -> (m, dim) array
-
-    def to_dense(self, layout):
-        H = np.zeros((self.residual.shape[0], layout.n))
-        for name, J in self.blocks.items():
-            H[:, layout.slice(name)] = J
-        return H
 
 
 # --------------------------------------------------------------------------
@@ -207,21 +209,74 @@ def pixel_to_bearing(pixel, intrinsics):
     return bearing_angles(np.array([xn, yn, 1.0]))
 
 
-def camera_pose(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
-    """World-from-camera rotation and camera center for an IMU pose.
-
-    `advance` is an optional (velocity, body angular rate) pair used to
-    shift the pose by the time-offset estimate tsync.
-    """
+def _imu_pose_at(pose: Pose, advance, tsync):
+    """Global-from-IMU rotation and IMU position, shifted by tsync along
+    the constant velocity and body rate `advance` = (v, w) when given."""
     R_wi = quat_to_mat(pose.q)
     p_wi = pose.p
     if advance is not None and tsync != 0.0:
         v, w = advance
         p_wi = p_wi + v * tsync
         R_wi = R_wi @ quat_to_mat(quat_from_rotvec(w * tsync))
+    return R_wi, p_wi
+
+
+def camera_pose(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
+    """World-from-camera rotation and camera center for an IMU pose.
+
+    `advance` is an optional (velocity, body angular rate) pair used to
+    shift the pose by the time-offset estimate tsync.
+    """
+    R_wi, p_wi = _imu_pose_at(pose, advance, tsync)
     R_wc = R_wi @ quat_to_mat(q_ic)
     t_wc = p_wi + R_wi @ p_ic
     return R_wc, t_wc, R_wi, p_wi
+
+
+class CameraFrame(NamedTuple):
+    """One pose's camera at tsync and its derivative with respect to tsync."""
+
+    R_wc: np.ndarray   # world-from-camera rotation
+    t_wc: np.ndarray   # camera center
+    p_wi: np.ndarray   # IMU position the pose error rotates about
+    dR_wc: np.ndarray  # d R_wc / d tsync
+    dt_wc: np.ndarray  # d t_wc / d tsync
+
+
+class WindowCameras(NamedTuple):
+    """Camera frames of window poses, keyed by pose id, and the
+    camera-to-IMU rotation they share."""
+
+    R_ic: np.ndarray
+    frames: dict
+
+
+def _camera_frame(pose: Pose, p_ic, R_ic, advance, tsync) -> CameraFrame:
+    """`camera_pose` with its tsync derivative, from a precomputed R_ic.
+
+    Shifting by tsync moves the IMU to p + v tsync and R exp(w tsync), so
+    d R_wc / d tsync = R_wi skew(w) R_ic and d t_wc / d tsync =
+    v + R_wi skew(w) p_ic at the shifted R_wi; a pose without `advance`
+    does not move with tsync.
+    """
+    R_wi, p_wi = _imu_pose_at(pose, advance, tsync)
+    R_wc = R_wi @ R_ic
+    t_wc = p_wi + R_wi @ p_ic
+    if advance is None:
+        return CameraFrame(R_wc, t_wc, p_wi, np.zeros((3, 3)), np.zeros(3))
+    v, w = advance
+    Rw = R_wi @ skew(w)
+    return CameraFrame(R_wc, t_wc, p_wi, Rw @ R_ic, v + Rw @ p_ic)
+
+
+def window_cameras(state, frame_motion=None) -> WindowCameras:
+    """Every window pose's camera frame at state.tsync, each evaluated once;
+    `frame_motion` is as for `project_feature`."""
+    R_ic = quat_to_mat(state.q_ic)
+    fm = frame_motion or {}
+    return WindowCameras(R_ic, {
+        p.id: _camera_frame(p, state.p_ic, R_ic, fm.get(p.id), state.tsync)
+        for p in state.poses})
 
 
 def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic, q_ic,
@@ -255,36 +310,30 @@ def _point_jacobians(A, B, X, p_anchor, p_obs, params):
 
 def project_feature(state, feature: InverseDepthFeature, observing_pose_id,
                     frame_motion=None, min_depth=MIN_DEPTH,
-                    with_jacobians=True):
+                    with_jacobians=True, cameras: WindowCameras | None = None):
     """Project an anchored inverse-depth feature into an observing frame.
 
     Returns (pixel, blocks) where blocks maps error-state block names to
     2 x dim Jacobians (anchor pose, observing pose, feature parameters,
     extrinsics, intrinsics, and tsync). `frame_motion` maps pose id to
     (velocity, body rate) constants used for the time-offset model; the
-    tsync column is the image-plane feature velocity obtained by finite
-    differencing the time-shifted projection.
+    tsync column is the analytic image-plane feature velocity under that
+    shift. `cameras` is `window_cameras(state, frame_motion)` when the
+    caller projects many features against the same state; without it the
+    window is evaluated here, with the same result.
 
     Raises BehindCamera when the depth in the observing camera is at or
     below min_depth.
     """
-    poses = {p.id: p for p in state.poses}
-    anchor = poses[feature.anchor_pose_id]
-    observer = poses[observing_pose_id]
-    fm = frame_motion or {}
-
-    def predict(ts):
-        adv_a = fm.get(anchor.id)
-        adv_o = fm.get(observer.id)
-        A, t_A, _, pa = camera_pose(anchor, state.p_ic, state.q_ic, adv_a, ts)
-        B, t_B, _, po = camera_pose(observer, state.p_ic, state.q_ic, adv_o, ts)
-        alpha, beta, rho = feature.params
-        f = bearing_vector(alpha, beta) / rho
-        X = A @ f + t_A
-        y = B.T @ (X - t_B)
-        return A, B, t_B, pa, po, f, X, y
-
-    A, B, t_B, pa, po, f, X, y = predict(state.tsync)
+    if cameras is None:
+        cameras = window_cameras(state, frame_motion)
+    anchor_id = feature.anchor_pose_id
+    A, t_A, pa, dA, dt_A = cameras.frames[anchor_id]
+    B, t_B, po, dB, dt_B = cameras.frames[observing_pose_id]
+    alpha, beta, rho = feature.params
+    f = bearing_vector(alpha, beta) / rho
+    X = A @ f + t_A
+    y = B.T @ (X - t_B)
     if y[2] <= min_depth:
         raise BehindCamera(f"depth {y[2]:.4f} <= {min_depth}")
     fx, fy, cx, cy = state.intrinsics
@@ -297,34 +346,29 @@ def project_feature(state, feature: InverseDepthFeature, observing_pose_id,
         [fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
         [0.0, fy / y[2], -fy * y[1] / y[2] ** 2],
     ])
-    R_ic = quat_to_mat(state.q_ic)
+    R_ic = cameras.R_ic
     # d y / d (error blocks)
     dy = {}
     dy_anchor, dy_obs, dy_feat = _point_jacobians(A, B, X, pa, po, feature.params)
-    if anchor.id == observer.id:
-        dy[f"pose:{anchor.id}"] = dy_anchor + dy_obs
+    if anchor_id == observing_pose_id:
+        dy[f"pose:{anchor_id}"] = dy_anchor + dy_obs
     else:
-        dy[f"pose:{anchor.id}"] = dy_anchor
-        dy[f"pose:{observer.id}"] = dy_obs
+        dy[f"pose:{anchor_id}"] = dy_anchor
+        dy[f"pose:{observing_pose_id}"] = dy_obs
     dy[f"feat:{feature.id}"] = dy_feat
     # IMU rotations at the (possibly advanced) exposure times
     R_a_wi = A @ R_ic.T
     R_o_wi = B @ R_ic.T
     dy["p_ic"] = B.T @ (R_a_wi - R_o_wi)
     dy["q_ic"] = -B.T @ R_a_wi @ skew(R_ic @ f) + R_ic.T @ skew(R_o_wi.T @ (X - t_B))
+    # tsync: both cameras move with the time shift
+    dy["tsync"] = (dB.T @ (X - t_B) + B.T @ (dA @ f + dt_A - dt_B))[:, None]
 
     blocks = {name: Jz @ J for name, J in dy.items()}
     blocks["intr"] = np.array([
         [xn, 0.0, 1.0, 0.0],
         [0.0, yn, 0.0, 1.0],
     ])
-    # tsync column: image-plane velocity by central differences
-    dts = 1e-4
-    yp = predict(state.tsync + dts)[-1]
-    ym = predict(state.tsync - dts)[-1]
-    zp = np.array([fx * yp[0] / yp[2] + cx, fy * yp[1] / yp[2] + cy])
-    zm = np.array([fx * ym[0] / ym[2] + cx, fy * ym[1] / ym[2] + cy])
-    blocks["tsync"] = ((zp - zm) / (2 * dts)).reshape(2, 1)
     return pixel, blocks
 
 
@@ -406,57 +450,79 @@ def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
     return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
+def _init_inverse_depth(u0, rays, base):
+    """Mean inverse depth along u0 from the views whose ray meets it.
+
+    Per view, [u0, -ray] s = base in the least-squares sense gives the depth
+    s[0] along u0. The 2 x 2 normal equations are solved for all views at
+    once; a view whose rays are within about a milliradian of parallel goes
+    through `lstsq`, which takes the minimum-norm solution when they are.
+    """
+    a = u0 @ u0
+    c = rays @ u0
+    d = np.einsum("ij,ij->i", rays, rays)
+    det = a * d - c * c
+    solvable = det > 1e-6 * a * d
+    depth = np.divide(d * (base @ u0) - c * np.einsum("ij,ij->i", rays, base),
+                      det, out=np.zeros_like(det), where=solvable)
+    for i in np.flatnonzero(~solvable):
+        M = np.column_stack([u0, -rays[i]])
+        depth[i] = np.linalg.lstsq(M, base[i], rcond=None)[0][0]
+    hit = depth > 0.01
+    if not hit.any():
+        return 0.5
+    return np.divide(1.0, depth, out=np.zeros_like(depth), where=hit).sum() / hit.sum()
+
+
 def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
                               iters=10):
     """Gauss-Newton triangulation in anchored inverse-depth coordinates.
 
-    The first view is the anchor. Returns (alpha, beta, rho) or raises
-    RankDeficientFeature when the geometry is degenerate.
+    The first view is the anchor. All views are evaluated at once: with
+    C_k = B_k.T A and c_k = B_k.T (t_A - t_k) fixed, view k sees the point
+    at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta. Returns
+    (alpha, beta, rho) or raises RankDeficientFeature when the geometry is
+    degenerate.
     """
     fx, fy, cx, cy = intrinsics
-    A, t_A = cam_rots[0], cam_centers[0]
-    alpha, beta = pixel_to_bearing(pixels[0], intrinsics)
-    # linear init for rho from the remaining rays
-    num, den = 0.0, 0.0
-    u0 = A @ bearing_vector(alpha, beta)
-    for Bm, t_Bm, px in zip(cam_rots[1:], cam_centers[1:], pixels[1:]):
-        a2, b2 = pixel_to_bearing(px, intrinsics)
-        ray = Bm @ bearing_vector(a2, b2)
-        base = t_Bm - t_A
-        # minimize || u0/rho_inv... solve for depth d: u0*d ~ base + ray*s
-        M = np.column_stack([u0, -ray])
-        sol, *_ = np.linalg.lstsq(M, base, rcond=None)
-        if sol[0] > 0.01:
-            num += 1.0 / sol[0]
-            den += 1.0
-    rho = num / den if den > 0 else 0.5
+    px = np.asarray(pixels, dtype=np.float64)
+    Bs = np.asarray(cam_rots, dtype=np.float64)
+    ts = np.asarray(cam_centers, dtype=np.float64)
+    A, t_A = Bs[0], ts[0]
+    alpha, beta = pixel_to_bearing(px[0], intrinsics)
+    # every view's unit ray in the world frame, then the linear init for
+    # rho from the rays of the views other than the anchor
+    focal = np.array([fx, fy])
+    rays = np.ones((len(px), 3))
+    rays[:, :2] = (px - (cx, cy)) / focal
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays, rays))[:, None]
+    rays = (Bs @ rays[:, :, None])[:, :, 0]
+    rho = _init_inverse_depth(rays[0], rays[1:], ts[1:] - t_A)
     rho = min(max(rho, 1e-3), 1e3)
     theta = np.array([alpha, beta, rho])
+    C = Bs.transpose(0, 2, 1) @ A
+    c = ((t_A - ts)[:, None, :] @ Bs)[:, 0, :]
+    # columns: d f / d (alpha, beta, rho), then f itself
+    G = np.empty((3, 4))
     for _ in range(iters):
-        Jb = []
-        rb = []
         u = bearing_vector(theta[0], theta[1])
-        Ju = bearing_jacobian(theta[0], theta[1])
-        f = u / theta[2]
-        X = A @ f + t_A
-        for Bm, t_Bm, px in zip(cam_rots, cam_centers, pixels):
-            y = Bm.T @ (X - t_Bm)
-            if y[2] <= 1e-3:
-                raise RankDeficientFeature("triangulated point behind a camera")
-            z = np.array([fx * y[0] / y[2] + cx, fy * y[1] / y[2] + cy])
-            Jz = np.array([
-                [fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
-                [0.0, fy / y[2], -fy * y[1] / y[2] ** 2],
-            ])
-            dydt = np.zeros((3, 3))
-            dydt[:, 0:2] = Bm.T @ A @ Ju / theta[2]
-            dydt[:, 2] = -Bm.T @ A @ u / theta[2] ** 2
-            Jb.append(Jz @ dydt)
-            rb.append(px - z)
-        J = np.vstack(Jb)
-        r = np.concatenate(rb)
+        G[:, 0:2] = bearing_jacobian(theta[0], theta[1]) / theta[2]
+        G[:, 2] = -u / theta[2] ** 2
+        G[:, 3] = u / theta[2]
+        CG = C @ G
+        y = CG[:, :, 3] + c
+        if (y[:, 2] <= 1e-3).any():
+            raise RankDeficientFeature("triangulated point behind a camera")
+        inv = 1.0 / y[:, 2:3]
+        xy = y[:, 0:2] * inv
+        r = (px - (focal * xy + (cx, cy))).ravel()
+        # d (f_x y0 / y2, f_y y1 / y2) = f / y2 * (d y01 - y01 / y2 * d y2)
+        J = ((focal * inv)[:, :, None]
+             * (CG[:, 0:2, 0:3] - xy[:, :, None] * CG[:, 2:3, 0:3])).reshape(-1, 3)
         JtJ = J.T @ J
-        if np.linalg.cond(JtJ) > 1e12:
+        # cond(JtJ) > 1e12, from the singular values cond would use
+        sv = np.linalg.svd(JtJ, compute_uv=False)
+        if sv[0] > 1e12 * sv[-1] or sv[-1] == 0.0:
             raise RankDeficientFeature("degenerate triangulation geometry")
         step = np.linalg.solve(JtJ, J.T @ r)
         theta = theta + step

@@ -25,13 +25,13 @@ from .models import (
     ImuNoise,
     NonPositiveDepth,
     RankDeficientFeature,
-    camera_pose,
     imu_transition,
     msckf_nullspace_project,
     project_feature,
     reanchor_feature,
     triangulate_inverse_depth,
     whiten,
+    window_cameras,
 )
 from .state import (
     InverseDepthFeature,
@@ -347,12 +347,6 @@ class VinsEstimator:
 
     # -- update -----------------------------------------------------------
 
-    def _cam_pose_at(self, pose_id):
-        pose = next(p for p in self.x.poses if p.id == pose_id)
-        return camera_pose(pose, self.x.p_ic, self.x.q_ic,
-                           self.frame_motion.get(pose_id),
-                           self.x.tsync)[:2]
-
     def _insert_feature(self, feat):
         """Grow the state by one feature with an independent weak prior."""
         old_layout = self.layout
@@ -373,23 +367,22 @@ class VinsEstimator:
             R[sf, sf] = np.diag(1.0 / sig).astype(self.R.dtype)
             self.R = R
 
-    def _try_triangulate(self, obs):
-        pixels = [px for _, px in obs]
-        mats = [self._cam_pose_at(pid) for pid, _ in obs]
-        rots = [m[0] for m in mats]
-        centers = [m[1] for m in mats]
-        return triangulate_inverse_depth(pixels, rots, centers,
-                                         self.x.intrinsics)
+    def _try_triangulate(self, obs, cameras):
+        frames = [cameras.frames[pid] for pid, _ in obs]
+        return triangulate_inverse_depth(
+            [px for _, px in obs], [fr.R_wc for fr in frames],
+            [fr.t_wc for fr in frames], self.x.intrinsics)
 
-    def _slam_rows(self, feat, pose_id, pixel, meas):
+    def _slam_rows(self, feat, pose_id, pixel, meas, cameras):
         pred, blocks = project_feature(self.x, feat, pose_id,
-                                       frame_motion=self.frame_motion)
+                                       frame_motion=self.frame_motion,
+                                       cameras=cameras)
         meas.append(whiten(pixel - pred, blocks, self.sigma_px))
 
-    def _consume_msckf(self, fid, obs, meas):
+    def _consume_msckf(self, fid, obs, meas, cameras):
         """Triangulate a finished short track and add its projected rows."""
         try:
-            theta = self._try_triangulate(obs)
+            theta = self._try_triangulate(obs, cameras)
         except RankDeficientFeature:
             return
         feat = InverseDepthFeature(obs[0][0], theta, id=fid)
@@ -397,7 +390,8 @@ class VinsEstimator:
         for pid, px in obs:
             try:
                 pred, blocks = project_feature(self.x, feat, pid,
-                                               frame_motion=self.frame_motion)
+                                               frame_motion=self.frame_motion,
+                                               cameras=cameras)
             except BehindCamera:
                 continue
             rows_f.append(blocks.pop(f"feat:{fid}"))
@@ -420,6 +414,9 @@ class VinsEstimator:
         meas.append(whiten(r_proj, blocks, self.sigma_px))
 
     def _collect_measurements(self, frame):
+        # the window and its estimate stay fixed until the update, so each
+        # pose's camera is evaluated once per frame
+        cameras = window_cameras(self.x, self.frame_motion)
         meas = []
         in_state = {f.id: f for f in self.x.features}
         pose_ids = {p.id for p in self.x.poses}
@@ -427,7 +424,8 @@ class VinsEstimator:
             fid = int(fid)
             if fid in in_state:
                 try:
-                    self._slam_rows(in_state[fid], frame.index, px, meas)
+                    self._slam_rows(in_state[fid], frame.index, px, meas,
+                                    cameras)
                 except BehindCamera:
                     self._drop_next.add(fid)
                 continue
@@ -438,7 +436,7 @@ class VinsEstimator:
                     self.track_buf[fid] = obs[-1:]
                     continue
                 try:
-                    theta = self._try_triangulate(obs)
+                    theta = self._try_triangulate(obs, cameras)
                 except RankDeficientFeature:
                     continue
                 feat = InverseDepthFeature(obs[0][0], theta, id=fid)
@@ -446,7 +444,7 @@ class VinsEstimator:
                 del self.track_buf[fid]
                 for pid, opx in obs:  # delayed initialization
                     try:
-                        self._slam_rows(feat, pid, opx, meas)
+                        self._slam_rows(feat, pid, opx, meas, cameras)
                     except BehindCamera:
                         self._drop_next.add(fid)
                         break
@@ -460,7 +458,7 @@ class VinsEstimator:
             del self.track_buf[fid]
             if len(obs) >= self.cfg.min_track and all(
                     pid in pose_ids for pid, _ in obs):
-                self._consume_msckf(fid, obs, meas)
+                self._consume_msckf(fid, obs, meas, cameras)
         return meas
 
     def _apply_update(self, H2, r, t):
@@ -507,22 +505,30 @@ class VinsEstimator:
         self.R = res.R_post
         return res.dx
 
+    def _stack_x2(self, meas):
+        """Whitened rows stacked as [H2 r] over the x2 columns, at working
+        precision; visual rows are zero on the n1 bias/velocity columns."""
+        n1 = self.layout.n1
+        m = sum(len(z.residual) for z in meas)
+        H2 = np.zeros((m, self.layout.n - n1), dtype=self.dtype)
+        r = np.empty(m, dtype=self.dtype)
+        off = 0
+        for z in meas:
+            k = len(z.residual)
+            for name, J in z.blocks.items():
+                o, dim = self.layout.index[name]
+                H2[off:off + k, o - n1:o - n1 + dim] = J
+            r[off:off + k] = z.residual
+            off += k
+        return H2, r
+
     def _update(self, frame):
         meas = self._collect_measurements(frame)
         prior_R22 = (None if self.is_kf else
                      np.array(self.R[9:, 9:], dtype=np.float64))
         if meas:
-            m = sum(len(z.residual) for z in meas)
-            H = np.zeros((m, self.layout.n))
-            r = np.empty(m)
-            off = 0
-            for z in meas:
-                k = len(z.residual)
-                H[off:off + k] = z.to_dense(self.layout)
-                r[off:off + k] = z.residual
-                off += k
-            H2 = H[:, 9:].astype(self.dtype)
-            dx = self._apply_update(H2, r.astype(self.dtype), frame.t)
+            H2, r = self._stack_x2(meas)
+            dx = self._apply_update(H2, r, frame.t)
             self.x = boxplus(self.x, np.asarray(dx, dtype=np.float64),
                              self.layout)
         self._record_diagnostics(frame, prior_R22)

@@ -73,7 +73,7 @@ def triangularize_by_rotation(A, flops: FlopCounter | None = None):
 def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
     """`srif_marginalize`, one rotation of adjacent rows at a time."""
     n = R.shape[0]
-    if p == 0:
+    if p == 0 and R[0, 0] != 0:
         return R[1:, 1:].copy()
     perm = [p] + list(range(p)) + list(range(p + 1, n))
     W = R[:, perm]
@@ -85,4 +85,9 @@ def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
         W[j, 0] = 0.0
         if flops is not None:
             flops.add(adds=1, muls=2)
+    if W[0, 0] == 0:
+        # every rotation was the identity: the state has no information,
+        # so delete its column and rotate rows p.. back into a triangle
+        triangularize_by_rotation(W[p:, p + 1:], flops=flops)
+        return sign_normalize_rows(W[:-1, 1:].copy())
     return sign_normalize_rows(W[1:, 1:].copy())

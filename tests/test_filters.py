@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from srifkit.filters import (
@@ -25,9 +25,6 @@ from srifkit.models import TransitionBlock
 from srifkit.state import Pose, build_layout
 
 from givens_reference import marginalize_by_rotation
-
-# the same examples every run, so a tier-1 failure reproduces
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
 
 def random_factor(rng, n, diag_floor=0.5):
@@ -100,6 +97,26 @@ class TestMarginalize:
         marginalize_oracle_householder(R, n - 1, flops=fh)
         assert fg.total() * 5 <= fh.total()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uninformed_state_is_deleted(self, seed):
+        # column p of R zero, so the state carries no information: the
+        # marginal is the information with row and column p deleted, and
+        # prior row 0 must survive it
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 12))
+        for p in range(n):
+            R = random_factor(rng, n)
+            R[:, p] = 0.0
+            info = R.T @ R
+            keep = np.delete(np.arange(n), p)
+            ref = info[np.ix_(keep, keep)]
+            for marginalize in (srif_marginalize, marginalize_oracle_householder):
+                out = marginalize(R, p)
+                assert out.shape == (n - 1, n - 1)
+                assert np.array_equal(np.tril(out, -1), np.zeros_like(out))
+                assert np.abs(out.T @ out - ref).max() <= 1e-12 * np.abs(ref).max(), (
+                    marginalize.__name__, n, p)
+
     def test_block_order_insensitive(self):
         rng = np.random.default_rng(2)
         R = random_factor(rng, 20)
@@ -128,7 +145,6 @@ class TestMarginalizeSweep:
             assert np.abs(got[ok].astype(np.float64) - ref[ok]).max(
                 initial=0.0) <= tol, p
 
-    @PROPERTY
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20),
            zero_share=st.sampled_from([0.0, 0.3, 0.7]))
@@ -300,16 +316,26 @@ def coupled_pose_factor(rng, common_info=1e-2, relative_info=1e6):
     return cholesky_upper(info + np.eye(12) * 1e-9, check_symmetry=False)
 
 
+def preconditioner_dense(pc):
+    """M = M_Jacobi @ M_SPAI as a dense n2 x n2 matrix: the identity with
+    each triangular block written over its columns, rows scaled by the
+    Jacobi norms."""
+    M = np.eye(pc.n2)
+    for ix, B in zip(pc.idx, pc.blocks):
+        M[np.ix_(ix, ix)] = B
+    return np.diag(pc.jacobi.astype(np.float64)) @ M
+
+
 class TestPreconditioner:
     def test_identity(self):
         pc = build_preconditioner(np.eye(10), [0])
-        assert np.allclose(pc.dense(), np.eye(10))
+        assert np.allclose(preconditioner_dense(pc), np.eye(10))
 
     def test_pure_jacobi_diagonal(self):
         d = np.array([10.0, 0.1, 2.0, 5.0])
         pc = build_preconditioner(np.diag(d), [])
-        assert np.allclose(np.diag(pc.dense()), d)
-        k, *_ = cond_spectral(np.diag(d) @ np.linalg.inv(pc.dense()))
+        assert np.allclose(np.diag(preconditioner_dense(pc)), d)
+        k, *_ = cond_spectral(np.diag(d) @ np.linalg.inv(preconditioner_dense(pc)))
         assert np.isclose(k, 1.0)
 
     def test_beats_plain_jacobi_on_coupled_poses(self):
@@ -327,7 +353,7 @@ class TestPreconditioner:
         pc = build_preconditioner(R22, [0, 6])
         A = rng.normal(size=(20, 12))
         got = apply_preconditioner_inverse(pc, A)
-        ref = A @ np.linalg.inv(pc.dense())
+        ref = A @ np.linalg.inv(preconditioner_dense(pc))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max() * 1e3
 
     def test_apply_right_solve_roundtrip(self):
@@ -339,7 +365,7 @@ class TestPreconditioner:
         assert np.allclose(back, A, atol=1e-9 * np.abs(A).max())
         z = rng.normal(size=12)
         x = preconditioner_solve_vec(pc, z)
-        assert np.allclose(pc.dense() @ x, z, atol=1e-9)
+        assert np.allclose(preconditioner_dense(pc) @ x, z, atol=1e-9)
 
     def test_degenerate_column_flagged(self):
         R22 = np.eye(6)
@@ -452,7 +478,6 @@ class TestUpdateProperties:
         tol = 10 * (n + H2.shape[0]) * eps_of(dtype)
         assert np.linalg.norm(Rp.T @ Rp - info) <= tol * np.linalg.norm(info)
 
-    @PROPERTY
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
            poses=st.integers(0, 3), extra=st.integers(1, 4),
@@ -463,7 +488,6 @@ class TestUpdateProperties:
         res = srif_update_partitioned(R, H2, r, n1)
         self._check_posterior(res, R, H2, n1, dtype)
 
-    @PROPERTY
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 30),
            poses=st.integers(0, 3), extra=st.integers(1, 4),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from srifkit import linalg
 from srifkit.models import (
@@ -19,6 +21,7 @@ from srifkit.models import (
     reanchor_feature,
     triangulate_inverse_depth,
     whiten,
+    window_cameras,
 )
 from srifkit.state import (
     InverseDepthFeature,
@@ -31,6 +34,11 @@ from srifkit.state import (
     rotvec_from_quat,
     quat_conj,
     quat_mul,
+)
+
+from model_reference import (
+    triangulate_by_view,
+    tsync_column_by_central_differences,
 )
 
 
@@ -47,6 +55,21 @@ def make_scene(seed=0, tsync=0.0):
                             params=np.array([0.08, -0.06, 0.4]), id=0)
     st.features.append(f)
     return st, f
+
+
+class TestImuSample:
+    @pytest.mark.parametrize("field", ["omega", "accel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        vals = {"omega": np.zeros(3), "accel": np.ones(3)}
+        vals[field][1] = bad
+        with pytest.raises(ValueError, match="non-finite IMU sample"):
+            ImuSample(vals["omega"], vals["accel"], 0.01)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ImuSample(np.zeros(3), np.ones(3), dt)
 
 
 class TestImuTransition:
@@ -204,6 +227,50 @@ class TestProjectFeature:
                 fd = (pp - pm) / (2 * h)
                 scale = max(np.abs(J).max(), 1.0)
                 assert np.abs(fd - J[:, k]).max() <= 1e-4 * scale, (name, k)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), observer=st.integers(0, 2),
+           tsync=st.sampled_from([0.0, 0.004, -0.02]),
+           anchor_moves=st.booleans(), observer_moves=st.booleans())
+    def test_tsync_column_matches_central_differences(
+            self, seed, observer, tsync, anchor_moves, observer_moves):
+        state, f = make_scene(seed=seed % 1000, tsync=tsync)
+        rng = np.random.default_rng(seed)
+        moving = {0} if anchor_moves else set()
+        if observer_moves:
+            moving.add(observer)
+        fm = {i: (rng.normal(size=3), rng.normal(size=3) * 0.5) for i in moving}
+        try:
+            _, blocks = project_feature(state, f, observer, frame_motion=fm)
+        except BehindCamera:
+            return
+        ref = tsync_column_by_central_differences(state, f, observer, fm)
+        got = blocks["tsync"]
+        assert got.shape == (2, 1)
+        if not moving or observer == 0:
+            # a still scene, or one camera seeing its own anchor ray
+            assert np.abs(got).max() <= 1e-9 * np.abs(blocks["intr"]).max()
+        assert np.abs(got - ref).max() <= 1e-6 * max(np.abs(ref).max(), 1.0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), observer=st.integers(0, 2),
+           tsync=st.sampled_from([0.0, 0.003]), moves=st.sets(st.integers(0, 2)))
+    def test_window_cameras_give_bitwise_same_result(self, seed, observer,
+                                                     tsync, moves):
+        state, f = make_scene(seed=seed % 1000, tsync=tsync)
+        rng = np.random.default_rng(seed)
+        fm = {i: (rng.normal(size=3), rng.normal(size=3)) for i in sorted(moves)}
+        try:
+            px, blocks = project_feature(state, f, observer, frame_motion=fm)
+        except BehindCamera:
+            with pytest.raises(BehindCamera):
+                project_feature(state, f, observer, frame_motion=fm,
+                                cameras=window_cameras(state, fm))
+            return
+        px_c, blocks_c = project_feature(state, f, observer, frame_motion=fm,
+                                         cameras=window_cameras(state, fm))
+        assert np.array_equal(px, px_c)
+        assert blocks.keys() == blocks_c.keys()
+        for name in blocks:
+            assert np.array_equal(blocks[name], blocks_c[name]), name
 
     def test_bias_velocity_columns_absent(self):
         st, f = make_scene(seed=3)
@@ -410,3 +477,97 @@ class TestTriangulation:
         assert np.isclose(theta[2], 1.0 / np.linalg.norm(y0), atol=1e-8)
         a, b = bearing_angles(y0)
         assert np.allclose(theta[:2], [a, b], atol=1e-8)
+
+    INTR = np.array([400.0, 410.0, 320.0, 240.0])
+
+    @staticmethod
+    def _views(rng, X, centers, spread=0.05, noise_px=0.0):
+        rots, pixels = [], []
+        for c in centers:
+            R = quat_to_mat(quat_from_rotvec(rng.normal(size=3) * spread))
+            y = R.T @ (X - c)
+            fx, fy, cx, cy = TestTriangulation.INTR
+            pixels.append(np.array([fx * y[0] / y[2] + cx, fy * y[1] / y[2] + cy])
+                          + rng.normal(size=2) * noise_px)
+            rots.append(R)
+        return pixels, rots, [np.asarray(c, dtype=float) for c in centers]
+
+    @staticmethod
+    def _both(pixels, rots, centers, intr):
+        """Each triangulation's theta, or the exception it raised."""
+        out = []
+        for fn in (triangulate_inverse_depth, triangulate_by_view):
+            try:
+                out.append(fn(pixels, rots, centers, intr))
+            except RankDeficientFeature as exc:
+                out.append(exc)
+        return out
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 10),
+           noise_px=st.sampled_from([0.0, 0.5, 2.0]))
+    def test_matches_per_view_loop(self, seed, k, noise_px):
+        rng = np.random.default_rng(seed)
+        X = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 10)])
+        centers = [np.zeros(3)] + [rng.normal(size=3) * 0.3 for _ in range(k - 1)]
+        pixels, rots, centers = self._views(rng, X, centers, noise_px=noise_px)
+        got, ref = self._both(pixels, rots, centers, self.INTR)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+            return
+        assert not isinstance(got, Exception), got
+        assert np.abs(got - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+    @pytest.mark.parametrize("along", [0.0, 1.0, 3.0, -0.5])
+    def test_parallel_rays_take_the_minimum_norm_init(self, along):
+        # view 1 sits on the anchor's ray, `along` metres from it, and sees
+        # the point along the same ray: its depth system is rank 1, and the
+        # minimum-norm solution puts the depth at along / 2; view 2 has a
+        # baseline and fixes the point
+        rng = np.random.default_rng(11)
+        X = np.array([0.3, -0.2, 5.0])
+        pixels, rots, centers = self._views(
+            rng, X, [np.zeros(3), np.zeros(3), np.array([0.5, 0.1, 0.0])])
+        rots[1], pixels[1] = rots[0], pixels[0]
+        centers[1] = along * X / np.linalg.norm(X)
+        # zero iterations return the depth initialization
+        got = triangulate_inverse_depth(pixels, rots, centers, self.INTR, iters=0)
+        ref = triangulate_by_view(pixels, rots, centers, self.INTR, iters=0)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        got, ref = self._both(pixels, rots, centers, self.INTR)
+        if isinstance(ref, Exception):
+            assert type(got) is type(ref) and str(got) == str(ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+            assert np.isclose(1.0 / ref[2], np.linalg.norm(X), rtol=1e-8)
+
+    @pytest.mark.parametrize("offset", [np.zeros(3), np.array([0.0, 0.0, 0.7])])
+    def test_all_rays_parallel(self, offset):
+        # identical rotations and pixels: every ray is parallel, the views
+        # only translate along or across them
+        rng = np.random.default_rng(12)
+        R = quat_to_mat(quat_from_rotvec(rng.normal(size=3) * 0.1))
+        px = np.array([330.0, 250.0])
+        centers = [np.zeros(3), np.array([0.4, 0.0, 0.0]) + offset,
+                   np.array([0.8, 0.1, 0.0]) + offset]
+        got, ref = self._both([px] * 3, [R] * 3, centers, self.INTR)
+        assert isinstance(ref, RankDeficientFeature)
+        assert type(got) is type(ref) and str(got) == str(ref)
+
+    def test_point_behind_a_camera(self):
+        rng = np.random.default_rng(13)
+        X = np.array([0.1, 0.2, 3.0])
+        pixels, rots, centers = self._views(
+            rng, X, [np.zeros(3), np.array([0.3, 0.0, 0.0]),
+                     np.array([0.2, 0.0, 6.0])])
+        got, ref = self._both(pixels, rots, centers, self.INTR)
+        assert str(ref) == "triangulated point behind a camera"
+        assert type(got) is type(ref) and str(got) == str(ref)
+
+    def test_degenerate_normal_matrix(self):
+        # no baseline: depth does not move any pixel
+        rng = np.random.default_rng(14)
+        X = np.array([0.1, 0.2, 3.0])
+        pixels, rots, centers = self._views(rng, X, [np.zeros(3)] * 3)
+        got, ref = self._both(pixels, rots, centers, self.INTR)
+        assert str(ref) == "degenerate triangulation geometry"
+        assert type(got) is type(ref) and str(got) == str(ref)

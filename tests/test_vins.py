@@ -130,3 +130,15 @@ class TestConditioningLog:
         for rec in res.conditioning:
             assert rec.kappa2_r22_post >= 1.0
             assert rec.kappa2_r22_post_precond <= rec.kappa2_r22_post * 1.001
+
+
+class TestCheckedInputs:
+    def test_nan_gyro_sample_aborts_with_a_named_error(self):
+        ds = gen_dataset(_short(seed=2, duration=3.0))
+        ds.imu_omega[150, 1] = np.nan    # a gyro sample of frame 7
+        with pytest.raises(vins.EstimatorAbort) as info:
+            run_filter(ds, FilterConfig(estimator="srif"))
+        assert info.value.phase == "propagation"
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause).startswith("non-finite IMU sample")
