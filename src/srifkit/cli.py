@@ -149,7 +149,6 @@ def write_run_artifacts(outdir, spec, cfg, res, truth):
         "window": cfg.window,
         "fallback_qr": cfg.fallback_qr,
         "svd_stride": cfg.svd_stride,
-        "count_flops": cfg.count_flops,
         "n_events": len(res.events),
         "status": "completed",
     }
@@ -195,8 +194,7 @@ def cmd_run(args):
         ds = gen_dataset(spec)
     cfg = FilterConfig(estimator=args.estimator, precision=args.precision,
                        fallback_qr=args.fallback_qr,
-                       svd_stride=args.svd_stride,
-                       count_flops=not args.no_flop_count)
+                       svd_stride=args.svd_stride)
     try:
         res = run_filter(ds, cfg)
     except EstimatorAbort as abort:
@@ -305,7 +303,6 @@ def build_parser():
                     help="on Cholesky failure, redo the step via QR")
     sp.add_argument("--svd-stride", type=int, default=10,
                     help="conditioning-record stride in frames")
-    sp.add_argument("--no-flop-count", action="store_true")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compare", help="cross-run report")

@@ -8,7 +8,8 @@ Matrix-level operations shared by the three estimators:
   for cross-validation.
 * State augmentation folding the linearized process model into the factor
   and re-triangularizing with sparse Givens sweeps that rotate only the
-  constraint rows, one closed-form chain per column.
+  constraint rows, one closed-form chain per column. It works on index
+  arrays the caller supplies; the state ordering is the engine's.
 * The partitioned measurement update in three mathematically equivalent
   flavors: QR on the stacked factor, Cholesky on the unpreconditioned
   normal equation (the instability demonstrator), and Cholesky on the
@@ -39,7 +40,6 @@ from .linalg import (
     solve_upper,
     solve_upper_transposed,
 )
-from .state import ErrorStateLayout
 
 
 @dataclass
@@ -156,61 +156,34 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
 # --------------------------------------------------------------------------
 
 
-def srif_augment(R, layout: ErrorStateLayout, tb, old_pose_name, new_pose_name,
+def srif_augment(R, colmap, rows, old_cols, tb,
                  flops: FlopCounter | None = None):
     """Fold the process model into the factor, adding the new IMU state.
 
-    The augmented ordering is (old bg, old ba, old v, new bg, new ba,
-    new v, features, tsync, poses..., new pose, camera). Prior rows keep
-    their staircase structure under the column embedding, so the Givens
-    re-triangularization only has to clean up the 15 constraint rows.
-
-    Returns (R_aug, layout_aug); the caller marginalizes the old
-    bias/velocity block (the first nine scalars) afterwards.
+    The augmented factor has n + 15 columns for the n columns of R.
+    colmap[j] is the augmented column of R's column j; rows are the 15
+    augmented columns left empty by colmap, those of the propagated state
+    in transition order, and old_cols the 15 augmented columns of the state
+    it was propagated from, in the same order. The constraint rows
+    L [-Phi I] go into the empty slots. Prior rows keep their staircase
+    structure under the column embedding as long as colmap is ascending,
+    so the Givens re-triangularization only has to clean up the 15
+    constraint rows. Returns the augmented upper-triangular factor.
     """
-    n = layout.n
-    n_aug = n + 15
+    n_aug = R.shape[0] + 15
     dtype = R.dtype
-    colmap = np.empty(n, dtype=int)  # old col -> augmented col
-    colmap[0:9] = np.arange(9)
-    aug_blocks = [("old_bg", 0, 3), ("old_ba", 3, 3), ("old_v", 6, 3),
-                  ("bg", 9, 3), ("ba", 12, 3), ("v", 15, 3)]
-    off = 18
-    cam_names = ("intr", "p_ic", "q_ic")
-    for name, o, dim in layout.blocks:
-        if name in ("bg", "ba", "v") or name in cam_names:
-            continue
-        colmap[o:o + dim] = np.arange(off, off + dim)
-        aug_blocks.append((name, off, dim))
-        off += dim
-    new_pose_off = off
-    aug_blocks.append((new_pose_name, off, 6))
-    off += 6
-    for name in cam_names:
-        o, dim = layout.index[name]
-        colmap[o:o + dim] = np.arange(off, off + dim)
-        aug_blocks.append((name, off, dim))
-        off += dim
-    assert off == n_aug
-    layout_aug = ErrorStateLayout(aug_blocks, n_aug)
-
     A = np.zeros((n_aug, n_aug), dtype=dtype)
     # prior rows placed at the position of their leading column
     A[np.ix_(colmap, colmap)] = R
-    # constraint rows L [ -Phi  I ] in the 15 empty slots
     L = tb.sqrt_info.astype(dtype)
     LPhi = (tb.sqrt_info @ tb.phi).astype(dtype)
-    rows = np.concatenate([np.arange(9, 18), np.arange(new_pose_off, new_pose_off + 6)])
-    old_cols = np.concatenate([np.arange(0, 9),
-                               colmap[layout.offset(old_pose_name):
-                                      layout.offset(old_pose_name) + 6]])
     A[np.ix_(rows, old_cols)] = -LPhi
     A[np.ix_(rows, rows)] += L
     if flops is not None:
         flops.add(adds=15 * 15 * 15, muls=2 * 15 * 15 * 15)  # L @ Phi and embed
     givens_triangularize(A, flops=flops)
     sign_normalize_rows(A)
-    return A, layout_aug
+    return A
 
 
 # --------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .state import (
     VinsStateVector,
     boxplus,
     layout_of,
+    reorder_for_marginalization,
 )
 
 ESTIMATORS = ("kf", "srif", "pcsrif", "if-oracle")
@@ -55,7 +56,6 @@ class FilterConfig:
     min_track: int = 3          # observations needed before a track is used
     fallback_qr: bool = False   # on Cholesky failure, redo the step via QR
     svd_stride: int = 10
-    count_flops: bool = True
     sigma_px: float = 0.0       # assumed pixel noise; 0 = take the dataset's
     # initial standard deviations (the first pose fixes the gauge)
     sigma_p0: float = 1e-3
@@ -143,8 +143,6 @@ class VinsEstimator:
         self.dtype = PRECISIONS[config.precision]
         self.is_kf = config.estimator == "kf"
         self.flops = {ph: FlopCounter() for ph in PHASES}
-        self._fc = self.flops if config.count_flops else {
-            ph: None for ph in PHASES}
         self.cond_log = ConditioningLog(config.svd_stride)
         self.events = []
         self._scale_freeze = None
@@ -200,7 +198,7 @@ class VinsEstimator:
     # -- propagation ------------------------------------------------------
 
     def _propagate(self, frame):
-        fc = self._fc["propagation"]
+        fc = self.flops["propagation"]
         i0 = (frame.index - 1) * self._step_per_frame
         i1 = frame.index * self._step_per_frame
         samples = self.ds.imu_samples(i0, i1)
@@ -209,42 +207,37 @@ class VinsEstimator:
                             samples, self.ds.spec.noise)
         tb.new_pose.id = frame.index
         tb.new_pose.t = frame.t
-        new_name = f"pose:{frame.index}"
-        old_name = f"pose:{old_pose.id}"
+        old_layout = self.layout
+        self.x.poses.append(tb.new_pose)
+        self.x.v = tb.new_v.copy()
+        self.layout = layout_of(self.x)
+        # every old state keeps its value at its new index, and the
+        # transition maps (bias, velocity, old pose) to (bias, velocity,
+        # new pose)
+        keep = _embed(old_layout, self.layout)
+        old_off = old_layout.offset(f"pose:{old_pose.id}")
+        new_off = self.layout.offset(f"pose:{frame.index}")
+        sel = np.r_[0:9, old_off:old_off + 6]
+        rows = np.r_[0:9, new_off:new_off + 6]
 
         if self.is_kf:
-            old_layout = self.layout
-            self.x.poses.append(tb.new_pose)
-            self.x.v = tb.new_v.copy()
-            self.layout = layout_of(self.x)
             F = np.zeros((self.layout.n, old_layout.n))
-            keep = _embed(old_layout, self.layout)
-            for name, off, dim in old_layout.blocks:
-                if name in ("bg", "ba", "v"):
-                    continue
-                F[keep[off:off + dim], off:off + dim] = np.eye(dim)
-            sel = np.concatenate([np.arange(9),
-                                  old_layout.offset(old_name) + np.arange(6)])
-            rows = np.concatenate([
-                np.arange(9),
-                self.layout.offset(new_name) + np.arange(6)])
-            F[np.ix_(rows, sel)] = tb.phi[np.r_[0:9, 9:15]][:, np.r_[0:9, 9:15]]
-            L = tb.sqrt_info
-            Linv = solve_upper(L, np.eye(15))
-            Q15 = Linv @ Linv.T
+            F[keep, np.arange(old_layout.n)] = 1.0
+            F[np.ix_(rows, sel)] = tb.phi
+            Linv = solve_upper(tb.sqrt_info, np.eye(15))
             Q = np.zeros((self.layout.n, self.layout.n))
-            Q[np.ix_(rows, rows)] = Q15
+            Q[np.ix_(rows, rows)] = Linv @ Linv.T
             self.P = filters.kf_propagate(
                 np.asarray(self.P, dtype=self.dtype),
                 F.astype(self.dtype), Q.astype(self.dtype), flops=fc)
         else:
-            R_aug, layout_aug = filters.srif_augment(
-                self.R, self.layout, tb, old_name, new_name, flops=fc)
-            self.R = R_aug[9:, 9:].copy()  # old bias/velocity: p = 0 nine times
-            self.x.poses.append(tb.new_pose)
-            self.x.v = tb.new_v.copy()
-            self.layout = layout_of(self.x)
-            assert self.layout.n == layout_aug.n - 9
+            # augmented ordering: the old bias/velocity block in front of
+            # the new layout; it is marginalized right after (p = 0 nine
+            # times, which for a triangular factor is dropping the corner)
+            colmap = np.r_[0:9, 9 + keep[9:]]
+            R_aug = filters.srif_augment(self.R, colmap, 9 + rows,
+                                         colmap[sel], tb, flops=fc)
+            self.R = R_aug[9:, 9:].copy()
 
         last = samples[-1]
         self.frame_motion[frame.index] = (
@@ -252,23 +245,27 @@ class VinsEstimator:
 
     # -- marginalization --------------------------------------------------
 
-    def _marginalize_features(self, fids):
-        names = [f"feat:{fid}" for fid in fids
-                 if f"feat:{fid}" in self.layout.index]
-        if not names:
-            return
-        fc = self._fc["marginalization"]
-        idx = sorted(np.concatenate(
-            [np.arange(*[self.layout.offset(nm), self.layout.offset(nm) + 3])
-             for nm in names]).tolist())
+    def _marginalize_blocks(self, names):
+        """Remove whole feature and pose blocks from the Gaussian and from
+        the estimate."""
+        idx = reorder_for_marginalization(self.layout, names)
         if self.is_kf:
             keep = np.setdiff1d(np.arange(self.layout.n), idx)
             self.P = self.P[np.ix_(keep, keep)]
         else:
-            self.R = filters.marginalize_block(self.R, idx, flops=fc)
-        dead = {int(nm.split(":")[1]) for nm in names}
-        self.x.features = [f for f in self.x.features if f.id not in dead]
+            self.R = filters.marginalize_block(
+                self.R, idx, flops=self.flops["marginalization"])
+        gone = set(names)
+        self.x.features = [f for f in self.x.features
+                           if f"feat:{f.id}" not in gone]
+        self.x.poses = [p for p in self.x.poses if f"pose:{p.id}" not in gone]
         self.layout = layout_of(self.x)
+
+    def _marginalize_features(self, fids):
+        names = [f"feat:{fid}" for fid in fids
+                 if f"feat:{fid}" in self.layout.index]
+        if names:
+            self._marginalize_blocks(names)
 
     def _reanchor(self, feat, old_anchor, new_anchor):
         base, Jff, Jfa, Jfb = reanchor_feature(
@@ -277,7 +274,7 @@ class VinsEstimator:
         sf = lay.slice(f"feat:{feat.id}")
         sa = lay.slice(f"pose:{old_anchor.id}")
         sb = lay.slice(f"pose:{new_anchor.id}")
-        fc = self._fc["marginalization"]
+        fc = self.flops["marginalization"]
         if self.is_kf:
             J = np.eye(lay.n)
             J[sf, sf] = Jff
@@ -295,9 +292,8 @@ class VinsEstimator:
             self.R[:, sf] = colf @ Jff_inv
             self.R[:, sa] -= colf @ (Jff_inv @ Jfa.astype(self.R.dtype))
             self.R[:, sb] -= colf @ (Jff_inv @ Jfb.astype(self.R.dtype))
-            if fc is not None:
-                m = self.R.shape[0]
-                fc.add(adds=3 * 3 * m * 3, muls=3 * 3 * m * 3 + 54)
+            m = self.R.shape[0]
+            fc.add(adds=3 * 3 * m * 3, muls=3 * 3 * m * 3 + 54)
             # the 3x3 feature diagonal block went dense; its rows are the
             # only ones with entries below the diagonal, so rotate just them
             from .linalg import givens_triangularize, sign_normalize_rows
@@ -316,7 +312,6 @@ class VinsEstimator:
 
         if len(self.x.poses) <= self.cfg.window:
             return
-        fc = self._fc["marginalization"]
         departing = self.x.poses[0]
         newest = self.x.poses[-1]
         drop = set()
@@ -334,16 +329,8 @@ class VinsEstimator:
             if not self.track_buf[fid]:
                 del self.track_buf[fid]
 
-        off = self.layout.offset(f"pose:{departing.id}")
-        idx = list(range(off, off + 6))
-        if self.is_kf:
-            keep = np.setdiff1d(np.arange(self.layout.n), idx)
-            self.P = self.P[np.ix_(keep, keep)]
-        else:
-            self.R = filters.marginalize_block(self.R, idx, flops=fc)
-        self.x.poses = self.x.poses[1:]
+        self._marginalize_blocks([f"pose:{departing.id}"])
         del self.frame_motion[departing.id]
-        self.layout = layout_of(self.x)
 
     # -- update -----------------------------------------------------------
 
@@ -462,7 +449,7 @@ class VinsEstimator:
         return meas
 
     def _apply_update(self, H2, r, t):
-        fc = self._fc["update"]
+        fc = self.flops["update"]
         n1 = self.layout.n1
         est = self.cfg.estimator
         if est == "kf":
@@ -592,8 +579,7 @@ class VinsEstimator:
         return RunResult(
             self.cfg, np.array(self.times), np.array(self.positions),
             np.array(self.quats),
-            {ph: (self.flops[ph].total() if self.cfg.count_flops else 0)
-             for ph in PHASES},
+            {ph: self.flops[ph].total() for ph in PHASES},
             self.cond_log.records, self.events,
             np.array(self.nees) if with_nees else None,
             seconds=seconds)

@@ -187,25 +187,51 @@ def make_tb(rng, scale_phi=1.0, sqrt_info=None):
                            Pose(np.zeros(3), np.array([0, 0, 0, 1.0]), 0.0), np.zeros(3))
 
 
+def augment_maps(layout, old_pose_name, new_pose_name):
+    """Index arrays for srif_augment, derived from block names alone.
+
+    The augmented ordering is (old bg, old ba, old v, new bg, new ba,
+    new v, features, tsync, poses..., new pose, camera). Returns the
+    augmented block offsets, colmap, rows and old_cols.
+    """
+    cam = ("intr", "p_ic", "q_ic")
+    names = [("old_" + nm, 3) for nm in ("bg", "ba", "v")]
+    names += [(nm, dim) for nm, _, dim in layout.blocks if nm not in cam]
+    names += [(new_pose_name, 6)] + [(nm, layout.dim(nm)) for nm in cam]
+    aug, off = {}, 0
+    for nm, dim in names:
+        aug[nm] = off
+        off += dim
+    assert off == layout.n + 15
+    colmap = np.empty(layout.n, dtype=int)
+    for name, off, dim in layout.blocks:
+        aug_name = "old_" + name if name in ("bg", "ba", "v") else name
+        colmap[off:off + dim] = aug[aug_name] + np.arange(dim)
+    rows = np.concatenate([aug["bg"] + np.arange(9),
+                           aug[new_pose_name] + np.arange(6)])
+    old_cols = np.concatenate([
+        np.arange(0, 9),
+        colmap[layout.offset(old_pose_name):layout.offset(old_pose_name) + 6]])
+    return aug, colmap, rows, old_cols
+
+
 class TestAugment:
-    def _oracle_info(self, R, layout, tb, old_pose_name, layout_aug):
-        n, n_aug = layout.n, layout.n + 15
+    def _augment(self, R, layout, tb, old_pose_name, flops=None):
+        aug, colmap, rows, old_cols = augment_maps(layout, old_pose_name,
+                                                   "pose:new")
+        R_aug = srif_augment(R, colmap, rows, old_cols, tb, flops=flops)
+        return R_aug, aug
+
+    def _oracle_info(self, R, layout, tb, old_pose_name):
+        aug, colmap, _, old_cols = augment_maps(layout, old_pose_name,
+                                                "pose:new")
+        n_aug = layout.n + 15
         # embed prior info at the augmented positions of the old columns
-        colmap = np.empty(n, dtype=int)
-        for name, off, dim in layout.blocks:
-            aug_name = "old_" + name if name in ("bg", "ba", "v") else name
-            colmap[off:off + dim] = np.arange(*layout_aug.index[aug_name]) \
-                if False else (layout_aug.offset(aug_name) + np.arange(dim))
         info = np.zeros((n_aug, n_aug))
         info[np.ix_(colmap, colmap)] = R.T @ R
         C = np.zeros((15, n_aug))
-        old_cols = np.concatenate([
-            np.arange(0, 9),
-            colmap[layout.offset(old_pose_name):layout.offset(old_pose_name) + 6]])
-        new_cols = np.concatenate([
-            np.arange(9, 18),
-            layout_aug.offset([b for b, _, _ in layout_aug.blocks
-                               if b.startswith("pose:new")][0]) + np.arange(6)])
+        new_cols = np.concatenate([np.arange(9, 18),
+                                   aug["pose:new"] + np.arange(6)])
         C[:, old_cols] = -tb.sqrt_info @ tb.phi
         C[:, new_cols] += tb.sqrt_info
         return info + C.T @ C
@@ -215,9 +241,9 @@ class TestAugment:
         rng = np.random.default_rng(3)
         R = np.eye(layout.n)
         tb = make_tb(rng, scale_phi=0.0, sqrt_info=np.eye(15))
-        R_aug, layout_aug = srif_augment(R, layout, tb, "pose:2", "pose:new")
+        R_aug, _ = self._augment(R, layout, tb, "pose:2")
         assert np.allclose(np.tril(R_aug, -1), 0.0)
-        ref = self._oracle_info(R, layout, tb, "pose:2", layout_aug)
+        ref = self._oracle_info(R, layout, tb, "pose:2")
         assert np.allclose(R_aug.T @ R_aug, ref, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -226,9 +252,9 @@ class TestAugment:
         layout = build_layout(3, 2)
         R = random_factor(rng, layout.n)
         tb = make_tb(rng)
-        R_aug, layout_aug = srif_augment(R, layout, tb, "pose:2", "pose:new")
+        R_aug, _ = self._augment(R, layout, tb, "pose:2")
         assert np.allclose(np.tril(R_aug, -1), 0.0)
-        ref = self._oracle_info(R, layout, tb, "pose:2", layout_aug)
+        ref = self._oracle_info(R, layout, tb, "pose:2")
         num = np.linalg.norm(R_aug.T @ R_aug - ref)
         assert num <= 1e-10 * np.linalg.norm(ref)
 
@@ -238,13 +264,13 @@ class TestAugment:
         layout = build_layout(3, 0)
         R = random_spd_factor(rng, layout.n)
         tb = make_tb(rng, sqrt_info=np.eye(15) * 1e4)
-        R_aug, layout_aug = srif_augment(R, layout, tb, "pose:2", "pose:new")
+        R_aug, aug = self._augment(R, layout, tb, "pose:2")
         P_aug = np.linalg.inv(R_aug.T @ R_aug)
         P_old = np.linalg.inv(R.T @ R)
         sel = np.concatenate([np.arange(0, 9),
                               layout.offset("pose:2") + np.arange(6)])
         new_idx = np.concatenate([np.arange(9, 18),
-                                  layout_aug.offset("pose:new") + np.arange(6)])
+                                  aug["pose:new"] + np.arange(6)])
         ref = tb.phi @ P_old[np.ix_(sel, sel)] @ tb.phi.T
         got = P_aug[np.ix_(new_idx, new_idx)]
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
@@ -256,7 +282,7 @@ class TestAugment:
         R = random_factor(rng, layout.n)
         tb = make_tb(rng)
         fg = FlopCounter()
-        srif_augment(R, layout, tb, "pose:3", "pose:new", flops=fg)
+        self._augment(R, layout, tb, "pose:3", flops=fg)
         fh = FlopCounter()
         # dense QR on an equally sized augmented square matrix
         householder_qr(rng.normal(size=(layout.n + 15, layout.n + 15)), flops=fh)

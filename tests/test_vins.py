@@ -1,12 +1,16 @@
 """End-to-end filter runs on synthetic visual-inertial scenarios."""
 
 import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from srifkit import vins
+from srifkit.linalg import NotPositiveDefinite
 from srifkit.models import ImuNoise
 from srifkit.sim import (
     ScenarioSpec,
@@ -72,6 +76,23 @@ class TestCrossEstimatorEquivalence:
         res = run_filter(ds, FilterConfig(estimator="pcsrif"))
         assert set(res.flops) == {"propagation", "marginalization", "update"}
         assert all(v > 0 for v in res.flops.values())
+
+    def test_kf_and_srif_agree_after_every_phase(self):
+        # a wrong index map in propagation or marginalization shows up here
+        # as a covariance mismatch at the phase that made it, not as drift
+        ds = gen_dataset(_short(seed=0, duration=6.0))
+        kf = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4))
+        sr = vins.VinsEstimator(ds, FilterConfig(estimator="srif", window=4))
+        for frame in ds.frames[1:]:
+            for phase in ("_propagate", "_marginalize", "_update"):
+                getattr(kf, phase)(frame)
+                getattr(sr, phase)(frame)
+                assert kf.layout.blocks == sr.layout.blocks
+                P_kf, P_sr = kf._covariance(), sr._covariance()
+                s = np.sqrt(np.diag(P_sr))
+                div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
+                assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
+        assert sr.x.poses[0].id > 0  # the window slid
 
 
 class TestDeterminism:
@@ -142,3 +163,52 @@ class TestCheckedInputs:
         cause = info.value.__cause__
         assert isinstance(cause, ValueError)
         assert str(cause).startswith("non-finite IMU sample")
+
+
+class TestCholeskyFallback:
+    @staticmethod
+    def _fail_once(monkeypatch, at_call=3):
+        calls = []
+        update = vins.filters.pcsrif_update
+
+        def faulty(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == at_call:
+                raise NotPositiveDefinite(0)
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(vins.filters, "pcsrif_update", faulty)
+        return calls
+
+    def test_redoes_the_step_via_qr(self, monkeypatch):
+        ds = gen_dataset(_short(seed=1, duration=5.0))
+        clean = run_filter(ds, FilterConfig(estimator="pcsrif"))
+        calls = self._fail_once(monkeypatch)
+        res = run_filter(ds, FilterConfig(estimator="pcsrif",
+                                          fallback_qr=True))
+        assert len(calls) > 3
+        assert [e.kind for e in res.events] == ["not-positive-definite"]
+        assert np.abs(res.positions - clean.positions).max() <= 1e-6
+        assert np.abs(res.quats - clean.quats).max() <= 1e-6
+
+    def test_aborts_without_fallback(self, monkeypatch):
+        ds = gen_dataset(_short(seed=1, duration=5.0))
+        self._fail_once(monkeypatch)
+        with pytest.raises(vins.EstimatorAbort) as info:
+            run_filter(ds, FilterConfig(estimator="pcsrif"))
+        assert info.value.phase == "update"
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+
+class TestTracedBindings:
+    def test_every_span_target_resolves(self):
+        # the benchmark's tracer rebinds these names; one a refactor drops
+        # would crash a traced run or silently stop tracing it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.TARGETS
+        for modname, attr, _ in spans.TARGETS:
+            fn = getattr(importlib.import_module(modname), attr, None)
+            assert callable(fn), f"{modname}.{attr} is gone"
