@@ -4,8 +4,9 @@ Matrix-level operations shared by the three estimators:
 
 * Givens-based scalar marginalization exploiting the upper-triangular
   structure (O(n*p) per scalar, one chain of rotations applied in closed
-  form), plus a dense Householder oracle with the classical O(n*p^2) cost
-  for cross-validation.
+  form), run over a whole block in one in-place pass, plus a dense
+  Householder oracle with the classical O(n*p^2) cost for
+  cross-validation.
 * State augmentation folding the linearized process model into the factor
   and re-triangularizing with sparse Givens sweeps that rotate only the
   constraint rows, one closed-form chain per column. It works on index
@@ -15,7 +16,9 @@ Matrix-level operations shared by the three estimators:
   normal equation (the instability demonstrator), and Cholesky on the
   preconditioned normal equation (SPAI + Jacobi, built from the prior
   factor).
-* Textbook covariance-form (EKF) propagate/update for parity runs.
+* Covariance-form (EKF) propagation over the same index arrays as the
+  augmentation, rewriting only the 15 transitioned rows and columns
+  (O(15 n^2)), and the textbook Joseph-form update, for parity runs.
 
 All routines preserve the dtype of their matrix inputs and accept an
 optional FlopCounter.
@@ -141,14 +144,46 @@ def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
 
 
 def marginalize_block(R, indices, flops: FlopCounter | None = None):
-    """Marginalize whole blocks given their ascending scalar indices.
+    """Marginalize whole blocks given their scalar indices.
 
-    Applies the scalar algorithm to each index in turn; indices shift down
-    as earlier scalars are removed.
+    The same rotations as `srif_marginalize` on each index in ascending
+    order, in one pass: the block's columns are permuted to the front
+    once, and the k-th scalar's chain runs in place on the trailing view
+    that starts at row and column k, since a chain treats every column
+    other than its leading one alike. Row signs are normalized once at
+    the end; a sign flip of a chain's input row only flips its output
+    row, so the factor is the one the scalar-by-scalar path returns. A
+    scalar whose column carries no information is handed to
+    `srif_marginalize` on the current factor in its own column order.
     """
-    for k, p in enumerate(sorted(indices)):
-        R = srif_marginalize(R, p - k, flops=flops)
-    return R
+    idx = np.sort(np.asarray(indices, dtype=int))
+    n = R.shape[0]
+    order = np.concatenate([idx, np.setdiff1d(np.arange(n), idx)])
+    V = R[:, order]
+    rots = ncols = 0
+    for k, p in enumerate(idx - np.arange(idx.size)):
+        X = V[k:, k:]
+        if p == 0 and X[0, 0] != 0:
+            continue
+        nz = np.flatnonzero(X[:p + 1, 0])
+        start = min(nz[-1] + 1, p) if nz.size else 0
+        if start == 0:
+            cur = X[:, np.argsort(order[k:])]
+            R = srif_marginalize(cur, p, flops=flops)
+            V = marginalize_block(R, idx[k + 1:] - k - 1, flops=flops)
+            break
+        rot = _givens_chain(X[start::-1])
+        np.negative(rot[:0:-1], out=X[1:start + 1])
+        # srif_marginalize's count for p rotations in an (n - k)-column factor
+        rots += p
+        ncols += p * (n - k) - p * (p + 1) // 2
+    else:
+        V = V[idx.size:, idx.size:].copy()
+        sign_normalize_rows(V)
+    if flops is not None and rots:
+        flops.add(adds=2 * rots + 2 * ncols, muls=4 * rots + 4 * ncols,
+                  divs=2 * rots, sqrts=rots)
+    return V
 
 
 # --------------------------------------------------------------------------
@@ -383,15 +418,35 @@ def _count_matmul(flops, m, k, n):
         flops.add(adds=m * n * (k - 1), muls=m * n * k)
 
 
-def kf_propagate(P, F, Q, flops=None):
-    """P <- F P F.T + Q; F may change the state dimension."""
-    P_new = F @ P @ F.T + Q.astype(P.dtype)
-    m, n = F.shape
-    _count_matmul(flops, m, n, n)
-    _count_matmul(flops, m, n, m)
+def kf_propagate(P, keep, sel, rows, tb, flops=None):
+    """Covariance form of the augmentation `srif_augment` folds in.
+
+    keep[j] is the new index of old state j, sel the 15 old indices the
+    transition reads and rows the 15 new indices it writes, both in
+    transition order. Kept states outside `rows` keep their covariance;
+    the transitioned rows become Phi P[sel, :] and their 15 x 15 corner
+    Phi P[sel, sel] Phi.T + Q, with Q = (L.T L)^-1 for L = tb.sqrt_info.
+    This is F P F.T + Q for the n x n_old F that embeds the old state and
+    applies Phi, at O(15 n^2) instead of O(n^3); a symmetric P gives an
+    exactly symmetric result. The FLOPs counted are those of Phi P[sel, :],
+    the corner and Q: 435 n_old + 19800.
+    """
+    n = np.union1d(keep, rows).size
+    phi = tb.phi.astype(P.dtype)
+    Linv = solve_upper(tb.sqrt_info, np.eye(15), flops=flops)
+    A = phi @ P[sel]
+    corner = A[:, sel] @ phi.T + (Linv @ Linv.T).astype(P.dtype)
+    P_new = np.empty((n, n), dtype=P.dtype)
+    P_new[np.ix_(keep, keep)] = P
+    P_new[np.ix_(rows, keep)] = A
+    P_new[np.ix_(keep, rows)] = A.T
+    P_new[np.ix_(rows, rows)] = 0.5 * (corner + corner.T)
+    _count_matmul(flops, 15, 15, P.shape[0])
+    _count_matmul(flops, 15, 15, 15)
+    _count_matmul(flops, 15, 15, 15)
     if flops is not None:
-        flops.add(adds=m * m)
-    return 0.5 * (P_new + P_new.T)
+        flops.add(adds=15 * 15)
+    return P_new
 
 
 def kf_update(P, H, r, flops=None):

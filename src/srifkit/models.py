@@ -1,11 +1,12 @@
 """Linearized process and measurement models.
 
-IMU error-state transition for state augmentation, inverse-depth pinhole
-projection with analytic Jacobians (the time-offset column included),
-per-frame camera poses of the whole window with their time-offset
-derivatives, vectorized Gauss-Newton triangulation, left-null-space
-elimination of track-end features, noise whitening, and feature
-reanchoring.
+IMU error-state transition for state augmentation (every sample of a step
+evaluated at once, the transition and process noise as suffix products),
+inverse-depth pinhole projection with analytic Jacobians (the time-offset
+column included), per-frame camera poses of the whole window with their
+time-offset derivatives, vectorized Gauss-Newton triangulation,
+left-null-space elimination of track-end features, noise whitening, and
+feature reanchoring.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -24,11 +25,9 @@ from .state import (
     InverseDepthFeature,
     Pose,
     quat_from_rotvec,
-    quat_mul,
     quat_normalize,
     quat_to_mat,
     skew,
-    so3_right_jacobian,
 )
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -105,6 +104,60 @@ class LinearizedMeasurement:
 # --------------------------------------------------------------------------
 
 
+def _skews(v):
+    """skew(v[k]) for each row of the (K, 3) array v, as (K, 3, 3)."""
+    S = np.zeros(v.shape[:1] + (3, 3))
+    S[:, 0, 1], S[:, 0, 2] = -v[:, 2], v[:, 1]
+    S[:, 1, 0], S[:, 1, 2] = v[:, 2], -v[:, 0]
+    S[:, 2, 0], S[:, 2, 1] = -v[:, 1], v[:, 0]
+    return S
+
+
+def _exp_terms(theta):
+    """`quat_from_rotvec`, its `quat_to_mat` and `so3_right_jacobian` of
+    each row of the (K, 3) array theta, with the same small-angle branches
+    (angle^2 below 1e-16 and 1e-12)."""
+    a2 = np.einsum("ij,ij->i", theta, theta)
+    # quaternion: normalized first-order series below the threshold
+    small = a2 < 1e-16
+    a = np.sqrt(np.where(small, 1.0, a2))
+    q = np.empty((len(theta), 4))
+    q[:, :3] = np.where(small, 0.5, np.sin(0.5 * a) / a)[:, None] * theta
+    q[:, 3] = np.where(small, 1.0, np.cos(0.5 * a))
+    q[small] /= np.sqrt(np.einsum("ij,ij->i", q[small], q[small]))[:, None]
+    x, y, z, w = q.T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    M = np.stack([
+        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+    ], axis=1).reshape(-1, 3, 3)
+    # right Jacobian: second-order series below the threshold
+    small = a2 < 1e-12
+    a2 = np.where(small, 1.0, a2)
+    a = np.sqrt(a2)
+    c1 = np.where(small, 0.5, (1 - np.cos(a)) / a2)
+    c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a2 * a))
+    S = _skews(theta)
+    Jr = np.eye(3) - c1[:, None, None] * S + c2[:, None, None] * (S @ S)
+    return q, M, Jr
+
+
+def _suffix_products(F):
+    """S[k] = F[K-1] ... F[k+1] (S[K-1] = I) for a (K, n, n) stack, by a
+    doubling scan: log2(K) batched products."""
+    S = np.empty_like(F)
+    S[:-1] = F[1:]
+    S[-1] = np.eye(F.shape[1])
+    shift = 1
+    while shift < len(F):
+        S[:-shift] = S[shift:] @ S[:-shift]
+        shift *= 2
+    return S
+
+
 def imu_transition(bg, ba, v, pose: Pose, samples, noise: ImuNoise,
                    noise_floor=1e-8):
     """Integrate IMU samples from `pose` and linearize the step.
@@ -115,62 +168,76 @@ def imu_transition(bg, ba, v, pose: Pose, samples, noise: ImuNoise,
     and velocity plus the square-root information of the accumulated
     process noise. `noise_floor` keeps that information finite on
     noise-free scenarios.
+
+    The biases are fixed during the step, so every sample's rotation
+    increment, right Jacobians and transition F_k are computed at once
+    as (K, ...) arrays. The sample recursions Phi <- F_k Phi and
+    Q <- F_k Q F_k.T + G_k are then closed products (Forster et al.,
+    T-RO 2017): with the suffix products S_k = F_{K-1} ... F_{k+1},
+    Phi = S_0 F_0 and Q = sum_k S_k G_k S_k.T. Only the orientation chain
+    R_{k+1} = R_k exp(w_k dt_k) runs sample by sample.
     """
     if not samples:
         raise ValueError("need at least one IMU sample")
-    R = quat_to_mat(pose.q)
-    q = pose.q.copy()
-    p = pose.p.copy()
-    v = v.copy()
-    Phi = np.eye(15)
-    Q = np.zeros((15, 15))
-    t = pose.t
-    sg2, sa2 = noise.gyro_density ** 2, noise.accel_density ** 2
-    for s in samples:
-        dt = s.dt
-        w_hat = s.omega - bg
-        a_hat = s.accel - ba
-        dq_full = quat_from_rotvec(w_hat * dt)
-        R_mid = R @ quat_to_mat(quat_from_rotvec(w_hat * dt / 2.0))
-        R_next = R @ quat_to_mat(dq_full)
-        aw = R_mid @ a_hat + GRAVITY
-        sacc = R_mid @ a_hat
-        # single-sample transition (bg, ba, v, p, theta)
-        F = np.eye(15)
-        Jr_full = so3_right_jacobian(w_hat * dt)
-        Jr_half = so3_right_jacobian(w_hat * dt / 2.0)
-        F[12:15, 0:3] = -R_next @ Jr_full * dt
-        F[6:9, 12:15] = -skew(sacc) * dt
-        F[6:9, 0:3] = skew(sacc) @ (R_mid @ Jr_half) * (0.5 * dt * dt)
-        F[6:9, 3:6] = -R_mid * dt
-        F[9:12, 6:9] = np.eye(3) * dt
-        F[9:12, 12:15] = -skew(sacc) * (0.5 * dt * dt)
-        F[9:12, 0:3] = skew(sacc) @ (R_mid @ Jr_half) * (0.25 * dt ** 3)
-        F[9:12, 3:6] = -R_mid * (0.5 * dt * dt)
-        # discrete noise: white gyro/accel act through the bias columns,
-        # but only for this sample -- they do not perturb the bias states
-        Bg = F[:, 0:3].copy()
-        Bg[0:3] = 0.0
-        Ba = F[:, 3:6].copy()
-        Ba[3:6] = 0.0
-        Gn = Bg @ Bg.T * (sg2 / dt) + Ba @ Ba.T * (sa2 / dt)
-        Gn[0:3, 0:3] += np.eye(3) * noise.gyro_bias_rw ** 2 * dt
-        Gn[3:6, 3:6] += np.eye(3) * noise.accel_bias_rw ** 2 * dt
-        Q = F @ Q @ F.T + Gn
-        Phi = F @ Phi
-        # state integration
-        v_next = v + aw * dt
-        p = p + v * dt + 0.5 * aw * dt * dt
-        v = v_next
-        q = quat_normalize(quat_mul(q, dq_full))
-        R = R_next
-        t += dt
+    K = len(samples)
+    dt = np.array([s.dt for s in samples])
+    h = dt[:, None]
+    w_hat = np.array([s.omega for s in samples]) - bg
+    a_hat = np.array([s.accel for s in samples]) - ba
+    theta = w_hat * h
+    dq, D, Jr = _exp_terms(np.concatenate([theta, theta / 2.0]))
+    D_full, D_half = D[:K], D[K:]
+    # R[k] is the orientation before sample k, R[K] the one after the
+    # step; the quaternion advances as q <- q dq_k, a product with the
+    # 4 x 4 matrix of right multiplication by dq_k
+    x, y, z, w = dq[:K].T
+    right = np.stack([w, z, -y, x, -z, w, x, y,
+                      y, -x, w, z, -x, -y, -z, w], axis=1).reshape(-1, 4, 4)
+    R = np.empty((K + 1, 3, 3))
+    R[0] = quat_to_mat(pose.q)
+    q = pose.q
+    for k in range(K):
+        R[k + 1] = R[k] @ D_full[k]
+        q = right[k] @ q
+    R_mid = R[:-1] @ D_half
+    sacc = (R_mid @ a_hat[:, :, None])[:, :, 0]
+    aw = sacc + GRAVITY
+    # single-sample transitions (bg, ba, v, p, theta)
+    d1 = dt[:, None, None]
+    d2 = 0.5 * d1 * d1
+    Ssacc = _skews(sacc)
+    SRJ = Ssacc @ (R_mid @ Jr[K:])
+    F = np.tile(np.eye(15), (K, 1, 1))
+    F[:, 12:15, 0:3] = -R[1:] @ Jr[:K] * d1
+    F[:, 6:9, 12:15] = -Ssacc * d1
+    F[:, 6:9, 0:3] = SRJ * d2
+    F[:, 6:9, 3:6] = -R_mid * d1
+    F[:, 9:12, 6:9] = np.eye(3) * d1
+    F[:, 9:12, 12:15] = -Ssacc * d2
+    F[:, 9:12, 0:3] = SRJ * (0.25 * d1 ** 3)
+    F[:, 9:12, 3:6] = -R_mid * d2
+    # discrete noise: white gyro/accel act through the bias columns,
+    # but only for their sample -- they do not perturb the bias states
+    Bg = F[:, :, 0:3].copy()
+    Bg[:, 0:3] = 0.0
+    Ba = F[:, :, 3:6].copy()
+    Ba[:, 3:6] = 0.0
+    G = (Bg @ Bg.transpose(0, 2, 1) * (noise.gyro_density ** 2 / d1)
+         + Ba @ Ba.transpose(0, 2, 1) * (noise.accel_density ** 2 / d1))
+    G[:, 0:3, 0:3] += np.eye(3) * noise.gyro_bias_rw ** 2 * d1
+    G[:, 3:6, 3:6] += np.eye(3) * noise.accel_bias_rw ** 2 * d1
+    S = _suffix_products(F)
+    Phi = S[0] @ F[0]
+    Q = (S @ G @ S.transpose(0, 2, 1)).sum(axis=0)
     Q += np.eye(15) * noise_floor ** 2
     Q = 0.5 * (Q + Q.T)
     info = np.linalg.inv(Q)
     sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
-    new_pose = Pose(p, q, t)
-    return TransitionBlock(Phi, sqrt_info, new_pose, v)
+    # state integration; v_k[k] is the velocity before sample k
+    v_k = np.cumsum(np.vstack([v, aw * h]), axis=0)
+    p = pose.p + (v_k[:-1] * h + 0.5 * aw * h * h).sum(axis=0)
+    new_pose = Pose(p, quat_normalize(q), pose.t + dt.sum())
+    return TransitionBlock(Phi, sqrt_info, new_pose, v_k[-1])
 
 
 # --------------------------------------------------------------------------

@@ -221,15 +221,8 @@ class VinsEstimator:
         rows = np.r_[0:9, new_off:new_off + 6]
 
         if self.is_kf:
-            F = np.zeros((self.layout.n, old_layout.n))
-            F[keep, np.arange(old_layout.n)] = 1.0
-            F[np.ix_(rows, sel)] = tb.phi
-            Linv = solve_upper(tb.sqrt_info, np.eye(15))
-            Q = np.zeros((self.layout.n, self.layout.n))
-            Q[np.ix_(rows, rows)] = Linv @ Linv.T
-            self.P = filters.kf_propagate(
-                np.asarray(self.P, dtype=self.dtype),
-                F.astype(self.dtype), Q.astype(self.dtype), flops=fc)
+            self.P = filters.kf_propagate(self.P, keep, sel, rows, tb,
+                                          flops=fc)
         else:
             # augmented ordering: the old bias/velocity block in front of
             # the new layout; it is marginalized right after (p = 0 nine
@@ -276,13 +269,16 @@ class VinsEstimator:
         sb = lay.slice(f"pose:{new_anchor.id}")
         fc = self.flops["marginalization"]
         if self.is_kf:
-            J = np.eye(lay.n)
-            J[sf, sf] = Jff
-            J[sf, sa] = Jfa
-            J[sf, sb] = Jfb
-            J = J.astype(self.P.dtype)
-            self.P = J @ self.P @ J.T
-            self.P = 0.5 * (self.P + self.P.T)
+            # P <- J P J.T where J is the identity but for the feature rows
+            # J[sf] = [Jff, Jfa, Jfb] over (sf, sa, sb): only the feature's
+            # rows and columns change
+            P = self.P
+            Jf = [J.astype(P.dtype) for J in (Jff, Jfa, Jfb)]
+            T = sum(J @ P[s] for J, s in zip(Jf, (sf, sa, sb)))
+            corner = sum(T[:, s] @ J.T for J, s in zip(Jf, (sf, sa, sb)))
+            P[sf] = T
+            P[:, sf] = T.T
+            P[sf, sf] = 0.5 * (corner + corner.T)
         else:
             # R <- R J^-1 stays upper triangular: the feature columns sit
             # left of both pose columns, so the correction only spreads

@@ -1,24 +1,100 @@
-"""Per-view and finite-difference versions of the measurement models.
+"""Per-sample, per-view and finite-difference versions of the models.
 
+`imu_transition` integrates all IMU samples of a step at once,
 `triangulate_inverse_depth` evaluates all views of a track at once and
 `project_feature` differentiates the time offset analytically. The
-functions here do the same work the slow way -- a Python loop over views,
-with one `lstsq` per view for the depth initialization, and central
-differences of the time-shifted projection -- so the tests can compare the
-two.
+functions here do the same work the slow way -- a Python loop over IMU
+samples with one 15 x 15 transition and noise product each, a Python loop
+over views with one `lstsq` per view for the depth initialization, and
+central differences of the time-shifted projection -- so the tests can
+compare the two.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from srifkit import linalg
 from srifkit.models import (
+    GRAVITY,
+    ImuNoise,
     RankDeficientFeature,
+    TransitionBlock,
     bearing_jacobian,
     bearing_vector,
     camera_pose,
     pixel_to_bearing,
 )
+from srifkit.state import (
+    Pose,
+    quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
+    quat_to_mat,
+    skew,
+    so3_right_jacobian,
+)
+
+
+def imu_transition_by_sample(bg, ba, v, pose: Pose, samples,
+                              noise: ImuNoise, noise_floor=1e-8):
+    """`imu_transition`, one sample at a time: the per-sample loop the
+    batched version replaces, kept as its oracle."""
+    if not samples:
+        raise ValueError("need at least one IMU sample")
+    R = quat_to_mat(pose.q)
+    q = pose.q.copy()
+    p = pose.p.copy()
+    v = v.copy()
+    Phi = np.eye(15)
+    Q = np.zeros((15, 15))
+    t = pose.t
+    sg2, sa2 = noise.gyro_density ** 2, noise.accel_density ** 2
+    for s in samples:
+        dt = s.dt
+        w_hat = s.omega - bg
+        a_hat = s.accel - ba
+        dq_full = quat_from_rotvec(w_hat * dt)
+        R_mid = R @ quat_to_mat(quat_from_rotvec(w_hat * dt / 2.0))
+        R_next = R @ quat_to_mat(dq_full)
+        aw = R_mid @ a_hat + GRAVITY
+        sacc = R_mid @ a_hat
+        # single-sample transition (bg, ba, v, p, theta)
+        F = np.eye(15)
+        Jr_full = so3_right_jacobian(w_hat * dt)
+        Jr_half = so3_right_jacobian(w_hat * dt / 2.0)
+        F[12:15, 0:3] = -R_next @ Jr_full * dt
+        F[6:9, 12:15] = -skew(sacc) * dt
+        F[6:9, 0:3] = skew(sacc) @ (R_mid @ Jr_half) * (0.5 * dt * dt)
+        F[6:9, 3:6] = -R_mid * dt
+        F[9:12, 6:9] = np.eye(3) * dt
+        F[9:12, 12:15] = -skew(sacc) * (0.5 * dt * dt)
+        F[9:12, 0:3] = skew(sacc) @ (R_mid @ Jr_half) * (0.25 * dt ** 3)
+        F[9:12, 3:6] = -R_mid * (0.5 * dt * dt)
+        # discrete noise: white gyro/accel act through the bias columns,
+        # but only for this sample -- they do not perturb the bias states
+        Bg = F[:, 0:3].copy()
+        Bg[0:3] = 0.0
+        Ba = F[:, 3:6].copy()
+        Ba[3:6] = 0.0
+        Gn = Bg @ Bg.T * (sg2 / dt) + Ba @ Ba.T * (sa2 / dt)
+        Gn[0:3, 0:3] += np.eye(3) * noise.gyro_bias_rw ** 2 * dt
+        Gn[3:6, 3:6] += np.eye(3) * noise.accel_bias_rw ** 2 * dt
+        Q = F @ Q @ F.T + Gn
+        Phi = F @ Phi
+        # state integration
+        v_next = v + aw * dt
+        p = p + v * dt + 0.5 * aw * dt * dt
+        v = v_next
+        q = quat_normalize(quat_mul(q, dq_full))
+        R = R_next
+        t += dt
+    Q += np.eye(15) * noise_floor ** 2
+    Q = 0.5 * (Q + Q.T)
+    info = np.linalg.inv(Q)
+    sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
+    new_pose = Pose(p, q, t)
+    return TransitionBlock(Phi, sqrt_info, new_pose, v)
 
 
 def tsync_column_by_central_differences(state, feature, observing_pose_id,

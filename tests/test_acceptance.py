@@ -6,13 +6,17 @@ before asserting.
 """
 
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import srifkit
 
 from srifkit.filters import (
     apply_preconditioner_inverse,
@@ -245,6 +249,10 @@ def test_8_determinism(tmp_path):
     spec = dataclasses.replace(default_scenario(5), duration=10.0)
     scen = tmp_path / "scen.json"
     scen.write_text(spec.to_json())
+    # the CLI runs the srifkit these tests import, installed or not
+    src = str(Path(srifkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -252,7 +260,7 @@ def test_8_determinism(tmp_path):
             [sys.executable, "-m", "srifkit.cli", "run",
              "--scenario", str(scen), "--estimator", "pcsrif",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert cp.returncode == 0, cp.stderr
         outs.append(out)
     identical = True

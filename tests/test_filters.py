@@ -117,6 +117,27 @@ class TestMarginalize:
                 assert np.abs(out.T @ out - ref).max() <= 1e-12 * np.abs(ref).max(), (
                     marginalize.__name__, n, p)
 
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
+           uninformed=st.booleans())
+    def test_block_matches_scalar_by_scalar(self, dtype, seed, n, uninformed):
+        # the one-pass block marginalization returns the factor and the
+        # count of srif_marginalize applied index by index, also when one
+        # of the block's states carries no information
+        rng = np.random.default_rng(seed)
+        R = random_factor(rng, n).astype(dtype)
+        idx = np.sort(rng.choice(n, size=rng.integers(1, n), replace=False))
+        if uninformed:
+            R[:, rng.choice(idx)] = 0.0
+        ref, fr = R, FlopCounter()
+        for k, p in enumerate(idx):
+            ref = srif_marginalize(ref, p - k, flops=fr)
+        fb = FlopCounter()
+        got = marginalize_block(R, idx.tolist(), flops=fb)
+        assert got.dtype == dtype
+        assert np.array_equal(got, ref)
+        assert fb == fr
+
     def test_block_order_insensitive(self):
         rng = np.random.default_rng(2)
         R = random_factor(rng, 20)
@@ -605,9 +626,87 @@ class TestKf:
         assert np.abs(P_post - P_srif).max() <= 1e-8 * np.abs(P_srif).max() * 1e2
 
     def test_propagate(self):
-        P = np.diag([1.0, 2.0])
-        F = np.array([[1.0, 0.5], [0.0, 1.0]])
-        Q = np.eye(2) * 0.1
-        P2 = kf_propagate(P, F, Q)
-        assert np.allclose(P2, F @ P @ F.T + Q)
+        rng = np.random.default_rng(70)
+        old, new = build_layout(3, 2), build_layout(4, 2)
+        P = random_spd(rng, old.n)
+        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        tb = make_tb(rng)
+        P2 = kf_propagate(P, keep, sel, rows, tb)
+        ref = kf_propagate_dense(P, keep, sel, rows, tb)
+        assert np.abs(P2 - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(P2, P2.T)
+
+
+def random_spd(rng, n):
+    A = rng.normal(size=(n, n))
+    P = A @ A.T / n + np.eye(n)
+    return 0.5 * (P + P.T)
+
+
+def propagate_maps(old, new, old_pose, new_pose):
+    """keep, sel and rows for kf_propagate from block names alone: every
+    old block keeps its value under its name, and the transition maps
+    (bg, ba, v, old pose) to (bg, ba, v, new pose)."""
+    keep = np.concatenate([new.offset(name) + np.arange(dim)
+                           for name, _, dim in old.blocks])
+    sel = np.r_[0:9, old.offset(old_pose) + np.arange(6)]
+    rows = np.r_[0:9, new.offset(new_pose) + np.arange(6)]
+    return keep, sel, rows
+
+
+def kf_propagate_dense(P, keep, sel, rows, tb):
+    """F P F.T + Q with the dense n x n_old F: the embedding of the old
+    state, with Phi on the transitioned rows."""
+    n = len(keep) + 6
+    F = np.zeros((n, len(keep)))
+    F[keep, np.arange(len(keep))] = 1.0
+    F[np.ix_(rows, sel)] = tb.phi
+    Linv = np.linalg.inv(tb.sqrt_info)
+    Q = np.zeros((n, n))
+    Q[np.ix_(rows, rows)] = Linv @ Linv.T
+    return F @ P @ F.T + Q
+
+
+class TestKfPropagate:
+    @pytest.mark.parametrize("window,features", [(2, 0), (3, 2), (11, 7)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_oracle(self, window, features, seed):
+        rng = np.random.default_rng(300 + seed)
+        old = build_layout(window, features)
+        new = build_layout(window + 1, features)
+        # the newest pose the transition starts from, or an older one
+        src = f"pose:{window - 1 - seed % window}"
+        keep, sel, rows = propagate_maps(old, new, src, f"pose:{window}")
+        P = random_spd(rng, old.n)
+        tb = make_tb(rng)
+        got = kf_propagate(P, keep, sel, rows, tb)
+        ref = kf_propagate_dense(P, keep, sel, rows, tb)
+        assert got.shape == (new.n, new.n)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
+
+    def test_float32_keeps_dtype(self):
+        rng = np.random.default_rng(310)
+        old, new = build_layout(3, 1), build_layout(4, 1)
+        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        P = random_spd(rng, old.n)
+        tb = make_tb(rng)
+        got = kf_propagate(P.astype(np.float32), keep, sel, rows, tb)
+        ref = kf_propagate_dense(P, keep, sel, rows, tb)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_flop_count_closed_form(self):
+        # Phi P[sel, :] (15 x 15 x n_old), the corner's Phi product and
+        # L^-1 L^-T (15 x 15 x 15 each), L^-1 by back substitution on 15
+        # columns, and the 225 additions of Q: 435 n_old + 19800 in all
+        rng = np.random.default_rng(320)
+        old, new = build_layout(3, 2), build_layout(4, 2)
+        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        fc = FlopCounter()
+        kf_propagate(random_spd(rng, old.n), keep, sel, rows, make_tb(rng),
+                     flops=fc)
+        assert old.n == 44
+        assert fc == FlopCounter(adds=18915, muls=19800, divs=225, sqrts=0)
+        assert fc.total() == 435 * 44 + 19800

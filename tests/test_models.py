@@ -37,6 +37,7 @@ from srifkit.state import (
 )
 
 from model_reference import (
+    imu_transition_by_sample,
     triangulate_by_view,
     tsync_column_by_central_differences,
 )
@@ -163,6 +164,32 @@ class TestImuTransition:
         # white sensor noise must not masquerade as bias random walk
         # (only the tiny regularization floor remains on those entries)
         assert np.all(np.diag(Q)[0:6] <= 1e-8)
+
+    # body rates: zero, below both small-angle thresholds at dt <= 0.02 s
+    # (|w dt|^2 < 1e-16), and large
+    RATES = {"zero": 0.0, "tiny": 1e-9, "large": 3.0}
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 25]),
+           rate=st.sampled_from(sorted(RATES)), uniform_dt=st.booleans())
+    def test_matches_per_sample_loop(self, seed, k, rate, uniform_dt):
+        rng = np.random.default_rng(seed)
+        dts = (np.full(k, 0.01) if uniform_dt
+               else rng.uniform(0.002, 0.02, size=k))
+        samples = [ImuSample(rng.normal(size=3) * self.RATES[rate],
+                             rng.normal(size=3) * 2.0 - GRAVITY, dt)
+                   for dt in dts]
+        bias_g = rng.normal(size=3) * self.RATES[rate] * 0.1
+        bias_a = rng.normal(size=3) * 0.05
+        v = rng.normal(size=3)
+        pose = Pose(rng.normal(size=3),
+                    quat_from_rotvec(rng.normal(size=3)), 0.0)
+        noise = ImuNoise()
+        got = imu_transition(bias_g, bias_a, v, pose, samples, noise)
+        ref = imu_transition_by_sample(bias_g, bias_a, v, pose, samples, noise)
+        for a, b in ((got.phi, ref.phi), (got.sqrt_info, ref.sqrt_info),
+                     (got.new_pose.p, ref.new_pose.p),
+                     (got.new_pose.q, ref.new_pose.q), (got.new_v, ref.new_v)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_sqrt_info_upper_triangular(self):
         pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0)
