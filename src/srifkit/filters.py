@@ -12,13 +12,16 @@ Matrix-level operations shared by the three estimators:
   constraint rows, one closed-form chain per column. It works on index
   arrays the caller supplies; the state ordering is the engine's.
 * The partitioned measurement update in three mathematically equivalent
-  flavors: QR on the stacked factor, Cholesky on the unpreconditioned
-  normal equation (the instability demonstrator), and Cholesky on the
-  preconditioned normal equation (SPAI + Jacobi, built from the prior
-  factor).
+  flavors, each exploiting the triangular prior R22: structured QR of
+  [R22; H2] (?tpqrt, which never reflects the zeros under R22),
+  Cholesky on the unpreconditioned normal equation (the instability
+  demonstrator), and Cholesky on the preconditioned normal equation
+  (SPAI + Jacobi, built from the prior factor), whose normal matrix is
+  ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1.
 * Covariance-form (EKF) propagation over the same index arrays as the
   augmentation, rewriting only the 15 transitioned rows and columns
-  (O(15 n^2)), and the textbook Joseph-form update, for parity runs.
+  (O(15 n^2)), and the Joseph-form update on H2, which never widens the
+  Jacobian over the n1 columns it skips (O(m n^2)), for parity runs.
 
 All routines preserve the dtype of their matrix inputs and accept an
 optional FlopCounter.
@@ -35,6 +38,7 @@ from .linalg import (
     FlopCounter,
     NotPositiveDefinite,
     _givens_chain,
+    cholesky_solve,
     cholesky_upper,
     form_normal_half,
     givens_triangularize,
@@ -241,16 +245,19 @@ def _dx_from_dx2(R, dx2, n1, flops):
 def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
     """QR-based SRIF update for measurements with H = [0 H2].
 
-    Stacks [R22; H2], triangularizes with Householder QR carrying the
-    right-hand side [0; r], then back-substitutes for dx2 and dx1.
+    Triangularizes [R22; H2] with one structured QR (?tpqrt), which
+    reflects only the m rows of H2 into the triangular R22 and never the
+    zeros under its diagonal, carrying the right-hand side [0; r] through
+    ?tpmqrt; then back-substitutes for dx2 and dx1.
     """
     n = R.shape[0]
     n2 = n - n1
     m = H2.shape[0]
-    stack = np.vstack([R[n1:, n1:], H2.astype(R.dtype)])
     rhs = np.zeros(n2 + m, dtype=R.dtype)
     rhs[n2:] = r
-    R22_post, t = householder_qr(stack, rhs, flops=flops, overwrite=True)
+    # a Fortran-ordered copy, which ?tpqrt overwrites in place
+    R22_post, t = householder_qr(np.array(H2, dtype=R.dtype, order="F"), rhs,
+                                 flops=flops, overwrite=True, top=R[n1:, n1:])
     sign_normalize_rows(R22_post, t)
     dx2 = solve_upper(R22_post, t[:n2], flops=flops)
     dx = _dx_from_dx2(R, dx2, n1, flops)
@@ -268,7 +275,11 @@ class Preconditioner:
     included), and is the identity elsewhere. Restricted to the columns
     idx[k] = pose_offsets + k it is the upper-triangular blocks[k], and
     those six column sets are disjoint, so M_SPAI is six small triangular
-    systems. M_Jacobi holds the column norms of R22 @ M_SPAI^-1.
+    systems, each one BLAS/LAPACK call. M_Jacobi holds the column norms of
+    R22 @ M_SPAI^-1, which is kept as `r22_spai` for the update to reuse.
+    M_SPAI is upper triangular in the state order, so R22 @ M_SPAI^-1 is
+    exactly upper triangular: its strictly lower entries are sums of
+    products with zeros.
     """
 
     n2: int
@@ -276,11 +287,24 @@ class Preconditioner:
     blocks: np.ndarray                # (6, poses, poses) upper triangular
     jacobi: np.ndarray                # positive diagonal of M_Jacobi
     degenerate: list = field(default_factory=list)
+    r22_spai: np.ndarray | None = None    # prior R22 @ M_SPAI^-1
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
         l = self.idx.shape[1]
         return 6 * l * (l - 1) // 2
+
+    def apply_blocks(self, X, kernel):
+        """X[:, idx[k]] = kernel(blocks[k].T, X[:, idx[k]]) for each block,
+        in place. The blocks' columns are gathered once, so each block is
+        a Fortran-ordered m x poses view that a BLAS kernel updates in
+        place; blocks[k].T is the Fortran-ordered lower triangle."""
+        if self.idx.shape[1]:
+            W = X.T[self.idx]
+            for Wk, L in zip(W, self.blocks.transpose(0, 2, 1)):
+                Wk.T[...] = kernel(L, Wk.T)
+            X.T[self.idx] = W
+        return X
 
 
 def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
@@ -288,10 +312,17 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
 
     pose_offsets are the ascending offsets of the 6-dim pose error blocks
     within the x2 partition. Zero column norms are pinned to 1 and flagged.
+    A zero diagonal entry in an SPAI block makes M_SPAI singular and raises
+    scipy.linalg.LinAlgError.
     """
     n2 = R22.shape[0]
     idx = np.add.outer(np.arange(6), np.asarray(pose_offsets, dtype=int))
     blocks = np.triu(R22[idx[:, :, None], idx[:, None, :]])
+    zero = np.flatnonzero(np.diagonal(blocks, axis1=1, axis2=2).T == 0)
+    if zero.size:
+        raise scipy.linalg.LinAlgError(
+            f"singular SPAI block: zero diagonal at pose "
+            f"{zero[0] // 6}, component {zero[0] % 6}")
     pc = Preconditioner(n2, idx, blocks, np.ones(n2, dtype=R22.dtype))
     R22s = _apply_spai_inverse_right(pc, R22, flops=flops)
     norms = np.sqrt(np.einsum("ij,ij->j", R22s, R22s))
@@ -301,14 +332,16 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     norms[degenerate] = 1.0
     pc.jacobi = norms.astype(R22.dtype)
     pc.degenerate = list(map(int, degenerate))
+    pc.r22_spai = R22s
     return pc
 
 
 def _apply_spai_inverse_right(pc: Preconditioner, A, flops=None):
-    """X = A @ M_SPAI^-1: one triangular solve X_k B_k = A_k per block."""
+    """X = A @ M_SPAI^-1: X_k = A_k B_k^-1 per block, one ?trsm each."""
     X = np.array(A, copy=True)
-    for ix, B in zip(pc.idx, pc.blocks):
-        X[:, ix] = scipy.linalg.solve_triangular(B, X[:, ix].T, trans="T").T
+    trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
+    pc.apply_blocks(X, lambda L, b: trsm(1.0, L, b, side=1, lower=1,
+                                         trans_a=1, overwrite_b=1))
     if flops is not None:
         # sparse back substitution: 2m per off-diagonal entry, m per
         # diagonal entry other than 1
@@ -329,10 +362,11 @@ def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
 
 
 def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
-    """A @ M = (A @ M_Jacobi) @ M_SPAI, one block product per component."""
+    """A @ M = (A @ M_Jacobi) @ M_SPAI, one ?trmm per block."""
     X = A * pc.jacobi[None, :]
-    for ix, B in zip(pc.idx, pc.blocks):
-        X[:, ix] = X[:, ix] @ B
+    trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
+    pc.apply_blocks(X, lambda L, b: trmm(1.0, L, b, side=1, lower=1,
+                                         trans_a=1, overwrite_b=1))
     if flops is not None:
         m, nnz = A.shape[0], pc.nnz()
         flops.add(muls=2 * m * pc.n2 + 2 * m * nnz, adds=m * nnz)
@@ -340,10 +374,11 @@ def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
 
 
 def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
-    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one triangular solve per block."""
+    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one ?trtrs per block."""
     x = z / pc.jacobi
-    for ix, B in zip(pc.idx, pc.blocks):
-        x[ix] = scipy.linalg.solve_triangular(B, x[ix])
+    trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (x,))
+    for ix, L in zip(pc.idx, pc.blocks.transpose(0, 2, 1)):
+        x[ix] = trtrs(L, x[ix], lower=1, trans=1)[0]
     if flops is not None:
         nnz = pc.nnz()
         flops.add(adds=nnz, muls=nnz, divs=2 * pc.n2)
@@ -360,22 +395,27 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     information the preconditioner is there to protect). Mathematically
     identical to the QR path.
 
+    R22p = R22 M^-1 is the preconditioner's own R22 M_SPAI^-1 scaled by
+    M_Jacobi^-1, exactly upper triangular, so the normal matrix is
+    R22p.T R22p by ?trmm plus H2p.T H2p by ?syrk, and dx2 comes from one
+    ?potrs on its Cholesky factor.
+
     Raises NotPositiveDefinite if the preconditioned Cholesky fails.
     """
     n = R.shape[0]
     n2 = n - n1
     m = H2.shape[0]
-    R22 = R[n1:, n1:]
-    pc = build_preconditioner(R22, pose_offsets_x2, flops=flops)
-    R22p = apply_preconditioner_inverse(pc, R22, flops=flops)
-    H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype), flops=flops)
-    N = form_normal_half(np.vstack([R22p, H2p]), flops=flops)
+    pc = build_preconditioner(R[n1:, n1:], pose_offsets_x2, flops=flops)
+    R22p = pc.r22_spai / pc.jacobi[None, :]
+    H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype, copy=False),
+                                       flops=flops)
+    N = form_normal_half(H2p, flops=flops, top=R22p)
     U = cholesky_upper(N, flops=flops, check_symmetry=False)
-    w = H2p.T @ r.astype(R.dtype)
+    w = H2p.T @ r.astype(R.dtype, copy=False)
     if flops is not None:
-        flops.add(adds=m * n2, muls=m * n2)
-    y = solve_upper_transposed(U, w, flops=flops)
-    z = solve_upper(U, y, flops=flops)
+        # the Jacobi scaling of R22p, and H2p.T r
+        flops.add(adds=m * n2, muls=m * n2, divs=n2 * n2)
+    z = cholesky_solve(U, w, flops=flops)
     dx2 = preconditioner_solve_vec(pc, z, flops=flops)
     R22_post = apply_preconditioner_right(pc, U, flops=flops)
     sign_normalize_rows(R22_post)
@@ -389,15 +429,16 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     """Unpreconditioned Cholesky update on the normal equation.
 
     The instability demonstrator: forms R22.T R22 + H2.T H2 at the active
-    precision and factorizes it directly. NotPositiveDefinite is expected
-    on ill-conditioned steps in float32.
+    precision (?trmm and ?syrk) and factorizes it directly.
+    NotPositiveDefinite is expected on ill-conditioned steps in float32.
     """
     n = R.shape[0]
     n2 = n - n1
     m = H2.shape[0]
-    N = form_normal_half(np.vstack([R[n1:, n1:], H2.astype(R.dtype)]), flops=flops)
+    H2 = H2.astype(R.dtype, copy=False)
+    N = form_normal_half(H2, flops=flops, top=R[n1:, n1:])
     U = cholesky_upper(N, flops=flops, check_symmetry=False)
-    w = H2.astype(R.dtype).T @ r.astype(R.dtype)
+    w = H2.T @ r.astype(R.dtype, copy=False)
     if flops is not None:
         flops.add(adds=m * n2, muls=m * n2)
     y = solve_upper_transposed(U, w, flops=flops)
@@ -449,31 +490,36 @@ def kf_propagate(P, keep, sel, rows, tb, flops=None):
     return P_new
 
 
-def kf_update(P, H, r, flops=None):
-    """Joseph-form EKF update assuming whitened (unit-covariance) noise."""
-    H = H.astype(P.dtype)
-    m, n = H.shape
-    S = H @ P @ H.T
+def kf_update(P, H2, r, n1, flops=None):
+    """Joseph-form EKF update for H = [0 H2], whitened (unit-covariance) noise.
+
+    H is never formed: H P is H2 @ P[n1:, :], H P H.T and A H.T take the
+    n1: columns, so the update costs O(m n^2) rather than O(n^3). The
+    Joseph form (I - K H) P (I - K H).T + K K.T is kept, associated as
+    A = P - K (H P), then A - (A H.T) K.T + K K.T, and symmetrized.
+    """
+    H2 = H2.astype(P.dtype, copy=False)
+    m, n2 = H2.shape
+    n = P.shape[0]
+    HP = H2 @ P[n1:, :]
+    S = HP[:, n1:] @ H2.T
     S[np.diag_indices_from(S)] += 1.0
-    _count_matmul(flops, m, n, n)
-    _count_matmul(flops, m, n, m)
     try:
         cf = scipy.linalg.cho_factor(S, lower=False)
     except scipy.linalg.LinAlgError as e:
         raise NotPositiveDefinite(-1) from e
-    K = scipy.linalg.cho_solve(cf, H @ P).T
-    dx = K @ r.astype(P.dtype)
-    IKH = np.eye(P.shape[0], dtype=P.dtype) - K @ H
-    P_new = IKH @ P @ IKH.T + K @ K.T
+    K = scipy.linalg.cho_solve(cf, HP).T
+    dx = K @ r.astype(P.dtype, copy=False)
+    A = P - K @ HP
+    P_new = A - (A[:, n1:] @ H2.T) @ K.T + K @ K.T
     if flops is not None:
-        # Cholesky of S, two triangular solves, and the Joseph products
-        flops.add(adds=m ** 3 // 6, muls=m ** 3 // 6, divs=m * (m + 1) // 2,
-                  sqrts=m)
-        flops.add(adds=m * m * n, muls=m * m * n)
-        _count_matmul(flops, n, m, 1)
-        _count_matmul(flops, n, m, n)
-        _count_matmul(flops, n, n, n)
-        _count_matmul(flops, n, n, n)
-        _count_matmul(flops, n, m, n)
-        flops.add(adds=2 * n * n)
+        # H P and H P H.T; the Cholesky of S and its two solves for K; K r;
+        # K (H P), (A H.T) K.T and K K.T; A H.T; the three n x n sums
+        mm, mn = m * m, m * n
+        flops.add(adds=mn * (n2 - 1) + mm * (n2 - 1) + m + m ** 3 // 6
+                  + mm * n + n * (m - 1) + 3 * n * n * (m - 1)
+                  + n * m * (n2 - 1) + 3 * n * n,
+                  muls=mn * n2 + mm * n2 + m ** 3 // 6 + mm * n + n * m
+                  + 3 * n * n * m + n * m * n2,
+                  divs=m * (m + 1) // 2, sqrts=m)
     return dx, 0.5 * (P_new + P_new.T)

@@ -1,8 +1,10 @@
 """Dense numerical kernels parameterized over floating-point precision.
 
 Givens sweeps (each column's chain of rotations applied at once in closed
-form), Householder QR and Cholesky factorization (LAPACK), normal-equation
-products (BLAS), triangular solves and spectral condition numbers, all
+form), Householder QR (LAPACK ?geqrf, or ?tpqrt when the top block is
+already triangular), Cholesky factorization and solves (?potrf, ?potrs),
+normal-equation products (BLAS ?syrk, with ?trmm for a triangular top
+block), triangular solves (?trtrs) and spectral condition numbers, all
 preserving the dtype of their inputs (float32 or float64) and optionally
 instrumented with a FLOP counter that records the textbook algorithm's
 operation count, one closed-form count per call.
@@ -12,6 +14,7 @@ not inherit the instability they are measuring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,39 +82,82 @@ def sign_normalize_rows(R, rhs=None):
     return R
 
 
-def householder_qr(A, rhs=None, flops: FlopCounter | None = None, overwrite=False):
-    """Householder QR of A (LAPACK ?geqrf), never forming Q explicitly.
+@functools.lru_cache(maxsize=8)
+def _strictly_lower(n):
+    """Read-only mask of the strictly lower triangle of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
-    Returns (R, transformed_rhs). For m >= n, R is the n x n
+
+# panel width of ?tpqrt's compact-WY blocks; 8 was the fastest of 2-32 at
+# m = 36..995, n = 107..122 with single-threaded OpenBLAS
+TPQRT_NB = 8
+
+
+def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
+                   overwrite=False, top=None):
+    """Householder QR of A, or of [top; A] for an upper-triangular top.
+
+    Returns (R, transformed_rhs) and never forms Q explicitly. Rank
+    deficiency is permitted and shows up as (near-)zero diagonal entries.
+
+    Without `top` this is LAPACK ?geqrf. For m >= n, R is the n x n
     upper-triangular factor with A.T @ A = R.T @ R; for wide inputs the
     full m x n upper-trapezoidal factor is returned. transformed_rhs is
     Q.T @ rhs (all m rows, via ?ormqr; the caller splits off the top n).
-    Rank deficiency is permitted and shows up as (near-)zero diagonal
-    entries.
+
+    With an n x n `top` (read as upper triangular: its strictly lower part
+    is ignored) this is ?tpqrt with l = 0, which never touches the zeros
+    under top's diagonal: R is n x n with top.T @ top + A.T @ A = R.T @ R,
+    and rhs has n + m rows, [rhs for top; rhs for A], of which Q.T @ rhs
+    (via ?tpmqrt) is returned. Column k's reflector then spans 1 + m rows
+    instead of n + m - k (Schreiber & Van Loan's compact WY form), about
+    2 m n**2 FLOPs instead of 2 m n**2 + 4/3 n**3 for a stacked ?geqrf.
 
     The FLOP count is that of the textbook column sweep (Golub & Van Loan
-    Alg. 5.2.1) over min(n, m - 1) columns; a column whose norm is zero
-    when reached, i.e. a zero diagonal entry of R, only pays for its norm.
+    Alg. 5.2.1) over the rows each reflector spans: min(n, m - 1) columns
+    of m - k rows, or with `top` n columns of 1 + m rows (none if m = 0).
+    A column whose norm is zero when reached, i.e. a zero diagonal entry
+    of R, only pays for its norm.
     """
-    geqrf, ormqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "ormqr"), (A,))
-    qr, tau, _, _ = geqrf(A, overwrite_a=overwrite)
-    m, n = qr.shape
-    R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
-    b, nrhs = None, 0
-    if rhs is not None:
-        b = np.asarray(rhs).reshape(m, -1)
-        nrhs = b.shape[1]
-        b, _, _ = ormqr("L", "T", qr[:, :tau.shape[0]], tau, b, max(1, nrhs),
-                        overwrite_c=overwrite)
-        if np.ndim(rhs) == 1:
-            b = b[:, 0]
-    if flops is not None:
+    m, n = A.shape
+    nrhs = 0 if rhs is None else (1 if np.ndim(rhs) == 1 else rhs.shape[1])
+    if top is None:
+        geqrf, ormqr = scipy.linalg.lapack.get_lapack_funcs(
+            ("geqrf", "ormqr"), (A,))
+        qr, tau, _, _ = geqrf(A, overwrite_a=overwrite)
+        R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
+        b = None
+        if rhs is not None:
+            b, _, _ = ormqr("L", "T", qr[:, :tau.shape[0]], tau,
+                            np.asarray(rhs).reshape(m, -1), max(1, nrhs),
+                            overwrite_c=overwrite)
         k = np.arange(min(n, m - 1))
-        kl = k[np.diag(qr)[: k.size] != 0]   # columns with a reflector
-        cols = n - kl - 1 + nrhs             # trailing columns it updates
-        reflect = (m - kl) * (1 + 2 * cols)
-        flops.add(adds=(m - k - 1).sum() + reflect.sum(),
-                  muls=(m - k).sum() + (reflect + cols).sum(),
+        span = m - k
+    else:
+        tpqrt, tpmqrt = scipy.linalg.lapack.get_lapack_funcs(
+            ("tpqrt", "tpmqrt"), (top, A))
+        R, v, t, _ = tpqrt(0, max(1, min(n, TPQRT_NB)), top, A,
+                           overwrite_b=overwrite)
+        np.copyto(R, 0, where=_strictly_lower(n))
+        b = None
+        if rhs is not None:
+            b = np.asarray(rhs).reshape(n + m, -1)
+            if m:
+                c1, c2, _ = tpmqrt(0, v, t, b[:n], b[n:], trans="T",
+                                   overwrite_b=overwrite)
+                b = np.concatenate([c1, c2])
+        k = np.arange(n if m else 0)
+        span = np.full(k.size, m + 1)
+    if b is not None and np.ndim(rhs) == 1:
+        b = b[:, 0]
+    if flops is not None:
+        has = np.diag(R)[: k.size] != 0      # columns with a reflector
+        cols = n - k[has] - 1 + nrhs         # trailing columns it updates
+        reflect = span[has] * (1 + 2 * cols)
+        flops.add(adds=(span - 1).sum() + reflect.sum(),
+                  muls=span.sum() + (reflect + cols).sum(),
                   sqrts=k.size)
     return R, b
 
@@ -206,60 +252,91 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
     if bad.size:
         q = int(bad[0])
     if flops is not None:
-        # the column sweep's count: q full steps, then the failing pivot
-        k = np.arange(q)
-        nc = n - k - 1
+        # the column sweep's count: q full steps, then the failing pivot;
+        # step k updates n - k - 1 columns with k-term dot products
         steps = q + failed
-        flops.add(adds=steps * (steps - 1) // 2 + (2 * k * nc + nc).sum(),
-                  muls=steps * (steps - 1) // 2 + (2 * k * nc).sum(),
-                  divs=nc.sum(), sqrts=steps)
+        nc = q * (n - 1) - q * (q - 1) // 2                 # sum of n - k - 1
+        knc = (n - 1) * q * (q - 1) // 2 - (q - 1) * q * (2 * q - 1) // 6
+        flops.add(adds=steps * (steps - 1) // 2 + 2 * knc + nc,
+                  muls=steps * (steps - 1) // 2 + 2 * knc,
+                  divs=nc, sqrts=steps)
     if failed:
         d = float(U[q, q])
         raise NotPositiveDefinite(q, d * d if bad.size else d)
     return U
 
 
-def _check_diag(U):
-    d = np.diag(U)
-    bad = np.nonzero(d == 0)[0]
-    if bad.size:
-        raise SingularTriangular(int(bad[0]))
+def _solve_triangular(U, b, trans, flops):
+    """?trtrs on U's Fortran-ordered transpose, so U is never copied."""
+    n = U.shape[0]
+    if flops is not None:
+        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
+        flops.add(adds=n * (n - 1) * ncol, muls=n * (n - 1) * ncol,
+                  divs=n * ncol)
+    trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
+    x, info = trtrs(U.T, b, lower=1, trans=1 - trans)
+    if info > 0:
+        raise SingularTriangular(info - 1)
+    return x
 
 
 def solve_upper(U, b, flops: FlopCounter | None = None):
-    """Solve U x = b by back substitution (U upper triangular)."""
-    _check_diag(U)
-    n = U.shape[0]
-    if flops is not None:
-        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        flops.add(adds=n * (n - 1) * ncol, muls=n * (n - 1) * ncol, divs=n * ncol)
-    return scipy.linalg.solve_triangular(U, b, lower=False)
+    """Solve U x = b by back substitution (LAPACK ?trtrs)."""
+    return _solve_triangular(U, b, 0, flops)
 
 
 def solve_upper_transposed(U, b, flops: FlopCounter | None = None):
-    """Solve U.T x = b by forward substitution (U upper triangular)."""
-    _check_diag(U)
+    """Solve U.T x = b by forward substitution (LAPACK ?trtrs)."""
+    return _solve_triangular(U, b, 1, flops)
+
+
+def cholesky_solve(U, b, flops: FlopCounter | None = None):
+    """Solve U.T U x = b for a Cholesky factor U with one ?potrs call.
+
+    Counted as the forward and the back substitution it performs.
+    """
     n = U.shape[0]
     if flops is not None:
-        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        flops.add(adds=n * (n - 1) * ncol, muls=n * (n - 1) * ncol, divs=n * ncol)
-    return scipy.linalg.solve_triangular(U, b, lower=False, trans="T")
+        flops.add(adds=2 * n * (n - 1), muls=2 * n * (n - 1), divs=2 * n)
+    potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
+    x, _ = potrs(U.T, b, lower=1)
+    return x
 
 
-def form_normal_half(A, flops: FlopCounter | None = None):
-    """A.T @ A on the upper triangle (BLAS ?syrk), mirrored.
+def form_normal_half(A, flops: FlopCounter | None = None, top=None):
+    """A.T @ A, plus top.T @ top for an upper-triangular top, mirrored.
 
-    Only the upper half is computed (roughly m*n**2 FLOPs instead of
-    2*m*n**2) and the result is exactly symmetric by construction.
+    The upper triangle comes from BLAS ?syrk (roughly m*n**2 FLOPs instead
+    of 2*m*n**2), and the result is exactly symmetric by construction.
+    An n x n `top` (read as upper triangular: its strictly lower part is
+    ignored) adds top.T @ top through ?trmm, and ?syrk accumulates A.T @ A
+    onto it with beta = 1, so [top; A] is never stacked. top's part is
+    counted as the upper half of a product of two triangular factors,
+    n**3 / 3 FLOPs against n**3 for a ?syrk over its zeros (?trmm itself
+    multiplies the triangle into a full square, about n**3).
     """
     m, n = A.shape
-    syrk, = scipy.linalg.blas.get_blas_funcs(("syrk",), (A,))
-    S = syrk(1.0, A, trans=1, lower=0)
-    lo = np.tril_indices(n, -1)
-    S[lo] = S.T[lo]
+    syrk, trmm = scipy.linalg.blas.get_blas_funcs(("syrk", "trmm"), (A,))
+    # ?syrk with trans = 0 on the transpose reads a C-ordered A in place
+    At, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
+    if top is None:
+        S = syrk(1.0, At, trans=trans, lower=0)
+    else:
+        # top.T @ top as L @ L.T for the Fortran-ordered lower L = top.T
+        L = np.array(top.T, order="F")
+        np.copyto(L, 0, where=_strictly_lower(n).T)
+        S = trmm(1.0, np.asarray(top).T, L, side=1, lower=1, trans_a=1,
+                 overwrite_b=1)
+        S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
+    np.copyto(S, S.T, where=_strictly_lower(n))
     if flops is not None:
         nup = n * (n + 1) // 2
         flops.add(adds=(m - 1) * nup, muls=m * nup)
+        if top is not None:
+            # entry (i, j), i <= j, is a dot product of i + 1 terms,
+            # i + 1 adds with the one onto the ?syrk part
+            tri = n * (n + 1) * (n + 2) // 6
+            flops.add(adds=tri, muls=tri)
     return S
 
 

@@ -449,9 +449,7 @@ class VinsEstimator:
         n1 = self.layout.n1
         est = self.cfg.estimator
         if est == "kf":
-            H = np.zeros((H2.shape[0], self.layout.n), dtype=self.dtype)
-            H[:, n1:] = H2
-            dx, self.P = filters.kf_update(self.P, H, r, flops=fc)
+            dx, self.P = filters.kf_update(self.P, H2, r, n1, flops=fc)
             return dx
         if est == "srif":
             res = filters.srif_update_partitioned(self.R, H2, r, n1, flops=fc)
@@ -507,8 +505,10 @@ class VinsEstimator:
 
     def _update(self, frame):
         meas = self._collect_measurements(frame)
-        prior_R22 = (None if self.is_kf else
-                     np.array(self.R[9:, 9:], dtype=np.float64))
+        # the prior factor is only read when the diagnostics are due
+        n1 = self.layout.n1
+        prior_R22 = (np.array(self.R[n1:, n1:], dtype=np.float64)
+                     if not self.is_kf and self.cond_log.due() else None)
         if meas:
             H2, r = self._stack_x2(meas)
             dx = self._apply_update(H2, r, frame.t)
@@ -529,7 +529,8 @@ class VinsEstimator:
         if self.is_kf or not self.cond_log.due():
             self.cond_log.tick()
             return
-        R22_post = np.asarray(self.R[9:, 9:], dtype=np.float64)
+        n1 = self.layout.n1
+        R22_post = np.asarray(self.R[n1:, n1:], dtype=np.float64)
         pc = filters.build_preconditioner(R22_post, self._pose_offsets_x2())
         P = self._covariance()
         idx = self._persistent_indices()
