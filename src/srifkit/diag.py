@@ -42,10 +42,13 @@ def _kappa2(A):
 def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
     """Snapshot the conditioning of one update step.
 
-    `precond` applies to both the prior and posterior factor (it is built
-    from the prior, so the posterior numbers show how well it transfers).
-    `P_scaled` is the scale-normalized covariance block tracked by the
-    runner; its extremal singular values land in sigma_max/min.
+    `precond` must be built from `R22_post` (`build_preconditioner`), so
+    its own R22_post M_SPAI^-1, scaled by M_Jacobi^-1, is the preconditioned
+    posterior. It is applied to the prior factor too, which shows how well
+    a preconditioner built after the update transfers to the factor it
+    would have preconditioned. `P_scaled` is the scale-normalized
+    covariance block tracked by the runner; its extremal singular values
+    land in sigma_max/min.
     """
     from .filters import apply_preconditioner_inverse
 
@@ -54,7 +57,7 @@ def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
     d[d == 0.0] = 1.0
     k_post = _kappa2(R22_post)
     k_scaled = _kappa2(R22_post / d[None, :])
-    k_pre = _kappa2(apply_preconditioner_inverse(precond, R22_post))
+    k_pre = _kappa2(precond.r22_spai / precond.jacobi[None, :])
     k_prior = (np.nan if R22_prior is None else
                _kappa2(apply_preconditioner_inverse(
                    precond, np.asarray(R22_prior, dtype=np.float64))))

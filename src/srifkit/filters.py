@@ -8,9 +8,10 @@ Matrix-level operations shared by the three estimators:
   Householder oracle with the classical O(n*p^2) cost for
   cross-validation.
 * State augmentation folding the linearized process model into the factor
-  and re-triangularizing with sparse Givens sweeps that rotate only the
-  constraint rows, one closed-form chain per column. It works on index
-  arrays the caller supplies; the state ordering is the engine's.
+  and re-triangularizing with one structured QR of the embedded prior and
+  the 15 constraint rows (?tpqrt, which reflects only the constraint rows
+  into the triangular prior). It works on index arrays the caller
+  supplies; the state ordering is the engine's.
 * The partitioned measurement update in three mathematically equivalent
   flavors, each exploiting the triangular prior R22: structured QR of
   [R22; H2] (?tpqrt, which never reflects the zeros under R22),
@@ -203,26 +204,28 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     colmap[j] is the augmented column of R's column j; rows are the 15
     augmented columns left empty by colmap, those of the propagated state
     in transition order, and old_cols the 15 augmented columns of the state
-    it was propagated from, in the same order. The constraint rows
-    L [-Phi I] go into the empty slots. Prior rows keep their staircase
-    structure under the column embedding as long as colmap is ascending,
-    so the Givens re-triangularization only has to clean up the 15
-    constraint rows. Returns the augmented upper-triangular factor.
+    it was propagated from, in the same order. Embedding R's rows at
+    colmap keeps the prior upper triangular as long as colmap is
+    ascending, with zero rows (and zero diagonal entries) at the 15 empty
+    slots. The 15 constraint rows L [-Phi I] are then reflected into it
+    by one structured QR (?tpqrt through `householder_qr(..., top=)`),
+    whose reflector for column k spans only row k of the prior and the 15
+    constraint rows; a zero diagonal entry is filled by the constraint
+    rows' column. Returns the augmented upper-triangular factor.
     """
     n_aug = R.shape[0] + 15
     dtype = R.dtype
-    A = np.zeros((n_aug, n_aug), dtype=dtype)
-    # prior rows placed at the position of their leading column
-    A[np.ix_(colmap, colmap)] = R
-    L = tb.sqrt_info.astype(dtype)
-    LPhi = (tb.sqrt_info @ tb.phi).astype(dtype)
-    A[np.ix_(rows, old_cols)] = -LPhi
-    A[np.ix_(rows, rows)] += L
+    T = np.zeros((n_aug, n_aug), dtype=dtype)
+    T[np.ix_(colmap, colmap)] = R
+    # a Fortran-ordered constraint block, which ?tpqrt overwrites in place
+    C = np.zeros((15, n_aug), dtype=dtype, order="F")
+    C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
+    C[:, rows] += tb.sqrt_info.astype(dtype)
     if flops is not None:
         flops.add(adds=15 * 15 * 15, muls=2 * 15 * 15 * 15)  # L @ Phi and embed
-    givens_triangularize(A, flops=flops)
-    sign_normalize_rows(A)
-    return A
+    R_aug, _ = householder_qr(C, flops=flops, overwrite=True, top=T)
+    sign_normalize_rows(R_aug)
+    return R_aug
 
 
 # --------------------------------------------------------------------------

@@ -199,7 +199,9 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     than a dense QR. Each column's rotations are one chain against its
     diagonal row. Only rows that start with entries below the diagonal are
     ever rotated into it, because rotations keep every other row zero left
-    of its diagonal. Returns A.
+    of its diagonal. Returns A. Its callers are the marginalization of an
+    uninformed state (`filters._drop_uninformed`) and the re-triangularization
+    of a reanchored feature's rows (`VinsEstimator._reanchor`).
 
     The FLOP count is the rotation-by-rotation one: forming a rotation costs
     1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2
@@ -253,12 +255,14 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
         q = int(bad[0])
     if flops is not None:
         # the column sweep's count: q full steps, then the failing pivot;
-        # step k updates n - k - 1 columns with k-term dot products
+        # step k's pivot and each of its n - k - 1 off-diagonal entries
+        # subtract a k-term dot product (k muls, k adds), and each
+        # off-diagonal entry divides by the pivot
         steps = q + failed
         nc = q * (n - 1) - q * (q - 1) // 2                 # sum of n - k - 1
         knc = (n - 1) * q * (q - 1) // 2 - (q - 1) * q * (2 * q - 1) // 6
-        flops.add(adds=steps * (steps - 1) // 2 + 2 * knc + nc,
-                  muls=steps * (steps - 1) // 2 + 2 * knc,
+        flops.add(adds=steps * (steps - 1) // 2 + knc,
+                  muls=steps * (steps - 1) // 2 + knc,
                   divs=nc, sqrts=steps)
     if failed:
         d = float(U[q, q])

@@ -8,7 +8,7 @@ from srifkit.diag import (
     compute_rte,
     record_conditioning,
 )
-from srifkit.filters import build_preconditioner
+from srifkit.filters import apply_preconditioner_inverse, build_preconditioner
 from srifkit.state import quat_from_rotvec, quat_mul
 
 
@@ -53,6 +53,18 @@ class TestConditioningRecord:
                   rec.kappa2_r22_post_precond, rec.kappa2_r22_precond):
             assert v >= 1.0
         assert np.isnan(rec.sigma_max_p)
+
+    def test_precond_kappa_reuses_the_preconditioners_product(self):
+        # the preconditioner built from the posterior holds R22 M_SPAI^-1;
+        # scaled, it is the preconditioned posterior a second solve gives
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(19, 19)) * 0.4
+        from srifkit.linalg import cholesky_upper, cond_spectral
+        R22 = cholesky_upper(A @ A.T + np.eye(19), check_symmetry=False)
+        pc = build_preconditioner(R22, [1, 7, 13])
+        rec = record_conditioning(2.0, R22, pc)
+        k, _, _ = cond_spectral(apply_preconditioner_inverse(pc, R22))
+        assert rec.kappa2_r22_post_precond == k * k
 
     def test_log_stride(self):
         log = ConditioningLog(stride=3)

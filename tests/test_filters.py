@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srifkit import filters, linalg
 from srifkit.filters import (
     Preconditioner,
     UpdateResult,
@@ -20,7 +21,13 @@ from srifkit.filters import (
     srif_marginalize,
     srif_update_partitioned,
 )
-from srifkit.linalg import FlopCounter, NotPositiveDefinite, cond_spectral, eps_of
+from srifkit.linalg import (
+    FlopCounter,
+    NotPositiveDefinite,
+    cond_spectral,
+    eps_of,
+    givens_triangularize,
+)
 from srifkit.models import TransitionBlock
 from srifkit.state import Pose, build_layout
 
@@ -296,6 +303,71 @@ class TestAugment:
         got = P_aug[np.ix_(new_idx, new_idx)]
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
 
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), window=st.integers(2, 6),
+           features=st.integers(0, 5), uninformed=st.booleans(),
+           data=st.data())
+    def test_matches_givens_sweep_of_the_stack(self, dtype, seed, window,
+                                               features, uninformed, data):
+        rng = np.random.default_rng(seed)
+        layout = build_layout(window, features)
+        old = data.draw(st.integers(0, window - 1))
+        R = random_spd_factor(rng, layout.n)
+        if uninformed:
+            R[:, rng.integers(layout.n)] = 0.0    # a zero diagonal entry
+        R = R.astype(dtype)
+        tb = make_tb(rng)
+        _, colmap, rows, old_cols = augment_maps(layout, f"pose:{old}",
+                                                 "pose:new")
+        R_aug = srif_augment(R, colmap, rows, old_cols, tb)
+        assert R_aug.dtype == dtype
+        assert np.array_equal(np.tril(R_aug, -1), np.zeros_like(R_aug))
+        assert np.all(np.diag(R_aug) >= 0)
+        # oracle: the constraint rows in the prior's empty slots, swept by
+        # Givens rotations in float64
+        n_aug = layout.n + 15
+        A = np.zeros((n_aug, n_aug))
+        A[np.ix_(colmap, colmap)] = R
+        A[np.ix_(rows, old_cols)] = -(tb.sqrt_info @ tb.phi).astype(dtype)
+        A[np.ix_(rows, rows)] += tb.sqrt_info.astype(dtype)
+        ref = givens_triangularize(A)
+        info = ref.T @ ref
+        R64 = R_aug.astype(np.float64)
+        tol = 1e-12 if dtype == np.float64 else 20 * n_aug * eps_of(dtype)
+        assert np.linalg.norm(R64.T @ R64 - info) <= tol * np.linalg.norm(info)
+
+    def test_flops_closed_form_by_hand(self):
+        # n = 15, n_aug = 30, every diagonal entry nonzero: L @ Phi is
+        # 15**3 adds and 2 * 15**3 muls; column k's reflector spans 16
+        # rows (15 adds, 16 muls, 1 sqrt for its norm) and updates the
+        # c = 29 - k columns right of it at 16 (1 + 2c) adds and as many
+        # muls plus c; sum c = 435, so 15*30 + 16 (30 + 870) = 14850 adds
+        # and 16*30 + 14400 + 435 = 15315 muls
+        rng = np.random.default_rng(7)
+        fc = FlopCounter()
+        srif_augment(random_spd_factor(rng, 15), np.arange(15),
+                     np.arange(15, 30), np.arange(15), make_tb(rng), flops=fc)
+        assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (
+            3375 + 14850, 6750 + 15315, 0, 30)
+
+    def test_runs_on_householder_qr_through_filters(self, monkeypatch):
+        # the benchmark times kernels by the names srifkit.filters looks up
+        calls = {"householder_qr": 0, "givens_triangularize": 0}
+        for module, name in ((filters, "householder_qr"),
+                             (filters, "givens_triangularize"),
+                             (linalg, "givens_triangularize")):
+            def counted(*args, _fn=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(8)
+        layout = build_layout(3, 1)
+        self._augment(random_spd_factor(rng, layout.n), layout, make_tb(rng),
+                      "pose:2", flops=FlopCounter())
+        assert calls == {"householder_qr": 1, "givens_triangularize": 0}
+
     def test_givens_cheaper_than_dense_householder(self):
         from srifkit.linalg import householder_qr
         rng = np.random.default_rng(30)
@@ -550,7 +622,7 @@ class TestUpdateFlopTotals:
     """Counted FLOPs at the claim-4 instance (m=995, n2=122), pinned to
     the closed-form counts of the structured kernels: the QR sweep over
     the 1 + m rows each reflector spans, and the Cholesky path's
-    triangular R22p.T R22p."""
+    triangular R22p.T R22p and its column sweep's k-term dot products."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pinned(self, dtype):
@@ -566,7 +638,7 @@ class TestUpdateFlopTotals:
         assert (fq.adds, fq.muls, fq.divs, fq.sqrts) == (
             15204810, 15212435, 131, 122)
         assert (fp.adds, fp.muls, fp.divs, fp.sqrts) == (
-            8986255, 9056527, 144152, 244)
+            8683634, 8761287, 144152, 244)
 
 
 class TestIfOracle:

@@ -281,6 +281,27 @@ def householder_flops_by_loop(A, nrhs=0):
     return fc
 
 
+def cholesky_flops_by_loop(S):
+    """FLOPs of the upper column sweep U.T U = S, counted as it runs in
+    float64, up to and including the first pivot that is not positive and
+    finite: step k's pivot subtracts a k-term dot product and takes a
+    square root, and each entry right of it subtracts a k-term dot product
+    and divides by the pivot."""
+    n = S.shape[0]
+    U = np.zeros((n, n))
+    fc = FlopCounter()
+    for k in range(n):
+        d = S[k, k] - U[:k, k] @ U[:k, k]
+        fc.add(adds=k, muls=k, sqrts=1)
+        if not (d > 0 and np.isfinite(d)):
+            break
+        U[k, k] = np.sqrt(d)
+        for j in range(k + 1, n):
+            U[k, j] = (S[k, j] - U[:k, k] @ U[:k, j]) / U[k, k]
+            fc.add(adds=k, muls=k, divs=1)
+    return fc
+
+
 class TestKernelProperties:
     @given(dtype=DTYPES, seed=SEEDS, m=st.integers(1, 30), n=st.integers(1, 12),
            nzero=st.integers(0, 3))
@@ -349,12 +370,40 @@ class TestKernelProperties:
                            atol=4 * m * linalg.eps_of(dtype) * np.abs(A64).max() ** 2)
 
     def test_cholesky_failure_flops_by_hand(self):
-        # pivot 0 (sqrt) and its row (1 add, 1 div), then pivot 1 fails
-        # after its dot product (1 add, 1 mul, 1 sqrt)
+        # pivot 0 (sqrt) and its row (1 div, an empty dot product), then
+        # pivot 1 fails after its 1-term dot product (1 add, 1 mul, 1 sqrt)
         fc = FlopCounter()
         with pytest.raises(NotPositiveDefinite):
             cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]), flops=fc)
-        assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (2, 1, 1, 2)
+        assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (1, 1, 1, 2)
+
+    @given(seed=SEEDS, n=st.integers(1, 12),
+           fail=st.sampled_from(["none", "negative", "nan"]), data=st.data())
+    def test_cholesky_flops_match_the_column_sweep(self, seed, n, fail, data):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n + 2, n))
+        S = B.T @ B + np.eye(n)
+        j = data.draw(st.integers(0, n - 1))
+        if fail == "negative":
+            S[j, j] -= 10.0 * (np.abs(S).sum() + 1.0)
+        elif fail == "nan":
+            S[data.draw(st.integers(0, j)), j] = np.nan
+        fc = FlopCounter()
+        try:
+            cholesky_upper(S, flops=fc, check_symmetry=False)
+        except NotPositiveDefinite as e:
+            assert fail != "none" and e.pivot == j
+        else:
+            assert fail == "none"
+        assert fc == cholesky_flops_by_loop(S)
+
+    def test_cholesky_flops_are_a_third_of_n_cubed(self):
+        # n**3 / 3 + O(n**2): 2 * n(n-1)(n-2)/6 multiply-adds off the
+        # diagonal, 2 * n(n-1)/2 on it, n(n-1)/2 divs and n sqrts
+        fc = FlopCounter()
+        cholesky_upper(np.eye(122), flops=fc)
+        assert fc.total() == 612745
+        assert abs(fc.total() / (122 ** 3 / 3) - 1) < 0.02
 
 
 def _strong_triangle(rng, n):
