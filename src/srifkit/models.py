@@ -2,11 +2,11 @@
 
 IMU error-state transition for state augmentation (every sample of a step
 evaluated at once, the transition and process noise as suffix products),
-inverse-depth pinhole projection with analytic Jacobians (the time-offset
-column included), per-frame camera poses of the whole window with their
-time-offset derivatives, vectorized Gauss-Newton triangulation,
-left-null-space elimination of track-end features, noise whitening, and
-feature reanchoring.
+the window's cameras stacked as arrays in one pass, inverse-depth pinhole
+projection of a whole frame's observations in one batched call with
+analytic Jacobians (the time-offset column included) and an in-front mask,
+vectorized Gauss-Newton triangulation, left-null-space elimination of
+track-end features, and feature reanchoring.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -24,7 +24,6 @@ from . import linalg
 from .state import (
     InverseDepthFeature,
     Pose,
-    quat_from_rotvec,
     quat_normalize,
     quat_to_mat,
     skew,
@@ -34,31 +33,12 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
 
 
-class BehindCamera(Exception):
-    """Projected depth at or below the minimum; the track is dropped."""
-
-
 class NonPositiveDepth(Exception):
     """Reanchoring produced a point behind the new anchor camera."""
 
 
 class RankDeficientFeature(Exception):
     """Feature Jacobian has rank < 3 (too few / degenerate observations)."""
-
-
-@dataclass
-class ImuSample:
-    omega: np.ndarray  # rad/s, body frame
-    accel: np.ndarray  # m/s^2, specific force, body frame
-    dt: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega).all()
-                and np.isfinite(self.accel).all()):
-            raise ValueError(f"non-finite IMU sample: omega={self.omega}, "
-                             f"accel={self.accel}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass
@@ -86,19 +66,6 @@ class TransitionBlock:
     new_v: np.ndarray
 
 
-@dataclass
-class LinearizedMeasurement:
-    """Whitened residual and Jacobian blocks over the involved states.
-
-    Columns outside `blocks` are exactly zero by construction, so the
-    stacked Jacobian has the [0 H2] form: no visual measurement touches
-    biases or velocity.
-    """
-
-    residual: np.ndarray       # (m,), unit noise covariance
-    blocks: dict               # block name -> (m, dim) array
-
-
 # --------------------------------------------------------------------------
 # IMU propagation
 # --------------------------------------------------------------------------
@@ -113,27 +80,44 @@ def _skews(v):
     return S
 
 
-def _exp_terms(theta):
-    """`quat_from_rotvec`, its `quat_to_mat` and `so3_right_jacobian` of
-    each row of the (K, 3) array theta, with the same small-angle branches
-    (angle^2 below 1e-16 and 1e-12)."""
-    a2 = np.einsum("ij,ij->i", theta, theta)
-    # quaternion: normalized first-order series below the threshold
+def _mv(M, x):
+    """M[i] @ x[i] (M @ x[i] for a single matrix M) for the rows of x, each
+    row's product the same whatever the number of rows (unlike x @ M.T)."""
+    return (M @ x[:, :, None])[:, :, 0]
+
+
+def _quat_mats(q):
+    """`quat_to_mat` of each row of the (K, 4) array q, as (K, 3, 3)."""
+    x, y, z, w = q.T
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    return np.stack([
+        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+    ], axis=1).reshape(-1, 3, 3)
+
+
+def _rotvec_quats(theta, a2):
+    """`quat_from_rotvec` of each row of the (K, 3) array theta, whose
+    squared norms are a2, with its first-order series below 1e-16."""
     small = a2 < 1e-16
     a = np.sqrt(np.where(small, 1.0, a2))
     q = np.empty((len(theta), 4))
     q[:, :3] = np.where(small, 0.5, np.sin(0.5 * a) / a)[:, None] * theta
     q[:, 3] = np.where(small, 1.0, np.cos(0.5 * a))
     q[small] /= np.sqrt(np.einsum("ij,ij->i", q[small], q[small]))[:, None]
-    x, y, z, w = q.T
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    M = np.stack([
-        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
-        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
-        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
-    ], axis=1).reshape(-1, 3, 3)
+    return q
+
+
+def _exp_terms(theta):
+    """`quat_from_rotvec`, its `quat_to_mat` and `so3_right_jacobian` of
+    each row of the (K, 3) array theta, with the same small-angle branches
+    (angle^2 below 1e-16 and 1e-12)."""
+    a2 = np.einsum("ij,ij->i", theta, theta)
+    q = _rotvec_quats(theta, a2)
+    M = _quat_mats(q)
     # right Jacobian: second-order series below the threshold
     small = a2 < 1e-12
     a2 = np.where(small, 1.0, a2)
@@ -158,9 +142,28 @@ def _suffix_products(F):
     return S
 
 
-def imu_transition(bg, ba, v, pose: Pose, samples, noise: ImuNoise,
+def check_imu_samples(omega, accel, dt):
+    """K IMU samples as (K, 3) body rates (rad/s), (K, 3) specific forces
+    (m/s^2) and (K,) periods (s), returned as given once every value is
+    finite and every period positive; ValueError names the first bad one."""
+    finite = np.isfinite(omega).all(axis=1) & np.isfinite(accel).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"non-finite IMU sample {i}: omega={omega[i]}, "
+                         f"accel={accel[i]}")
+    positive = dt > 0
+    if not positive.all():
+        i = int(np.argmin(positive))
+        raise ValueError(f"dt must be positive, got {dt[i]} at sample {i}")
+    return omega, accel, dt
+
+
+def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
                    noise_floor=1e-8):
     """Integrate IMU samples from `pose` and linearize the step.
+
+    The samples are the (K, 3) body rates `omega`, the (K, 3) specific
+    forces `accel` and the (K,) periods `dt`, as `check_imu_samples` takes.
 
     Midpoint integration per sample; the transition Jacobian is the exact
     linearization of the discrete integrator (verified against finite
@@ -177,13 +180,12 @@ def imu_transition(bg, ba, v, pose: Pose, samples, noise: ImuNoise,
     Phi = S_0 F_0 and Q = sum_k S_k G_k S_k.T. Only the orientation chain
     R_{k+1} = R_k exp(w_k dt_k) runs sample by sample.
     """
-    if not samples:
+    K = len(dt)
+    if not K:
         raise ValueError("need at least one IMU sample")
-    K = len(samples)
-    dt = np.array([s.dt for s in samples])
     h = dt[:, None]
-    w_hat = np.array([s.omega for s in samples]) - bg
-    a_hat = np.array([s.accel for s in samples]) - ba
+    w_hat = omega - bg
+    a_hat = accel - ba
     theta = w_hat * h
     dq, D, Jr = _exp_terms(np.concatenate([theta, theta / 2.0]))
     D_full, D_half = D[:K], D[K:]
@@ -276,80 +278,68 @@ def pixel_to_bearing(pixel, intrinsics):
     return bearing_angles(np.array([xn, yn, 1.0]))
 
 
-def _imu_pose_at(pose: Pose, advance, tsync):
-    """Global-from-IMU rotation and IMU position, shifted by tsync along
-    the constant velocity and body rate `advance` = (v, w) when given."""
+def camera_pose(pose: Pose, p_ic, q_ic):
+    """World-from-camera rotation and camera center for an IMU pose, then
+    the pose's global-from-IMU rotation and position."""
     R_wi = quat_to_mat(pose.q)
-    p_wi = pose.p
-    if advance is not None and tsync != 0.0:
-        v, w = advance
-        p_wi = p_wi + v * tsync
-        R_wi = R_wi @ quat_to_mat(quat_from_rotvec(w * tsync))
-    return R_wi, p_wi
-
-
-def camera_pose(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
-    """World-from-camera rotation and camera center for an IMU pose.
-
-    `advance` is an optional (velocity, body angular rate) pair used to
-    shift the pose by the time-offset estimate tsync.
-    """
-    R_wi, p_wi = _imu_pose_at(pose, advance, tsync)
-    R_wc = R_wi @ quat_to_mat(q_ic)
-    t_wc = p_wi + R_wi @ p_ic
-    return R_wc, t_wc, R_wi, p_wi
-
-
-class CameraFrame(NamedTuple):
-    """One pose's camera at tsync and its derivative with respect to tsync."""
-
-    R_wc: np.ndarray   # world-from-camera rotation
-    t_wc: np.ndarray   # camera center
-    p_wi: np.ndarray   # IMU position the pose error rotates about
-    dR_wc: np.ndarray  # d R_wc / d tsync
-    dt_wc: np.ndarray  # d t_wc / d tsync
+    return R_wi @ quat_to_mat(q_ic), pose.p + R_wi @ p_ic, R_wi, pose.p
 
 
 class WindowCameras(NamedTuple):
-    """Camera frames of window poses, keyed by pose id, and the
-    camera-to-IMU rotation they share."""
+    """The window poses' cameras at tsync, stacked in window order, with
+    their tsync derivatives and the camera-to-IMU rotation they share."""
 
-    R_ic: np.ndarray
-    frames: dict
+    ids: np.ndarray     # (P,) pose ids, increasing
+    R_wc: np.ndarray    # (P, 3, 3) world-from-camera rotations
+    t_wc: np.ndarray    # (P, 3) camera centers
+    p_wi: np.ndarray    # (P, 3) IMU positions the pose errors rotate about
+    dR_wc: np.ndarray   # (P, 3, 3) d R_wc / d tsync
+    dt_wc: np.ndarray   # (P, 3) d t_wc / d tsync
+    R_ic: np.ndarray    # (3, 3)
 
-
-def _camera_frame(pose: Pose, p_ic, R_ic, advance, tsync) -> CameraFrame:
-    """`camera_pose` with its tsync derivative, from a precomputed R_ic.
-
-    Shifting by tsync moves the IMU to p + v tsync and R exp(w tsync), so
-    d R_wc / d tsync = R_wi skew(w) R_ic and d t_wc / d tsync =
-    v + R_wi skew(w) p_ic at the shifted R_wi; a pose without `advance`
-    does not move with tsync.
-    """
-    R_wi, p_wi = _imu_pose_at(pose, advance, tsync)
-    R_wc = R_wi @ R_ic
-    t_wc = p_wi + R_wi @ p_ic
-    if advance is None:
-        return CameraFrame(R_wc, t_wc, p_wi, np.zeros((3, 3)), np.zeros(3))
-    v, w = advance
-    Rw = R_wi @ skew(w)
-    return CameraFrame(R_wc, t_wc, p_wi, Rw @ R_ic, v + Rw @ p_ic)
+    def rows(self, pose_ids):
+        """Row of each pose id; KeyError for an id outside the window."""
+        ids = np.asarray(pose_ids, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+        if (self.ids[rows] != ids).any():
+            raise KeyError(f"pose ids {ids[self.ids[rows] != ids]} are not "
+                           f"in the window")
+        return rows
 
 
 def window_cameras(state, frame_motion=None) -> WindowCameras:
-    """Every window pose's camera frame at state.tsync, each evaluated once;
-    `frame_motion` is as for `project_feature`."""
-    R_ic = quat_to_mat(state.q_ic)
+    """Every window pose's camera at state.tsync, in one pass over the window.
+
+    `frame_motion` maps pose id to the (velocity, body rate) the pose moves
+    with under a time shift. Shifting by tsync moves the IMU to p + v tsync
+    and R exp(w tsync), so d R_wc / d tsync = R_wi skew(w) R_ic and
+    d t_wc / d tsync = v + R_wi skew(w) p_ic at the shifted R_wi. A pose
+    without an entry does not move with tsync.
+    """
+    ids = np.array([p.id for p in state.poses], dtype=np.int64)
+    if (np.diff(ids) <= 0).any():
+        raise ValueError(f"window pose ids must increase, got {ids}")
     fm = frame_motion or {}
-    return WindowCameras(R_ic, {
-        p.id: _camera_frame(p, state.p_ic, R_ic, fm.get(p.id), state.tsync)
-        for p in state.poses})
+    motion = np.zeros((len(ids), 2, 3))
+    for i, pid in enumerate(ids.tolist()):
+        if pid in fm:
+            motion[i] = fm[pid]
+    v, w = motion[:, 0], motion[:, 1]
+    p_wi = np.array([p.p for p in state.poses])
+    R_wi = _quat_mats(np.array([p.q for p in state.poses]))
+    if state.tsync != 0.0:
+        wt = w * state.tsync
+        p_wi = p_wi + v * state.tsync
+        R_wi = R_wi @ _quat_mats(_rotvec_quats(wt, (wt * wt).sum(axis=1)))
+    R_ic = quat_to_mat(state.q_ic)
+    Rw = R_wi @ _skews(w)
+    return WindowCameras(ids, R_wi @ R_ic, p_wi + R_wi @ state.p_ic, p_wi,
+                         Rw @ R_ic, v + Rw @ state.p_ic, R_ic)
 
 
-def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic, q_ic,
-                         advance=None, tsync=0.0):
+def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic, q_ic):
     alpha, beta, rho = feature.params
-    A, t_A, _, _ = camera_pose(anchor, p_ic, q_ic, advance, tsync)[:4]
+    A, t_A, _, _ = camera_pose(anchor, p_ic, q_ic)
     return A @ (bearing_vector(alpha, beta) / rho) + t_A
 
 
@@ -375,111 +365,119 @@ def _point_jacobians(A, B, X, p_anchor, p_obs, params):
     return dy_anchor, dy_obs, dy_feat
 
 
-def project_feature(state, feature: InverseDepthFeature, observing_pose_id,
-                    frame_motion=None, min_depth=MIN_DEPTH,
-                    with_jacobians=True, cameras: WindowCameras | None = None):
-    """Project an anchored inverse-depth feature into an observing frame.
+class Projection(NamedTuple):
+    """k projections, whether each lies in front of its camera, and their
+    Jacobian blocks d pixel / d (error block), each (k, 2, dim).
 
-    Returns (pixel, blocks) where blocks maps error-state block names to
-    2 x dim Jacobians (anchor pose, observing pose, feature parameters,
-    extrinsics, intrinsics, and tsync). `frame_motion` maps pose id to
-    (velocity, body rate) constants used for the time-offset model; the
-    tsync column is the analytic image-plane feature velocity under that
-    shift. `cameras` is `window_cameras(state, frame_motion)` when the
-    caller projects many features against the same state; without it the
-    window is evaluated here, with the same result.
-
-    Raises BehindCamera when the depth in the observing camera is at or
-    below min_depth.
+    The blocks are views of one (k, 2, 26) array, in field order. Pose
+    blocks are (position, left-global orientation); both are zero where a
+    feature is seen from its own anchor pose. Entries behind the camera
+    hold finite values of no meaning.
     """
-    if cameras is None:
-        cameras = window_cameras(state, frame_motion)
-    anchor_id = feature.anchor_pose_id
-    A, t_A, pa, dA, dt_A = cameras.frames[anchor_id]
-    B, t_B, po, dB, dt_B = cameras.frames[observing_pose_id]
-    alpha, beta, rho = feature.params
-    f = bearing_vector(alpha, beta) / rho
-    X = A @ f + t_A
-    y = B.T @ (X - t_B)
-    if y[2] <= min_depth:
-        raise BehindCamera(f"depth {y[2]:.4f} <= {min_depth}")
-    fx, fy, cx, cy = state.intrinsics
-    xn, yn = y[0] / y[2], y[1] / y[2]
-    pixel = np.array([fx * xn + cx, fy * yn + cy])
-    if not with_jacobians:
-        return pixel, None
 
-    Jz = np.array([
-        [fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
-        [0.0, fy / y[2], -fy * y[1] / y[2] ** 2],
-    ])
-    R_ic = cameras.R_ic
-    # d y / d (error blocks)
-    dy = {}
-    dy_anchor, dy_obs, dy_feat = _point_jacobians(A, B, X, pa, po, feature.params)
-    if anchor_id == observing_pose_id:
-        dy[f"pose:{anchor_id}"] = dy_anchor + dy_obs
-    else:
-        dy[f"pose:{anchor_id}"] = dy_anchor
-        dy[f"pose:{observing_pose_id}"] = dy_obs
-    dy[f"feat:{feature.id}"] = dy_feat
+    pixel: np.ndarray     # (k, 2)
+    in_front: np.ndarray  # (k,) depth in the observing camera > min_depth
+    anchor: np.ndarray    # (k, 2, 6)
+    observer: np.ndarray  # (k, 2, 6)
+    feature: np.ndarray   # (k, 2, 3) inverse-depth parameters
+    p_ic: np.ndarray      # (k, 2, 3)
+    q_ic: np.ndarray      # (k, 2, 3)
+    tsync: np.ndarray     # (k, 2, 1)
+    intr: np.ndarray      # (k, 2, 4)
+
+
+def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
+                    observer_ids, params, min_depth=MIN_DEPTH) -> Projection:
+    """Project k anchored inverse-depth features into their observing frames.
+
+    Observation i is the feature with parameters params[i] = (alpha, beta,
+    rho), anchored at pose anchor_ids[i], seen from pose observer_ids[i];
+    `cameras` is `window_cameras` of the state. The Jacobians are the
+    closed form of the standard reprojection rows (Mourikis & Roumeliotis,
+    ICRA 2007), evaluated for all k at once: with A, B the anchor and
+    observing camera rotations, X = A f + t_A the point and
+    y = B.T (X - t_B) its position in the observing camera, d y / d (error
+    blocks) is chained with the pinhole Jacobian d pixel / d y. The tsync
+    column is the analytic image-plane feature velocity when both cameras
+    move with the time shift.
+
+    An observation at depth y_z <= min_depth is flagged in `in_front`
+    instead of raising.
+    """
+    ia, io = cameras.rows(anchor_ids), cameras.rows(observer_ids)
+    params = np.asarray(params, dtype=np.float64).reshape(-1, 3)
+    k = len(params)
+    alpha, beta, rho = params.T
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    u = np.stack([sa * cb, sb, ca * cb], axis=1)
+    du = np.stack([ca * cb, -sa * sb, np.zeros(k), cb, -sa * cb, -ca * sb],
+                  axis=1).reshape(k, 3, 2)
+    f = u / rho[:, None]
+    A, t_A, pa = cameras.R_wc[ia], cameras.t_wc[ia], cameras.p_wi[ia]
+    B, t_B, po = cameras.R_wc[io], cameras.t_wc[io], cameras.p_wi[io]
+    Bt = B.transpose(0, 2, 1)
+    X = _mv(A, f) + t_A
+    d = X - t_B
+    y = _mv(Bt, d)
+    in_front = y[:, 2] > min_depth
+    z = np.where(in_front, y[:, 2], 1.0)
+    fx, fy, cx, cy = intrinsics
+    xn, yn = y[:, 0] / z, y[:, 1] / z
+    pixel = np.stack([fx * xn + cx, fy * yn + cy], axis=1)
+
+    # d y / d (anchor, observer, feature, p_ic, q_ic, tsync)
+    dy = np.empty((k, 3, 22))
+    dy[:, :, 0:3] = Bt
+    dy[:, :, 3:6] = -Bt @ _skews(X - pa)
+    dy[:, :, 6:9] = -Bt
+    dy[:, :, 9:12] = Bt @ _skews(X - po)
+    C = Bt @ A
+    dy[:, :, 12:14] = C @ du / rho[:, None, None]
+    dy[:, :, 14] = -_mv(C, u) / (rho * rho)[:, None]
     # IMU rotations at the (possibly advanced) exposure times
-    R_a_wi = A @ R_ic.T
-    R_o_wi = B @ R_ic.T
-    dy["p_ic"] = B.T @ (R_a_wi - R_o_wi)
-    dy["q_ic"] = -B.T @ R_a_wi @ skew(R_ic @ f) + R_ic.T @ skew(R_o_wi.T @ (X - t_B))
+    R_ic = cameras.R_ic
+    R_a_wi, R_o_wi = A @ R_ic.T, B @ R_ic.T
+    dy[:, :, 15:18] = Bt @ (R_a_wi - R_o_wi)
+    dy[:, :, 18:21] = (-Bt @ R_a_wi @ _skews(_mv(R_ic, f))
+                       + R_ic.T @ _skews(_mv(R_o_wi.transpose(0, 2, 1), d)))
     # tsync: both cameras move with the time shift
-    dy["tsync"] = (dB.T @ (X - t_B) + B.T @ (dA @ f + dt_A - dt_B))[:, None]
+    dA, dB = cameras.dR_wc[ia], cameras.dR_wc[io]
+    shift = _mv(dA, f) + cameras.dt_wc[ia] - cameras.dt_wc[io]
+    dy[:, :, 21] = _mv(dB.transpose(0, 2, 1), d) + _mv(Bt, shift)
+    # seen from its anchor pose, the point is fixed in that camera and the
+    # pixel does not depend on the pose
+    dy[ia == io, :, 0:12] = 0.0
 
-    blocks = {name: Jz @ J for name, J in dy.items()}
-    blocks["intr"] = np.array([
-        [xn, 0.0, 1.0, 0.0],
-        [0.0, yn, 0.0, 1.0],
-    ])
-    return pixel, blocks
-
-
-# --------------------------------------------------------------------------
-# measurement assembly
-# --------------------------------------------------------------------------
-
-
-def whiten(residual, blocks, sigma_px) -> LinearizedMeasurement:
-    """Scale residual and Jacobians by 1/sigma so noise covariance is I."""
-    if sigma_px <= 0:
-        raise ValueError("sigma_px must be positive")
-    inv = 1.0 / sigma_px
-    return LinearizedMeasurement(
-        residual=np.asarray(residual) * inv,
-        blocks={k: v * inv for k, v in blocks.items()},
-    )
+    Jz = np.zeros((k, 2, 3))
+    Jz[:, 0, 0] = fx / z
+    Jz[:, 0, 2] = -fx * y[:, 0] / z ** 2
+    Jz[:, 1, 1] = fy / z
+    Jz[:, 1, 2] = -fy * y[:, 1] / z ** 2
+    jac = np.zeros((k, 2, 26))
+    jac[:, :, :22] = Jz @ dy
+    jac[:, 0, 22], jac[:, 1, 23] = xn, yn
+    jac[:, 0, 24] = jac[:, 1, 25] = 1.0
+    return Projection(pixel, in_front,
+                      *np.split(jac, [6, 12, 15, 18, 21, 22], axis=2))
 
 
-def msckf_nullspace_project(Hf, Hx_blocks, r):
+def msckf_nullspace_project(Hf, Hx, r):
     """Eliminate the feature by projecting onto the left null space of Hf.
 
     Applies the Householder reflectors of Hf's QR to [Hx r] and keeps the
     bottom rows, so the output is independent of the (never-estimated)
-    feature. Output row count is rows - 3.
+    feature. Returns the projected (Hx, r), each with rows - 3 rows.
     """
     Hf = np.asarray(Hf, dtype=np.float64)
     m = Hf.shape[0]
     if m < 4:
         raise RankDeficientFeature(f"only {m} stacked rows")
-    names = list(Hx_blocks.keys())
-    dims = [Hx_blocks[k].shape[1] for k in names]
-    rhs = np.hstack([np.hstack([Hx_blocks[k] for k in names]), np.asarray(r)[:, None]])
-    Rf, t = linalg.householder_qr(Hf, rhs)
+    Rf, t = linalg.householder_qr(Hf, np.column_stack([Hx, r]))
     scale = np.abs(Rf).max()
     if np.abs(Rf[2, 2]) <= 1e-10 * max(scale, 1.0):
         raise RankDeficientFeature("feature Jacobian rank < 3")
-    t = t[3:]
-    out_blocks = {}
-    off = 0
-    for k, d in zip(names, dims):
-        out_blocks[k] = t[:, off:off + d]
-        off += d
-    return out_blocks, t[:, -1]
+    return t[3:, :-1], t[3:, -1]
 
 
 def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,

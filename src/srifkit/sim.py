@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .models import GRAVITY, ImuNoise, ImuSample
+from .models import GRAVITY, ImuNoise, check_imu_samples
 from .state import quat_from_rotvec, quat_mul, quat_to_mat
 
 SCENARIO_FORMAT = "srifkit-scenario/1"
@@ -115,8 +115,10 @@ class Dataset:
     frames: list             # of Frame
 
     def imu_samples(self, i0, i1):
-        return [ImuSample(self.imu_omega[i], self.imu_accel[i], self.imu_dt[i])
-                for i in range(i0, i1)]
+        """Samples i0 .. i1 - 1 as (K, 3) rates, (K, 3) specific forces and
+        (K,) periods, once `check_imu_samples` has passed them."""
+        return check_imu_samples(self.imu_omega[i0:i1], self.imu_accel[i0:i1],
+                                 self.imu_dt[i0:i1])
 
 
 # --------------------------------------------------------------------------

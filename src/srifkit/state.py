@@ -204,41 +204,24 @@ class ErrorStateLayout:
         return [name for name, off, dim in self.blocks if name.startswith("feat:")]
 
 
-def _assemble(feature_names, pose_names):
+def layout_of(state: VinsStateVector) -> ErrorStateLayout:
+    """Layout matching the current contents of a state vector: for s
+    features and l poses, n = 9 + 3*s + 1 + 6*l + 10."""
     blocks = [("bg", 0, 3), ("ba", 3, 3), ("v", 6, 3)]
     off = 9
-    for name in feature_names:
-        blocks.append((name, off, 3))
+    for f in state.features:
+        blocks.append((f"feat:{f.id}", off, 3))
         off += 3
     blocks.append(("tsync", off, 1))
     off += 1
-    for name in pose_names:
-        blocks.append((name, off, 6))
+    for p in state.poses:
+        blocks.append((f"pose:{p.id}", off, 6))
         off += 6
     blocks.append(("intr", off, 4))
     blocks.append(("p_ic", off + 4, 3))
     blocks.append(("q_ic", off + 7, 3))
     off += 10
     return ErrorStateLayout(blocks, off)
-
-
-def build_layout(window_size: int, n_features: int) -> ErrorStateLayout:
-    """Layout for a window of `window_size` poses and `n_features` SLAM
-    features: n = 9 + 3*s + 1 + 6*l + 10."""
-    if window_size < 2 or n_features < 0:
-        raise ValueError("need window_size >= 2 and n_features >= 0")
-    return _assemble(
-        [f"feat:{i}" for i in range(n_features)],
-        [f"pose:{i}" for i in range(window_size)],
-    )
-
-
-def layout_of(state: VinsStateVector) -> ErrorStateLayout:
-    """Layout matching the current contents of a state vector."""
-    return _assemble(
-        [f"feat:{f.id}" for f in state.features],
-        [f"pose:{p.id}" for p in state.poses],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -268,28 +251,6 @@ def boxplus(state: VinsStateVector, delta, layout: ErrorStateLayout) -> VinsStat
     out.q_ic = quat_normalize(
         quat_mul(quat_from_rotvec(delta[layout.slice("q_ic")]), state.q_ic))
     return out
-
-
-def boxminus(x: VinsStateVector, ref: VinsStateVector, layout: ErrorStateLayout):
-    """Error-state difference d with boxplus(ref, d) ~ x."""
-    d = np.zeros(layout.n)
-    d[layout.slice("bg")] = x.bg - ref.bg
-    d[layout.slice("ba")] = x.ba - ref.ba
-    d[layout.slice("v")] = x.v - ref.v
-    ref_feats = {f.id: f for f in ref.features}
-    for f in x.features:
-        d[layout.slice(f"feat:{f.id}")] = f.params - ref_feats[f.id].params
-    d[layout.offset("tsync")] = x.tsync - ref.tsync
-    ref_poses = {p.id: p for p in ref.poses}
-    for p in x.poses:
-        off = layout.offset(f"pose:{p.id}")
-        rp = ref_poses[p.id]
-        d[off:off + 3] = p.p - rp.p
-        d[off + 3:off + 6] = rotvec_from_quat(quat_mul(p.q, quat_conj(rp.q)))
-    d[layout.slice("intr")] = x.intrinsics - ref.intrinsics
-    d[layout.slice("p_ic")] = x.p_ic - ref.p_ic
-    d[layout.slice("q_ic")] = rotvec_from_quat(quat_mul(x.q_ic, quat_conj(ref.q_ic)))
-    return d
 
 
 def reorder_for_marginalization(layout: ErrorStateLayout, block_names) -> list:

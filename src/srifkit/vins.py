@@ -8,12 +8,17 @@ cross-estimator equivalence checks rely on.
 
 Each frame runs propagation -> marginalization -> update, with FLOPs
 accounted per phase. Jacobian evaluation and bookkeeping are not counted.
+Measurement assembly makes two passes over a frame: the first decides
+which features enter the state and which short tracks end, and lists every
+observation to project; the second projects them all with one
+`project_feature` call and writes the whitened rows straight into H2.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +26,6 @@ from . import filters
 from .diag import ConditioningLog, record_conditioning
 from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
-    BehindCamera,
     ImuNoise,
     NonPositiveDepth,
     RankDeficientFeature,
@@ -30,7 +34,6 @@ from .models import (
     project_feature,
     reanchor_feature,
     triangulate_inverse_depth,
-    whiten,
     window_cameras,
 )
 from .state import (
@@ -77,6 +80,18 @@ class FilterConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.window < 2:
             raise ValueError("window must hold at least two poses")
+        if self.svd_stride < 1:
+            raise ValueError(f"svd_stride must be at least 1, got "
+                             f"{self.svd_stride}")
+        if not (math.isfinite(self.sigma_px) and self.sigma_px >= 0):
+            raise ValueError(f"sigma_px must be finite and >= 0, got "
+                             f"{self.sigma_px}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("sigma_") and f.name.endswith("0") and not (
+                    math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, "
+                                 f"got {value}")
 
 
 class EstimatorAbort(RuntimeError):
@@ -123,6 +138,16 @@ def _prior_sigmas(cfg, layout):
     s[layout.slice("p_ic")] = cfg.sigma_pic0
     s[layout.slice("q_ic")] = cfg.sigma_qic0
     return s
+
+
+def _scatter_rows(H, cols, J):
+    """Write observation i's 2 x c Jacobian J[i] into rows 2i and 2i + 1 of
+    H, at the columns cols[i].
+
+    An observation from its feature's anchor pose names that pose's columns
+    twice, once for each pose block; both blocks are zero there.
+    """
+    H[np.arange(2 * len(J)).reshape(-1, 2, 1), cols[:, None, :]] = J
 
 
 def _embed(old_layout, new_layout):
@@ -201,10 +226,10 @@ class VinsEstimator:
         fc = self.flops["propagation"]
         i0 = (frame.index - 1) * self._step_per_frame
         i1 = frame.index * self._step_per_frame
-        samples = self.ds.imu_samples(i0, i1)
+        omega, accel, dt = self.ds.imu_samples(i0, i1)
         old_pose = self.x.poses[-1]
         tb = imu_transition(self.x.bg, self.x.ba, self.x.v, old_pose,
-                            samples, self.ds.spec.noise)
+                            omega, accel, dt, self.ds.spec.noise)
         tb.new_pose.id = frame.index
         tb.new_pose.t = frame.t
         old_layout = self.layout
@@ -232,9 +257,8 @@ class VinsEstimator:
                                          colmap[sel], tb, flops=fc)
             self.R = R_aug[9:, 9:].copy()
 
-        last = samples[-1]
         self.frame_motion[frame.index] = (
-            self.x.v.copy(), last.omega - self.x.bg)
+            self.x.v.copy(), omega[-1] - self.x.bg)
 
     # -- marginalization --------------------------------------------------
 
@@ -351,66 +375,37 @@ class VinsEstimator:
             self.R = R
 
     def _try_triangulate(self, obs, cameras):
-        frames = [cameras.frames[pid] for pid, _ in obs]
+        rows = cameras.rows([pid for pid, _ in obs])
         return triangulate_inverse_depth(
-            [px for _, px in obs], [fr.R_wc for fr in frames],
-            [fr.t_wc for fr in frames], self.x.intrinsics)
-
-    def _slam_rows(self, feat, pose_id, pixel, meas, cameras):
-        pred, blocks = project_feature(self.x, feat, pose_id,
-                                       frame_motion=self.frame_motion,
-                                       cameras=cameras)
-        meas.append(whiten(pixel - pred, blocks, self.sigma_px))
-
-    def _consume_msckf(self, fid, obs, meas, cameras):
-        """Triangulate a finished short track and add its projected rows."""
-        try:
-            theta = self._try_triangulate(obs, cameras)
-        except RankDeficientFeature:
-            return
-        feat = InverseDepthFeature(obs[0][0], theta, id=fid)
-        rows_f, rows_x, resid = [], [], []
-        for pid, px in obs:
-            try:
-                pred, blocks = project_feature(self.x, feat, pid,
-                                               frame_motion=self.frame_motion,
-                                               cameras=cameras)
-            except BehindCamera:
-                continue
-            rows_f.append(blocks.pop(f"feat:{fid}"))
-            rows_x.append(blocks)
-            resid.append(px - pred)
-        if len(resid) < 2:
-            return
-        names = sorted({k for b in rows_x for k in b})
-        m2 = 2 * len(resid)
-        Hx = {nm: np.zeros((m2, self.layout.dim(nm))) for nm in names}
-        for i, b in enumerate(rows_x):
-            for nm, J in b.items():
-                Hx[nm][2 * i:2 * i + 2] = J
-        Hf = np.vstack(rows_f)
-        r = np.concatenate(resid)
-        try:
-            blocks, r_proj = msckf_nullspace_project(Hf, Hx, r)
-        except RankDeficientFeature:
-            return
-        meas.append(whiten(r_proj, blocks, self.sigma_px))
+            [px for _, px in obs], cameras.R_wc[rows], cameras.t_wc[rows],
+            self.x.intrinsics)
 
     def _collect_measurements(self, frame):
+        """The frame's whitened rows as (H2, r) over the x2 columns at
+        working precision, or None when there are none.
+
+        Pass 1 walks the frame, then the short-track buffer. It inserts
+        each SLAM feature whose track is long enough (delayed
+        initialization) and triangulates each finished or capped short
+        track, and it lists the observations to project, one group per
+        feature. Pass 2 projects every listed observation in one call. A
+        SLAM feature gives the rows of its observations up to the first one
+        behind the camera, and then leaves the state at the next frame. A
+        short track drops its observations behind the camera, needs two
+        left, and gives the rows of its left-null-space projection. SLAM
+        rows come first, in frame order, then the tracks' rows in buffer
+        order.
+        """
         # the window and its estimate stay fixed until the update, so each
         # pose's camera is evaluated once per frame
         cameras = window_cameras(self.x, self.frame_motion)
-        meas = []
+        groups = []   # (feature, [(pose id, pixel), ...], is short track)
         in_state = {f.id: f for f in self.x.features}
         pose_ids = {p.id for p in self.x.poses}
         for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
             fid = int(fid)
             if fid in in_state:
-                try:
-                    self._slam_rows(in_state[fid], frame.index, px, meas,
-                                    cameras)
-                except BehindCamera:
-                    self._drop_next.add(fid)
+                groups.append((in_state[fid], [(frame.index, px)], False))
                 continue
             self.track_buf.setdefault(fid, []).append((frame.index, px))
             obs = self.track_buf[fid]
@@ -425,12 +420,7 @@ class VinsEstimator:
                 feat = InverseDepthFeature(obs[0][0], theta, id=fid)
                 self._insert_feature(feat)
                 del self.track_buf[fid]
-                for pid, opx in obs:  # delayed initialization
-                    try:
-                        self._slam_rows(feat, pid, opx, meas, cameras)
-                    except BehindCamera:
-                        self._drop_next.add(fid)
-                        break
+                groups.append((feat, obs, False))
         # finished or capped short tracks
         present = set(int(f) for f in frame.feature_ids)
         for fid, obs in list(self.track_buf.items()):
@@ -441,8 +431,82 @@ class VinsEstimator:
             del self.track_buf[fid]
             if len(obs) >= self.cfg.min_track and all(
                     pid in pose_ids for pid, _ in obs):
-                self._consume_msckf(fid, obs, meas, cameras)
-        return meas
+                try:
+                    theta = self._try_triangulate(obs, cameras)
+                except RankDeficientFeature:
+                    continue
+                groups.append((InverseDepthFeature(obs[0][0], theta, id=fid),
+                               obs, True))
+        if not groups:
+            return None
+        return self._assemble_rows(groups, cameras)
+
+    def _assemble_rows(self, groups, cameras):
+        """Pass 2 of `_collect_measurements`."""
+        views = [(feat.anchor_pose_id, pid, feat.params, px)
+                 for feat, obs, _ in groups for pid, px in obs]
+        anchor, observer, params, pixels = (np.array(c) for c in zip(*views))
+        proj = project_feature(cameras, self.x.intrinsics, anchor, observer,
+                               params)
+        J = np.concatenate(proj[2:], axis=2)     # (k, 2, 26)
+        resid = pixels - proj.pixel
+        # each observation's x2 column per Jacobian column; a short track's
+        # feature has none, and its block is eliminated before writing
+        lay = self.layout
+        n1 = lay.n1
+        pose_col = np.array(self._pose_offsets_x2())
+        sizes = [len(obs) for _, obs, _ in groups]
+        feat_col = np.repeat([0 if track else lay.offset(f"feat:{feat.id}") - n1
+                              for feat, _, track in groups], sizes)
+        cols = np.empty((len(J), J.shape[2]), dtype=np.intp)
+        cols[:, 0:6] = pose_col[cameras.rows(anchor)][:, None] + np.arange(6)
+        cols[:, 6:12] = pose_col[cameras.rows(observer)][:, None] + np.arange(6)
+        cols[:, 12:15] = feat_col[:, None] + np.arange(3)
+        cols[:, 15:] = np.concatenate(
+            [np.arange(d) + lay.offset(nm) - n1
+             for nm, d in (("p_ic", 3), ("q_ic", 3), ("tsync", 1), ("intr", 4))])
+        no_feature = np.r_[0:12, 15:cols.shape[1]]
+
+        slam = np.zeros(len(views), dtype=bool)
+        tracks = []   # projected (Hx, r) per short track
+        stop = 0
+        for (feat, obs, track), size in zip(groups, sizes):
+            start, stop = stop, stop + size
+            front = proj.in_front[start:stop]
+            if track:
+                keep = start + np.flatnonzero(front)
+                if len(keep) < 2:
+                    continue
+                Hx = np.zeros((2 * len(keep), lay.n2))
+                _scatter_rows(Hx, cols[keep][:, no_feature],
+                              J[keep][:, :, no_feature])
+                try:
+                    tracks.append(msckf_nullspace_project(
+                        proj.feature[keep].reshape(-1, 3), Hx,
+                        resid[keep].ravel()))
+                except RankDeficientFeature:
+                    pass
+                continue
+            good = size if front.all() else int(np.argmin(front))
+            slam[start:start + good] = True
+            if good < size:
+                self._drop_next.add(feat.id)
+
+        m_slam = 2 * int(slam.sum())
+        m = m_slam + sum(len(r) for _, r in tracks)
+        if not m:
+            return None
+        inv = 1.0 / self.sigma_px
+        H2 = np.zeros((m, lay.n2), dtype=self.dtype)
+        r = np.empty(m, dtype=self.dtype)
+        _scatter_rows(H2, cols[slam], J[slam] * inv)
+        r[:m_slam] = resid[slam].ravel() * inv
+        off = m_slam
+        for Hx, rx in tracks:
+            H2[off:off + len(rx)] = Hx * inv
+            r[off:off + len(rx)] = rx * inv
+            off += len(rx)
+        return H2, r
 
     def _apply_update(self, H2, r, t):
         fc = self.flops["update"]
@@ -486,32 +550,14 @@ class VinsEstimator:
         self.R = res.R_post
         return res.dx
 
-    def _stack_x2(self, meas):
-        """Whitened rows stacked as [H2 r] over the x2 columns, at working
-        precision; visual rows are zero on the n1 bias/velocity columns."""
-        n1 = self.layout.n1
-        m = sum(len(z.residual) for z in meas)
-        H2 = np.zeros((m, self.layout.n - n1), dtype=self.dtype)
-        r = np.empty(m, dtype=self.dtype)
-        off = 0
-        for z in meas:
-            k = len(z.residual)
-            for name, J in z.blocks.items():
-                o, dim = self.layout.index[name]
-                H2[off:off + k, o - n1:o - n1 + dim] = J
-            r[off:off + k] = z.residual
-            off += k
-        return H2, r
-
     def _update(self, frame):
-        meas = self._collect_measurements(frame)
+        rows = self._collect_measurements(frame)
         # the prior factor is only read when the diagnostics are due
         n1 = self.layout.n1
         prior_R22 = (np.array(self.R[n1:, n1:], dtype=np.float64)
                      if not self.is_kf and self.cond_log.due() else None)
-        if meas:
-            H2, r = self._stack_x2(meas)
-            dx = self._apply_update(H2, r, frame.t)
+        if rows is not None:
+            dx = self._apply_update(*rows, frame.t)
             self.x = boxplus(self.x, np.asarray(dx, dtype=np.float64),
                              self.layout)
         self._record_diagnostics(frame, prior_R22)

@@ -1,13 +1,16 @@
-"""Per-sample, per-view and finite-difference versions of the models.
+"""Per-sample, per-view, per-observation and finite-difference versions
+of the models.
 
 `imu_transition` integrates all IMU samples of a step at once,
 `triangulate_inverse_depth` evaluates all views of a track at once and
-`project_feature` differentiates the time offset analytically. The
-functions here do the same work the slow way -- a Python loop over IMU
-samples with one 15 x 15 transition and noise product each, a Python loop
-over views with one `lstsq` per view for the depth initialization, and
-central differences of the time-shifted projection -- so the tests can
-compare the two.
+`project_feature` projects all observations of a frame at once,
+differentiating the time offset analytically. The functions here do the
+same work the slow way -- a Python loop over IMU samples with one 15 x 15
+transition and noise product each, a Python loop over views with one
+`lstsq` per view for the depth initialization, one observation at a time
+with its Jacobian blocks keyed by state block name, and central
+differences of the time-shifted projection -- so the tests can compare
+the two.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ import numpy as np
 from srifkit import linalg
 from srifkit.models import (
     GRAVITY,
+    MIN_DEPTH,
     ImuNoise,
     RankDeficientFeature,
     TransitionBlock,
     bearing_jacobian,
     bearing_vector,
-    camera_pose,
     pixel_to_bearing,
 )
 from srifkit.state import (
@@ -36,11 +39,11 @@ from srifkit.state import (
 )
 
 
-def imu_transition_by_sample(bg, ba, v, pose: Pose, samples,
+def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
                               noise: ImuNoise, noise_floor=1e-8):
     """`imu_transition`, one sample at a time: the per-sample loop the
     batched version replaces, kept as its oracle."""
-    if not samples:
+    if not len(dts):
         raise ValueError("need at least one IMU sample")
     R = quat_to_mat(pose.q)
     q = pose.q.copy()
@@ -50,10 +53,9 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, samples,
     Q = np.zeros((15, 15))
     t = pose.t
     sg2, sa2 = noise.gyro_density ** 2, noise.accel_density ** 2
-    for s in samples:
-        dt = s.dt
-        w_hat = s.omega - bg
-        a_hat = s.accel - ba
+    for omega_k, accel_k, dt in zip(omega, accel, dts):
+        w_hat = omega_k - bg
+        a_hat = accel_k - ba
         dq_full = quat_from_rotvec(w_hat * dt)
         R_mid = R @ quat_to_mat(quat_from_rotvec(w_hat * dt / 2.0))
         R_next = R @ quat_to_mat(dq_full)
@@ -97,6 +99,90 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, samples,
     return TransitionBlock(Phi, sqrt_info, new_pose, v)
 
 
+class BehindCamera(Exception):
+    """Projected depth at or below the minimum."""
+
+
+def camera_pose_at(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
+    """`camera_pose` of the pose shifted by tsync along the constant
+    velocity and body rate `advance` = (v, w), when given."""
+    R_wi, p_wi = quat_to_mat(pose.q), pose.p
+    if advance is not None and tsync != 0.0:
+        v, w = advance
+        p_wi = p_wi + v * tsync
+        R_wi = R_wi @ quat_to_mat(quat_from_rotvec(w * tsync))
+    return R_wi @ quat_to_mat(q_ic), p_wi + R_wi @ p_ic, R_wi, p_wi
+
+
+def project_feature_by_observation(state, feature, observing_pose_id,
+                                   frame_motion=None, min_depth=MIN_DEPTH):
+    """`project_feature` for one observation: the per-observation version
+    the batched kernel replaces, kept as its oracle.
+
+    Returns (pixel, blocks) where blocks maps error-state block names to
+    2 x dim Jacobians (anchor pose, observing pose, feature parameters,
+    extrinsics, intrinsics, and tsync); a pose that is both anchor and
+    observer has one block. Raises BehindCamera when the depth in the
+    observing camera is at or below min_depth.
+    """
+    poses = {p.id: p for p in state.poses}
+    fm = frame_motion or {}
+    R_ic = quat_to_mat(state.q_ic)
+
+    def camera(pid):
+        """The pose's camera, the IMU position, and d (R_wc, t_wc) / d tsync."""
+        advance = fm.get(pid)
+        R_wc, t_wc, R_wi, p_wi = camera_pose_at(
+            poses[pid], state.p_ic, state.q_ic, advance, state.tsync)
+        if advance is None:
+            return R_wc, t_wc, p_wi, np.zeros((3, 3)), np.zeros(3)
+        v, w = advance
+        Rw = R_wi @ skew(w)
+        return R_wc, t_wc, p_wi, Rw @ R_ic, v + Rw @ state.p_ic
+
+    anchor_id = feature.anchor_pose_id
+    A, t_A, pa, dA, dt_A = camera(anchor_id)
+    B, t_B, po, dB, dt_B = camera(observing_pose_id)
+    alpha, beta, rho = feature.params
+    f = bearing_vector(alpha, beta) / rho
+    X = A @ f + t_A
+    y = B.T @ (X - t_B)
+    if y[2] <= min_depth:
+        raise BehindCamera(f"depth {y[2]:.4f} <= {min_depth}")
+    fx, fy, cx, cy = state.intrinsics
+    xn, yn = y[0] / y[2], y[1] / y[2]
+    pixel = np.array([fx * xn + cx, fy * yn + cy])
+    Jz = np.array([
+        [fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
+        [0.0, fy / y[2], -fy * y[1] / y[2] ** 2],
+    ])
+    # d y / d (error blocks)
+    dy_anchor = np.hstack([B.T, -B.T @ skew(X - pa)])
+    dy_obs = np.hstack([-B.T, B.T @ skew(X - po)])
+    dy = {}
+    if anchor_id == observing_pose_id:
+        dy[f"pose:{anchor_id}"] = dy_anchor + dy_obs
+    else:
+        dy[f"pose:{anchor_id}"] = dy_anchor
+        dy[f"pose:{observing_pose_id}"] = dy_obs
+    dy[f"feat:{feature.id}"] = np.column_stack([
+        B.T @ A @ bearing_jacobian(alpha, beta) / rho,
+        -B.T @ A @ bearing_vector(alpha, beta) / rho ** 2])
+    # IMU rotations at the (possibly advanced) exposure times
+    R_a_wi = A @ R_ic.T
+    R_o_wi = B @ R_ic.T
+    dy["p_ic"] = B.T @ (R_a_wi - R_o_wi)
+    dy["q_ic"] = -B.T @ R_a_wi @ skew(R_ic @ f) + R_ic.T @ skew(R_o_wi.T @ (X - t_B))
+    # tsync: both cameras move with the time shift
+    dy["tsync"] = (dB.T @ (X - t_B) + B.T @ (dA @ f + dt_A - dt_B))[:, None]
+    blocks = {name: Jz @ J for name, J in dy.items()}
+    blocks["intr"] = np.array([
+        [xn, 0.0, 1.0, 0.0],
+        [0.0, yn, 0.0, 1.0],
+    ])
+    return pixel, blocks
+
+
 def tsync_column_by_central_differences(state, feature, observing_pose_id,
                                         frame_motion, dts=1e-4):
     """d pixel / d tsync (2 x 1) by central differences of the projection
@@ -108,10 +194,10 @@ def tsync_column_by_central_differences(state, feature, observing_pose_id,
     fx, fy, cx, cy = state.intrinsics
 
     def pixel(ts):
-        A, t_A, _, _ = camera_pose(anchor, state.p_ic, state.q_ic,
-                                   fm.get(anchor.id), ts)
-        B, t_B, _, _ = camera_pose(observer, state.p_ic, state.q_ic,
-                                   fm.get(observer.id), ts)
+        A, t_A, _, _ = camera_pose_at(anchor, state.p_ic, state.q_ic,
+                                      fm.get(anchor.id), ts)
+        B, t_B, _, _ = camera_pose_at(observer, state.p_ic, state.q_ic,
+                                      fm.get(observer.id), ts)
         alpha, beta, rho = feature.params
         X = A @ (bearing_vector(alpha, beta) / rho) + t_A
         y = B.T @ (X - t_B)

@@ -29,9 +29,10 @@ from srifkit.linalg import (
     givens_triangularize,
 )
 from srifkit.models import TransitionBlock
-from srifkit.state import Pose, build_layout
+from srifkit.state import Pose
 
 from givens_reference import marginalize_by_rotation
+from state_reference import build_layout
 
 
 def random_factor(rng, n, diag_floor=0.5):

@@ -5,22 +5,18 @@ from hypothesis import strategies as st
 
 from srifkit import linalg
 from srifkit.models import (
-    BehindCamera,
     GRAVITY,
     ImuNoise,
-    ImuSample,
     NonPositiveDepth,
     RankDeficientFeature,
     bearing_angles,
-    bearing_vector,
-    camera_pose,
+    check_imu_samples,
     feature_point_global,
     imu_transition,
     msckf_nullspace_project,
     project_feature,
     reanchor_feature,
     triangulate_inverse_depth,
-    whiten,
     window_cameras,
 )
 from srifkit.state import (
@@ -37,7 +33,10 @@ from srifkit.state import (
 )
 
 from model_reference import (
+    BehindCamera,
+    camera_pose_at,
     imu_transition_by_sample,
+    project_feature_by_observation,
     triangulate_by_view,
     tsync_column_by_central_differences,
 )
@@ -58,19 +57,48 @@ def make_scene(seed=0, tsync=0.0):
     return st, f
 
 
+def project_one(state, feature, observing_pose_id, frame_motion=None):
+    """The batched `project_feature` at k = 1, shaped like the oracle's
+    output: (pixel, {block name: 2 x dim Jacobian}), with one block for a
+    pose that is both anchor and observer. Raises BehindCamera where the
+    in-front mask is False."""
+    anchor = feature.anchor_pose_id
+    p = project_feature(window_cameras(state, frame_motion), state.intrinsics,
+                        [anchor], [observing_pose_id], [feature.params])
+    if not p.in_front[0]:
+        raise BehindCamera(f"feature {feature.id} from pose {observing_pose_id}")
+    blocks = {f"pose:{observing_pose_id}": p.observer[0],
+              f"feat:{feature.id}": p.feature[0], "p_ic": p.p_ic[0],
+              "q_ic": p.q_ic[0], "tsync": p.tsync[0], "intr": p.intr[0]}
+    if anchor != observing_pose_id:
+        blocks[f"pose:{anchor}"] = p.anchor[0]
+    return p.pixel[0], blocks
+
+
+def imu_arrays(samples):
+    """(omega, accel, dt) triples as the (K, 3), (K, 3) and (K,) arrays
+    that `imu_transition` takes."""
+    return tuple(np.array(c, dtype=float) for c in zip(*samples))
+
+
 class TestImuSample:
+    """`check_imu_samples`, which `Dataset.imu_samples` applies to each
+    step's samples."""
+
     @pytest.mark.parametrize("field", ["omega", "accel"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, field, bad):
-        vals = {"omega": np.zeros(3), "accel": np.ones(3)}
-        vals[field][1] = bad
-        with pytest.raises(ValueError, match="non-finite IMU sample"):
-            ImuSample(vals["omega"], vals["accel"], 0.01)
+        vals = {"omega": np.zeros((4, 3)), "accel": np.ones((4, 3))}
+        vals[field][2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite IMU sample 2"):
+            check_imu_samples(vals["omega"], vals["accel"], np.full(4, 0.01))
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
     def test_non_positive_dt_rejected(self, dt):
+        dts = np.full(4, 0.01)
+        dts[3] = dt
         with pytest.raises(ValueError, match="dt must be positive"):
-            ImuSample(np.zeros(3), np.ones(3), dt)
+            check_imu_samples(np.zeros((4, 3)), np.ones((4, 3)), dts)
 
 
 class TestImuTransition:
@@ -80,8 +108,9 @@ class TestImuTransition:
         R = quat_to_mat(q)
         pose = Pose(np.array([1.0, 2.0, 3.0]), q, t=0.0)
         v = np.array([0.5, -0.2, 0.1])
-        samples = [ImuSample(np.zeros(3), -R.T @ GRAVITY, 0.01) for _ in range(10)]
-        tb = imu_transition(np.zeros(3), np.zeros(3), v, pose, samples, ImuNoise())
+        samples = imu_arrays([(np.zeros(3), -R.T @ GRAVITY, 0.01)] * 10)
+        tb = imu_transition(np.zeros(3), np.zeros(3), v, pose, *samples,
+                            ImuNoise())
         assert np.allclose(tb.new_pose.p, pose.p + v * 0.1, atol=1e-12)
         assert np.allclose(tb.new_pose.q, q, atol=1e-12)
         assert np.allclose(tb.new_v, v, atol=1e-12)
@@ -89,10 +118,10 @@ class TestImuTransition:
     def test_constant_yaw_rate(self):
         pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), t=0.0)
         w = np.array([0.0, 0.0, np.pi / 2])
-        samples = [ImuSample(w, np.array([0.0, 0.0, -GRAVITY[2]]), 0.01)
-                   for _ in range(100)]
+        samples = imu_arrays([(w, np.array([0.0, 0.0, -GRAVITY[2]]), 0.01)]
+                             * 100)
         tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), pose,
-                            samples, ImuNoise())
+                            *samples, ImuNoise())
         yaw = rotvec_from_quat(tb.new_pose.q)
         assert np.allclose(yaw, [0.0, 0.0, np.pi / 2], atol=1e-6)
 
@@ -102,17 +131,17 @@ class TestImuTransition:
         ba = rng.normal(size=3) * 0.05
         v = rng.normal(size=3)
         pose = Pose(rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.4), 0.0)
-        samples = [ImuSample(rng.normal(size=3) * 0.5,
-                             rng.normal(size=3) * 2.0 - GRAVITY, 0.01)
-                   for _ in range(5)]
+        samples = imu_arrays([(rng.normal(size=3) * 0.5,
+                               rng.normal(size=3) * 2.0 - GRAVITY, 0.01)
+                              for _ in range(5)])
         noise = ImuNoise()
-        tb = imu_transition(bg, ba, v, pose, samples, noise)
+        tb = imu_transition(bg, ba, v, pose, *samples, noise)
 
         def integrate(d):
             bg2, ba2, v2 = bg + d[0:3], ba + d[3:6], v + d[6:9]
             p2 = Pose(pose.p + d[9:12],
                       quat_mul(quat_from_rotvec(d[12:15]), pose.q), 0.0)
-            t2 = imu_transition(bg2, ba2, v2, p2, samples, noise)
+            t2 = imu_transition(bg2, ba2, v2, p2, *samples, noise)
             out = np.concatenate([
                 bg2 - bg, ba2 - ba, t2.new_v - tb.new_v,
                 t2.new_pose.p - tb.new_pose.p,
@@ -140,17 +169,19 @@ class TestImuTransition:
         clean = [(np.array([0.1, 0.2, -0.3]),
                   np.array([0.5, -0.4, 9.9]) + 0.1 * k * np.ones(3))
                  for k in range(n)]
-        samples = [ImuSample(w, a, dt) for w, a in clean]
-        tb = imu_transition(np.zeros(3), np.zeros(3), v0, pose, samples, noise)
+        samples = imu_arrays([(w, a, dt) for w, a in clean])
+        tb = imu_transition(np.zeros(3), np.zeros(3), v0, pose, *samples,
+                            noise)
         Q = np.linalg.inv(tb.sqrt_info.T @ tb.sqrt_info)
         sg = noise.gyro_density * np.sqrt(rate)
         sa = noise.accel_density * np.sqrt(rate)
         errs = []
         for _ in range(4000):
-            noisy = [ImuSample(w + rng.normal(size=3) * sg,
-                               a + rng.normal(size=3) * sa, dt)
-                     for w, a in clean]
-            t2 = imu_transition(np.zeros(3), np.zeros(3), v0, pose, noisy, noise)
+            noisy = imu_arrays([(w + rng.normal(size=3) * sg,
+                                 a + rng.normal(size=3) * sa, dt)
+                                for w, a in clean])
+            t2 = imu_transition(np.zeros(3), np.zeros(3), v0, pose, *noisy,
+                                noise)
             errs.append(np.concatenate([
                 t2.new_v - tb.new_v,
                 t2.new_pose.p - tb.new_pose.p,
@@ -175,17 +206,18 @@ class TestImuTransition:
         rng = np.random.default_rng(seed)
         dts = (np.full(k, 0.01) if uniform_dt
                else rng.uniform(0.002, 0.02, size=k))
-        samples = [ImuSample(rng.normal(size=3) * self.RATES[rate],
-                             rng.normal(size=3) * 2.0 - GRAVITY, dt)
-                   for dt in dts]
+        samples = imu_arrays([(rng.normal(size=3) * self.RATES[rate],
+                               rng.normal(size=3) * 2.0 - GRAVITY, dt)
+                              for dt in dts])
         bias_g = rng.normal(size=3) * self.RATES[rate] * 0.1
         bias_a = rng.normal(size=3) * 0.05
         v = rng.normal(size=3)
         pose = Pose(rng.normal(size=3),
                     quat_from_rotvec(rng.normal(size=3)), 0.0)
         noise = ImuNoise()
-        got = imu_transition(bias_g, bias_a, v, pose, samples, noise)
-        ref = imu_transition_by_sample(bias_g, bias_a, v, pose, samples, noise)
+        got = imu_transition(bias_g, bias_a, v, pose, *samples, noise)
+        ref = imu_transition_by_sample(bias_g, bias_a, v, pose, *samples,
+                                       noise)
         for a, b in ((got.phi, ref.phi), (got.sqrt_info, ref.sqrt_info),
                      (got.new_pose.p, ref.new_pose.p),
                      (got.new_pose.q, ref.new_pose.q), (got.new_v, ref.new_v)):
@@ -194,10 +226,41 @@ class TestImuTransition:
     def test_sqrt_info_upper_triangular(self):
         pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0)
         tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), pose,
-                            [ImuSample(np.ones(3) * 0.1, np.ones(3), 0.01)] * 3,
+                            *imu_arrays([(np.ones(3) * 0.1, np.ones(3), 0.01)]
+                                        * 3),
                             ImuNoise())
         assert np.allclose(np.tril(tb.sqrt_info, -1), 0.0)
         assert np.all(np.diag(tb.sqrt_info) > 0)
+
+
+def random_window(rng, tsync, n_poses=4):
+    """A state with `n_poses` poses at increasing, non-consecutive ids, of
+    which a random subset moves with the time shift, and its frame motion."""
+    st = VinsStateVector.identity()
+    st.tsync = tsync
+    st.intrinsics = np.array([410.0, 395.0, 318.0, 243.0])
+    st.p_ic = rng.normal(size=3) * 0.05
+    st.q_ic = quat_from_rotvec(rng.normal(size=3) * 0.05)
+    ids = np.cumsum(rng.integers(1, 4, size=n_poses)) + 2
+    for i, pid in enumerate(ids.tolist()):
+        st.poses.append(Pose(rng.normal(size=3) * 0.6,
+                             quat_from_rotvec(rng.normal(size=3) * 0.5),
+                             t=0.2 * i, id=pid))
+    fm = {p.id: (rng.normal(size=3), rng.normal(size=3) * 0.5)
+          for p in st.poses if rng.random() < 0.5}
+    return st, fm
+
+
+def random_observations(rng, st, k):
+    """k (anchor id, observer id, params) triples over the window; about a
+    third are seen from their own anchor pose."""
+    ids = [p.id for p in st.poses]
+    anchor = rng.choice(ids, size=k)
+    observer = np.where(rng.random(k) < 0.33, anchor, rng.choice(ids, size=k))
+    params = np.column_stack([rng.uniform(-0.6, 0.6, k),
+                              rng.uniform(-0.5, 0.5, k),
+                              rng.uniform(0.05, 2.0, k)])
+    return anchor, observer, params
 
 
 class TestProjectFeature:
@@ -205,7 +268,7 @@ class TestProjectFeature:
         st = VinsStateVector.identity()
         st.poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0))
         st.features.append(InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0))
-        px, _ = project_feature(st, st.features[0], 0)
+        px, _ = project_one(st, st.features[0], 0)
         assert np.allclose(px, st.intrinsics[2:], atol=1e-12)
 
     def test_parallax_first_order(self):
@@ -214,8 +277,8 @@ class TestProjectFeature:
         st.poses.append(Pose(np.array([0.1, 0.0, 0.0]),
                              np.array([0.0, 0.0, 0.0, 1.0]), 0.1, id=1))
         st.features.append(InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0))
-        px0, _ = project_feature(st, st.features[0], 0)
-        px1, _ = project_feature(st, st.features[0], 1)
+        px0, _ = project_one(st, st.features[0], 0)
+        px1, _ = project_one(st, st.features[0], 1)
         shift = px1[0] - px0[0]
         expected = -st.intrinsics[0] * 0.1 / 2.0
         assert abs(shift - expected) <= 0.05 * abs(expected)
@@ -225,9 +288,17 @@ class TestProjectFeature:
         st.poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0))
         st.poses.append(Pose(np.array([0.0, 0.0, 5.0]),
                              np.array([0.0, 0.0, 0.0, 1.0]), 0.1, id=1))
-        st.features.append(InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0))
-        with pytest.raises(BehindCamera):
-            project_feature(st, st.features[0], 1)
+        params = np.array([0.0, 0.0, 0.5])
+        p = project_feature(window_cameras(st), st.intrinsics, [0, 0], [1, 0],
+                            [params, params])
+        assert p.in_front.tolist() == [False, True]
+        assert np.isfinite(p.pixel).all()
+
+    def test_pose_outside_the_window(self):
+        st, _ = make_scene()
+        with pytest.raises(KeyError):
+            project_feature(window_cameras(st), st.intrinsics, [0], [7],
+                            [[0.1, 0.0, 0.5]])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_jacobians_finite_difference(self, seed):
@@ -236,7 +307,7 @@ class TestProjectFeature:
               for i in range(3)}
         lay = layout_of(st)
         try:
-            px, blocks = project_feature(st, f, 2, frame_motion=fm)
+            px, blocks = project_one(st, f, 2, frame_motion=fm)
         except BehindCamera:
             pytest.skip("random scene placed feature behind camera")
         h = 1e-6
@@ -247,10 +318,8 @@ class TestProjectFeature:
                 d[off + k] = h
                 stp = boxplus(st, d, lay)
                 stm = boxplus(st, -d, lay)
-                pp, _ = project_feature(stp, stp.features[0], 2,
-                                        frame_motion=fm, with_jacobians=False)
-                pm, _ = project_feature(stm, stm.features[0], 2,
-                                        frame_motion=fm, with_jacobians=False)
+                pp, _ = project_one(stp, stp.features[0], 2, frame_motion=fm)
+                pm, _ = project_one(stm, stm.features[0], 2, frame_motion=fm)
                 fd = (pp - pm) / (2 * h)
                 scale = max(np.abs(J).max(), 1.0)
                 assert np.abs(fd - J[:, k]).max() <= 1e-4 * scale, (name, k)
@@ -267,7 +336,7 @@ class TestProjectFeature:
             moving.add(observer)
         fm = {i: (rng.normal(size=3), rng.normal(size=3) * 0.5) for i in moving}
         try:
-            _, blocks = project_feature(state, f, observer, frame_motion=fm)
+            _, blocks = project_one(state, f, observer, frame_motion=fm)
         except BehindCamera:
             return
         ref = tsync_column_by_central_differences(state, f, observer, fm)
@@ -278,56 +347,97 @@ class TestProjectFeature:
             assert np.abs(got).max() <= 1e-9 * np.abs(blocks["intr"]).max()
         assert np.abs(got - ref).max() <= 1e-6 * max(np.abs(ref).max(), 1.0)
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), observer=st.integers(0, 2),
-           tsync=st.sampled_from([0.0, 0.003]), moves=st.sets(st.integers(0, 2)))
-    def test_window_cameras_give_bitwise_same_result(self, seed, observer,
-                                                     tsync, moves):
-        state, f = make_scene(seed=seed % 1000, tsync=tsync)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           tsync=st.sampled_from([0.0, 0.004, -0.02]))
+    def test_matches_per_observation_oracle(self, seed, k, tsync):
         rng = np.random.default_rng(seed)
-        fm = {i: (rng.normal(size=3), rng.normal(size=3)) for i in sorted(moves)}
-        try:
-            px, blocks = project_feature(state, f, observer, frame_motion=fm)
-        except BehindCamera:
-            with pytest.raises(BehindCamera):
-                project_feature(state, f, observer, frame_motion=fm,
-                                cameras=window_cameras(state, fm))
-            return
-        px_c, blocks_c = project_feature(state, f, observer, frame_motion=fm,
-                                         cameras=window_cameras(state, fm))
-        assert np.array_equal(px, px_c)
-        assert blocks.keys() == blocks_c.keys()
-        for name in blocks:
-            assert np.array_equal(blocks[name], blocks_c[name]), name
+        state, fm = random_window(rng, tsync)
+        anchor, observer, params = random_observations(rng, state, k)
+        got = project_feature(window_cameras(state, fm), state.intrinsics,
+                              anchor, observer, params)
+        for i in range(k):
+            a, o = int(anchor[i]), int(observer[i])
+            feat = InverseDepthFeature(a, params[i], id=i)
+            try:
+                px, blocks = project_feature_by_observation(state, feat, o, fm)
+            except BehindCamera:
+                assert not got.in_front[i]
+                continue
+            assert got.in_front[i]
+            assert np.abs(got.pixel[i] - px).max() <= 1e-12 * np.abs(px).max()
+            scale = max(np.abs(J).max() for J in blocks.values())
+            if a == o:
+                # the engine writes both blocks over the same columns
+                assert not got.anchor[i].any() and not got.observer[i].any()
+            want = {"observer": blocks[f"pose:{o}"],
+                    "anchor": np.zeros((2, 6)) if a == o else blocks[f"pose:{a}"],
+                    "feature": blocks[f"feat:{i}"]}
+            for name in ("p_ic", "q_ic", "tsync", "intr"):
+                want[name] = blocks[name]
+            for name, J in want.items():
+                err = np.abs(getattr(got, name)[i] - J).max()
+                assert err <= 1e-12 * scale, (i, name, err / scale)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           tsync=st.sampled_from([0.0, 0.004]))
+    def test_batch_matches_single_calls_bitwise(self, seed, k, tsync):
+        rng = np.random.default_rng(seed)
+        state, fm = random_window(rng, tsync)
+        anchor, observer, params = random_observations(rng, state, k)
+        cams = window_cameras(state, fm)
+        batch = project_feature(cams, state.intrinsics, anchor, observer, params)
+        for i in range(k):
+            one = project_feature(cams, state.intrinsics, anchor[i:i + 1],
+                                  observer[i:i + 1], params[i:i + 1])
+            for name, field in zip(batch._fields, batch):
+                assert np.array_equal(field[i], getattr(one, name)[0]), (i, name)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           tsync=st.sampled_from([0.0, 0.004, -0.02]))
+    def test_window_cameras_match_per_pose_cameras(self, seed, tsync):
+        rng = np.random.default_rng(seed)
+        state, fm = random_window(rng, tsync)
+        cams = window_cameras(state, fm)
+        assert cams.ids.tolist() == [p.id for p in state.poses]
+        for i, pose in enumerate(state.poses):
+            R_wc, t_wc, _, p_wi = camera_pose_at(
+                pose, state.p_ic, state.q_ic, fm.get(pose.id), tsync)
+            for got, want in ((cams.R_wc[i], R_wc), (cams.t_wc[i], t_wc),
+                              (cams.p_wi[i], p_wi)):
+                assert np.abs(got - want).max() <= 1e-15 * max(
+                    np.abs(want).max(), 1.0)
+            if pose.id not in fm:
+                assert not cams.dR_wc[i].any() and not cams.dt_wc[i].any()
 
     def test_bias_velocity_columns_absent(self):
         st, f = make_scene(seed=3)
-        _, blocks = project_feature(st, f, 1)
+        _, blocks = project_one(st, f, 1)
         assert not any(b in blocks for b in ("bg", "ba", "v"))
 
 
 class TestNullspaceProjection:
     def test_block_case(self):
         Hf = np.vstack([np.eye(3), np.zeros((3, 3))])
-        Hx = {"a": np.arange(18.0).reshape(6, 3)}
+        Hx = np.arange(18.0).reshape(6, 3)
         r = np.arange(6.0)
         out, rp = msckf_nullspace_project(Hf, Hx, r)
         assert rp.shape == (3,)
-        assert out["a"].shape == (3, 3)
+        assert out.shape == (3, 3)
         # the surviving rows depend only on the zero block of Hf
         assert np.allclose(np.abs(rp), np.abs(r[3:]))
 
     def test_matches_qr_oracle(self):
         rng = np.random.default_rng(5)
         Hf = rng.normal(size=(10, 3))
-        Hx = {"a": rng.normal(size=(10, 4))}
+        Hx = rng.normal(size=(10, 4))
         r = rng.normal(size=10)
         out, rp = msckf_nullspace_project(Hf, Hx, r)
         # oracle: full Q from numpy, left null space rows
         Q, _ = np.linalg.qr(Hf, mode="complete")
         N = Q[:, 3:]
         # same subspace: compare Gram matrices of the projected system
-        S1 = np.hstack([out["a"], rp[:, None]])
-        S2 = np.hstack([N.T @ Hx["a"], (N.T @ r)[:, None]])
+        S1 = np.hstack([out, rp[:, None]])
+        S2 = np.hstack([N.T @ Hx, (N.T @ r)[:, None]])
         assert np.allclose(S1.T @ S1, S2.T @ S2, atol=1e-10)
         # orthogonality to Hf
         assert np.abs(S1.T @ S1 - S2.T @ S2).max() <= 1e-10 * np.abs(Hf).max()
@@ -338,54 +448,28 @@ class TestNullspaceProjection:
         Hf = rng.normal(size=(12, 3))
         Hx = rng.normal(size=(12, 5))
         r = rng.normal(size=12)
-        out, rp = msckf_nullspace_project(Hf, {"x": Hx}, r)
+        out, rp = msckf_nullspace_project(Hf, Hx, r)
         # joint solve over [x, f] with a weak prior on x to fix the gauge
         J = np.hstack([Hx, Hf])
         prior = np.hstack([np.eye(5) * 1e-3, np.zeros((5, 3))])
         Afull = np.vstack([J, prior])
         bfull = np.concatenate([r, np.zeros(5)])
         xj = np.linalg.lstsq(Afull, bfull, rcond=None)[0][:5]
-        Ap = np.vstack([out["x"], np.eye(5) * 1e-3])
+        Ap = np.vstack([out, np.eye(5) * 1e-3])
         bp = np.concatenate([rp, np.zeros(5)])
         xp = np.linalg.lstsq(Ap, bp, rcond=None)[0]
         assert np.allclose(xj, xp, atol=1e-8)
 
     def test_too_few_rows(self):
         with pytest.raises(RankDeficientFeature):
-            msckf_nullspace_project(np.ones((2, 3)), {"a": np.ones((2, 2))},
+            msckf_nullspace_project(np.ones((2, 3)), np.ones((2, 2)),
                                     np.ones(2))
 
     def test_rank_deficient(self):
         Hf = np.zeros((6, 3))
         Hf[:, 0] = 1.0
         with pytest.raises(RankDeficientFeature):
-            msckf_nullspace_project(Hf, {"a": np.ones((6, 2))}, np.ones(6))
-
-
-class TestWhiten:
-    def test_unit_sigma_noop(self):
-        m = whiten(np.array([2.0]), {"a": np.array([[1.0]])}, 1.0)
-        assert m.residual[0] == 2.0
-
-    def test_scaling(self):
-        m = whiten(np.array([2.0]), {"a": np.array([[4.0]])}, 2.0)
-        assert m.residual[0] == 1.0 and m.blocks["a"][0, 0] == 2.0
-
-    def test_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            whiten(np.zeros(1), {}, 0.0)
-
-    def test_chi_square_statistics(self):
-        rng = np.random.default_rng(7)
-        sigma = 1.7
-        dof = 50
-        chis = []
-        for _ in range(100):
-            noise = rng.normal(scale=sigma, size=dof)
-            m = whiten(noise, {}, sigma)
-            chis.append(m.residual @ m.residual)
-        mean_chi = np.mean(chis)
-        assert abs(mean_chi - dof) <= 3 * np.sqrt(2 * dof / 100) * 10
+            msckf_nullspace_project(Hf, np.ones((6, 2)), np.ones(6))
 
 
 class TestReanchor:
