@@ -16,9 +16,9 @@ dimension m=995):
 import numpy as np
 
 from srifkit.filters import (
+    marginalize_block,
     marginalize_oracle_householder,
     pcsrif_update,
-    srif_marginalize,
     srif_update_partitioned,
 )
 from srifkit.linalg import FlopCounter
@@ -38,7 +38,7 @@ print(f"{'p':>5} {'givens':>10} {'householder':>12} {'ratio':>7}")
 for p in (8, 16, 32, 64, 120):
     R = factor(n)
     fg, fh = FlopCounter(), FlopCounter()
-    srif_marginalize(R, p, flops=fg)
+    marginalize_block(R, [p], flops=fg)
     marginalize_oracle_householder(R, p, flops=fh)
     print(f"{p:>5} {fg.total():>10} {fh.total():>12} "
           f"{fg.total() / fh.total():>7.3f}")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import filters
 from .linalg import cond_spectral
 from .state import quat_to_mat
 
@@ -50,8 +51,6 @@ def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
     covariance block tracked by the runner; its extremal singular values
     land in sigma_max/min.
     """
-    from .filters import apply_preconditioner_inverse
-
     R22_post = np.asarray(R22_post, dtype=np.float64)
     d = np.sqrt(np.einsum("ij,ij->j", R22_post, R22_post))
     d[d == 0.0] = 1.0
@@ -59,7 +58,7 @@ def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
     k_scaled = _kappa2(R22_post / d[None, :])
     k_pre = _kappa2(precond.r22_spai / precond.jacobi[None, :])
     k_prior = (np.nan if R22_prior is None else
-               _kappa2(apply_preconditioner_inverse(
+               _kappa2(filters.apply_preconditioner_inverse(
                    precond, np.asarray(R22_prior, dtype=np.float64))))
     if P_scaled is None:
         smax = smin = np.nan

@@ -2,10 +2,10 @@
 
 Matrix-level operations shared by the three estimators:
 
-* Givens-based scalar marginalization exploiting the upper-triangular
+* Givens-based block marginalization exploiting the upper-triangular
   structure (O(n*p) per scalar, one chain of rotations applied in closed
-  form), run over a whole block in one in-place pass, plus a dense
-  Householder oracle with the classical O(n*p^2) cost for
+  form), run over the whole block in one in-place pass, plus a dense
+  Householder oracle for one scalar with the classical O(n*p^2) cost for
   cross-validation.
 * State augmentation folding the linearized process model into the factor
   and re-triangularizing with one structured QR of the embedded prior and
@@ -46,7 +46,6 @@ from .linalg import (
     householder_qr,
     sign_normalize_rows,
     solve_upper,
-    solve_upper_transposed,
 )
 
 
@@ -65,130 +64,86 @@ class UpdateResult:
 # --------------------------------------------------------------------------
 
 
-def _permute_to_front(R, p):
-    n = R.shape[0]
-    perm = [p] + list(range(p)) + list(range(p + 1, n))
-    return R[:, perm]
-
-
-def _drop_uninformed(W, p, flops):
-    """Marginal factor when column 0 of the permuted factor W is zero.
-
-    The state then carries no information, so the marginal is R with
-    column p deleted: n rows over n - 1 columns. Rows 0..p-1 stay
-    triangular; row p and the rows below it, shifted one column left,
-    form a staircase with one row too many, which a chain of rotations
-    run down from row p re-triangularizes, leaving the last row zero.
-    """
-    givens_triangularize(W[p:, p + 1:], flops=flops)
-    out = W[:-1, 1:].copy()
-    sign_normalize_rows(out)
-    return out
-
-
-def srif_marginalize(R, p, flops: FlopCounter | None = None):
-    """Marginalize the scalar state at index p (0-based) from factor R.
-
-    Cyclically permutes column p to the front, then zeroes the leading
-    column bottom-up with Givens rotations of adjacent rows, each touching
-    only the trailing column range, exploiting the banded fill of the
-    permuted factor. The rotations form one chain that carries row p up to
-    row 0 and leaves each row it passes one row lower. When column p is
-    zero in rows 0..p the chain is empty, and the column is deleted
-    instead (`_drop_uninformed`). Returns the (n-1) x (n-1)
-    upper-triangular marginal factor.
-    """
-    n = R.shape[0]
-    if not 0 <= p < n:
-        raise IndexError(f"p={p} out of range for n={n}")
-    if p == 0 and R[0, 0] != 0:
-        return R[1:, 1:].copy()
-    W = _permute_to_front(R, p)
-    # a rotation of two rows whose leading entries are both 0 is the
-    # identity, so rows below the lowest nonzero leading entry stay put
-    # and the chain starts from the row just under it (or from row p)
-    nz = np.flatnonzero(W[:p + 1, 0])
-    start = min(nz[-1] + 1, p) if nz.size else 0
-    if start > 0:
-        rot = _givens_chain(W[start::-1])
-        # rotating (passed, carried) rather than (carried, passed) flips
-        # the sign of the row rotated out
-        np.negative(rot[:0:-1], out=W[1:start + 1])
-    if flops is not None:
-        # per rotation j = p..1: form it, apply it to the n - j trailing
-        # columns, and rotate the leading pair
-        ncols = p * n - p * (p + 1) // 2
-        flops.add(adds=2 * p + 2 * ncols, muls=4 * p + 4 * ncols,
-                  divs=2 * p, sqrts=p)
-    if start == 0:
-        return _drop_uninformed(W, p, flops)
-    out = W[1:, 1:].copy()
-    sign_normalize_rows(out)
-    return out
-
-
-def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
-    """Same contract as srif_marginalize via permute + dense Householder QR.
-
-    Re-triangularizes the non-triangular top block (rows 0..p) densely,
-    reproducing the classical O(n*p^2) marginalization cost.
-    """
-    n = R.shape[0]
-    if not 0 <= p < n:
-        raise IndexError(f"p={p} out of range for n={n}")
-    if p == 0 and R[0, 0] != 0:
-        return R[1:, 1:].copy()
-    W = _permute_to_front(R, p)
-    if not W[: p + 1, 0].any():
-        return _drop_uninformed(W, p, flops)
-    top, _ = householder_qr(W[: p + 1], flops=flops)
-    W[: p + 1] = top
-    out = W[1:, 1:].copy()
-    sign_normalize_rows(out)
-    return out
-
-
 def marginalize_block(R, indices, flops: FlopCounter | None = None):
-    """Marginalize whole blocks given their scalar indices.
+    """Marginalize the scalar states at `indices` (0-based) from factor R.
 
-    The same rotations as `srif_marginalize` on each index in ascending
-    order, in one pass: the block's columns are permuted to the front
-    once, and the k-th scalar's chain runs in place on the trailing view
-    that starts at row and column k, since a chain treats every column
-    other than its leading one alike. Row signs are normalized once at
-    the end; a sign flip of a chain's input row only flips its output
-    row, so the factor is the one the scalar-by-scalar path returns. A
-    scalar whose column carries no information is handed to
-    `srif_marginalize` on the current factor in its own column order.
+    Returns the upper-triangular marginal factor over the remaining states,
+    in their order, with a non-negative diagonal. The block's columns are
+    permuted to the front once, and the scalars leave in ascending order in
+    one in-place pass; the k-th runs on the trailing view that starts at
+    row and column k, whose column 0 is its own and whose rows are the
+    current factor's. Marginalizing the scalar at p in that factor is one
+    chain of Givens rotations of adjacent rows (O(n*p)): it carries row p
+    up to row 0, which the pass discards, and leaves each row it passes
+    one row lower, exploiting the banded fill of the permuted factor. A
+    scalar whose column is zero in rows 0..p carries no information, so
+    its column is deleted instead: rows p.. of the factor, one row too many
+    for their columns, are re-triangularized in the factor's own column
+    order, and the zero row left at the bottom rolls to the discarded row
+    0. Row signs are normalized once at the end; a sign flip of a chain's
+    input row only flips its output row. Raises IndexError for a
+    duplicated or out-of-range index.
     """
-    idx = np.sort(np.asarray(indices, dtype=int))
     n = R.shape[0]
+    idx = np.sort(np.asarray(indices, dtype=int))
+    bad = np.unique(np.r_[idx[1:][idx[1:] == idx[:-1]],
+                          idx[(idx < 0) | (idx >= n)]])
+    if bad.size:
+        raise IndexError(f"indices {bad.tolist()} are duplicated or out of "
+                         f"range for n={n}")
     order = np.concatenate([idx, np.setdiff1d(np.arange(n), idx)])
     V = R[:, order]
     rots = ncols = 0
     for k, p in enumerate(idx - np.arange(idx.size)):
         X = V[k:, k:]
-        if p == 0 and X[0, 0] != 0:
-            continue
         nz = np.flatnonzero(X[:p + 1, 0])
-        start = min(nz[-1] + 1, p) if nz.size else 0
-        if start == 0:
-            cur = X[:, np.argsort(order[k:])]
-            R = srif_marginalize(cur, p, flops=flops)
-            V = marginalize_block(R, idx[k + 1:] - k - 1, flops=flops)
-            break
-        rot = _givens_chain(X[start::-1])
-        np.negative(rot[:0:-1], out=X[1:start + 1])
-        # srif_marginalize's count for p rotations in an (n - k)-column factor
+        if nz.size == 0:
+            # no information: delete column 0, re-triangularize rows p..
+            # in the factor's column order, and roll the zero row left at
+            # the bottom up to row 0
+            cols = 1 + np.argsort(order[k + 1:])[p:]
+            X[p:, cols] = givens_triangularize(X[p:, cols], flops=flops)
+            X[:] = np.roll(X, 1, axis=0)
+        elif (start := min(nz[-1] + 1, p)) > 0:
+            # a rotation of two rows whose leading entries are both 0 is
+            # the identity, so rows below the lowest nonzero leading entry
+            # stay put and the chain starts from the row just under it;
+            # rotating (passed, carried) rather than (carried, passed)
+            # flips the sign of the row rotated out
+            rot = _givens_chain(X[start::-1])
+            np.negative(rot[:0:-1], out=X[1:start + 1])
+        # per rotation j = p..1: form it, apply it to the n - k - j
+        # trailing columns, and rotate the leading pair
         rots += p
         ncols += p * (n - k) - p * (p + 1) // 2
-    else:
-        V = V[idx.size:, idx.size:].copy()
-        sign_normalize_rows(V)
+    V = V[idx.size:, idx.size:].copy()
+    sign_normalize_rows(V)
     if flops is not None and rots:
         flops.add(adds=2 * rots + 2 * ncols, muls=4 * rots + 4 * ncols,
                   divs=2 * rots, sqrts=rots)
     return V
+
+
+def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
+    """`marginalize_block(R, [p])` via permutation and dense Householder QR.
+
+    Re-triangularizes the non-triangular top block (rows 0..p) densely,
+    reproducing the classical O(n*p^2) marginalization cost. A state with
+    no information (column p zero in rows 0..p) is deleted instead, and a
+    dense QR re-triangularizes the rows p.. it leaves.
+    """
+    n = R.shape[0]
+    if not 0 <= p < n:
+        raise IndexError(f"p={p} out of range for n={n}")
+    W = R[:, np.r_[p, 0:p, p + 1:n]]
+    if W[:p + 1, 0].any():
+        W[:p + 1] = householder_qr(W[:p + 1], flops=flops)[0]
+        out = W[1:, 1:].copy()
+    else:
+        out = W[:-1, 1:].copy()
+        out[p:, p:] = householder_qr(W[p:, p + 1:], flops=flops)[0]
+    sign_normalize_rows(out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -444,8 +399,7 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     w = H2.T @ r.astype(R.dtype, copy=False)
     if flops is not None:
         flops.add(adds=m * n2, muls=m * n2)
-    y = solve_upper_transposed(U, w, flops=flops)
-    dx2 = solve_upper(U, y, flops=flops)
+    dx2 = cholesky_solve(U, w, flops=flops)
     dx = _dx_from_dx2(R, dx2, n1, flops)
     R_post = R.copy()
     R_post[n1:, n1:] = U

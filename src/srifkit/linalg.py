@@ -199,9 +199,10 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     than a dense QR. Each column's rotations are one chain against its
     diagonal row. Only rows that start with entries below the diagonal are
     ever rotated into it, because rotations keep every other row zero left
-    of its diagonal. Returns A. Its callers are the marginalization of an
-    uninformed state (`filters._drop_uninformed`) and the re-triangularization
-    of a reanchored feature's rows (`VinsEstimator._reanchor`).
+    of its diagonal. Returns A. Its callers are the deletion of an
+    uninformed state in `filters.marginalize_block` and the
+    re-triangularization of a reanchored feature's rows
+    (`VinsEstimator._reanchor`).
 
     The FLOP count is the rotation-by-rotation one: forming a rotation costs
     1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2
@@ -270,28 +271,21 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
     return U
 
 
-def _solve_triangular(U, b, trans, flops):
-    """?trtrs on U's Fortran-ordered transpose, so U is never copied."""
+def solve_upper(U, b, flops: FlopCounter | None = None):
+    """Solve U x = b by back substitution (LAPACK ?trtrs).
+
+    ?trtrs runs on U's Fortran-ordered transpose, so U is never copied.
+    """
     n = U.shape[0]
     if flops is not None:
         ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
         flops.add(adds=n * (n - 1) * ncol, muls=n * (n - 1) * ncol,
                   divs=n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
-    x, info = trtrs(U.T, b, lower=1, trans=1 - trans)
+    x, info = trtrs(U.T, b, lower=1, trans=1)
     if info > 0:
         raise SingularTriangular(info - 1)
     return x
-
-
-def solve_upper(U, b, flops: FlopCounter | None = None):
-    """Solve U x = b by back substitution (LAPACK ?trtrs)."""
-    return _solve_triangular(U, b, 0, flops)
-
-
-def solve_upper_transposed(U, b, flops: FlopCounter | None = None):
-    """Solve U.T x = b by forward substitution (LAPACK ?trtrs)."""
-    return _solve_triangular(U, b, 1, flops)
 
 
 def cholesky_solve(U, b, flops: FlopCounter | None = None):

@@ -200,9 +200,6 @@ class ErrorStateLayout:
     def pose_names(self):
         return [name for name, off, dim in self.blocks if name.startswith("pose:")]
 
-    def feature_names(self):
-        return [name for name, off, dim in self.blocks if name.startswith("feat:")]
-
 
 def layout_of(state: VinsStateVector) -> ErrorStateLayout:
     """Layout matching the current contents of a state vector: for s

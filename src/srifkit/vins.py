@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import filters
+from . import filters, linalg
 from .diag import ConditioningLog, record_conditioning
 from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
@@ -316,10 +316,9 @@ class VinsEstimator:
             fc.add(adds=3 * 3 * m * 3, muls=3 * 3 * m * 3 + 54)
             # the 3x3 feature diagonal block went dense; its rows are the
             # only ones with entries below the diagonal, so rotate just them
-            from .linalg import givens_triangularize, sign_normalize_rows
             slab = self.R[sf, sf.start:]
-            givens_triangularize(slab, flops=fc)
-            sign_normalize_rows(slab)
+            linalg.givens_triangularize(slab, flops=fc)
+            linalg.sign_normalize_rows(slab)
         feat.anchor_pose_id = new_anchor.id
         feat.params = base.params
 
@@ -354,25 +353,29 @@ class VinsEstimator:
 
     # -- update -----------------------------------------------------------
 
-    def _insert_feature(self, feat):
-        """Grow the state by one feature with an independent weak prior."""
+    def _insert_features(self, feats):
+        """Grow the state by new features, each with an independent weak
+        prior, in one embedding of the covariance or factor."""
+        if not feats:
+            return
         old_layout = self.layout
-        self.x.features.append(feat)
+        self.x.features.extend(feats)
         self.layout = layout_of(self.x)
+        n = self.layout.n
         idx = _embed(old_layout, self.layout)
-        sf = self.layout.slice(f"feat:{feat.id}")
-        sig = np.array([self.cfg.sigma_bearing0, self.cfg.sigma_bearing0,
-                        self.cfg.sigma_rho0])
+        fresh = np.ones(n, dtype=bool)
+        fresh[idx] = False
+        new = np.flatnonzero(fresh)   # 3 per feature, in order
+        sig = np.tile([self.cfg.sigma_bearing0, self.cfg.sigma_bearing0,
+                       self.cfg.sigma_rho0], len(feats))
+        old, diag = (self.P, sig ** 2) if self.is_kf else (self.R, 1.0 / sig)
+        M = np.zeros((n, n), dtype=old.dtype)
+        M[np.ix_(idx, idx)] = old
+        M[new, new] = diag
         if self.is_kf:
-            P = np.zeros((self.layout.n, self.layout.n), dtype=self.P.dtype)
-            P[np.ix_(idx, idx)] = self.P
-            P[sf, sf] = np.diag(sig ** 2).astype(self.P.dtype)
-            self.P = P
+            self.P = M
         else:
-            R = np.zeros((self.layout.n, self.layout.n), dtype=self.R.dtype)
-            R[np.ix_(idx, idx)] = self.R
-            R[sf, sf] = np.diag(1.0 / sig).astype(self.R.dtype)
-            self.R = R
+            self.R = M
 
     def _try_triangulate(self, obs, cameras):
         rows = cameras.rows([pid for pid, _ in obs])
@@ -401,6 +404,7 @@ class VinsEstimator:
         cameras = window_cameras(self.x, self.frame_motion)
         groups = []   # (feature, [(pose id, pixel), ...], is short track)
         in_state = {f.id: f for f in self.x.features}
+        inserted = []
         pose_ids = {p.id for p in self.x.poses}
         for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
             fid = int(fid)
@@ -418,9 +422,12 @@ class VinsEstimator:
                 except RankDeficientFeature:
                     continue
                 feat = InverseDepthFeature(obs[0][0], theta, id=fid)
-                self._insert_feature(feat)
+                inserted.append(feat)
                 del self.track_buf[fid]
                 groups.append((feat, obs, False))
+        # pass 1 reads nothing from the layout, so the features it
+        # inserts enter the state together
+        self._insert_features(inserted)
         # finished or capped short tracks
         present = set(int(f) for f in frame.feature_ids)
         for fid, obs in list(self.track_buf.items()):

@@ -1,6 +1,6 @@
 """Rotation-by-rotation Givens sweeps, the reference for the closed-form ones.
 
-`givens_triangularize` and `srif_marginalize` apply each column's rotations
+`givens_triangularize` and `marginalize_block` apply each column's rotations
 as one chain of array operations. The functions here apply the same
 rotations one at a time, in the same order, and count FLOPs per rotation,
 so the tests can compare the two to roundoff and their FLOP counts exactly.
@@ -71,10 +71,10 @@ def triangularize_by_rotation(A, flops: FlopCounter | None = None):
 
 
 def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
-    """`srif_marginalize`, one rotation of adjacent rows at a time."""
+    """`marginalize_block(R, [p])`, one rotation of adjacent rows at a time."""
     n = R.shape[0]
     if p == 0 and R[0, 0] != 0:
-        return R[1:, 1:].copy()
+        return sign_normalize_rows(R[1:, 1:].copy())
     perm = [p] + list(range(p)) + list(range(p + 1, n))
     W = R[:, perm]
     for j in range(p, 0, -1):

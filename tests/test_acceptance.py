@@ -21,9 +21,9 @@ import srifkit
 from srifkit.filters import (
     apply_preconditioner_inverse,
     build_preconditioner,
+    marginalize_block,
     marginalize_oracle_householder,
     pcsrif_update,
-    srif_marginalize,
     srif_update_partitioned,
 )
 from srifkit.linalg import FlopCounter, form_normal_half
@@ -88,7 +88,7 @@ def test_2_marginalization_oracle():
         n = int(rng.integers(5, 61))
         R = random_factor(rng, n)
         for p in range(n):
-            out = srif_marginalize(R, p)
+            out = marginalize_block(R, [p])
             ref = schur_marginal_info(R, p)
             worst = max(worst, np.linalg.norm(out.T @ out - ref)
                         / np.linalg.norm(ref))
@@ -109,7 +109,7 @@ def test_3_marginalization_complexity():
     for p in ps:
         R = random_factor(rng, n)
         fg, fh = FlopCounter(), FlopCounter()
-        srif_marginalize(R, int(p), flops=fg)
+        marginalize_block(R, [int(p)], flops=fg)
         marginalize_oracle_householder(R, int(p), flops=fh)
         giv.append(fg.total())
         hh.append(fh.total())
@@ -117,7 +117,7 @@ def test_3_marginalization_complexity():
     slope_h = np.polyfit(np.log(ps), np.log(hh), 1)[0]
     R = random_factor(rng, 120)
     fg, fh = FlopCounter(), FlopCounter()
-    srif_marginalize(R, 119, flops=fg)
+    marginalize_block(R, [119], flops=fg)
     marginalize_oracle_householder(R, 119, flops=fh)
     ratio = fg.total() / fh.total()
     ok = (abs(slope_g - 1.0) <= 0.2 and abs(slope_h - 2.0) <= 0.2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from srifkit.filters import (
     pcsrif_update,
     preconditioner_solve_vec,
     srif_augment,
-    srif_marginalize,
     srif_update_partitioned,
 )
 from srifkit.linalg import (
@@ -62,11 +63,11 @@ class TestMarginalize:
     def test_p0_skip_branch(self):
         rng = np.random.default_rng(0)
         R = random_factor(rng, 8)
-        out = srif_marginalize(R, 0)
+        out = marginalize_block(R, [0])
         assert np.array_equal(out, R[1:, 1:])
 
     def test_identity_independent(self):
-        out = srif_marginalize(np.eye(3), 1)
+        out = marginalize_block(np.eye(3), [1])
         assert np.allclose(out, np.eye(2))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -75,7 +76,7 @@ class TestMarginalize:
         n = int(rng.integers(5, 40))
         R = random_factor(rng, n)
         for p in range(n):
-            out = srif_marginalize(R, p)
+            out = marginalize_block(R, [p])
             ref = schur_marginal_info(R, p)
             rel = np.linalg.norm(out.T @ out - ref) / np.linalg.norm(ref)
             assert rel <= 1e-10, (n, p)
@@ -87,21 +88,24 @@ class TestMarginalize:
         n = int(rng.integers(5, 30))
         R = random_factor(rng, n)
         for p in range(n):
-            a = srif_marginalize(R, p)
+            a = marginalize_block(R, [p])
             b = marginalize_oracle_householder(R, p)
             ref = np.linalg.norm(a.T @ a)
             assert np.linalg.norm(a.T @ a - b.T @ b) <= 1e-10 * ref
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            srif_marginalize(np.eye(3), 3)
+        # duplicated, negative and too large indices, each named
+        R = random_factor(np.random.default_rng(3), 6)
+        for indices, named in (([6], "[6]"), ([-1], "[-1]"), ([2, 2], "[2]")):
+            with pytest.raises(IndexError, match=re.escape(named)):
+                marginalize_block(R, indices)
 
     def test_flop_advantage_at_worst_case(self):
         rng = np.random.default_rng(1)
         n = 120
         R = random_factor(rng, n)
         fg, fh = FlopCounter(), FlopCounter()
-        srif_marginalize(R, n - 1, flops=fg)
+        marginalize_block(R, [n - 1], flops=fg)
         marginalize_oracle_householder(R, n - 1, flops=fh)
         assert fg.total() * 5 <= fh.total()
 
@@ -118,33 +122,37 @@ class TestMarginalize:
             info = R.T @ R
             keep = np.delete(np.arange(n), p)
             ref = info[np.ix_(keep, keep)]
-            for marginalize in (srif_marginalize, marginalize_oracle_householder):
-                out = marginalize(R, p)
+            for marginalize in (marginalize_block, marginalize_oracle_householder):
+                out = marginalize(R, [p] if marginalize is marginalize_block else p)
                 assert out.shape == (n - 1, n - 1)
                 assert np.array_equal(np.tril(out, -1), np.zeros_like(out))
                 assert np.abs(out.T @ out - ref).max() <= 1e-12 * np.abs(ref).max(), (
                     marginalize.__name__, n, p)
 
     @given(dtype=st.sampled_from([np.float32, np.float64]),
-           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
-           uninformed=st.booleans())
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 24),
+           uninformed=st.integers(0, 3))
     def test_block_matches_scalar_by_scalar(self, dtype, seed, n, uninformed):
-        # the one-pass block marginalization returns the factor and the
-        # count of srif_marginalize applied index by index, also when one
-        # of the block's states carries no information
+        # the one-pass block marginalization against the rotation-by-rotation
+        # sweep applied index by index, also when some of the block's states
+        # carry no information: the same count, the factor to roundoff, and
+        # bit for bit the factor of one marginalize_block call per index
         rng = np.random.default_rng(seed)
         R = random_factor(rng, n).astype(dtype)
-        idx = np.sort(rng.choice(n, size=rng.integers(1, n), replace=False))
-        if uninformed:
-            R[:, rng.choice(idx)] = 0.0
-        ref, fr = R, FlopCounter()
+        idx = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+        R[:, rng.choice(idx, size=min(uninformed, idx.size), replace=False)] = 0.0
+        ref, seq, fr, fs = R, R, FlopCounter(), FlopCounter()
         for k, p in enumerate(idx):
-            ref = srif_marginalize(ref, p - k, flops=fr)
+            ref = marginalize_by_rotation(ref, p - k, flops=fr)
+            seq = marginalize_block(seq, [p - k], flops=fs)
         fb = FlopCounter()
         got = marginalize_block(R, idx.tolist(), flops=fb)
         assert got.dtype == dtype
-        assert np.array_equal(got, ref)
-        assert fb == fr
+        assert fb == fr == fs
+        assert np.array_equal(got, seq)
+        assert np.all(np.tril(got, -1) == 0.0)
+        tol = 8 * n * eps_of(dtype) * np.linalg.norm(R.astype(np.float64))
+        assert np.abs(got.astype(np.float64) - ref).max(initial=0.0) <= tol
 
     def test_block_order_insensitive(self):
         rng = np.random.default_rng(2)
@@ -155,14 +163,14 @@ class TestMarginalize:
 
 
 class TestMarginalizeSweep:
-    """srif_marginalize against the rotation-by-rotation sweep, every p."""
+    """marginalize_block against the rotation-by-rotation sweep, every p."""
 
     @staticmethod
     def _compare(R, dtype):
         n = R.shape[0]
         for p in range(n):
             fg, fr = FlopCounter(), FlopCounter()
-            got = srif_marginalize(R, p, flops=fg)
+            got = marginalize_block(R, [p], flops=fg)
             ref = marginalize_by_rotation(R, p, flops=fr)
             assert got.dtype == dtype
             assert fg == fr

@@ -76,7 +76,7 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH):
             except RankDeficientFeature:
                 continue
             feat = InverseDepthFeature(obs[0][0], theta, id=fid)
-            est._insert_feature(feat)
+            est._insert_features([feat])
             del est.track_buf[fid]
             for pid, opx in obs:  # delayed initialization
                 try:
