@@ -5,8 +5,10 @@ evaluated at once, the transition and process noise as suffix products),
 the window's cameras stacked as arrays in one pass, inverse-depth pinhole
 projection of a whole frame's observations in one batched call with
 analytic Jacobians (the time-offset column included) and an in-front mask,
-vectorized Gauss-Newton triangulation, left-null-space elimination of
-track-end features, and feature reanchoring.
+Gauss-Newton triangulation of a frame's tracks in one batched call with a
+status per track, left-null-space elimination of all of a frame's
+track-end features in one call (one stacked QR per row count), and
+feature reanchoring.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -35,10 +37,6 @@ MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
 
 class NonPositiveDepth(Exception):
     """Reanchoring produced a point behind the new anchor camera."""
-
-
-class RankDeficientFeature(Exception):
-    """Feature Jacobian has rank < 3 (too few / degenerate observations)."""
 
 
 @dataclass
@@ -271,13 +269,6 @@ def bearing_angles(u):
     return alpha, beta
 
 
-def pixel_to_bearing(pixel, intrinsics):
-    fx, fy, cx, cy = intrinsics
-    xn = (pixel[0] - cx) / fx
-    yn = (pixel[1] - cy) / fy
-    return bearing_angles(np.array([xn, yn, 1.0]))
-
-
 def camera_pose(pose: Pose, p_ic, q_ic):
     """World-from-camera rotation and camera center for an IMU pose, then
     the pose's global-from-IMU rotation and position."""
@@ -462,22 +453,38 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
                       *np.split(jac, [6, 12, 15, 18, 21, 22], axis=2))
 
 
-def msckf_nullspace_project(Hf, Hx, r):
-    """Eliminate the feature by projecting onto the left null space of Hf.
+def msckf_nullspace_project(Hf, Hx, r, sizes):
+    """Eliminate each short track's feature by projecting its rows onto the
+    left null space of its feature Jacobian.
 
-    Applies the Householder reflectors of Hf's QR to [Hx r] and keeps the
-    bottom rows, so the output is independent of the (never-estimated)
-    feature. Returns the projected (Hx, r), each with rows - 3 rows.
+    The T tracks' rows are stacked: track i owns the next sizes[i] rows of
+    Hf (M x 3), Hx (M x n) and r (M,). Tracks with the same row count go
+    through one stacked QR; the last rows - 3 columns of each track's Q
+    span the left null space of its Hf, so the projected rows are
+    independent of the (never-estimated) feature. A track needs at least
+    four rows and a rank-3 Hf: |Rf[2, 2]| above 1e-10 times the larger of
+    Rf's largest entry and 1. Returns (Hx, r, ok): `ok` (T,) marks the
+    tracks that pass, and the projected rows of those, rows - 3 each, are
+    stacked in track order.
     """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
     Hf = np.asarray(Hf, dtype=np.float64)
-    m = Hf.shape[0]
-    if m < 4:
-        raise RankDeficientFeature(f"only {m} stacked rows")
-    Rf, t = linalg.householder_qr(Hf, np.column_stack([Hx, r]))
-    scale = np.abs(Rf).max()
-    if np.abs(Rf[2, 2]) <= 1e-10 * max(scale, 1.0):
-        raise RankDeficientFeature("feature Jacobian rank < 3")
-    return t[3:, :-1], t[3:, -1]
+    X = np.column_stack([Hx, r])
+    ok = sizes >= 4
+    out = [None] * len(sizes)
+    for m in np.unique(sizes[ok]).tolist():
+        group = np.flatnonzero(sizes == m)
+        rows = starts[group, None] + np.arange(m)
+        Q, Rf = np.linalg.qr(Hf[rows], mode="complete")
+        scale = np.abs(Rf[:, :3]).max(axis=(1, 2))
+        ok[group] = ~(np.abs(Rf[:, 2, 2]) <= 1e-10 * np.maximum(scale, 1.0))
+        for i, P in zip(group.tolist(),
+                        Q[:, :, 3:].transpose(0, 2, 1) @ X[rows]):
+            out[i] = P
+    P = np.concatenate([out[i] for i in np.flatnonzero(ok)] or
+                       [np.empty((0, X.shape[1]))])
+    return P[:, :-1], P[:, -1], ok
 
 
 def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
@@ -515,83 +522,138 @@ def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
     return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
-def _init_inverse_depth(u0, rays, base):
-    """Mean inverse depth along u0 from the views whose ray meets it.
+# a triangulation's outcome per track; TRIANGULATION_STATUS[s] names each
+TRIANGULATED, BEHIND_CAMERA, DEGENERATE = 0, 1, 2
+TRIANGULATION_STATUS = ("triangulated", "triangulated point behind a camera",
+                        "degenerate triangulation geometry")
+
+
+class Triangulation(NamedTuple):
+    """Anchored inverse-depth parameters of T tracks, and whether each
+    track triangulated; a failed track's theta is nan."""
+
+    theta: np.ndarray   # (T, 3) alpha, beta, rho
+    status: np.ndarray  # (T,) TRIANGULATED, BEHIND_CAMERA or DEGENERATE
+
+
+def _init_inverse_depth(u0, rays, base, live):
+    """Per track, the mean inverse depth along its anchor ray u0[t] from
+    the live views whose ray meets it.
 
     Per view, [u0, -ray] s = base in the least-squares sense gives the depth
-    s[0] along u0. The 2 x 2 normal equations are solved for all views at
-    once; a view whose rays are within about a milliradian of parallel goes
-    through `lstsq`, which takes the minimum-norm solution when they are.
+    s[0] along u0. The 2 x 2 normal equations are solved for all views of
+    all tracks at once; a view whose rays are within about a milliradian
+    of parallel goes through `lstsq`, which takes the minimum-norm solution
+    when they are. A track no view of which meets its ray at a depth above
+    1 cm gets inverse depth 0.5.
     """
-    a = u0 @ u0
-    c = rays @ u0
-    d = np.einsum("ij,ij->i", rays, rays)
+    a = np.einsum("ti,ti->t", u0, u0)[:, None]
+    c = np.einsum("tvi,ti->tv", rays, u0)
+    d = np.einsum("tvi,tvi->tv", rays, rays)
     det = a * d - c * c
     solvable = det > 1e-6 * a * d
-    depth = np.divide(d * (base @ u0) - c * np.einsum("ij,ij->i", rays, base),
+    depth = np.divide(d * np.einsum("tvi,ti->tv", base, u0)
+                      - c * np.einsum("tvi,tvi->tv", rays, base),
                       det, out=np.zeros_like(det), where=solvable)
-    for i in np.flatnonzero(~solvable):
-        M = np.column_stack([u0, -rays[i]])
-        depth[i] = np.linalg.lstsq(M, base[i], rcond=None)[0][0]
-    hit = depth > 0.01
-    if not hit.any():
-        return 0.5
-    return np.divide(1.0, depth, out=np.zeros_like(depth), where=hit).sum() / hit.sum()
+    for t, v in np.argwhere(live & ~solvable).tolist():
+        M = np.column_stack([u0[t], -rays[t, v]])
+        depth[t, v] = np.linalg.lstsq(M, base[t, v], rcond=None)[0][0]
+    hit = live & (depth > 0.01)
+    n_hit = hit.sum(axis=1)
+    inv = np.divide(1.0, depth, out=np.zeros_like(depth), where=hit)
+    return np.where(n_hit > 0, inv.sum(axis=1) / np.maximum(n_hit, 1), 0.5)
 
 
 def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
-                              iters=10):
-    """Gauss-Newton triangulation in anchored inverse-depth coordinates.
+                              live=None, iters=10) -> Triangulation:
+    """Gauss-Newton triangulation of T tracks in anchored inverse-depth
+    coordinates, all tracks and all their views at once.
 
-    The first view is the anchor. All views are evaluated at once: with
+    The tracks are padded to V views: pixels (T, V, 2), world-from-camera
+    rotations cam_rots (T, V, 3, 3) and camera centers cam_centers
+    (T, V, 3), with live (T, V) marking the views a track has (all, when
+    None). View 0 is each track's anchor and must be live. With
     C_k = B_k.T A and c_k = B_k.T (t_A - t_k) fixed, view k sees the point
-    at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta. Returns
-    (alpha, beta, rho) or raises RankDeficientFeature when the geometry is
-    degenerate.
+    at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta; padded
+    views add no rows.
+
+    Each track runs its own Gauss-Newton iteration: it fails when a live
+    view sees the point at depth <= 1e-3 (BEHIND_CAMERA) or when
+    cond(J.T J) > 1e12 (DEGENERATE), and it stops once its step norm is
+    below 1e-10. A track that has stopped no longer moves, and the
+    batched solve sees the identity in its place.
     """
     fx, fy, cx, cy = intrinsics
     px = np.asarray(pixels, dtype=np.float64)
     Bs = np.asarray(cam_rots, dtype=np.float64)
     ts = np.asarray(cam_centers, dtype=np.float64)
-    A, t_A = Bs[0], ts[0]
-    alpha, beta = pixel_to_bearing(px[0], intrinsics)
-    # every view's unit ray in the world frame, then the linear init for
-    # rho from the rays of the views other than the anchor
+    T, V = px.shape[:2]
+    live = (np.ones((T, V), dtype=bool) if live is None
+            else np.asarray(live, dtype=bool))
+    if not live[:, 0].all():
+        raise ValueError("view 0 is each track's anchor and must be live")
+    A, t_A = Bs[:, 0], ts[:, 0]
+    # every view's ray through its pixel; the anchor's gives the bearing
     focal = np.array([fx, fy])
-    rays = np.ones((len(px), 3))
-    rays[:, :2] = (px - (cx, cy)) / focal
-    rays /= np.sqrt(np.einsum("ij,ij->i", rays, rays))[:, None]
-    rays = (Bs @ rays[:, :, None])[:, :, 0]
-    rho = _init_inverse_depth(rays[0], rays[1:], ts[1:] - t_A)
-    rho = min(max(rho, 1e-3), 1e3)
-    theta = np.array([alpha, beta, rho])
-    C = Bs.transpose(0, 2, 1) @ A
-    c = ((t_A - ts)[:, None, :] @ Bs)[:, 0, :]
-    # columns: d f / d (alpha, beta, rho), then f itself
-    G = np.empty((3, 4))
+    rays = np.ones((T, V, 3))
+    rays[..., :2] = (px - (cx, cy)) / focal
+    xn, yn = rays[:, 0, 0], rays[:, 0, 1]
+    alpha = np.arctan2(xn, 1.0)
+    beta = np.arctan2(yn, np.hypot(xn, 1.0))
+    # the unit rays in the world frame, then the linear init for rho from
+    # the rays of the views other than the anchor
+    rays /= np.sqrt(np.einsum("tvi,tvi->tv", rays, rays))[..., None]
+    rays = (Bs @ rays[..., None])[..., 0]
+    rho = _init_inverse_depth(rays[:, 0], rays[:, 1:],
+                              ts[:, 1:] - t_A[:, None], live[:, 1:])
+    theta = np.stack([alpha, beta, np.clip(rho, 1e-3, 1e3)], axis=1)
+    C = Bs.transpose(0, 1, 3, 2) @ A[:, None]
+    c = ((t_A[:, None] - ts)[:, :, None, :] @ Bs)[:, :, 0, :]
+    # a padded view sees every point on its optical axis at unit depth,
+    # at the principal point it observes: zero rows of J and r
+    C[~live] = 0.0
+    c[~live] = (0.0, 0.0, 1.0)
+    px = np.where(live[..., None], px, (cx, cy))
+    status = np.full(T, TRIANGULATED, dtype=np.int8)
+    running = np.arange(T)
     for _ in range(iters):
-        u = bearing_vector(theta[0], theta[1])
-        G[:, 0:2] = bearing_jacobian(theta[0], theta[1]) / theta[2]
-        G[:, 2] = -u / theta[2] ** 2
-        G[:, 3] = u / theta[2]
-        CG = C @ G
-        y = CG[:, :, 3] + c
-        if (y[:, 2] <= 1e-3).any():
-            raise RankDeficientFeature("triangulated point behind a camera")
-        inv = 1.0 / y[:, 2:3]
-        xy = y[:, 0:2] * inv
-        r = (px - (focal * xy + (cx, cy))).ravel()
+        if not len(running):
+            break
+        a, b, rho = theta[running].T
+        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        # columns: d f / d (alpha, beta, rho), then f itself, for the
+        # bearing u(alpha, beta) and f = u / rho
+        G = np.empty((len(running), 1, 3, 4))
+        G[:, 0, 0, 0], G[:, 0, 0, 1], G[:, 0, 0, 3] = ca * cb, -sa * sb, sa * cb
+        G[:, 0, 1, 0], G[:, 0, 1, 1], G[:, 0, 1, 3] = 0.0, cb, sb
+        G[:, 0, 2, 0], G[:, 0, 2, 1], G[:, 0, 2, 3] = -sa * cb, -ca * sb, ca * cb
+        G /= rho[:, None, None, None]
+        G[..., 2] = -G[..., 3] / rho[:, None, None]
+        CG = C[running] @ G
+        y = CG[..., 3] + c[running]
+        behind = (y[..., 2] <= 1e-3).any(axis=1)
+        # the depth bound only changes the tracks that fail here
+        inv = 1.0 / np.maximum(y[..., 2:3], 1e-3)
+        xy = y[..., 0:2] * inv
+        r = (px[running] - (focal * xy + (cx, cy))).reshape(len(running), -1, 1)
         # d (f_x y0 / y2, f_y y1 / y2) = f / y2 * (d y01 - y01 / y2 * d y2)
-        J = ((focal * inv)[:, :, None]
-             * (CG[:, 0:2, 0:3] - xy[:, :, None] * CG[:, 2:3, 0:3])).reshape(-1, 3)
-        JtJ = J.T @ J
+        J = ((focal * inv)[..., None]
+             * (CG[..., 0:2, 0:3] - xy[..., None] * CG[..., 2:3, 0:3]))
+        J = J.reshape(len(running), -1, 3)
+        Jt = J.transpose(0, 2, 1)
+        JtJ = Jt @ J
         # cond(JtJ) > 1e12, from the singular values cond would use
         sv = np.linalg.svd(JtJ, compute_uv=False)
-        if sv[0] > 1e12 * sv[-1] or sv[-1] == 0.0:
-            raise RankDeficientFeature("degenerate triangulation geometry")
-        step = np.linalg.solve(JtJ, J.T @ r)
-        theta = theta + step
-        theta[2] = min(max(theta[2], 1e-4), 1e4)
-        if np.linalg.norm(step) < 1e-10:
-            break
-    return theta
+        failed = behind | (sv[:, 0] > 1e12 * sv[:, -1]) | (sv[:, -1] == 0.0)
+        if failed.any():
+            status[running[failed]] = np.where(behind[failed], BEHIND_CAMERA,
+                                               DEGENERATE)
+            JtJ[failed] = np.eye(3)
+        step = np.linalg.solve(JtJ, Jt @ r)[..., 0]
+        moved = theta[running] + step
+        moved[:, 2] = np.clip(moved[:, 2], 1e-4, 1e4)
+        keep = ~failed
+        theta[running[keep]] = moved[keep]
+        running = running[keep & ~(np.linalg.norm(step, axis=1) < 1e-10)]
+    theta[status != TRIANGULATED] = np.nan
+    return Triangulation(theta, status)

@@ -9,9 +9,12 @@ cross-estimator equivalence checks rely on.
 Each frame runs propagation -> marginalization -> update, with FLOPs
 accounted per phase. Jacobian evaluation and bookkeeping are not counted.
 Measurement assembly makes two passes over a frame: the first decides
-which features enter the state and which short tracks end, and lists every
+which features enter the state and which short tracks end, triangulates
+all of them with one `triangulate_inverse_depth` call, and lists every
 observation to project; the second projects them all with one
-`project_feature` call and writes the whitened rows straight into H2.
+`project_feature` call, eliminates every short track's feature with one
+`msckf_nullspace_project` call, and writes the whitened rows straight
+into H2.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from . import filters, linalg
 from .diag import ConditioningLog, record_conditioning
 from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
+    TRIANGULATED,
     ImuNoise,
     NonPositiveDepth,
-    RankDeficientFeature,
     imu_transition,
     msckf_nullspace_project,
     project_feature,
@@ -80,6 +83,9 @@ class FilterConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.window < 2:
             raise ValueError("window must hold at least two poses")
+        if self.min_track < 2:
+            raise ValueError(f"min_track must be at least 2 (a track needs "
+                             f"two views), got {self.min_track}")
         if self.svd_stride < 1:
             raise ValueError(f"svd_stride must be at least 1, got "
                              f"{self.svd_stride}")
@@ -377,24 +383,32 @@ class VinsEstimator:
         else:
             self.R = M
 
-    def _try_triangulate(self, obs, cameras):
-        rows = cameras.rows([pid for pid, _ in obs])
-        return triangulate_inverse_depth(
-            [px for _, px in obs], cameras.R_wc[rows], cameras.t_wc[rows],
-            self.x.intrinsics)
+    def _triangulate(self, tracks, cameras):
+        """`triangulate_inverse_depth` of each track, a list of (pose id,
+        pixel) pairs, in one call: the tracks are padded to the longest
+        with copies of their anchor view, which `live` masks out."""
+        V = max(len(obs) for obs in tracks)
+        pad = [obs + obs[:1] * (V - len(obs)) for obs in tracks]
+        live = np.arange(V) < np.array([len(obs) for obs in tracks])[:, None]
+        rows = cameras.rows([pid for obs in pad for pid, _ in obs]).reshape(-1, V)
+        pixels = np.array([[px for _, px in obs] for obs in pad])
+        return triangulate_inverse_depth(pixels, cameras.R_wc[rows],
+                                         cameras.t_wc[rows], self.x.intrinsics,
+                                         live)
 
     def _collect_measurements(self, frame):
         """The frame's whitened rows as (H2, r) over the x2 columns at
         working precision, or None when there are none.
 
-        Pass 1 walks the frame, then the short-track buffer. It inserts
-        each SLAM feature whose track is long enough (delayed
-        initialization) and triangulates each finished or capped short
-        track, and it lists the observations to project, one group per
-        feature. Pass 2 projects every listed observation in one call. A
-        SLAM feature gives the rows of its observations up to the first one
-        behind the camera, and then leaves the state at the next frame. A
-        short track drops its observations behind the camera, needs two
+        Pass 1 walks the frame, then the short-track buffer. It lists each
+        feature whose track is long enough to enter the state (delayed
+        initialization) and each finished or capped short track, and
+        triangulates them all in one call. It then inserts the features
+        that triangulated and lists the observations to project, one group
+        per feature. Pass 2 projects every listed observation in one call.
+        A SLAM feature gives the rows of its observations up to the first
+        one behind the camera, and then leaves the state at the next frame.
+        A short track drops its observations behind the camera, needs two
         left, and gives the rows of its left-null-space projection. SLAM
         rows come first, in frame order, then the tracks' rows in buffer
         order.
@@ -402,14 +416,14 @@ class VinsEstimator:
         # the window and its estimate stay fixed until the update, so each
         # pose's camera is evaluated once per frame
         cameras = window_cameras(self.x, self.frame_motion)
-        groups = []   # (feature, [(pose id, pixel), ...], is short track)
         in_state = {f.id: f for f in self.x.features}
-        inserted = []
         pose_ids = {p.id for p in self.x.poses}
+        seen = []         # (feature id, [(pose id, pixel), ...]) in frame order
+        candidates = []   # tracks to triangulate, would-be SLAM features first
         for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
             fid = int(fid)
             if fid in in_state:
-                groups.append((in_state[fid], [(frame.index, px)], False))
+                seen.append((fid, [(frame.index, px)]))
                 continue
             self.track_buf.setdefault(fid, []).append((frame.index, px))
             obs = self.track_buf[fid]
@@ -417,33 +431,47 @@ class VinsEstimator:
                 if not all(pid in pose_ids for pid, _ in obs):
                     self.track_buf[fid] = obs[-1:]
                     continue
-                try:
-                    theta = self._try_triangulate(obs, cameras)
-                except RankDeficientFeature:
-                    continue
-                feat = InverseDepthFeature(obs[0][0], theta, id=fid)
-                inserted.append(feat)
-                del self.track_buf[fid]
-                groups.append((feat, obs, False))
-        # pass 1 reads nothing from the layout, so the features it
-        # inserts enter the state together
-        self._insert_features(inserted)
-        # finished or capped short tracks
+                seen.append((fid, obs))
+                candidates.append((fid, obs))
+        n_slam = len(candidates)
+        # finished or capped short tracks; a would-be SLAM feature's own
+        # attempt decides what becomes of its track
+        slam = {fid for fid, _ in candidates}
         present = set(int(f) for f in frame.feature_ids)
         for fid, obs in list(self.track_buf.items()):
             ended = fid not in present
             capped = len(obs) >= self.cfg.window - 1
-            if not (ended or capped):
+            if fid in slam or not (ended or capped):
                 continue
             del self.track_buf[fid]
             if len(obs) >= self.cfg.min_track and all(
                     pid in pose_ids for pid, _ in obs):
-                try:
-                    theta = self._try_triangulate(obs, cameras)
-                except RankDeficientFeature:
-                    continue
-                groups.append((InverseDepthFeature(obs[0][0], theta, id=fid),
-                               obs, True))
+                candidates.append((fid, obs))
+        theta = {}
+        if candidates:
+            tri = self._triangulate([obs for _, obs in candidates], cameras)
+            theta = {fid: th for (fid, _), th, status in
+                     zip(candidates, tri.theta, tri.status)
+                     if status == TRIANGULATED}
+        groups = []   # (feature, [(pose id, pixel), ...], is short track)
+        inserted = []
+        for fid, obs in seen:
+            if fid in in_state:
+                groups.append((in_state[fid], obs, False))
+            elif fid in theta:
+                feat = InverseDepthFeature(obs[0][0], theta[fid], id=fid)
+                inserted.append(feat)
+                del self.track_buf[fid]
+                groups.append((feat, obs, False))
+            elif len(obs) >= self.cfg.window - 1:
+                # capped: as a short track it would triangulate the same
+                # views and fail the same way
+                del self.track_buf[fid]
+        # pass 1 reads nothing from the layout, so the features it
+        # inserts enter the state together
+        self._insert_features(inserted)
+        groups += [(InverseDepthFeature(obs[0][0], theta[fid], id=fid), obs,
+                    True) for fid, obs in candidates[n_slam:] if fid in theta]
         if not groups:
             return None
         return self._assemble_rows(groups, cameras)
@@ -475,44 +503,42 @@ class VinsEstimator:
         no_feature = np.r_[0:12, 15:cols.shape[1]]
 
         slam = np.zeros(len(views), dtype=bool)
-        tracks = []   # projected (Hx, r) per short track
+        tracks = []   # each short track's observations in front of the camera
         stop = 0
         for (feat, obs, track), size in zip(groups, sizes):
             start, stop = stop, stop + size
             front = proj.in_front[start:stop]
             if track:
                 keep = start + np.flatnonzero(front)
-                if len(keep) < 2:
-                    continue
-                Hx = np.zeros((2 * len(keep), lay.n2))
-                _scatter_rows(Hx, cols[keep][:, no_feature],
-                              J[keep][:, :, no_feature])
-                try:
-                    tracks.append(msckf_nullspace_project(
-                        proj.feature[keep].reshape(-1, 3), Hx,
-                        resid[keep].ravel()))
-                except RankDeficientFeature:
-                    pass
+                if len(keep) >= 2:
+                    tracks.append(keep)
                 continue
             good = size if front.all() else int(np.argmin(front))
             slam[start:start + good] = True
             if good < size:
                 self._drop_next.add(feat.id)
 
+        Hx, rx = np.empty((0, lay.n2)), np.empty(0)
+        if tracks:
+            keep = np.concatenate(tracks)
+            Hx = np.zeros((2 * len(keep), lay.n2))
+            _scatter_rows(Hx, cols[keep][:, no_feature],
+                          J[keep][:, :, no_feature])
+            Hx, rx, _ = msckf_nullspace_project(
+                proj.feature[keep].reshape(-1, 3), Hx, resid[keep].ravel(),
+                [2 * len(k) for k in tracks])
         m_slam = 2 * int(slam.sum())
-        m = m_slam + sum(len(r) for _, r in tracks)
+        m = m_slam + len(rx)
         if not m:
             return None
         inv = 1.0 / self.sigma_px
-        H2 = np.zeros((m, lay.n2), dtype=self.dtype)
+        H2 = np.empty((m, lay.n2), dtype=self.dtype)
         r = np.empty(m, dtype=self.dtype)
+        H2[:m_slam] = 0.0
         _scatter_rows(H2, cols[slam], J[slam] * inv)
         r[:m_slam] = resid[slam].ravel() * inv
-        off = m_slam
-        for Hx, rx in tracks:
-            H2[off:off + len(rx)] = Hx * inv
-            r[off:off + len(rx)] = rx * inv
-            off += len(rx)
+        H2[m_slam:] = Hx * inv
+        r[m_slam:] = rx * inv
         return H2, r
 
     def _apply_update(self, H2, r, t):

@@ -1,16 +1,17 @@
-"""Per-sample, per-view, per-observation and finite-difference versions
-of the models.
+"""Per-sample, per-track, per-view, per-observation and
+finite-difference versions of the models.
 
 `imu_transition` integrates all IMU samples of a step at once,
-`triangulate_inverse_depth` evaluates all views of a track at once and
-`project_feature` projects all observations of a frame at once,
-differentiating the time offset analytically. The functions here do the
-same work the slow way -- a Python loop over IMU samples with one 15 x 15
-transition and noise product each, a Python loop over views with one
-`lstsq` per view for the depth initialization, one observation at a time
-with its Jacobian blocks keyed by state block name, and central
-differences of the time-shifted projection -- so the tests can compare
-the two.
+`triangulate_inverse_depth` and `msckf_nullspace_project` take all tracks
+of a frame at once, and `project_feature` projects all observations of a
+frame at once, differentiating the time offset analytically. The
+functions here do the same work the slow way -- a Python loop over IMU
+samples with one 15 x 15 transition and noise product each, one track at
+a time (raising RankDeficientFeature where the kernels report a status),
+a Python loop over views with one `lstsq` per view for the depth
+initialization, one observation at a time with its Jacobian blocks keyed
+by state block name, and central differences of the time-shifted
+projection -- so the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from srifkit.models import (
     GRAVITY,
     MIN_DEPTH,
     ImuNoise,
-    RankDeficientFeature,
     TransitionBlock,
+    bearing_angles,
     bearing_jacobian,
     bearing_vector,
-    pixel_to_bearing,
 )
 from srifkit.state import (
     Pose,
@@ -97,6 +97,10 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
     sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
     new_pose = Pose(p, q, t)
     return TransitionBlock(Phi, sqrt_info, new_pose, v)
+
+
+class RankDeficientFeature(Exception):
+    """Feature Jacobian has rank < 3 (too few / degenerate observations)."""
 
 
 class BehindCamera(Exception):
@@ -208,8 +212,118 @@ def tsync_column_by_central_differences(state, feature, observing_pose_id,
     return ((zp - zm) / (2 * dts)).reshape(2, 1)
 
 
+def pixel_to_bearing(pixel, intrinsics):
+    fx, fy, cx, cy = intrinsics
+    xn = (pixel[0] - cx) / fx
+    yn = (pixel[1] - cy) / fy
+    return bearing_angles(np.array([xn, yn, 1.0]))
+
+
+def _init_inverse_depth(u0, rays, base):
+    """Mean inverse depth along u0 from the views whose ray meets it.
+
+    Per view, [u0, -ray] s = base in the least-squares sense gives the depth
+    s[0] along u0. The 2 x 2 normal equations are solved for all views at
+    once; a view whose rays are within about a milliradian of parallel goes
+    through `lstsq`, which takes the minimum-norm solution when they are.
+    """
+    a = u0 @ u0
+    c = rays @ u0
+    d = np.einsum("ij,ij->i", rays, rays)
+    det = a * d - c * c
+    solvable = det > 1e-6 * a * d
+    depth = np.divide(d * (base @ u0) - c * np.einsum("ij,ij->i", rays, base),
+                      det, out=np.zeros_like(det), where=solvable)
+    for i in np.flatnonzero(~solvable):
+        M = np.column_stack([u0, -rays[i]])
+        depth[i] = np.linalg.lstsq(M, base[i], rcond=None)[0][0]
+    hit = depth > 0.01
+    if not hit.any():
+        return 0.5
+    return np.divide(1.0, depth, out=np.zeros_like(depth), where=hit).sum() / hit.sum()
+
+
+def triangulate_by_track(pixels, cam_rots, cam_centers, intrinsics,
+                         iters=10):
+    """`triangulate_inverse_depth` for one track: the per-track version
+    the batched kernel replaces, kept as its oracle.
+
+    The first view is the anchor. All views are evaluated at once: with
+    C_k = B_k.T A and c_k = B_k.T (t_A - t_k) fixed, view k sees the point
+    at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta. Returns
+    (alpha, beta, rho) or raises RankDeficientFeature, with the reason the
+    batched kernel's status names, when the geometry is degenerate.
+    """
+    fx, fy, cx, cy = intrinsics
+    px = np.asarray(pixels, dtype=np.float64)
+    Bs = np.asarray(cam_rots, dtype=np.float64)
+    ts = np.asarray(cam_centers, dtype=np.float64)
+    A, t_A = Bs[0], ts[0]
+    alpha, beta = pixel_to_bearing(px[0], intrinsics)
+    # every view's unit ray in the world frame, then the linear init for
+    # rho from the rays of the views other than the anchor
+    focal = np.array([fx, fy])
+    rays = np.ones((len(px), 3))
+    rays[:, :2] = (px - (cx, cy)) / focal
+    rays /= np.sqrt(np.einsum("ij,ij->i", rays, rays))[:, None]
+    rays = (Bs @ rays[:, :, None])[:, :, 0]
+    rho = _init_inverse_depth(rays[0], rays[1:], ts[1:] - t_A)
+    rho = min(max(rho, 1e-3), 1e3)
+    theta = np.array([alpha, beta, rho])
+    C = Bs.transpose(0, 2, 1) @ A
+    c = ((t_A - ts)[:, None, :] @ Bs)[:, 0, :]
+    # columns: d f / d (alpha, beta, rho), then f itself
+    G = np.empty((3, 4))
+    for _ in range(iters):
+        u = bearing_vector(theta[0], theta[1])
+        G[:, 0:2] = bearing_jacobian(theta[0], theta[1]) / theta[2]
+        G[:, 2] = -u / theta[2] ** 2
+        G[:, 3] = u / theta[2]
+        CG = C @ G
+        y = CG[:, :, 3] + c
+        if (y[:, 2] <= 1e-3).any():
+            raise RankDeficientFeature("triangulated point behind a camera")
+        inv = 1.0 / y[:, 2:3]
+        xy = y[:, 0:2] * inv
+        r = (px - (focal * xy + (cx, cy))).ravel()
+        # d (f_x y0 / y2, f_y y1 / y2) = f / y2 * (d y01 - y01 / y2 * d y2)
+        J = ((focal * inv)[:, :, None]
+             * (CG[:, 0:2, 0:3] - xy[:, :, None] * CG[:, 2:3, 0:3])).reshape(-1, 3)
+        JtJ = J.T @ J
+        # cond(JtJ) > 1e12, from the singular values cond would use
+        sv = np.linalg.svd(JtJ, compute_uv=False)
+        if sv[0] > 1e12 * sv[-1] or sv[-1] == 0.0:
+            raise RankDeficientFeature("degenerate triangulation geometry")
+        step = np.linalg.solve(JtJ, J.T @ r)
+        theta = theta + step
+        theta[2] = min(max(theta[2], 1e-4), 1e4)
+        if np.linalg.norm(step) < 1e-10:
+            break
+    return theta
+
+
+def msckf_nullspace_project_by_track(Hf, Hx, r):
+    """`msckf_nullspace_project` for one track: the per-track version the
+    batched kernel replaces, kept as its oracle.
+
+    Applies the Householder reflectors of Hf's QR to [Hx r] and keeps the
+    bottom rows, so the output is independent of the (never-estimated)
+    feature. Returns the projected (Hx, r), each with rows - 3 rows, or
+    raises RankDeficientFeature.
+    """
+    Hf = np.asarray(Hf, dtype=np.float64)
+    m = Hf.shape[0]
+    if m < 4:
+        raise RankDeficientFeature(f"only {m} stacked rows")
+    Rf, t = linalg.householder_qr(Hf, np.column_stack([Hx, r]))
+    scale = np.abs(Rf).max()
+    if np.abs(Rf[2, 2]) <= 1e-10 * max(scale, 1.0):
+        raise RankDeficientFeature("feature Jacobian rank < 3")
+    return t[3:, :-1], t[3:, -1]
+
+
 def triangulate_by_view(pixels, cam_rots, cam_centers, intrinsics, iters=10):
-    """`triangulate_inverse_depth`, one view at a time in Python loops."""
+    """`triangulate_by_track`, one view at a time in Python loops."""
     fx, fy, cx, cy = intrinsics
     A, t_A = cam_rots[0], cam_centers[0]
     alpha, beta = pixel_to_bearing(pixels[0], intrinsics)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from srifkit import linalg
 from srifkit.models import (
     GRAVITY,
+    TRIANGULATED,
+    TRIANGULATION_STATUS,
     ImuNoise,
     NonPositiveDepth,
-    RankDeficientFeature,
     bearing_angles,
     check_imu_samples,
     feature_point_global,
@@ -34,9 +35,12 @@ from srifkit.state import (
 
 from model_reference import (
     BehindCamera,
+    RankDeficientFeature,
     camera_pose_at,
     imu_transition_by_sample,
+    msckf_nullspace_project_by_track,
     project_feature_by_observation,
+    triangulate_by_track,
     triangulate_by_view,
     tsync_column_by_central_differences,
 )
@@ -73,6 +77,24 @@ def project_one(state, feature, observing_pose_id, frame_motion=None):
     if anchor != observing_pose_id:
         blocks[f"pose:{anchor}"] = p.anchor[0]
     return p.pixel[0], blocks
+
+
+def triangulate_one(pixels, rots, centers, intr, iters=10):
+    """The batched `triangulate_inverse_depth` on a batch of one track,
+    raising RankDeficientFeature with its status's reason as the oracles
+    do."""
+    tri = triangulate_inverse_depth([pixels], [rots], [centers], intr,
+                                    iters=iters)
+    if tri.status[0] != TRIANGULATED:
+        raise RankDeficientFeature(TRIANGULATION_STATUS[tri.status[0]])
+    return tri.theta[0]
+
+
+def project_one_track(Hf, Hx, r):
+    """The batched `msckf_nullspace_project` on a batch of one track."""
+    out, rp, ok = msckf_nullspace_project(Hf, Hx, r, [len(r)])
+    assert ok.shape == (1,)
+    return out, rp, ok[0]
 
 
 def imu_arrays(samples):
@@ -420,7 +442,8 @@ class TestNullspaceProjection:
         Hf = np.vstack([np.eye(3), np.zeros((3, 3))])
         Hx = np.arange(18.0).reshape(6, 3)
         r = np.arange(6.0)
-        out, rp = msckf_nullspace_project(Hf, Hx, r)
+        out, rp, ok = project_one_track(Hf, Hx, r)
+        assert ok
         assert rp.shape == (3,)
         assert out.shape == (3, 3)
         # the surviving rows depend only on the zero block of Hf
@@ -431,7 +454,8 @@ class TestNullspaceProjection:
         Hf = rng.normal(size=(10, 3))
         Hx = rng.normal(size=(10, 4))
         r = rng.normal(size=10)
-        out, rp = msckf_nullspace_project(Hf, Hx, r)
+        out, rp, ok = project_one_track(Hf, Hx, r)
+        assert ok
         # oracle: full Q from numpy, left null space rows
         Q, _ = np.linalg.qr(Hf, mode="complete")
         N = Q[:, 3:]
@@ -448,7 +472,8 @@ class TestNullspaceProjection:
         Hf = rng.normal(size=(12, 3))
         Hx = rng.normal(size=(12, 5))
         r = rng.normal(size=12)
-        out, rp = msckf_nullspace_project(Hf, Hx, r)
+        out, rp, ok = project_one_track(Hf, Hx, r)
+        assert ok
         # joint solve over [x, f] with a weak prior on x to fix the gauge
         J = np.hstack([Hx, Hf])
         prior = np.hstack([np.eye(5) * 1e-3, np.zeros((5, 3))])
@@ -461,15 +486,56 @@ class TestNullspaceProjection:
         assert np.allclose(xj, xp, atol=1e-8)
 
     def test_too_few_rows(self):
-        with pytest.raises(RankDeficientFeature):
-            msckf_nullspace_project(np.ones((2, 3)), np.ones((2, 2)),
-                                    np.ones(2))
+        out, rp, ok = project_one_track(np.ones((2, 3)), np.ones((2, 2)),
+                                        np.ones(2))
+        assert not ok and out.shape == (0, 2) and rp.shape == (0,)
 
     def test_rank_deficient(self):
         Hf = np.zeros((6, 3))
         Hf[:, 0] = 1.0
-        with pytest.raises(RankDeficientFeature):
-            msckf_nullspace_project(Hf, np.ones((6, 2)), np.ones(6))
+        out, rp, ok = project_one_track(Hf, np.ones((6, 2)), np.ones(6))
+        assert not ok and out.shape == (0, 2) and rp.shape == (0,)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["full", "short", "rank2", "zero"]),
+                          min_size=1, max_size=12),
+           data=st.data())
+    def test_batch_matches_per_track_projection(self, seed, kinds, data):
+        # one batch mixing row counts, tracks too short to project and
+        # rank-deficient feature Jacobians; each track's rows and outcome
+        # match its own projection, whatever the rest of the batch holds
+        rng = np.random.default_rng(seed)
+        n = 7
+        Hf, Hx, r, sizes = [], [], [], []
+        for kind in kinds:
+            m = (data.draw(st.integers(1, 3)) if kind == "short"
+                 else 2 * data.draw(st.integers(2, 10)))
+            F = rng.normal(size=(m, 3))
+            if kind == "rank2":
+                F[:, 2] = F[:, :2] @ rng.normal(size=2)
+            elif kind == "zero":
+                F[:] = 0.0
+            Hf.append(F)
+            Hx.append(rng.normal(size=(m, n)))
+            r.append(rng.normal(size=m))
+            sizes.append(m)
+        out, rp, ok = msckf_nullspace_project(
+            np.vstack(Hf), np.vstack(Hx), np.concatenate(r), sizes)
+        assert ok.shape == (len(kinds),)
+        off = 0
+        for i, args in enumerate(zip(Hf, Hx, r)):
+            try:
+                ref_x, ref_r = msckf_nullspace_project_by_track(*args)
+            except RankDeficientFeature:
+                assert not ok[i]
+                continue
+            assert ok[i]
+            rows = len(ref_r)
+            got = np.column_stack([out[off:off + rows], rp[off:off + rows]])
+            ref = np.column_stack([ref_x, ref_r])
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            off += rows
+        assert off == len(rp) == len(out)
 
 
 class TestReanchor:
@@ -583,7 +649,7 @@ class TestTriangulation:
             rots.append(R)
             centers.append(c)
             pixels.append(px)
-        theta = triangulate_inverse_depth(pixels, rots, centers, intr)
+        theta = triangulate_one(pixels, rots, centers, intr)
         y0 = rots[0].T @ (X - centers[0])
         assert np.isclose(theta[2], 1.0 / np.linalg.norm(y0), atol=1e-8)
         a, b = bearing_angles(y0)
@@ -607,7 +673,7 @@ class TestTriangulation:
     def _both(pixels, rots, centers, intr):
         """Each triangulation's theta, or the exception it raised."""
         out = []
-        for fn in (triangulate_inverse_depth, triangulate_by_view):
+        for fn in (triangulate_one, triangulate_by_view):
             try:
                 out.append(fn(pixels, rots, centers, intr))
             except RankDeficientFeature as exc:
@@ -641,7 +707,7 @@ class TestTriangulation:
         rots[1], pixels[1] = rots[0], pixels[0]
         centers[1] = along * X / np.linalg.norm(X)
         # zero iterations return the depth initialization
-        got = triangulate_inverse_depth(pixels, rots, centers, self.INTR, iters=0)
+        got = triangulate_one(pixels, rots, centers, self.INTR, iters=0)
         ref = triangulate_by_view(pixels, rots, centers, self.INTR, iters=0)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         got, ref = self._both(pixels, rots, centers, self.INTR)
@@ -682,3 +748,80 @@ class TestTriangulation:
         got, ref = self._both(pixels, rots, centers, self.INTR)
         assert str(ref) == "degenerate triangulation geometry"
         assert type(got) is type(ref) and str(got) == str(ref)
+
+    @staticmethod
+    def _track(rng, kind, k, noise_px=0.0):
+        """k views of one point: with baselines ("plain"), with view 1 on
+        the anchor's ray ("parallel"), with the last camera beyond the
+        point ("behind") or with no baseline ("degenerate")."""
+        X = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(2, 10)])
+        centers = [np.zeros(3)] + [rng.normal(size=3) * 0.3 for _ in range(k - 1)]
+        if kind == "degenerate":
+            centers = [np.zeros(3)] * k
+        elif kind == "behind":
+            centers[-1] = X * rng.uniform(1.5, 3.0)
+        pixels, rots, centers = TestTriangulation._views(
+            rng, X, centers, noise_px=noise_px)
+        if kind == "parallel":
+            rots[1], pixels[1] = rots[0], pixels[0]
+            centers[1] = rng.uniform(-0.5, 3.0) * X / np.linalg.norm(X)
+        return pixels, rots, centers
+
+    @staticmethod
+    def _batch(tracks):
+        """The tracks padded to the longest with nan views, and the mask of
+        the views each has."""
+        V = max(len(px) for px, _, _ in tracks)
+        pixels = np.full((len(tracks), V, 2), np.nan)
+        rots = np.full((len(tracks), V, 3, 3), np.nan)
+        centers = np.full((len(tracks), V, 3), np.nan)
+        live = np.zeros((len(tracks), V), dtype=bool)
+        for i, (px, R, c) in enumerate(tracks):
+            k = len(px)
+            pixels[i, :k], rots[i, :k], centers[i, :k] = px, R, c
+            live[i, :k] = True
+        return pixels, rots, centers, live
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           tracks=st.lists(st.tuples(
+               st.sampled_from(["plain", "parallel", "behind", "degenerate"]),
+               st.integers(2, 10), st.sampled_from([0.0, 0.5, 2.0])),
+               min_size=1, max_size=12))
+    def test_batch_matches_per_track_oracle(self, seed, tracks):
+        # one batch mixing view counts and failure modes, padded with nan
+        # views: each track's theta and status are those of its own
+        # triangulation, whatever the rest of the batch holds
+        rng = np.random.default_rng(seed)
+        views = [self._track(rng, kind, k, noise) for kind, k, noise in tracks]
+        pixels, rots, centers, live = self._batch(views)
+        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR,
+                                        live=live)
+        assert tri.theta.shape == (len(views), 3)
+        for (px, R, c), theta, status in zip(views, tri.theta, tri.status):
+            try:
+                ref = triangulate_by_track(px, R, c, self.INTR)
+            except RankDeficientFeature as exc:
+                assert TRIANGULATION_STATUS[status] == str(exc)
+                assert np.isnan(theta).all()
+                continue
+            assert status == TRIANGULATED
+            assert np.abs(theta - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+    def test_batch_reports_each_failure(self):
+        rng = np.random.default_rng(15)
+        views = [self._track(rng, kind, k) for kind, k in
+                 (("plain", 4), ("behind", 3), ("degenerate", 7), ("plain", 2))]
+        pixels, rots, centers, live = self._batch(views)
+        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR,
+                                        live=live)
+        assert [TRIANGULATION_STATUS[s] for s in tri.status] == [
+            "triangulated", "triangulated point behind a camera",
+            "degenerate triangulation geometry", "triangulated"]
+
+    def test_anchor_must_be_live(self):
+        rng = np.random.default_rng(16)
+        pixels, rots, centers, live = self._batch([self._track(rng, "plain", 3)])
+        live[0, 0] = False
+        with pytest.raises(ValueError, match="anchor"):
+            triangulate_inverse_depth(pixels, rots, centers, self.INTR,
+                                      live=live)
