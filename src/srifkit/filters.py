@@ -427,7 +427,7 @@ def kf_propagate(P, keep, sel, rows, tb, flops=None):
     This is F P F.T + Q for the n x n_old F that embeds the old state and
     applies Phi, at O(15 n^2) instead of O(n^3); a symmetric P gives an
     exactly symmetric result. The FLOPs counted are those of Phi P[sel, :],
-    the corner and Q: 435 n_old + 19800.
+    the corner and Q: 435 n_old + 16650.
     """
     n = np.union1d(keep, rows).size
     phi = tb.phi.astype(P.dtype)

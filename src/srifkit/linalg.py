@@ -275,12 +275,14 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
     """Solve U x = b by back substitution (LAPACK ?trtrs).
 
     ?trtrs runs on U's Fortran-ordered transpose, so U is never copied.
+    Counted per right-hand side as the substitution's n(n - 1)/2
+    multiply-adds and n divisions.
     """
     n = U.shape[0]
     if flops is not None:
         ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        flops.add(adds=n * (n - 1) * ncol, muls=n * (n - 1) * ncol,
-                  divs=n * ncol)
+        tri = n * (n - 1) // 2 * ncol
+        flops.add(adds=tri, muls=tri, divs=n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
     x, info = trtrs(U.T, b, lower=1, trans=1)
     if info > 0:
@@ -291,11 +293,12 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
 def cholesky_solve(U, b, flops: FlopCounter | None = None):
     """Solve U.T U x = b for a Cholesky factor U with one ?potrs call.
 
-    Counted as the forward and the back substitution it performs.
+    Counted as the forward and the back substitution it performs, n(n - 1)/2
+    multiply-adds and n divisions each.
     """
     n = U.shape[0]
     if flops is not None:
-        flops.add(adds=2 * n * (n - 1), muls=2 * n * (n - 1), divs=2 * n)
+        flops.add(adds=n * (n - 1), muls=n * (n - 1), divs=2 * n)
     potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
     x, _ = potrs(U.T, b, lower=1)
     return x
