@@ -565,14 +565,14 @@ def _init_inverse_depth(u0, rays, base, live):
 
 
 def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
-                              live=None, iters=10) -> Triangulation:
+                              live, iters=10) -> Triangulation:
     """Gauss-Newton triangulation of T tracks in anchored inverse-depth
     coordinates, all tracks and all their views at once.
 
     The tracks are padded to V views: pixels (T, V, 2), world-from-camera
     rotations cam_rots (T, V, 3, 3) and camera centers cam_centers
-    (T, V, 3), with live (T, V) marking the views a track has (all, when
-    None). View 0 is each track's anchor and must be live. With
+    (T, V, 3), with live (T, V) marking the views a track has. View 0 is
+    each track's anchor and must be live. With
     C_k = B_k.T A and c_k = B_k.T (t_A - t_k) fixed, view k sees the point
     at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta; padded
     views add no rows.
@@ -580,16 +580,16 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     Each track runs its own Gauss-Newton iteration: it fails when a live
     view sees the point at depth <= 1e-3 (BEHIND_CAMERA) or when
     cond(J.T J) > 1e12 (DEGENERATE), and it stops once its step norm is
-    below 1e-10. A track that has stopped no longer moves, and the
-    batched solve sees the identity in its place.
+    below 1e-10. A track that stops leaves the batch; in the iteration a
+    track fails, the batched solve sees the identity in place of its
+    J.T J, so its singular matrix cannot fail the others.
     """
     fx, fy, cx, cy = intrinsics
     px = np.asarray(pixels, dtype=np.float64)
     Bs = np.asarray(cam_rots, dtype=np.float64)
     ts = np.asarray(cam_centers, dtype=np.float64)
     T, V = px.shape[:2]
-    live = (np.ones((T, V), dtype=bool) if live is None
-            else np.asarray(live, dtype=bool))
+    live = np.asarray(live, dtype=bool)
     if not live[:, 0].all():
         raise ValueError("view 0 is each track's anchor and must be live")
     A, t_A = Bs[:, 0], ts[:, 0]
@@ -611,49 +611,54 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     c = ((t_A[:, None] - ts)[:, :, None, :] @ Bs)[:, :, 0, :]
     # a padded view sees every point on its optical axis at unit depth,
     # at the principal point it observes: zero rows of J and r
+    centre = np.array([cx, cy])
     C[~live] = 0.0
     c[~live] = (0.0, 0.0, 1.0)
-    px = np.where(live[..., None], px, (cx, cy))
+    px = np.where(live[..., None], px, centre)
     status = np.full(T, TRIANGULATED, dtype=np.int8)
-    running = np.arange(T)
+    # the running tracks, and their theta and views
+    k, th = np.arange(T), theta
     for _ in range(iters):
-        if not len(running):
+        if not len(k):
             break
-        a, b, rho = theta[running].T
+        a, b, rho = th.T
         ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
         # columns: d f / d (alpha, beta, rho), then f itself, for the
         # bearing u(alpha, beta) and f = u / rho
-        G = np.empty((len(running), 1, 3, 4))
+        G = np.empty((len(k), 1, 3, 4))
         G[:, 0, 0, 0], G[:, 0, 0, 1], G[:, 0, 0, 3] = ca * cb, -sa * sb, sa * cb
         G[:, 0, 1, 0], G[:, 0, 1, 1], G[:, 0, 1, 3] = 0.0, cb, sb
         G[:, 0, 2, 0], G[:, 0, 2, 1], G[:, 0, 2, 3] = -sa * cb, -ca * sb, ca * cb
         G /= rho[:, None, None, None]
         G[..., 2] = -G[..., 3] / rho[:, None, None]
-        CG = C[running] @ G
-        y = CG[..., 3] + c[running]
+        CG = C @ G
+        y = CG[..., 3] + c
         behind = (y[..., 2] <= 1e-3).any(axis=1)
         # the depth bound only changes the tracks that fail here
         inv = 1.0 / np.maximum(y[..., 2:3], 1e-3)
         xy = y[..., 0:2] * inv
-        r = (px[running] - (focal * xy + (cx, cy))).reshape(len(running), -1, 1)
+        r = (px - (focal * xy + centre)).reshape(len(k), -1, 1)
         # d (f_x y0 / y2, f_y y1 / y2) = f / y2 * (d y01 - y01 / y2 * d y2)
         J = ((focal * inv)[..., None]
              * (CG[..., 0:2, 0:3] - xy[..., None] * CG[..., 2:3, 0:3]))
-        J = J.reshape(len(running), -1, 3)
+        J = J.reshape(len(k), -1, 3)
         Jt = J.transpose(0, 2, 1)
         JtJ = Jt @ J
         # cond(JtJ) > 1e12, from the singular values cond would use
         sv = np.linalg.svd(JtJ, compute_uv=False)
         failed = behind | (sv[:, 0] > 1e12 * sv[:, -1]) | (sv[:, -1] == 0.0)
         if failed.any():
-            status[running[failed]] = np.where(behind[failed], BEHIND_CAMERA,
-                                               DEGENERATE)
+            status[k[failed]] = np.where(behind[failed], BEHIND_CAMERA,
+                                         DEGENERATE)
             JtJ[failed] = np.eye(3)
         step = np.linalg.solve(JtJ, Jt @ r)[..., 0]
-        moved = theta[running] + step
-        moved[:, 2] = np.clip(moved[:, 2], 1e-4, 1e4)
-        keep = ~failed
-        theta[running[keep]] = moved[keep]
-        running = running[keep & ~(np.linalg.norm(step, axis=1) < 1e-10)]
+        th = th + step
+        th[:, 2] = np.clip(th[:, 2], 1e-4, 1e4)
+        stop = failed | (np.linalg.norm(step, axis=1) < 1e-10)
+        if stop.any():
+            theta[k[stop]] = th[stop]
+            go = ~stop
+            k, th, C, c, px = k[go], th[go], C[go], c[go], px[go]
+    theta[k] = th
     theta[status != TRIANGULATED] = np.nan
     return Triangulation(theta, status)

@@ -84,6 +84,7 @@ def triangulate_one(pixels, rots, centers, intr, iters=10):
     raising RankDeficientFeature with its status's reason as the oracles
     do."""
     tri = triangulate_inverse_depth([pixels], [rots], [centers], intr,
+                                    np.ones((1, len(pixels)), dtype=bool),
                                     iters=iters)
     if tri.status[0] != TRIANGULATED:
         raise RankDeficientFeature(TRIANGULATION_STATUS[tri.status[0]])
@@ -794,8 +795,7 @@ class TestTriangulation:
         rng = np.random.default_rng(seed)
         views = [self._track(rng, kind, k, noise) for kind, k, noise in tracks]
         pixels, rots, centers, live = self._batch(views)
-        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR,
-                                        live=live)
+        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR, live)
         assert tri.theta.shape == (len(views), 3)
         for (px, R, c), theta, status in zip(views, tri.theta, tri.status):
             try:
@@ -812,8 +812,7 @@ class TestTriangulation:
         views = [self._track(rng, kind, k) for kind, k in
                  (("plain", 4), ("behind", 3), ("degenerate", 7), ("plain", 2))]
         pixels, rots, centers, live = self._batch(views)
-        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR,
-                                        live=live)
+        tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR, live)
         assert [TRIANGULATION_STATUS[s] for s in tri.status] == [
             "triangulated", "triangulated point behind a camera",
             "degenerate triangulation geometry", "triangulated"]
@@ -823,5 +822,4 @@ class TestTriangulation:
         pixels, rots, centers, live = self._batch([self._track(rng, "plain", 3)])
         live[0, 0] = False
         with pytest.raises(ValueError, match="anchor"):
-            triangulate_inverse_depth(pixels, rots, centers, self.INTR,
-                                      live=live)
+            triangulate_inverse_depth(pixels, rots, centers, self.INTR, live)
