@@ -522,10 +522,8 @@ def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
     return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
-# a triangulation's outcome per track; TRIANGULATION_STATUS[s] names each
+# a triangulation's outcome per track
 TRIANGULATED, BEHIND_CAMERA, DEGENERATE = 0, 1, 2
-TRIANGULATION_STATUS = ("triangulated", "triangulated point behind a camera",
-                        "degenerate triangulation geometry")
 
 
 class Triangulation(NamedTuple):

@@ -20,8 +20,11 @@ import numpy as np
 
 from srifkit import linalg
 from srifkit.models import (
+    BEHIND_CAMERA,
+    DEGENERATE,
     GRAVITY,
     MIN_DEPTH,
+    TRIANGULATED,
     ImuNoise,
     TransitionBlock,
     bearing_angles,
@@ -101,6 +104,15 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
 
 class RankDeficientFeature(Exception):
     """Feature Jacobian has rank < 3 (too few / degenerate observations)."""
+
+
+# the reason the per-track oracles give for each status of the batched
+# triangulation
+TRIANGULATION_REASONS = {
+    TRIANGULATED: "triangulated",
+    BEHIND_CAMERA: "triangulated point behind a camera",
+    DEGENERATE: "degenerate triangulation geometry",
+}
 
 
 class BehindCamera(Exception):
@@ -251,8 +263,8 @@ def triangulate_by_track(pixels, cam_rots, cam_centers, intrinsics,
     The first view is the anchor. All views are evaluated at once: with
     C_k = B_k.T A and c_k = B_k.T (t_A - t_k) fixed, view k sees the point
     at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta. Returns
-    (alpha, beta, rho) or raises RankDeficientFeature, with the reason the
-    batched kernel's status names, when the geometry is degenerate.
+    (alpha, beta, rho) or raises RankDeficientFeature with the reason
+    TRIANGULATION_REASONS gives the batched kernel's status.
     """
     fx, fy, cx, cy = intrinsics
     px = np.asarray(pixels, dtype=np.float64)

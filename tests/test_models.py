@@ -7,7 +7,6 @@ from srifkit import linalg
 from srifkit.models import (
     GRAVITY,
     TRIANGULATED,
-    TRIANGULATION_STATUS,
     ImuNoise,
     NonPositiveDepth,
     bearing_angles,
@@ -34,6 +33,7 @@ from srifkit.state import (
 )
 
 from model_reference import (
+    TRIANGULATION_REASONS,
     BehindCamera,
     RankDeficientFeature,
     camera_pose_at,
@@ -87,7 +87,7 @@ def triangulate_one(pixels, rots, centers, intr, iters=10):
                                     np.ones((1, len(pixels)), dtype=bool),
                                     iters=iters)
     if tri.status[0] != TRIANGULATED:
-        raise RankDeficientFeature(TRIANGULATION_STATUS[tri.status[0]])
+        raise RankDeficientFeature(TRIANGULATION_REASONS[tri.status[0]])
     return tri.theta[0]
 
 
@@ -801,7 +801,7 @@ class TestTriangulation:
             try:
                 ref = triangulate_by_track(px, R, c, self.INTR)
             except RankDeficientFeature as exc:
-                assert TRIANGULATION_STATUS[status] == str(exc)
+                assert TRIANGULATION_REASONS[status] == str(exc)
                 assert np.isnan(theta).all()
                 continue
             assert status == TRIANGULATED
@@ -813,7 +813,7 @@ class TestTriangulation:
                  (("plain", 4), ("behind", 3), ("degenerate", 7), ("plain", 2))]
         pixels, rots, centers, live = self._batch(views)
         tri = triangulate_inverse_depth(pixels, rots, centers, self.INTR, live)
-        assert [TRIANGULATION_STATUS[s] for s in tri.status] == [
+        assert [TRIANGULATION_REASONS[s] for s in tri.status] == [
             "triangulated", "triangulated point behind a camera",
             "degenerate triangulation geometry", "triangulated"]
 
