@@ -244,7 +244,6 @@ class Preconditioner:
     idx: np.ndarray                   # (6, poses) columns of each block
     blocks: np.ndarray                # (6, poses, poses) upper triangular
     jacobi: np.ndarray                # positive diagonal of M_Jacobi
-    degenerate: list = field(default_factory=list)
     r22_spai: np.ndarray | None = None    # prior R22 @ M_SPAI^-1
 
     def nnz(self):
@@ -269,7 +268,7 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     """SPAI + Jacobi preconditioner from the prior R22 factor.
 
     pose_offsets are the ascending offsets of the 6-dim pose error blocks
-    within the x2 partition. Zero column norms are pinned to 1 and flagged.
+    within the x2 partition. Zero column norms are pinned to 1.
     A zero diagonal entry in an SPAI block makes M_SPAI singular and raises
     scipy.linalg.LinAlgError.
     """
@@ -286,10 +285,8 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     norms = np.sqrt(np.einsum("ij,ij->j", R22s, R22s))
     if flops is not None:
         flops.add(adds=(n2 - 1) * n2, muls=n2 * n2, sqrts=n2)
-    degenerate = np.nonzero(norms == 0)[0]
-    norms[degenerate] = 1.0
+    norms[norms == 0] = 1.0
     pc.jacobi = norms.astype(R22.dtype)
-    pc.degenerate = list(map(int, degenerate))
     pc.r22_spai = R22s
     return pc
 

@@ -199,10 +199,8 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     than a dense QR. Each column's rotations are one chain against its
     diagonal row. Only rows that start with entries below the diagonal are
     ever rotated into it, because rotations keep every other row zero left
-    of its diagonal. Returns A. Its callers are the deletion of an
-    uninformed state in `filters.marginalize_block` and the
-    re-triangularization of a reanchored feature's rows
-    (`VinsEstimator._reanchor`).
+    of its diagonal. Returns A. Its one caller is the deletion of an
+    uninformed state in `filters.marginalize_block`.
 
     The FLOP count is the rotation-by-rotation one: forming a rotation costs
     1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2

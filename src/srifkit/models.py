@@ -5,10 +5,13 @@ evaluated at once, the transition and process noise as suffix products),
 the window's cameras stacked as arrays in one pass, inverse-depth pinhole
 projection of a whole frame's observations in one batched call with
 analytic Jacobians (the time-offset column included) and an in-front mask,
-Gauss-Newton triangulation of a frame's tracks in one batched call with a
-status per track, left-null-space elimination of all of a frame's
-track-end features in one call (one stacked QR per row count), and
-feature reanchoring.
+reanchoring of every feature that leaves with the departing pose in one
+batched call with an in-front mask, Gauss-Newton triangulation of a
+frame's tracks in one batched call with a status per track, and
+left-null-space elimination of all of a frame's track-end features in one
+call (one stacked QR per row count). Projection and reanchoring share one
+camera model: `window_cameras` and the point-in-camera Jacobian
+`_point_in_camera`.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -23,20 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .state import (
-    InverseDepthFeature,
-    Pose,
-    quat_normalize,
-    quat_to_mat,
-    skew,
-)
+from .state import Pose, quat_normalize, quat_to_mat
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
-
-
-class NonPositiveDepth(Exception):
-    """Reanchoring produced a point behind the new anchor camera."""
 
 
 @dataclass
@@ -245,37 +238,6 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
 # --------------------------------------------------------------------------
 
 
-def bearing_vector(alpha, beta):
-    """Unit ray for azimuth/elevation; (0, 0) is the optical axis."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    return np.array([sa * cb, sb, ca * cb])
-
-
-def bearing_jacobian(alpha, beta):
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    return np.array([
-        [ca * cb, -sa * sb],
-        [0.0, cb],
-        [-sa * cb, -ca * sb],
-    ])
-
-
-def bearing_angles(u):
-    """Inverse of bearing_vector for a (not necessarily unit) ray."""
-    alpha = np.arctan2(u[0], u[2])
-    beta = np.arctan2(u[1], np.hypot(u[0], u[2]))
-    return alpha, beta
-
-
-def camera_pose(pose: Pose, p_ic, q_ic):
-    """World-from-camera rotation and camera center for an IMU pose, then
-    the pose's global-from-IMU rotation and position."""
-    R_wi = quat_to_mat(pose.q)
-    return R_wi @ quat_to_mat(q_ic), pose.p + R_wi @ p_ic, R_wi, pose.p
-
-
 class WindowCameras(NamedTuple):
     """The window poses' cameras at tsync, stacked in window order, with
     their tsync derivatives and the camera-to-IMU rotation they share."""
@@ -328,34 +290,6 @@ def window_cameras(state, frame_motion=None) -> WindowCameras:
                          Rw @ R_ic, v + Rw @ state.p_ic, R_ic)
 
 
-def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic, q_ic):
-    alpha, beta, rho = feature.params
-    A, t_A, _, _ = camera_pose(anchor, p_ic, q_ic)
-    return A @ (bearing_vector(alpha, beta) / rho) + t_A
-
-
-def _point_jacobians(A, B, X, p_anchor, p_obs, params):
-    """Jacobians of y = B.T (X - t_B), the point X = A f + t_A of an
-    inverse-depth feature seen from a second camera.
-
-    A and B are the anchor and observing world-from-camera rotations, and
-    p_anchor and p_obs the IMU positions their pose errors rotate about.
-    Returns d y / d (anchor pose), d y / d (observing pose), each 3 x 6 in
-    (position, left-global orientation) order, and d y / d params (3 x 3).
-    """
-    alpha, beta, rho = params
-    dy_anchor = np.zeros((3, 6))
-    dy_anchor[:, 0:3] = B.T
-    dy_anchor[:, 3:6] = -B.T @ skew(X - p_anchor)
-    dy_obs = np.zeros((3, 6))
-    dy_obs[:, 0:3] = -B.T
-    dy_obs[:, 3:6] = B.T @ skew(X - p_obs)
-    dy_feat = np.zeros((3, 3))
-    dy_feat[:, 0:2] = B.T @ A @ bearing_jacobian(alpha, beta) / rho
-    dy_feat[:, 2] = -B.T @ A @ bearing_vector(alpha, beta) / rho ** 2
-    return dy_anchor, dy_obs, dy_feat
-
-
 class Projection(NamedTuple):
     """k projections, whether each lies in front of its camera, and their
     Jacobian blocks d pixel / d (error block), each (k, 2, dim).
@@ -377,25 +311,19 @@ class Projection(NamedTuple):
     intr: np.ndarray      # (k, 2, 4)
 
 
-def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
-                    observer_ids, params, min_depth=MIN_DEPTH) -> Projection:
-    """Project k anchored inverse-depth features into their observing frames.
+def _point_in_camera(cameras: WindowCameras, ia, io, params):
+    """The point of each anchored inverse-depth feature seen from a second
+    camera, with its Jacobian.
 
-    Observation i is the feature with parameters params[i] = (alpha, beta,
-    rho), anchored at pose anchor_ids[i], seen from pose observer_ids[i];
-    `cameras` is `window_cameras` of the state. The Jacobians are the
-    closed form of the standard reprojection rows (Mourikis & Roumeliotis,
-    ICRA 2007), evaluated for all k at once: with A, B the anchor and
-    observing camera rotations, X = A f + t_A the point and
-    y = B.T (X - t_B) its position in the observing camera, d y / d (error
-    blocks) is chained with the pinhole Jacobian d pixel / d y. The tsync
-    column is the analytic image-plane feature velocity when both cameras
-    move with the time shift.
-
-    An observation at depth y_z <= min_depth is flagged in `in_front`
-    instead of raising.
+    Feature i has parameters params[i] = (alpha, beta, rho), is anchored
+    at camera row ia[i] and is seen from camera row io[i]. With A, B the
+    anchor and observing camera rotations, f = u(alpha, beta) / rho the
+    point in the anchor camera and X = A f + t_A in the world, returns
+    f, d = X - t_B, y = B.T d and d y / d (anchor pose, observing pose,
+    params) as (k, 3, 15). Pose blocks are (position, left-global
+    orientation) about the poses' IMU positions; they are not zeroed
+    where ia[i] == io[i].
     """
-    ia, io = cameras.rows(anchor_ids), cameras.rows(observer_ids)
     params = np.asarray(params, dtype=np.float64).reshape(-1, 3)
     k = len(params)
     alpha, beta, rho = params.T
@@ -411,14 +339,7 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     X = _mv(A, f) + t_A
     d = X - t_B
     y = _mv(Bt, d)
-    in_front = y[:, 2] > min_depth
-    z = np.where(in_front, y[:, 2], 1.0)
-    fx, fy, cx, cy = intrinsics
-    xn, yn = y[:, 0] / z, y[:, 1] / z
-    pixel = np.stack([fx * xn + cx, fy * yn + cy], axis=1)
-
-    # d y / d (anchor, observer, feature, p_ic, q_ic, tsync)
-    dy = np.empty((k, 3, 22))
+    dy = np.empty((k, 3, 15))
     dy[:, :, 0:3] = Bt
     dy[:, :, 3:6] = -Bt @ _skews(X - pa)
     dy[:, :, 6:9] = -Bt
@@ -426,16 +347,50 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     C = Bt @ A
     dy[:, :, 12:14] = C @ du / rho[:, None, None]
     dy[:, :, 14] = -_mv(C, u) / (rho * rho)[:, None]
-    # IMU rotations at the (possibly advanced) exposure times
+    return f, d, y, dy
+
+
+def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
+                    observer_ids, params, min_depth=MIN_DEPTH) -> Projection:
+    """Project k anchored inverse-depth features into their observing frames.
+
+    Observation i is the feature with parameters params[i] = (alpha, beta,
+    rho), anchored at pose anchor_ids[i], seen from pose observer_ids[i];
+    `cameras` is `window_cameras` of the state. The Jacobians are the
+    closed form of the standard reprojection rows (Mourikis & Roumeliotis,
+    ICRA 2007), evaluated for all k at once: d y / d (error blocks) of the
+    point y in the observing camera (`_point_in_camera` for the poses and
+    the feature) is chained with the pinhole Jacobian d pixel / d y. The
+    tsync column is the analytic image-plane feature velocity when both
+    cameras move with the time shift.
+
+    An observation at depth y_z <= min_depth is flagged in `in_front`
+    instead of raising.
+    """
+    ia, io = cameras.rows(anchor_ids), cameras.rows(observer_ids)
+    f, d, y, dy_point = _point_in_camera(cameras, ia, io, params)
+    k = len(f)
+    in_front = y[:, 2] > min_depth
+    z = np.where(in_front, y[:, 2], 1.0)
+    fx, fy, cx, cy = intrinsics
+    xn, yn = y[:, 0] / z, y[:, 1] / z
+    pixel = np.stack([fx * xn + cx, fy * yn + cy], axis=1)
+
+    # d y / d (p_ic, q_ic, tsync), at the IMU rotations of the (possibly
+    # advanced) exposure times
+    A, B = cameras.R_wc[ia], cameras.R_wc[io]
+    Bt = B.transpose(0, 2, 1)
     R_ic = cameras.R_ic
     R_a_wi, R_o_wi = A @ R_ic.T, B @ R_ic.T
-    dy[:, :, 15:18] = Bt @ (R_a_wi - R_o_wi)
-    dy[:, :, 18:21] = (-Bt @ R_a_wi @ _skews(_mv(R_ic, f))
-                       + R_ic.T @ _skews(_mv(R_o_wi.transpose(0, 2, 1), d)))
+    dy = np.empty((k, 3, 7))
+    dy[:, :, 0:3] = Bt @ (R_a_wi - R_o_wi)
+    dy[:, :, 3:6] = (-Bt @ R_a_wi @ _skews(_mv(R_ic, f))
+                     + R_ic.T @ _skews(_mv(R_o_wi.transpose(0, 2, 1), d)))
     # tsync: both cameras move with the time shift
     dA, dB = cameras.dR_wc[ia], cameras.dR_wc[io]
     shift = _mv(dA, f) + cameras.dt_wc[ia] - cameras.dt_wc[io]
-    dy[:, :, 21] = _mv(dB.transpose(0, 2, 1), d) + _mv(Bt, shift)
+    dy[:, :, 6] = _mv(dB.transpose(0, 2, 1), d) + _mv(Bt, shift)
+    dy = np.concatenate([dy_point, dy], axis=2)
     # seen from its anchor pose, the point is fixed in that camera and the
     # pixel does not depend on the pose
     dy[ia == io, :, 0:12] = 0.0
@@ -451,6 +406,53 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     jac[:, 0, 24] = jac[:, 1, 25] = 1.0
     return Projection(pixel, in_front,
                       *np.split(jac, [6, 12, 15, 18, 21, 22], axis=2))
+
+
+class Reanchoring(NamedTuple):
+    """F features re-expressed in new anchor cameras, whether each lies in
+    front of its new anchor, and the Jacobians of the new parameters.
+
+    Entries behind the new anchor hold finite values of no meaning.
+    """
+
+    params: np.ndarray      # (F, 3) alpha, beta, rho in the new anchor
+    in_front: np.ndarray    # (F,) depth in the new anchor camera > 0
+    feature: np.ndarray     # (F, 3, 3) d new params / d old params
+    old_anchor: np.ndarray  # (F, 3, 6) d new params / d old anchor pose
+    new_anchor: np.ndarray  # (F, 3, 6) d new params / d new anchor pose
+
+
+def reanchor_feature(cameras: WindowCameras, old_ids, new_ids,
+                     params) -> Reanchoring:
+    """Re-express F features, feature i anchored at pose old_ids[i] with
+    parameters params[i], w.r.t. the camera of pose new_ids[i].
+
+    The represented global point is unchanged (Civera et al., T-RO 2008):
+    with y the point in the new anchor camera (`_point_in_camera`), the
+    new parameters are (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|),
+    and their Jacobians chain d params / d y with d y / d (old anchor,
+    new anchor, old params). A point at depth y2 <= 0 in the new anchor
+    is flagged in `in_front` instead of raising.
+    """
+    ia, ib = cameras.rows(old_ids), cameras.rows(new_ids)
+    _, _, y, dy = _point_in_camera(cameras, ia, ib, params)
+    in_front = y[:, 2] > 0.0
+    y0, y1, y2 = y.T
+    h2 = np.where(in_front, y0 * y0 + y2 * y2, 1.0)
+    h = np.sqrt(h2)
+    r2 = h2 + y1 * y1
+    rng = np.sqrt(r2)
+    new = np.stack([np.arctan2(y0, y2), np.arctan2(y1, h), 1.0 / rng], axis=1)
+    # d (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|) / d y
+    hr2 = h * r2
+    dp = np.stack([
+        y2 / h2, np.zeros_like(h), -y0 / h2,
+        -y0 * y1 / hr2, h / r2, -y2 * y1 / hr2,
+        -y0 / (r2 * rng), -y1 / (r2 * rng), -y2 / (r2 * rng),
+    ], axis=1).reshape(-1, 3, 3)
+    J = dp @ dy
+    return Reanchoring(new, in_front, J[:, :, 12:15], J[:, :, 0:6],
+                       J[:, :, 6:12])
 
 
 def msckf_nullspace_project(Hf, Hx, r, sizes):
@@ -485,41 +487,6 @@ def msckf_nullspace_project(Hf, Hx, r, sizes):
     P = np.concatenate([out[i] for i in np.flatnonzero(ok)] or
                        [np.empty((0, X.shape[1]))])
     return P[:, :-1], P[:, -1], ok
-
-
-def reanchor_feature(feature: InverseDepthFeature, old_anchor: Pose,
-                     new_anchor: Pose, p_ic, q_ic):
-    """Re-express a feature w.r.t. a new anchor camera frame.
-
-    The represented global point is unchanged. Returns (feature, J_feat,
-    J_old, J_new): the reanchored feature and the Jacobians of its
-    parameters w.r.t. the old parameters (3 x 3) and the old and new
-    anchor pose errors (3 x 6 each). Raises NonPositiveDepth if the point
-    falls behind the new anchor camera.
-    """
-    X = feature_point_global(feature, old_anchor, p_ic, q_ic)
-    B, t_B, _, p_new = camera_pose(new_anchor, p_ic, q_ic)
-    y = B.T @ (X - t_B)
-    if y[2] <= 0:
-        raise NonPositiveDepth(f"depth {y[2]:.4f} after reanchoring")
-    rng = np.linalg.norm(y)
-    alpha, beta = bearing_angles(y)
-    out = InverseDepthFeature(
-        anchor_pose_id=new_anchor.id,
-        params=np.array([alpha, beta, 1.0 / rng]),
-        id=feature.id,
-    )
-    # d (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|) / d y
-    h2 = y[0] ** 2 + y[2] ** 2
-    h = np.sqrt(h2)
-    dparams = np.array([
-        [y[2] / h2, 0.0, -y[0] / h2],
-        [-y[0] * y[1] / (h * rng ** 2), h / rng ** 2, -y[2] * y[1] / (h * rng ** 2)],
-        -y / rng ** 3,
-    ])
-    A, _, _, p_old = camera_pose(old_anchor, p_ic, q_ic)
-    dy_old, dy_new, dy_feat = _point_jacobians(A, B, X, p_old, p_new, feature.params)
-    return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
 # a triangulation's outcome per track

@@ -40,10 +40,6 @@ def quat_mul(q1, q2):
     ])
 
 
-def quat_conj(q):
-    return np.array([-q[0], -q[1], -q[2], q[3]])
-
-
 def quat_from_rotvec(theta):
     theta = np.asarray(theta, dtype=np.float64)
     angle2 = theta @ theta
@@ -53,17 +49,6 @@ def quat_from_rotvec(theta):
     angle = np.sqrt(angle2)
     s = np.sin(0.5 * angle) / angle
     return np.array([s * theta[0], s * theta[1], s * theta[2], np.cos(0.5 * angle)])
-
-
-def rotvec_from_quat(q):
-    q = np.asarray(q, dtype=np.float64)
-    if q[3] < 0:
-        q = -q
-    vn = np.linalg.norm(q[:3])
-    if vn < 1e-12:
-        return 2.0 * q[:3]
-    angle = 2.0 * np.arctan2(vn, q[3])
-    return (angle / vn) * q[:3]
 
 
 def quat_to_mat(q):

@@ -31,7 +31,6 @@ from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
     TRIANGULATED,
     ImuNoise,
-    NonPositiveDepth,
     imu_transition,
     msckf_nullspace_project,
     project_feature,
@@ -290,43 +289,66 @@ class VinsEstimator:
         if names:
             self._marginalize_blocks(names)
 
-    def _reanchor(self, feat, old_anchor, new_anchor):
-        base, Jff, Jfa, Jfb = reanchor_feature(
-            feat, old_anchor, new_anchor, self.x.p_ic, self.x.q_ic)
+    def _reanchor(self, feats, old_id, new_id):
+        """Move the features anchored at pose old_id to pose new_id in one
+        pass. Returns the ids of those behind the new anchor camera, which
+        keep their old anchor and parameters for the caller to drop."""
+        n = len(feats)
+        # the anchors at zero time shift; passing self.frame_motion would
+        # reanchor on the shifted cameras `project_feature` sees
+        re = reanchor_feature(window_cameras(self.x), np.full(n, old_id),
+                              np.full(n, new_id),
+                              np.array([f.params for f in feats]))
+        behind = [f.id for f, front in zip(feats, re.in_front) if not front]
+        ok = np.flatnonzero(re.in_front)
+        k = len(ok)
+        if not k:
+            return behind
         lay = self.layout
-        sf = lay.slice(f"feat:{feat.id}")
-        sa = lay.slice(f"pose:{old_anchor.id}")
-        sb = lay.slice(f"pose:{new_anchor.id}")
-        fc = self.flops["marginalization"]
+        starts = [lay.offset(f"feat:{feats[i].id}") for i in ok]
+        fidx = (np.array(starts)[:, None] + np.arange(3)).ravel()
+        ab = np.r_[lay.slice(f"pose:{old_id}"), lay.slice(f"pose:{new_id}")]
+        Jff = re.feature[ok]
+        Jab = np.concatenate([re.old_anchor[ok], re.new_anchor[ok]], axis=2)
         if self.is_kf:
             # P <- J P J.T where J is the identity but for the feature rows
-            # J[sf] = [Jff, Jfa, Jfb] over (sf, sa, sb): only the feature's
-            # rows and columns change
+            # J[fidx] = [Jff, Jfa, Jfb] over (feature, old, new anchor):
+            # only the features' rows and columns change
             P = self.P
-            Jf = [J.astype(P.dtype) for J in (Jff, Jfa, Jfb)]
-            T = sum(J @ P[s] for J, s in zip(Jf, (sf, sa, sb)))
-            corner = sum(T[:, s] @ J.T for J, s in zip(Jf, (sf, sa, sb)))
-            P[sf] = T
-            P[:, sf] = T.T
-            P[sf, sf] = 0.5 * (corner + corner.T)
+            J = np.zeros((3 * k, lay.n), dtype=P.dtype)
+            J[np.arange(3 * k).reshape(k, 3, 1), fidx.reshape(k, 1, 3)] = Jff
+            J[:, ab] = Jab.reshape(3 * k, 12)
+            T = J @ P
+            corner = T @ J.T
+            P[fidx] = T
+            P[:, fidx] = T.T
+            P[np.ix_(fidx, fidx)] = 0.5 * (corner + corner.T)
         else:
             # R <- R J^-1 stays upper triangular: the feature columns sit
             # left of both pose columns, so the correction only spreads
             # feature columns rightward
-            Jff_inv = np.linalg.inv(Jff).astype(self.R.dtype)
-            colf = np.array(self.R[:, sf])
-            self.R[:, sf] = colf @ Jff_inv
-            self.R[:, sa] -= colf @ (Jff_inv @ Jfa.astype(self.R.dtype))
-            self.R[:, sb] -= colf @ (Jff_inv @ Jfb.astype(self.R.dtype))
-            m = self.R.shape[0]
-            fc.add(adds=3 * 3 * m * 3, muls=3 * 3 * m * 3 + 54)
-            # the 3x3 feature diagonal block went dense; its rows are the
-            # only ones with entries below the diagonal, so rotate just them
-            slab = self.R[sf, sf.start:]
-            linalg.givens_triangularize(slab, flops=fc)
-            linalg.sign_normalize_rows(slab)
-        feat.anchor_pose_id = new_anchor.id
-        feat.params = base.params
+            R = self.R
+            m = R.shape[0]
+            Jff_inv = np.linalg.inv(Jff)
+            G = (Jff_inv @ Jab).reshape(3 * k, 12).astype(R.dtype)
+            colf = R[:, fidx]
+            R[:, fidx] = (colf.reshape(m, k, 1, 3)
+                          @ Jff_inv.astype(R.dtype)).reshape(m, 3 * k)
+            R[:, ab] -= colf @ G
+            # multiply-adds: G, then R's feature columns times the k
+            # 3 x 3 inverses and times G
+            fc = self.flops["marginalization"]
+            fc.add(adds=45 * m * k + 108 * k, muls=45 * m * k + 108 * k)
+            # each feature's 3 x 3 diagonal block went dense; its rows are
+            # the only ones with entries below the diagonal, so each
+            # feature's 3-row slab is re-triangularized on its own
+            for s in starts:
+                slab, _ = linalg.householder_qr(R[s:s + 3, s:], flops=fc)
+                R[s:s + 3, s:] = linalg.sign_normalize_rows(slab)
+        for i in ok.tolist():
+            feats[i].anchor_pose_id = new_id
+            feats[i].params = re.params[i]
+        return behind
 
     def _marginalize(self, frame):
         # features whose track broke get removed before the pose slides
@@ -338,16 +360,11 @@ class VinsEstimator:
         if len(self.x.poses) <= self.cfg.window:
             return
         departing = self.x.poses[0]
-        newest = self.x.poses[-1]
-        drop = set()
-        for feat in self.x.features:
-            if feat.anchor_pose_id != departing.id:
-                continue
-            try:
-                self._reanchor(feat, departing, newest)
-            except NonPositiveDepth:
-                drop.add(feat.id)
-        self._marginalize_features(drop)
+        moving = [f for f in self.x.features
+                  if f.anchor_pose_id == departing.id]
+        if moving:
+            self._marginalize_features(self._reanchor(
+                moving, departing.id, self.x.poses[-1].id))
         # discard buffered short-track observations at the departing pose
         for fid, obs in list(self.track_buf.items()):
             self.track_buf[fid] = [o for o in obs if o[0] != departing.id]

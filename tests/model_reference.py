@@ -1,17 +1,20 @@
-"""Per-sample, per-track, per-view, per-observation and
+"""Per-sample, per-track, per-view, per-observation, per-feature and
 finite-difference versions of the models.
 
 `imu_transition` integrates all IMU samples of a step at once,
 `triangulate_inverse_depth` and `msckf_nullspace_project` take all tracks
-of a frame at once, and `project_feature` projects all observations of a
-frame at once, differentiating the time offset analytically. The
+of a frame at once, `project_feature` projects all observations of a
+frame at once, differentiating the time offset analytically, and
+`reanchor_feature` moves all features of a departing pose at once. The
 functions here do the same work the slow way -- a Python loop over IMU
 samples with one 15 x 15 transition and noise product each, one track at
 a time (raising RankDeficientFeature where the kernels report a status),
 a Python loop over views with one `lstsq` per view for the depth
 initialization, one observation at a time with its Jacobian blocks keyed
-by state block name, and central differences of the time-shifted
-projection -- so the tests can compare the two.
+by state block name, one feature at a time on scalar cameras (raising
+NonPositiveDepth where the kernel reports a mask), and central
+differences of the time-shifted projection -- so the tests can compare
+the two.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from srifkit.models import (
     TRIANGULATED,
     ImuNoise,
     TransitionBlock,
-    bearing_angles,
-    bearing_jacobian,
-    bearing_vector,
 )
 from srifkit.state import (
+    InverseDepthFeature,
     Pose,
     quat_from_rotvec,
     quat_mul,
@@ -40,6 +41,31 @@ from srifkit.state import (
     skew,
     so3_right_jacobian,
 )
+
+
+def bearing_vector(alpha, beta):
+    """Unit ray for azimuth/elevation; (0, 0) is the optical axis."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    return np.array([sa * cb, sb, ca * cb])
+
+
+def bearing_jacobian(alpha, beta):
+    """d bearing_vector / d (alpha, beta), 3 x 2."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    return np.array([
+        [ca * cb, -sa * sb],
+        [0.0, cb],
+        [-sa * cb, -ca * sb],
+    ])
+
+
+def bearing_angles(u):
+    """Inverse of bearing_vector for a (not necessarily unit) ray."""
+    alpha = np.arctan2(u[0], u[2])
+    beta = np.arctan2(u[1], np.hypot(u[0], u[2]))
+    return alpha, beta
 
 
 def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
@@ -120,8 +146,10 @@ class BehindCamera(Exception):
 
 
 def camera_pose_at(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
-    """`camera_pose` of the pose shifted by tsync along the constant
-    velocity and body rate `advance` = (v, w), when given."""
+    """World-from-camera rotation and camera center for an IMU pose, then
+    the pose's global-from-IMU rotation and position: `window_cameras`
+    for one pose. The pose is shifted by tsync along the constant velocity
+    and body rate `advance` = (v, w), when given."""
     R_wi, p_wi = quat_to_mat(pose.q), pose.p
     if advance is not None and tsync != 0.0:
         v, w = advance
@@ -197,6 +225,55 @@ def project_feature_by_observation(state, feature, observing_pose_id,
         [0.0, yn, 0.0, 1.0],
     ])
     return pixel, blocks
+
+
+class NonPositiveDepth(Exception):
+    """Reanchoring produced a point behind the new anchor camera."""
+
+
+def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic,
+                         q_ic):
+    """The world point of an inverse-depth feature anchored at `anchor`."""
+    alpha, beta, rho = feature.params
+    A, t_A, _, _ = camera_pose_at(anchor, p_ic, q_ic)
+    return A @ (bearing_vector(alpha, beta) / rho) + t_A
+
+
+def reanchor_by_feature(feature: InverseDepthFeature, old_anchor: Pose,
+                        new_anchor: Pose, p_ic, q_ic):
+    """`reanchor_feature` for one feature on unshifted cameras: the scalar
+    version the batched kernel replaces, kept as its oracle.
+
+    Returns (feature, J_feat, J_old, J_new): the reanchored feature and
+    the Jacobians of its parameters w.r.t. the old parameters (3 x 3) and
+    the old and new anchor pose errors (3 x 6 each). Raises
+    NonPositiveDepth if the point falls behind the new anchor camera.
+    """
+    X = feature_point_global(feature, old_anchor, p_ic, q_ic)
+    A, _, _, p_old = camera_pose_at(old_anchor, p_ic, q_ic)
+    B, t_B, _, p_new = camera_pose_at(new_anchor, p_ic, q_ic)
+    y = B.T @ (X - t_B)
+    if y[2] <= 0:
+        raise NonPositiveDepth(f"depth {y[2]:.4f} after reanchoring")
+    rng = np.linalg.norm(y)
+    alpha, beta = bearing_angles(y)
+    out = InverseDepthFeature(new_anchor.id, np.array([alpha, beta, 1.0 / rng]),
+                              id=feature.id)
+    # d (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|) / d y
+    h2 = y[0] ** 2 + y[2] ** 2
+    h = np.sqrt(h2)
+    dparams = np.array([
+        [y[2] / h2, 0.0, -y[0] / h2],
+        [-y[0] * y[1] / (h * rng ** 2), h / rng ** 2, -y[2] * y[1] / (h * rng ** 2)],
+        -y / rng ** 3,
+    ])
+    # d y / d (old anchor, new anchor, old params)
+    a, b, rho = feature.params
+    dy_old = np.hstack([B.T, -B.T @ skew(X - p_old)])
+    dy_new = np.hstack([-B.T, B.T @ skew(X - p_new)])
+    dy_feat = np.column_stack([B.T @ A @ bearing_jacobian(a, b) / rho,
+                               -B.T @ A @ bearing_vector(a, b) / rho ** 2])
+    return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
 def tsync_column_by_central_differences(state, feature, observing_pose_id,

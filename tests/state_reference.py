@@ -1,21 +1,33 @@
-"""Layout and retraction helpers that only the tests use.
+"""Layout, retraction and quaternion helpers that only the tests use.
 
 `build_layout` writes a layout out block by block from the sizes alone,
 as an oracle for `layout_of`, and gives the kernel tests layouts of any
-size without building a state. `boxminus` inverts `boxplus`.
+size without building a state. `boxminus` inverts `boxplus`, with the
+quaternion conjugate `quat_conj` and the rotation vector of a quaternion
+`rotvec_from_quat`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from srifkit.state import (
-    ErrorStateLayout,
-    VinsStateVector,
-    quat_conj,
-    quat_mul,
-    rotvec_from_quat,
-)
+from srifkit.state import ErrorStateLayout, VinsStateVector, quat_mul
+
+
+def quat_conj(q):
+    return np.array([-q[0], -q[1], -q[2], q[3]])
+
+
+def rotvec_from_quat(q):
+    """Inverse of `quat_from_rotvec`, with the angle in [0, pi]."""
+    q = np.asarray(q, dtype=np.float64)
+    if q[3] < 0:
+        q = -q
+    vn = np.linalg.norm(q[:3])
+    if vn < 1e-12:
+        return 2.0 * q[:3]
+    angle = 2.0 * np.arctan2(vn, q[3])
+    return (angle / vn) * q[:3]
 
 
 def build_layout(window_size: int, n_features: int) -> ErrorStateLayout:

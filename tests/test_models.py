@@ -8,10 +8,7 @@ from srifkit.models import (
     GRAVITY,
     TRIANGULATED,
     ImuNoise,
-    NonPositiveDepth,
-    bearing_angles,
     check_imu_samples,
-    feature_point_global,
     imu_transition,
     msckf_nullspace_project,
     project_feature,
@@ -27,23 +24,26 @@ from srifkit.state import (
     layout_of,
     quat_from_rotvec,
     quat_to_mat,
-    rotvec_from_quat,
-    quat_conj,
     quat_mul,
 )
 
 from model_reference import (
     TRIANGULATION_REASONS,
     BehindCamera,
+    NonPositiveDepth,
     RankDeficientFeature,
+    bearing_angles,
     camera_pose_at,
+    feature_point_global,
     imu_transition_by_sample,
     msckf_nullspace_project_by_track,
     project_feature_by_observation,
+    reanchor_by_feature,
     triangulate_by_track,
     triangulate_by_view,
     tsync_column_by_central_differences,
 )
+from state_reference import quat_conj, rotvec_from_quat
 
 
 def make_scene(seed=0, tsync=0.0):
@@ -539,68 +539,120 @@ class TestNullspaceProjection:
         assert off == len(rp) == len(out)
 
 
+def reanchor_scene(rng, n_poses=2, tsync=0.0):
+    """A state with random extrinsics and n_poses random poses, ids 0, 2,
+    4, ..., whose cameras do not move with the time shift."""
+    st = VinsStateVector.identity()
+    st.tsync = tsync
+    st.p_ic = np.array([0.03, 0.01, -0.02])
+    st.q_ic = quat_from_rotvec(rng.normal(size=3) * 0.1)
+    p = rng.normal(size=3)
+    for i in range(n_poses):
+        st.poses.append(Pose(p + rng.normal(size=3) * 0.3 * (i > 0),
+                             quat_from_rotvec(rng.normal(size=3) * 0.3),
+                             0.1 * i, id=2 * i))
+    return st
+
+
+def random_params(rng, k):
+    return np.column_stack([rng.uniform(-0.3, 0.3, k), rng.uniform(-0.3, 0.3, k),
+                            rng.uniform(0.2, 1.0, k)])
+
+
 class TestReanchor:
-    def _extr(self):
-        return np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0])
+    @staticmethod
+    def _poses(st):
+        return {p.id: p for p in st.poses}
 
     def test_identity(self):
-        p_ic, q_ic = self._extr()
-        pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)
-        f = InverseDepthFeature(0, np.array([0.1, 0.05, 0.5]), id=0)
-        g = reanchor_feature(f, pose, pose, p_ic, q_ic)[0]
-        assert np.allclose(g.params, f.params, atol=1e-12)
+        st = VinsStateVector.identity()
+        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)]
+        re = reanchor_feature(window_cameras(st), [0], [0], [[0.1, 0.05, 0.5]])
+        assert re.in_front.tolist() == [True]
+        assert np.allclose(re.params, [[0.1, 0.05, 0.5]], atol=1e-12)
 
     def test_axial_translation(self):
-        p_ic, q_ic = self._extr()
-        old = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)
-        new = Pose(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                   0.1, id=1)
-        f = InverseDepthFeature(0, np.array([0.0, 0.0, 1.0 / 3.0]), id=0)
-        g = reanchor_feature(f, old, new, p_ic, q_ic)[0]
-        assert np.isclose(g.params[2], 0.5, atol=1e-12)
+        st = VinsStateVector.identity()
+        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0),
+                    Pose(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+                         0.1, id=1)]
+        re = reanchor_feature(window_cameras(st), [0], [1], [[0.0, 0.0, 1.0 / 3.0]])
+        assert np.isclose(re.params[0, 2], 0.5, atol=1e-12)
 
     def test_global_point_roundtrip(self):
         rng = np.random.default_rng(8)
-        p_ic = np.array([0.03, 0.01, -0.02])
-        q_ic = quat_from_rotvec(rng.normal(size=3) * 0.1)
-        for _ in range(20):
-            old = Pose(rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.3),
-                       0.0, id=0)
-            new = Pose(old.p + rng.normal(size=3) * 0.3,
-                       quat_from_rotvec(rng.normal(size=3) * 0.3), 0.1, id=1)
-            f = InverseDepthFeature(0, np.array([rng.uniform(-0.3, 0.3),
-                                                 rng.uniform(-0.3, 0.3),
-                                                 rng.uniform(0.2, 1.0)]), id=0)
-            X0 = feature_point_global(f, old, p_ic, q_ic)
-            try:
-                g = reanchor_feature(f, old, new, p_ic, q_ic)[0]
-            except NonPositiveDepth:
-                continue
-            X1 = feature_point_global(g, new, p_ic, q_ic)
+        st = reanchor_scene(rng, n_poses=3)
+        poses = self._poses(st)
+        params = random_params(rng, 20)
+        old = rng.choice([0, 2, 4], size=20)
+        new = rng.choice([0, 2, 4], size=20)
+        re = reanchor_feature(window_cameras(st), old, new, params)
+        assert re.in_front.sum() >= 10
+        for i in np.flatnonzero(re.in_front):
+            X0 = feature_point_global(InverseDepthFeature(old[i], params[i]),
+                                      poses[old[i]], st.p_ic, st.q_ic)
+            X1 = feature_point_global(InverseDepthFeature(new[i], re.params[i]),
+                                      poses[new[i]], st.p_ic, st.q_ic)
             assert np.linalg.norm(X0 - X1) <= 1e-9
 
     def test_nonpositive_depth(self):
-        p_ic, q_ic = self._extr()
-        old = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)
-        new = Pose(np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                   0.1, id=1)
-        f = InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0)
-        with pytest.raises(NonPositiveDepth):
-            reanchor_feature(f, old, new, p_ic, q_ic)
+        st = VinsStateVector.identity()
+        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0),
+                    Pose(np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+                         0.1, id=1)]
+        re = reanchor_feature(window_cameras(st), [0, 0], [1, 1],
+                              [[0.0, 0.0, 0.5], [0.0, 0.0, 0.05]])
+        assert re.in_front.tolist() == [False, True]
+        assert all(np.isfinite(a).all() for a in re)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(3, 12),
+           tsync=st.sampled_from([0.0, 0.004]))
+    def test_matches_scalar_oracle(self, seed, k, tsync):
+        # features anchored anywhere in a 3-pose window move to any pose;
+        # the last one is placed behind its new anchor's camera
+        rng = np.random.default_rng(seed)
+        st = reanchor_scene(rng, n_poses=3, tsync=tsync)
+        poses = self._poses(st)
+        old = rng.choice([0, 2, 4], size=k)
+        new = rng.choice([0, 2, 4], size=k)
+        new[-1] = (old[-1] + 2) % 6
+        params = random_params(rng, k)
+        B, t_B, _, _ = camera_pose_at(poses[new[-1]], st.p_ic, st.q_ic)
+        A, t_A, _, _ = camera_pose_at(poses[old[-1]], st.p_ic, st.q_ic)
+        y = A.T @ (t_B - B @ np.array([0.1, -0.2, rng.uniform(0.5, 3.0)]) - t_A)
+        params[-1] = [*bearing_angles(y), 1.0 / np.linalg.norm(y)]
+        re = reanchor_feature(window_cameras(st), old, new, params)
+        assert re.params.shape == (k, 3) and re.in_front.shape == (k,)
+        assert re.feature.shape == (k, 3, 3)
+        assert re.old_anchor.shape == re.new_anchor.shape == (k, 3, 6)
+        for i in range(k):
+            f = InverseDepthFeature(old[i], params[i], id=i)
+            try:
+                g, *J = reanchor_by_feature(f, poses[old[i]], poses[new[i]],
+                                            st.p_ic, st.q_ic)
+            except NonPositiveDepth:
+                assert not re.in_front[i]
+                continue
+            assert re.in_front[i]
+            assert np.abs(re.params[i] - g.params).max() <= 1e-12
+            for got, ref in zip((re.feature, re.old_anchor, re.new_anchor), J):
+                assert np.abs(got[i] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        assert not re.in_front[-1]
 
     @staticmethod
-    def _jacobians_by_central_differences(feat, old_anchor, new_anchor, p_ic, q_ic):
+    def _jacobians_by_central_differences(st, old, new, params):
+        """d new params / d (old params, old anchor, new anchor) of one
+        feature by central differences of `reanchor_feature`."""
         h = 1e-6
 
         def perturbed(dfeat, da, db):
-            f = feat.copy()
-            f.params = f.params + dfeat
-            oa, nb = old_anchor.copy(), new_anchor.copy()
-            oa.p = oa.p + da[:3]
-            oa.q = quat_mul(quat_from_rotvec(da[3:]), oa.q)
-            nb.p = nb.p + db[:3]
-            nb.q = quat_mul(quat_from_rotvec(db[3:]), nb.q)
-            return reanchor_feature(f, oa, nb, p_ic, q_ic)[0].params
+            s = st.copy()
+            poses = {p.id: p for p in s.poses}
+            for pid, d in ((old, da), (new, db)):
+                poses[pid].p = poses[pid].p + d[:3]
+                poses[pid].q = quat_mul(quat_from_rotvec(d[3:]), poses[pid].q)
+            return reanchor_feature(window_cameras(s), [old], [new],
+                                    params + dfeat).params[0]
 
         z3, z6 = np.zeros(3), np.zeros(6)
         Jff = np.column_stack([(perturbed(d, z6, z6) - perturbed(-d, z6, z6)) / (2 * h)
@@ -613,24 +665,16 @@ class TestReanchor:
 
     def test_jacobians_match_central_differences(self):
         rng = np.random.default_rng(9)
-        p_ic = np.array([0.03, 0.01, -0.02])
-        q_ic = quat_from_rotvec(rng.normal(size=3) * 0.1)
         checked = 0
         for _ in range(20):
-            old = Pose(rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.3),
-                       0.0, id=0)
-            new = Pose(old.p + rng.normal(size=3) * 0.3,
-                       quat_from_rotvec(rng.normal(size=3) * 0.3), 0.1, id=1)
-            f = InverseDepthFeature(0, np.array([rng.uniform(-0.3, 0.3),
-                                                 rng.uniform(-0.3, 0.3),
-                                                 rng.uniform(0.2, 1.0)]), id=0)
-            try:
-                _, *J = reanchor_feature(f, old, new, p_ic, q_ic)
-            except NonPositiveDepth:
+            st = reanchor_scene(rng)
+            params = random_params(rng, 1)
+            re = reanchor_feature(window_cameras(st), [0], [2], params)
+            if not re.in_front[0]:
                 continue
-            J_fd = self._jacobians_by_central_differences(f, old, new, p_ic, q_ic)
-            for got, ref in zip(J, J_fd):
-                assert np.abs(got - ref).max() <= 1e-6
+            J_fd = self._jacobians_by_central_differences(st, 0, 2, params[0])
+            for got, ref in zip((re.feature, re.old_anchor, re.new_anchor), J_fd):
+                assert np.abs(got[0] - ref).max() <= 1e-6
             checked += 1
         assert checked >= 10
 

@@ -135,7 +135,7 @@ class TestTracks:
 
     def test_noiseless_projection_consistency(self):
         from srifkit.state import Pose
-        from srifkit.models import camera_pose
+        from model_reference import camera_pose_at
         spec = noiseless_spec(duration=5.0, true_tsync=0.0)
         truth = gen_ground_truth(spec)
         frames = gen_tracks(spec, truth)
@@ -144,8 +144,8 @@ class TestTracks:
         for fr in frames[:5]:
             i = fr.index * step
             pose = Pose(truth.positions[i], truth.quats[i], fr.t)
-            cr, cc = camera_pose(pose, np.asarray(spec.p_ic),
-                                 np.asarray(spec.q_ic))[:2]
+            cr, cc = camera_pose_at(pose, np.asarray(spec.p_ic),
+                                    np.asarray(spec.q_ic))[:2]
             for fid, px in zip(fr.feature_ids, fr.pixels):
                 y = cr.T @ (truth.features[fid] - cc)
                 pred = np.array([fx * y[0] / y[2] + cx, fy * y[1] / y[2] + cy])

@@ -7,17 +7,15 @@ from srifkit.state import (
     VinsStateVector,
     boxplus,
     layout_of,
-    quat_conj,
     quat_from_rotvec,
     quat_mul,
     quat_to_mat,
     reorder_for_marginalization,
-    rotvec_from_quat,
     so3_right_jacobian,
     skew,
 )
 
-from state_reference import boxminus, build_layout
+from state_reference import boxminus, build_layout, quat_conj, rotvec_from_quat
 
 
 def make_state(n_poses=5, n_feats=3, seed=0):

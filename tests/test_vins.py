@@ -396,6 +396,59 @@ class TestCrossEstimatorEquivalence:
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
         assert sr.x.poses[0].id > 0  # the window slid
 
+    def test_feature_behind_its_new_anchor_is_dropped(self, monkeypatch):
+        # no pinned scenario puts a reanchored feature behind its new
+        # anchor; flagging the first feature of each estimator's first
+        # reanchoring as behind walks the drop path
+        reanchor = vins.reanchor_feature
+        calls = []
+
+        def first_behind(*args):
+            re = reanchor(*args)
+            calls.append(1)
+            if len(calls) <= 2:
+                in_front = re.in_front.copy()
+                in_front[0] = False
+                re = re._replace(in_front=in_front)
+            return re
+
+        monkeypatch.setattr(vins, "reanchor_feature", first_behind)
+        ds = gen_dataset(_short(seed=0, duration=8.0))
+        kf = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4))
+        sr = vins.VinsEstimator(ds, FilterConfig(estimator="srif", window=4))
+        removed, moved = [], []   # per estimator and phase
+        for est in (kf, sr):
+            blocks, move = est._marginalize_blocks, est._reanchor
+            est._marginalize_blocks = lambda names, _f=blocks: (
+                removed.append(list(names)), _f(names))[1]
+            est._reanchor = lambda feats, *ids, _f=move: (
+                moved.append([f.id for f in feats]), _f(feats, *ids))[1]
+        for frame in ds.frames[1:]:
+            for phase in ("_propagate", "_marginalize", "_update"):
+                first = not calls
+                departing = kf.x.poses[0].id
+                for est in (kf, sr):
+                    removed.clear()
+                    moved.clear()
+                    getattr(est, phase)(frame)
+                    if first and calls:
+                        # the flagged feature leaves the state before the
+                        # pose slides, and the others move to the newest pose
+                        (feats,) = moved
+                        names = [nm for call in removed for nm in call]
+                        assert names.index(f"feat:{feats[0]}") < names.index(
+                            f"pose:{departing}")
+                        anchors = {f.id: f.anchor_pose_id for f in est.x.features}
+                        assert feats[0] not in anchors
+                        assert all(anchors[fid] == est.x.poses[-1].id
+                                   for fid in feats[1:])
+                assert kf.layout.blocks == sr.layout.blocks
+                P_kf, P_sr = kf._covariance(), sr._covariance()
+                s = np.sqrt(np.diag(P_sr))
+                div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
+                assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
+        assert len(calls) > 2
+
 
 class TestDeterminism:
     def test_bit_identical_runs(self):
