@@ -68,33 +68,41 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
     """Marginalize the scalar states at `indices` (0-based) from factor R.
 
     Returns the upper-triangular marginal factor over the remaining states,
-    in their order, with a non-negative diagonal. The block's columns are
-    permuted to the front once, and the scalars leave in ascending order in
-    one in-place pass; the k-th runs on the trailing view that starts at
+    in their order, with a non-negative diagonal. Any set of states leaves
+    in one call; the engine removes everything that leaves in a frame,
+    features and pose together, with one. The block's columns are permuted
+    to the front in one copy of R, and the scalars leave in ascending order
+    in one in-place pass; the k-th runs on the trailing view that starts at
     row and column k, whose column 0 is its own and whose rows are the
     current factor's. Marginalizing the scalar at p in that factor is one
     chain of Givens rotations of adjacent rows (O(n*p)): it carries row p
-    up to row 0, which the pass discards, and leaves each row it passes
-    one row lower, exploiting the banded fill of the permuted factor. A
-    scalar whose column is zero in rows 0..p carries no information, so
-    its column is deleted instead: rows p.. of the factor, one row too many
-    for their columns, are re-triangularized in the factor's own column
-    order, and the zero row left at the bottom rolls to the discarded row
-    0. Row signs are normalized once at the end; a sign flip of a chain's
-    input row only flips its output row. Raises IndexError for a
-    duplicated or out-of-range index.
+    up to row 0, which the pass discards without forming it, and leaves
+    each row it passes one row lower, exploiting the banded fill of the
+    permuted factor. A scalar whose column is zero in rows 0..p carries no
+    information, so its column is deleted instead: rows p.. of the factor,
+    one row too many for their columns, are re-triangularized in the
+    factor's own column order, and the zero row left at the bottom rolls
+    to the discarded row 0. Row signs are normalized once at the end; a
+    sign flip of a chain's input row only flips its output row. The result
+    is a view of the permuted copy. Raises IndexError for a duplicated or
+    out-of-range index.
     """
     n = R.shape[0]
     idx = np.sort(np.asarray(indices, dtype=int))
-    bad = np.unique(np.r_[idx[1:][idx[1:] == idx[:-1]],
-                          idx[(idx < 0) | (idx >= n)]])
-    if bad.size:
+    b = idx.size
+    if b and (idx[0] < 0 or idx[-1] >= n or (idx[1:] == idx[:-1]).any()):
+        bad = np.unique(np.r_[idx[1:][idx[1:] == idx[:-1]],
+                              idx[(idx < 0) | (idx >= n)]])
         raise IndexError(f"indices {bad.tolist()} are duplicated or out of "
                          f"range for n={n}")
-    order = np.concatenate([idx, np.setdiff1d(np.arange(n), idx)])
-    V = R[:, order]
+    rest = np.ones(n, dtype=bool)
+    rest[idx] = False
+    order = np.concatenate([idx, np.flatnonzero(rest)])
+    # a C-ordered copy (R[:, order] is Fortran-ordered): the chains run
+    # along rows, and the result's layout is what later kernels read
+    V = R.take(order, axis=1)
     rots = ncols = 0
-    for k, p in enumerate(idx - np.arange(idx.size)):
+    for k, p in enumerate((idx - np.arange(b)).tolist()):
         X = V[k:, k:]
         nz = np.flatnonzero(X[:p + 1, 0])
         if nz.size == 0:
@@ -104,20 +112,20 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
             cols = 1 + np.argsort(order[k + 1:])[p:]
             X[p:, cols] = givens_triangularize(X[p:, cols], flops=flops)
             X[:] = np.roll(X, 1, axis=0)
-        elif (start := min(nz[-1] + 1, p)) > 0:
+        elif (start := min(int(nz[-1]) + 1, p)) > 0:
             # a rotation of two rows whose leading entries are both 0 is
             # the identity, so rows below the lowest nonzero leading entry
             # stay put and the chain starts from the row just under it;
-            # rotating (passed, carried) rather than (carried, passed)
-            # flips the sign of the row rotated out
-            rot = _givens_chain(X[start::-1])
-            np.negative(rot[:0:-1], out=X[1:start + 1])
+            # each passed row moves one row down, and rotating (passed,
+            # carried) rather than (carried, passed) flips its sign
+            B = X[start::-1]
+            _givens_chain(B, B[:-1])
+            np.negative(X[1:start + 1], out=X[1:start + 1])
         # per rotation j = p..1: form it, apply it to the n - k - j
         # trailing columns, and rotate the leading pair
         rots += p
         ncols += p * (n - k) - p * (p + 1) // 2
-    V = V[idx.size:, idx.size:].copy()
-    sign_normalize_rows(V)
+    V = sign_normalize_rows(V[b:, b:])
     if flops is not None and rots:
         flops.add(adds=2 * rots + 2 * ncols, muls=4 * rots + 4 * ncols,
                   divs=2 * rots, sqrts=rots)

@@ -162,33 +162,40 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
     return R, b
 
 
-def _givens_chain(B):
+def _givens_chain(B, rotated, carried=None):
     """Rotate rows 1..k of B into row 0 in turn with Givens rotations.
 
     Rotation i zeroes B[i, 0] against the carried row, whose leading entry
     grows as r_i = hypot(B[0, 0], B[1, 0], ..., B[i, 0]) with r_0 = B[0, 0].
     Then c_i = r_{i-1} / r_i, s_i = B[i, 0] / r_i, and the carried row after
     rotation i is S_i / r_i, where S_i = sum_{l <= i} B[l, 0] * B[l] is a
-    cumulative sum, so the whole chain is a few array operations. Returns
-    the rotated block: row 0 is the carried row, with leading entry r_k,
-    and row i is c_i * B[i] - s_i * (carried row before rotation i), with
-    leading entry 0. Needs r_i > 0 for i >= 1, i.e. B[0, 0] or B[1, 0]
-    nonzero; NaN leading entries spread as in a rotation-by-rotation sweep.
+    cumulative sum, so the whole chain is a few array operations. Row i's
+    rotated copy, c_i * B[i] - s_i * (carried row before rotation i), with
+    leading entry 0, is written to rotated[i - 1]. The carried row, with
+    leading entry r_k, is written to `carried` when one is given; without
+    it the last row of the cumulative sum is never formed. Both may be
+    views of B, which is read in full before either is written. Needs
+    r_i > 0 for i >= 1, i.e. B[0, 0] or B[1, 0] nonzero; NaN leading
+    entries spread as in a rotation-by-rotation sweep.
     """
     lead = B[:, 0]
     r = np.hypot.accumulate(lead)
+    k = len(B) - 1
     # scale the weights by r_k so the products cannot overflow
     t = r[-1] if np.isfinite(r[-1]) else 1.0
-    S = np.cumsum((lead / t)[:, None] * B, axis=0)
-    prev = np.empty_like(B[1:])
+    rows = k if carried is None else k + 1
+    S = np.cumsum((lead[:rows] / t)[:, None] * B[:rows], axis=0)
+    # the carried row before each rotation, times s_i
+    prev = S[:k]
+    prev[1:] /= (r[1:-1] / t)[:, None]
     prev[0] = B[0]
-    np.divide(S[1:-1], (r[1:-1] / t)[:, None], out=prev[1:])
-    out = np.empty_like(B)
-    out[1:] = (r[:-1] / r[1:])[:, None] * B[1:] - (lead[1:] / r[1:])[:, None] * prev
-    out[0] = S[-1] * (t / r[-1])
-    out[1:, 0] = 0.0
-    out[0, 0] = r[-1]
-    return out
+    prev *= (lead[1:] / r[1:])[:, None]
+    cB = (r[:-1] / r[1:])[:, None] * B[1:]
+    if carried is not None:
+        np.multiply(S[k], t / r[-1], out=carried)
+        carried[0] = r[-1]
+    np.subtract(cB, prev, out=rotated)
+    rotated[:, 0] = 0.0
 
 
 def givens_triangularize(A, flops: FlopCounter | None = None):
@@ -218,7 +225,9 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
         j = cols[0]
         nz = rows[hit[:, j]]
         idx = np.concatenate(([j], nz))
-        A[idx, j:] = _givens_chain(A[idx, j:])
+        B = A[idx, j:]
+        _givens_chain(B, B[1:], B[0])
+        A[idx, j:] = B
         nrot += nz.size
         nwork += nz.size * (n - j)
     if flops is not None:

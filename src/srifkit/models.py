@@ -267,7 +267,8 @@ def window_cameras(state, frame_motion=None) -> WindowCameras:
     with under a time shift. Shifting by tsync moves the IMU to p + v tsync
     and R exp(w tsync), so d R_wc / d tsync = R_wi skew(w) R_ic and
     d t_wc / d tsync = v + R_wi skew(w) p_ic at the shifted R_wi. A pose
-    without an entry does not move with tsync.
+    without an entry does not move with tsync, so without `frame_motion`
+    no pose is shifted: the shift by zero motion is the identity.
     """
     ids = np.array([p.id for p in state.poses], dtype=np.int64)
     if (np.diff(ids) <= 0).any():
@@ -280,7 +281,7 @@ def window_cameras(state, frame_motion=None) -> WindowCameras:
     v, w = motion[:, 0], motion[:, 1]
     p_wi = np.array([p.p for p in state.poses])
     R_wi = _quat_mats(np.array([p.q for p in state.poses]))
-    if state.tsync != 0.0:
+    if fm and state.tsync != 0.0:
         wt = w * state.tsync
         p_wi = p_wi + v * state.tsync
         R_wi = R_wi @ _quat_mats(_rotvec_quats(wt, (wt * wt).sum(axis=1)))

@@ -272,7 +272,8 @@ class VinsEstimator:
         the estimate."""
         idx = reorder_for_marginalization(self.layout, names)
         if self.is_kf:
-            keep = np.setdiff1d(np.arange(self.layout.n), idx)
+            keep = np.ones(self.layout.n, dtype=bool)
+            keep[idx] = False
             self.P = self.P[np.ix_(keep, keep)]
         else:
             self.R = filters.marginalize_block(
@@ -282,12 +283,6 @@ class VinsEstimator:
                            if f"feat:{f.id}" not in gone]
         self.x.poses = [p for p in self.x.poses if f"pose:{p.id}" not in gone]
         self.layout = layout_of(self.x)
-
-    def _marginalize_features(self, fids):
-        names = [f"feat:{fid}" for fid in fids
-                 if f"feat:{fid}" in self.layout.index]
-        if names:
-            self._marginalize_blocks(names)
 
     def _reanchor(self, feats, old_id, new_id):
         """Move the features anchored at pose old_id to pose new_id in one
@@ -310,6 +305,7 @@ class VinsEstimator:
         ab = np.r_[lay.slice(f"pose:{old_id}"), lay.slice(f"pose:{new_id}")]
         Jff = re.feature[ok]
         Jab = np.concatenate([re.old_anchor[ok], re.new_anchor[ok]], axis=2)
+        fc = self.flops["marginalization"]
         if self.is_kf:
             # P <- J P J.T where J is the identity but for the feature rows
             # J[fidx] = [Jff, Jfa, Jfb] over (feature, old, new anchor):
@@ -320,6 +316,9 @@ class VinsEstimator:
             J[:, ab] = Jab.reshape(3 * k, 12)
             T = J @ P
             corner = T @ J.T
+            # multiply-adds of J P and of its corner (J P) J.T
+            fc.add(adds=3 * k * (lay.n - 1) * (lay.n + 3 * k),
+                   muls=3 * k * lay.n * (lay.n + 3 * k))
             P[fidx] = T
             P[:, fidx] = T.T
             P[np.ix_(fidx, fidx)] = 0.5 * (corner + corner.T)
@@ -337,7 +336,6 @@ class VinsEstimator:
             R[:, ab] -= colf @ G
             # multiply-adds: G, then R's feature columns times the k
             # 3 x 3 inverses and times G
-            fc = self.flops["marginalization"]
             fc.add(adds=45 * m * k + 108 * k, muls=45 * m * k + 108 * k)
             # each feature's 3 x 3 diagonal block went dense; its rows are
             # the only ones with entries below the diagonal, so each
@@ -351,28 +349,37 @@ class VinsEstimator:
         return behind
 
     def _marginalize(self, frame):
-        # features whose track broke get removed before the pose slides
+        """Remove everything that leaves the state this frame with one
+        `_marginalize_blocks` call: the features whose track broke or that
+        `_assemble_rows` flagged and, once the window is full, its oldest
+        pose. The pose's other features first move to the newest pose;
+        those behind their new anchor leave with it."""
         present = set(frame.feature_ids.tolist())
-        broken = {f.id for f in self.x.features if f.id not in present}
-        self._marginalize_features(broken | self._drop_next)
+        leaving = {f.id for f in self.x.features
+                   if f.id not in present} | self._drop_next
         self._drop_next = set()
-
-        if len(self.x.poses) <= self.cfg.window:
-            return
-        departing = self.x.poses[0]
-        moving = [f for f in self.x.features
-                  if f.anchor_pose_id == departing.id]
-        if moving:
-            self._marginalize_features(self._reanchor(
-                moving, departing.id, self.x.poses[-1].id))
-        # discard buffered short-track observations at the departing pose
-        for fid, obs in list(self.track_buf.items()):
-            self.track_buf[fid] = [o for o in obs if o[0] != departing.id]
-            if not self.track_buf[fid]:
-                del self.track_buf[fid]
-
-        self._marginalize_blocks([f"pose:{departing.id}"])
-        del self.frame_motion[departing.id]
+        poses = []
+        if len(self.x.poses) > self.cfg.window:
+            departing = self.x.poses[0]
+            # reanchoring changes only the moved features' variables, so a
+            # feature that leaves anyway leaves with its old anchor
+            moving = [f for f in self.x.features
+                      if f.anchor_pose_id == departing.id
+                      and f.id not in leaving]
+            if moving:
+                leaving.update(self._reanchor(moving, departing.id,
+                                              self.x.poses[-1].id))
+            # discard buffered short-track observations at the departing pose
+            for fid, obs in list(self.track_buf.items()):
+                self.track_buf[fid] = [o for o in obs if o[0] != departing.id]
+                if not self.track_buf[fid]:
+                    del self.track_buf[fid]
+            del self.frame_motion[departing.id]
+            poses = [f"pose:{departing.id}"]
+        names = [f"feat:{f.id}" for f in self.x.features
+                 if f.id in leaving] + poses
+        if names:
+            self._marginalize_blocks(names)
 
     # -- update -----------------------------------------------------------
 

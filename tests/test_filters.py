@@ -154,6 +154,32 @@ class TestMarginalize:
         tol = 8 * n * eps_of(dtype) * np.linalg.norm(R.astype(np.float64))
         assert np.abs(got.astype(np.float64) - ref).max(initial=0.0) <= tol
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_features_and_pose_leave_in_one_call(self, seed):
+        # what leaves the engine's state in one frame, some features and
+        # the oldest pose, in one call: the factor of the features' call
+        # followed by the pose's, and the Schur complement of the
+        # information, also when a leaving state carries no information
+        rng = np.random.default_rng(300 + seed)
+        s, l = 7, 5
+        n = 9 + 3 * s + 1 + 6 * l + 10
+        R = random_spd_factor(rng, n)
+        fidx = sorted(9 + 3 * f + j for f in rng.choice(s, size=3, replace=False)
+                      for j in range(3))
+        pidx = list(range(9 + 3 * s + 1, 9 + 3 * s + 7))
+        if seed % 2:
+            R[:, fidx[int(rng.integers(len(fidx)))]] = 0.0
+        got = marginalize_block(R, fidx + pidx)
+        seq = marginalize_block(marginalize_block(R, fidx),
+                                [p - len(fidx) for p in pidx])
+        assert np.abs(got - seq).max() <= 1e-12 * np.abs(seq).max()
+        info = R.T @ R
+        gone = fidx + pidx
+        keep = np.delete(np.arange(n), gone)
+        ref = info[np.ix_(keep, keep)] - info[np.ix_(keep, gone)] @ np.linalg.pinv(
+            info[np.ix_(gone, gone)]) @ info[np.ix_(gone, keep)]
+        assert np.abs(got.T @ got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_block_order_insensitive(self):
         rng = np.random.default_rng(2)
         R = random_factor(rng, 20)

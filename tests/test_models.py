@@ -432,6 +432,18 @@ class TestProjectFeature:
             if pose.id not in fm:
                 assert not cams.dR_wc[i].any() and not cams.dt_wc[i].any()
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), tsync=st.sampled_from([0.004, -0.02]))
+    def test_window_cameras_without_motion_are_unshifted(self, seed, tsync):
+        # without frame motion no pose moves with tsync, so the cameras
+        # are bitwise those of the same window at tsync = 0
+        state, _ = random_window(np.random.default_rng(seed), tsync)
+        still = state.copy()
+        still.tsync = 0.0
+        want = window_cameras(still)
+        for cams in (window_cameras(state), window_cameras(state, {})):
+            for name, got, ref in zip(want._fields, cams, want):
+                assert got.tobytes() == ref.tobytes(), name
+
     def test_bias_velocity_columns_absent(self):
         st, f = make_scene(seed=3)
         _, blocks = project_one(st, f, 1)

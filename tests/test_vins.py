@@ -432,8 +432,9 @@ class TestCrossEstimatorEquivalence:
                     moved.clear()
                     getattr(est, phase)(frame)
                     if first and calls:
-                        # the flagged feature leaves the state before the
-                        # pose slides, and the others move to the newest pose
+                        # the flagged feature leaves the state with the
+                        # departing pose, named before it, and the others
+                        # move to the newest pose
                         (feats,) = moved
                         names = [nm for call in removed for nm in call]
                         assert names.index(f"feat:{feats[0]}") < names.index(
@@ -448,6 +449,61 @@ class TestCrossEstimatorEquivalence:
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
         assert len(calls) > 2
+
+
+class TestMarginalizationPass:
+    def test_one_call_per_frame(self, monkeypatch):
+        # at window 4 a pose leaves every frame, often with features whose
+        # track broke; everything that leaves goes in one call
+        calls = []
+        block = vins.filters.marginalize_block
+
+        def counted(R, indices, flops=None):
+            calls.append(len(indices))
+            return block(R, indices, flops=flops)
+
+        monkeypatch.setattr(vins.filters, "marginalize_block", counted)
+        ds = gen_dataset(_short(seed=0, duration=10.0))
+        for est in ("kf", "srif"):
+            e = vins.VinsEstimator(ds, FilterConfig(estimator=est, window=4))
+            removed = []
+            blocks = e._marginalize_blocks
+            e._marginalize_blocks = lambda names, _f=blocks: (
+                removed.append(list(names)), _f(names))[1]
+            together = 0
+            for frame in ds.frames[1:]:
+                e._propagate(frame)
+                n_removed, n_calls = len(removed), len(calls)
+                e._marginalize(frame)
+                assert len(removed) - n_removed <= 1
+                assert len(calls) - n_calls == (
+                    0 if est == "kf" else len(removed) - n_removed)
+                if len(removed) > n_removed:
+                    kinds = {name.split(":")[0] for name in removed[-1]}
+                    together += kinds == {"feat", "pose"}
+                e._update(frame)
+            assert together > 0, est
+
+    def test_kf_reanchoring_flops(self):
+        # the dense 3k x n rows J times the n x n P, then (J P) J.T
+        ds = gen_dataset(_short(seed=0, duration=10.0))
+        est = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4))
+        fc = est.flops["marginalization"]
+        counted = []
+        move = est._reanchor
+
+        def reanchor(feats, *ids):
+            before, n = fc.total(), est.layout.n
+            behind = move(feats, *ids)
+            counted.append((fc.total() - before, len(feats) - len(behind), n))
+            return behind
+
+        est._reanchor = reanchor
+        res = est.run()
+        assert counted
+        for got, k, n in counted:
+            assert got == 3 * k * (n + 3 * k) * (2 * n - 1)
+        assert res.flops["marginalization"] == sum(got for got, _, _ in counted) > 0
 
 
 class TestDeterminism:
