@@ -21,6 +21,7 @@ invocations with the same configuration and seed.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -81,7 +82,6 @@ def load_scenario(path_or_name, seed=None):
     with open(path_or_name) as fh:
         spec = ScenarioSpec.from_json(fh.read())
     if seed is not None:
-        import dataclasses
         spec = dataclasses.replace(spec, seed=seed)
     return spec, None
 
@@ -138,25 +138,14 @@ def write_run_artifacts(outdir, spec, cfg, res, truth):
     np.savez(os.path.join(outdir, "results.npz"), times=res.times,
              positions=res.positions, quats=res.quats)
 
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": __version__,
-        "scenario": json.loads(spec.to_json()),
-        "scenario_hash": scenario_hash(spec),
-        "seed": spec.seed,
-        "estimator": cfg.estimator,
-        "precision": cfg.precision,
-        "window": cfg.window,
-        "fallback_qr": cfg.fallback_qr,
-        "svd_stride": cfg.svd_stride,
-        "n_events": len(res.events),
-        "status": "completed",
-    }
-    put("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_manifest(outdir, spec, cfg, status="completed",
+                   n_events=len(res.events))
     return m
 
 
-def write_abort_manifest(outdir, spec, cfg, abort):
+def write_manifest(outdir, spec, cfg, **outcome):
+    """manifest.json: the scenario, its hash and every config choice, which
+    replay the run, then the run's outcome."""
     os.makedirs(outdir, exist_ok=True)
     manifest = {
         "format": MANIFEST_FORMAT,
@@ -164,12 +153,8 @@ def write_abort_manifest(outdir, spec, cfg, abort):
         "scenario": json.loads(spec.to_json()),
         "scenario_hash": scenario_hash(spec),
         "seed": spec.seed,
-        "estimator": cfg.estimator,
-        "precision": cfg.precision,
-        "status": "aborted",
-        "failed_at_t": abort.t,
-        "failed_phase": abort.phase,
-        "error": str(abort),
+        **dataclasses.asdict(cfg),
+        **outcome,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -198,7 +183,9 @@ def cmd_run(args):
     try:
         res = run_filter(ds, cfg)
     except EstimatorAbort as abort:
-        write_abort_manifest(args.out, spec, cfg, abort)
+        write_manifest(args.out, spec, cfg, status="aborted",
+                       failed_at_t=abort.t, failed_phase=abort.phase,
+                       error=str(abort))
         print(f"error: {abort}", file=sys.stderr)
         return 1
     m = write_run_artifacts(args.out, spec, cfg, res, ds.truth)

@@ -70,25 +70,6 @@ def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
                               smax, smin)
 
 
-class ConditioningLog:
-    """Append-only record list, sampled every `stride` update steps."""
-
-    def __init__(self, stride=10):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.stride = stride
-        self.records = []
-        self._step = 0
-
-    def due(self):
-        return self._step % self.stride == 0
-
-    def tick(self, record=None):
-        if record is not None:
-            self.records.append(record)
-        self._step += 1
-
-
 # --------------------------------------------------------------------------
 # trajectory metrics
 # --------------------------------------------------------------------------

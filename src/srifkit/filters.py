@@ -30,7 +30,7 @@ optional FlopCounter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -55,8 +55,6 @@ class UpdateResult:
 
     dx: np.ndarray
     R_post: np.ndarray
-    flops: FlopCounter | None = None
-    events: list = field(default_factory=list)
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
     dx = _dx_from_dx2(R, dx2, n1, flops)
     R_post = R.copy()
     R_post[n1:, n1:] = R22_post
-    return UpdateResult(dx, R_post, flops)
+    return UpdateResult(dx, R_post)
 
 
 @dataclass
@@ -385,7 +383,7 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     dx = _dx_from_dx2(R, dx2, n1, flops)
     R_post = R.copy()
     R_post[n1:, n1:] = R22_post
-    return UpdateResult(dx, R_post, flops)
+    return UpdateResult(dx, R_post)
 
 
 def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
@@ -408,7 +406,7 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     dx = _dx_from_dx2(R, dx2, n1, flops)
     R_post = R.copy()
     R_post[n1:, n1:] = U
-    return UpdateResult(dx, R_post, flops)
+    return UpdateResult(dx, R_post)
 
 
 # --------------------------------------------------------------------------

@@ -182,9 +182,6 @@ class ErrorStateLayout:
     def pose_offsets(self):
         return [off for name, off, dim in self.blocks if name.startswith("pose:")]
 
-    def pose_names(self):
-        return [name for name, off, dim in self.blocks if name.startswith("pose:")]
-
 
 def layout_of(state: VinsStateVector) -> ErrorStateLayout:
     """Layout matching the current contents of a state vector: for s

@@ -19,14 +19,13 @@ into H2.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import filters, linalg
-from .diag import ConditioningLog, record_conditioning
+from .diag import record_conditioning
 from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
     TRIANGULATED,
@@ -53,27 +52,25 @@ PRECISIONS = {"binary32": np.float32, "binary64": np.float64}
 PHASES = ("propagation", "marginalization", "update")
 
 
+# initial standard deviation of each state block; the first pose's fixes
+# the gauge, and a feature enters with a weak prior on its bearing angles
+# and inverse depth
+PRIOR_SIGMA = {
+    "bg": 3e-3, "ba": 1e-2, "v": 1e-2, "tsync": 5e-3,
+    "pose": (1e-3,) * 6,    # position, then orientation
+    "intr": 1e-1, "p_ic": 1e-3, "q_ic": 1e-3,
+    "feat": (0.1, 0.1, 1.0),
+}
+MIN_TRACK = 3   # observations needed before a track is used
+
+
 @dataclass
 class FilterConfig:
     estimator: str = "srif"
     precision: str = "binary64"
     window: int = 11            # max poses kept in the sliding window
-    min_track: int = 3          # observations needed before a track is used
     fallback_qr: bool = False   # on Cholesky failure, redo the step via QR
-    svd_stride: int = 10
-    sigma_px: float = 0.0       # assumed pixel noise; 0 = take the dataset's
-    # initial standard deviations (the first pose fixes the gauge)
-    sigma_p0: float = 1e-3
-    sigma_theta0: float = 1e-3
-    sigma_v0: float = 1e-2
-    sigma_bg0: float = 3e-3
-    sigma_ba0: float = 1e-2
-    sigma_tsync0: float = 5e-3
-    sigma_intr0: float = 1e-1
-    sigma_pic0: float = 1e-3
-    sigma_qic0: float = 1e-3
-    sigma_bearing0: float = 0.1   # weak prior for freshly inserted features
-    sigma_rho0: float = 1.0
+    svd_stride: int = 10        # conditioning recorded every this many frames
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -82,21 +79,9 @@ class FilterConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.window < 2:
             raise ValueError("window must hold at least two poses")
-        if self.min_track < 2:
-            raise ValueError(f"min_track must be at least 2 (a track needs "
-                             f"two views), got {self.min_track}")
         if self.svd_stride < 1:
             raise ValueError(f"svd_stride must be at least 1, got "
                              f"{self.svd_stride}")
-        if not (math.isfinite(self.sigma_px) and self.sigma_px >= 0):
-            raise ValueError(f"sigma_px must be finite and >= 0, got "
-                             f"{self.sigma_px}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.startswith("sigma_") and f.name.endswith("0") and not (
-                    math.isfinite(value) and value > 0):
-                raise ValueError(f"{f.name} must be finite and positive, "
-                                 f"got {value}")
 
 
 class EstimatorAbort(RuntimeError):
@@ -129,20 +114,9 @@ class RunResult:
     seconds: dict = field(default_factory=dict)  # phase -> wall seconds
 
 
-def _prior_sigmas(cfg, layout):
-    s = np.empty(layout.n)
-    s[layout.slice("bg")] = cfg.sigma_bg0
-    s[layout.slice("ba")] = cfg.sigma_ba0
-    s[layout.slice("v")] = cfg.sigma_v0
-    s[layout.slice("tsync")] = cfg.sigma_tsync0
-    for name in layout.pose_names():
-        off = layout.offset(name)
-        s[off:off + 3] = cfg.sigma_p0
-        s[off + 3:off + 6] = cfg.sigma_theta0
-    s[layout.slice("intr")] = cfg.sigma_intr0
-    s[layout.slice("p_ic")] = cfg.sigma_pic0
-    s[layout.slice("q_ic")] = cfg.sigma_qic0
-    return s
+def _prior_sigmas(layout):
+    return np.concatenate([np.broadcast_to(PRIOR_SIGMA[name.split(":")[0]], dim)
+                           for name, _, dim in layout.blocks])
 
 
 def _scatter_rows(H, cols, J):
@@ -173,7 +147,7 @@ class VinsEstimator:
         self.dtype = PRECISIONS[config.precision]
         self.is_kf = config.estimator == "kf"
         self.flops = {ph: FlopCounter() for ph in PHASES}
-        self.cond_log = ConditioningLog(config.svd_stride)
+        self.conditioning = []    # of ConditioningRecord, every svd_stride frames
         self.events = []
         self._scale_freeze = None
 
@@ -189,20 +163,18 @@ class VinsEstimator:
         if perturb_rng is not None:
             # draw the initial error from the prior so NEES is meaningful
             lay0 = layout_of(x)
-            delta = perturb_rng.normal(size=lay0.n) * _prior_sigmas(
-                self.cfg, lay0)
+            delta = perturb_rng.normal(size=lay0.n) * _prior_sigmas(lay0)
             x = boxplus(x, delta, lay0)
         self.x = x
         self.layout = layout_of(x)
-        sig = _prior_sigmas(config, self.layout)
+        sig = _prior_sigmas(self.layout)
         if self.is_kf:
             self.P = np.diag(sig ** 2).astype(self.dtype)
             self.R = None
         else:
             self.R = np.diag(1.0 / sig).astype(self.dtype)
             self.P = None
-        self.sigma_px = config.sigma_px or (
-            spec.sigma_px if spec.sigma_px > 0 else 1.0)
+        self.sigma_px = spec.sigma_px if spec.sigma_px > 0 else 1.0
         self.frame_motion = {0: (x.v.copy(), truth.omegas[0] - x.bg)}
         self.track_buf = {}       # fid -> list of (pose_id, pixel)
         self._drop_next = set()   # feature ids to marginalize out
@@ -396,8 +368,7 @@ class VinsEstimator:
         fresh = np.ones(n, dtype=bool)
         fresh[idx] = False
         new = np.flatnonzero(fresh)   # 3 per feature, in order
-        sig = np.tile([self.cfg.sigma_bearing0, self.cfg.sigma_bearing0,
-                       self.cfg.sigma_rho0], len(feats))
+        sig = np.tile(PRIOR_SIGMA["feat"], len(feats))
         old, diag = (self.P, sig ** 2) if self.is_kf else (self.R, 1.0 / sig)
         M = np.zeros((n, n), dtype=old.dtype)
         M[np.ix_(idx, idx)] = old
@@ -451,7 +422,7 @@ class VinsEstimator:
                 continue
             self.track_buf.setdefault(fid, []).append((frame.index, px))
             obs = self.track_buf[fid]
-            if kind == 0 and len(obs) >= self.cfg.min_track:
+            if kind == 0 and len(obs) >= MIN_TRACK:
                 if not all(pid in pose_ids for pid, _ in obs):
                     self.track_buf[fid] = obs[-1:]
                     continue
@@ -468,7 +439,7 @@ class VinsEstimator:
             if fid in slam or not (ended or capped):
                 continue
             del self.track_buf[fid]
-            if len(obs) >= self.cfg.min_track and all(
+            if len(obs) >= MIN_TRACK and all(
                     pid in pose_ids for pid, _ in obs):
                 candidates.append((fid, obs))
         theta = {}
@@ -601,23 +572,24 @@ class VinsEstimator:
                 # shadow solution so the rest of the run stays observable
                 self.events.append(InstabilityEvent(
                     t, "not-positive-definite", float("nan")))
-                res = filters.UpdateResult(
-                    ref.dx.astype(self.dtype), ref.R_post.astype(self.dtype),
-                    fc)
+                res = filters.UpdateResult(ref.dx.astype(self.dtype),
+                                           ref.R_post.astype(self.dtype))
         self.R = res.R_post
         return res.dx
 
     def _update(self, frame):
         rows = self._collect_measurements(frame)
-        # the prior factor is only read when the diagnostics are due
+        # diagnostics from the first frame on, every svd_stride frames; the
+        # prior factor is only read when they are due
+        due = not self.is_kf and (frame.index - 1) % self.cfg.svd_stride == 0
         n1 = self.layout.n1
-        prior_R22 = (np.array(self.R[n1:, n1:], dtype=np.float64)
-                     if not self.is_kf and self.cond_log.due() else None)
+        prior_R22 = np.array(self.R[n1:, n1:], dtype=np.float64) if due else None
         if rows is not None:
             dx = self._apply_update(*rows, frame.t)
             self.x = boxplus(self.x, np.asarray(dx, dtype=np.float64),
                              self.layout)
-        self._record_diagnostics(frame, prior_R22)
+        if due:
+            self._record_diagnostics(frame, prior_R22)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -629,9 +601,6 @@ class VinsEstimator:
         return np.concatenate([np.arange(s.start, s.stop) for s in sl])
 
     def _record_diagnostics(self, frame, prior_R22):
-        if self.is_kf or not self.cond_log.due():
-            self.cond_log.tick()
-            return
         n1 = self.layout.n1
         R22_post = np.asarray(self.R[n1:, n1:], dtype=np.float64)
         pc = filters.build_preconditioner(R22_post, self._pose_offsets_x2())
@@ -643,9 +612,8 @@ class VinsEstimator:
         s = (self._scale_freeze if self._scale_freeze is not None
              else np.sqrt(np.diag(Psub)))
         P_scaled = Psub / np.outer(s, s)
-        rec = record_conditioning(frame.t, R22_post, pc,
-                                  R22_prior=prior_R22, P_scaled=P_scaled)
-        self.cond_log.tick(rec)
+        self.conditioning.append(record_conditioning(
+            frame.t, R22_post, pc, R22_prior=prior_R22, P_scaled=P_scaled))
 
     def _position_nees(self, truth_pos):
         lay = self.layout
@@ -680,7 +648,7 @@ class VinsEstimator:
             self.cfg, np.array(self.times), np.array(self.positions),
             np.array(self.quats),
             {ph: self.flops[ph].total() for ph in PHASES},
-            self.cond_log.records, self.events,
+            self.conditioning, self.events,
             np.array(self.nees) if with_nees else None,
             seconds=seconds)
 

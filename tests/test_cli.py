@@ -113,10 +113,21 @@ def test_abort_is_nonzero_exit_with_failing_step(scenario_file, tmp_path,
     def boom(dataset, config):
         raise EstimatorAbort(1.25, "update", "synthetic failure")
 
+    args = ["run", "--scenario", scenario_file, "--fallback-qr",
+            "--svd-stride", "3", "--out"]
+    done = str(tmp_path / "done")
+    assert cli.main(args + [done]) == 0
     monkeypatch.setattr(cli, "run_filter", boom)
     d = str(tmp_path / "crash")
-    assert cli.main(["run", "--scenario", scenario_file, "--out", d]) == 1
+    assert cli.main(args + [d]) == 1
     manifest = json.loads(open(os.path.join(d, "manifest.json")).read())
     assert manifest["status"] == "aborted"
     assert manifest["failed_at_t"] == 1.25
     assert manifest["failed_phase"] == "update"
+    # the aborted manifest replays the run as a completed one does
+    completed = json.loads(open(os.path.join(done, "manifest.json")).read())
+    outcome = {"status", "n_events", "failed_at_t", "failed_phase", "error"}
+    assert ({k: v for k, v in manifest.items() if k not in outcome}
+            == {k: v for k, v in completed.items() if k not in outcome})
+    assert completed["fallback_qr"] is True
+    assert completed["svd_stride"] == 3

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from srifkit.diag import (
-    ConditioningLog,
     compute_ate,
     compute_metrics,
     compute_rte,
@@ -65,22 +64,6 @@ class TestConditioningRecord:
         rec = record_conditioning(2.0, R22, pc)
         k, _, _ = cond_spectral(apply_preconditioner_inverse(pc, R22))
         assert rec.kappa2_r22_post_precond == k * k
-
-    def test_log_stride(self):
-        log = ConditioningLog(stride=3)
-        hits = []
-        for step in range(10):
-            if log.due():
-                hits.append(step)
-                log.tick(record=object())
-            else:
-                log.tick()
-        assert hits == [0, 3, 6, 9]
-        assert len(log.records) == 4
-
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            ConditioningLog(stride=0)
 
 
 class TestAte:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from srifkit import filters, linalg
 from srifkit.filters import (
     Preconditioner,
-    UpdateResult,
     apply_preconditioner_inverse,
     apply_preconditioner_right,
     build_preconditioner,

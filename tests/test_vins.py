@@ -83,7 +83,7 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
             continue
         est.track_buf.setdefault(fid, []).append((frame.index, px))
         obs = est.track_buf[fid]
-        if kind == 0 and len(obs) >= est.cfg.min_track:
+        if kind == 0 and len(obs) >= vins.MIN_TRACK:
             if not all(pid in pose_ids for pid, _ in obs):
                 est.track_buf[fid] = obs[-1:]
                 continue
@@ -105,7 +105,7 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
         if fid in present and len(obs) < est.cfg.window - 1:
             continue
         del est.track_buf[fid]
-        if len(obs) < est.cfg.min_track or not all(
+        if len(obs) < vins.MIN_TRACK or not all(
                 pid in pose_ids for pid, _ in obs):
             continue
         try:
@@ -169,6 +169,9 @@ def _capture_updates(est):
 
 
 class TestConfigValidation:
+    CHOICES = {"estimator", "precision", "window", "fallback_qr", "svd_stride"}
+    # the priors, the pixel noise and the track length are no longer
+    # settable; each name must stay refused, or come back validated
     SIGMA0 = ("sigma_p0", "sigma_theta0", "sigma_v0", "sigma_bg0",
               "sigma_ba0", "sigma_tsync0", "sigma_intr0", "sigma_pic0",
               "sigma_qic0", "sigma_bearing0", "sigma_rho0")
@@ -178,13 +181,23 @@ class TestConfigValidation:
            + [("sigma_p0", np.nan), ("svd_stride", 0), ("svd_stride", -3),
               ("min_track", 1), ("min_track", 0)])
 
+    def test_only_the_callers_choices_are_fields(self):
+        # every caller sets only these; a new knob needs a caller
+        assert {f.name for f in dataclasses.fields(FilterConfig)} == self.CHOICES
+
     @pytest.mark.parametrize("name,value", BAD)
     def test_rejected_with_the_field_named(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        error = ValueError if name in self.CHOICES else TypeError
+        with pytest.raises(error, match=name):
             FilterConfig(**{name: value})
 
-    def test_zero_sigma_px_takes_the_datasets(self):
-        assert FilterConfig(sigma_px=0.0, svd_stride=1).sigma_px == 0.0
+    def test_pixel_noise_is_the_datasets(self):
+        ds = gen_dataset(dataclasses.replace(default_scenario(0), duration=1.0,
+                                             sigma_px=0.5))
+        assert vins.VinsEstimator(ds, FilterConfig()).sigma_px == 0.5
+        # noiseless pixels are whitened at 1 px
+        ds.spec = dataclasses.replace(ds.spec, sigma_px=0.0)
+        assert vins.VinsEstimator(ds, FilterConfig()).sigma_px == 1.0
 
 
 class TestBatchedAssembly:
@@ -200,9 +213,9 @@ class TestBatchedAssembly:
         monkeypatch.setattr(vins, "project_feature", functools.partial(
             vins.project_feature, min_depth=min_depth))
         ds = gen_dataset(_short(seed=0, duration=4.0))
+        est = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=window))
         # an assumed pixel noise other than the data's 1 px shows the scaling
-        est = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=window,
-                                                  sigma_px=0.7))
+        est.sigma_px = 0.7
         seen = _capture_updates(est)
         dropped = 0
         for frame in ds.frames[1:]:
@@ -231,13 +244,12 @@ class TestBatchedAssembly:
 
 class TestTriangulationReuse:
     def test_capped_slam_candidate_is_triangulated_once(self, monkeypatch):
-        # at min_track = window - 1 a would-be SLAM feature is first tried
+        # at MIN_TRACK = window - 1 a would-be SLAM feature is first tried
         # in the frame that caps its track; forced to fail there, it must
         # go through the kernel once and leave the buffer, where the
         # per-track engine tries it a second time as a short track
         ds = gen_dataset(_short(seed=0, duration=4.0))
-        est = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4,
-                                                  min_track=3))
+        est = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4))
         target = {}   # the failing track's anchor pixel, and its attempts
         kernel = vins.triangulate_inverse_depth
 
@@ -562,6 +574,12 @@ class TestConditioningLog:
         for rec in res.conditioning:
             assert rec.kappa2_r22_post >= 1.0
             assert rec.kappa2_r22_post_precond <= rec.kappa2_r22_post * 1.001
+
+    def test_stride_counts_frames_from_the_first(self):
+        ds = gen_dataset(_short(seed=6, duration=4.0))
+        res = run_filter(ds, FilterConfig(estimator="srif", svd_stride=3))
+        assert [rec.t for rec in res.conditioning] == [
+            f.t for f in ds.frames[1::3]]
 
 
 class TestCheckedInputs:
