@@ -14,7 +14,7 @@ A run directory contains:
   timing.csv        wall-clock seconds per phase (not deterministic)
   events.csv        numerical instability events, if any
   results.npz       raw arrays for downstream tooling
-  manifest.json     config + seed + scenario content hash; replays the run
+  manifest.json     config, seed, scenario hash, versions; replays the run
 
 All artifacts except timing.csv are byte-identical across repeated
 invocations with the same configuration and seed.
@@ -25,9 +25,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .diag import compute_metrics
@@ -70,20 +72,20 @@ def scenario_hash(spec):
     return hashlib.sha256(spec.to_json().encode()).hexdigest()
 
 
-def load_scenario(path_or_name, seed=None):
-    """Resolve a preset name, a scenario JSON path, or a cache path."""
+def load_dataset(path_or_name, seed=None):
+    """The dataset of a preset name or a scenario JSON path, generated at
+    `seed` when one is given, or the one stored in a cache path."""
     presets = {"default": default_scenario, "conditioning": conditioning_scenario}
     if path_or_name in presets:
         spec = presets[path_or_name](0 if seed is None else seed)
-        return spec, None
-    if path_or_name.endswith(".bin"):
-        ds = load_cache(path_or_name)
-        return ds.spec, ds
-    with open(path_or_name) as fh:
-        spec = ScenarioSpec.from_json(fh.read())
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    return spec, None
+    elif path_or_name.endswith(".bin"):
+        return load_cache(path_or_name)
+    else:
+        with open(path_or_name) as fh:
+            spec = ScenarioSpec.from_json(fh.read())
+        if seed is not None:
+            spec = dataclasses.replace(spec, seed=seed)
+    return gen_dataset(spec)
 
 
 def format_trajectory(times, positions, quats):
@@ -155,28 +157,37 @@ def write_manifest(outdir, spec, cfg, **outcome):
         "seed": spec.seed,
         **dataclasses.asdict(cfg),
         **outcome,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _blas(module):
+    """The BLAS numpy or scipy was built with; each bundles its own, and
+    scipy's LAPACK is the one the kernels call."""
+    dep = module.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"name": dep["name"], "version": dep["version"]}
 
 
 # -- subcommands ------------------------------------------------------------
 
 
 def cmd_simulate(args):
-    spec, ds = load_scenario(args.scenario, args.seed)
-    if ds is None:
-        ds = gen_dataset(spec)
+    ds = args.ds
     save_cache(args.out, ds)
     print(f"wrote {args.out} ({len(ds.frames)} frames, "
-          f"{len(ds.truth.times)} IMU samples, hash {scenario_hash(spec)[:12]})")
+          f"{len(ds.truth.times)} IMU samples, "
+          f"hash {scenario_hash(ds.spec)[:12]})")
     return 0
 
 
 def cmd_run(args):
-    spec, ds = load_scenario(args.scenario, args.seed)
-    if ds is None:
-        ds = gen_dataset(spec)
+    ds, spec = args.ds, args.ds.spec
     cfg = FilterConfig(estimator=args.estimator, precision=args.precision,
                        fallback_qr=args.fallback_qr,
                        svd_stride=args.svd_stride)
@@ -310,6 +321,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "compare" and len(args.rundirs) < 2:
         parser.error("compare needs at least two run directories")
+    if args.command in ("simulate", "run"):
+        args.ds = load_dataset(args.scenario, args.seed)
+        # a cache holds one seed's data
+        if args.seed not in (None, args.ds.spec.seed):
+            parser.error(f"--seed {args.seed} differs from seed "
+                         f"{args.ds.spec.seed} of the cache {args.scenario}")
     return args.fn(args)
 
 

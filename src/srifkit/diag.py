@@ -103,7 +103,8 @@ def _yaw_translation_align(est_pos, gt_pos):
 
 
 def _geodesic_deg(Ra, Rb):
-    tr = np.trace(Ra.T @ Rb)
+    """Angle (deg) of Ra.T Rb, for one pair of rotations or stacks of them."""
+    tr = np.trace(Ra.swapaxes(-1, -2) @ Rb, axis1=-2, axis2=-1)
     ang = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
     return np.degrees(ang)
 
@@ -119,9 +120,8 @@ def compute_ate(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
     Rz, shift = _yaw_translation_align(ep, gp)
     resid = ep @ Rz.T + shift - gp
     ate_t = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))
-    angs = [_geodesic_deg(Rz @ quat_to_mat(np.asarray(est_quat)[i]),
-                          quat_to_mat(np.asarray(gt_quat)[j]))
-            for i, j in zip(ei, gi)]
+    angs = _geodesic_deg(Rz @ quat_to_mat(np.asarray(est_quat)[ei]),
+                         quat_to_mat(np.asarray(gt_quat)[gi]))
     ate_r = float(np.sqrt(np.mean(np.square(angs))))
     return ate_t, ate_r
 
@@ -133,20 +133,17 @@ def compute_rte(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
     ei, gi = _associate(est_times, gt_times, max_dt)
     times = est_times[ei]
     jmatch = np.searchsorted(times, times + interval)
+    Re = quat_to_mat(np.asarray(est_quat)[ei])
+    Rg = quat_to_mat(np.asarray(gt_quat)[gi])
+    pe, pg = np.asarray(est_pos)[ei], np.asarray(gt_pos)[gi]
     terrs, rerrs = [], []
     for a, j in enumerate(jmatch):
         if j >= len(times) or abs(times[j] - times[a] - interval) > max_dt:
             continue
-        ia, ib = ei[a], ei[j]
-        ja, jb = gi[a], gi[j]
-        Rea = quat_to_mat(np.asarray(est_quat)[ia])
-        Rga = quat_to_mat(np.asarray(gt_quat)[ja])
-        d_est = Rea.T @ (np.asarray(est_pos)[ib] - np.asarray(est_pos)[ia])
-        d_gt = Rga.T @ (np.asarray(gt_pos)[jb] - np.asarray(gt_pos)[ja])
+        d_est = Re[a].T @ (pe[j] - pe[a])
+        d_gt = Rg[a].T @ (pg[j] - pg[a])
         terrs.append(np.linalg.norm(d_est - d_gt))
-        rerrs.append(_geodesic_deg(
-            Rea.T @ quat_to_mat(np.asarray(est_quat)[ib]),
-            Rga.T @ quat_to_mat(np.asarray(gt_quat)[jb])))
+        rerrs.append(_geodesic_deg(Re[a].T @ Re[j], Rg[a].T @ Rg[j]))
     if not terrs:
         raise ValueError(f"no pose pairs {interval} s apart")
     return (float(np.sqrt(np.mean(np.square(terrs)))),

@@ -11,7 +11,8 @@ frame's tracks in one batched call with a status per track, and
 left-null-space elimination of all of a frame's track-end features in one
 call (one stacked QR per row count). Projection and reanchoring share one
 camera model: `window_cameras` and the point-in-camera Jacobian
-`_point_in_camera`.
+`_point_in_camera`. Rotations, their matrices, skew matrices and right
+Jacobians come from `state`'s helpers, called once on stacked arrays.
 
 Error-state conventions follow `state`: orientation errors are 3-vector
 left-global perturbations; pose error blocks are (position, orientation).
@@ -26,7 +27,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .state import Pose, quat_normalize, quat_to_mat
+from .state import (
+    Pose,
+    quat_from_rotvec,
+    quat_normalize,
+    quat_to_mat,
+    skew,
+    so3_right_jacobian,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
@@ -62,62 +70,10 @@ class TransitionBlock:
 # --------------------------------------------------------------------------
 
 
-def _skews(v):
-    """skew(v[k]) for each row of the (K, 3) array v, as (K, 3, 3)."""
-    S = np.zeros(v.shape[:1] + (3, 3))
-    S[:, 0, 1], S[:, 0, 2] = -v[:, 2], v[:, 1]
-    S[:, 1, 0], S[:, 1, 2] = v[:, 2], -v[:, 0]
-    S[:, 2, 0], S[:, 2, 1] = -v[:, 1], v[:, 0]
-    return S
-
-
 def _mv(M, x):
     """M[i] @ x[i] (M @ x[i] for a single matrix M) for the rows of x, each
     row's product the same whatever the number of rows (unlike x @ M.T)."""
-    return (M @ x[:, :, None])[:, :, 0]
-
-
-def _quat_mats(q):
-    """`quat_to_mat` of each row of the (K, 4) array q, as (K, 3, 3)."""
-    x, y, z, w = q.T
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    return np.stack([
-        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
-        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
-        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
-    ], axis=1).reshape(-1, 3, 3)
-
-
-def _rotvec_quats(theta, a2):
-    """`quat_from_rotvec` of each row of the (K, 3) array theta, whose
-    squared norms are a2, with its first-order series below 1e-16."""
-    small = a2 < 1e-16
-    a = np.sqrt(np.where(small, 1.0, a2))
-    q = np.empty((len(theta), 4))
-    q[:, :3] = np.where(small, 0.5, np.sin(0.5 * a) / a)[:, None] * theta
-    q[:, 3] = np.where(small, 1.0, np.cos(0.5 * a))
-    q[small] /= np.sqrt(np.einsum("ij,ij->i", q[small], q[small]))[:, None]
-    return q
-
-
-def _exp_terms(theta):
-    """`quat_from_rotvec`, its `quat_to_mat` and `so3_right_jacobian` of
-    each row of the (K, 3) array theta, with the same small-angle branches
-    (angle^2 below 1e-16 and 1e-12)."""
-    a2 = np.einsum("ij,ij->i", theta, theta)
-    q = _rotvec_quats(theta, a2)
-    M = _quat_mats(q)
-    # right Jacobian: second-order series below the threshold
-    small = a2 < 1e-12
-    a2 = np.where(small, 1.0, a2)
-    a = np.sqrt(a2)
-    c1 = np.where(small, 0.5, (1 - np.cos(a)) / a2)
-    c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a2 * a))
-    S = _skews(theta)
-    Jr = np.eye(3) - c1[:, None, None] * S + c2[:, None, None] * (S @ S)
-    return q, M, Jr
+    return (M @ x[..., None])[..., 0]
 
 
 def _suffix_products(F):
@@ -178,7 +134,9 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
     w_hat = omega - bg
     a_hat = accel - ba
     theta = w_hat * h
-    dq, D, Jr = _exp_terms(np.concatenate([theta, theta / 2.0]))
+    angles = np.concatenate([theta, theta / 2.0])
+    dq = quat_from_rotvec(angles)
+    D, Jr = quat_to_mat(dq), so3_right_jacobian(angles)
     D_full, D_half = D[:K], D[K:]
     # R[k] is the orientation before sample k, R[K] the one after the
     # step; the quaternion advances as q <- q dq_k, a product with the
@@ -193,12 +151,12 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
         R[k + 1] = R[k] @ D_full[k]
         q = right[k] @ q
     R_mid = R[:-1] @ D_half
-    sacc = (R_mid @ a_hat[:, :, None])[:, :, 0]
+    sacc = _mv(R_mid, a_hat)
     aw = sacc + GRAVITY
     # single-sample transitions (bg, ba, v, p, theta)
     d1 = dt[:, None, None]
     d2 = 0.5 * d1 * d1
-    Ssacc = _skews(sacc)
+    Ssacc = skew(sacc)
     SRJ = Ssacc @ (R_mid @ Jr[K:])
     F = np.tile(np.eye(15), (K, 1, 1))
     F[:, 12:15, 0:3] = -R[1:] @ Jr[:K] * d1
@@ -280,13 +238,12 @@ def window_cameras(state, frame_motion=None) -> WindowCameras:
             motion[i] = fm[pid]
     v, w = motion[:, 0], motion[:, 1]
     p_wi = np.array([p.p for p in state.poses])
-    R_wi = _quat_mats(np.array([p.q for p in state.poses]))
+    R_wi = quat_to_mat([p.q for p in state.poses])
     if fm and state.tsync != 0.0:
-        wt = w * state.tsync
         p_wi = p_wi + v * state.tsync
-        R_wi = R_wi @ _quat_mats(_rotvec_quats(wt, (wt * wt).sum(axis=1)))
+        R_wi = R_wi @ quat_to_mat(quat_from_rotvec(w * state.tsync))
     R_ic = quat_to_mat(state.q_ic)
-    Rw = R_wi @ _skews(w)
+    Rw = R_wi @ skew(w)
     return WindowCameras(ids, R_wi @ R_ic, p_wi + R_wi @ state.p_ic, p_wi,
                          Rw @ R_ic, v + Rw @ state.p_ic, R_ic)
 
@@ -342,9 +299,9 @@ def _point_in_camera(cameras: WindowCameras, ia, io, params):
     y = _mv(Bt, d)
     dy = np.empty((k, 3, 15))
     dy[:, :, 0:3] = Bt
-    dy[:, :, 3:6] = -Bt @ _skews(X - pa)
+    dy[:, :, 3:6] = -Bt @ skew(X - pa)
     dy[:, :, 6:9] = -Bt
-    dy[:, :, 9:12] = Bt @ _skews(X - po)
+    dy[:, :, 9:12] = Bt @ skew(X - po)
     C = Bt @ A
     dy[:, :, 12:14] = C @ du / rho[:, None, None]
     dy[:, :, 14] = -_mv(C, u) / (rho * rho)[:, None]
@@ -385,8 +342,8 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     R_a_wi, R_o_wi = A @ R_ic.T, B @ R_ic.T
     dy = np.empty((k, 3, 7))
     dy[:, :, 0:3] = Bt @ (R_a_wi - R_o_wi)
-    dy[:, :, 3:6] = (-Bt @ R_a_wi @ _skews(_mv(R_ic, f))
-                     + R_ic.T @ _skews(_mv(R_o_wi.transpose(0, 2, 1), d)))
+    dy[:, :, 3:6] = (-Bt @ R_a_wi @ skew(_mv(R_ic, f))
+                     + R_ic.T @ skew(_mv(R_o_wi.transpose(0, 2, 1), d)))
     # tsync: both cameras move with the time shift
     dA, dB = cameras.dR_wc[ia], cameras.dR_wc[io]
     shift = _mv(dA, f) + cameras.dt_wc[ia] - cameras.dt_wc[io]

@@ -2,11 +2,13 @@
 
 Trajectories are closed-form (position, orientation, and their derivatives
 are evaluated exactly, never integrated numerically), so downstream
-consistency oracles see no integration error. IMU streams add seeded bias
-random walks and white noise on top of the analytic rates; feature tracks
-are projected through the true camera model, shifted by the true time
-offset, and capped at 15 SLAM / 35 short (multi-state-constraint) tracks
-per frame.
+consistency oracles see no integration error. The truth is one evaluation
+over all IMU timestamps and the IMU stream one over all sample midpoints;
+each row is bitwise what the trajectory gives at that time alone. IMU
+streams add seeded bias random walks and white noise on top of the
+analytic rates; feature tracks are projected through the true camera
+model, shifted by the true time offset, and capped at 15 SLAM / 35 short
+(multi-state-constraint) tracks per frame.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .models import GRAVITY, ImuNoise, check_imu_samples
+from .models import GRAVITY, ImuNoise, _mv, check_imu_samples
 from .state import quat_from_rotvec, quat_mul, quat_to_mat
 
 SCENARIO_FORMAT = "srifkit-scenario/1"
@@ -168,34 +170,29 @@ def _heading(spec, t):
 
 
 def gen_trajectory(spec, t):
-    """True (position, quat, velocity, body rate, body specific force) at t.
+    """True (position, quat, velocity, body rate, body specific force) at
+    time t, or at each of an array of times (one row per time).
 
     The specific force is what an ideal accelerometer reads:
     R^T (a_world - gravity).
     """
     p, v, a = _translation(spec, t)
     yaw, dyaw, pitch, dpitch = _heading(spec, t)
-    qz = quat_from_rotvec(_EZ * yaw)
-    qx = quat_from_rotvec(_EX * pitch)
+    qz = quat_from_rotvec(np.multiply.outer(yaw, _EZ))
+    qx = quat_from_rotvec(np.multiply.outer(pitch, _EX))
     q = quat_mul(qz, qx)
     # body rate of Rz(yaw) Rx(pitch): pitch-frame pullback of the yaw rate
-    Rx = quat_to_mat(qx)
-    omega = Rx.T @ (_EZ * dyaw) + _EX * dpitch
-    R = quat_to_mat(q)
-    accel_body = R.T @ (a - np.asarray(GRAVITY))
+    Rx_t = quat_to_mat(qx).swapaxes(-1, -2)
+    omega = (_mv(Rx_t, np.multiply.outer(dyaw, _EZ))
+             + np.multiply.outer(dpitch, _EX))
+    accel_body = _mv(quat_to_mat(q).swapaxes(-1, -2), a - GRAVITY)
     return p, q, v, omega, accel_body
 
 
 def gen_ground_truth(spec):
     n = int(round(spec.duration * spec.imu_rate)) + 1
     times = np.arange(n) / spec.imu_rate
-    positions = np.empty((n, 3))
-    quats = np.empty((n, 4))
-    velocities = np.empty((n, 3))
-    omegas = np.empty((n, 3))
-    for i, t in enumerate(times):
-        p, q, v, om, _ = gen_trajectory(spec, t)
-        positions[i], quats[i], velocities[i], omegas[i] = p, q, v, om
+    positions, quats, velocities, omegas, _ = gen_trajectory(spec, times)
 
     ss = np.random.SeedSequence(spec.seed)
     rng_bias, rng_feat = [np.random.default_rng(s) for s in ss.spawn(2)]
@@ -227,12 +224,7 @@ def gen_imu(spec, truth):
     rng = np.random.default_rng(ss.spawn(3)[2])
     m = len(truth.times) - 1
     dt = np.diff(truth.times)
-    omega = np.empty((m, 3))
-    accel = np.empty((m, 3))
-    mid = truth.times[:-1] + 0.5 * dt
-    for i, t in enumerate(mid):
-        _, _, _, om, acc = gen_trajectory(spec, t)
-        omega[i], accel[i] = om, acc
+    _, _, _, omega, accel = gen_trajectory(spec, truth.times[:-1] + 0.5 * dt)
     omega += truth.gyro_bias[:-1]
     accel += truth.accel_bias[:-1]
     if spec.noise.gyro_density > 0:

@@ -13,74 +13,97 @@ on the left (global frame): q <- exp(theta) * q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # --------------------------------------------------------------------------
-# quaternion helpers (xyzw, Hamilton convention)
+# quaternion and SO(3) helpers (xyzw, Hamilton convention)
+#
+# Each takes one quaternion (..., 4) or vector (..., 3) per row of an array
+# of any leading shape and returns one result per row, bitwise what it
+# returns for that row alone.
 # --------------------------------------------------------------------------
 
 QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
+def _dot(a, b):
+    """a . b per row, by the BLAS dot a 1-D a @ b calls."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _columns(a):
+    """The entries along a's last axis, each of a's leading shape (numpy
+    scalars for one row, whose arithmetic costs less than 0-d arrays')."""
+    a = np.asarray(a, dtype=np.float64)
+    return list(a.transpose(-1, *range(a.ndim - 1)))
+
+
+def _stack(*columns):
+    """The inverse of `_columns`, C-ordered."""
+    out = np.array(columns)
+    return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
+
+
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
-    return q / np.linalg.norm(q)
+    return q / np.sqrt(_dot(q, q))[..., None]
 
 
 def quat_mul(q1, q2):
-    x1, y1, z1, w1 = q1
-    x2, y2, z2, w2 = q2
-    return np.array([
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-    ])
+    (x1, y1, z1, w1), (x2, y2, z2, w2) = _columns(q1), _columns(q2)
+    return _stack(w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                  w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                  w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+                  w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2)
 
 
 def quat_from_rotvec(theta):
+    """exp(theta) as a quaternion; below a squared angle of 1e-16 it is the
+    series (theta / 2, 1), which is a unit quaternion to the last bit."""
     theta = np.asarray(theta, dtype=np.float64)
-    angle2 = theta @ theta
-    if angle2 < 1e-16:
-        q = np.array([0.5 * theta[0], 0.5 * theta[1], 0.5 * theta[2], 1.0])
-        return q / np.linalg.norm(q)
-    angle = np.sqrt(angle2)
-    s = np.sin(0.5 * angle) / angle
-    return np.array([s * theta[0], s * theta[1], s * theta[2], np.cos(0.5 * angle)])
+    angle2 = _dot(theta, theta)
+    small = angle2 < 1e-16
+    angle = np.sqrt(np.where(small, 1.0, angle2))
+    s = np.where(small, 0.5, np.sin(0.5 * angle) / angle)
+    return _stack(*(s * t for t in _columns(theta)),
+                  np.where(small, 1.0, np.cos(0.5 * angle)))
 
 
 def quat_to_mat(q):
-    x, y, z, w = q
+    x, y, z, w = _columns(q)
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.array([
-        [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-        [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-        [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-    ])
+    return _stack(1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+                  2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+                  2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+                  ).reshape(np.shape(x) + (3, 3))
 
 
 def skew(v):
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    v = np.asarray(v, dtype=np.float64)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -v[..., 2], v[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = v[..., 2], -v[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -v[..., 1], v[..., 0]
+    return S
 
 
 def so3_right_jacobian(theta):
-    """Right Jacobian of SO(3): exp(theta + d) ~ exp(theta) exp(Jr d)."""
+    """Right Jacobian of SO(3): exp(theta + d) ~ exp(theta) exp(Jr d)
+    (Forster et al., T-RO 2017); below a squared angle of 1e-12 it is the
+    second-order series."""
     theta = np.asarray(theta, dtype=np.float64)
-    a2 = theta @ theta
-    S = skew(theta)
-    if a2 < 1e-12:
-        return np.eye(3) - 0.5 * S + S @ S / 6.0
+    a2 = _dot(theta, theta)[..., None, None]
+    small = a2 < 1e-12
+    a2 = np.where(small, 1.0, a2)
     a = np.sqrt(a2)
-    return (
-        np.eye(3)
-        - (1 - np.cos(a)) / a2 * S
-        + (a - np.sin(a)) / (a2 * a) * (S @ S)
-    )
+    S = skew(theta)
+    SS = S @ S
+    return (np.eye(3) - np.where(small, 0.5, (1 - np.cos(a)) / a2) * S
+            + np.where(small, SS / 6.0, (a - np.sin(a)) / (a2 * a) * SS))
 
 
 # --------------------------------------------------------------------------
@@ -221,14 +244,16 @@ def boxplus(state: VinsStateVector, delta, layout: ErrorStateLayout) -> VinsStat
     for f in out.features:
         f.params = f.params + delta[layout.slice(f"feat:{f.id}")]
     out.tsync = state.tsync + delta[layout.offset("tsync")]
-    for p in out.poses:
-        off = layout.offset(f"pose:{p.id}")
-        p.p = p.p + delta[off:off + 3]
-        p.q = quat_normalize(quat_mul(quat_from_rotvec(delta[off + 3:off + 6]), p.q))
+    # every pose's orientation and q_ic are retracted in one call
+    offs = [layout.offset(f"pose:{p.id}") for p in out.poses]
+    theta = [delta[o + 3:o + 6] for o in offs] + [delta[layout.slice("q_ic")]]
+    q = quat_normalize(quat_mul(quat_from_rotvec(theta),
+                                [p.q for p in out.poses] + [state.q_ic]))
+    for p, o, qp in zip(out.poses, offs, q):
+        p.p, p.q = p.p + delta[o:o + 3], qp
     out.intrinsics = state.intrinsics + delta[layout.slice("intr")]
     out.p_ic = state.p_ic + delta[layout.slice("p_ic")]
-    out.q_ic = quat_normalize(
-        quat_mul(quat_from_rotvec(delta[layout.slice("q_ic")]), state.q_ic))
+    out.q_ic = q[-1]
     return out
 
 

@@ -29,7 +29,6 @@ from .diag import record_conditioning
 from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
 from .models import (
     TRIANGULATED,
-    ImuNoise,
     imu_transition,
     msckf_nullspace_project,
     project_feature,

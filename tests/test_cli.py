@@ -36,6 +36,24 @@ def test_simulate_writes_cache(scenario_file, tmp_path):
                      "--out", str(tmp_path / "run")]) == 0
 
 
+def test_seed_other_than_the_caches_is_usage_error(scenario_file, tmp_path,
+                                                   capsys):
+    cache = str(tmp_path / "scen.bin")
+    assert cli.main(["simulate", "--scenario", scenario_file,
+                     "--out", cache]) == 0
+    for cmd in (["run", "--out", str(tmp_path / "run")],
+                ["simulate", "--out", str(tmp_path / "other.bin")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*cmd, "--scenario", cache, "--seed", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed 5" in err and "seed 11" in err
+    assert sorted(os.listdir(tmp_path)) == ["scen.bin"]
+    # the cache's own seed is accepted
+    assert cli.main(["run", "--scenario", cache, "--seed", "11",
+                     "--out", str(tmp_path / "run")]) == 0
+
+
 def test_run_writes_all_artifacts(scenario_file, tmp_path):
     out = str(tmp_path / "run")
     assert cli.main(["run", "--scenario", scenario_file, "--out", out]) == 0
@@ -51,6 +69,13 @@ def test_run_writes_all_artifacts(scenario_file, tmp_path):
     flops_text = open(os.path.join(out, "flops.csv")).read()
     for row in ("Propagation", "Marginalization", "Update", "Estimator Total"):
         assert f"\n{row}," in flops_text
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "numpy_blas",
+                        "scipy_blas", "OPENBLAS_NUM_THREADS"}
+    assert env["numpy"] == np.__version__
+    for lib in ("numpy_blas", "scipy_blas"):
+        assert set(env[lib]) == {"name", "version"}
+    assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def test_repeat_runs_byte_identical(scenario_file, tmp_path):

@@ -78,6 +78,16 @@ class TestTrajectory:
             om_fd = np.array([W[2, 1], W[0, 2], W[1, 0]])
             assert np.abs(om_fd - om).max() <= 1e-5
 
+    @pytest.mark.parametrize("kind", ["circle", "figure-eight", "sinusoid-3d"])
+    def test_array_of_times_equals_per_time_calls(self, kind):
+        spec = ScenarioSpec(trajectory=kind, period=10.0)
+        # t = 0 and 5 s put yaw and pitch at or near zero
+        times = np.concatenate([[0.0, 5.0], np.linspace(0.013, 23.9, 37)])
+        batch = gen_trajectory(spec, times)
+        for k, t in enumerate(times):
+            for a, b in zip(batch, gen_trajectory(spec, t)):
+                assert a[k].tobytes() == np.asarray(b).tobytes(), (k, t)
+
     def test_periodicity(self):
         spec = ScenarioSpec(trajectory="circle", period=10.0)
         a = gen_trajectory(spec, 0.0)

@@ -9,6 +9,7 @@ from srifkit.state import (
     layout_of,
     quat_from_rotvec,
     quat_mul,
+    quat_normalize,
     quat_to_mat,
     reorder_for_marginalization,
     so3_right_jacobian,
@@ -63,6 +64,49 @@ class TestQuaternions:
         R1 = quat_to_mat(quat_from_rotvec(th + d))
         R2 = quat_to_mat(quat_from_rotvec(th)) @ quat_to_mat(quat_from_rotvec(Jr @ d))
         assert np.allclose(R1, R2, atol=1e-11)
+
+
+def _rotvecs(rng, shape):
+    """Rotation vectors of the given leading shape with angles that take
+    every branch: zero, below 1e-8 (quat_from_rotvec's series), between
+    1e-8 and 1e-6 (so3_right_jacobian's series only), just above 1e-6, and
+    ordinary ones, mixed in one batch."""
+    axes = rng.normal(size=shape + (3,))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    angles = rng.permutation(np.resize(
+        [0.0, 3e-9, 9.9e-9, 2e-7, 9.9e-7, 1.01e-6, 0.4, 2.5],
+        np.prod(shape))).reshape(shape)
+    return axes * angles[..., None]
+
+
+def _unit_quats(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+ARRAY_FORMS = {
+    "quat_normalize": (quat_normalize, lambda rng, s: (rng.normal(size=s + (4,)),)),
+    "quat_mul": (quat_mul, lambda rng, s: (_unit_quats(rng, s), _unit_quats(rng, s))),
+    "quat_from_rotvec": (quat_from_rotvec, lambda rng, s: (_rotvecs(rng, s),)),
+    "quat_to_mat": (quat_to_mat, lambda rng, s: (_unit_quats(rng, s),)),
+    "skew": (skew, lambda rng, s: (rng.normal(size=s + (3,)),)),
+    "so3_right_jacobian": (so3_right_jacobian, lambda rng, s: (_rotvecs(rng, s),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FORMS))
+def test_stacked_rows_equal_single_calls(name):
+    """A (2, 5, .) stack gives, bitwise, the helper's result on each row."""
+    fn, make = ARRAY_FORMS[name]
+    rng = np.random.default_rng(sorted(ARRAY_FORMS).index(name))
+    args = make(rng, (2, 5))
+    out = fn(*args)
+    single = fn(*(a[0, 0] for a in args))
+    assert out.shape == (2, 5) + single.shape
+    for i in np.ndindex(2, 5):
+        row = fn(*(a[i] for a in args))
+        assert row.shape == single.shape
+        assert row.tobytes() == out[i].tobytes(), i
 
 
 class TestLayout:
