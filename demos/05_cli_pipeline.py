@@ -1,12 +1,13 @@
 """The batch pipeline, end to end, through the command-line interface.
 
 Generates a scenario cache, runs three estimators on it, compares them,
-and exports a trajectory -- the same flow you would drive from a shell:
+and reads one run's trajectory text -- the same flow you would drive from
+a shell:
 
     srifkit simulate --scenario default --out scen.bin
     srifkit run --scenario scen.bin --estimator srif --out runs/srif
     srifkit compare runs/* --tolerance 1e-6
-    srifkit export --run runs/srif --out traj.txt
+    head -1 runs/srif/trajectory.txt
 """
 
 import dataclasses
@@ -35,9 +36,8 @@ with tempfile.TemporaryDirectory() as tmp:
     cli.main(["compare", *rundirs, "--tolerance", "1e-6"])
 
     print()
-    cli.main(["export", "--run", rundirs[1], "--out", str(tmp / "traj.txt")])
-    lines = (tmp / "traj.txt").read_text().splitlines()
-    print(f"exported {len(lines)} poses; first line:")
+    lines = (Path(rundirs[1]) / "trajectory.txt").read_text().splitlines()
+    print(f"trajectory.txt holds {len(lines)} poses; first line:")
     print(" ", lines[0])
     print("\nrun directory contents:", *sorted(
         p.name for p in Path(rundirs[1]).iterdir()))

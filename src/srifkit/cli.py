@@ -4,7 +4,6 @@ Subcommands:
   simulate  generate a scenario dataset and write it to a binary cache
   run       execute an estimator on a scenario and emit report artifacts
   compare   side-by-side report across completed run directories
-  export    re-export a completed run as timestamped-pose text
 
 A run directory contains:
   trajectory.txt    one line per pose: t x y z qx qy qz qw (17 sig. digits)
@@ -13,7 +12,6 @@ A run directory contains:
   flops.csv         counted FLOPs per phase (versioned header)
   timing.csv        wall-clock seconds per phase (not deterministic)
   events.csv        numerical instability events, if any
-  results.npz       raw arrays for downstream tooling
   manifest.json     config, seed, scenario hash, versions; replays the run
 
 All artifacts except timing.csv are byte-identical across repeated
@@ -137,9 +135,6 @@ def write_run_artifacts(outdir, spec, cfg, res, truth):
     put("events.csv", EVENTS_HEADER + "".join(
         f"{e.t:.17g},{e.kind},{e.detail:.17g}\n" for e in res.events))
 
-    np.savez(os.path.join(outdir, "results.npz"), times=res.times,
-             positions=res.positions, quats=res.quats)
-
     write_manifest(outdir, spec, cfg, status="completed",
                    n_events=len(res.events))
     return m
@@ -262,17 +257,6 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_export(args):
-    data = np.load(os.path.join(args.run, "results.npz"))
-    text = format_trajectory(data["times"], data["positions"], data["quats"])
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="srifkit",
@@ -308,11 +292,6 @@ def build_parser():
     sp.add_argument("--tolerance", type=float, default=None,
                     help="fail if any pairwise position divergence exceeds this")
     sp.set_defaults(fn=cmd_compare)
-
-    sp = sub.add_parser("export", help="write a run's trajectory as text")
-    sp.add_argument("--run", required=True, help="completed run directory")
-    sp.add_argument("--out", default="-", help="output path, - for stdout")
-    sp.set_defaults(fn=cmd_export)
     return p
 
 

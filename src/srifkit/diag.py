@@ -40,7 +40,7 @@ def _kappa2(A):
     return k * k
 
 
-def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
+def record_conditioning(t, R22_post, precond, R22_prior, P_scaled):
     """Snapshot the conditioning of one update step.
 
     `precond` must be built from `R22_post` (`build_preconditioner`), so
@@ -57,25 +57,23 @@ def record_conditioning(t, R22_post, precond, R22_prior=None, P_scaled=None):
     k_post = _kappa2(R22_post)
     k_scaled = _kappa2(R22_post / d[None, :])
     k_pre = _kappa2(precond.r22_spai / precond.jacobi[None, :])
-    k_prior = (np.nan if R22_prior is None else
-               _kappa2(filters.apply_preconditioner_inverse(
-                   precond, np.asarray(R22_prior, dtype=np.float64))))
-    if P_scaled is None:
-        smax = smin = np.nan
-    else:
-        sv = np.linalg.svd(np.asarray(P_scaled, dtype=np.float64),
-                           compute_uv=False)
-        smax, smin = float(sv[0]), float(sv[-1])
+    k_prior = _kappa2(filters.apply_preconditioner_inverse(
+        precond, np.asarray(R22_prior, dtype=np.float64)))
+    sv = np.linalg.svd(np.asarray(P_scaled, dtype=np.float64),
+                       compute_uv=False)
     return ConditioningRecord(float(t), k_post, k_scaled, k_pre, k_prior,
-                              smax, smin)
+                              float(sv[0]), float(sv[-1]))
 
 
 # --------------------------------------------------------------------------
 # trajectory metrics
 # --------------------------------------------------------------------------
 
+MAX_DT = 0.01        # s; an estimate pairs with ground truth this close
+RTE_INTERVAL = 1.0   # s between the poses of a relative motion
 
-def _associate(est_times, gt_times, max_dt):
+
+def _associate(est_times, gt_times):
     """Nearest-timestamp pairing; raises if nothing overlaps."""
     gt_times = np.asarray(gt_times)
     idx = np.searchsorted(gt_times, est_times)
@@ -84,7 +82,7 @@ def _associate(est_times, gt_times, max_dt):
     right = gt_times[idx]
     pick = np.where(np.abs(est_times - left) <= np.abs(est_times - right),
                     idx - 1, idx)
-    ok = np.abs(gt_times[pick] - est_times) <= max_dt
+    ok = np.abs(gt_times[pick] - est_times) <= MAX_DT
     if not ok.any():
         raise ValueError("no overlapping timestamps")
     return np.flatnonzero(ok), pick[ok]
@@ -109,11 +107,10 @@ def _geodesic_deg(Ra, Rb):
     return np.degrees(ang)
 
 
-def compute_ate(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
-                max_dt=0.01):
+def compute_ate(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat):
     """RMS translation (m) and rotation (deg) error after removing the
     four unobservable degrees of freedom (yaw + translation)."""
-    ei, gi = _associate(np.asarray(est_times), gt_times, max_dt)
+    ei, gi = _associate(np.asarray(est_times), gt_times)
     ep, gp = np.asarray(est_pos)[ei], np.asarray(gt_pos)[gi]
     if len(ei) < 2:
         raise ValueError("need at least two associated poses")
@@ -126,34 +123,33 @@ def compute_ate(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
     return ate_t, ate_r
 
 
-def compute_rte(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
-                interval=1.0, max_dt=0.01):
-    """RMS error of relative motions over `interval`, no alignment."""
+def compute_rte(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat):
+    """RMS error of relative motions over RTE_INTERVAL, no alignment."""
     est_times = np.asarray(est_times)
-    ei, gi = _associate(est_times, gt_times, max_dt)
+    ei, gi = _associate(est_times, gt_times)
     times = est_times[ei]
-    jmatch = np.searchsorted(times, times + interval)
+    jmatch = np.searchsorted(times, times + RTE_INTERVAL)
     Re = quat_to_mat(np.asarray(est_quat)[ei])
     Rg = quat_to_mat(np.asarray(gt_quat)[gi])
     pe, pg = np.asarray(est_pos)[ei], np.asarray(gt_pos)[gi]
     terrs, rerrs = [], []
     for a, j in enumerate(jmatch):
-        if j >= len(times) or abs(times[j] - times[a] - interval) > max_dt:
+        if (j >= len(times)
+                or abs(times[j] - times[a] - RTE_INTERVAL) > MAX_DT):
             continue
         d_est = Re[a].T @ (pe[j] - pe[a])
         d_gt = Rg[a].T @ (pg[j] - pg[a])
         terrs.append(np.linalg.norm(d_est - d_gt))
         rerrs.append(_geodesic_deg(Re[a].T @ Re[j], Rg[a].T @ Rg[j]))
     if not terrs:
-        raise ValueError(f"no pose pairs {interval} s apart")
+        raise ValueError(f"no pose pairs {RTE_INTERVAL} s apart")
     return (float(np.sqrt(np.mean(np.square(terrs)))),
             float(np.sqrt(np.mean(np.square(rerrs)))))
 
 
-def compute_metrics(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat,
-                    interval=1.0):
+def compute_metrics(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat):
     ate_t, ate_r = compute_ate(est_times, est_pos, est_quat,
                                gt_times, gt_pos, gt_quat)
     rte_t, rte_r = compute_rte(est_times, est_pos, est_quat,
-                               gt_times, gt_pos, gt_quat, interval=interval)
+                               gt_times, gt_pos, gt_quat)
     return TrajectoryMetrics(ate_t, ate_r, rte_t, rte_r)

@@ -37,7 +37,6 @@ import scipy.linalg
 
 from .linalg import (
     FlopCounter,
-    NotPositiveDefinite,
     _givens_chain,
     cholesky_solve,
     cholesky_upper,
@@ -464,11 +463,7 @@ def kf_update(P, H2, r, n1, flops=None):
     HP = H2 @ P[n1:, :]
     S = HP[:, n1:] @ H2.T
     S[np.diag_indices_from(S)] += 1.0
-    try:
-        cf = scipy.linalg.cho_factor(S, lower=False)
-    except scipy.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(-1) from e
-    K = scipy.linalg.cho_solve(cf, HP).T
+    K = cholesky_solve(cholesky_upper(S, check_symmetry=False), HP).T
     dx = K @ r.astype(P.dtype, copy=False)
     A = P - K @ HP
     P_new = A - (A[:, n1:] @ H2.T) @ K.T + K @ K.T

@@ -300,12 +300,14 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
 def cholesky_solve(U, b, flops: FlopCounter | None = None):
     """Solve U.T U x = b for a Cholesky factor U with one ?potrs call.
 
-    Counted as the forward and the back substitution it performs, n(n - 1)/2
-    multiply-adds and n divisions each.
+    Counted per right-hand side as the forward and the back substitution it
+    performs, n(n - 1)/2 multiply-adds and n divisions each.
     """
     n = U.shape[0]
     if flops is not None:
-        flops.add(adds=n * (n - 1), muls=n * (n - 1), divs=2 * n)
+        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
+        tri = n * (n - 1) * ncol
+        flops.add(adds=tri, muls=tri, divs=2 * n * ncol)
     potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
     x, _ = potrs(U.T, b, lower=1)
     return x

@@ -38,6 +38,7 @@ from .state import (
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
+NOISE_FLOOR = 1e-8  # process-noise std. dev. added to each transitioned state
 
 
 @dataclass
@@ -105,8 +106,7 @@ def check_imu_samples(omega, accel, dt):
     return omega, accel, dt
 
 
-def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
-                   noise_floor=1e-8):
+def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise):
     """Integrate IMU samples from `pose` and linearize the step.
 
     The samples are the (K, 3) body rates `omega`, the (K, 3) specific
@@ -116,7 +116,7 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
     linearization of the discrete integrator (verified against finite
     differences). Returns a TransitionBlock carrying the predicted pose
     and velocity plus the square-root information of the accumulated
-    process noise. `noise_floor` keeps that information finite on
+    process noise. NOISE_FLOOR keeps that information finite on
     noise-free scenarios.
 
     The biases are fixed during the step, so every sample's rotation
@@ -180,7 +180,7 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise,
     S = _suffix_products(F)
     Phi = S[0] @ F[0]
     Q = (S @ G @ S.transpose(0, 2, 1)).sum(axis=0)
-    Q += np.eye(15) * noise_floor ** 2
+    Q += np.eye(15) * NOISE_FLOOR ** 2
     Q = 0.5 * (Q + Q.T)
     info = np.linalg.inv(Q)
     sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)

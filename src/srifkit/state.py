@@ -195,9 +195,6 @@ class ErrorStateLayout:
     def offset(self, name):
         return self.index[name][0]
 
-    def dim(self, name):
-        return self.index[name][1]
-
     def slice(self, name):
         off, dim = self.index[name]
         return slice(off, off + dim)

@@ -340,11 +340,11 @@ class VinsEstimator:
             if moving:
                 leaving.update(self._reanchor(moving, departing.id,
                                               self.x.poses[-1].id))
-            # discard buffered short-track observations at the departing pose
-            for fid, obs in list(self.track_buf.items()):
-                self.track_buf[fid] = [o for o in obs if o[0] != departing.id]
-                if not self.track_buf[fid]:
-                    del self.track_buf[fid]
+            # no buffered track observes the departing pose: the last
+            # update used or dropped every track that had reached window - 1
+            # observations or ended, so each one left holds at most
+            # window - 2, from consecutive frames ending at the previous
+            # one, and its oldest is two frames newer than this pose
             del self.frame_motion[departing.id]
             poses = [f"pose:{departing.id}"]
         names = [f"feat:{f.id}" for f in self.x.features
@@ -411,7 +411,6 @@ class VinsEstimator:
         # pose's camera is evaluated once per frame
         cameras = window_cameras(self.x, self.frame_motion)
         in_state = {f.id: f for f in self.x.features}
-        pose_ids = {p.id for p in self.x.poses}
         seen = []         # (feature id, [(pose id, pixel), ...]) in frame order
         candidates = []   # tracks to triangulate, would-be SLAM features first
         for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
@@ -422,9 +421,6 @@ class VinsEstimator:
             self.track_buf.setdefault(fid, []).append((frame.index, px))
             obs = self.track_buf[fid]
             if kind == 0 and len(obs) >= MIN_TRACK:
-                if not all(pid in pose_ids for pid, _ in obs):
-                    self.track_buf[fid] = obs[-1:]
-                    continue
                 seen.append((fid, obs))
                 candidates.append((fid, obs))
         n_slam = len(candidates)
@@ -438,8 +434,7 @@ class VinsEstimator:
             if fid in slam or not (ended or capped):
                 continue
             del self.track_buf[fid]
-            if len(obs) >= MIN_TRACK and all(
-                    pid in pose_ids for pid, _ in obs):
+            if len(obs) >= MIN_TRACK:
                 candidates.append((fid, obs))
         theta = {}
         if candidates:
@@ -612,7 +607,7 @@ class VinsEstimator:
              else np.sqrt(np.diag(Psub)))
         P_scaled = Psub / np.outer(s, s)
         self.conditioning.append(record_conditioning(
-            frame.t, R22_post, pc, R22_prior=prior_R22, P_scaled=P_scaled))
+            frame.t, R22_post, pc, prior_R22, P_scaled))
 
     def _position_nees(self, truth_pos):
         lay = self.layout

@@ -9,11 +9,10 @@ import pytest
 
 from srifkit import cli
 from srifkit.sim import default_scenario
-from srifkit.vins import EstimatorAbort
+from srifkit.vins import EstimatorAbort, FilterConfig, run_filter
 
 ARTIFACTS = ("trajectory.txt", "conditioning.csv", "metrics.csv",
-             "flops.csv", "timing.csv", "events.csv", "results.npz",
-             "manifest.json")
+             "flops.csv", "timing.csv", "events.csv", "manifest.json")
 DETERMINISTIC = tuple(a for a in ARTIFACTS if a != "timing.csv")
 
 
@@ -117,16 +116,16 @@ class TestCompare:
         assert cli.main(["compare", d1, d2]) == 1
 
 
-def test_export_round_trip(scenario_file, tmp_path):
+def test_trajectory_text_round_trips_the_run(scenario_file, tmp_path):
+    # 17 significant digits carry every float64 exactly
     d = str(tmp_path / "run")
     cli.main(["run", "--scenario", scenario_file, "--out", d])
-    out = str(tmp_path / "traj.txt")
-    assert cli.main(["export", "--run", d, "--out", out]) == 0
-    t, p, q = cli.parse_trajectory(open(out).read())
-    data = np.load(os.path.join(d, "results.npz"))
-    assert np.array_equal(t, data["times"])
-    assert np.array_equal(p, data["positions"])
-    assert np.array_equal(q, data["quats"])
+    with open(os.path.join(d, "trajectory.txt")) as fh:
+        t, p, q = cli.parse_trajectory(fh.read())
+    res = run_filter(cli.load_dataset(scenario_file), FilterConfig())
+    assert np.array_equal(t, res.times)
+    assert np.array_equal(p, res.positions)
+    assert np.array_equal(q, res.quats)
 
 
 def test_empty_trajectory_formats_to_empty_file():

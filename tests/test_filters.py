@@ -259,7 +259,7 @@ def augment_maps(layout, old_pose_name, new_pose_name):
     cam = ("intr", "p_ic", "q_ic")
     names = [("old_" + nm, 3) for nm in ("bg", "ba", "v")]
     names += [(nm, dim) for nm, _, dim in layout.blocks if nm not in cam]
-    names += [(new_pose_name, 6)] + [(nm, layout.dim(nm)) for nm in cam]
+    names += [(new_pose_name, 6)] + [(nm, layout.index[nm][1]) for nm in cam]
     aug, off = {}, 0
     for nm, dim in names:
         aug[nm] = off
@@ -721,6 +721,14 @@ class TestKf:
         P = np.diag([2.0, 3.0])
         dx, P_post = kf_update(P, np.zeros((2, 2)), np.zeros(2), 0)
         assert np.allclose(dx, 0.0) and np.allclose(P_post, P)
+
+    def test_indefinite_innovation_names_its_pivot(self):
+        # S = H2 P22 H2.T + I = -9 I fails at the first pivot
+        P = -10.0 * np.eye(5)
+        with pytest.raises(NotPositiveDefinite) as e:
+            kf_update(P, np.eye(3), np.ones(3), 2)
+        assert e.value.pivot >= 0
+        assert e.value.value <= 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_srif(self, seed):

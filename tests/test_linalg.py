@@ -203,6 +203,16 @@ class TestTriangularSolves:
         xc = cholesky_solve(U, b)
         assert np.linalg.norm(U.T @ (U @ xc) - b) <= 1e-12 * np.linalg.norm(b)
 
+    def test_cholesky_solve_counts_each_column(self):
+        rng = np.random.default_rng(14)
+        U = np.triu(rng.normal(size=(6, 6))) + 6.0 * np.eye(6)
+        b = rng.normal(size=6)
+        one, two = FlopCounter(), FlopCounter()
+        cholesky_solve(U, b, flops=one)
+        cholesky_solve(U, np.column_stack([b, b]), flops=two)
+        assert one.total() > 0
+        assert two.total() == 2 * one.total()
+
     def test_singular_raises(self):
         U = np.eye(3)
         U[1, 1] = 0.0

@@ -125,7 +125,7 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
         if len(resid) < 2:
             continue
         names = sorted({k for b in rows_x for k in b})
-        dims = [est.layout.dim(nm) for nm in names]
+        dims = [est.layout.index[nm][1] for nm in names]
         Hx = {nm: np.zeros((2 * len(resid), d)) for nm, d in zip(names, dims)}
         for i, b in enumerate(rows_x):
             for nm, J in b.items():
@@ -516,6 +516,36 @@ class TestMarginalizationPass:
         for got, k, n in counted:
             assert got == 3 * k * (n + 3 * k) * (2 * n - 1)
         assert res.flops["marginalization"] == sum(got for got, _, _ in counted) > 0
+
+
+class TestTrackBuffer:
+    @pytest.mark.parametrize("window", [3, 4, 11])
+    @pytest.mark.parametrize("estimator", ["kf", "srif"])
+    def test_no_buffered_observation_outlives_the_window(self, estimator,
+                                                         window):
+        # an update uses or drops every track that reaches window - 1
+        # observations or ends, so a track left in the buffer holds at most
+        # window - 2, all at window poses, and none at the pose that
+        # leaves next
+        ds = gen_dataset(_short(seed=0, duration=15.0))
+        est = vins.VinsEstimator(ds, FilterConfig(estimator=estimator,
+                                                  window=window))
+        longest = 0
+        for frame in ds.frames[1:]:
+            est._propagate(frame)
+            departing = est.x.poses[0].id
+            est._marginalize(frame)
+            if est.x.poses[0].id != departing:
+                assert all(pid != departing for obs in est.track_buf.values()
+                           for pid, _ in obs)
+            est._update(frame)
+            pose_ids = {p.id for p in est.x.poses}
+            for obs in est.track_buf.values():
+                assert len(obs) <= window - 2
+                assert all(pid in pose_ids for pid, _ in obs)
+                longest = max(longest, len(obs))
+        assert est.x.poses[0].id > 0   # the window slid
+        assert longest == window - 2
 
 
 class TestDeterminism:
