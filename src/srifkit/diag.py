@@ -44,19 +44,18 @@ def record_conditioning(t, R22_post, precond, R22_prior, P_scaled):
     """Snapshot the conditioning of one update step.
 
     `precond` must be built from `R22_post` (`build_preconditioner`), so
-    its own R22_post M_SPAI^-1, scaled by M_Jacobi^-1, is the preconditioned
-    posterior. It is applied to the prior factor too, which shows how well
-    a preconditioner built after the update transfers to the factor it
-    would have preconditioned. `P_scaled` is the scale-normalized
-    covariance block tracked by the runner; its extremal singular values
-    land in sigma_max/min.
+    its own R22_post M^-1 is the preconditioned posterior. It is applied
+    to the prior factor too, which shows how well a preconditioner built
+    after the update transfers to the factor it would have preconditioned.
+    `P_scaled` is the scale-normalized covariance block tracked by the
+    runner; its extremal singular values land in sigma_max/min.
     """
     R22_post = np.asarray(R22_post, dtype=np.float64)
     d = np.sqrt(np.einsum("ij,ij->j", R22_post, R22_post))
     d[d == 0.0] = 1.0
     k_post = _kappa2(R22_post)
     k_scaled = _kappa2(R22_post / d[None, :])
-    k_pre = _kappa2(precond.r22_spai / precond.jacobi[None, :])
+    k_pre = _kappa2(precond.r22p)
     k_prior = _kappa2(filters.apply_preconditioner_inverse(
         precond, np.asarray(R22_prior, dtype=np.float64)))
     sv = np.linalg.svd(np.asarray(P_scaled, dtype=np.float64),

@@ -18,7 +18,9 @@ Matrix-level operations shared by the three estimators:
   Cholesky on the unpreconditioned normal equation (the instability
   demonstrator), and Cholesky on the preconditioned normal equation
   (SPAI + Jacobi, built from the prior factor), whose normal matrix is
-  ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1.
+  ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1. M_SPAI is one
+  upper triangle on the contiguous pose columns, so each application of
+  the preconditioner is one ?trsm, ?trmm or ?trtrs call.
 * Covariance-form (EKF) propagation over the same index arrays as the
   augmentation, rewriting only the 15 transitioned rows and columns
   (O(15 n^2)), and the Joseph-form update on H2, which never widens the
@@ -30,6 +32,7 @@ optional FlopCounter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,7 @@ import scipy.linalg
 from .linalg import (
     FlopCounter,
     _givens_chain,
+    _strictly_lower,
     cholesky_solve,
     cholesky_upper,
     form_normal_half,
@@ -193,7 +197,9 @@ def srif_augment(R, colmap, rows, old_cols, tb,
 # --------------------------------------------------------------------------
 
 
-def _dx_from_dx2(R, dx2, n1, flops):
+def _posterior(R, n1, R22_post, dx2, flops):
+    """An update's result from its x2 part: dx1 by back substitution
+    through the prior's R11, and the prior factor with R22 replaced."""
     n = R.shape[0]
     dx = np.zeros(n, dtype=R.dtype)
     dx[n1:] = dx2
@@ -202,7 +208,9 @@ def _dx_from_dx2(R, dx2, n1, flops):
         dx[:n1] = -solve_upper(R[:n1, :n1], rhs, flops=flops)
         if flops is not None:
             flops.add(adds=n1 * (n - n1), muls=n1 * (n - n1))
-    return dx
+    R_post = R.copy()
+    R_post[n1:, n1:] = R22_post
+    return UpdateResult(dx, R_post)
 
 
 def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
@@ -223,10 +231,17 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
                                  flops=flops, overwrite=True, top=R[n1:, n1:])
     sign_normalize_rows(R22_post, t)
     dx2 = solve_upper(R22_post, t[:n2], flops=flops)
-    dx = _dx_from_dx2(R, dx2, n1, flops)
-    R_post = R.copy()
-    R_post[n1:, n1:] = R22_post
-    return UpdateResult(dx, R_post)
+    return _posterior(R, n1, R22_post, dx2, flops)
+
+
+@functools.lru_cache(maxsize=8)
+def _outside_spai(poses):
+    """Read-only mask of the zeros of M_SPAI's triangle on `poses` pose
+    blocks: the strictly lower entries and pairs of different components."""
+    k = np.arange(6 * poses) % 6
+    mask = (k[:, None] != k) | _strictly_lower(6 * poses)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -234,79 +249,76 @@ class Preconditioner:
     """M = M_Jacobi @ M_SPAI, stored implicitly.
 
     M_SPAI copies the prior R22's entries on the sparsity set S, which
-    pairs component k of pose i with component k of pose j (diagonal
-    included), and is the identity elsewhere. Restricted to the columns
-    idx[k] = pose_offsets + k it is the upper-triangular blocks[k], and
-    those six column sets are disjoint, so M_SPAI is six small triangular
-    systems, each one BLAS/LAPACK call. M_Jacobi holds the column norms of
-    R22 @ M_SPAI^-1, which is kept as `r22_spai` for the update to reuse.
-    M_SPAI is upper triangular in the state order, so R22 @ M_SPAI^-1 is
-    exactly upper triangular: its strictly lower entries are sums of
-    products with zeros.
+    pairs component k of pose i with component k of pose j >= i, and is
+    the identity elsewhere. The pose blocks are contiguous, so M_SPAI is
+    the identity but on their columns `cols`, where it is the upper
+    triangle `tri`, and each application is one BLAS/LAPACK call on
+    X[:, cols]. M_Jacobi holds the column norms of R22 @ M_SPAI^-1.
+    `r22p` = R22 @ M^-1 is exactly upper triangular, since its strictly
+    lower entries are sums of products with zeros; the update reuses it.
     """
 
     n2: int
-    idx: np.ndarray                   # (6, poses) columns of each block
-    blocks: np.ndarray                # (6, poses, poses) upper triangular
-    jacobi: np.ndarray                # positive diagonal of M_Jacobi
-    r22_spai: np.ndarray | None = None    # prior R22 @ M_SPAI^-1
+    cols: slice                   # the pose blocks' columns
+    tri: np.ndarray               # M_SPAI[cols, cols], Fortran-ordered
+    jacobi: np.ndarray            # positive diagonal of M_Jacobi
+    r22p: np.ndarray | None = None    # prior R22 @ M^-1
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
-        l = self.idx.shape[1]
+        l = self.tri.shape[0] // 6
         return 6 * l * (l - 1) // 2
-
-    def apply_blocks(self, X, kernel):
-        """X[:, idx[k]] = kernel(blocks[k].T, X[:, idx[k]]) for each block,
-        in place. The blocks' columns are gathered once, so each block is
-        a Fortran-ordered m x poses view that a BLAS kernel updates in
-        place; blocks[k].T is the Fortran-ordered lower triangle."""
-        if self.idx.shape[1]:
-            W = X.T[self.idx]
-            for Wk, L in zip(W, self.blocks.transpose(0, 2, 1)):
-                Wk.T[...] = kernel(L, Wk.T)
-            X.T[self.idx] = W
-        return X
 
 
 def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     """SPAI + Jacobi preconditioner from the prior R22 factor.
 
-    pose_offsets are the ascending offsets of the 6-dim pose error blocks
-    within the x2 partition. Zero column norms are pinned to 1.
-    A zero diagonal entry in an SPAI block makes M_SPAI singular and raises
-    scipy.linalg.LinAlgError.
+    pose_offsets are the offsets of the 6-dim pose error blocks within the
+    x2 partition; they must be ascending and contiguous, inside [0, n2),
+    or ValueError is raised. Zero column norms are pinned to 1. A zero
+    diagonal entry of M_SPAI makes it singular and raises
+    scipy.linalg.LinAlgError naming the pose and component.
     """
     n2 = R22.shape[0]
-    idx = np.add.outer(np.arange(6), np.asarray(pose_offsets, dtype=int))
-    blocks = np.triu(R22[idx[:, :, None], idx[:, None, :]])
-    zero = np.flatnonzero(np.diagonal(blocks, axis1=1, axis2=2).T == 0)
+    poses = len(pose_offsets)
+    first = pose_offsets[0] if poses else 0
+    cols = slice(first, first + 6 * poses)
+    if (list(pose_offsets) != list(range(cols.start, cols.stop, 6))
+            or not 0 <= first <= n2 - 6 * poses):
+        raise ValueError(f"pose offsets {list(pose_offsets)} are not "
+                         f"contiguous 6-column blocks inside [0, {n2})")
+    tri = np.array(R22[cols, cols], order="F")
+    np.copyto(tri, 0, where=_outside_spai(poses))
+    zero = np.flatnonzero(np.diagonal(tri) == 0)
     if zero.size:
         raise scipy.linalg.LinAlgError(
             f"singular SPAI block: zero diagonal at pose "
             f"{zero[0] // 6}, component {zero[0] % 6}")
-    pc = Preconditioner(n2, idx, blocks, np.ones(n2, dtype=R22.dtype))
-    R22s = _apply_spai_inverse_right(pc, R22, flops=flops)
-    norms = np.sqrt(np.einsum("ij,ij->j", R22s, R22s))
-    if flops is not None:
-        flops.add(adds=(n2 - 1) * n2, muls=n2 * n2, sqrts=n2)
+    pc = Preconditioner(n2, cols, tri, np.ones(n2, dtype=R22.dtype))
+    R22p = _apply_spai_inverse_right(pc, R22, flops=flops)
+    norms = np.sqrt(np.einsum("ij,ij->j", R22p, R22p))
     norms[norms == 0] = 1.0
     pc.jacobi = norms.astype(R22.dtype)
-    pc.r22_spai = R22s
+    R22p /= pc.jacobi
+    pc.r22p = R22p
+    if flops is not None:
+        # the column norms, and the Jacobi scaling of R22p
+        flops.add(adds=(n2 - 1) * n2, muls=n2 * n2, divs=n2 * n2, sqrts=n2)
     return pc
 
 
 def _apply_spai_inverse_right(pc: Preconditioner, A, flops=None):
-    """X = A @ M_SPAI^-1: X_k = A_k B_k^-1 per block, one ?trsm each."""
-    X = np.array(A, copy=True)
-    trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
-    pc.apply_blocks(X, lambda L, b: trsm(1.0, L, b, side=1, lower=1,
-                                         trans_a=1, overwrite_b=1))
+    """X = A @ M_SPAI^-1: one ?trsm on the pose columns of a
+    Fortran-ordered copy, which it overwrites in place."""
+    X = np.array(A, order="F")
+    if X.shape[0] and pc.tri.size:
+        trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
+        trsm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
     if flops is not None:
         # sparse back substitution: 2m per off-diagonal entry, m per
         # diagonal entry other than 1
         m = X.shape[0]
-        diag = np.diagonal(pc.blocks, axis1=1, axis2=2)
+        diag = np.diagonal(pc.tri)
         nflops = m * (2 * pc.nnz() + np.count_nonzero(diag != 1.0))
         flops.add(adds=nflops // 2, muls=nflops - nflops // 2)
     return X
@@ -315,18 +327,19 @@ def _apply_spai_inverse_right(pc: Preconditioner, A, flops=None):
 def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
     """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 (sparse solve + scaling)."""
     X = _apply_spai_inverse_right(pc, A, flops=flops)
-    X /= pc.jacobi[None, :]
+    X /= pc.jacobi
     if flops is not None:
         flops.add(divs=X.shape[0] * pc.n2)
     return X
 
 
 def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
-    """A @ M = (A @ M_Jacobi) @ M_SPAI, one ?trmm per block."""
-    X = A * pc.jacobi[None, :]
-    trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
-    pc.apply_blocks(X, lambda L, b: trmm(1.0, L, b, side=1, lower=1,
-                                         trans_a=1, overwrite_b=1))
+    """A @ M = (A @ M_Jacobi) @ M_SPAI: one ?trmm on the pose columns of
+    a Fortran-ordered product, which it overwrites in place."""
+    X = np.multiply(A, pc.jacobi, order="F")
+    if X.shape[0] and pc.tri.size:
+        trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
+        trmm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
     if flops is not None:
         m, nnz = A.shape[0], pc.nnz()
         flops.add(muls=2 * m * pc.n2 + 2 * m * nnz, adds=m * nnz)
@@ -334,11 +347,11 @@ def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
 
 
 def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
-    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one ?trtrs per block."""
+    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one ?trtrs on the pose entries."""
     x = z / pc.jacobi
-    trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (x,))
-    for ix, L in zip(pc.idx, pc.blocks.transpose(0, 2, 1)):
-        x[ix] = trtrs(L, x[ix], lower=1, trans=1)[0]
+    if pc.tri.size:
+        trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (x,))
+        x[pc.cols] = trtrs(pc.tri, x[pc.cols])[0]
     if flops is not None:
         nnz = pc.nnz()
         flops.add(adds=nnz, muls=nnz, divs=2 * pc.n2)
@@ -355,34 +368,27 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     information the preconditioner is there to protect). Mathematically
     identical to the QR path.
 
-    R22p = R22 M^-1 is the preconditioner's own R22 M_SPAI^-1 scaled by
-    M_Jacobi^-1, exactly upper triangular, so the normal matrix is
-    R22p.T R22p by ?trmm plus H2p.T H2p by ?syrk, and dx2 comes from one
-    ?potrs on its Cholesky factor.
+    R22p = R22 M^-1, which the preconditioner keeps, is exactly upper
+    triangular, so the normal matrix is R22p.T R22p by ?trmm plus
+    H2p.T H2p by ?syrk, and dx2 comes from one ?potrs on its Cholesky
+    factor.
 
     Raises NotPositiveDefinite if the preconditioned Cholesky fails.
     """
-    n = R.shape[0]
-    n2 = n - n1
-    m = H2.shape[0]
+    m, n2 = H2.shape
     pc = build_preconditioner(R[n1:, n1:], pose_offsets_x2, flops=flops)
-    R22p = pc.r22_spai / pc.jacobi[None, :]
     H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype, copy=False),
                                        flops=flops)
-    N = form_normal_half(H2p, flops=flops, top=R22p)
+    N = form_normal_half(H2p, flops=flops, top=pc.r22p)
     U = cholesky_upper(N, flops=flops, check_symmetry=False)
     w = H2p.T @ r.astype(R.dtype, copy=False)
-    if flops is not None:
-        # the Jacobi scaling of R22p, and H2p.T r
-        flops.add(adds=m * n2, muls=m * n2, divs=n2 * n2)
+    if flops is not None:    # H2p.T r
+        flops.add(adds=m * n2, muls=m * n2)
     z = cholesky_solve(U, w, flops=flops)
     dx2 = preconditioner_solve_vec(pc, z, flops=flops)
     R22_post = apply_preconditioner_right(pc, U, flops=flops)
     sign_normalize_rows(R22_post)
-    dx = _dx_from_dx2(R, dx2, n1, flops)
-    R_post = R.copy()
-    R_post[n1:, n1:] = R22_post
-    return UpdateResult(dx, R_post)
+    return _posterior(R, n1, R22_post, dx2, flops)
 
 
 def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
@@ -392,9 +398,7 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     precision (?trmm and ?syrk) and factorizes it directly.
     NotPositiveDefinite is expected on ill-conditioned steps in float32.
     """
-    n = R.shape[0]
-    n2 = n - n1
-    m = H2.shape[0]
+    m, n2 = H2.shape
     H2 = H2.astype(R.dtype, copy=False)
     N = form_normal_half(H2, flops=flops, top=R[n1:, n1:])
     U = cholesky_upper(N, flops=flops, check_symmetry=False)
@@ -402,20 +406,12 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     if flops is not None:
         flops.add(adds=m * n2, muls=m * n2)
     dx2 = cholesky_solve(U, w, flops=flops)
-    dx = _dx_from_dx2(R, dx2, n1, flops)
-    R_post = R.copy()
-    R_post[n1:, n1:] = U
-    return UpdateResult(dx, R_post)
+    return _posterior(R, n1, U, dx2, flops)
 
 
 # --------------------------------------------------------------------------
 # covariance-form (EKF) reference
 # --------------------------------------------------------------------------
-
-
-def _count_matmul(flops, m, k, n):
-    if flops is not None:
-        flops.add(adds=m * n * (k - 1), muls=m * n * k)
 
 
 def kf_propagate(P, keep, sel, rows, tb, flops=None):
@@ -441,11 +437,10 @@ def kf_propagate(P, keep, sel, rows, tb, flops=None):
     P_new[np.ix_(rows, keep)] = A
     P_new[np.ix_(keep, rows)] = A.T
     P_new[np.ix_(rows, rows)] = 0.5 * (corner + corner.T)
-    _count_matmul(flops, 15, 15, P.shape[0])
-    _count_matmul(flops, 15, 15, 15)
-    _count_matmul(flops, 15, 15, 15)
     if flops is not None:
-        flops.add(adds=15 * 15)
+        # Phi P[sel, :], the corner's two 15 x 15 products and their sum
+        flops.add(adds=210 * P.shape[0] + 2 * 3150 + 225,
+                  muls=225 * P.shape[0] + 2 * 3375)
     return P_new
 
 

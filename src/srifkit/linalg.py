@@ -330,13 +330,14 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
     # ?syrk with trans = 0 on the transpose reads a C-ordered A in place
     At, trans = (A, 1) if A.flags.f_contiguous else (A.T, 0)
     if top is None:
-        S = syrk(1.0, At, trans=trans, lower=0)
+        S = np.zeros((n, n), dtype=A.dtype, order="F")
     else:
         # top.T @ top as L @ L.T for the Fortran-ordered lower L = top.T
         L = np.array(top.T, order="F")
         np.copyto(L, 0, where=_strictly_lower(n).T)
         S = trmm(1.0, np.asarray(top).T, L, side=1, lower=1, trans_a=1,
                  overwrite_b=1)
+    if m:    # ?syrk rejects the leading dimension of an empty A
         S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
     np.copyto(S, S.T, where=_strictly_lower(n))
     if flops is not None:

@@ -2,12 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from srifkit import filters, linalg
 from srifkit.filters import (
-    Preconditioner,
     apply_preconditioner_inverse,
     apply_preconditioner_right,
     build_preconditioner,
@@ -469,26 +469,36 @@ def coupled_pose_factor(rng, common_info=1e-2, relative_info=1e6):
     return cholesky_upper(info + np.eye(12) * 1e-9, check_symmetry=False)
 
 
-def preconditioner_dense(pc):
-    """M = M_Jacobi @ M_SPAI as a dense n2 x n2 matrix: the identity with
-    each triangular block written over its columns, rows scaled by the
-    Jacobi norms."""
-    M = np.eye(pc.n2)
-    for ix, B in zip(pc.idx, pc.blocks):
-        M[np.ix_(ix, ix)] = B
-    return np.diag(pc.jacobi.astype(np.float64)) @ M
+def preconditioner_dense(R22, pose_offsets):
+    """M = M_Jacobi @ M_SPAI in float64, by definition: M_SPAI is the
+    identity with R22's entries written at each pair (o_i + k, o_j + k),
+    i <= j, of pose offsets and component k, and M_Jacobi holds the
+    column norms of R22 @ M_SPAI^-1, zero norms pinned to 1."""
+    R22 = np.asarray(R22, dtype=np.float64)
+    M = np.eye(R22.shape[0])
+    for i, oi in enumerate(pose_offsets):
+        for oj in pose_offsets[i:]:
+            for k in range(6):
+                M[oi + k, oj + k] = R22[oi + k, oj + k]
+    norms = np.linalg.norm(R22 @ np.linalg.inv(M), axis=0)
+    norms[norms == 0] = 1.0
+    return np.diag(norms) @ M
 
 
 class TestPreconditioner:
     def test_identity(self):
         pc = build_preconditioner(np.eye(10), [0])
-        assert np.allclose(preconditioner_dense(pc), np.eye(10))
+        assert np.allclose(preconditioner_dense(np.eye(10), [0]), np.eye(10))
+        assert np.array_equal(pc.tri, np.eye(6))
+        assert np.array_equal(pc.jacobi, np.ones(10))
 
     def test_pure_jacobi_diagonal(self):
         d = np.array([10.0, 0.1, 2.0, 5.0])
         pc = build_preconditioner(np.diag(d), [])
-        assert np.allclose(np.diag(preconditioner_dense(pc)), d)
-        k, *_ = cond_spectral(np.diag(d) @ np.linalg.inv(preconditioner_dense(pc)))
+        M = preconditioner_dense(np.diag(d), [])
+        assert np.allclose(np.diag(M), d)
+        assert np.allclose(pc.jacobi, d)
+        k, *_ = cond_spectral(np.diag(d) @ np.linalg.inv(M))
         assert np.isclose(k, 1.0)
 
     def test_beats_plain_jacobi_on_coupled_poses(self):
@@ -506,7 +516,7 @@ class TestPreconditioner:
         pc = build_preconditioner(R22, [0, 6])
         A = rng.normal(size=(20, 12))
         got = apply_preconditioner_inverse(pc, A)
-        ref = A @ np.linalg.inv(preconditioner_dense(pc))
+        ref = A @ np.linalg.inv(preconditioner_dense(R22, [0, 6]))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max() * 1e3
 
     def test_apply_right_solve_roundtrip(self):
@@ -518,7 +528,7 @@ class TestPreconditioner:
         assert np.allclose(back, A, atol=1e-9 * np.abs(A).max())
         z = rng.normal(size=12)
         x = preconditioner_solve_vec(pc, z)
-        assert np.allclose(preconditioner_dense(pc) @ x, z, atol=1e-9)
+        assert np.allclose(preconditioner_dense(R22, [0, 6]) @ x, z, atol=1e-9)
 
     def test_zero_column_norm_pinned_to_one(self):
         R22 = np.eye(6)
@@ -534,8 +544,56 @@ class TestPreconditioner:
         pc = build_preconditioner(R22, offs)
         fc = FlopCounter()
         apply_preconditioner_inverse(pc, rng.normal(size=(m, n2)), flops=fc)
-        nnz = np.count_nonzero(np.triu(pc.blocks, 1))
+        nnz = np.count_nonzero(np.triu(preconditioner_dense(R22, offs), 1))
+        assert nnz == pc.nnz() == 6 * 4 * 3 // 2
         assert fc.total() <= 4 * (nnz + n2) * m
+
+    @pytest.mark.parametrize("offsets, n2", [([0, 12], 20), ([6], 10),
+                                             ([-6], 20), ([6, 0], 20)])
+    def test_rejects_offsets_that_are_not_contiguous_pose_blocks(
+            self, offsets, n2):
+        with pytest.raises(ValueError, match=re.escape(str(offsets))):
+            build_preconditioner(np.eye(n2), offsets)
+
+    def test_singular_block_names_pose_and_component(self):
+        R22 = np.eye(14)
+        R22[9, 9] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError,
+                           match="pose 1, component 2"):
+            build_preconditioner(R22, [1, 7])
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), poses=st.integers(0, 11),
+           first=st.integers(0, 20), extra=st.integers(0, 4),
+           m=st.integers(0, 40))
+    def test_applications_match_dense_oracle(self, dtype, seed, poses, first,
+                                             extra, m):
+        rng = np.random.default_rng(seed)
+        offsets = [first + 6 * i for i in range(poses)]
+        n2 = first + 6 * poses + extra
+        assume(n2 > 0)
+        R22 = random_spd_factor(rng, n2).astype(dtype)
+        A = rng.normal(size=(m, n2)).astype(dtype)
+        z = rng.normal(size=n2).astype(dtype)
+        pc = build_preconditioner(R22, offsets)
+        M = preconditioner_dense(R22, offsets)
+        tol = 10 * n2 * eps_of(dtype)
+        A64 = A.astype(np.float64)
+
+        def near(got, ref, scale):
+            assert np.linalg.norm(got - ref) <= tol * scale
+
+        X = apply_preconditioner_inverse(pc, A)
+        Y = apply_preconditioner_right(pc, A)
+        x = preconditioner_solve_vec(pc, z)
+        R22p = pc.r22p
+        assert {X.dtype, Y.dtype, x.dtype, R22p.dtype} == {np.dtype(dtype)}
+        near(X @ M, A64, np.linalg.norm(X) * np.linalg.norm(M))
+        near(Y, A64 @ M, np.linalg.norm(A64) * np.linalg.norm(M))
+        near(M @ x, z, np.linalg.norm(M) * np.linalg.norm(x))
+        near(R22p @ M, R22.astype(np.float64),
+             np.linalg.norm(R22p) * np.linalg.norm(M))
+        assert np.array_equal(np.tril(R22p, -1), np.zeros_like(R22p))
 
 
 class TestPcsrifUpdate:

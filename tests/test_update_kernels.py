@@ -207,7 +207,7 @@ class TestStructuredPcsrif:
         assert len(offsets) >= 4
         R22 = R[n1:, n1:]
         pc = filters.build_preconditioner(R22, offsets)
-        for X in (pc.r22_spai, filters.apply_preconditioner_inverse(pc, R22)):
+        for X in (pc.r22p, filters.apply_preconditioner_inverse(pc, R22)):
             assert X.dtype == np.float32
             assert np.all(np.tril(X, -1) == 0.0)
             assert np.all(np.diag(X) != 0.0)
