@@ -203,25 +203,19 @@ def cmd_run(args):
 
 
 def _read_run(d):
-    with open(os.path.join(d, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    def read(name):
+        with open(os.path.join(d, name)) as fh:
+            return fh.read()
+    manifest = json.loads(read("manifest.json"))
     if manifest.get("status") != "completed":
         raise ValueError(f"{d}: run did not complete")
-    with open(os.path.join(d, "trajectory.txt")) as fh:
-        times, positions, quats = parse_trajectory(fh.read())
-    metrics = {}
-    with open(os.path.join(d, "metrics.csv")) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for k, v in zip(lines[0].strip().split(","), lines[1].strip().split(",")):
-        metrics[k] = float(v)
-    flops = {}
-    with open(os.path.join(d, "flops.csv")) as fh:
-        for ln in fh:
-            if ln.startswith("#") or ln.startswith("phase,"):
-                continue
-            k, v = ln.strip().split(",")
-            flops[k] = int(v)
-    return manifest, times, positions, metrics, flops
+    times, positions, quats = parse_trajectory(read("trajectory.txt"))
+    head, *rows = [ln.split(",") for ln in read("metrics.csv").splitlines()
+                   if not ln.startswith("#")]
+    metrics = {k: float(v) for k, v in zip(head, rows[0])}
+    _, *rows = [ln.split(",") for ln in read("flops.csv").splitlines()
+                if not ln.startswith("#")]
+    return manifest, times, positions, metrics, {k: int(v) for k, v in rows}
 
 
 def cmd_compare(args):

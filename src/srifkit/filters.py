@@ -40,13 +40,13 @@ import scipy.linalg
 
 from .linalg import (
     FlopCounter,
-    _givens_chain,
     _strictly_lower,
     cholesky_solve,
     cholesky_upper,
     form_normal_half,
     givens_triangularize,
     householder_qr,
+    rotate_rows,
     sign_normalize_rows,
     solve_upper,
 )
@@ -76,17 +76,18 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
     in one in-place pass; the k-th runs on the trailing view that starts at
     row and column k, whose column 0 is its own and whose rows are the
     current factor's. Marginalizing the scalar at p in that factor is one
-    chain of Givens rotations of adjacent rows (O(n*p)): it carries row p
-    up to row 0, which the pass discards without forming it, and leaves
-    each row it passes one row lower, exploiting the banded fill of the
-    permuted factor. A scalar whose column is zero in rows 0..p carries no
-    information, so its column is deleted instead: rows p.. of the factor,
-    one row too many for their columns, are re-triangularized in the
-    factor's own column order, and the zero row left at the bottom rolls
-    to the discarded row 0. Row signs are normalized once at the end; a
-    sign flip of a chain's input row only flips its output row. The result
-    is a view of the permuted copy. Raises IndexError for a duplicated or
-    out-of-range index.
+    chain of Givens rotations of adjacent rows (O(n*p)) in one ?lasr call
+    (`linalg.rotate_rows`): it carries row p up to row 0, which the pass
+    discards, and leaves each row it passes one row lower, exploiting the
+    banded fill of the permuted factor; a NaN or inf in the carried row does
+    not spread through an exact identity rotation, which ?lasr skips. A
+    scalar whose column is zero in rows 0..p carries no information, so its
+    column is deleted instead: rows p.. of the factor, one row too many for
+    their columns, are re-triangularized in the factor's own column order,
+    and the zero row left at the bottom rolls to the discarded row 0. Row
+    signs are normalized once at the end; a sign flip of a chain's input row
+    only flips its output row. The result is a view of the permuted copy.
+    Raises IndexError for a duplicated or out-of-range index.
     """
     n = R.shape[0]
     idx = np.sort(np.asarray(indices, dtype=int))
@@ -105,7 +106,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
     rots = ncols = 0
     for k, p in enumerate((idx - np.arange(b)).tolist()):
         X = V[k:, k:]
-        nz = np.flatnonzero(X[:p + 1, 0])
+        nz = X[:p + 1, 0].nonzero()[0]
         if nz.size == 0:
             # no information: delete column 0, re-triangularize rows p..
             # in the factor's column order, and roll the zero row left at
@@ -114,14 +115,14 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
             X[p:, cols] = givens_triangularize(X[p:, cols], flops=flops)
             X[:] = np.roll(X, 1, axis=0)
         elif (start := min(int(nz[-1]) + 1, p)) > 0:
-            # a rotation of two rows whose leading entries are both 0 is
-            # the identity, so rows below the lowest nonzero leading entry
-            # stay put and the chain starts from the row just under it;
-            # each passed row moves one row down, and rotating (passed,
-            # carried) rather than (carried, passed) flips its sign
-            B = X[start::-1]
-            _givens_chain(B, B[:-1])
-            np.negative(X[1:start + 1], out=X[1:start + 1])
+            # a rotation of two rows whose leading entries are both 0 is the
+            # identity, so rows below the lowest nonzero leading entry stay
+            # put and the chain starts from the row just under it; rotation
+            # (j, j + 1) carries that row up to row j, where it leads r[j]
+            lead = X[:start + 1, 0]
+            r = np.hypot.accumulate(lead[::-1])[::-1]
+            rotate_rows(X[:start + 1], lead[:-1] / r[:-1], r[1:] / r[:-1],
+                        "V", "B")
         # per rotation j = p..1: form it, apply it to the n - k - j
         # trailing columns, and rotate the leading pair
         rots += p

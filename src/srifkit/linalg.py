@@ -1,7 +1,7 @@
 """Dense numerical kernels parameterized over floating-point precision.
 
-Givens sweeps (each column's chain of rotations applied at once in closed
-form), Householder QR (LAPACK ?geqrf, or ?tpqrt when the top block is
+Givens sweeps (one LAPACK ?lasr call per chain of rotations, bound through
+ctypes), Householder QR (LAPACK ?geqrf, or ?tpqrt when the top block is
 already triangular), Cholesky factorization and solves (?potrf, ?potrs),
 normal-equation products (BLAS ?syrk, with ?trmm for a triangular top
 block), triangular solves (?trtrs) and spectral condition numbers, all
@@ -14,11 +14,12 @@ not inherit the instability they are measuring.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 
 class NotPositiveDefinite(Exception):
@@ -162,40 +163,43 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
     return R, b
 
 
-def _givens_chain(B, rotated, carried=None):
-    """Rotate rows 1..k of B into row 0 in turn with Givens rotations.
+def _bind_lasr(name):
+    """scipy's compiled LAPACK ?lasr, called through its Cython capsule."""
+    cap, api, fn = (scipy.linalg.cython_lapack.__pyx_capi__[name],
+                    ctypes.pythonapi, ctypes.PYFUNCTYPE)
+    label = fn(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    addr = fn(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(cap, label(cap))
+    ch, n, p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    return ctypes.CFUNCTYPE(None, ch, ch, ch, n, n, p, p, p, n)(addr)
 
-    Rotation i zeroes B[i, 0] against the carried row, whose leading entry
-    grows as r_i = hypot(B[0, 0], B[1, 0], ..., B[i, 0]) with r_0 = B[0, 0].
-    Then c_i = r_{i-1} / r_i, s_i = B[i, 0] / r_i, and the carried row after
-    rotation i is S_i / r_i, where S_i = sum_{l <= i} B[l, 0] * B[l] is a
-    cumulative sum, so the whole chain is a few array operations. Row i's
-    rotated copy, c_i * B[i] - s_i * (carried row before rotation i), with
-    leading entry 0, is written to rotated[i - 1]. The carried row, with
-    leading entry r_k, is written to `carried` when one is given; without
-    it the last row of the cumulative sum is never formed. Both may be
-    views of B, which is read in full before either is written. Needs
-    r_i > 0 for i >= 1, i.e. B[0, 0] or B[1, 0] nonzero; NaN leading
-    entries spread as in a rotation-by-rotation sweep.
+
+_LASR = {np.dtype(t): _bind_lasr(t[0] + "lasr") for t in ("single", "double")}
+
+
+def rotate_rows(X, c, s, pivot, direct):
+    """Rotate the rows of X, any view with contiguous rows, in one ?lasr.
+
+    Rotation k maps rows (a, b) = (k, k + 1) for pivot "V", or (0, k + 1)
+    for "T", to (c[k] a + s[k] b, c[k] b - s[k] a), in ascending k for
+    direct "F" and descending k for "B"; one whose (c, s) is exactly
+    (1, 0) is skipped, so a NaN or inf does not spread through it. Raises
+    ValueError, before LAPACK sees a pointer, for a dtype other than
+    float32/float64, a read-only X, a column stride other than 1, a row
+    stride shorter than a row, or c, s not of length X.shape[0] - 1.
     """
-    lead = B[:, 0]
-    r = np.hypot.accumulate(lead)
-    k = len(B) - 1
-    # scale the weights by r_k so the products cannot overflow
-    t = r[-1] if np.isfinite(r[-1]) else 1.0
-    rows = k if carried is None else k + 1
-    S = np.cumsum((lead[:rows] / t)[:, None] * B[:rows], axis=0)
-    # the carried row before each rotation, times s_i
-    prev = S[:k]
-    prev[1:] /= (r[1:-1] / t)[:, None]
-    prev[0] = B[0]
-    prev *= (lead[1:] / r[1:])[:, None]
-    cB = (r[:-1] / r[1:])[:, None] * B[1:]
-    if carried is not None:
-        np.multiply(S[k], t / r[-1], out=carried)
-        carried[0] = r[-1]
-    np.subtract(cB, prev, out=rotated)
-    rotated[:, 0] = 0.0
+    lasr = _LASR.get(X.dtype)
+    rows, cols = X.shape
+    lda, rem = divmod(X.strides[0], X.itemsize)
+    # c and s in one fresh array, whose address costs less than .ctypes.data
+    cs = np.array((c, s), dtype=X.dtype if lasr else None)
+    if (lasr is None or not X.flags.writeable or X.strides[1] != X.itemsize
+            or rem or lda < cols or cs.shape != (2, rows - 1)):
+        raise ValueError(f"cannot rotate a {X.dtype} view of shape {X.shape}"
+                         f" and strides {X.strides} by (c, s) of {cs.shape}")
+    n, at = ctypes.c_int, ctypes.addressof(ctypes.c_char.from_buffer(cs))
+    lasr(b"R", pivot.encode(), direct.encode(), n(cols), n(rows), at,
+         at + cs.strides[0], X.ctypes.data, n(max(lda, 1)))
 
 
 def givens_triangularize(A, flops: FlopCounter | None = None):
@@ -204,10 +208,12 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     Sweeps column by column and rotates only the entries that are nonzero
     when their column is reached, so nearly-triangular inputs cost far less
     than a dense QR. Each column's rotations are one chain against its
-    diagonal row. Only rows that start with entries below the diagonal are
-    ever rotated into it, because rotations keep every other row zero left
-    of its diagonal. Returns A. Its one caller is the deletion of an
-    uninformed state in `filters.marginalize_block`.
+    diagonal row, one ?lasr call (`rotate_rows`), through whose exact
+    identities a NaN or inf does not spread. Only rows that start with
+    entries below the diagonal are ever rotated into it, because rotations
+    keep every other row zero left of its diagonal. Returns A. Its one
+    caller is the deletion of an uninformed state in
+    `filters.marginalize_block`.
 
     The FLOP count is the rotation-by-rotation one: forming a rotation costs
     1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2
@@ -215,18 +221,18 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     """
     m, n = A.shape
     rows = np.flatnonzero(np.any(np.tril(A, -1) != 0, axis=1))
-    below = np.arange(n) < rows[:, None]
     nrot = nwork = 0
-    while True:
-        hit = (A[rows] != 0) & below
-        cols = np.flatnonzero(hit.any(axis=0))
-        if cols.size == 0:
-            break
-        j = cols[0]
-        nz = rows[hit[:, j]]
+    for j in range(min(n, m - 1)):
+        nz = rows[(rows > j) & (A[rows, j] != 0)]
+        if nz.size == 0:
+            continue
         idx = np.concatenate(([j], nz))
+        # rotation i zeroes B[i, 0] against row 0, which then leads r[i]
         B = A[idx, j:]
-        _givens_chain(B, B[1:], B[0])
+        r = np.hypot.accumulate(B[:, 0])
+        rotate_rows(B, r[:-1] / r[1:], B[1:, 0] / r[1:], "T", "F")
+        B[1:, 0] = 0.0
+        B[0, 0] = r[-1]
         A[idx, j:] = B
         nrot += nz.size
         nwork += nz.size * (n - j)
@@ -281,7 +287,7 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
 def solve_upper(U, b, flops: FlopCounter | None = None):
     """Solve U x = b by back substitution (LAPACK ?trtrs).
 
-    ?trtrs runs on U's Fortran-ordered transpose, so U is never copied.
+    ?trtrs reads a C-ordered U as U.T; a Fortran-ordered U is copied.
     Counted per right-hand side as the substitution's n(n - 1)/2
     multiply-adds and n divisions.
     """
@@ -298,7 +304,7 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
 
 
 def cholesky_solve(U, b, flops: FlopCounter | None = None):
-    """Solve U.T U x = b for a Cholesky factor U with one ?potrs call.
+    """Solve U.T U x = b with one ?potrs call on ?potrf's factor as it is.
 
     Counted per right-hand side as the forward and the back substitution it
     performs, n(n - 1)/2 multiply-adds and n divisions each.
@@ -309,8 +315,7 @@ def cholesky_solve(U, b, flops: FlopCounter | None = None):
         tri = n * (n - 1) * ncol
         flops.add(adds=tri, muls=tri, divs=2 * n * ncol)
     potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
-    x, _ = potrs(U.T, b, lower=1)
-    return x
+    return potrs(U, b, lower=0)[0]
 
 
 def form_normal_half(A, flops: FlopCounter | None = None, top=None):

@@ -23,10 +23,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import filters, linalg
 from .diag import record_conditioning
-from .linalg import FlopCounter, NotPositiveDefinite, solve_upper
+from .linalg import FlopCounter, NotPositiveDefinite
 from .models import (
     TRIANGULATED,
     imu_transition,
@@ -189,12 +190,14 @@ class VinsEstimator:
         n1 = self.layout.n1
         return [off - n1 for off in self.layout.pose_offsets()]
 
-    def _covariance(self):
+    def _covariance(self, idx):
         if self.is_kf:
-            return np.asarray(self.P, dtype=np.float64)
-        Rinv = solve_upper(np.asarray(self.R, dtype=np.float64),
-                           np.eye(self.layout.n))
-        return Rinv @ Rinv.T
+            return np.asarray(self.P, dtype=np.float64)[np.ix_(idx, idx)]
+        # the float64 block P[idx, idx] = Y.T Y, where R.T Y = I[:, idx]
+        Y = scipy.linalg.solve_triangular(
+            np.asarray(self.R, dtype=np.float64), np.eye(self.layout.n)[:, idx],
+            trans="T", check_finite=False)
+        return Y.T @ Y
 
     # -- propagation ------------------------------------------------------
 
@@ -598,9 +601,7 @@ class VinsEstimator:
         n1 = self.layout.n1
         R22_post = np.asarray(self.R[n1:, n1:], dtype=np.float64)
         pc = filters.build_preconditioner(R22_post, self._pose_offsets_x2())
-        P = self._covariance()
-        idx = self._persistent_indices()
-        Psub = P[np.ix_(idx, idx)]
+        Psub = self._covariance(self._persistent_indices())
         if self._scale_freeze is None and frame.t >= 10.0:
             self._scale_freeze = np.sqrt(np.diag(Psub))
         s = (self._scale_freeze if self._scale_freeze is not None
@@ -610,10 +611,9 @@ class VinsEstimator:
             frame.t, R22_post, pc, prior_R22, P_scaled))
 
     def _position_nees(self, truth_pos):
-        lay = self.layout
-        sl = lay.slice(f"pose:{self.x.poses[-1].id}")
+        off = self.layout.offset(f"pose:{self.x.poses[-1].id}")
         e = self.x.poses[-1].p - truth_pos
-        Ppos = self._covariance()[sl, sl][:3, :3]
+        Ppos = self._covariance(np.arange(off, off + 3))
         return float(e @ np.linalg.solve(Ppos, e))
 
     # -- main loop ---------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Rotation-by-rotation Givens sweeps, the reference for the closed-form ones.
+"""Rotation-by-rotation Givens sweeps, the reference for the ?lasr ones.
 
-`givens_triangularize` and `marginalize_block` apply each column's rotations
-as one chain of array operations. The functions here apply the same
-rotations one at a time, in the same order, and count FLOPs per rotation,
-so the tests can compare the two to roundoff and their FLOP counts exactly.
+`givens_triangularize` and `marginalize_block` apply each chain of rotations
+with one LAPACK ?lasr call (`linalg.rotate_rows`). The functions here apply
+the same rotations one at a time, in the same order, and count FLOPs per
+rotation, so the tests can compare the two to roundoff and their FLOP
+counts exactly.
 """
 
 from __future__ import annotations

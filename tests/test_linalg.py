@@ -14,11 +14,17 @@ from srifkit.linalg import (
     form_normal_half,
     givens_triangularize,
     householder_qr,
+    rotate_rows,
     sign_normalize_rows,
     solve_upper,
 )
 
-from givens_reference import apply_givens_rows, givens_from_pair, triangularize_by_rotation
+from givens_reference import (
+    GivensRotation,
+    apply_givens_rows,
+    givens_from_pair,
+    triangularize_by_rotation,
+)
 
 
 class TestGivens:
@@ -124,6 +130,72 @@ class TestHouseholderQR:
         A[:, 0] = 1.0
         R, _ = householder_qr(A)
         assert np.allclose(np.diag(R)[1:], 0.0)
+
+
+class TestRotateRows:
+    """rotate_rows, one ?lasr call, against rotations applied one by one."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pivot", ["V", "T"])
+    @pytest.mark.parametrize("direct", ["F", "B"])
+    def test_strided_trailing_view(self, dtype, pivot, direct):
+        # marginalize_block's case: the top rows of a trailing view of a
+        # C-ordered matrix, whose rows are longer than the view's (LDA > M)
+        rng = np.random.default_rng(20)
+        V = rng.normal(size=(12, 12)).astype(dtype)
+        theta = rng.uniform(-np.pi, np.pi, size=5)
+        c, s = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+        before = V.copy()
+        ref = V[3:9, 3:].astype(np.float64)
+        for k in (range(5) if direct == "F" else range(4, -1, -1)):
+            i = k if pivot == "V" else 0
+            apply_givens_rows(ref, GivensRotation(float(c[k]), float(s[k]),
+                                                  i, k + 1))
+        rotate_rows(V[3:9, 3:], c, s, pivot, direct)
+        assert V.dtype == dtype
+        outside = np.ones(V.shape, dtype=bool)
+        outside[3:9, 3:] = False
+        assert np.array_equal(V[outside], before[outside])
+        tol = 16 * linalg.eps_of(dtype) * np.abs(ref).max()
+        assert np.abs(V[3:9, 3:] - ref).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_identity_does_not_spread_nan(self, dtype):
+        X = np.ones((3, 4), dtype=dtype)
+        X[1, 2] = np.nan
+        rotate_rows(X, [1.0, 0.6], [0.0, 0.8], "V", "F")
+        assert np.array_equal(np.isnan(X), [[0, 0, 0, 0], [0, 0, 1, 0],
+                                            [0, 0, 1, 0]])
+
+    def test_rejects_before_calling_lapack(self):
+        V = np.arange(48.0).reshape(6, 8)
+        c = s = np.ones(3)
+        read_only = V[:4].copy()
+        read_only.flags.writeable = False
+        bad = {
+            "dtype int": (V[:4].astype(int), c, s),
+            "dtype float16": (V[:4].astype(np.float16), c, s),
+            "dtype complex": (V[:4].astype(complex), c, s),
+            "dtype datetime64": (V[:4].astype("datetime64[s]"), c, s),
+            "read-only": (read_only, c, s),
+            "column stride 2": (V[:4, ::2], c, s),
+            "column stride -1": (V[:4, ::-1], c, s),
+            "overlapping rows": (np.lib.stride_tricks.as_strided(
+                V, shape=(4, 8), strides=(4 * 8, 8)), c, s),
+            "negative row stride": (V[3::-1], c, s),
+            "c too long": (V[:4], np.ones(4), s),
+            "s too short": (V[:4], c, np.ones(2)),
+            "c not a vector": (V[:4], np.ones((3, 1)), s),
+            "c and s too long": (V[:4], np.ones(4), np.ones(4)),
+            "c and s too short": (V[:4], np.ones(2), np.ones(2)),
+            "c and s not vectors": (V[:4], np.ones((3, 1)), np.ones((3, 1))),
+        }
+        for name, (X, cc, ss) in bad.items():
+            copy = X.copy()
+            with pytest.raises(ValueError):
+                rotate_rows(X, cc, ss, "V", "F")
+            assert np.array_equal(X, copy), name
+        assert np.array_equal(V, np.arange(48.0).reshape(6, 8))
 
 
 class TestGivensTriangularize:

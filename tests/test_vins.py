@@ -402,7 +402,8 @@ class TestCrossEstimatorEquivalence:
                 getattr(kf, phase)(frame)
                 getattr(sr, phase)(frame)
                 assert kf.layout.blocks == sr.layout.blocks
-                P_kf, P_sr = kf._covariance(), sr._covariance()
+                every = np.arange(kf.layout.n)
+                P_kf, P_sr = kf._covariance(every), sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
@@ -456,7 +457,8 @@ class TestCrossEstimatorEquivalence:
                         assert all(anchors[fid] == est.x.poses[-1].id
                                    for fid in feats[1:])
                 assert kf.layout.blocks == sr.layout.blocks
-                P_kf, P_sr = kf._covariance(), sr._covariance()
+                every = np.arange(kf.layout.n)
+                P_kf, P_sr = kf._covariance(every), sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
