@@ -41,7 +41,7 @@ from .sim import (
 )
 from .vins import ESTIMATORS, PRECISIONS, EstimatorAbort, FilterConfig, run_filter
 
-MANIFEST_FORMAT = "srifkit-run/1"
+MANIFEST_FORMAT = "srifkit-run/2"
 CONDITIONING_HEADER = (
     "# srifkit-conditioning/1\n"
     "# t [s], squared condition numbers [unitless], sigma [unitless]\n"
@@ -183,9 +183,7 @@ def cmd_simulate(args):
 
 def cmd_run(args):
     ds, spec = args.ds, args.ds.spec
-    cfg = FilterConfig(estimator=args.estimator, precision=args.precision,
-                       fallback_qr=args.fallback_qr,
-                       svd_stride=args.svd_stride)
+    cfg = FilterConfig(estimator=args.estimator, precision=args.precision)
     try:
         res = run_filter(ds, cfg)
     except EstimatorAbort as abort:
@@ -275,10 +273,6 @@ def build_parser():
     sp.add_argument("--estimator", choices=ESTIMATORS, default="srif")
     sp.add_argument("--precision", choices=sorted(PRECISIONS), default="binary64")
     sp.add_argument("--out", required=True, help="output run directory")
-    sp.add_argument("--fallback-qr", action="store_true",
-                    help="on Cholesky failure, redo the step via QR")
-    sp.add_argument("--svd-stride", type=int, default=10,
-                    help="conditioning-record stride in frames")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("compare", help="cross-run report")

@@ -359,6 +359,18 @@ def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
     return x
 
 
+def _normal_solve(T, H, r, flops):
+    """The Cholesky factor U of T.T T + H.T H for an upper-triangular T,
+    and z with U.T U z = H.T r: the normal-equation core of both
+    Cholesky updates."""
+    m, n = H.shape
+    U = cholesky_upper(form_normal_half(H, flops=flops, top=T), flops=flops)
+    w = H.T @ r.astype(H.dtype, copy=False)
+    if flops is not None:    # H.T r
+        flops.add(adds=m * n, muls=m * n)
+    return U, cholesky_solve(U, w, flops=flops)
+
+
 def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
                   flops: FlopCounter | None = None):
     """Preconditioned Cholesky SRIF update.
@@ -376,16 +388,10 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
 
     Raises NotPositiveDefinite if the preconditioned Cholesky fails.
     """
-    m, n2 = H2.shape
     pc = build_preconditioner(R[n1:, n1:], pose_offsets_x2, flops=flops)
     H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype, copy=False),
                                        flops=flops)
-    N = form_normal_half(H2p, flops=flops, top=pc.r22p)
-    U = cholesky_upper(N, flops=flops, check_symmetry=False)
-    w = H2p.T @ r.astype(R.dtype, copy=False)
-    if flops is not None:    # H2p.T r
-        flops.add(adds=m * n2, muls=m * n2)
-    z = cholesky_solve(U, w, flops=flops)
+    U, z = _normal_solve(pc.r22p, H2p, r, flops)
     dx2 = preconditioner_solve_vec(pc, z, flops=flops)
     R22_post = apply_preconditioner_right(pc, U, flops=flops)
     sign_normalize_rows(R22_post)
@@ -399,14 +405,8 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
     precision (?trmm and ?syrk) and factorizes it directly.
     NotPositiveDefinite is expected on ill-conditioned steps in float32.
     """
-    m, n2 = H2.shape
-    H2 = H2.astype(R.dtype, copy=False)
-    N = form_normal_half(H2, flops=flops, top=R[n1:, n1:])
-    U = cholesky_upper(N, flops=flops, check_symmetry=False)
-    w = H2.T @ r.astype(R.dtype, copy=False)
-    if flops is not None:
-        flops.add(adds=m * n2, muls=m * n2)
-    dx2 = cholesky_solve(U, w, flops=flops)
+    U, dx2 = _normal_solve(R[n1:, n1:], H2.astype(R.dtype, copy=False), r,
+                           flops)
     return _posterior(R, n1, U, dx2, flops)
 
 
@@ -459,7 +459,7 @@ def kf_update(P, H2, r, n1, flops=None):
     HP = H2 @ P[n1:, :]
     S = HP[:, n1:] @ H2.T
     S[np.diag_indices_from(S)] += 1.0
-    K = cholesky_solve(cholesky_upper(S, check_symmetry=False), HP).T
+    K = cholesky_solve(cholesky_upper(S), HP).T
     dx = K @ r.astype(P.dtype, copy=False)
     A = P - K @ HP
     P_new = A - (A[:, n1:] @ H2.T) @ K.T + K @ K.T

@@ -63,10 +63,6 @@ class FlopCounter:
         return self.adds + self.muls + self.divs + self.sqrts
 
 
-def eps_of(dtype) -> float:
-    return float(np.finfo(np.dtype(dtype)).eps)
-
-
 def sign_normalize_rows(R, rhs=None):
     """Flip rows of an upper-triangular factor so its diagonal is >= 0.
 
@@ -105,8 +101,8 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
 
     Without `top` this is LAPACK ?geqrf. For m >= n, R is the n x n
     upper-triangular factor with A.T @ A = R.T @ R; for wide inputs the
-    full m x n upper-trapezoidal factor is returned. transformed_rhs is
-    Q.T @ rhs (all m rows, via ?ormqr; the caller splits off the top n).
+    full m x n upper-trapezoidal factor is returned. A right-hand side is
+    taken only with `top`.
 
     With an n x n `top` (read as upper triangular: its strictly lower part
     is ignored) this is ?tpqrt with l = 0, which never touches the zeros
@@ -124,16 +120,13 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
     """
     m, n = A.shape
     nrhs = 0 if rhs is None else (1 if np.ndim(rhs) == 1 else rhs.shape[1])
+    b = None
     if top is None:
-        geqrf, ormqr = scipy.linalg.lapack.get_lapack_funcs(
-            ("geqrf", "ormqr"), (A,))
-        qr, tau, _, _ = geqrf(A, overwrite_a=overwrite)
-        R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
-        b = None
         if rhs is not None:
-            b, _, _ = ormqr("L", "T", qr[:, :tau.shape[0]], tau,
-                            np.asarray(rhs).reshape(m, -1), max(1, nrhs),
-                            overwrite_c=overwrite)
+            raise ValueError("a right-hand side needs top")
+        geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (A,))
+        qr = geqrf(A, overwrite_a=overwrite)[0]
+        R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
         k = np.arange(min(n, m - 1))
         span = m - k
     else:
@@ -142,7 +135,6 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
         R, v, t, _ = tpqrt(0, max(1, min(n, TPQRT_NB)), top, A,
                            overwrite_b=overwrite)
         np.copyto(R, 0, where=_strictly_lower(n))
-        b = None
         if rhs is not None:
             b = np.asarray(rhs).reshape(n + m, -1)
             if m:
@@ -242,8 +234,9 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     return A
 
 
-def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
-    """Upper-triangular U with U.T @ U = S and positive diagonal.
+def cholesky_upper(S, flops: FlopCounter | None = None):
+    """Upper-triangular U with U.T @ U = S and positive diagonal, read from
+    S's upper triangle.
 
     Raises NotPositiveDefinite (with the pivot index and value) when a
     pivot is <= 0 or not finite -- the signature of a conditioning
@@ -253,10 +246,6 @@ def cholesky_upper(S, flops: FlopCounter | None = None, check_symmetry=True):
     n = S.shape[0]
     if S.shape != (n, n):
         raise ValueError("cholesky_upper needs a square matrix")
-    if check_symmetry:
-        scale = np.abs(S) + np.abs(S.T) + eps_of(S.dtype)
-        if not np.all(np.abs(S - S.T) <= 4.0 * eps_of(S.dtype) * scale):
-            raise ValueError("matrix is not symmetric to 4 eps")
     potrf, = scipy.linalg.lapack.get_lapack_funcs(("potrf",), (S,))
     U, info = potrf(S, lower=0, clean=1)
     # pivots [0, q) factored; ?potrf stops at a pivot <= 0 and stores it

@@ -38,6 +38,7 @@ from .state import (
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
+TRIANGULATION_ITERS = 10  # Gauss-Newton iterations per track, at most
 NOISE_FLOOR = 1e-8  # process-noise std. dev. added to each transitioned state
 
 
@@ -183,7 +184,7 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise):
     Q += np.eye(15) * NOISE_FLOOR ** 2
     Q = 0.5 * (Q + Q.T)
     info = np.linalg.inv(Q)
-    sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
+    sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T))
     # state integration; v_k[k] is the velocity before sample k
     v_k = np.cumsum(np.vstack([v, aw * h]), axis=0)
     p = pose.p + (v_k[:-1] * h + 0.5 * aw * h * h).sum(axis=0)
@@ -259,7 +260,7 @@ class Projection(NamedTuple):
     """
 
     pixel: np.ndarray     # (k, 2)
-    in_front: np.ndarray  # (k,) depth in the observing camera > min_depth
+    in_front: np.ndarray  # (k,) depth in the observing camera > MIN_DEPTH
     anchor: np.ndarray    # (k, 2, 6)
     observer: np.ndarray  # (k, 2, 6)
     feature: np.ndarray   # (k, 2, 3) inverse-depth parameters
@@ -309,7 +310,7 @@ def _point_in_camera(cameras: WindowCameras, ia, io, params):
 
 
 def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
-                    observer_ids, params, min_depth=MIN_DEPTH) -> Projection:
+                    observer_ids, params) -> Projection:
     """Project k anchored inverse-depth features into their observing frames.
 
     Observation i is the feature with parameters params[i] = (alpha, beta,
@@ -322,13 +323,13 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     tsync column is the analytic image-plane feature velocity when both
     cameras move with the time shift.
 
-    An observation at depth y_z <= min_depth is flagged in `in_front`
+    An observation at depth y_z <= MIN_DEPTH is flagged in `in_front`
     instead of raising.
     """
     ia, io = cameras.rows(anchor_ids), cameras.rows(observer_ids)
     f, d, y, dy_point = _point_in_camera(cameras, ia, io, params)
     k = len(f)
-    in_front = y[:, 2] > min_depth
+    in_front = y[:, 2] > MIN_DEPTH
     z = np.where(in_front, y[:, 2], 1.0)
     fx, fy, cx, cy = intrinsics
     xn, yn = y[:, 0] / z, y[:, 1] / z
@@ -488,7 +489,7 @@ def _init_inverse_depth(u0, rays, base, live):
 
 
 def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
-                              live, iters=10) -> Triangulation:
+                              live) -> Triangulation:
     """Gauss-Newton triangulation of T tracks in anchored inverse-depth
     coordinates, all tracks and all their views at once.
 
@@ -500,12 +501,13 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     at y_k = C_k f + c_k, and its Jacobian is C_k d f / d theta; padded
     views add no rows.
 
-    Each track runs its own Gauss-Newton iteration: it fails when a live
-    view sees the point at depth <= 1e-3 (BEHIND_CAMERA) or when
-    cond(J.T J) > 1e12 (DEGENERATE), and it stops once its step norm is
-    below 1e-10. A track that stops leaves the batch; in the iteration a
-    track fails, the batched solve sees the identity in place of its
-    J.T J, so its singular matrix cannot fail the others.
+    Each track runs up to TRIANGULATION_ITERS Gauss-Newton steps of its
+    own: it fails when a live view sees the point at depth <= 1e-3
+    (BEHIND_CAMERA) or when cond(J.T J) > 1e12 (DEGENERATE), and it stops
+    once its step norm is below 1e-10. A track that stops leaves the
+    batch; in the iteration a track fails, the batched solve sees the
+    identity in place of its J.T J, so its singular matrix cannot fail
+    the others.
     """
     fx, fy, cx, cy = intrinsics
     px = np.asarray(pixels, dtype=np.float64)
@@ -541,7 +543,7 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     status = np.full(T, TRIANGULATED, dtype=np.int8)
     # the running tracks, and their theta and views
     k, th = np.arange(T), theta
-    for _ in range(iters):
+    for _ in range(TRIANGULATION_ITERS):
         if not len(k):
             break
         a, b, rho = th.T

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -60,8 +60,18 @@ class ScenarioSpec:
         # JSON round-trips tuples as lists; normalize so specs compare equal
         for name in ("feature_lo", "feature_hi", "intrinsics", "p_ic", "q_ic"):
             setattr(self, name, tuple(getattr(self, name)))
-        if self.duration <= 0 or self.imu_rate <= 0 or self.cam_rate <= 0:
-            raise ValueError("duration and rates must be positive")
+        # every number finite, and these inside their ranges (a NaN is not)
+        positive = ("duration", "imu_rate", "cam_rate", "period", "min_depth")
+        inside = {name: getattr(self, name) > 0 for name in positive} | {
+            "sigma_px": self.sigma_px >= 0, "n_features": self.n_features >= 0,
+            "intrinsics": min(self.intrinsics[:2]) > 0,
+            "max_depth": self.max_depth > self.min_depth}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("trajectory", "noise") and not (
+                    np.isfinite(np.asarray(value, dtype=float)).all()
+                    and inside.get(f.name, True)):
+                raise ValueError(f"{f.name} = {value!r} is out of range")
         ratio = self.imu_rate / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("cam_rate must divide imu_rate")

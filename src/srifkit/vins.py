@@ -62,6 +62,7 @@ PRIOR_SIGMA = {
     "feat": (0.1, 0.1, 1.0),
 }
 MIN_TRACK = 3   # observations needed before a track is used
+SVD_STRIDE = 10  # conditioning recorded every this many frames
 
 
 @dataclass
@@ -69,19 +70,17 @@ class FilterConfig:
     estimator: str = "srif"
     precision: str = "binary64"
     window: int = 11            # max poses kept in the sliding window
-    fallback_qr: bool = False   # on Cholesky failure, redo the step via QR
-    svd_stride: int = 10        # conditioning recorded every this many frames
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.window < 2:
-            raise ValueError("window must hold at least two poses")
-        if self.svd_stride < 1:
-            raise ValueError(f"svd_stride must be at least 1, got "
-                             f"{self.svd_stride}")
+        # a track leaves the buffer at window - 1 observations, so a
+        # smaller window never gathers MIN_TRACK of them
+        if self.window < MIN_TRACK + 1:
+            raise ValueError(f"window must hold at least {MIN_TRACK + 1} "
+                             f"poses, got {self.window}")
 
 
 class EstimatorAbort(RuntimeError):
@@ -110,7 +109,6 @@ class RunResult:
     flops: dict              # phase -> counted FLOPs
     conditioning: list       # of ConditioningRecord
     events: list             # of InstabilityEvent
-    nees: np.ndarray | None = None  # per-frame position NEES, when requested
     seconds: dict = field(default_factory=dict)  # phase -> wall seconds
 
 
@@ -141,13 +139,13 @@ def _embed(old_layout, new_layout):
 class VinsEstimator:
     """One filter instance consuming a simulated dataset frame by frame."""
 
-    def __init__(self, dataset, config: FilterConfig, perturb_rng=None):
+    def __init__(self, dataset, config: FilterConfig):
         self.ds = dataset
         self.cfg = config
         self.dtype = PRECISIONS[config.precision]
         self.is_kf = config.estimator == "kf"
         self.flops = {ph: FlopCounter() for ph in PHASES}
-        self.conditioning = []    # of ConditioningRecord, every svd_stride frames
+        self.conditioning = []    # of ConditioningRecord, every SVD_STRIDE frames
         self.events = []
         self._scale_freeze = None
 
@@ -160,11 +158,6 @@ class VinsEstimator:
         x.q_ic = np.asarray(spec.q_ic, dtype=float).copy()
         x.poses = [Pose(truth.positions[0].copy(), truth.quats[0].copy(),
                         0.0, id=0)]
-        if perturb_rng is not None:
-            # draw the initial error from the prior so NEES is meaningful
-            lay0 = layout_of(x)
-            delta = perturb_rng.normal(size=lay0.n) * _prior_sigmas(lay0)
-            x = boxplus(x, delta, lay0)
         self.x = x
         self.layout = layout_of(x)
         sig = _prior_sigmas(self.layout)
@@ -182,7 +175,6 @@ class VinsEstimator:
         self.times = [0.0]
         self.positions = [x.poses[0].p.copy()]
         self.quats = [x.poses[0].q.copy()]
-        self.nees = []
 
     # -- representation helpers ------------------------------------------
 
@@ -542,17 +534,9 @@ class VinsEstimator:
             return dx
         if est == "srif":
             res = filters.srif_update_partitioned(self.R, H2, r, n1, flops=fc)
-        elif est == "pcsrif":
-            try:
-                res = filters.pcsrif_update(self.R, H2, r, n1,
-                                            self._pose_offsets_x2(), flops=fc)
-            except NotPositiveDefinite:
-                self.events.append(InstabilityEvent(
-                    t, "not-positive-definite", float("nan")))
-                if not self.cfg.fallback_qr:
-                    raise
-                res = filters.srif_update_partitioned(self.R, H2, r, n1,
-                                                      flops=fc)
+        elif est == "pcsrif":   # a NotPositiveDefinite aborts the run
+            res = filters.pcsrif_update(self.R, H2, r, n1,
+                                        self._pose_offsets_x2(), flops=fc)
         else:  # if-oracle, with a float64 QR shadow for error flagging
             ref = filters.srif_update_partitioned(
                 self.R.astype(np.float64), H2.astype(np.float64),
@@ -576,9 +560,9 @@ class VinsEstimator:
 
     def _update(self, frame):
         rows = self._collect_measurements(frame)
-        # diagnostics from the first frame on, every svd_stride frames; the
+        # diagnostics from the first frame on, every SVD_STRIDE frames; the
         # prior factor is only read when they are due
-        due = not self.is_kf and (frame.index - 1) % self.cfg.svd_stride == 0
+        due = not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0
         n1 = self.layout.n1
         prior_R22 = np.array(self.R[n1:, n1:], dtype=np.float64) if due else None
         if rows is not None:
@@ -610,16 +594,9 @@ class VinsEstimator:
         self.conditioning.append(record_conditioning(
             frame.t, R22_post, pc, prior_R22, P_scaled))
 
-    def _position_nees(self, truth_pos):
-        off = self.layout.offset(f"pose:{self.x.poses[-1].id}")
-        e = self.x.poses[-1].p - truth_pos
-        Ppos = self._covariance(np.arange(off, off + 3))
-        return float(e @ np.linalg.solve(Ppos, e))
-
     # -- main loop ---------------------------------------------------------
 
-    def run(self, with_nees=False):
-        step = self._step_per_frame
+    def run(self):
         seconds = dict.fromkeys(PHASES, 0.0)
         for frame in self.ds.frames[1:]:
             for phase, work in (("propagation", self._propagate),
@@ -635,19 +612,12 @@ class VinsEstimator:
             self.times.append(frame.t)
             self.positions.append(pose.p.copy())
             self.quats.append(pose.q.copy())
-            if with_nees:
-                self.nees.append(self._position_nees(
-                    self.ds.truth.positions[frame.index * step]))
         return RunResult(
             self.cfg, np.array(self.times), np.array(self.positions),
             np.array(self.quats),
             {ph: self.flops[ph].total() for ph in PHASES},
-            self.conditioning, self.events,
-            np.array(self.nees) if with_nees else None,
-            seconds=seconds)
+            self.conditioning, self.events, seconds=seconds)
 
 
-def run_filter(dataset, config: FilterConfig, with_nees=False,
-               perturb_rng=None) -> RunResult:
-    return VinsEstimator(dataset, config, perturb_rng=perturb_rng).run(
-        with_nees=with_nees)
+def run_filter(dataset, config: FilterConfig) -> RunResult:
+    return VinsEstimator(dataset, config).run()

@@ -123,7 +123,7 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
     Q += np.eye(15) * noise_floor ** 2
     Q = 0.5 * (Q + Q.T)
     info = np.linalg.inv(Q)
-    sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
+    sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T))
     new_pose = Pose(p, q, t)
     return TransitionBlock(Phi, sqrt_info, new_pose, v)
 
@@ -395,7 +395,7 @@ def msckf_nullspace_project_by_track(Hf, Hx, r):
     """`msckf_nullspace_project` for one track: the per-track version the
     batched kernel replaces, kept as its oracle.
 
-    Applies the Householder reflectors of Hf's QR to [Hx r] and keeps the
+    Applies the complete Q of Hf's QR (numpy's) to [Hx r] and keeps the
     bottom rows, so the output is independent of the (never-estimated)
     feature. Returns the projected (Hx, r), each with rows - 3 rows, or
     raises RankDeficientFeature.
@@ -404,7 +404,8 @@ def msckf_nullspace_project_by_track(Hf, Hx, r):
     m = Hf.shape[0]
     if m < 4:
         raise RankDeficientFeature(f"only {m} stacked rows")
-    Rf, t = linalg.householder_qr(Hf, np.column_stack([Hx, r]))
+    Q, Rf = np.linalg.qr(Hf, mode="complete")
+    t = Q.T @ np.column_stack([Hx, r])
     scale = np.abs(Rf).max()
     if np.abs(Rf[2, 2]) <= 1e-10 * max(scale, 1.0):
         raise RankDeficientFeature("feature Jacobian rank < 3")

@@ -137,8 +137,8 @@ def test_abort_is_nonzero_exit_with_failing_step(scenario_file, tmp_path,
     def boom(dataset, config):
         raise EstimatorAbort(1.25, "update", "synthetic failure")
 
-    args = ["run", "--scenario", scenario_file, "--fallback-qr",
-            "--svd-stride", "3", "--out"]
+    args = ["run", "--scenario", scenario_file, "--estimator", "pcsrif",
+            "--precision", "binary32", "--out"]
     done = str(tmp_path / "done")
     assert cli.main(args + [done]) == 0
     monkeypatch.setattr(cli, "run_filter", boom)
@@ -153,5 +153,16 @@ def test_abort_is_nonzero_exit_with_failing_step(scenario_file, tmp_path,
     outcome = {"status", "n_events", "failed_at_t", "failed_phase", "error"}
     assert ({k: v for k, v in manifest.items() if k not in outcome}
             == {k: v for k, v in completed.items() if k not in outcome})
-    assert completed["fallback_qr"] is True
-    assert completed["svd_stride"] == 3
+    assert completed["format"] == "srifkit-run/2"
+    assert (completed["estimator"], completed["precision"],
+            completed["window"]) == ("pcsrif", "binary32", 11)
+
+
+@pytest.mark.parametrize("flag", [["--fallback-qr"], ["--svd-stride", "3"]])
+def test_removed_run_flags_are_refused(scenario_file, tmp_path, flag):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", scenario_file, *flag,
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

@@ -44,7 +44,7 @@ class TestConditioningRecord:
         rng = np.random.default_rng(0)
         A = rng.normal(size=(12, 12)) * 0.4
         from srifkit.linalg import cholesky_upper
-        R22 = cholesky_upper(A @ A.T + np.eye(12), check_symmetry=False)
+        R22 = cholesky_upper(A @ A.T + np.eye(12))
         pc = build_preconditioner(R22, [0, 6])
         rec = record_conditioning(1.5, R22, pc, R22, np.eye(12))
         for v in (rec.kappa2_r22_post, rec.kappa2_r22_post_scaled,
@@ -57,7 +57,7 @@ class TestConditioningRecord:
         rng = np.random.default_rng(1)
         A = rng.normal(size=(19, 19)) * 0.4
         from srifkit.linalg import cholesky_upper, cond_spectral
-        R22 = cholesky_upper(A @ A.T + np.eye(19), check_symmetry=False)
+        R22 = cholesky_upper(A @ A.T + np.eye(19))
         pc = build_preconditioner(R22, [1, 7, 13])
         rec = record_conditioning(2.0, R22, pc, R22, np.eye(19))
         k, _, _ = cond_spectral(apply_preconditioner_inverse(pc, R22))

@@ -25,7 +25,6 @@ from srifkit.linalg import (
     FlopCounter,
     NotPositiveDefinite,
     cond_spectral,
-    eps_of,
     givens_triangularize,
 )
 from srifkit.models import TransitionBlock
@@ -33,6 +32,7 @@ from srifkit.state import Pose
 
 from givens_reference import marginalize_by_rotation
 from state_reference import build_layout
+from tolerances import eps_of
 
 
 def random_factor(rng, n, diag_floor=0.5):
@@ -46,7 +46,7 @@ def random_spd_factor(rng, n, scale=0.3):
     """Well-conditioned factor (random triangular ones are exponentially bad)."""
     from srifkit.linalg import cholesky_upper
     A = rng.normal(size=(n, n)) * scale
-    return cholesky_upper(A @ A.T + np.eye(n), check_symmetry=False)
+    return cholesky_upper(A @ A.T + np.eye(n))
 
 
 def schur_marginal_info(R, p):
@@ -244,7 +244,7 @@ def make_tb(rng, scale_phi=1.0, sqrt_info=None):
         Q = A @ A.T + np.eye(15)
         info = np.linalg.inv(Q)
         from srifkit.linalg import cholesky_upper
-        sqrt_info = cholesky_upper(0.5 * (info + info.T), check_symmetry=False)
+        sqrt_info = cholesky_upper(0.5 * (info + info.T))
     return TransitionBlock(Phi, sqrt_info,
                            Pose(np.zeros(3), np.array([0, 0, 0, 1.0]), 0.0), np.zeros(3))
 
@@ -466,7 +466,7 @@ def coupled_pose_factor(rng, common_info=1e-2, relative_info=1e6):
     info = np.block([[I6, -I6], [-I6, I6]]) * (relative_info / 2) \
         + np.block([[I6, I6], [I6, I6]]) * (common_info / 2)
     from srifkit.linalg import cholesky_upper
-    return cholesky_upper(info + np.eye(12) * 1e-9, check_symmetry=False)
+    return cholesky_upper(info + np.eye(12) * 1e-9)
 
 
 def preconditioner_dense(R22, pose_offsets):

@@ -25,6 +25,7 @@ from givens_reference import (
     givens_from_pair,
     triangularize_by_rotation,
 )
+from tolerances import eps_of
 
 
 class TestGivens:
@@ -47,7 +48,7 @@ class TestGivens:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_unit_norm_invariant(self, dtype):
         rng = np.random.default_rng(0)
-        eps = linalg.eps_of(dtype)
+        eps = eps_of(dtype)
         for _ in range(200):
             a, b = rng.normal(size=2).astype(dtype)
             g = givens_from_pair(a, b)
@@ -81,16 +82,15 @@ class TestGivens:
 
 class TestHouseholderQR:
     def test_identity(self):
-        R, b = householder_qr(np.eye(3), np.arange(3.0))
-        sign_normalize_rows(R, b)
+        R, _ = householder_qr(np.eye(3))
+        sign_normalize_rows(R)
         assert np.allclose(R, np.eye(3))
-        assert np.allclose(b, np.arange(3.0))
 
     def test_two_vector(self):
         # hand QR of the column [3; 4]
-        R, b = householder_qr(np.array([[3.0], [4.0]]), np.array([1.0, 0.0]))
+        R, _ = householder_qr(np.array([[3.0], [4.0]]))
+        assert R.shape == (1, 1)
         assert np.isclose(abs(R[0, 0]), 5.0)
-        assert np.isclose(np.linalg.norm(b), 1.0)
 
     def test_normal_equation_oracle(self):
         rng = np.random.default_rng(3)
@@ -106,17 +106,11 @@ class TestHouseholderQR:
         G = A.T @ A
         assert np.linalg.norm(G - R.T @ R) / np.linalg.norm(G) <= 1e-12
 
-    def test_rhs_is_qt_rhs(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(12, 4))
-        b = rng.normal(size=12)
-        R, tb = householder_qr(A, b)
-        # least-squares solution through the transformed rhs
-        x = np.linalg.solve(R, tb[:4])
-        xref, *_ = np.linalg.lstsq(A, b, rcond=None)
-        assert np.allclose(x, xref, atol=1e-10)
-        # norm preserved by the orthogonal transform
-        assert np.isclose(np.linalg.norm(tb), np.linalg.norm(b))
+    def test_rhs_needs_top(self):
+        # the only right-hand side a caller carries is the structured
+        # update's, through ?tpmqrt
+        with pytest.raises(ValueError, match="top"):
+            householder_qr(np.eye(3), np.arange(3.0))
 
     def test_flop_count_2mn2(self):
         m, n = 600, 40
@@ -156,7 +150,7 @@ class TestRotateRows:
         outside = np.ones(V.shape, dtype=bool)
         outside[3:9, 3:] = False
         assert np.array_equal(V[outside], before[outside])
-        tol = 16 * linalg.eps_of(dtype) * np.abs(ref).max()
+        tol = 16 * eps_of(dtype) * np.abs(ref).max()
         assert np.abs(V[3:9, 3:] - ref).max() <= tol
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -249,11 +243,6 @@ class TestCholesky:
         A = rng.normal(size=(20, 6)).astype(dtype)
         U = cholesky_upper(form_normal_half(A))
         assert U.dtype == np.dtype(dtype)
-
-    def test_asymmetric_rejected(self):
-        S = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            cholesky_upper(S)
 
 
 class TestTriangularSolves:
@@ -392,25 +381,18 @@ class TestKernelProperties:
         A = rng.normal(size=(m, n)).astype(dtype)
         zero = rng.choice(n, size=min(nzero, n), replace=False)
         A[:, zero] = 0.0
-        b = rng.normal(size=m).astype(dtype)
         fc = FlopCounter()
-        R, t = householder_qr(A, b, flops=fc)
-        eps = linalg.eps_of(dtype)
-        A64, R64, t64 = (x.astype(np.float64) for x in (A, R, t))
-        assert R.dtype == dtype and t.dtype == dtype
-        assert R.shape == (min(m, n), n) and t.shape == (m,)
+        R, t = householder_qr(A, flops=fc)
+        A64, R64 = A.astype(np.float64), R.astype(np.float64)
+        assert R.dtype == dtype and t is None
+        assert R.shape == (min(m, n), n)
         assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
         assert np.all(R[:, zero] == 0.0)
-        tol = 20 * (m + n) * eps
+        tol = 20 * (m + n) * eps_of(dtype)
         G = A64.T @ A64
         scale = np.linalg.norm(A64) ** 2 + 1e-30
         assert np.linalg.norm(G - R64.T @ R64) <= tol * scale
-        assert abs(np.linalg.norm(t64) - np.linalg.norm(b)) <= tol * np.linalg.norm(b)
-        # t = Q.T b for the same Q: A.T b = R.T (top rows of t)
-        Atb = A64.T @ b.astype(np.float64)
-        assert np.linalg.norm(Atb - R64.T @ t64[:R.shape[0]]) <= tol * np.sqrt(
-            scale) * np.linalg.norm(b)
-        assert fc.total() == householder_flops_by_loop(A, nrhs=1).total()
+        assert fc.total() == householder_flops_by_loop(A).total()
 
     @given(dtype=DTYPES, seed=SEEDS, n=st.integers(1, 12), data=st.data())
     def test_cholesky_pivot_is_first_failing_minor(self, dtype, seed, n, data):
@@ -426,7 +408,7 @@ class TestKernelProperties:
                          if np.linalg.eigvalsh(S[:k + 1, :k + 1])[0] <= 0)
         assert e.value.pivot == first_bad
         schur = S[j, j] - S[:j, j] @ np.linalg.solve(S[:j, :j], S[:j, j])
-        assert np.isclose(e.value.value, schur, rtol=100 * n * linalg.eps_of(dtype))
+        assert np.isclose(e.value.value, schur, rtol=100 * n * eps_of(dtype))
 
     @given(dtype=DTYPES, seed=SEEDS, n=st.integers(1, 12), data=st.data())
     def test_cholesky_nan_pivot(self, dtype, seed, n, data):
@@ -437,7 +419,7 @@ class TestKernelProperties:
         i = data.draw(st.integers(0, j))
         S[i, j] = np.nan                 # upper triangle: first in minor j
         with pytest.raises(NotPositiveDefinite) as e:
-            cholesky_upper(S, check_symmetry=False)
+            cholesky_upper(S)
         assert e.value.pivot == j
         assert np.isnan(e.value.value)
 
@@ -449,7 +431,7 @@ class TestKernelProperties:
         assert np.array_equal(S, S.T)
         A64 = A.astype(np.float64)
         assert np.allclose(S, A64.T @ A64, rtol=0,
-                           atol=4 * m * linalg.eps_of(dtype) * np.abs(A64).max() ** 2)
+                           atol=4 * m * eps_of(dtype) * np.abs(A64).max() ** 2)
 
     def test_cholesky_failure_flops_by_hand(self):
         # pivot 0 (sqrt) and its row (1 div, an empty dot product), then
@@ -472,7 +454,7 @@ class TestKernelProperties:
             S[data.draw(st.integers(0, j)), j] = np.nan
         fc = FlopCounter()
         try:
-            cholesky_upper(S, flops=fc, check_symmetry=False)
+            cholesky_upper(S, flops=fc)
         except NotPositiveDefinite as e:
             assert fail != "none" and e.pivot == j
         else:
@@ -537,7 +519,7 @@ class TestGivensSweeps:
         assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
         assert (fg.adds, fg.muls, fg.divs, fg.sqrts) == (fr.adds, fr.muls, fr.divs, fr.sqrts)
         # same rotations, same signs: no sign normalization needed
-        tol = 8 * sum(A.shape) * linalg.eps_of(dtype)
+        tol = 8 * sum(A.shape) * eps_of(dtype)
         assert np.abs(got.astype(np.float64) - ref).max() <= tol * np.linalg.norm(
             A.astype(np.float64))
 
@@ -553,7 +535,7 @@ class TestGivensSweeps:
         triangularize_by_rotation(ref, flops=fr)
         assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
         assert fg == fr
-        assert np.allclose(got, ref, rtol=0, atol=32 * linalg.eps_of(dtype))
+        assert np.allclose(got, ref, rtol=0, atol=32 * eps_of(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_nan_propagates_as_rotation_by_rotation(self, dtype):
@@ -567,4 +549,4 @@ class TestGivensSweeps:
             assert np.array_equal(np.isnan(got), np.isnan(ref)), (i, j)
             ok = ~np.isnan(ref)
             assert np.allclose(got[ok], ref[ok], rtol=0,
-                               atol=32 * linalg.eps_of(dtype))
+                               atol=32 * eps_of(dtype))

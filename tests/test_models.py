@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srifkit import linalg
+from srifkit import linalg, models
 from srifkit.models import (
     GRAVITY,
     TRIANGULATED,
@@ -79,13 +79,12 @@ def project_one(state, feature, observing_pose_id, frame_motion=None):
     return p.pixel[0], blocks
 
 
-def triangulate_one(pixels, rots, centers, intr, iters=10):
+def triangulate_one(pixels, rots, centers, intr):
     """The batched `triangulate_inverse_depth` on a batch of one track,
     raising RankDeficientFeature with its status's reason as the oracles
     do."""
     tri = triangulate_inverse_depth([pixels], [rots], [centers], intr,
-                                    np.ones((1, len(pixels)), dtype=bool),
-                                    iters=iters)
+                                    np.ones((1, len(pixels)), dtype=bool))
     if tri.status[0] != TRIANGULATED:
         raise RankDeficientFeature(TRIANGULATION_REASONS[tri.status[0]])
     return tri.theta[0]
@@ -752,7 +751,8 @@ class TestTriangulation:
         assert np.abs(got - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
     @pytest.mark.parametrize("along", [0.0, 1.0, 3.0, -0.5])
-    def test_parallel_rays_take_the_minimum_norm_init(self, along):
+    def test_parallel_rays_take_the_minimum_norm_init(self, monkeypatch,
+                                                      along):
         # view 1 sits on the anchor's ray, `along` metres from it, and sees
         # the point along the same ray: its depth system is rank 1, and the
         # minimum-norm solution puts the depth at along / 2; view 2 has a
@@ -764,7 +764,9 @@ class TestTriangulation:
         rots[1], pixels[1] = rots[0], pixels[0]
         centers[1] = along * X / np.linalg.norm(X)
         # zero iterations return the depth initialization
-        got = triangulate_one(pixels, rots, centers, self.INTR, iters=0)
+        with monkeypatch.context() as m:
+            m.setattr(models, "TRIANGULATION_ITERS", 0)
+            got = triangulate_one(pixels, rots, centers, self.INTR)
         ref = triangulate_by_view(pixels, rots, centers, self.INTR, iters=0)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         got, ref = self._both(pixels, rots, centers, self.INTR)

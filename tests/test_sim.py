@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,34 @@ class TestSpec:
         back = ScenarioSpec.from_json(spec.to_json())
         assert back == spec
 
+    # each reaches the simulator or the filter otherwise: a division by a
+    # zero period, a negative array size, silently noiseless pixels, no
+    # visible feature, a zero focal length, overflowing trigonometry
+    # the first field named is the one the error names
+    BAD = [{"duration": np.nan}, {"duration": 0.0}, {"imu_rate": np.inf},
+           {"period": 0.0}, {"period": -1.0}, {"amplitude": np.inf},
+           {"n_features": -1}, {"sigma_px": np.nan}, {"sigma_px": -1.0},
+           {"max_depth": 1.0, "min_depth": 5.0}, {"max_depth": np.nan},
+           {"min_depth": 0.0}, {"intrinsics": (0.0, 0.0, 320.0, 240.0)},
+           {"intrinsics": (400.0, 400.0, np.nan, 240.0)},
+           {"p_ic": (0.05, np.inf, 0.02)}, {"true_tsync": np.nan}]
+
+    @pytest.mark.parametrize("kw", BAD, ids=lambda kw: ",".join(
+        f"{k}={v}" for k, v in kw.items()))
+    @pytest.mark.parametrize("via", ["constructor", "from_json"])
+    def test_bad_value_rejected_with_the_field_named(self, via, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            if via == "constructor":
+                ScenarioSpec(**kw)
+            else:
+                d = json.loads(ScenarioSpec().to_json())
+                d.update(kw)
+                ScenarioSpec.from_json(json.dumps(d))
+
+    def test_noiseless_pixels_are_valid(self):
+        assert ScenarioSpec(sigma_px=0.0).sigma_px == 0.0
+
     def test_json_rejects_unknown_format(self):
-        import json
         d = json.loads(ScenarioSpec().to_json())
         d["format"] = "other/9"
         with pytest.raises(ValueError):
