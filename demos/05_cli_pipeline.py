@@ -1,13 +1,15 @@
 """The batch pipeline, end to end, through the command-line interface.
 
-Generates a scenario cache, runs three estimators on it, compares them,
-and reads one run's trajectory text -- the same flow you would drive from
-a shell:
+Writes a scenario JSON, runs three estimators on it, compares them, and
+reads one run's trajectory text -- the same flow you would drive from a
+shell:
 
-    srifkit simulate --scenario default --out scen.bin
-    srifkit run --scenario scen.bin --estimator srif --out runs/srif
+    srifkit run --scenario scen.json --estimator srif --out runs/srif
     srifkit compare runs/* --tolerance 1e-6
     head -1 runs/srif/trajectory.txt
+
+scen.json is what `ScenarioSpec.to_json` writes; a preset name (default,
+conditioning) serves in its place.
 """
 
 import dataclasses
@@ -22,13 +24,10 @@ with tempfile.TemporaryDirectory() as tmp:
     spec = dataclasses.replace(default_scenario(seed=3), duration=20.0)
     (tmp / "scen.json").write_text(spec.to_json())
 
-    cli.main(["simulate", "--scenario", str(tmp / "scen.json"),
-              "--out", str(tmp / "scen.bin")])
-
     rundirs = []
     for est in ("kf", "srif", "pcsrif"):
         out = tmp / f"run-{est}"
-        cli.main(["run", "--scenario", str(tmp / "scen.bin"),
+        cli.main(["run", "--scenario", str(tmp / "scen.json"),
                   "--estimator", est, "--out", str(out)])
         rundirs.append(str(out))
 

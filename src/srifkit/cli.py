@@ -1,9 +1,12 @@
 """Batch command-line entry point.
 
 Subcommands:
-  simulate  generate a scenario dataset and write it to a binary cache
   run       execute an estimator on a scenario and emit report artifacts
   compare   side-by-side report across completed run directories
+
+A scenario is a preset name or a scenario JSON path; the dataset is
+generated from it at its seed, or at --seed. A scenario that cannot be read,
+or that holds a bad value, is a usage error (exit code 2).
 
 A run directory contains:
   trajectory.txt    one line per pose: t x y z qx qy qz qw (17 sig. digits)
@@ -36,8 +39,6 @@ from .sim import (
     conditioning_scenario,
     default_scenario,
     gen_dataset,
-    load_cache,
-    save_cache,
 )
 from .vins import ESTIMATORS, PRECISIONS, EstimatorAbort, FilterConfig, run_filter
 
@@ -70,20 +71,18 @@ def scenario_hash(spec):
     return hashlib.sha256(spec.to_json().encode()).hexdigest()
 
 
-def load_dataset(path_or_name, seed=None):
-    """The dataset of a preset name or a scenario JSON path, generated at
-    `seed` when one is given, or the one stored in a cache path."""
+def load_scenario(path_or_name, seed=None):
+    """The scenario of a preset name or a scenario JSON path, at `seed` when
+    one is given and at the scenario's own seed otherwise."""
     presets = {"default": default_scenario, "conditioning": conditioning_scenario}
     if path_or_name in presets:
         spec = presets[path_or_name](0 if seed is None else seed)
-    elif path_or_name.endswith(".bin"):
-        return load_cache(path_or_name)
     else:
-        with open(path_or_name) as fh:
+        with open(path_or_name, encoding="utf-8") as fh:
             spec = ScenarioSpec.from_json(fh.read())
         if seed is not None:
             spec = dataclasses.replace(spec, seed=seed)
-    return gen_dataset(spec)
+    return spec
 
 
 def format_trajectory(times, positions, quats):
@@ -172,17 +171,8 @@ def _blas(module):
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_simulate(args):
-    ds = args.ds
-    save_cache(args.out, ds)
-    print(f"wrote {args.out} ({len(ds.frames)} frames, "
-          f"{len(ds.truth.times)} IMU samples, "
-          f"hash {scenario_hash(ds.spec)[:12]})")
-    return 0
-
-
 def cmd_run(args):
-    ds, spec = args.ds, args.ds.spec
+    ds, spec = gen_dataset(args.spec), args.spec
     cfg = FilterConfig(estimator=args.estimator, precision=args.precision)
     try:
         res = run_filter(ds, cfg)
@@ -256,20 +246,12 @@ def build_parser():
                     "visual-inertial scenarios")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_scenario(sp):
-        sp.add_argument("--scenario", default="default",
-                        help="preset name (default, conditioning), scenario "
-                             "JSON path, or .bin cache path")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
-
-    sp = sub.add_parser("simulate", help="generate and cache a dataset")
-    add_scenario(sp)
-    sp.add_argument("--out", required=True, help="output cache path (.bin)")
-    sp.set_defaults(fn=cmd_simulate)
-
     sp = sub.add_parser("run", help="run one estimator, write artifacts")
-    add_scenario(sp)
+    sp.add_argument("--scenario", default="default",
+                    help="preset name (default, conditioning) or scenario "
+                         "JSON path")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="override the scenario seed")
     sp.add_argument("--estimator", choices=ESTIMATORS, default="srif")
     sp.add_argument("--precision", choices=sorted(PRECISIONS), default="binary64")
     sp.add_argument("--out", required=True, help="output run directory")
@@ -288,12 +270,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "compare" and len(args.rundirs) < 2:
         parser.error("compare needs at least two run directories")
-    if args.command in ("simulate", "run"):
-        args.ds = load_dataset(args.scenario, args.seed)
-        # a cache holds one seed's data
-        if args.seed not in (None, args.ds.spec.seed):
-            parser.error(f"--seed {args.seed} differs from seed "
-                         f"{args.ds.spec.seed} of the cache {args.scenario}")
+    if args.command == "run":
+        try:
+            args.spec = load_scenario(args.scenario, args.seed)
+        except (OSError, ValueError) as err:
+            parser.error(f"--scenario {args.scenario}: {err}")
     return args.fn(args)
 
 

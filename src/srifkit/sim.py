@@ -14,7 +14,6 @@ model, shifted by the true time offset, and capped at 15 SLAM / 35 short
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,8 +22,6 @@ from .models import GRAVITY, ImuNoise, _mv, check_imu_samples
 from .state import quat_from_rotvec, quat_mul, quat_to_mat
 
 SCENARIO_FORMAT = "srifkit-scenario/1"
-CACHE_MAGIC = b"SRIM"
-CACHE_VERSION = 1
 
 SLAM_CAP = 15
 MSCKF_CAP = 35
@@ -58,20 +55,33 @@ class ScenarioSpec:
 
     def __post_init__(self):
         # JSON round-trips tuples as lists; normalize so specs compare equal
-        for name in ("feature_lo", "feature_hi", "intrinsics", "p_ic", "q_ic"):
-            setattr(self, name, tuple(getattr(self, name)))
-        # every number finite, and these inside their ranges (a NaN is not)
-        positive = ("duration", "imu_rate", "cam_rate", "period", "min_depth")
-        inside = {name: getattr(self, name) > 0 for name in positive} | {
-            "sigma_px": self.sigma_px >= 0, "n_features": self.n_features >= 0,
-            "intrinsics": min(self.intrinsics[:2]) > 0,
-            "max_depth": self.max_depth > self.min_depth}
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in ("trajectory", "noise") and not (
-                    np.isfinite(np.asarray(value, dtype=float)).all()
-                    and inside.get(f.name, True)):
-                raise ValueError(f"{f.name} = {value!r} is out of range")
+            if isinstance(getattr(self, f.name), (list, np.ndarray)):
+                setattr(self, f.name, tuple(getattr(self, f.name)))
+        values = {f.name: (getattr(self, f.name), f.default) for f in fields(self)
+                  if f.name not in ("trajectory", "noise")} | {
+            f"noise.{f.name}": (getattr(self.noise, f.name), f.default)
+            for f in fields(self.noise)}
+        # every number finite and shaped as its default; counts are ints, and
+        # no number is a bool
+        for name, (value, default) in values.items():
+            arr = np.asarray(value)
+            kinds = "iu" if isinstance(default, int) else "iuf"
+            if not (arr.dtype.kind in kinds and arr.shape == np.shape(default)
+                    and np.isfinite(arr).all()):
+                raise ValueError(f"{name} = {value!r} is out of range")
+        # and these inside their ranges
+        positive = ("duration", "imu_rate", "cam_rate", "period", "min_depth")
+        at_least_0 = ("sigma_px", "n_features", "seed",
+                      *(name for name in values if name.startswith("noise.")))
+        inside = {name: values[name][0] > 0 for name in positive} | {
+            name: values[name][0] >= 0 for name in at_least_0} | {
+            "intrinsics": min(self.intrinsics[:2]) > 0,
+            "q_ic": abs(np.linalg.norm(self.q_ic) - 1.0) <= 1e-9,
+            "max_depth": self.max_depth > self.min_depth}
+        for name, ok in inside.items():
+            if not ok:
+                raise ValueError(f"{name} = {values[name][0]!r} is out of range")
         ratio = self.imu_rate / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("cam_rate must divide imu_rate")
@@ -86,14 +96,18 @@ class ScenarioSpec:
     @staticmethod
     def from_json(text):
         d = json.loads(text)
+        noise = d.pop("noise", {}) if isinstance(d, dict) else None
+        if not isinstance(noise, dict):
+            raise ValueError("a scenario and its noise are JSON objects")
         fmt = d.pop("format", SCENARIO_FORMAT)
         if fmt != SCENARIO_FORMAT:
             raise ValueError(f"unsupported scenario format {fmt!r}")
-        noise = d.pop("noise", None)
-        spec = ScenarioSpec(**d)
-        if noise is not None:
-            spec.noise = ImuNoise(**noise)
-        return spec
+        unknown = sorted(d.keys() - {f.name for f in fields(ScenarioSpec)}) + [
+            f"noise.{k}" for k in sorted(noise.keys() - {
+                f.name for f in fields(ImuNoise)})]
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
+        return ScenarioSpec(**d, noise=ImuNoise(**noise))
 
 
 @dataclass
@@ -303,85 +317,6 @@ def gen_dataset(spec):
     omega, accel, dt = gen_imu(spec, truth)
     frames = gen_tracks(spec, truth)
     return Dataset(spec, truth, omega, accel, dt, frames)
-
-
-# --------------------------------------------------------------------------
-# binary cache (magic + version, little-endian f8/i8 throughout)
-# --------------------------------------------------------------------------
-
-
-def _write_arr(fh, arr, dtype):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    fh.write(struct.pack("<B", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    fh.write(arr.tobytes())
-
-
-def _read_exact(fh, n):
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated scenario cache: wanted {n} bytes at offset "
-                         f"{fh.tell() - len(data)}, got {len(data)}")
-    return data
-
-
-def _unpack(fh, fmt):
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-
-
-def _read_arr(fh, dtype):
-    (ndim,) = _unpack(fh, "<B")
-    shape = _unpack(fh, f"<{ndim}q")
-    count = int(np.prod(shape)) if shape else 1
-    data = _read_exact(fh, count * np.dtype(dtype).itemsize)
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-
-def save_cache(path, ds):
-    spec_blob = ds.spec.to_json().encode()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<H", CACHE_VERSION))
-        fh.write(struct.pack("<q", len(spec_blob)))
-        fh.write(spec_blob)
-        tr = ds.truth
-        for arr in (tr.times, tr.positions, tr.quats, tr.velocities,
-                    tr.omegas, tr.gyro_bias, tr.accel_bias, tr.features,
-                    ds.imu_omega, ds.imu_accel, ds.imu_dt):
-            _write_arr(fh, arr, "<f8")
-        fh.write(struct.pack("<q", len(ds.frames)))
-        for fr in ds.frames:
-            fh.write(struct.pack("<qd", fr.index, fr.t))
-            _write_arr(fh, fr.feature_ids, "<i8")
-            _write_arr(fh, fr.kinds, "<i8")
-            _write_arr(fh, fr.pixels, "<f8")
-
-
-def load_cache(path):
-    """Read a cache written by save_cache.
-
-    Raises ValueError on a bad magic, an unknown version, or a file that
-    ends before its declared contents ("truncated scenario cache").
-    """
-    with open(path, "rb") as fh:
-        if fh.read(4) != CACHE_MAGIC:
-            raise ValueError("not a scenario cache (bad magic)")
-        (version,) = _unpack(fh, "<H")
-        if version != CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        (blob_len,) = _unpack(fh, "<q")
-        spec = ScenarioSpec.from_json(_read_exact(fh, blob_len).decode())
-        arrs = [_read_arr(fh, "<f8") for _ in range(11)]
-        truth = GroundTruth(*arrs[:8])
-        (n_frames,) = _unpack(fh, "<q")
-        frames = []
-        for _ in range(n_frames):
-            index, t = _unpack(fh, "<qd")
-            fids = _read_arr(fh, "<i8")
-            kinds = _read_arr(fh, "<i8")
-            pixels = _read_arr(fh, "<f8")
-            frames.append(Frame(index, t, fids, kinds, pixels))
-    return Dataset(spec, truth, arrs[8], arrs[9], arrs[10], frames)
 
 
 # --------------------------------------------------------------------------

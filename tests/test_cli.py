@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from srifkit import cli
-from srifkit.sim import default_scenario
+from srifkit.sim import default_scenario, gen_dataset
 from srifkit.vins import EstimatorAbort, FilterConfig, run_filter
 
 ARTIFACTS = ("trajectory.txt", "conditioning.csv", "metrics.csv",
@@ -24,33 +24,6 @@ def scenario_file(tmp_path_factory):
     path = root / "scen.json"
     path.write_text(spec.to_json())
     return str(path)
-
-
-def test_simulate_writes_cache(scenario_file, tmp_path):
-    out = str(tmp_path / "scen.bin")
-    assert cli.main(["simulate", "--scenario", scenario_file,
-                     "--out", out]) == 0
-    assert os.path.getsize(out) > 0
-    assert cli.main(["run", "--scenario", out, "--estimator", "srif",
-                     "--out", str(tmp_path / "run")]) == 0
-
-
-def test_seed_other_than_the_caches_is_usage_error(scenario_file, tmp_path,
-                                                   capsys):
-    cache = str(tmp_path / "scen.bin")
-    assert cli.main(["simulate", "--scenario", scenario_file,
-                     "--out", cache]) == 0
-    for cmd in (["run", "--out", str(tmp_path / "run")],
-                ["simulate", "--out", str(tmp_path / "other.bin")]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*cmd, "--scenario", cache, "--seed", "5"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--seed 5" in err and "seed 11" in err
-    assert sorted(os.listdir(tmp_path)) == ["scen.bin"]
-    # the cache's own seed is accepted
-    assert cli.main(["run", "--scenario", cache, "--seed", "11",
-                     "--out", str(tmp_path / "run")]) == 0
 
 
 def test_run_writes_all_artifacts(scenario_file, tmp_path):
@@ -122,7 +95,8 @@ def test_trajectory_text_round_trips_the_run(scenario_file, tmp_path):
     cli.main(["run", "--scenario", scenario_file, "--out", d])
     with open(os.path.join(d, "trajectory.txt")) as fh:
         t, p, q = cli.parse_trajectory(fh.read())
-    res = run_filter(cli.load_dataset(scenario_file), FilterConfig())
+    res = run_filter(gen_dataset(cli.load_scenario(scenario_file)),
+                     FilterConfig())
     assert np.array_equal(t, res.times)
     assert np.array_equal(p, res.positions)
     assert np.array_equal(q, res.quats)
@@ -166,3 +140,67 @@ def test_removed_run_flags_are_refused(scenario_file, tmp_path, flag):
                   "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_simulate_subcommand_is_gone(scenario_file, tmp_path):
+    out = tmp_path / "scen.bin"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--scenario", scenario_file, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+# each: the file's bytes, or an edit of a good scenario's JSON, and a
+# fragment of the cause the error gives
+BAD_SCENARIOS = {
+    "unknown-preset": (None, "No such file"),
+    "missing-path": (None, "No such file"),
+    "not-json": (b"duration: 6.0\n", "Expecting value"),
+    "binary": (b"SRIM\x01\x00" + bytes(range(128, 256)), "can't decode"),
+    "unknown-key": (lambda d: {**d, "durations": 6.0},
+                    "unknown scenario keys: durations"),
+    "out-of-range": (lambda d: {**d, "noise": {**d["noise"],
+                                               "gyro_density": np.nan}},
+                     "noise.gyro_density = nan is out of range"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCENARIOS)
+def test_bad_scenario_is_usage_error(case, scenario_file, tmp_path,
+                                     monkeypatch, capsys):
+    content, cause = BAD_SCENARIOS[case]
+    monkeypatch.chdir(tmp_path)
+    scenario = "nosuch" if case == "unknown-preset" else str(tmp_path / "s")
+    if callable(content):
+        content = json.dumps(content(json.loads(open(scenario_file).read())))
+        content = content.encode()
+    if content is not None:
+        (tmp_path / "s").write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--scenario", scenario, "--out", "run"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--scenario {scenario}: " in err and cause in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_replays_the_run(scenario_file, tmp_path):
+    # the manifest's scenario, at the seed the run was given, is all a
+    # replay needs
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["run", "--scenario", scenario_file, "--seed", "4",
+                     "--estimator", "pcsrif", "--precision", "binary32",
+                     "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest["scenario"]))
+    assert cli.main(["run", "--scenario", str(replay),
+                     "--estimator", manifest["estimator"],
+                     "--precision", manifest["precision"],
+                     "--out", str(again)]) == 0
+    for name in DETERMINISTIC:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+    replayed = json.loads((again / "manifest.json").read_text())
+    assert manifest["seed"] == 4
+    assert ((replayed["scenario_hash"], replayed["seed"])
+            == (manifest["scenario_hash"], manifest["seed"]))

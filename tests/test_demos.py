@@ -24,3 +24,9 @@ def test_flop_economics_demo_runs():
     assert cp.returncode == 0, cp.stderr
     header = next(line for line in cp.stdout.splitlines() if "givens" in line)
     assert "householder" in header
+
+
+def test_cli_pipeline_demo_runs():
+    cp = run_demo("05_cli_pipeline.py")
+    assert cp.returncode == 0, cp.stderr
+    assert "divergence" in cp.stdout and "trajectory.txt holds" in cp.stdout

@@ -7,13 +7,10 @@ from srifkit.models import GRAVITY, ImuNoise
 from srifkit.sim import (
     Frame,
     ScenarioSpec,
-    gen_dataset,
     gen_ground_truth,
     gen_imu,
     gen_tracks,
     gen_trajectory,
-    load_cache,
-    save_cache,
 )
 from srifkit.state import quat_to_mat
 
@@ -48,22 +45,45 @@ class TestSpec:
            {"max_depth": 1.0, "min_depth": 5.0}, {"max_depth": np.nan},
            {"min_depth": 0.0}, {"intrinsics": (0.0, 0.0, 320.0, 240.0)},
            {"intrinsics": (400.0, 400.0, np.nan, 240.0)},
-           {"p_ic": (0.05, np.inf, 0.02)}, {"true_tsync": np.nan}]
+           {"p_ic": (0.05, np.inf, 0.02)}, {"true_tsync": np.nan},
+           # a zero or non-unit camera rotation, noise densities that are
+           # negative or not finite, and counts that are not non-negative
+           # ints; a dotted name is a field of the noise
+           {"q_ic": (0.0, 0.0, 0.0, 0.0)}, {"q_ic": (1.0, 1.0, 0.0, 0.0)},
+           {"noise.accel_density": -1.0}, {"noise.gyro_density": np.nan},
+           {"noise.gyro_bias_rw": np.inf}, {"n_features": 2.5},
+           {"n_features": True}, {"seed": -1}, {"seed": 1.5}]
 
     @pytest.mark.parametrize("kw", BAD, ids=lambda kw: ",".join(
         f"{k}={v}" for k, v in kw.items()))
     @pytest.mark.parametrize("via", ["constructor", "from_json"])
     def test_bad_value_rejected_with_the_field_named(self, via, kw):
+        top = {k: v for k, v in kw.items() if "." not in k}
+        noise = {k.split(".")[1]: v for k, v in kw.items() if "." in k}
         with pytest.raises(ValueError, match=next(iter(kw))):
             if via == "constructor":
-                ScenarioSpec(**kw)
+                ScenarioSpec(**top, noise=ImuNoise(**noise))
             else:
                 d = json.loads(ScenarioSpec().to_json())
-                d.update(kw)
+                d.update(top)
+                d["noise"].update(noise)
                 ScenarioSpec.from_json(json.dumps(d))
 
     def test_noiseless_pixels_are_valid(self):
         assert ScenarioSpec(sigma_px=0.0).sigma_px == 0.0
+
+    def test_json_rejects_unknown_keys_by_name(self):
+        d = json.loads(ScenarioSpec().to_json())
+        d["durations"] = 6.0
+        d["noise"]["gyro_densty"] = 1e-3
+        with pytest.raises(ValueError,
+                           match="durations, noise.gyro_densty"):
+            ScenarioSpec.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"noise": 5}'])
+    def test_json_that_is_not_an_object_is_rejected(self, text):
+        with pytest.raises(ValueError, match="JSON objects"):
+            ScenarioSpec.from_json(text)
 
     def test_json_rejects_unknown_format(self):
         d = json.loads(ScenarioSpec().to_json())
@@ -201,41 +221,3 @@ class TestTracks:
                 last[fid] = kind
                 seen.add(fid)
             last = {f: k for f, k in last.items() if f in seen}
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        spec = ScenarioSpec(duration=4.0, seed=9)
-        ds = gen_dataset(spec)
-        path = tmp_path / "scene.bin"
-        save_cache(path, ds)
-        back = load_cache(path)
-        assert back.spec == spec
-        assert np.array_equal(back.truth.positions, ds.truth.positions)
-        assert np.array_equal(back.imu_omega, ds.imu_omega)
-        assert len(back.frames) == len(ds.frames)
-        for a, b in zip(back.frames, ds.frames):
-            assert a.index == b.index and a.t == b.t
-            assert np.array_equal(a.feature_ids, b.feature_ids)
-            assert np.array_equal(a.pixels, b.pixels)
-
-    def test_truncated_fails_at_the_boundary(self, tmp_path):
-        path = tmp_path / "scene.bin"
-        save_cache(path, gen_dataset(ScenarioSpec(duration=4.0, seed=9)))
-        blob = path.read_bytes()
-        cut = tmp_path / "cut.bin"
-        spec_end = 14 + int.from_bytes(blob[6:14], "little")   # magic, version, length
-        # inside the version, the spec length, the spec and the first array
-        # header, then cuts spread over the arrays and frames
-        cuts = [5, 9, 20, spec_end, spec_end + 4, len(blob) - 1]
-        cuts += np.linspace(spec_end + 9, len(blob) - 2, 25).astype(int).tolist()
-        for n in cuts:
-            cut.write_bytes(blob[:n])
-            with pytest.raises(ValueError, match="truncated scenario cache"):
-                load_cache(cut)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_cache(path)
