@@ -6,7 +6,8 @@ Subcommands:
 
 A scenario is a preset name or a scenario JSON path; the dataset is
 generated from it at its seed, or at --seed. A scenario that cannot be read,
-or that holds a bad value, is a usage error (exit code 2).
+or that holds a bad value, is a usage error (exit code 2), as is a compare
+run directory that does not exist or has no manifest.json.
 
 A run directory contains:
   trajectory.txt    one line per pose: t x y z qx qy qz qw (17 sig. digits)
@@ -268,8 +269,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and len(args.rundirs) < 2:
-        parser.error("compare needs at least two run directories")
+    if args.command == "compare":
+        if len(args.rundirs) < 2:
+            parser.error("compare needs at least two run directories")
+        for d in args.rundirs:
+            if not os.path.isdir(d):
+                parser.error(f"run directory {d} does not exist")
+            if not os.path.isfile(os.path.join(d, "manifest.json")):
+                parser.error(f"run directory {d} has no manifest.json")
     if args.command == "run":
         try:
             args.spec = load_scenario(args.scenario, args.seed)

@@ -286,7 +286,7 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     cols = slice(first, first + 6 * poses)
     if (list(pose_offsets) != list(range(cols.start, cols.stop, 6))
             or not 0 <= first <= n2 - 6 * poses):
-        raise ValueError(f"pose offsets {list(pose_offsets)} are not "
+        raise ValueError(f"the pose offsets {list(pose_offsets)} are not "
                          f"contiguous 6-column blocks inside [0, {n2})")
     tri = np.array(R22[cols, cols], order="F")
     np.copyto(tri, 0, where=_outside_spai(poses))

@@ -68,14 +68,18 @@ def sign_normalize_rows(R, rhs=None):
 
     Triangular factors are unique only up to row signs; normalizing makes
     factors from different QR/Cholesky paths directly comparable. If rhs
-    is given its rows are flipped consistently.
+    is given its rows are flipped consistently. Only the rows whose
+    diagonal entry is negative change (a NaN one spreads along its row);
+    a zero or -0.0 diagonal keeps its row.
     """
-    n = min(R.shape)
-    d = np.sign(np.diag(R)[:n])
-    d[d == 0] = 1.0
-    R[:n, :] *= d[:, None].astype(R.dtype)
-    if rhs is not None:
-        rhs[:n] *= d.reshape((n,) + (1,) * (rhs.ndim - 1)).astype(rhs.dtype)
+    d = np.diagonal(R)[:min(R.shape)]
+    rows = np.flatnonzero(~(d >= 0))
+    if rows.size:
+        s = np.sign(d[rows])
+        R[rows] *= s[:, None]
+        if rhs is not None:
+            shape = (-1,) + (1,) * (rhs.ndim - 1)
+            rhs[rows] *= s.reshape(shape).astype(rhs.dtype)
     return R
 
 

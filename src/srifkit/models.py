@@ -28,7 +28,6 @@ import numpy as np
 
 from . import linalg
 from .state import (
-    Pose,
     quat_from_rotvec,
     quat_normalize,
     quat_to_mat,
@@ -63,8 +62,9 @@ class TransitionBlock:
 
     phi: np.ndarray        # 15 x 15
     sqrt_info: np.ndarray  # 15 x 15 upper triangular, positive diagonal
-    new_pose: Pose
-    new_v: np.ndarray
+    p: np.ndarray          # predicted position
+    q: np.ndarray          # predicted global-from-IMU rotation, xyzw
+    v: np.ndarray          # predicted velocity
 
 
 # --------------------------------------------------------------------------
@@ -107,18 +107,19 @@ def check_imu_samples(omega, accel, dt):
     return omega, accel, dt
 
 
-def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise):
-    """Integrate IMU samples from `pose` and linearize the step.
+def imu_transition(bg, ba, v, p, q, omega, accel, dt, noise: ImuNoise):
+    """Integrate IMU samples from the pose at position p and orientation q
+    and linearize the step.
 
     The samples are the (K, 3) body rates `omega`, the (K, 3) specific
     forces `accel` and the (K,) periods `dt`, as `check_imu_samples` takes.
 
     Midpoint integration per sample; the transition Jacobian is the exact
     linearization of the discrete integrator (verified against finite
-    differences). Returns a TransitionBlock carrying the predicted pose
-    and velocity plus the square-root information of the accumulated
-    process noise. NOISE_FLOOR keeps that information finite on
-    noise-free scenarios.
+    differences). Returns a TransitionBlock carrying the predicted
+    position, orientation and velocity plus the square-root information
+    of the accumulated process noise. NOISE_FLOOR keeps that information
+    finite on noise-free scenarios.
 
     The biases are fixed during the step, so every sample's rotation
     increment, right Jacobians and transition F_k are computed at once
@@ -146,8 +147,7 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise):
     right = np.stack([w, z, -y, x, -z, w, x, y,
                       y, -x, w, z, -x, -y, -z, w], axis=1).reshape(-1, 4, 4)
     R = np.empty((K + 1, 3, 3))
-    R[0] = quat_to_mat(pose.q)
-    q = pose.q
+    R[0] = quat_to_mat(q)
     for k in range(K):
         R[k + 1] = R[k] @ D_full[k]
         q = right[k] @ q
@@ -187,9 +187,8 @@ def imu_transition(bg, ba, v, pose: Pose, omega, accel, dt, noise: ImuNoise):
     sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T))
     # state integration; v_k[k] is the velocity before sample k
     v_k = np.cumsum(np.vstack([v, aw * h]), axis=0)
-    p = pose.p + (v_k[:-1] * h + 0.5 * aw * h * h).sum(axis=0)
-    new_pose = Pose(p, quat_normalize(q), pose.t + dt.sum())
-    return TransitionBlock(Phi, sqrt_info, new_pose, v_k[-1])
+    p = p + (v_k[:-1] * h + 0.5 * aw * h * h).sum(axis=0)
+    return TransitionBlock(Phi, sqrt_info, p, quat_normalize(q), v_k[-1])
 
 
 # --------------------------------------------------------------------------
@@ -214,33 +213,31 @@ class WindowCameras(NamedTuple):
         ids = np.asarray(pose_ids, dtype=np.int64)
         rows = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
         if (self.ids[rows] != ids).any():
-            raise KeyError(f"pose ids {ids[self.ids[rows] != ids]} are not "
-                           f"in the window")
+            raise KeyError(f"the pose ids {ids[self.ids[rows] != ids]} are "
+                           f"not in the window")
         return rows
 
 
-def window_cameras(state, frame_motion=None) -> WindowCameras:
+def window_cameras(state, motion=None) -> WindowCameras:
     """Every window pose's camera at state.tsync, in one pass over the window.
 
-    `frame_motion` maps pose id to the (velocity, body rate) the pose moves
-    with under a time shift. Shifting by tsync moves the IMU to p + v tsync
-    and R exp(w tsync), so d R_wc / d tsync = R_wi skew(w) R_ic and
+    `motion` (L, 2, 3) holds the (velocity, body rate) each pose moves with
+    under a time shift. Shifting by tsync moves the IMU to p + v tsync and
+    R exp(w tsync), so d R_wc / d tsync = R_wi skew(w) R_ic and
     d t_wc / d tsync = v + R_wi skew(w) p_ic at the shifted R_wi. A pose
-    without an entry does not move with tsync, so without `frame_motion`
-    no pose is shifted: the shift by zero motion is the identity.
+    with zero motion does not move with tsync, so without `motion` no pose
+    is shifted: the shift by zero motion is the identity.
     """
-    ids = np.array([p.id for p in state.poses], dtype=np.int64)
+    ids = state.pose_ids
     if (np.diff(ids) <= 0).any():
         raise ValueError(f"window pose ids must increase, got {ids}")
-    fm = frame_motion or {}
-    motion = np.zeros((len(ids), 2, 3))
-    for i, pid in enumerate(ids.tolist()):
-        if pid in fm:
-            motion[i] = fm[pid]
+    shifted = motion is not None
+    if not shifted:
+        motion = np.zeros((len(ids), 2, 3))
     v, w = motion[:, 0], motion[:, 1]
-    p_wi = np.array([p.p for p in state.poses])
-    R_wi = quat_to_mat([p.q for p in state.poses])
-    if fm and state.tsync != 0.0:
+    p_wi = state.positions
+    R_wi = quat_to_mat(state.quats)
+    if shifted and state.tsync != 0.0:
         p_wi = p_wi + v * state.tsync
         R_wi = R_wi @ quat_to_mat(quat_from_rotvec(w * state.tsync))
     R_ic = quat_to_mat(state.q_ic)

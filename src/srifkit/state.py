@@ -1,10 +1,15 @@
 """Sliding-window VINS state vector and its error-state layout.
 
-Component order is fixed: gyro bias, accel bias, velocity, SLAM features
-(chronological), time offset, pose window (chronological), camera
-calibration (intrinsics, then camera-in-IMU extrinsics). The first nine
-error-state dimensions (biases + velocity) never appear in visual
-measurement Jacobians, which is what makes the partitioned update cheap.
+The window is held as arrays: S SLAM features (ids, anchor pose ids and
+(alpha, beta, rho) parameters) and L poses (ids, times, positions and
+quaternions), each in chronological order. The error state orders them
+as gyro bias, accel bias, velocity, the features, the time offset, the
+poses, then the camera calibration (intrinsics, then camera-in-IMU
+extrinsics), so the layout is arithmetic on (S, L): feature k starts at
+9 + 3k, tsync is at 9 + 3S, pose j starts at 10 + 3S + 6j, and
+n = 20 + 3S + 6L. The first N1 = 9 error-state dimensions (biases +
+velocity) never appear in visual measurement Jacobians, which is what
+makes the partitioned update cheap.
 
 Quaternions are stored (x, y, z, w) and represent the global-from-IMU
 rotation. Orientation error is a 3-vector axis-angle perturbation applied
@@ -14,6 +19,7 @@ on the left (global frame): q <- exp(theta) * q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,33 +113,8 @@ def so3_right_jacobian(theta):
 
 
 # --------------------------------------------------------------------------
-# state containers
+# state vector
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class Pose:
-    """IMU pose: position and global-from-IMU quaternion at a timestamp."""
-
-    p: np.ndarray
-    q: np.ndarray
-    t: float
-    id: int = -1
-
-    def copy(self):
-        return Pose(self.p.copy(), self.q.copy(), self.t, self.id)
-
-
-@dataclass
-class InverseDepthFeature:
-    """Camera-anchored feature: azimuth, elevation, inverse range (1/m)."""
-
-    anchor_pose_id: int
-    params: np.ndarray  # (alpha, beta, rho)
-    id: int = -1
-
-    def copy(self):
-        return InverseDepthFeature(self.anchor_pose_id, self.params.copy(), self.id)
 
 
 @dataclass
@@ -143,26 +124,32 @@ class VinsStateVector:
     bg: np.ndarray
     ba: np.ndarray
     v: np.ndarray
-    features: list  # of InverseDepthFeature, chronological
+    feature_ids: np.ndarray  # (S,) int64
+    anchor_ids: np.ndarray   # (S,) int64, the pose each feature is anchored at
+    params: np.ndarray       # (S, 3) alpha, beta, rho (1/m) in the anchor camera
     tsync: float
-    poses: list  # of Pose, chronological
-    intrinsics: np.ndarray  # (fx, fy, cx, cy)
-    p_ic: np.ndarray  # camera position in IMU frame
-    q_ic: np.ndarray  # IMU-from-camera rotation, xyzw
+    pose_ids: np.ndarray     # (L,) int64, increasing
+    times: np.ndarray        # (L,)
+    positions: np.ndarray    # (L, 3) IMU positions
+    quats: np.ndarray        # (L, 4) global-from-IMU rotations, xyzw
+    intrinsics: np.ndarray   # (fx, fy, cx, cy)
+    p_ic: np.ndarray         # camera position in IMU frame
+    q_ic: np.ndarray         # IMU-from-camera rotation, xyzw
 
     def copy(self):
-        return VinsStateVector(
-            self.bg.copy(), self.ba.copy(), self.v.copy(),
-            [f.copy() for f in self.features], self.tsync,
-            [p.copy() for p in self.poses],
-            self.intrinsics.copy(), self.p_ic.copy(), self.q_ic.copy(),
-        )
+        return VinsStateVector(**{
+            name: value.copy() if isinstance(value, np.ndarray) else value
+            for name, value in vars(self).items()})
 
     @staticmethod
     def identity():
+        ids = np.zeros(0, dtype=np.int64)
         return VinsStateVector(
-            bg=np.zeros(3), ba=np.zeros(3), v=np.zeros(3), features=[],
-            tsync=0.0, poses=[], intrinsics=np.array([400.0, 400.0, 320.0, 240.0]),
+            bg=np.zeros(3), ba=np.zeros(3), v=np.zeros(3),
+            feature_ids=ids, anchor_ids=ids.copy(), params=np.zeros((0, 3)),
+            tsync=0.0, pose_ids=ids.copy(), times=np.zeros(0),
+            positions=np.zeros((0, 3)), quats=np.zeros((0, 4)),
+            intrinsics=np.array([400.0, 400.0, 320.0, 240.0]),
             p_ic=np.zeros(3), q_ic=QUAT_IDENTITY.copy(),
         )
 
@@ -171,56 +158,53 @@ class VinsStateVector:
 # error-state layout
 # --------------------------------------------------------------------------
 
+N1 = 9  # bg, ba, v: the states visual updates do not touch
 
-@dataclass
-class ErrorStateLayout:
-    """Ordered (name, offset, dim) blocks covering [0, n).
 
-    Orientation blocks have dim 3 (minimal parameterization). The n1/n2
-    boundary separates the states untouched by visual updates (biases +
-    velocity, n1 = 9) from the rest.
-    """
+class Layout(NamedTuple):
+    """Error-state offsets of a state with `n_features` features and
+    `n_poses` poses. Orientation errors have dim 3 (minimal
+    parameterization); a pose's block is (position, orientation)."""
 
-    blocks: list  # of (name, offset, dim)
-    n: int
-    n1: int = 9
+    n_features: int
+    n_poses: int
 
-    def __post_init__(self):
-        self.index = {name: (off, dim) for name, off, dim in self.blocks}
+    @property
+    def tsync(self):
+        return N1 + 3 * self.n_features
+
+    @property
+    def intr(self):
+        return self.tsync + 1 + 6 * self.n_poses
+
+    @property
+    def p_ic(self):
+        return self.intr + 4
+
+    @property
+    def q_ic(self):
+        return self.intr + 7
+
+    @property
+    def n(self):
+        return self.intr + 10
 
     @property
     def n2(self):
-        return self.n - self.n1
+        return self.n - N1
 
-    def offset(self, name):
-        return self.index[name][0]
+    def feature_cols(self, k):
+        """The 3 columns of feature k, (..., 3) for an array of k."""
+        return N1 + 3 * np.asarray(k)[..., None] + np.arange(3)
 
-    def slice(self, name):
-        off, dim = self.index[name]
-        return slice(off, off + dim)
-
-    def pose_offsets(self):
-        return [off for name, off, dim in self.blocks if name.startswith("pose:")]
+    def pose_cols(self, j):
+        """The 6 columns of pose j, (..., 6) for an array of j."""
+        return self.tsync + 1 + 6 * np.asarray(j)[..., None] + np.arange(6)
 
 
-def layout_of(state: VinsStateVector) -> ErrorStateLayout:
-    """Layout matching the current contents of a state vector: for s
-    features and l poses, n = 9 + 3*s + 1 + 6*l + 10."""
-    blocks = [("bg", 0, 3), ("ba", 3, 3), ("v", 6, 3)]
-    off = 9
-    for f in state.features:
-        blocks.append((f"feat:{f.id}", off, 3))
-        off += 3
-    blocks.append(("tsync", off, 1))
-    off += 1
-    for p in state.poses:
-        blocks.append((f"pose:{p.id}", off, 6))
-        off += 6
-    blocks.append(("intr", off, 4))
-    blocks.append(("p_ic", off + 4, 3))
-    blocks.append(("q_ic", off + 7, 3))
-    off += 10
-    return ErrorStateLayout(blocks, off)
+def layout_of(state: VinsStateVector) -> Layout:
+    """The layout of a state vector's current contents."""
+    return Layout(len(state.feature_ids), len(state.pose_ids))
 
 
 # --------------------------------------------------------------------------
@@ -228,42 +212,26 @@ def layout_of(state: VinsStateVector) -> ErrorStateLayout:
 # --------------------------------------------------------------------------
 
 
-def boxplus(state: VinsStateVector, delta, layout: ErrorStateLayout) -> VinsStateVector:
-    """Apply an error-state increment; quaternion blocks use the left-global
+def boxplus(state: VinsStateVector, delta) -> VinsStateVector:
+    """Apply an error-state increment; quaternions use the left-global
     small-angle retraction and are renormalized."""
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != (layout.n,):
-        raise ValueError(f"delta has dim {delta.shape}, layout needs {layout.n}")
+    lay = layout_of(state)
+    if delta.shape != (lay.n,):
+        raise ValueError(f"delta has dim {delta.shape}, layout needs {lay.n}")
     out = state.copy()
-    out.bg = state.bg + delta[layout.slice("bg")]
-    out.ba = state.ba + delta[layout.slice("ba")]
-    out.v = state.v + delta[layout.slice("v")]
-    for f in out.features:
-        f.params = f.params + delta[layout.slice(f"feat:{f.id}")]
-    out.tsync = state.tsync + delta[layout.offset("tsync")]
+    out.bg = state.bg + delta[0:3]
+    out.ba = state.ba + delta[3:6]
+    out.v = state.v + delta[6:9]
+    out.params = state.params + delta[N1:lay.tsync].reshape(-1, 3)
+    out.tsync = state.tsync + delta[lay.tsync]
+    poses = delta[lay.tsync + 1:lay.intr].reshape(-1, 6)
+    out.positions = state.positions + poses[:, 0:3]
     # every pose's orientation and q_ic are retracted in one call
-    offs = [layout.offset(f"pose:{p.id}") for p in out.poses]
-    theta = [delta[o + 3:o + 6] for o in offs] + [delta[layout.slice("q_ic")]]
-    q = quat_normalize(quat_mul(quat_from_rotvec(theta),
-                                [p.q for p in out.poses] + [state.q_ic]))
-    for p, o, qp in zip(out.poses, offs, q):
-        p.p, p.q = p.p + delta[o:o + 3], qp
-    out.intrinsics = state.intrinsics + delta[layout.slice("intr")]
-    out.p_ic = state.p_ic + delta[layout.slice("p_ic")]
-    out.q_ic = q[-1]
+    q = quat_normalize(quat_mul(
+        quat_from_rotvec(np.vstack([poses[:, 3:6], delta[lay.q_ic:lay.n]])),
+        np.vstack([state.quats, state.q_ic])))
+    out.quats, out.q_ic = q[:-1], q[-1]
+    out.intrinsics = state.intrinsics + delta[lay.intr:lay.p_ic]
+    out.p_ic = state.p_ic + delta[lay.p_ic:lay.q_ic]
     return out
-
-
-def reorder_for_marginalization(layout: ErrorStateLayout, block_names) -> list:
-    """Scalar error-state indices covered by whole blocks, ascending.
-
-    Chronological ordering of features and poses guarantees the states to
-    marginalize cluster toward low indices within their sections.
-    """
-    idx = []
-    for name in block_names:
-        if name not in layout.index:
-            raise KeyError(f"unknown block {name!r}")
-        off, dim = layout.index[name]
-        idx.extend(range(off, off + dim))
-    return sorted(idx)

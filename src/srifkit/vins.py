@@ -37,14 +37,7 @@ from .models import (
     triangulate_inverse_depth,
     window_cameras,
 )
-from .state import (
-    InverseDepthFeature,
-    Pose,
-    VinsStateVector,
-    boxplus,
-    layout_of,
-    reorder_for_marginalization,
-)
+from .state import N1, VinsStateVector, boxplus, layout_of
 
 ESTIMATORS = ("kf", "srif", "pcsrif", "if-oracle")
 PRECISIONS = {"binary32": np.float32, "binary64": np.float64}
@@ -79,8 +72,8 @@ class FilterConfig:
         # a track leaves the buffer at window - 1 observations, so a
         # smaller window never gathers MIN_TRACK of them
         if self.window < MIN_TRACK + 1:
-            raise ValueError(f"window must hold at least {MIN_TRACK + 1} "
-                             f"poses, got {self.window}")
+            raise ValueError(f"window must hold at least "
+                             f"{MIN_TRACK + 1} poses, got {self.window}")
 
 
 class EstimatorAbort(RuntimeError):
@@ -112,9 +105,19 @@ class RunResult:
     seconds: dict = field(default_factory=dict)  # phase -> wall seconds
 
 
-def _prior_sigmas(layout):
-    return np.concatenate([np.broadcast_to(PRIOR_SIGMA[name.split(":")[0]], dim)
-                           for name, _, dim in layout.blocks])
+def _prior_sigmas(lay):
+    """PRIOR_SIGMA per error-state dimension, in layout order."""
+    s = PRIOR_SIGMA
+    return np.concatenate([
+        np.repeat([s["bg"], s["ba"], s["v"]], 3),
+        np.tile(s["feat"], lay.n_features), [s["tsync"]],
+        np.tile(s["pose"], lay.n_poses),
+        np.repeat([s["intr"], s["p_ic"], s["q_ic"]], [4, 3, 3])])
+
+
+def _pose_offsets_x2(lay):
+    """The x2 offset of each pose's block, for the preconditioner."""
+    return list(range(lay.tsync + 1 - N1, lay.intr - N1, 6))
 
 
 def _scatter_rows(H, cols, J):
@@ -125,15 +128,6 @@ def _scatter_rows(H, cols, J):
     twice, once for each pose block; both blocks are zero there.
     """
     H[np.arange(2 * len(J)).reshape(-1, 2, 1), cols[:, None, :]] = J
-
-
-def _embed(old_layout, new_layout):
-    """Scalar index map old -> new for blocks present in both layouts."""
-    idx = np.empty(old_layout.n, dtype=int)
-    for name, off, dim in old_layout.blocks:
-        noff = new_layout.offset(name)
-        idx[off:off + dim] = np.arange(noff, noff + dim)
-    return idx
 
 
 class VinsEstimator:
@@ -156,11 +150,12 @@ class VinsEstimator:
         x.intrinsics = np.asarray(spec.intrinsics, dtype=float).copy()
         x.p_ic = np.asarray(spec.p_ic, dtype=float).copy()
         x.q_ic = np.asarray(spec.q_ic, dtype=float).copy()
-        x.poses = [Pose(truth.positions[0].copy(), truth.quats[0].copy(),
-                        0.0, id=0)]
+        x.pose_ids = np.zeros(1, dtype=np.int64)
+        x.times = np.zeros(1)
+        x.positions = truth.positions[:1].copy()
+        x.quats = truth.quats[:1].copy()
         self.x = x
-        self.layout = layout_of(x)
-        sig = _prior_sigmas(self.layout)
+        sig = _prior_sigmas(layout_of(x))
         if self.is_kf:
             self.P = np.diag(sig ** 2).astype(self.dtype)
             self.R = None
@@ -168,27 +163,25 @@ class VinsEstimator:
             self.R = np.diag(1.0 / sig).astype(self.dtype)
             self.P = None
         self.sigma_px = spec.sigma_px if spec.sigma_px > 0 else 1.0
-        self.frame_motion = {0: (x.v.copy(), truth.omegas[0] - x.bg)}
+        # each window pose's (velocity, body rate) under a time shift,
+        # one (2, 3) row per pose beside the state's pose arrays
+        self.motion = np.array([[x.v, truth.omegas[0] - x.bg]])
         self.track_buf = {}       # fid -> list of (pose_id, pixel)
         self._drop_next = set()   # feature ids to marginalize out
         self._step_per_frame = int(round(spec.imu_rate / spec.cam_rate))
         self.times = [0.0]
-        self.positions = [x.poses[0].p.copy()]
-        self.quats = [x.poses[0].q.copy()]
+        self.positions = [x.positions[-1].copy()]
+        self.quats = [x.quats[-1].copy()]
 
     # -- representation helpers ------------------------------------------
-
-    def _pose_offsets_x2(self):
-        n1 = self.layout.n1
-        return [off - n1 for off in self.layout.pose_offsets()]
 
     def _covariance(self, idx):
         if self.is_kf:
             return np.asarray(self.P, dtype=np.float64)[np.ix_(idx, idx)]
         # the float64 block P[idx, idx] = Y.T Y, where R.T Y = I[:, idx]
         Y = scipy.linalg.solve_triangular(
-            np.asarray(self.R, dtype=np.float64), np.eye(self.layout.n)[:, idx],
-            trans="T", check_finite=False)
+            np.asarray(self.R, dtype=np.float64),
+            np.eye(self.R.shape[0])[:, idx], trans="T", check_finite=False)
         return Y.T @ Y
 
     # -- propagation ------------------------------------------------------
@@ -198,23 +191,21 @@ class VinsEstimator:
         i0 = (frame.index - 1) * self._step_per_frame
         i1 = frame.index * self._step_per_frame
         omega, accel, dt = self.ds.imu_samples(i0, i1)
-        old_pose = self.x.poses[-1]
-        tb = imu_transition(self.x.bg, self.x.ba, self.x.v, old_pose,
+        x = self.x
+        old = layout_of(x)
+        tb = imu_transition(x.bg, x.ba, x.v, x.positions[-1], x.quats[-1],
                             omega, accel, dt, self.ds.spec.noise)
-        tb.new_pose.id = frame.index
-        tb.new_pose.t = frame.t
-        old_layout = self.layout
-        self.x.poses.append(tb.new_pose)
-        self.x.v = tb.new_v.copy()
-        self.layout = layout_of(self.x)
-        # every old state keeps its value at its new index, and the
-        # transition maps (bias, velocity, old pose) to (bias, velocity,
-        # new pose)
-        keep = _embed(old_layout, self.layout)
-        old_off = old_layout.offset(f"pose:{old_pose.id}")
-        new_off = self.layout.offset(f"pose:{frame.index}")
-        sel = np.r_[0:9, old_off:old_off + 6]
-        rows = np.r_[0:9, new_off:new_off + 6]
+        x.pose_ids = np.append(x.pose_ids, frame.index)
+        x.times = np.append(x.times, frame.t)
+        x.positions = np.vstack([x.positions, tb.p])
+        x.quats = np.vstack([x.quats, tb.q])
+        x.v = tb.v.copy()
+        # every old state keeps its value at its new index (the calibration
+        # moves past the new pose), and the transition maps (bias,
+        # velocity, old pose) to (bias, velocity, new pose)
+        keep = np.r_[0:old.intr, old.intr + 6:old.n + 6]
+        sel = np.r_[0:N1, old.pose_cols(old.n_poses - 1)]
+        rows = np.r_[0:N1, layout_of(x).pose_cols(old.n_poses)]
 
         if self.is_kf:
             self.P = filters.kf_propagate(self.P, keep, sel, rows, tb,
@@ -228,47 +219,49 @@ class VinsEstimator:
                                          colmap[sel], tb, flops=fc)
             self.R = R_aug[9:, 9:].copy()
 
-        self.frame_motion[frame.index] = (
-            self.x.v.copy(), omega[-1] - self.x.bg)
+        self.motion = np.vstack([self.motion, [[x.v, omega[-1] - x.bg]]])
 
     # -- marginalization --------------------------------------------------
 
-    def _marginalize_blocks(self, names):
-        """Remove whole feature and pose blocks from the Gaussian and from
-        the estimate."""
-        idx = reorder_for_marginalization(self.layout, names)
+    def _marginalize_blocks(self, features, poses):
+        """Remove the features and poses the boolean masks flag from the
+        Gaussian and from the estimate."""
+        x, lay = self.x, layout_of(self.x)
+        gone = np.zeros(lay.n, dtype=bool)
+        gone[N1:lay.tsync] = np.repeat(features, 3)
+        gone[lay.tsync + 1:lay.intr] = np.repeat(poses, 6)
         if self.is_kf:
-            keep = np.ones(self.layout.n, dtype=bool)
-            keep[idx] = False
-            self.P = self.P[np.ix_(keep, keep)]
+            self.P = self.P[np.ix_(~gone, ~gone)]
         else:
             self.R = filters.marginalize_block(
-                self.R, idx, flops=self.flops["marginalization"])
-        gone = set(names)
-        self.x.features = [f for f in self.x.features
-                           if f"feat:{f.id}" not in gone]
-        self.x.poses = [p for p in self.x.poses if f"pose:{p.id}" not in gone]
-        self.layout = layout_of(self.x)
+                self.R, np.flatnonzero(gone),
+                flops=self.flops["marginalization"])
+        kept, stay = ~features, ~poses
+        x.feature_ids, x.anchor_ids = x.feature_ids[kept], x.anchor_ids[kept]
+        x.params = x.params[kept]
+        x.pose_ids, x.times = x.pose_ids[stay], x.times[stay]
+        x.positions, x.quats = x.positions[stay], x.quats[stay]
+        self.motion = self.motion[stay]
 
-    def _reanchor(self, feats, old_id, new_id):
-        """Move the features anchored at pose old_id to pose new_id in one
-        pass. Returns the ids of those behind the new anchor camera, which
-        keep their old anchor and parameters for the caller to drop."""
-        n = len(feats)
-        # the anchors at zero time shift; passing self.frame_motion would
+    def _reanchor(self, k, old_id, new_id):
+        """Move features k (state rows), anchored at pose old_id, to pose
+        new_id in one pass. Returns the rows of those behind the new anchor
+        camera, which keep their old anchor and parameters for the caller
+        to drop."""
+        x, lay = self.x, layout_of(self.x)
+        n = len(k)
+        # the anchors at zero time shift; passing self.motion would
         # reanchor on the shifted cameras `project_feature` sees
-        re = reanchor_feature(window_cameras(self.x), np.full(n, old_id),
-                              np.full(n, new_id),
-                              np.array([f.params for f in feats]))
-        behind = [f.id for f, front in zip(feats, re.in_front) if not front]
-        ok = np.flatnonzero(re.in_front)
-        k = len(ok)
-        if not k:
-            return behind
-        lay = self.layout
-        starts = [lay.offset(f"feat:{feats[i].id}") for i in ok]
-        fidx = (np.array(starts)[:, None] + np.arange(3)).ravel()
-        ab = np.r_[lay.slice(f"pose:{old_id}"), lay.slice(f"pose:{new_id}")]
+        re = reanchor_feature(window_cameras(x), np.full(n, old_id),
+                              np.full(n, new_id), x.params[k])
+        ok = re.in_front
+        moved = k[ok]
+        if not len(moved):
+            return k
+        fcols = lay.feature_cols(moved)
+        fidx = fcols.ravel()
+        ab = lay.pose_cols(np.searchsorted(x.pose_ids, [old_id, new_id])).ravel()
+        m = len(moved)
         Jff = re.feature[ok]
         Jab = np.concatenate([re.old_anchor[ok], re.new_anchor[ok]], axis=2)
         fc = self.flops["marginalization"]
@@ -277,14 +270,14 @@ class VinsEstimator:
             # J[fidx] = [Jff, Jfa, Jfb] over (feature, old, new anchor):
             # only the features' rows and columns change
             P = self.P
-            J = np.zeros((3 * k, lay.n), dtype=P.dtype)
-            J[np.arange(3 * k).reshape(k, 3, 1), fidx.reshape(k, 1, 3)] = Jff
-            J[:, ab] = Jab.reshape(3 * k, 12)
+            J = np.zeros((3 * m, lay.n), dtype=P.dtype)
+            J[np.arange(3 * m).reshape(m, 3, 1), fcols[:, None, :]] = Jff
+            J[:, ab] = Jab.reshape(3 * m, 12)
             T = J @ P
             corner = T @ J.T
             # multiply-adds of J P and of its corner (J P) J.T
-            fc.add(adds=3 * k * (lay.n - 1) * (lay.n + 3 * k),
-                   muls=3 * k * lay.n * (lay.n + 3 * k))
+            fc.add(adds=3 * m * (lay.n - 1) * (lay.n + 3 * m),
+                   muls=3 * m * lay.n * (lay.n + 3 * m))
             P[fidx] = T
             P[:, fidx] = T.T
             P[np.ix_(fidx, fidx)] = 0.5 * (corner + corner.T)
@@ -293,26 +286,25 @@ class VinsEstimator:
             # left of both pose columns, so the correction only spreads
             # feature columns rightward
             R = self.R
-            m = R.shape[0]
+            rows = R.shape[0]
             Jff_inv = np.linalg.inv(Jff)
-            G = (Jff_inv @ Jab).reshape(3 * k, 12).astype(R.dtype)
+            G = (Jff_inv @ Jab).reshape(3 * m, 12).astype(R.dtype)
             colf = R[:, fidx]
-            R[:, fidx] = (colf.reshape(m, k, 1, 3)
-                          @ Jff_inv.astype(R.dtype)).reshape(m, 3 * k)
+            R[:, fidx] = (colf.reshape(rows, m, 1, 3)
+                          @ Jff_inv.astype(R.dtype)).reshape(rows, 3 * m)
             R[:, ab] -= colf @ G
-            # multiply-adds: G, then R's feature columns times the k
+            # multiply-adds: G, then R's feature columns times the m
             # 3 x 3 inverses and times G
-            fc.add(adds=45 * m * k + 108 * k, muls=45 * m * k + 108 * k)
+            fc.add(adds=45 * rows * m + 108 * m, muls=45 * rows * m + 108 * m)
             # each feature's 3 x 3 diagonal block went dense; its rows are
             # the only ones with entries below the diagonal, so each
             # feature's 3-row slab is re-triangularized on its own
-            for s in starts:
+            for s in fcols[:, 0].tolist():
                 slab, _ = linalg.householder_qr(R[s:s + 3, s:], flops=fc)
                 R[s:s + 3, s:] = linalg.sign_normalize_rows(slab)
-        for i in ok.tolist():
-            feats[i].anchor_pose_id = new_id
-            feats[i].params = re.params[i]
-        return behind
+        x.anchor_ids[moved] = new_id
+        x.params[moved] = re.params[ok]
+        return k[~ok]
 
     def _marginalize(self, frame):
         """Remove everything that leaves the state this frame with one
@@ -320,49 +312,46 @@ class VinsEstimator:
         `_assemble_rows` flagged and, once the window is full, its oldest
         pose. The pose's other features first move to the newest pose;
         those behind their new anchor leave with it."""
+        x = self.x
         present = set(frame.feature_ids.tolist())
-        leaving = {f.id for f in self.x.features
-                   if f.id not in present} | self._drop_next
+        leaving = np.array([fid not in present or fid in self._drop_next
+                            for fid in x.feature_ids.tolist()], dtype=bool)
         self._drop_next = set()
-        poses = []
-        if len(self.x.poses) > self.cfg.window:
-            departing = self.x.poses[0]
+        poses = np.zeros(len(x.pose_ids), dtype=bool)
+        if len(x.pose_ids) > self.cfg.window:
+            departing = x.pose_ids[0]
             # reanchoring changes only the moved features' variables, so a
             # feature that leaves anyway leaves with its old anchor
-            moving = [f for f in self.x.features
-                      if f.anchor_pose_id == departing.id
-                      and f.id not in leaving]
-            if moving:
-                leaving.update(self._reanchor(moving, departing.id,
-                                              self.x.poses[-1].id))
+            moving = np.flatnonzero((x.anchor_ids == departing) & ~leaving)
+            if len(moving):
+                leaving[self._reanchor(moving, departing, x.pose_ids[-1])] = True
             # no buffered track observes the departing pose: the last
             # update used or dropped every track that had reached window - 1
             # observations or ended, so each one left holds at most
             # window - 2, from consecutive frames ending at the previous
             # one, and its oldest is two frames newer than this pose
-            del self.frame_motion[departing.id]
-            poses = [f"pose:{departing.id}"]
-        names = [f"feat:{f.id}" for f in self.x.features
-                 if f.id in leaving] + poses
-        if names:
-            self._marginalize_blocks(names)
+            poses[0] = True
+        if leaving.any() or poses.any():
+            self._marginalize_blocks(leaving, poses)
 
     # -- update -----------------------------------------------------------
 
-    def _insert_features(self, feats):
+    def _insert_features(self, ids, anchors, params):
         """Grow the state by new features, each with an independent weak
         prior, in one embedding of the covariance or factor."""
-        if not feats:
+        if not len(ids):
             return
-        old_layout = self.layout
-        self.x.features.extend(feats)
-        self.layout = layout_of(self.x)
-        n = self.layout.n
-        idx = _embed(old_layout, self.layout)
-        fresh = np.ones(n, dtype=bool)
-        fresh[idx] = False
-        new = np.flatnonzero(fresh)   # 3 per feature, in order
-        sig = np.tile(PRIOR_SIGMA["feat"], len(feats))
+        x, lay = self.x, layout_of(self.x)
+        x.feature_ids = np.append(x.feature_ids, ids)
+        x.anchor_ids = np.append(x.anchor_ids, anchors)
+        x.params = np.vstack([x.params, params])
+        # the new features' columns come right before tsync, and every old
+        # state keeps its value
+        t, b = lay.tsync, 3 * len(ids)
+        n = lay.n + b
+        idx = np.r_[0:t, t + b:n]
+        new = np.arange(t, t + b)
+        sig = np.tile(PRIOR_SIGMA["feat"], len(ids))
         old, diag = (self.P, sig ** 2) if self.is_kf else (self.R, 1.0 / sig)
         M = np.zeros((n, n), dtype=old.dtype)
         M[np.ix_(idx, idx)] = old
@@ -404,8 +393,9 @@ class VinsEstimator:
         """
         # the window and its estimate stay fixed until the update, so each
         # pose's camera is evaluated once per frame
-        cameras = window_cameras(self.x, self.frame_motion)
-        in_state = {f.id: f for f in self.x.features}
+        x = self.x
+        cameras = window_cameras(x, self.motion)
+        in_state = {fid: k for k, fid in enumerate(x.feature_ids.tolist())}
         seen = []         # (feature id, [(pose id, pixel), ...]) in frame order
         candidates = []   # tracks to triangulate, would-be SLAM features first
         for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
@@ -437,62 +427,64 @@ class VinsEstimator:
             theta = {fid: th for (fid, _), th, status in
                      zip(candidates, tri.theta, tri.status)
                      if status == TRIANGULATED}
-        groups = []   # (feature, [(pose id, pixel), ...], is short track)
-        inserted = []
+        # (state row of the feature, or -1 for a short track, anchor pose
+        # id, parameters, [(pose id, pixel), ...])
+        groups = []
+        new_ids, new_anchors, new_params = [], [], []
         for fid, obs in seen:
             if fid in in_state:
-                groups.append((in_state[fid], obs, False))
+                k = in_state[fid]
+                groups.append((k, x.anchor_ids[k], x.params[k], obs))
             elif fid in theta:
-                feat = InverseDepthFeature(obs[0][0], theta[fid], id=fid)
-                inserted.append(feat)
+                groups.append((len(in_state) + len(new_ids), obs[0][0],
+                               theta[fid], obs))
+                new_ids.append(fid)
+                new_anchors.append(obs[0][0])
+                new_params.append(theta[fid])
                 del self.track_buf[fid]
-                groups.append((feat, obs, False))
             elif len(obs) >= self.cfg.window - 1:
                 # capped: as a short track it would triangulate the same
                 # views and fail the same way
                 del self.track_buf[fid]
         # pass 1 reads nothing from the layout, so the features it
         # inserts enter the state together
-        self._insert_features(inserted)
-        groups += [(InverseDepthFeature(obs[0][0], theta[fid], id=fid), obs,
-                    True) for fid, obs in candidates[n_slam:] if fid in theta]
+        self._insert_features(new_ids, new_anchors, new_params)
+        groups += [(-1, obs[0][0], theta[fid], obs)
+                   for fid, obs in candidates[n_slam:] if fid in theta]
         if not groups:
             return None
         return self._assemble_rows(groups, cameras)
 
     def _assemble_rows(self, groups, cameras):
         """Pass 2 of `_collect_measurements`."""
-        views = [(feat.anchor_pose_id, pid, feat.params, px)
-                 for feat, obs, _ in groups for pid, px in obs]
+        views = [(anchor, pid, params, px)
+                 for _, anchor, params, obs in groups for pid, px in obs]
         anchor, observer, params, pixels = (np.array(c) for c in zip(*views))
         proj = project_feature(cameras, self.x.intrinsics, anchor, observer,
                                params)
         J = np.concatenate(proj[2:], axis=2)     # (k, 2, 26)
         resid = pixels - proj.pixel
         # each observation's x2 column per Jacobian column; a short track's
-        # feature has none, and its block is eliminated before writing
-        lay = self.layout
-        n1 = lay.n1
-        pose_col = np.array(self._pose_offsets_x2())
-        sizes = [len(obs) for _, obs, _ in groups]
-        feat_col = np.repeat([0 if track else lay.offset(f"feat:{feat.id}") - n1
-                              for feat, _, track in groups], sizes)
+        # feature has none (its block is eliminated before writing), so
+        # its feature columns are never read
+        lay = layout_of(self.x)
+        sizes = [len(obs) for *_, obs in groups]
+        feature = np.repeat([k for k, *_ in groups], sizes)
         cols = np.empty((len(J), J.shape[2]), dtype=np.intp)
-        cols[:, 0:6] = pose_col[cameras.rows(anchor)][:, None] + np.arange(6)
-        cols[:, 6:12] = pose_col[cameras.rows(observer)][:, None] + np.arange(6)
-        cols[:, 12:15] = feat_col[:, None] + np.arange(3)
-        cols[:, 15:] = np.concatenate(
-            [np.arange(d) + lay.offset(nm) - n1
-             for nm, d in (("p_ic", 3), ("q_ic", 3), ("tsync", 1), ("intr", 4))])
+        cols[:, 0:6] = lay.pose_cols(cameras.rows(anchor)) - N1
+        cols[:, 6:12] = lay.pose_cols(cameras.rows(observer)) - N1
+        cols[:, 12:15] = lay.feature_cols(feature) - N1
+        cols[:, 15:] = np.r_[lay.p_ic:lay.q_ic + 3, lay.tsync,
+                             lay.intr:lay.p_ic] - N1
         no_feature = np.r_[0:12, 15:cols.shape[1]]
 
         slam = np.zeros(len(views), dtype=bool)
         tracks = []   # each short track's observations in front of the camera
         stop = 0
-        for (feat, obs, track), size in zip(groups, sizes):
+        for (k, *_), size in zip(groups, sizes):
             start, stop = stop, stop + size
             front = proj.in_front[start:stop]
-            if track:
+            if k < 0:
                 keep = start + np.flatnonzero(front)
                 if len(keep) >= 2:
                     tracks.append(keep)
@@ -500,7 +492,7 @@ class VinsEstimator:
             good = size if front.all() else int(np.argmin(front))
             slam[start:start + good] = True
             if good < size:
-                self._drop_next.add(feat.id)
+                self._drop_next.add(int(self.x.feature_ids[k]))
 
         Hx, rx = np.empty((0, lay.n2)), np.empty(0)
         if tracks:
@@ -527,22 +519,22 @@ class VinsEstimator:
 
     def _apply_update(self, H2, r, t):
         fc = self.flops["update"]
-        n1 = self.layout.n1
         est = self.cfg.estimator
         if est == "kf":
-            dx, self.P = filters.kf_update(self.P, H2, r, n1, flops=fc)
+            dx, self.P = filters.kf_update(self.P, H2, r, N1, flops=fc)
             return dx
         if est == "srif":
-            res = filters.srif_update_partitioned(self.R, H2, r, n1, flops=fc)
+            res = filters.srif_update_partitioned(self.R, H2, r, N1, flops=fc)
         elif est == "pcsrif":   # a NotPositiveDefinite aborts the run
-            res = filters.pcsrif_update(self.R, H2, r, n1,
-                                        self._pose_offsets_x2(), flops=fc)
+            res = filters.pcsrif_update(
+                self.R, H2, r, N1, _pose_offsets_x2(layout_of(self.x)),
+                flops=fc)
         else:  # if-oracle, with a float64 QR shadow for error flagging
             ref = filters.srif_update_partitioned(
                 self.R.astype(np.float64), H2.astype(np.float64),
-                r.astype(np.float64), n1)
+                r.astype(np.float64), N1)
             try:
-                res = filters.if_update_oracle(self.R, H2, r, n1, flops=fc)
+                res = filters.if_update_oracle(self.R, H2, r, N1, flops=fc)
                 scale = max(float(np.abs(ref.dx).max()), 1e-12)
                 err = float(np.abs(res.dx - ref.dx).max()) / scale
                 if err >= 1e-2:
@@ -563,29 +555,24 @@ class VinsEstimator:
         # diagnostics from the first frame on, every SVD_STRIDE frames; the
         # prior factor is only read when they are due
         due = not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0
-        n1 = self.layout.n1
-        prior_R22 = np.array(self.R[n1:, n1:], dtype=np.float64) if due else None
+        prior_R22 = np.array(self.R[N1:, N1:], dtype=np.float64) if due else None
         if rows is not None:
             dx = self._apply_update(*rows, frame.t)
-            self.x = boxplus(self.x, np.asarray(dx, dtype=np.float64),
-                             self.layout)
+            self.x = boxplus(self.x, dx)
         if due:
             self._record_diagnostics(frame, prior_R22)
 
     # -- diagnostics ------------------------------------------------------
 
-    def _persistent_indices(self):
-        lay = self.layout
-        newest = f"pose:{self.x.poses[-1].id}"
-        sl = [lay.slice(nm) for nm in
-              ("bg", "ba", "v", "tsync", newest, "intr", "p_ic", "q_ic")]
-        return np.concatenate([np.arange(s.start, s.stop) for s in sl])
-
     def _record_diagnostics(self, frame, prior_R22):
-        n1 = self.layout.n1
-        R22_post = np.asarray(self.R[n1:, n1:], dtype=np.float64)
-        pc = filters.build_preconditioner(R22_post, self._pose_offsets_x2())
-        Psub = self._covariance(self._persistent_indices())
+        lay = layout_of(self.x)
+        R22_post = np.asarray(self.R[N1:, N1:], dtype=np.float64)
+        pc = filters.build_preconditioner(R22_post, _pose_offsets_x2(lay))
+        # the states every window keeps: biases, velocity, tsync, the
+        # newest pose and the calibration
+        Psub = self._covariance(np.r_[0:N1, lay.tsync,
+                                      lay.pose_cols(lay.n_poses - 1),
+                                      lay.intr:lay.n])
         if self._scale_freeze is None and frame.t >= 10.0:
             self._scale_freeze = np.sqrt(np.diag(Psub))
         s = (self._scale_freeze if self._scale_freeze is not None
@@ -608,10 +595,9 @@ class VinsEstimator:
                 except Exception as exc:
                     raise EstimatorAbort(frame.t, phase, exc) from exc
                 seconds[phase] += time.perf_counter() - t0
-            pose = self.x.poses[-1]
             self.times.append(frame.t)
-            self.positions.append(pose.p.copy())
-            self.quats.append(pose.q.copy())
+            self.positions.append(self.x.positions[-1].copy())
+            self.quats.append(self.x.quats[-1].copy())
         return RunResult(
             self.cfg, np.array(self.times), np.array(self.positions),
             np.array(self.quats),

@@ -11,7 +11,7 @@ samples with one 15 x 15 transition and noise product each, one track at
 a time (raising RankDeficientFeature where the kernels report a status),
 a Python loop over views with one `lstsq` per view for the depth
 initialization, one observation at a time with its Jacobian blocks keyed
-by state block name, one feature at a time on scalar cameras (raising
+by error-state offset, one feature at a time on scalar cameras (raising
 NonPositiveDepth where the kernel reports a mask), and central
 differences of the time-shifted projection -- so the tests can compare
 the two.
@@ -32,8 +32,7 @@ from srifkit.models import (
     TransitionBlock,
 )
 from srifkit.state import (
-    InverseDepthFeature,
-    Pose,
+    layout_of,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
@@ -68,19 +67,18 @@ def bearing_angles(u):
     return alpha, beta
 
 
-def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
+def imu_transition_by_sample(bg, ba, v, p, q, omega, accel, dts,
                               noise: ImuNoise, noise_floor=1e-8):
     """`imu_transition`, one sample at a time: the per-sample loop the
     batched version replaces, kept as its oracle."""
     if not len(dts):
         raise ValueError("need at least one IMU sample")
-    R = quat_to_mat(pose.q)
-    q = pose.q.copy()
-    p = pose.p.copy()
+    R = quat_to_mat(q)
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
     v = v.copy()
     Phi = np.eye(15)
     Q = np.zeros((15, 15))
-    t = pose.t
     sg2, sa2 = noise.gyro_density ** 2, noise.accel_density ** 2
     for omega_k, accel_k, dt in zip(omega, accel, dts):
         w_hat = omega_k - bg
@@ -119,13 +117,11 @@ def imu_transition_by_sample(bg, ba, v, pose: Pose, omega, accel, dts,
         v = v_next
         q = quat_normalize(quat_mul(q, dq_full))
         R = R_next
-        t += dt
     Q += np.eye(15) * noise_floor ** 2
     Q = 0.5 * (Q + Q.T)
     info = np.linalg.inv(Q)
     sqrt_info = linalg.cholesky_upper(0.5 * (info + info.T))
-    new_pose = Pose(p, q, t)
-    return TransitionBlock(Phi, sqrt_info, new_pose, v)
+    return TransitionBlock(Phi, sqrt_info, p, q, v)
 
 
 class RankDeficientFeature(Exception):
@@ -145,12 +141,13 @@ class BehindCamera(Exception):
     """Projected depth at or below the minimum."""
 
 
-def camera_pose_at(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
-    """World-from-camera rotation and camera center for an IMU pose, then
-    the pose's global-from-IMU rotation and position: `window_cameras`
-    for one pose. The pose is shifted by tsync along the constant velocity
-    and body rate `advance` = (v, w), when given."""
-    R_wi, p_wi = quat_to_mat(pose.q), pose.p
+def camera_pose_at(p, q, p_ic, q_ic, advance=None, tsync=0.0):
+    """World-from-camera rotation and camera center for the IMU pose at
+    position p and orientation q, then the pose's global-from-IMU rotation
+    and position: `window_cameras` for one pose. The pose is shifted by
+    tsync along the constant velocity and body rate `advance` = (v, w),
+    when given."""
+    R_wi, p_wi = quat_to_mat(q), p
     if advance is not None and tsync != 0.0:
         v, w = advance
         p_wi = p_wi + v * tsync
@@ -158,36 +155,46 @@ def camera_pose_at(pose: Pose, p_ic, q_ic, advance=None, tsync=0.0):
     return R_wi @ quat_to_mat(q_ic), p_wi + R_wi @ p_ic, R_wi, p_wi
 
 
-def project_feature_by_observation(state, feature, observing_pose_id,
-                                   frame_motion=None, min_depth=MIN_DEPTH):
+def _pose_row(state, pid):
+    (j,) = np.flatnonzero(state.pose_ids == pid)
+    return j
+
+
+def _camera(state, pid, motion):
+    """The camera of pose pid, the IMU position, and d (R_wc, t_wc) /
+    d tsync, with the pose moving by its row of `motion` when given."""
+    j = _pose_row(state, pid)
+    advance = None if motion is None else motion[j]
+    R_wc, t_wc, R_wi, p_wi = camera_pose_at(
+        state.positions[j], state.quats[j], state.p_ic, state.q_ic, advance,
+        state.tsync)
+    if advance is None:
+        return R_wc, t_wc, p_wi, np.zeros((3, 3)), np.zeros(3)
+    v, w = advance
+    Rw = R_wi @ skew(w)
+    return R_wc, t_wc, p_wi, Rw @ quat_to_mat(state.q_ic), v + Rw @ state.p_ic
+
+
+def project_feature_by_observation(state, anchor_id, params,
+                                   observing_pose_id, motion=None,
+                                   min_depth=MIN_DEPTH):
     """`project_feature` for one observation: the per-observation version
     the batched kernel replaces, kept as its oracle.
 
-    Returns (pixel, blocks) where blocks maps error-state block names to
-    2 x dim Jacobians (anchor pose, observing pose, feature parameters,
-    extrinsics, intrinsics, and tsync); a pose that is both anchor and
-    observer has one block. Raises BehindCamera when the depth in the
-    observing camera is at or below min_depth.
+    The feature has parameters `params` in the camera of pose anchor_id.
+    Returns (pixel, Jf, blocks): Jf is the 2 x 3 Jacobian of the feature
+    parameters, and blocks maps the error-state offset (`layout_of`
+    state) of each other block it depends on to its 2 x dim Jacobian
+    (anchor pose, observing pose, extrinsics, intrinsics, and tsync); a
+    pose that is both anchor and observer has one block. Raises
+    BehindCamera when the depth in the observing camera is at or below
+    min_depth.
     """
-    poses = {p.id: p for p in state.poses}
-    fm = frame_motion or {}
+    lay = layout_of(state)
     R_ic = quat_to_mat(state.q_ic)
-
-    def camera(pid):
-        """The pose's camera, the IMU position, and d (R_wc, t_wc) / d tsync."""
-        advance = fm.get(pid)
-        R_wc, t_wc, R_wi, p_wi = camera_pose_at(
-            poses[pid], state.p_ic, state.q_ic, advance, state.tsync)
-        if advance is None:
-            return R_wc, t_wc, p_wi, np.zeros((3, 3)), np.zeros(3)
-        v, w = advance
-        Rw = R_wi @ skew(w)
-        return R_wc, t_wc, p_wi, Rw @ R_ic, v + Rw @ state.p_ic
-
-    anchor_id = feature.anchor_pose_id
-    A, t_A, pa, dA, dt_A = camera(anchor_id)
-    B, t_B, po, dB, dt_B = camera(observing_pose_id)
-    alpha, beta, rho = feature.params
+    A, t_A, pa, dA, dt_A = _camera(state, anchor_id, motion)
+    B, t_B, po, dB, dt_B = _camera(state, observing_pose_id, motion)
+    alpha, beta, rho = params
     f = bearing_vector(alpha, beta) / rho
     X = A @ f + t_A
     y = B.T @ (X - t_B)
@@ -203,62 +210,64 @@ def project_feature_by_observation(state, feature, observing_pose_id,
     # d y / d (error blocks)
     dy_anchor = np.hstack([B.T, -B.T @ skew(X - pa)])
     dy_obs = np.hstack([-B.T, B.T @ skew(X - po)])
+    anchor = lay.pose_cols(_pose_row(state, anchor_id))[0]
+    observer = lay.pose_cols(_pose_row(state, observing_pose_id))[0]
     dy = {}
-    if anchor_id == observing_pose_id:
-        dy[f"pose:{anchor_id}"] = dy_anchor + dy_obs
+    if anchor == observer:
+        dy[anchor] = dy_anchor + dy_obs
     else:
-        dy[f"pose:{anchor_id}"] = dy_anchor
-        dy[f"pose:{observing_pose_id}"] = dy_obs
-    dy[f"feat:{feature.id}"] = np.column_stack([
+        dy[anchor] = dy_anchor
+        dy[observer] = dy_obs
+    dy_feature = np.column_stack([
         B.T @ A @ bearing_jacobian(alpha, beta) / rho,
         -B.T @ A @ bearing_vector(alpha, beta) / rho ** 2])
     # IMU rotations at the (possibly advanced) exposure times
     R_a_wi = A @ R_ic.T
     R_o_wi = B @ R_ic.T
-    dy["p_ic"] = B.T @ (R_a_wi - R_o_wi)
-    dy["q_ic"] = -B.T @ R_a_wi @ skew(R_ic @ f) + R_ic.T @ skew(R_o_wi.T @ (X - t_B))
+    dy[lay.p_ic] = B.T @ (R_a_wi - R_o_wi)
+    dy[lay.q_ic] = (-B.T @ R_a_wi @ skew(R_ic @ f)
+                    + R_ic.T @ skew(R_o_wi.T @ (X - t_B)))
     # tsync: both cameras move with the time shift
-    dy["tsync"] = (dB.T @ (X - t_B) + B.T @ (dA @ f + dt_A - dt_B))[:, None]
-    blocks = {name: Jz @ J for name, J in dy.items()}
-    blocks["intr"] = np.array([
+    dy[lay.tsync] = (dB.T @ (X - t_B) + B.T @ (dA @ f + dt_A - dt_B))[:, None]
+    blocks = {off: Jz @ J for off, J in dy.items()}
+    blocks[lay.intr] = np.array([
         [xn, 0.0, 1.0, 0.0],
         [0.0, yn, 0.0, 1.0],
     ])
-    return pixel, blocks
+    return pixel, Jz @ dy_feature, blocks
 
 
 class NonPositiveDepth(Exception):
     """Reanchoring produced a point behind the new anchor camera."""
 
 
-def feature_point_global(feature: InverseDepthFeature, anchor: Pose, p_ic,
-                         q_ic):
-    """The world point of an inverse-depth feature anchored at `anchor`."""
-    alpha, beta, rho = feature.params
-    A, t_A, _, _ = camera_pose_at(anchor, p_ic, q_ic)
+def feature_point_global(params, anchor, p_ic, q_ic):
+    """The world point of an inverse-depth feature with parameters `params`
+    anchored at the pose `anchor` = (p, q)."""
+    alpha, beta, rho = params
+    A, t_A, _, _ = camera_pose_at(*anchor, p_ic, q_ic)
     return A @ (bearing_vector(alpha, beta) / rho) + t_A
 
 
-def reanchor_by_feature(feature: InverseDepthFeature, old_anchor: Pose,
-                        new_anchor: Pose, p_ic, q_ic):
+def reanchor_by_feature(params, old_anchor, new_anchor, p_ic, q_ic):
     """`reanchor_feature` for one feature on unshifted cameras: the scalar
-    version the batched kernel replaces, kept as its oracle.
+    version the batched kernel replaces, kept as its oracle. The anchors
+    are (p, q) poses.
 
-    Returns (feature, J_feat, J_old, J_new): the reanchored feature and
-    the Jacobians of its parameters w.r.t. the old parameters (3 x 3) and
-    the old and new anchor pose errors (3 x 6 each). Raises
-    NonPositiveDepth if the point falls behind the new anchor camera.
+    Returns (params, J_feat, J_old, J_new): the parameters in the new
+    anchor and their Jacobians w.r.t. the old parameters (3 x 3) and the
+    old and new anchor pose errors (3 x 6 each). Raises NonPositiveDepth
+    if the point falls behind the new anchor camera.
     """
-    X = feature_point_global(feature, old_anchor, p_ic, q_ic)
-    A, _, _, p_old = camera_pose_at(old_anchor, p_ic, q_ic)
-    B, t_B, _, p_new = camera_pose_at(new_anchor, p_ic, q_ic)
+    X = feature_point_global(params, old_anchor, p_ic, q_ic)
+    A, _, _, p_old = camera_pose_at(*old_anchor, p_ic, q_ic)
+    B, t_B, _, p_new = camera_pose_at(*new_anchor, p_ic, q_ic)
     y = B.T @ (X - t_B)
     if y[2] <= 0:
         raise NonPositiveDepth(f"depth {y[2]:.4f} after reanchoring")
     rng = np.linalg.norm(y)
     alpha, beta = bearing_angles(y)
-    out = InverseDepthFeature(new_anchor.id, np.array([alpha, beta, 1.0 / rng]),
-                              id=feature.id)
+    out = np.array([alpha, beta, 1.0 / rng])
     # d (atan2(y0, y2), atan2(y1, hypot(y0, y2)), 1 / |y|) / d y
     h2 = y[0] ** 2 + y[2] ** 2
     h = np.sqrt(h2)
@@ -268,7 +277,7 @@ def reanchor_by_feature(feature: InverseDepthFeature, old_anchor: Pose,
         -y / rng ** 3,
     ])
     # d y / d (old anchor, new anchor, old params)
-    a, b, rho = feature.params
+    a, b, rho = params
     dy_old = np.hstack([B.T, -B.T @ skew(X - p_old)])
     dy_new = np.hstack([-B.T, B.T @ skew(X - p_new)])
     dy_feat = np.column_stack([B.T @ A @ bearing_jacobian(a, b) / rho,
@@ -276,22 +285,20 @@ def reanchor_by_feature(feature: InverseDepthFeature, old_anchor: Pose,
     return out, dparams @ dy_feat, dparams @ dy_old, dparams @ dy_new
 
 
-def tsync_column_by_central_differences(state, feature, observing_pose_id,
-                                        frame_motion, dts=1e-4):
+def tsync_column_by_central_differences(state, anchor_id, params,
+                                        observing_pose_id, motion, dts=1e-4):
     """d pixel / d tsync (2 x 1) by central differences of the projection
-    with both cameras shifted by tsync +- dts."""
-    poses = {p.id: p for p in state.poses}
-    anchor = poses[feature.anchor_pose_id]
-    observer = poses[observing_pose_id]
-    fm = frame_motion or {}
+    with both cameras shifted by tsync +- dts, each pose moving by its
+    row of `motion`."""
+    a, o = _pose_row(state, anchor_id), _pose_row(state, observing_pose_id)
     fx, fy, cx, cy = state.intrinsics
 
     def pixel(ts):
-        A, t_A, _, _ = camera_pose_at(anchor, state.p_ic, state.q_ic,
-                                      fm.get(anchor.id), ts)
-        B, t_B, _, _ = camera_pose_at(observer, state.p_ic, state.q_ic,
-                                      fm.get(observer.id), ts)
-        alpha, beta, rho = feature.params
+        A, t_A, _, _ = camera_pose_at(state.positions[a], state.quats[a],
+                                      state.p_ic, state.q_ic, motion[a], ts)
+        B, t_B, _, _ = camera_pose_at(state.positions[o], state.quats[o],
+                                      state.p_ic, state.q_ic, motion[o], ts)
+        alpha, beta, rho = params
         X = A @ (bearing_vector(alpha, beta) / rho) + t_A
         y = B.T @ (X - t_B)
         return np.array([fx * y[0] / y[2] + cx, fy * y[1] / y[2] + cy])

@@ -1,17 +1,17 @@
-"""Layout, retraction and quaternion helpers that only the tests use.
+"""Layout, retraction, state and quaternion helpers that only the tests use.
 
-`build_layout` writes a layout out block by block from the sizes alone,
-as an oracle for `layout_of`, and gives the kernel tests layouts of any
-size without building a state. `boxminus` inverts `boxplus`, with the
-quaternion conjugate `quat_conj` and the rotation vector of a quaternion
-`rotvec_from_quat`.
+`walk_layout` writes a layout out block by block from the sizes alone,
+as an oracle for `Layout`'s arithmetic. `boxminus` inverts `boxplus`,
+with the quaternion conjugate `quat_conj` and the rotation vector of a
+quaternion `rotvec_from_quat`. `set_poses` and `set_features` give a
+state its window arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from srifkit.state import ErrorStateLayout, VinsStateVector, quat_mul
+from srifkit.state import N1, VinsStateVector, layout_of, quat_mul
 
 
 def quat_conj(q):
@@ -30,39 +30,68 @@ def rotvec_from_quat(q):
     return (angle / vn) * q[:3]
 
 
-def build_layout(window_size: int, n_features: int) -> ErrorStateLayout:
-    """Layout for a window of `window_size` poses and `n_features` SLAM
-    features, with ids 0, 1, ...: n = 9 + 3*s + 1 + 6*l + 10."""
-    if window_size < 2 or n_features < 0:
-        raise ValueError("need window_size >= 2 and n_features >= 0")
-    s, l = n_features, window_size
-    feats = [(f"feat:{i}", 9 + 3 * i, 3) for i in range(s)]
-    t = 9 + 3 * s
-    poses = [(f"pose:{i}", t + 1 + 6 * i, 6) for i in range(l)]
-    c = t + 1 + 6 * l
-    blocks = ([("bg", 0, 3), ("ba", 3, 3), ("v", 6, 3)] + feats
-              + [("tsync", t, 1)] + poses
-              + [("intr", c, 4), ("p_ic", c + 4, 3), ("q_ic", c + 7, 3)])
-    return ErrorStateLayout(blocks, c + 10)
+def walk_layout(n_features: int, n_poses: int):
+    """The error-state columns of each component, written out one block
+    after another in the fixed order: a dict of the column arrays of
+    "bg", "ba", "v", "tsync", "intr", "p_ic" and "q_ic", of "feature"
+    (n_features, 3) and "pose" (n_poses, 6), and n."""
+    blocks, off = {}, 0
+    for name, count, dim in (("bg", None, 3), ("ba", None, 3),
+                             ("v", None, 3), ("feature", n_features, 3),
+                             ("tsync", None, 1), ("pose", n_poses, 6),
+                             ("intr", None, 4), ("p_ic", None, 3),
+                             ("q_ic", None, 3)):
+        if count is None:
+            blocks[name] = np.arange(off, off + dim)
+            off += dim
+            continue
+        blocks[name] = np.zeros((count, dim), dtype=int)
+        for i in range(count):
+            blocks[name][i] = np.arange(off, off + dim)
+            off += dim
+    blocks["n"] = off
+    return blocks
 
 
-def boxminus(x: VinsStateVector, ref: VinsStateVector, layout: ErrorStateLayout):
-    """Error-state difference d with boxplus(ref, d) ~ x."""
-    d = np.zeros(layout.n)
-    d[layout.slice("bg")] = x.bg - ref.bg
-    d[layout.slice("ba")] = x.ba - ref.ba
-    d[layout.slice("v")] = x.v - ref.v
-    ref_feats = {f.id: f for f in ref.features}
-    for f in x.features:
-        d[layout.slice(f"feat:{f.id}")] = f.params - ref_feats[f.id].params
-    d[layout.offset("tsync")] = x.tsync - ref.tsync
-    ref_poses = {p.id: p for p in ref.poses}
-    for p in x.poses:
-        off = layout.offset(f"pose:{p.id}")
-        rp = ref_poses[p.id]
-        d[off:off + 3] = p.p - rp.p
-        d[off + 3:off + 6] = rotvec_from_quat(quat_mul(p.q, quat_conj(rp.q)))
-    d[layout.slice("intr")] = x.intrinsics - ref.intrinsics
-    d[layout.slice("p_ic")] = x.p_ic - ref.p_ic
-    d[layout.slice("q_ic")] = rotvec_from_quat(quat_mul(x.q_ic, quat_conj(ref.q_ic)))
+def set_poses(st: VinsStateVector, positions, quats, ids=None, times=None):
+    """Give `st` a window of these poses, with ids 0, 1, ... and times
+    0.1 s apart unless given; returns `st`."""
+    st.positions = np.array(positions, dtype=float).reshape(-1, 3)
+    st.quats = np.array(quats, dtype=float).reshape(-1, 4)
+    count = len(st.positions)
+    st.pose_ids = np.arange(count) if ids is None else np.array(ids)
+    st.pose_ids = st.pose_ids.astype(np.int64)
+    st.times = 0.1 * np.arange(count) if times is None else np.array(times)
+    return st
+
+
+def set_features(st: VinsStateVector, anchor_ids, params, ids=None):
+    """Give `st` these SLAM features, with ids 0, 1, ... unless given;
+    returns `st`."""
+    st.params = np.array(params, dtype=float).reshape(-1, 3)
+    st.anchor_ids = np.array(anchor_ids, dtype=np.int64).reshape(-1)
+    st.feature_ids = (np.arange(len(st.params)) if ids is None
+                      else np.array(ids)).astype(np.int64)
+    return st
+
+
+def boxminus(x: VinsStateVector, ref: VinsStateVector):
+    """Error-state difference d with boxplus(ref, d) ~ x; both states hold
+    the same features and poses."""
+    assert np.array_equal(x.feature_ids, ref.feature_ids)
+    assert np.array_equal(x.pose_ids, ref.pose_ids)
+    lay = layout_of(x)
+    d = np.zeros(lay.n)
+    d[0:3] = x.bg - ref.bg
+    d[3:6] = x.ba - ref.ba
+    d[6:N1] = x.v - ref.v
+    d[lay.feature_cols(np.arange(lay.n_features))] = x.params - ref.params
+    d[lay.tsync] = x.tsync - ref.tsync
+    for j in range(lay.n_poses):
+        c = lay.pose_cols(j)
+        d[c[:3]] = x.positions[j] - ref.positions[j]
+        d[c[3:]] = rotvec_from_quat(quat_mul(x.quats[j], quat_conj(ref.quats[j])))
+    d[lay.intr:lay.p_ic] = x.intrinsics - ref.intrinsics
+    d[lay.p_ic:lay.q_ic] = x.p_ic - ref.p_ic
+    d[lay.q_ic:lay.n] = rotvec_from_quat(quat_mul(x.q_ic, quat_conj(ref.q_ic)))
     return d

@@ -80,6 +80,24 @@ class TestCompare:
             cli.main(["compare", d])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "no-manifest"])
+    def test_bad_run_directory_is_usage_error(self, case, scenario_file,
+                                              tmp_path, capsys):
+        good = str(tmp_path / "good")
+        assert cli.main(["run", "--scenario", scenario_file, "--out", good]) == 0
+        bad = tmp_path / "bad"
+        if case == "no-manifest":
+            bad.mkdir()
+        cause = ("does not exist" if case == "missing"
+                 else "has no manifest.json")
+        for dirs in ([good, str(bad)], [str(bad), good]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["compare", *dirs])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"run directory {bad} {cause}" in err
+            assert "Traceback" not in err
+
     def test_scenario_hash_mismatch(self, scenario_file, tmp_path):
         d1 = str(tmp_path / "r1")
         d2 = str(tmp_path / "r2")

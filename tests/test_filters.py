@@ -28,10 +28,10 @@ from srifkit.linalg import (
     givens_triangularize,
 )
 from srifkit.models import TransitionBlock
-from srifkit.state import Pose
+from srifkit.state import Layout
 
 from givens_reference import marginalize_by_rotation
-from state_reference import build_layout
+from state_reference import walk_layout
 from tolerances import eps_of
 
 
@@ -245,94 +245,86 @@ def make_tb(rng, scale_phi=1.0, sqrt_info=None):
         info = np.linalg.inv(Q)
         from srifkit.linalg import cholesky_upper
         sqrt_info = cholesky_upper(0.5 * (info + info.T))
-    return TransitionBlock(Phi, sqrt_info,
-                           Pose(np.zeros(3), np.array([0, 0, 0, 1.0]), 0.0), np.zeros(3))
+    return TransitionBlock(Phi, sqrt_info, np.zeros(3),
+                           np.array([0, 0, 0, 1.0]), np.zeros(3))
 
 
-def augment_maps(layout, old_pose_name, new_pose_name):
-    """Index arrays for srif_augment, derived from block names alone.
+def augment_maps(layout, old_pose):
+    """Index arrays for srif_augment, written out block by block from the
+    sizes alone.
 
     The augmented ordering is (old bg, old ba, old v, new bg, new ba,
     new v, features, tsync, poses..., new pose, camera). Returns the
-    augmented block offsets, colmap, rows and old_cols.
+    augmented offset of the new pose, colmap, rows and old_cols for a
+    transition from pose row `old_pose`.
     """
-    cam = ("intr", "p_ic", "q_ic")
-    names = [("old_" + nm, 3) for nm in ("bg", "ba", "v")]
-    names += [(nm, dim) for nm, _, dim in layout.blocks if nm not in cam]
-    names += [(new_pose_name, 6)] + [(nm, layout.index[nm][1]) for nm in cam]
+    blocks = walk_layout(*layout)
     aug, off = {}, 0
-    for nm, dim in names:
-        aug[nm] = off
+    for name, dim in (("old", 9), ("new", 9),
+                      ("window", blocks["intr"][0] - 9), ("pose", 6),
+                      ("camera", 10)):
+        aug[name] = off + np.arange(dim)
         off += dim
     assert off == layout.n + 15
-    colmap = np.empty(layout.n, dtype=int)
-    for name, off, dim in layout.blocks:
-        aug_name = "old_" + name if name in ("bg", "ba", "v") else name
-        colmap[off:off + dim] = aug[aug_name] + np.arange(dim)
-    rows = np.concatenate([aug["bg"] + np.arange(9),
-                           aug[new_pose_name] + np.arange(6)])
-    old_cols = np.concatenate([
-        np.arange(0, 9),
-        colmap[layout.offset(old_pose_name):layout.offset(old_pose_name) + 6]])
-    return aug, colmap, rows, old_cols
+    colmap = np.concatenate([aug["old"], aug["window"], aug["camera"]])
+    rows = np.concatenate([aug["new"], aug["pose"]])
+    old_cols = np.concatenate([aug["old"], colmap[blocks["pose"][old_pose]]])
+    return aug["pose"][0], colmap, rows, old_cols
 
 
 class TestAugment:
-    def _augment(self, R, layout, tb, old_pose_name, flops=None):
-        aug, colmap, rows, old_cols = augment_maps(layout, old_pose_name,
-                                                   "pose:new")
+    def _augment(self, R, layout, tb, old_pose, flops=None):
+        new_pose, colmap, rows, old_cols = augment_maps(layout, old_pose)
         R_aug = srif_augment(R, colmap, rows, old_cols, tb, flops=flops)
-        return R_aug, aug
+        return R_aug, new_pose
 
-    def _oracle_info(self, R, layout, tb, old_pose_name):
-        aug, colmap, _, old_cols = augment_maps(layout, old_pose_name,
-                                                "pose:new")
+    def _oracle_info(self, R, layout, tb, old_pose):
+        new_pose, colmap, _, old_cols = augment_maps(layout, old_pose)
         n_aug = layout.n + 15
         # embed prior info at the augmented positions of the old columns
         info = np.zeros((n_aug, n_aug))
         info[np.ix_(colmap, colmap)] = R.T @ R
         C = np.zeros((15, n_aug))
         new_cols = np.concatenate([np.arange(9, 18),
-                                   aug["pose:new"] + np.arange(6)])
+                                   new_pose + np.arange(6)])
         C[:, old_cols] = -tb.sqrt_info @ tb.phi
         C[:, new_cols] += tb.sqrt_info
         return info + C.T @ C
 
     def test_identity_prior_oracle(self):
-        layout = build_layout(3, 1)
+        layout = Layout(1, 3)
         rng = np.random.default_rng(3)
         R = np.eye(layout.n)
         tb = make_tb(rng, scale_phi=0.0, sqrt_info=np.eye(15))
-        R_aug, _ = self._augment(R, layout, tb, "pose:2")
+        R_aug, _ = self._augment(R, layout, tb, 2)
         assert np.allclose(np.tril(R_aug, -1), 0.0)
-        ref = self._oracle_info(R, layout, tb, "pose:2")
+        ref = self._oracle_info(R, layout, tb, 2)
         assert np.allclose(R_aug.T @ R_aug, ref, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_joint_information_oracle(self, seed):
         rng = np.random.default_rng(10 + seed)
-        layout = build_layout(3, 2)
+        layout = Layout(2, 3)
         R = random_factor(rng, layout.n)
         tb = make_tb(rng)
-        R_aug, _ = self._augment(R, layout, tb, "pose:2")
+        R_aug, _ = self._augment(R, layout, tb, 2)
         assert np.allclose(np.tril(R_aug, -1), 0.0)
-        ref = self._oracle_info(R, layout, tb, "pose:2")
+        ref = self._oracle_info(R, layout, tb, 2)
         num = np.linalg.norm(R_aug.T @ R_aug - ref)
         assert num <= 1e-10 * np.linalg.norm(ref)
 
     def test_deterministic_transition_limit(self):
         # near-zero process noise: new-state marginals = phi-mapped priors
         rng = np.random.default_rng(20)
-        layout = build_layout(3, 0)
+        layout = Layout(0, 3)
         R = random_spd_factor(rng, layout.n)
         tb = make_tb(rng, sqrt_info=np.eye(15) * 1e4)
-        R_aug, aug = self._augment(R, layout, tb, "pose:2")
+        R_aug, new_pose = self._augment(R, layout, tb, 2)
         P_aug = np.linalg.inv(R_aug.T @ R_aug)
         P_old = np.linalg.inv(R.T @ R)
-        sel = np.concatenate([np.arange(0, 9),
-                              layout.offset("pose:2") + np.arange(6)])
+        sel = np.concatenate([np.arange(0, 9), layout.pose_cols(2)])
         new_idx = np.concatenate([np.arange(9, 18),
-                                  aug["pose:new"] + np.arange(6)])
+                                  new_pose + np.arange(6)])
         ref = tb.phi @ P_old[np.ix_(sel, sel)] @ tb.phi.T
         got = P_aug[np.ix_(new_idx, new_idx)]
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
@@ -344,15 +336,14 @@ class TestAugment:
     def test_matches_givens_sweep_of_the_stack(self, dtype, seed, window,
                                                features, uninformed, data):
         rng = np.random.default_rng(seed)
-        layout = build_layout(window, features)
+        layout = Layout(features, window)
         old = data.draw(st.integers(0, window - 1))
         R = random_spd_factor(rng, layout.n)
         if uninformed:
             R[:, rng.integers(layout.n)] = 0.0    # a zero diagonal entry
         R = R.astype(dtype)
         tb = make_tb(rng)
-        _, colmap, rows, old_cols = augment_maps(layout, f"pose:{old}",
-                                                 "pose:new")
+        _, colmap, rows, old_cols = augment_maps(layout, old)
         R_aug = srif_augment(R, colmap, rows, old_cols, tb)
         assert R_aug.dtype == dtype
         assert np.array_equal(np.tril(R_aug, -1), np.zeros_like(R_aug))
@@ -397,19 +388,19 @@ class TestAugment:
 
             monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(8)
-        layout = build_layout(3, 1)
+        layout = Layout(1, 3)
         self._augment(random_spd_factor(rng, layout.n), layout, make_tb(rng),
-                      "pose:2", flops=FlopCounter())
+                      2, flops=FlopCounter())
         assert calls == {"householder_qr": 1, "givens_triangularize": 0}
 
     def test_givens_cheaper_than_dense_householder(self):
         from srifkit.linalg import householder_qr
         rng = np.random.default_rng(30)
-        layout = build_layout(4, 3)
+        layout = Layout(3, 4)
         R = random_factor(rng, layout.n)
         tb = make_tb(rng)
         fg = FlopCounter()
-        self._augment(R, layout, tb, "pose:3", flops=fg)
+        self._augment(R, layout, tb, 3, flops=fg)
         fh = FlopCounter()
         # dense QR on an equally sized augmented square matrix
         householder_qr(rng.normal(size=(layout.n + 15, layout.n + 15)), flops=fh)
@@ -801,9 +792,9 @@ class TestKf:
 
     def test_propagate(self):
         rng = np.random.default_rng(70)
-        old, new = build_layout(3, 2), build_layout(4, 2)
+        old, new = Layout(2, 3), Layout(2, 4)
         P = random_spd(rng, old.n)
-        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        keep, sel, rows = propagate_maps(old, new, 2, 3)
         tb = make_tb(rng)
         P2 = kf_propagate(P, keep, sel, rows, tb)
         ref = kf_propagate_dense(P, keep, sel, rows, tb)
@@ -818,13 +809,15 @@ def random_spd(rng, n):
 
 
 def propagate_maps(old, new, old_pose, new_pose):
-    """keep, sel and rows for kf_propagate from block names alone: every
-    old block keeps its value under its name, and the transition maps
-    (bg, ba, v, old pose) to (bg, ba, v, new pose)."""
-    keep = np.concatenate([new.offset(name) + np.arange(dim)
-                           for name, _, dim in old.blocks])
-    sel = np.r_[0:9, old.offset(old_pose) + np.arange(6)]
-    rows = np.r_[0:9, new.offset(new_pose) + np.arange(6)]
+    """keep, sel and rows for kf_propagate, written out block by block from
+    the sizes of the layouts alone: every old block keeps its value at the
+    same block of the new layout, and the transition maps (bg, ba, v, pose
+    row old_pose) to (bg, ba, v, pose row new_pose)."""
+    a, b = walk_layout(*old), walk_layout(*new)
+    keep = np.concatenate([b[name][:len(cols)].ravel()
+                           for name, cols in a.items() if name != "n"])
+    sel = np.r_[0:9, a["pose"][old_pose]]
+    rows = np.r_[0:9, b["pose"][new_pose]]
     return keep, sel, rows
 
 
@@ -846,11 +839,11 @@ class TestKfPropagate:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_oracle(self, window, features, seed):
         rng = np.random.default_rng(300 + seed)
-        old = build_layout(window, features)
-        new = build_layout(window + 1, features)
+        old = Layout(features, window)
+        new = Layout(features, window + 1)
         # the newest pose the transition starts from, or an older one
-        src = f"pose:{window - 1 - seed % window}"
-        keep, sel, rows = propagate_maps(old, new, src, f"pose:{window}")
+        src = window - 1 - seed % window
+        keep, sel, rows = propagate_maps(old, new, src, window)
         P = random_spd(rng, old.n)
         tb = make_tb(rng)
         got = kf_propagate(P, keep, sel, rows, tb)
@@ -861,8 +854,8 @@ class TestKfPropagate:
 
     def test_float32_keeps_dtype(self):
         rng = np.random.default_rng(310)
-        old, new = build_layout(3, 1), build_layout(4, 1)
-        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        old, new = Layout(1, 3), Layout(1, 4)
+        keep, sel, rows = propagate_maps(old, new, 2, 3)
         P = random_spd(rng, old.n)
         tb = make_tb(rng)
         got = kf_propagate(P.astype(np.float32), keep, sel, rows, tb)
@@ -877,8 +870,8 @@ class TestKfPropagate:
         # columns (105 multiply-adds and 15 divs each), and the 225
         # additions of Q: 435 n_old + 16650 in all
         rng = np.random.default_rng(320)
-        old, new = build_layout(3, 2), build_layout(4, 2)
-        keep, sel, rows = propagate_maps(old, new, "pose:2", "pose:3")
+        old, new = Layout(2, 3), Layout(2, 4)
+        keep, sel, rows = propagate_maps(old, new, 2, 3)
         fc = FlopCounter()
         kf_propagate(random_spd(rng, old.n), keep, sel, rows, make_tb(rng),
                      flops=fc)

@@ -126,6 +126,47 @@ class TestHouseholderQR:
         assert np.allclose(np.diag(R)[1:], 0.0)
 
 
+def sign_normalize_by_multiply(R, rhs=None):
+    """Every row of the first min(R.shape) times the sign of its diagonal
+    entry, a zero diagonal counting as +1: the form `sign_normalize_rows`
+    must match bitwise."""
+    n = min(R.shape)
+    d = np.sign(np.diag(R)[:n])
+    d[d == 0] = 1.0
+    R[:n, :] *= d[:, None].astype(R.dtype)
+    if rhs is not None:
+        rhs[:n] *= d.reshape((n,) + (1,) * (rhs.ndim - 1)).astype(rhs.dtype)
+    return R
+
+
+class TestSignNormalizeRows:
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
+           n=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
+           negative=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           rhs_cols=st.sampled_from([None, 0, 1, 3]))
+    def test_bitwise_the_multiply_by_sign(self, seed, m, n, dtype, negative,
+                                          rhs_cols):
+        rng = np.random.default_rng(seed)
+        R = np.triu(rng.normal(size=(m, n))).astype(dtype)
+        # a share of negative diagonal entries, with zero, -0.0 and NaN
+        # ones among them
+        k = min(m, n)
+        signs = rng.choice([1.0, -1.0], size=k, p=[1 - negative, negative])
+        special = rng.random(k) < 0.2
+        signs[special] = rng.choice([0.0, -0.0, np.nan], size=special.sum())
+        R[range(k), range(k)] = np.abs(np.diag(R)[:k]) * signs.astype(dtype)
+        rhs = None
+        if rhs_cols is not None:
+            rhs = rng.normal(size=(m,) if rhs_cols == 0 else (m, rhs_cols))
+        want_R = sign_normalize_by_multiply(
+            R.copy(), None if rhs is None else (want_rhs := rhs.copy()))
+        got = sign_normalize_rows(R, rhs)
+        assert got is R and R.dtype == dtype
+        assert R.tobytes() == want_R.tobytes()
+        if rhs is not None:
+            assert rhs.tobytes() == want_rhs.tobytes()
+
+
 class TestRotateRows:
     """rotate_rows, one ?lasr call, against rotations applied one by one."""
 

@@ -17,8 +17,7 @@ from srifkit.models import (
     window_cameras,
 )
 from srifkit.state import (
-    InverseDepthFeature,
-    Pose,
+    N1,
     VinsStateVector,
     boxplus,
     layout_of,
@@ -43,40 +42,56 @@ from model_reference import (
     triangulate_by_view,
     tsync_column_by_central_differences,
 )
-from state_reference import quat_conj, rotvec_from_quat
+from state_reference import (
+    quat_conj,
+    rotvec_from_quat,
+    set_features,
+    set_poses,
+)
+
+IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def make_scene(seed=0, tsync=0.0):
+    """Three poses, ids 0, 1, 2, and one feature anchored at pose 0."""
     rng = np.random.default_rng(seed)
     st = VinsStateVector.identity()
     st.tsync = tsync
     st.p_ic = np.array([0.05, -0.02, 0.01])
     st.q_ic = quat_from_rotvec(rng.normal(size=3) * 0.05)
-    for i in range(3):
-        q = quat_from_rotvec(rng.normal(size=3) * 0.2)
-        st.poses.append(Pose(rng.normal(size=3) * 0.5, q, t=0.5 * i, id=i))
-    f = InverseDepthFeature(anchor_pose_id=0,
-                            params=np.array([0.08, -0.06, 0.4]), id=0)
-    st.features.append(f)
-    return st, f
+    positions, quats = [], []
+    for _ in range(3):
+        quats.append(quat_from_rotvec(rng.normal(size=3) * 0.2))
+        positions.append(rng.normal(size=3) * 0.5)
+    set_poses(st, positions, quats)
+    return set_features(st, [0], [[0.08, -0.06, 0.4]])
 
 
-def project_one(state, feature, observing_pose_id, frame_motion=None):
-    """The batched `project_feature` at k = 1, shaped like the oracle's
-    output: (pixel, {block name: 2 x dim Jacobian}), with one block for a
-    pose that is both anchor and observer. Raises BehindCamera where the
+def project_one(state, k, observing_pose_id, motion=None):
+    """The batched `project_feature` at k = 1 for the state's feature k,
+    shaped like the oracle's output: (pixel, {error-state offset: 2 x dim
+    Jacobian}), the feature's block included, with one block for a pose
+    that is both anchor and observer. Raises BehindCamera where the
     in-front mask is False."""
-    anchor = feature.anchor_pose_id
-    p = project_feature(window_cameras(state, frame_motion), state.intrinsics,
-                        [anchor], [observing_pose_id], [feature.params])
+    anchor = state.anchor_ids[k]
+    cameras = window_cameras(state, motion)
+    p = project_feature(cameras, state.intrinsics, [anchor],
+                        [observing_pose_id], [state.params[k]])
     if not p.in_front[0]:
-        raise BehindCamera(f"feature {feature.id} from pose {observing_pose_id}")
-    blocks = {f"pose:{observing_pose_id}": p.observer[0],
-              f"feat:{feature.id}": p.feature[0], "p_ic": p.p_ic[0],
-              "q_ic": p.q_ic[0], "tsync": p.tsync[0], "intr": p.intr[0]}
-    if anchor != observing_pose_id:
-        blocks[f"pose:{anchor}"] = p.anchor[0]
+        raise BehindCamera(f"feature {k} from pose {observing_pose_id}")
+    lay = layout_of(state)
+    ia, io = cameras.rows([anchor, observing_pose_id])
+    blocks = {lay.pose_cols(io)[0]: p.observer[0],
+              lay.feature_cols(k)[0]: p.feature[0], lay.p_ic: p.p_ic[0],
+              lay.q_ic: p.q_ic[0], lay.tsync: p.tsync[0], lay.intr: p.intr[0]}
+    if ia != io:
+        blocks[lay.pose_cols(ia)[0]] = p.anchor[0]
     return p.pixel[0], blocks
+
+
+def scene_motion(count=3):
+    """The same (velocity, body rate) for every pose of a window."""
+    return np.tile([[0.3, 0.1, -0.2], [0.1, -0.2, 0.3]], (count, 1, 1))
 
 
 def triangulate_one(pixels, rots, centers, intr):
@@ -128,23 +143,22 @@ class TestImuTransition:
         # zero rate, specific force = -R^T g, zero biases: pure translation
         q = quat_from_rotvec([0.2, -0.1, 0.3])
         R = quat_to_mat(q)
-        pose = Pose(np.array([1.0, 2.0, 3.0]), q, t=0.0)
+        p = np.array([1.0, 2.0, 3.0])
         v = np.array([0.5, -0.2, 0.1])
         samples = imu_arrays([(np.zeros(3), -R.T @ GRAVITY, 0.01)] * 10)
-        tb = imu_transition(np.zeros(3), np.zeros(3), v, pose, *samples,
+        tb = imu_transition(np.zeros(3), np.zeros(3), v, p, q, *samples,
                             ImuNoise())
-        assert np.allclose(tb.new_pose.p, pose.p + v * 0.1, atol=1e-12)
-        assert np.allclose(tb.new_pose.q, q, atol=1e-12)
-        assert np.allclose(tb.new_v, v, atol=1e-12)
+        assert np.allclose(tb.p, p + v * 0.1, atol=1e-12)
+        assert np.allclose(tb.q, q, atol=1e-12)
+        assert np.allclose(tb.v, v, atol=1e-12)
 
     def test_constant_yaw_rate(self):
-        pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), t=0.0)
         w = np.array([0.0, 0.0, np.pi / 2])
         samples = imu_arrays([(w, np.array([0.0, 0.0, -GRAVITY[2]]), 0.01)]
                              * 100)
-        tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), pose,
-                            *samples, ImuNoise())
-        yaw = rotvec_from_quat(tb.new_pose.q)
+        tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                            IDENTITY, *samples, ImuNoise())
+        yaw = rotvec_from_quat(tb.q)
         assert np.allclose(yaw, [0.0, 0.0, np.pi / 2], atol=1e-6)
 
     def test_phi_finite_difference(self):
@@ -152,22 +166,21 @@ class TestImuTransition:
         bg = rng.normal(size=3) * 0.01
         ba = rng.normal(size=3) * 0.05
         v = rng.normal(size=3)
-        pose = Pose(rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.4), 0.0)
+        p, q = rng.normal(size=3), quat_from_rotvec(rng.normal(size=3) * 0.4)
         samples = imu_arrays([(rng.normal(size=3) * 0.5,
                                rng.normal(size=3) * 2.0 - GRAVITY, 0.01)
                               for _ in range(5)])
         noise = ImuNoise()
-        tb = imu_transition(bg, ba, v, pose, *samples, noise)
+        tb = imu_transition(bg, ba, v, p, q, *samples, noise)
 
         def integrate(d):
             bg2, ba2, v2 = bg + d[0:3], ba + d[3:6], v + d[6:9]
-            p2 = Pose(pose.p + d[9:12],
-                      quat_mul(quat_from_rotvec(d[12:15]), pose.q), 0.0)
-            t2 = imu_transition(bg2, ba2, v2, p2, *samples, noise)
+            t2 = imu_transition(bg2, ba2, v2, p + d[9:12],
+                                quat_mul(quat_from_rotvec(d[12:15]), q),
+                                *samples, noise)
             out = np.concatenate([
-                bg2 - bg, ba2 - ba, t2.new_v - tb.new_v,
-                t2.new_pose.p - tb.new_pose.p,
-                rotvec_from_quat(quat_mul(t2.new_pose.q, quat_conj(tb.new_pose.q))),
+                bg2 - bg, ba2 - ba, t2.v - tb.v, t2.p - tb.p,
+                rotvec_from_quat(quat_mul(t2.q, quat_conj(tb.q))),
             ])
             return out
 
@@ -186,13 +199,13 @@ class TestImuTransition:
         rng = np.random.default_rng(42)
         noise = ImuNoise(gyro_density=1e-3, accel_density=1e-2)
         dt, n, rate = 0.01, 10, 100.0
-        pose = Pose(np.zeros(3), quat_from_rotvec([0.1, -0.2, 0.05]), 0.0)
+        p, q = np.zeros(3), quat_from_rotvec([0.1, -0.2, 0.05])
         v0 = np.array([0.3, -0.1, 0.2])
         clean = [(np.array([0.1, 0.2, -0.3]),
                   np.array([0.5, -0.4, 9.9]) + 0.1 * k * np.ones(3))
                  for k in range(n)]
         samples = imu_arrays([(w, a, dt) for w, a in clean])
-        tb = imu_transition(np.zeros(3), np.zeros(3), v0, pose, *samples,
+        tb = imu_transition(np.zeros(3), np.zeros(3), v0, p, q, *samples,
                             noise)
         Q = np.linalg.inv(tb.sqrt_info.T @ tb.sqrt_info)
         sg = noise.gyro_density * np.sqrt(rate)
@@ -202,13 +215,11 @@ class TestImuTransition:
             noisy = imu_arrays([(w + rng.normal(size=3) * sg,
                                  a + rng.normal(size=3) * sa, dt)
                                 for w, a in clean])
-            t2 = imu_transition(np.zeros(3), np.zeros(3), v0, pose, *noisy,
+            t2 = imu_transition(np.zeros(3), np.zeros(3), v0, p, q, *noisy,
                                 noise)
             errs.append(np.concatenate([
-                t2.new_v - tb.new_v,
-                t2.new_pose.p - tb.new_pose.p,
-                rotvec_from_quat(quat_mul(t2.new_pose.q,
-                                          quat_conj(tb.new_pose.q))),
+                t2.v - tb.v, t2.p - tb.p,
+                rotvec_from_quat(quat_mul(t2.q, quat_conj(tb.q))),
             ]))
         E = np.array(errs)
         C = E.T @ E / len(E)
@@ -234,21 +245,18 @@ class TestImuTransition:
         bias_g = rng.normal(size=3) * self.RATES[rate] * 0.1
         bias_a = rng.normal(size=3) * 0.05
         v = rng.normal(size=3)
-        pose = Pose(rng.normal(size=3),
-                    quat_from_rotvec(rng.normal(size=3)), 0.0)
+        p, q = rng.normal(size=3), quat_from_rotvec(rng.normal(size=3))
         noise = ImuNoise()
-        got = imu_transition(bias_g, bias_a, v, pose, *samples, noise)
-        ref = imu_transition_by_sample(bias_g, bias_a, v, pose, *samples,
+        got = imu_transition(bias_g, bias_a, v, p, q, *samples, noise)
+        ref = imu_transition_by_sample(bias_g, bias_a, v, p, q, *samples,
                                        noise)
         for a, b in ((got.phi, ref.phi), (got.sqrt_info, ref.sqrt_info),
-                     (got.new_pose.p, ref.new_pose.p),
-                     (got.new_pose.q, ref.new_pose.q), (got.new_v, ref.new_v)):
+                     (got.p, ref.p), (got.q, ref.q), (got.v, ref.v)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_sqrt_info_upper_triangular(self):
-        pose = Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0)
-        tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), pose,
-                            *imu_arrays([(np.ones(3) * 0.1, np.ones(3), 0.01)]
+        tb = imu_transition(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                            IDENTITY, *imu_arrays([(np.ones(3) * 0.1, np.ones(3), 0.01)]
                                         * 3),
                             ImuNoise())
         assert np.allclose(np.tril(tb.sqrt_info, -1), 0.0)
@@ -257,26 +265,30 @@ class TestImuTransition:
 
 def random_window(rng, tsync, n_poses=4):
     """A state with `n_poses` poses at increasing, non-consecutive ids, of
-    which a random subset moves with the time shift, and its frame motion."""
+    which a random subset moves with the time shift, and its motion: a
+    (velocity, body rate) row per pose, zero for the poses that stay."""
     st = VinsStateVector.identity()
     st.tsync = tsync
     st.intrinsics = np.array([410.0, 395.0, 318.0, 243.0])
     st.p_ic = rng.normal(size=3) * 0.05
     st.q_ic = quat_from_rotvec(rng.normal(size=3) * 0.05)
     ids = np.cumsum(rng.integers(1, 4, size=n_poses)) + 2
-    for i, pid in enumerate(ids.tolist()):
-        st.poses.append(Pose(rng.normal(size=3) * 0.6,
-                             quat_from_rotvec(rng.normal(size=3) * 0.5),
-                             t=0.2 * i, id=pid))
-    fm = {p.id: (rng.normal(size=3), rng.normal(size=3) * 0.5)
-          for p in st.poses if rng.random() < 0.5}
-    return st, fm
+    positions, quats = [], []
+    for _ in range(n_poses):
+        positions.append(rng.normal(size=3) * 0.6)
+        quats.append(quat_from_rotvec(rng.normal(size=3) * 0.5))
+    set_poses(st, positions, quats, ids=ids)
+    motion = np.zeros((n_poses, 2, 3))
+    for j in range(n_poses):
+        if rng.random() < 0.5:
+            motion[j] = rng.normal(size=3), rng.normal(size=3) * 0.5
+    return st, motion
 
 
 def random_observations(rng, st, k):
     """k (anchor id, observer id, params) triples over the window; about a
     third are seen from their own anchor pose."""
-    ids = [p.id for p in st.poses]
+    ids = st.pose_ids
     anchor = rng.choice(ids, size=k)
     observer = np.where(rng.random(k) < 0.33, anchor, rng.choice(ids, size=k))
     params = np.column_stack([rng.uniform(-0.6, 0.6, k),
@@ -287,29 +299,24 @@ def random_observations(rng, st, k):
 
 class TestProjectFeature:
     def test_axis_case(self):
-        st = VinsStateVector.identity()
-        st.poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0))
-        st.features.append(InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0))
-        px, _ = project_one(st, st.features[0], 0)
+        st = set_poses(VinsStateVector.identity(), [np.zeros(3)], [IDENTITY])
+        set_features(st, [0], [[0.0, 0.0, 0.5]])
+        px, _ = project_one(st, 0, 0)
         assert np.allclose(px, st.intrinsics[2:], atol=1e-12)
 
     def test_parallax_first_order(self):
-        st = VinsStateVector.identity()
-        st.poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0))
-        st.poses.append(Pose(np.array([0.1, 0.0, 0.0]),
-                             np.array([0.0, 0.0, 0.0, 1.0]), 0.1, id=1))
-        st.features.append(InverseDepthFeature(0, np.array([0.0, 0.0, 0.5]), id=0))
-        px0, _ = project_one(st, st.features[0], 0)
-        px1, _ = project_one(st, st.features[0], 1)
+        st = set_poses(VinsStateVector.identity(),
+                       [np.zeros(3), [0.1, 0.0, 0.0]], [IDENTITY, IDENTITY])
+        set_features(st, [0], [[0.0, 0.0, 0.5]])
+        px0, _ = project_one(st, 0, 0)
+        px1, _ = project_one(st, 0, 1)
         shift = px1[0] - px0[0]
         expected = -st.intrinsics[0] * 0.1 / 2.0
         assert abs(shift - expected) <= 0.05 * abs(expected)
 
     def test_behind_camera(self):
-        st = VinsStateVector.identity()
-        st.poses.append(Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0))
-        st.poses.append(Pose(np.array([0.0, 0.0, 5.0]),
-                             np.array([0.0, 0.0, 0.0, 1.0]), 0.1, id=1))
+        st = set_poses(VinsStateVector.identity(),
+                       [np.zeros(3), [0.0, 0.0, 5.0]], [IDENTITY, IDENTITY])
         params = np.array([0.0, 0.0, 0.5])
         p = project_feature(window_cameras(st), st.intrinsics, [0, 0], [1, 0],
                             [params, params])
@@ -317,85 +324,89 @@ class TestProjectFeature:
         assert np.isfinite(p.pixel).all()
 
     def test_pose_outside_the_window(self):
-        st, _ = make_scene()
+        st = make_scene()
         with pytest.raises(KeyError):
             project_feature(window_cameras(st), st.intrinsics, [0], [7],
                             [[0.1, 0.0, 0.5]])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_jacobians_finite_difference(self, seed):
-        st, f = make_scene(seed=seed, tsync=0.001)
-        fm = {i: (np.array([0.3, 0.1, -0.2]), np.array([0.1, -0.2, 0.3]))
-              for i in range(3)}
+        st = make_scene(seed=seed, tsync=0.001)
+        motion = scene_motion()
         lay = layout_of(st)
         try:
-            px, blocks = project_one(st, f, 2, frame_motion=fm)
+            px, blocks = project_one(st, 0, 2, motion)
         except BehindCamera:
             pytest.skip("random scene placed feature behind camera")
         h = 1e-6
-        for name, J in blocks.items():
-            off, dim = lay.index[name]
-            for k in range(dim):
+        for off, J in blocks.items():
+            for k in range(J.shape[1]):
                 d = np.zeros(lay.n)
                 d[off + k] = h
-                stp = boxplus(st, d, lay)
-                stm = boxplus(st, -d, lay)
-                pp, _ = project_one(stp, stp.features[0], 2, frame_motion=fm)
-                pm, _ = project_one(stm, stm.features[0], 2, frame_motion=fm)
+                pp, _ = project_one(boxplus(st, d), 0, 2, motion)
+                pm, _ = project_one(boxplus(st, -d), 0, 2, motion)
                 fd = (pp - pm) / (2 * h)
                 scale = max(np.abs(J).max(), 1.0)
-                assert np.abs(fd - J[:, k]).max() <= 1e-4 * scale, (name, k)
+                assert np.abs(fd - J[:, k]).max() <= 1e-4 * scale, (off, k)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), observer=st.integers(0, 2),
            tsync=st.sampled_from([0.0, 0.004, -0.02]),
            anchor_moves=st.booleans(), observer_moves=st.booleans())
     def test_tsync_column_matches_central_differences(
             self, seed, observer, tsync, anchor_moves, observer_moves):
-        state, f = make_scene(seed=seed % 1000, tsync=tsync)
+        state = make_scene(seed=seed % 1000, tsync=tsync)
         rng = np.random.default_rng(seed)
         moving = {0} if anchor_moves else set()
         if observer_moves:
             moving.add(observer)
-        fm = {i: (rng.normal(size=3), rng.normal(size=3) * 0.5) for i in moving}
+        motion = np.zeros((3, 2, 3))
+        for j in sorted(moving):
+            motion[j] = rng.normal(size=3), rng.normal(size=3) * 0.5
         try:
-            _, blocks = project_one(state, f, observer, frame_motion=fm)
+            _, blocks = project_one(state, 0, observer, motion)
         except BehindCamera:
             return
-        ref = tsync_column_by_central_differences(state, f, observer, fm)
-        got = blocks["tsync"]
+        lay = layout_of(state)
+        ref = tsync_column_by_central_differences(
+            state, state.anchor_ids[0], state.params[0], observer, motion)
+        got = blocks[lay.tsync]
         assert got.shape == (2, 1)
         if not moving or observer == 0:
             # a still scene, or one camera seeing its own anchor ray
-            assert np.abs(got).max() <= 1e-9 * np.abs(blocks["intr"]).max()
+            assert np.abs(got).max() <= 1e-9 * np.abs(blocks[lay.intr]).max()
         assert np.abs(got - ref).max() <= 1e-6 * max(np.abs(ref).max(), 1.0)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
            tsync=st.sampled_from([0.0, 0.004, -0.02]))
     def test_matches_per_observation_oracle(self, seed, k, tsync):
         rng = np.random.default_rng(seed)
-        state, fm = random_window(rng, tsync)
+        state, motion = random_window(rng, tsync)
         anchor, observer, params = random_observations(rng, state, k)
-        got = project_feature(window_cameras(state, fm), state.intrinsics,
+        got = project_feature(window_cameras(state, motion), state.intrinsics,
                               anchor, observer, params)
+        lay = layout_of(state)
+        row = {pid: j for j, pid in enumerate(state.pose_ids.tolist())}
         for i in range(k):
             a, o = int(anchor[i]), int(observer[i])
-            feat = InverseDepthFeature(a, params[i], id=i)
             try:
-                px, blocks = project_feature_by_observation(state, feat, o, fm)
+                px, Jf, blocks = project_feature_by_observation(
+                    state, a, params[i], o, motion)
             except BehindCamera:
                 assert not got.in_front[i]
                 continue
             assert got.in_front[i]
             assert np.abs(got.pixel[i] - px).max() <= 1e-12 * np.abs(px).max()
-            scale = max(np.abs(J).max() for J in blocks.values())
+            scale = max(np.abs(J).max() for J in [Jf, *blocks.values()])
             if a == o:
                 # the engine writes both blocks over the same columns
                 assert not got.anchor[i].any() and not got.observer[i].any()
-            want = {"observer": blocks[f"pose:{o}"],
-                    "anchor": np.zeros((2, 6)) if a == o else blocks[f"pose:{a}"],
-                    "feature": blocks[f"feat:{i}"]}
+            want = {"observer": blocks[lay.pose_cols(row[o])[0]],
+                    "anchor": (np.zeros((2, 6)) if a == o
+                               else blocks[lay.pose_cols(row[a])[0]]),
+                    "feature": Jf}
             for name in ("p_ic", "q_ic", "tsync", "intr"):
-                want[name] = blocks[name]
+                want[name] = blocks[getattr(lay, name)]
+            assert len(blocks) == (5 if a == o else 6)
             for name, J in want.items():
                 err = np.abs(getattr(got, name)[i] - J).max()
                 assert err <= 1e-12 * scale, (i, name, err / scale)
@@ -404,9 +415,9 @@ class TestProjectFeature:
            tsync=st.sampled_from([0.0, 0.004]))
     def test_batch_matches_single_calls_bitwise(self, seed, k, tsync):
         rng = np.random.default_rng(seed)
-        state, fm = random_window(rng, tsync)
+        state, motion = random_window(rng, tsync)
         anchor, observer, params = random_observations(rng, state, k)
-        cams = window_cameras(state, fm)
+        cams = window_cameras(state, motion)
         batch = project_feature(cams, state.intrinsics, anchor, observer, params)
         for i in range(k):
             one = project_feature(cams, state.intrinsics, anchor[i:i + 1],
@@ -418,35 +429,36 @@ class TestProjectFeature:
            tsync=st.sampled_from([0.0, 0.004, -0.02]))
     def test_window_cameras_match_per_pose_cameras(self, seed, tsync):
         rng = np.random.default_rng(seed)
-        state, fm = random_window(rng, tsync)
-        cams = window_cameras(state, fm)
-        assert cams.ids.tolist() == [p.id for p in state.poses]
-        for i, pose in enumerate(state.poses):
+        state, motion = random_window(rng, tsync)
+        cams = window_cameras(state, motion)
+        assert cams.ids.tolist() == state.pose_ids.tolist()
+        for i in range(len(state.pose_ids)):
             R_wc, t_wc, _, p_wi = camera_pose_at(
-                pose, state.p_ic, state.q_ic, fm.get(pose.id), tsync)
+                state.positions[i], state.quats[i], state.p_ic, state.q_ic,
+                motion[i], tsync)
             for got, want in ((cams.R_wc[i], R_wc), (cams.t_wc[i], t_wc),
                               (cams.p_wi[i], p_wi)):
                 assert np.abs(got - want).max() <= 1e-15 * max(
                     np.abs(want).max(), 1.0)
-            if pose.id not in fm:
+            if not motion[i].any():
                 assert not cams.dR_wc[i].any() and not cams.dt_wc[i].any()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), tsync=st.sampled_from([0.004, -0.02]))
     def test_window_cameras_without_motion_are_unshifted(self, seed, tsync):
-        # without frame motion no pose moves with tsync, so the cameras
-        # are bitwise those of the same window at tsync = 0
+        # without motion no pose moves with tsync, so the cameras are
+        # bitwise those of the same window at tsync = 0
         state, _ = random_window(np.random.default_rng(seed), tsync)
         still = state.copy()
         still.tsync = 0.0
         want = window_cameras(still)
-        for cams in (window_cameras(state), window_cameras(state, {})):
-            for name, got, ref in zip(want._fields, cams, want):
-                assert got.tobytes() == ref.tobytes(), name
+        cams = window_cameras(state)
+        for name, got, ref in zip(want._fields, cams, want):
+            assert got.tobytes() == ref.tobytes(), name
 
     def test_bias_velocity_columns_absent(self):
-        st, f = make_scene(seed=3)
-        _, blocks = project_one(st, f, 1)
-        assert not any(b in blocks for b in ("bg", "ba", "v"))
+        st = make_scene(seed=3)
+        _, blocks = project_one(st, 0, 1)
+        assert min(blocks) >= N1
 
 
 class TestNullspaceProjection:
@@ -558,11 +570,11 @@ def reanchor_scene(rng, n_poses=2, tsync=0.0):
     st.p_ic = np.array([0.03, 0.01, -0.02])
     st.q_ic = quat_from_rotvec(rng.normal(size=3) * 0.1)
     p = rng.normal(size=3)
+    positions, quats = [], []
     for i in range(n_poses):
-        st.poses.append(Pose(p + rng.normal(size=3) * 0.3 * (i > 0),
-                             quat_from_rotvec(rng.normal(size=3) * 0.3),
-                             0.1 * i, id=2 * i))
-    return st
+        positions.append(p + rng.normal(size=3) * 0.3 * (i > 0))
+        quats.append(quat_from_rotvec(rng.normal(size=3) * 0.3))
+    return set_poses(st, positions, quats, ids=2 * np.arange(n_poses))
 
 
 def random_params(rng, k):
@@ -573,20 +585,19 @@ def random_params(rng, k):
 class TestReanchor:
     @staticmethod
     def _poses(st):
-        return {p.id: p for p in st.poses}
+        """Pose id -> (p, q)."""
+        return {pid: (p, q) for pid, p, q in
+                zip(st.pose_ids.tolist(), st.positions, st.quats)}
 
     def test_identity(self):
-        st = VinsStateVector.identity()
-        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0)]
+        st = set_poses(VinsStateVector.identity(), [np.zeros(3)], [IDENTITY])
         re = reanchor_feature(window_cameras(st), [0], [0], [[0.1, 0.05, 0.5]])
         assert re.in_front.tolist() == [True]
         assert np.allclose(re.params, [[0.1, 0.05, 0.5]], atol=1e-12)
 
     def test_axial_translation(self):
-        st = VinsStateVector.identity()
-        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0),
-                    Pose(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                         0.1, id=1)]
+        st = set_poses(VinsStateVector.identity(),
+                       [np.zeros(3), [0.0, 0.0, 1.0]], [IDENTITY, IDENTITY])
         re = reanchor_feature(window_cameras(st), [0], [1], [[0.0, 0.0, 1.0 / 3.0]])
         assert np.isclose(re.params[0, 2], 0.5, atol=1e-12)
 
@@ -600,17 +611,15 @@ class TestReanchor:
         re = reanchor_feature(window_cameras(st), old, new, params)
         assert re.in_front.sum() >= 10
         for i in np.flatnonzero(re.in_front):
-            X0 = feature_point_global(InverseDepthFeature(old[i], params[i]),
-                                      poses[old[i]], st.p_ic, st.q_ic)
-            X1 = feature_point_global(InverseDepthFeature(new[i], re.params[i]),
-                                      poses[new[i]], st.p_ic, st.q_ic)
+            X0 = feature_point_global(params[i], poses[old[i]], st.p_ic,
+                                      st.q_ic)
+            X1 = feature_point_global(re.params[i], poses[new[i]], st.p_ic,
+                                      st.q_ic)
             assert np.linalg.norm(X0 - X1) <= 1e-9
 
     def test_nonpositive_depth(self):
-        st = VinsStateVector.identity()
-        st.poses = [Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, id=0),
-                    Pose(np.array([0.0, 0.0, 10.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-                         0.1, id=1)]
+        st = set_poses(VinsStateVector.identity(),
+                       [np.zeros(3), [0.0, 0.0, 10.0]], [IDENTITY, IDENTITY])
         re = reanchor_feature(window_cameras(st), [0, 0], [1, 1],
                               [[0.0, 0.0, 0.5], [0.0, 0.0, 0.05]])
         assert re.in_front.tolist() == [False, True]
@@ -628,8 +637,8 @@ class TestReanchor:
         new = rng.choice([0, 2, 4], size=k)
         new[-1] = (old[-1] + 2) % 6
         params = random_params(rng, k)
-        B, t_B, _, _ = camera_pose_at(poses[new[-1]], st.p_ic, st.q_ic)
-        A, t_A, _, _ = camera_pose_at(poses[old[-1]], st.p_ic, st.q_ic)
+        B, t_B, _, _ = camera_pose_at(*poses[new[-1]], st.p_ic, st.q_ic)
+        A, t_A, _, _ = camera_pose_at(*poses[old[-1]], st.p_ic, st.q_ic)
         y = A.T @ (t_B - B @ np.array([0.1, -0.2, rng.uniform(0.5, 3.0)]) - t_A)
         params[-1] = [*bearing_angles(y), 1.0 / np.linalg.norm(y)]
         re = reanchor_feature(window_cameras(st), old, new, params)
@@ -637,15 +646,14 @@ class TestReanchor:
         assert re.feature.shape == (k, 3, 3)
         assert re.old_anchor.shape == re.new_anchor.shape == (k, 3, 6)
         for i in range(k):
-            f = InverseDepthFeature(old[i], params[i], id=i)
             try:
-                g, *J = reanchor_by_feature(f, poses[old[i]], poses[new[i]],
-                                            st.p_ic, st.q_ic)
+                g, *J = reanchor_by_feature(params[i], poses[old[i]],
+                                            poses[new[i]], st.p_ic, st.q_ic)
             except NonPositiveDepth:
                 assert not re.in_front[i]
                 continue
             assert re.in_front[i]
-            assert np.abs(re.params[i] - g.params).max() <= 1e-12
+            assert np.abs(re.params[i] - g).max() <= 1e-12
             for got, ref in zip((re.feature, re.old_anchor, re.new_anchor), J):
                 assert np.abs(got[i] - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
         assert not re.in_front[-1]
@@ -655,13 +663,14 @@ class TestReanchor:
         """d new params / d (old params, old anchor, new anchor) of one
         feature by central differences of `reanchor_feature`."""
         h = 1e-6
+        rows = {pid: j for j, pid in enumerate(st.pose_ids.tolist())}
 
         def perturbed(dfeat, da, db):
             s = st.copy()
-            poses = {p.id: p for p in s.poses}
             for pid, d in ((old, da), (new, db)):
-                poses[pid].p = poses[pid].p + d[:3]
-                poses[pid].q = quat_mul(quat_from_rotvec(d[3:]), poses[pid].q)
+                j = rows[pid]
+                s.positions[j] = s.positions[j] + d[:3]
+                s.quats[j] = quat_mul(quat_from_rotvec(d[3:]), s.quats[j])
             return reanchor_feature(window_cameras(s), [old], [new],
                                     params + dfeat).params[0]
 

@@ -192,7 +192,6 @@ class TestTracks:
             assert (fr.kinds == 1).sum() <= 35
 
     def test_noiseless_projection_consistency(self):
-        from srifkit.state import Pose
         from model_reference import camera_pose_at
         spec = noiseless_spec(duration=5.0, true_tsync=0.0)
         truth = gen_ground_truth(spec)
@@ -201,8 +200,8 @@ class TestTracks:
         step = int(round(spec.imu_rate / spec.cam_rate))
         for fr in frames[:5]:
             i = fr.index * step
-            pose = Pose(truth.positions[i], truth.quats[i], fr.t)
-            cr, cc = camera_pose_at(pose, np.asarray(spec.p_ic),
+            cr, cc = camera_pose_at(truth.positions[i], truth.quats[i],
+                                    np.asarray(spec.p_ic),
                                     np.asarray(spec.q_ic))[:2]
             for fid, px in zip(fr.feature_ids, fr.pixels):
                 y = cr.T @ (truth.features[fid] - cc)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from srifkit.state import (
-    InverseDepthFeature,
-    Pose,
+    N1,
+    Layout,
     VinsStateVector,
     boxplus,
     layout_of,
@@ -11,12 +11,18 @@ from srifkit.state import (
     quat_mul,
     quat_normalize,
     quat_to_mat,
-    reorder_for_marginalization,
     so3_right_jacobian,
     skew,
 )
 
-from state_reference import boxminus, build_layout, quat_conj, rotvec_from_quat
+from state_reference import (
+    boxminus,
+    quat_conj,
+    rotvec_from_quat,
+    set_features,
+    set_poses,
+    walk_layout,
+)
 
 
 def make_state(n_poses=5, n_feats=3, seed=0):
@@ -26,13 +32,9 @@ def make_state(n_poses=5, n_feats=3, seed=0):
     st.ba = rng.normal(size=3) * 0.05
     st.v = rng.normal(size=3)
     st.tsync = 0.002
-    for i in range(n_poses):
-        q = quat_from_rotvec(rng.normal(size=3) * 0.3)
-        st.poses.append(Pose(rng.normal(size=3), q, t=0.1 * i, id=i))
-    for i in range(n_feats):
-        st.features.append(
-            InverseDepthFeature(anchor_pose_id=0,
-                                params=np.array([0.1, -0.05, 0.5]), id=i))
+    set_poses(st, rng.normal(size=(n_poses, 3)),
+              quat_from_rotvec(rng.normal(size=(n_poses, 3)) * 0.3))
+    set_features(st, np.zeros(n_feats), np.tile([0.1, -0.05, 0.5], (n_feats, 1)))
     return st
 
 
@@ -109,104 +111,120 @@ def test_stacked_rows_equal_single_calls(name):
         assert row.tobytes() == out[i].tobytes(), i
 
 
+def layout_columns(lay):
+    """Every column of `lay`, component by component in the fixed order."""
+    return np.concatenate([
+        np.arange(N1), lay.feature_cols(np.arange(lay.n_features)).ravel(),
+        [lay.tsync], lay.pose_cols(np.arange(lay.n_poses)).ravel(),
+        np.arange(lay.intr, lay.p_ic), np.arange(lay.p_ic, lay.q_ic),
+        np.arange(lay.q_ic, lay.n)])
+
+
 class TestLayout:
     def test_paper_dims(self):
         # l = 11, s = 15: n = 9 + 45 + 1 + 66 + 10 = 131, n2 = 122
-        lay = build_layout(11, 15)
-        assert lay.n == 131
+        lay = Layout(n_features=15, n_poses=11)
+        assert lay.n == walk_layout(15, 11)["n"] == 131
         assert lay.n2 == 122
 
     @pytest.mark.parametrize("l,s,n", [(2, 0, 32), (5, 3, 59)])
     def test_formula(self, l, s, n):
-        assert build_layout(l, s).n == n
+        assert Layout(s, l).n == walk_layout(s, l)["n"] == n
 
     def test_contiguous_blocks(self):
-        lay = build_layout(7, 4)
-        for (_, off, dim), (_, off2, _) in zip(lay.blocks, lay.blocks[1:]):
-            assert off + dim == off2
-        last = lay.blocks[-1]
-        assert last[1] + last[2] == lay.n
+        # the components' columns, in order, are 0 .. n - 1 once each
+        lay = Layout(n_features=4, n_poses=7)
+        assert np.array_equal(layout_columns(lay), np.arange(lay.n))
 
     def test_n1_is_bias_velocity(self):
-        lay = build_layout(4, 2)
-        assert lay.offset("bg") == 0 and lay.offset("ba") == 3 and lay.offset("v") == 6
-        assert lay.n1 == 9
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            build_layout(1, 0)
+        blocks = walk_layout(2, 4)
+        assert (blocks["bg"][0], blocks["ba"][0], blocks["v"][0]) == (0, 3, 6)
+        assert N1 == 9 == blocks["v"][-1] + 1
 
     def test_layout_of_matches_build(self):
         st = make_state(n_poses=5, n_feats=3)
-        assert layout_of(st).blocks == build_layout(5, 3).blocks
+        lay, blocks = layout_of(st), walk_layout(3, 5)
+        assert lay == (3, 5)
+        assert np.array_equal(lay.feature_cols(np.arange(3)), blocks["feature"])
+        assert np.array_equal(lay.pose_cols(np.arange(5)), blocks["pose"])
+        for j in range(5):
+            assert np.array_equal(lay.pose_cols(j), blocks["pose"][j])
+        assert lay.tsync == blocks["tsync"][0]
+        for name in ("intr", "p_ic", "q_ic"):
+            assert getattr(lay, name) == blocks[name][0], name
+        assert lay.n == blocks["n"]
 
 
 class TestBoxplus:
     def test_zero_delta_identity(self):
         st = make_state()
-        lay = layout_of(st)
-        out = boxplus(st, np.zeros(lay.n), lay)
-        assert np.allclose(boxminus(out, st, lay), 0.0)
+        out = boxplus(st, np.zeros(layout_of(st).n))
+        assert np.allclose(boxminus(out, st), 0.0)
 
     def test_pure_position_shift(self):
         st = make_state()
         lay = layout_of(st)
         d = np.zeros(lay.n)
-        off = lay.offset("pose:2")
-        d[off:off + 3] = [1.0, 0.0, 0.0]
-        out = boxplus(st, d, lay)
-        assert np.allclose(out.poses[2].p - st.poses[2].p, [1, 0, 0])
-        assert np.allclose(out.poses[1].p, st.poses[1].p)
-        assert np.allclose(out.poses[2].q, st.poses[2].q)
+        d[lay.pose_cols(2)[:3]] = [1.0, 0.0, 0.0]
+        out = boxplus(st, d)
+        assert np.allclose(out.positions[2] - st.positions[2], [1, 0, 0])
+        assert np.allclose(out.positions[1], st.positions[1])
+        assert np.allclose(out.quats[2], st.quats[2])
 
     def test_rotation_inverse_consistency(self):
         st = make_state()
         lay = layout_of(st)
         d = np.zeros(lay.n)
-        d[lay.offset("pose:0") + 3] = 1e-3
-        back = boxplus(boxplus(st, d, lay), -d, lay)
-        assert np.allclose(back.poses[0].q, st.poses[0].q, atol=1e-9)
+        d[lay.pose_cols(0)[3]] = 1e-3
+        back = boxplus(boxplus(st, d), -d)
+        assert np.allclose(back.quats[0], st.quats[0], atol=1e-9)
 
     def test_boxminus_consistency(self):
         rng = np.random.default_rng(4)
         st = make_state()
-        lay = layout_of(st)
-        d = rng.normal(size=lay.n) * 1e-3
-        assert np.allclose(boxminus(boxplus(st, d, lay), st, lay), d, atol=1e-9)
+        d = rng.normal(size=layout_of(st).n) * 1e-3
+        assert np.allclose(boxminus(boxplus(st, d), st), d, atol=1e-9)
 
     def test_dim_mismatch(self):
         st = make_state()
         with pytest.raises(ValueError):
-            boxplus(st, np.zeros(3), layout_of(st))
+            boxplus(st, np.zeros(3))
 
     def test_quaternion_normalized(self):
         st = make_state()
-        lay = layout_of(st)
-        d = np.ones(lay.n) * 0.1
-        out = boxplus(st, d, lay)
-        for p in out.poses:
-            assert abs(np.linalg.norm(p.q) - 1.0) < 4 * np.finfo(float).eps
+        out = boxplus(st, np.ones(layout_of(st).n) * 0.1)
+        for q in out.quats:
+            assert abs(np.linalg.norm(q) - 1.0) < 4 * np.finfo(float).eps
+
+    def test_leaves_the_input_and_the_ids(self):
+        st = make_state()
+        before = st.copy()
+        out = boxplus(st, np.ones(layout_of(st).n) * 0.1)
+        for name, value in vars(st).items():
+            assert np.array_equal(value, getattr(before, name)), name
+        for name in ("feature_ids", "anchor_ids", "pose_ids", "times"):
+            assert np.array_equal(getattr(out, name), getattr(st, name)), name
+            assert getattr(out, name) is not getattr(st, name), name
 
 
-class TestReorder:
+class TestMarginalizedColumns:
+    """The columns the engine removes for a pose or feature, by the
+    index arithmetic of `Layout`."""
+
     def test_oldest_pose(self):
-        lay = build_layout(5, 0)
-        idx = reorder_for_marginalization(lay, ["pose:0"])
-        off = lay.offset("pose:0")
-        assert idx == list(range(off, off + 6))
+        lay = Layout(n_features=0, n_poses=5)
+        assert lay.pose_cols(0).tolist() == walk_layout(0, 5)["pose"][0].tolist()
+        assert lay.pose_cols(0).tolist() == list(range(lay.tsync + 1,
+                                                       lay.tsync + 7))
 
     def test_two_oldest_features(self):
-        lay = build_layout(5, 4)
-        idx = reorder_for_marginalization(lay, ["feat:0", "feat:1"])
-        assert len(idx) == 6
-        assert max(idx) < lay.offset("tsync")
+        lay = Layout(n_features=4, n_poses=5)
+        idx = lay.feature_cols(np.arange(2)).ravel()
+        assert idx.tolist() == list(range(N1, N1 + 6))
+        assert max(idx) < lay.tsync
 
     def test_newest_pose_near_end(self):
-        lay = build_layout(5, 0)
-        idx = reorder_for_marginalization(lay, ["pose:4"])
-        assert idx == list(range(lay.offset("pose:4"), lay.offset("pose:4") + 6))
-        assert max(idx) == lay.offset("intr") - 1
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            reorder_for_marginalization(build_layout(3, 0), ["pose:9"])
+        lay = Layout(n_features=0, n_poses=5)
+        idx = lay.pose_cols(4)
+        assert idx.tolist() == walk_layout(0, 5)["pose"][4].tolist()
+        assert max(idx) == lay.intr - 1

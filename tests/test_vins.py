@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from srifkit.sim import (
     default_scenario,
     gen_dataset,
 )
-from srifkit.state import InverseDepthFeature, boxplus
+from srifkit.state import N1, boxplus, layout_of
 from srifkit.vins import ESTIMATORS, FilterConfig, run_filter
 
 from model_reference import (
@@ -54,25 +55,34 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
     triangulation and the null-space projection were batched: one oracle
     triangulation per attempt (a would-be SLAM feature that fails in its
     capped frame is tried again as a short track), one oracle projection
-    per observation, whitened into a dict of named blocks per
-    measurement, one oracle null-space projection per short track, and the
-    dicts stacked into H2 at the end. Mutates `est` as
-    `_collect_measurements` does; None when no row is made."""
-    cameras = window_cameras(est.x, est.frame_motion)
+    per observation, whitened into rows over the error state of the
+    moment, one oracle null-space projection per short track, and the
+    rows stacked into H2 at the end, at the columns of the final layout.
+    Mutates `est` as `_collect_measurements` does; None when no row is
+    made."""
+    cameras = window_cameras(est.x, est.motion)
     inv = 1.0 / est.sigma_px
-    meas = []   # (whitened residual, {block name: whitened Jacobian})
+    meas = []   # (whitened residual, whitened rows, the layout of their columns)
 
-    def project(feat, pid):
-        return project_feature_by_observation(est.x, feat, pid,
-                                              est.frame_motion, min_depth)
+    def project(anchor, params, pid):
+        return project_feature_by_observation(est.x, anchor, params, pid,
+                                              est.motion, min_depth)
 
-    def slam_rows(feat, pid, px):
-        pred, blocks = project(feat, pid)
-        meas.append(((px - pred) * inv,
-                     {k: J * inv for k, J in blocks.items()}))
+    def rows_over(blocks, lay):
+        """2 rows over the error state of `lay` from {offset: 2 x dim}."""
+        H = np.zeros((2, lay.n))
+        for off, J in blocks.items():
+            H[:, off:off + J.shape[1]] = J
+        return H
 
-    in_state = {f.id: f for f in est.x.features}
-    pose_ids = {p.id for p in est.x.poses}
+    def slam_rows(k, pid, px):
+        pred, Jf, blocks = project(est.x.anchor_ids[k], est.x.params[k], pid)
+        lay = layout_of(est.x)
+        blocks[lay.feature_cols(k)[0]] = Jf
+        meas.append(((px - pred) * inv, rows_over(blocks, lay) * inv, lay))
+
+    in_state = {fid: k for k, fid in enumerate(est.x.feature_ids.tolist())}
+    pose_ids = set(est.x.pose_ids.tolist())
     for fid, kind, px in zip(frame.feature_ids, frame.kinds, frame.pixels):
         fid = int(fid)
         if fid in in_state:
@@ -91,12 +101,11 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
                 theta = triangulate(est, obs, cameras)
             except RankDeficientFeature:
                 continue
-            feat = InverseDepthFeature(obs[0][0], theta, id=fid)
-            est._insert_features([feat])
+            est._insert_features([fid], [obs[0][0]], [theta])
             del est.track_buf[fid]
             for pid, opx in obs:  # delayed initialization
                 try:
-                    slam_rows(feat, pid, opx)
+                    slam_rows(len(est.x.feature_ids) - 1, pid, opx)
                 except BehindCamera:
                     est._drop_next.add(fid)
                     break
@@ -109,50 +118,54 @@ def rows_by_observation(est, frame, min_depth=MIN_DEPTH,
                 pid in pose_ids for pid, _ in obs):
             continue
         try:
-            feat = InverseDepthFeature(
-                obs[0][0], triangulate(est, obs, cameras), id=fid)
+            theta = triangulate(est, obs, cameras)
         except RankDeficientFeature:
             continue
+        lay = layout_of(est.x)
         rows_f, rows_x, resid = [], [], []
         for pid, px in obs:
             try:
-                pred, blocks = project(feat, pid)
+                pred, Jf, blocks = project(obs[0][0], theta, pid)
             except BehindCamera:
                 continue
-            rows_f.append(blocks.pop(f"feat:{fid}"))
-            rows_x.append(blocks)
+            rows_f.append(Jf)
+            rows_x.append(rows_over(blocks, lay))
             resid.append(px - pred)
         if len(resid) < 2:
             continue
-        names = sorted({k for b in rows_x for k in b})
-        dims = [est.layout.index[nm][1] for nm in names]
-        Hx = {nm: np.zeros((2 * len(resid), d)) for nm, d in zip(names, dims)}
-        for i, b in enumerate(rows_x):
-            for nm, J in b.items():
-                Hx[nm][2 * i:2 * i + 2] = J
         try:
             t, r_proj = msckf_nullspace_project_by_track(
-                np.vstack(rows_f), np.hstack([Hx[nm] for nm in names]),
-                np.concatenate(resid))
+                np.vstack(rows_f), np.vstack(rows_x), np.concatenate(resid))
         except RankDeficientFeature:
             continue
-        cuts = np.cumsum(dims)[:-1]
-        meas.append((r_proj * inv, {nm: J * inv for nm, J in
-                                    zip(names, np.split(t, cuts, axis=1))}))
+        meas.append((r_proj * inv, t * inv, lay))
     if not meas:
         return None
-    n1 = est.layout.n1
-    m = sum(len(res) for res, _ in meas)
-    H2 = np.zeros((m, est.layout.n2))
+    final = layout_of(est.x)
+    m = sum(len(res) for res, _, _ in meas)
+    H2 = np.zeros((m, final.n2))
     r = np.empty(m)
     off = 0
-    for res, blocks in meas:
-        for name, J in blocks.items():
-            o, dim = est.layout.index[name]
-            H2[off:off + len(res), o - n1:o - n1 + dim] = J
+    for res, H, lay in meas:
+        assert not H[:, :N1].any()
+        # the features inserted after these rows were made come right
+        # before tsync
+        cols = np.r_[0:lay.tsync, lay.tsync + 3 * (final.n_features
+                                                   - lay.n_features):final.n]
+        H2[off:off + len(res), cols[N1:] - N1] = H[:, N1:]
         r[off:off + len(res)] = res
         off += len(res)
     return H2, r
+
+
+def state_bytes(x):
+    """Every array and number of an estimate, as bytes."""
+    return [np.asarray(value).tobytes() for value in vars(x).values()]
+
+
+def window_ids(est):
+    """The feature and pose ids in the order the layout holds them."""
+    return est.x.feature_ids.tolist(), est.x.pose_ids.tolist()
 
 
 def _capture_updates(est):
@@ -238,7 +251,7 @@ class TestBatchedAssembly:
                     assert got.shape == ref_rows.shape
                     scale = np.abs(ref_rows).max()
                     assert np.abs(got - ref_rows).max() <= 1e-12 * scale
-            assert est.layout.blocks == ref.layout.blocks
+            assert window_ids(est) == window_ids(ref)
             assert est._drop_next == ref._drop_next
             dropped += len(est._drop_next)
             assert {fid: [pid for pid, _ in obs]
@@ -247,6 +260,46 @@ class TestBatchedAssembly:
                 for fid, obs in ref.track_buf.items()}
         assert len(seen) >= len(ds.frames) - 3
         assert (dropped > 0) == (min_depth > MIN_DEPTH)
+
+
+    def test_frame_without_rows_leaves_the_state(self, monkeypatch):
+        # no pinned scenario has a frame whose groups give no rows; with
+        # every observation of a frame behind its camera `_assemble_rows`
+        # returns None, and a frame that inserts no feature then leaves
+        # the estimate and the factor or covariance as they were
+        project = vins.project_feature
+        behind = {"on": False}
+
+        def maybe_behind(*args):
+            p = project(*args)
+            if behind["on"]:
+                p = p._replace(in_front=np.zeros_like(p.in_front))
+            return p
+
+        monkeypatch.setattr(vins, "project_feature", maybe_behind)
+        ds = gen_dataset(_short(seed=0, duration=6.0))
+        for estimator in ("kf", "srif"):
+            est = vins.VinsEstimator(ds, FilterConfig(estimator=estimator))
+            checked = 0
+            for frame in ds.frames[1:]:
+                est._propagate(frame)
+                est._marginalize(frame)
+                probe = copy.deepcopy(est, memo={id(ds): ds})
+                assembled = []
+                assemble = probe._assemble_rows
+                probe._assemble_rows = lambda *a: (
+                    assembled.append(assemble(*a)), assembled[-1])[1]
+                behind["on"] = True
+                probe._update(frame)
+                behind["on"] = False
+                inserted = len(probe.x.feature_ids) > len(est.x.feature_ids)
+                if assembled == [None] and not inserted:
+                    factor = (est.P, probe.P) if est.is_kf else (est.R, probe.R)
+                    assert factor[0].tobytes() == factor[1].tobytes()
+                    assert state_bytes(est.x) == state_bytes(probe.x)
+                    checked += 1
+                est._update(frame)
+            assert checked > 0, estimator
 
 
 class TestTriangulationReuse:
@@ -280,8 +333,8 @@ class TestTriangulationReuse:
         for frame in ds.frames[1:]:
             est._propagate(frame)
             est._marginalize(frame)
-            in_state = {f.id for f in est.x.features}
-            pose_ids = {p.id for p in est.x.poses}
+            in_state = set(est.x.feature_ids.tolist())
+            pose_ids = set(est.x.pose_ids.tolist())
             capped = [int(fid) for fid, kind in zip(frame.feature_ids,
                                                     frame.kinds)
                       if kind == 0 and int(fid) not in in_state
@@ -301,10 +354,10 @@ class TestTriangulationReuse:
         assert target, "no would-be SLAM feature reached its capped frame"
         assert (target["engine"], target["oracle"]) == (1, 2)
         assert fid not in est.track_buf and fid not in ref.track_buf
-        assert fid not in {f.id for f in est.x.features}
+        assert fid not in est.x.feature_ids
         assert {k: [pid for pid, _ in obs] for k, obs in est.track_buf.items()} == {
             k: [pid for pid, _ in obs] for k, obs in ref.track_buf.items()}
-        assert est.layout.blocks == ref.layout.blocks
+        assert window_ids(est) == window_ids(ref)
         assert (want is None) == (len(seen) == n_seen)
         if want is not None:
             for got, ref_rows in zip(seen[-1], want):
@@ -408,13 +461,13 @@ class TestCrossEstimatorEquivalence:
             for phase in ("_propagate", "_marginalize", "_update"):
                 getattr(kf, phase)(frame)
                 getattr(sr, phase)(frame)
-                assert kf.layout.blocks == sr.layout.blocks
-                every = np.arange(kf.layout.n)
+                assert window_ids(kf) == window_ids(sr)
+                every = np.arange(layout_of(kf.x).n)
                 P_kf, P_sr = kf._covariance(every), sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
-        assert sr.x.poses[0].id > 0  # the window slid
+        assert sr.x.pose_ids[0] > 0  # the window slid
 
     def test_feature_behind_its_new_anchor_is_dropped(self, monkeypatch):
         # no pinned scenario puts a reanchored feature behind its new
@@ -437,39 +490,91 @@ class TestCrossEstimatorEquivalence:
         kf = vins.VinsEstimator(ds, FilterConfig(estimator="kf", window=4))
         sr = vins.VinsEstimator(ds, FilterConfig(estimator="srif", window=4))
         removed, moved = [], []   # per estimator and phase
-        for est in (kf, sr):
+
+        def spy(est):
             blocks, move = est._marginalize_blocks, est._reanchor
-            est._marginalize_blocks = lambda names, _f=blocks: (
-                removed.append(list(names)), _f(names))[1]
-            est._reanchor = lambda feats, *ids, _f=move: (
-                moved.append([f.id for f in feats]), _f(feats, *ids))[1]
+
+            def marginalize(features, poses):
+                removed.append((est.x.feature_ids[features].tolist(),
+                                est.x.pose_ids[poses].tolist()))
+                return blocks(features, poses)
+
+            def reanchor(k, *ids):
+                moved.append(est.x.feature_ids[k].tolist())
+                return move(k, *ids)
+
+            est._marginalize_blocks, est._reanchor = marginalize, reanchor
+
+        spy(kf)
+        spy(sr)
         for frame in ds.frames[1:]:
             for phase in ("_propagate", "_marginalize", "_update"):
                 first = not calls
-                departing = kf.x.poses[0].id
+                departing = kf.x.pose_ids[0]
                 for est in (kf, sr):
                     removed.clear()
                     moved.clear()
                     getattr(est, phase)(frame)
                     if first and calls:
                         # the flagged feature leaves the state with the
-                        # departing pose, named before it, and the others
+                        # departing pose, in one call, and the others
                         # move to the newest pose
                         (feats,) = moved
-                        names = [nm for call in removed for nm in call]
-                        assert names.index(f"feat:{feats[0]}") < names.index(
-                            f"pose:{departing}")
-                        anchors = {f.id: f.anchor_pose_id for f in est.x.features}
+                        ((gone, poses),) = removed
+                        assert feats[0] in gone and poses == [departing]
+                        anchors = dict(zip(est.x.feature_ids.tolist(),
+                                           est.x.anchor_ids.tolist()))
                         assert feats[0] not in anchors
-                        assert all(anchors[fid] == est.x.poses[-1].id
+                        assert all(anchors[fid] == est.x.pose_ids[-1]
                                    for fid in feats[1:])
-                assert kf.layout.blocks == sr.layout.blocks
-                every = np.arange(kf.layout.n)
+                assert window_ids(kf) == window_ids(sr)
+                every = np.arange(layout_of(kf.x).n)
                 P_kf, P_sr = kf._covariance(every), sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
         assert len(calls) > 2
+
+
+    def test_every_feature_behind_its_new_anchor_leaves_with_the_pose(
+            self, monkeypatch):
+        # no pinned scenario puts every moving feature behind its new
+        # anchor; flagging all of them walks `_reanchor`'s early return,
+        # which leaves the factor or covariance and the estimate as they
+        # were, and each of those features leaves with the pose
+        reanchor = vins.reanchor_feature
+
+        def all_behind(*args):
+            re = reanchor(*args)
+            return re._replace(in_front=np.zeros_like(re.in_front))
+
+        monkeypatch.setattr(vins, "reanchor_feature", all_behind)
+        ds = gen_dataset(_short(seed=0, duration=8.0))
+        for estimator in ("kf", "srif"):
+            est = vins.VinsEstimator(ds, FilterConfig(estimator=estimator,
+                                                      window=4))
+            moved = []   # (departing pose id, ids of the features it kept)
+            move = est._reanchor
+
+            def checked(k, old_id, new_id):
+                factor = est.P if est.is_kf else est.R
+                before = factor.tobytes(), state_bytes(est.x)
+                behind = move(k, old_id, new_id)
+                assert behind.tolist() == k.tolist()
+                assert (factor.tobytes(), state_bytes(est.x)) == before
+                moved.append((old_id, est.x.feature_ids[behind].tolist()))
+                return behind
+
+            est._reanchor = checked
+            for frame in ds.frames[1:]:
+                est._propagate(frame)
+                n_moved = len(moved)
+                est._marginalize(frame)
+                for old_id, ids in moved[n_moved:]:
+                    assert old_id not in est.x.pose_ids
+                    assert not set(ids) & set(est.x.feature_ids.tolist())
+                est._update(frame)
+            assert moved, estimator
 
 
 class TestMarginalizationPass:
@@ -489,8 +594,9 @@ class TestMarginalizationPass:
             e = vins.VinsEstimator(ds, FilterConfig(estimator=est, window=4))
             removed = []
             blocks = e._marginalize_blocks
-            e._marginalize_blocks = lambda names, _f=blocks: (
-                removed.append(list(names)), _f(names))[1]
+            e._marginalize_blocks = lambda features, poses, _f=blocks: (
+                removed.append((features.any(), poses.any())),
+                _f(features, poses))[1]
             together = 0
             for frame in ds.frames[1:]:
                 e._propagate(frame)
@@ -500,8 +606,7 @@ class TestMarginalizationPass:
                 assert len(calls) - n_calls == (
                     0 if est == "kf" else len(removed) - n_removed)
                 if len(removed) > n_removed:
-                    kinds = {name.split(":")[0] for name in removed[-1]}
-                    together += kinds == {"feat", "pose"}
+                    together += removed[-1] == (True, True)
                 e._update(frame)
             assert together > 0, est
 
@@ -513,10 +618,10 @@ class TestMarginalizationPass:
         counted = []
         move = est._reanchor
 
-        def reanchor(feats, *ids):
-            before, n = fc.total(), est.layout.n
-            behind = move(feats, *ids)
-            counted.append((fc.total() - before, len(feats) - len(behind), n))
+        def reanchor(k, *ids):
+            before, n = fc.total(), layout_of(est.x).n
+            behind = move(k, *ids)
+            counted.append((fc.total() - before, len(k) - len(behind), n))
             return behind
 
         est._reanchor = reanchor
@@ -542,18 +647,18 @@ class TestTrackBuffer:
         longest = 0
         for frame in ds.frames[1:]:
             est._propagate(frame)
-            departing = est.x.poses[0].id
+            departing = est.x.pose_ids[0]
             est._marginalize(frame)
-            if est.x.poses[0].id != departing:
+            if est.x.pose_ids[0] != departing:
                 assert all(pid != departing for obs in est.track_buf.values()
                            for pid, _ in obs)
             est._update(frame)
-            pose_ids = {p.id for p in est.x.poses}
+            pose_ids = set(est.x.pose_ids.tolist())
             for obs in est.track_buf.values():
                 assert len(obs) <= window - 2
                 assert all(pid in pose_ids for pid, _ in obs)
                 longest = max(longest, len(obs))
-        assert est.x.poses[0].id > 0   # the window slid
+        assert est.x.pose_ids[0] > 0   # the window slid
         assert longest == window - 2
 
 
@@ -571,16 +676,16 @@ def perturbed_position_nees(ds, rng):
     state is drawn from its prior, so the error the filter starts from
     is the one its covariance claims."""
     est = vins.VinsEstimator(ds, FilterConfig(estimator="srif"))
-    lay = est.layout
-    est.x = boxplus(est.x, rng.normal(size=lay.n) * vins._prior_sigmas(lay),
-                    lay)
-    est.frame_motion[0] = (est.x.v.copy(), ds.truth.omegas[0] - est.x.bg)
+    lay = layout_of(est.x)
+    est.x = boxplus(est.x, rng.normal(size=lay.n) * vins._prior_sigmas(lay))
+    est.motion[0] = est.x.v, ds.truth.omegas[0] - est.x.bg
     nees = []
     for frame in ds.frames[1:]:
         for phase in (est._propagate, est._marginalize, est._update):
             phase(frame)
-        off = est.layout.offset(f"pose:{est.x.poses[-1].id}")
-        e = est.x.poses[-1].p - ds.truth.positions[
+        lay = layout_of(est.x)
+        off = lay.pose_cols(lay.n_poses - 1)[0]
+        e = est.x.positions[-1] - ds.truth.positions[
             frame.index * est._step_per_frame]
         P = est._covariance(np.arange(off, off + 3))
         nees.append(float(e @ np.linalg.solve(P, e)))
@@ -678,14 +783,33 @@ class TestCholeskyFallback:
 
 
 class TestTracedBindings:
-    def test_every_span_target_resolves(self):
-        # the benchmark's tracer rebinds these names; one a refactor drops
-        # would crash a traced run or silently stop tracing it
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+    def _spans(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", self.PERFBENCH / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         assert spans.TARGETS
-        for modname, attr, _ in spans.TARGETS:
+        return spans
+
+    def test_every_span_target_resolves(self):
+        # the benchmark's tracer rebinds these names; one a refactor drops
+        # would crash a traced run or silently stop tracing it
+        for modname, attr, _ in self._spans().TARGETS:
             fn = getattr(importlib.import_module(modname), attr, None)
             assert callable(fn), f"{modname}.{attr} is gone"
+
+    def test_every_span_target_names_a_catalogued_metric(self):
+        # a span's metric is named after the module that defines the
+        # function; a function moved to another module would trace under
+        # a name the catalogue does not list, and its metrics would read 0
+        spans = self._spans()
+        catalogue = json.loads((self.PERFBENCH / "metrics.json").read_text())
+        names = [m["name"] for m in catalogue["per_layer"]]
+        for modname, attr, _ in spans.TARGETS:
+            layer = spans.layer_name(getattr(importlib.import_module(modname),
+                                             attr))
+            assert any(nm.startswith(layer + ".") for nm in names), (
+                f"{modname}.{attr} traces as {layer}, which no metric in "
+                f"perfbench/metrics.json names")
