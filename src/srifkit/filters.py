@@ -44,9 +44,10 @@ from .linalg import (
     cholesky_solve,
     cholesky_upper,
     form_normal_half,
+    fortran_copy,
     givens_triangularize,
     householder_qr,
-    rotate_rows,
+    row_rotator,
     sign_normalize_rows,
     solve_upper,
 )
@@ -77,16 +78,17 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
     row and column k, whose column 0 is its own and whose rows are the
     current factor's. Marginalizing the scalar at p in that factor is one
     chain of Givens rotations of adjacent rows (O(n*p)) in one ?lasr call
-    (`linalg.rotate_rows`): it carries row p up to row 0, which the pass
-    discards, and leaves each row it passes one row lower, exploiting the
-    banded fill of the permuted factor; a NaN or inf in the carried row does
-    not spread through an exact identity rotation, which ?lasr skips. A
-    scalar whose column is zero in rows 0..p carries no information, so its
-    column is deleted instead: rows p.. of the factor, one row too many for
-    their columns, are re-triangularized in the factor's own column order,
-    and the zero row left at the bottom rolls to the discarded row 0. Row
-    signs are normalized once at the end; a sign flip of a chain's input row
-    only flips its output row. The result is a view of the permuted copy.
+    (`linalg.row_rotator`, bound once to the permuted copy): it carries row
+    p up to row 0, which the pass discards, and leaves each row it passes
+    one row lower, exploiting the banded fill of the permuted factor; a NaN
+    or inf in the carried row does not spread through an exact identity
+    rotation, which ?lasr skips. A scalar whose column is zero in rows
+    0..p carries no information, so its column is deleted instead: rows
+    p.. of the factor, one row too many for their columns, are
+    re-triangularized in the factor's own column order, and the zero row
+    left at the bottom rolls to the discarded row 0. Row signs are
+    normalized once at the end; a sign flip of a chain's input row only
+    flips its output row. The result is a view of the permuted copy.
     Raises IndexError for a duplicated or out-of-range index.
     """
     n = R.shape[0]
@@ -103,6 +105,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
     # a C-ordered copy (R[:, order] is Fortran-ordered): the chains run
     # along rows, and the result's layout is what later kernels read
     V = R.take(order, axis=1)
+    rotate = row_rotator(V)
     rots = ncols = 0
     for k, p in enumerate((idx - np.arange(b)).tolist()):
         X = V[k:, k:]
@@ -121,8 +124,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
             # (j, j + 1) carries that row up to row j, where it leads r[j]
             lead = X[:start + 1, 0]
             r = np.hypot.accumulate(lead[::-1])[::-1]
-            rotate_rows(X[:start + 1], lead[:-1] / r[:-1], r[1:] / r[:-1],
-                        "V", "B")
+            rotate(k, lead[:-1] / r[:-1], r[1:] / r[:-1], "V", "B")
         # per rotation j = p..1: form it, apply it to the n - k - j
         # trailing columns, and rotate the leading pair
         rots += p
@@ -200,16 +202,19 @@ def srif_augment(R, colmap, rows, old_cols, tb,
 
 def _posterior(R, n1, R22_post, dx2, flops):
     """An update's result from its x2 part: dx1 by back substitution
-    through the prior's R11, and the prior factor with R22 replaced."""
+    through the prior's R11, and the prior factor, in R's memory order,
+    with R22 replaced."""
     n = R.shape[0]
-    dx = np.zeros(n, dtype=R.dtype)
+    dx = np.empty(n, dtype=R.dtype)
     dx[n1:] = dx2
     if n1 > 0:
         rhs = R[:n1, n1:] @ dx2
         dx[:n1] = -solve_upper(R[:n1, :n1], rhs, flops=flops)
         if flops is not None:
             flops.add(adds=n1 * (n - n1), muls=n1 * (n - n1))
-    R_post = R.copy()
+    R_post = np.empty_like(R)
+    R_post[:, :n1] = R[:, :n1]
+    R_post[:n1, n1:] = R[:n1, n1:]
     R_post[n1:, n1:] = R22_post
     return UpdateResult(dx, R_post)
 
@@ -228,10 +233,11 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
     rhs = np.zeros(n2 + m, dtype=R.dtype)
     rhs[n2:] = r
     # a Fortran-ordered copy, which ?tpqrt overwrites in place
-    R22_post, t = householder_qr(np.array(H2, dtype=R.dtype, order="F"), rhs,
+    R22_post, t = householder_qr(fortran_copy(H2, R.dtype), rhs,
                                  flops=flops, overwrite=True, top=R[n1:, n1:])
-    sign_normalize_rows(R22_post, t)
+    # row signs do not change the solution, so only the factor is flipped
     dx2 = solve_upper(R22_post, t[:n2], flops=flops)
+    sign_normalize_rows(R22_post)
     return _posterior(R, n1, R22_post, dx2, flops)
 
 
@@ -240,7 +246,7 @@ def _outside_spai(poses):
     """Read-only mask of the zeros of M_SPAI's triangle on `poses` pose
     blocks: the strictly lower entries and pairs of different components."""
     k = np.arange(6 * poses) % 6
-    mask = (k[:, None] != k) | _strictly_lower(6 * poses)
+    mask = np.asfortranarray((k[:, None] != k) | _strictly_lower(6 * poses))
     mask.flags.writeable = False
     return mask
 
@@ -257,18 +263,33 @@ class Preconditioner:
     X[:, cols]. M_Jacobi holds the column norms of R22 @ M_SPAI^-1.
     `r22p` = R22 @ M^-1 is exactly upper triangular, since its strictly
     lower entries are sums of products with zeros; the update reuses it.
+    `per_row` is the FLOPs of the sparse back substitution with `tri` per
+    row of its operand: 2 per off-diagonal entry and 1 per diagonal entry
+    other than 1.
     """
 
-    n2: int
     cols: slice                   # the pose blocks' columns
     tri: np.ndarray               # M_SPAI[cols, cols], Fortran-ordered
-    jacobi: np.ndarray            # positive diagonal of M_Jacobi
-    r22p: np.ndarray | None = None    # prior R22 @ M^-1
+    per_row: int
+    jacobi: np.ndarray | None = None  # positive diagonal of M_Jacobi
+    r22p: np.ndarray | None = None    # prior R22 @ M^-1, Fortran-ordered
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
         l = self.tri.shape[0] // 6
         return 6 * l * (l - 1) // 2
+
+    def solve_spai(self, X, flops):
+        """X[:, cols] <- X[:, cols] @ M_SPAI[cols, cols]^-1 for a
+        Fortran-ordered X, in place: one ?trsm, counted as the sparse back
+        substitution."""
+        if X.shape[0] and self.tri.size:
+            trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
+            trsm(1.0, self.tri, X[:, self.cols], side=1, overwrite_b=1)
+        if flops is not None:
+            nflops = X.shape[0] * self.per_row
+            flops.add(adds=nflops // 2, muls=nflops - nflops // 2)
+        return X
 
 
 def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
@@ -290,16 +311,17 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
                          f"contiguous 6-column blocks inside [0, {n2})")
     tri = np.array(R22[cols, cols], order="F")
     np.copyto(tri, 0, where=_outside_spai(poses))
-    zero = np.flatnonzero(np.diagonal(tri) == 0)
-    if zero.size:
+    if not np.diagonal(tri).all():
+        k = int(np.flatnonzero(np.diagonal(tri) == 0)[0])
         raise scipy.linalg.LinAlgError(
-            f"singular SPAI block: zero diagonal at pose "
-            f"{zero[0] // 6}, component {zero[0] % 6}")
-    pc = Preconditioner(n2, cols, tri, np.ones(n2, dtype=R22.dtype))
-    R22p = _apply_spai_inverse_right(pc, R22, flops=flops)
+            f"singular SPAI block: zero diagonal at pose {k // 6}, "
+            f"component {k % 6}")
+    pc = Preconditioner(cols, tri, 6 * poses * (poses - 1)
+                        + int(np.count_nonzero(np.diagonal(tri) != 1)))
+    R22p = pc.solve_spai(np.array(R22, order="F"), flops)
     norms = np.sqrt(np.einsum("ij,ij->j", R22p, R22p))
     norms[norms == 0] = 1.0
-    pc.jacobi = norms.astype(R22.dtype)
+    pc.jacobi = norms.astype(R22.dtype, copy=False)
     R22p /= pc.jacobi
     pc.r22p = R22p
     if flops is not None:
@@ -308,29 +330,14 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     return pc
 
 
-def _apply_spai_inverse_right(pc: Preconditioner, A, flops=None):
-    """X = A @ M_SPAI^-1: one ?trsm on the pose columns of a
-    Fortran-ordered copy, which it overwrites in place."""
-    X = np.array(A, order="F")
-    if X.shape[0] and pc.tri.size:
-        trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
-        trsm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
-    if flops is not None:
-        # sparse back substitution: 2m per off-diagonal entry, m per
-        # diagonal entry other than 1
-        m = X.shape[0]
-        diag = np.diagonal(pc.tri)
-        nflops = m * (2 * pc.nnz() + np.count_nonzero(diag != 1.0))
-        flops.add(adds=nflops // 2, muls=nflops - nflops // 2)
-    return X
-
-
 def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
-    """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 (sparse solve + scaling)."""
-    X = _apply_spai_inverse_right(pc, A, flops=flops)
+    """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 in the preconditioner's
+    dtype: one ?trsm on the pose columns of a Fortran-ordered copy, then
+    the Jacobi scaling in place."""
+    X = pc.solve_spai(fortran_copy(A, pc.jacobi.dtype), flops)
     X /= pc.jacobi
     if flops is not None:
-        flops.add(divs=X.shape[0] * pc.n2)
+        flops.add(divs=X.shape[0] * pc.jacobi.size)
     return X
 
 
@@ -343,7 +350,7 @@ def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
         trmm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
     if flops is not None:
         m, nnz = A.shape[0], pc.nnz()
-        flops.add(muls=2 * m * pc.n2 + 2 * m * nnz, adds=m * nnz)
+        flops.add(muls=2 * m * pc.jacobi.size + 2 * m * nnz, adds=m * nnz)
     return X
 
 
@@ -355,7 +362,7 @@ def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
         x[pc.cols] = trtrs(pc.tri, x[pc.cols])[0]
     if flops is not None:
         nnz = pc.nnz()
-        flops.add(adds=nnz, muls=nnz, divs=2 * pc.n2)
+        flops.add(adds=nnz, muls=nnz, divs=2 * pc.jacobi.size)
     return x
 
 
@@ -389,8 +396,7 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     Raises NotPositiveDefinite if the preconditioned Cholesky fails.
     """
     pc = build_preconditioner(R[n1:, n1:], pose_offsets_x2, flops=flops)
-    H2p = apply_preconditioner_inverse(pc, H2.astype(R.dtype, copy=False),
-                                       flops=flops)
+    H2p = apply_preconditioner_inverse(pc, H2, flops=flops)
     U, z = _normal_solve(pc.r22p, H2p, r, flops)
     dx2 = preconditioner_solve_vec(pc, z, flops=flops)
     R22_post = apply_preconditioner_right(pc, U, flops=flops)

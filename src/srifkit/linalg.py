@@ -70,12 +70,17 @@ def sign_normalize_rows(R, rhs=None):
     factors from different QR/Cholesky paths directly comparable. If rhs
     is given its rows are flipped consistently. Only the rows whose
     diagonal entry is negative change (a NaN one spreads along its row);
-    a zero or -0.0 diagonal keeps its row.
+    a zero or -0.0 diagonal keeps its row. When most rows flip, as in a
+    Householder factor, the rows from the first flipped one to the last
+    are multiplied in one pass, each by its sign or by 1, which keeps every
+    bit of a row that does not flip; gathering them would cost more.
     """
     d = np.diagonal(R)[:min(R.shape)]
-    rows = np.flatnonzero(~(d >= 0))
-    if rows.size:
+    flip = np.flatnonzero(~(d >= 0))
+    if flip.size:
+        rows = slice(flip[0], flip[-1] + 1) if 2 * flip.size > d.size else flip
         s = np.sign(d[rows])
+        s[s == 0] = 1
         R[rows] *= s[:, None]
         if rhs is not None:
             shape = (-1,) + (1,) * (rhs.ndim - 1)
@@ -85,10 +90,30 @@ def sign_normalize_rows(R, rhs=None):
 
 @functools.lru_cache(maxsize=8)
 def _strictly_lower(n):
-    """Read-only mask of the strictly lower triangle of an n x n matrix."""
-    mask = np.tri(n, k=-1, dtype=bool)
+    """Read-only mask of the strictly lower triangle of an n x n matrix,
+    Fortran-ordered like the factors it masks (a mask in another order
+    takes half as long again)."""
+    mask = np.asfortranarray(np.tri(n, k=-1, dtype=bool))
     mask.flags.writeable = False
     return mask
+
+
+# rows per slab of `fortran_copy`: on a 2-core Xeon, one
+# np.array(A, order="F") of a C-ordered 995 x 122 matrix takes 1.3-1.6x as
+# long as slabs of 256-512 rows, whose source rows stay cache-resident
+# while their columns are written
+COPY_ROWS = 512
+
+
+def fortran_copy(A, dtype=None):
+    """A Fortran-ordered copy of the 2-D A, in `dtype` (default A's),
+    written in slabs of COPY_ROWS rows."""
+    A = np.asarray(A)
+    m, n = A.shape
+    X = np.empty((n, m), dtype=A.dtype if dtype is None else dtype).T
+    for i in range(0, m, COPY_ROWS):
+        X[i:i + COPY_ROWS] = A[i:i + COPY_ROWS]
+    return X
 
 
 # panel width of ?tpqrt's compact-WY blocks; 8 was the fastest of 2-32 at
@@ -131,8 +156,7 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
         geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (A,))
         qr = geqrf(A, overwrite_a=overwrite)[0]
         R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
-        k = np.arange(min(n, m - 1))
-        span = m - k
+        cols = min(n, m - 1)
     else:
         tpqrt, tpmqrt = scipy.linalg.lapack.get_lapack_funcs(
             ("tpqrt", "tpmqrt"), (top, A))
@@ -145,17 +169,31 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
                 c1, c2, _ = tpmqrt(0, v, t, b[:n], b[n:], trans="T",
                                    overwrite_b=overwrite)
                 b = np.concatenate([c1, c2])
-        k = np.arange(n if m else 0)
-        span = np.full(k.size, m + 1)
+        cols = n if m else 0
     if b is not None and np.ndim(rhs) == 1:
         b = b[:, 0]
     if flops is not None:
-        has = np.diag(R)[: k.size] != 0      # columns with a reflector
-        cols = n - k[has] - 1 + nrhs         # trailing columns it updates
-        reflect = span[has] * (1 + 2 * cols)
-        flops.add(adds=(span - 1).sum() + reflect.sum(),
-                  muls=span.sum() + (reflect + cols).sum(),
-                  sqrts=k.size)
+        # column k spans m - k rows, or m + 1 with top; with a reflector
+        # (a nonzero diagonal entry) it updates the c - k trailing
+        # columns, c = n - 1 + nrhs, at (1 + 2 (c - k)) FLOPs per row; the
+        # sums over those columns need only the count, sum and sum of
+        # squares of their indices, in closed form when every column has one
+        d = np.diagonal(R)[:cols]
+        h = int(np.count_nonzero(d))
+        if h == cols:
+            k1, k2 = h * (h - 1) // 2, (h - 1) * h * (2 * h - 1) // 6
+        else:
+            k = np.flatnonzero(d)
+            k1, k2 = int(k.sum()), int(k @ k)
+        c = n - 1 + nrhs
+        if top is None:
+            spans = cols * m - cols * (cols - 1) // 2
+            reflect = h * m * (1 + 2 * c) - k1 * (1 + 2 * c + 2 * m) + 2 * k2
+        else:
+            spans = cols * (m + 1)
+            reflect = (m + 1) * (h * (1 + 2 * c) - 2 * k1)
+        flops.add(adds=spans - cols + reflect,
+                  muls=spans + reflect + h * c - k1, sqrts=cols)
     return R, b
 
 
@@ -173,29 +211,52 @@ def _bind_lasr(name):
 _LASR = {np.dtype(t): _bind_lasr(t[0] + "lasr") for t in ("single", "double")}
 
 
-def rotate_rows(X, c, s, pivot, direct):
-    """Rotate the rows of X, any view with contiguous rows, in one ?lasr.
+def row_rotator(V):
+    """rotate(k, c, s, pivot, direct): rotate the top len(c) + 1 rows of
+    the trailing view V[k:, k:] in one ?lasr call.
 
-    Rotation k maps rows (a, b) = (k, k + 1) for pivot "V", or (0, k + 1)
-    for "T", to (c[k] a + s[k] b, c[k] b - s[k] a), in ascending k for
-    direct "F" and descending k for "B"; one whose (c, s) is exactly
-    (1, 0) is skipped, so a NaN or inf does not spread through it. Raises
-    ValueError, before LAPACK sees a pointer, for a dtype other than
-    float32/float64, a read-only X, a column stride other than 1, a row
-    stride shorter than a row, or c, s not of length X.shape[0] - 1.
+    Rotation i maps rows (a, b) = (i, i + 1) of the view for pivot "V", or
+    (0, i + 1) for "T", to (c[i] a + s[i] b, c[i] b - s[i] a), in
+    ascending i for direct "F" and descending i for "B"; one whose (c, s)
+    is exactly (1, 0) is skipped, so a NaN or inf does not spread through
+    it. V is checked, and its address taken, once: ValueError for a dtype
+    other than float32/float64, a read-only V, a column stride other than
+    1 or a row stride shorter than a row. Each call raises ValueError,
+    before LAPACK sees a pointer, for c and s that are not vectors of one
+    length or rows outside V.
     """
-    lasr = _LASR.get(X.dtype)
-    rows, cols = X.shape
-    lda, rem = divmod(X.strides[0], X.itemsize)
-    # c and s in one fresh array, whose address costs less than .ctypes.data
-    cs = np.array((c, s), dtype=X.dtype if lasr else None)
-    if (lasr is None or not X.flags.writeable or X.strides[1] != X.itemsize
-            or rem or lda < cols or cs.shape != (2, rows - 1)):
-        raise ValueError(f"cannot rotate a {X.dtype} view of shape {X.shape}"
-                         f" and strides {X.strides} by (c, s) of {cs.shape}")
-    n, at = ctypes.c_int, ctypes.addressof(ctypes.c_char.from_buffer(cs))
-    lasr(b"R", pivot.encode(), direct.encode(), n(cols), n(rows), at,
-         at + cs.strides[0], X.ctypes.data, n(max(lda, 1)))
+    lasr = _LASR.get(V.dtype)
+    rows, cols = V.shape
+    lda, rem = divmod(V.strides[0], V.itemsize)
+    if (lasr is None or not V.flags.writeable or V.strides[1] != V.itemsize
+            or rem or lda < cols):
+        raise ValueError(f"cannot rotate a {V.dtype} view of shape {V.shape}"
+                         f" and strides {V.strides}")
+    base, size, n = V.ctypes.data, V.itemsize, ctypes.c_int
+
+    def rotate(k, c, s, pivot, direct):
+        # c and s in one fresh array, whose address costs less than
+        # .ctypes.data
+        cs = np.array((c, s), dtype=V.dtype)
+        if cs.ndim != 2 or not 0 <= k <= min(rows - 1 - cs.shape[1], cols):
+            raise ValueError(f"cannot rotate rows {k}.. of a view of shape "
+                             f"{V.shape} by (c, s) of shape {cs.shape}")
+        at = ctypes.addressof(ctypes.c_char.from_buffer(cs))
+        lasr(b"R", pivot.encode(), direct.encode(), n(cols - k),
+             n(cs.shape[1] + 1), at, at + cs.strides[0],
+             base + (k * lda + k) * size, n(max(lda, 1)))
+
+    return rotate
+
+
+def rotate_rows(X, c, s, pivot, direct):
+    """Rotate all rows of X, any view with contiguous rows, in one ?lasr:
+    `row_rotator(X)(0, c, s, pivot, direct)` for c and s of length
+    X.shape[0] - 1, and ValueError for any other."""
+    if not np.shape(c) == np.shape(s) == (X.shape[0] - 1,):
+        raise ValueError(f"cannot rotate the {X.shape[0]} rows of a view by "
+                         f"(c, s) of shapes {np.shape(c)}, {np.shape(s)}")
+    row_rotator(X)(0, c, s, pivot, direct)
 
 
 def givens_triangularize(A, flops: FlopCounter | None = None):
@@ -256,7 +317,7 @@ def cholesky_upper(S, flops: FlopCounter | None = None):
     # on the diagonal, but runs on through NaN and +inf, which leave
     # sqrt(pivot) there
     q = info - 1 if info > 0 else n
-    bad = np.flatnonzero(~np.isfinite(np.diag(U)[:q]))
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(U)[:q]))
     failed = bad.size > 0 or info > 0
     if bad.size:
         q = int(bad[0])
@@ -280,7 +341,8 @@ def cholesky_upper(S, flops: FlopCounter | None = None):
 def solve_upper(U, b, flops: FlopCounter | None = None):
     """Solve U x = b by back substitution (LAPACK ?trtrs).
 
-    ?trtrs reads a C-ordered U as U.T; a Fortran-ordered U is copied.
+    ?trtrs reads a Fortran-ordered U as it is and any other U as the
+    lower-triangular U.T, so a C-ordered U is not copied either.
     Counted per right-hand side as the substitution's n(n - 1)/2
     multiply-adds and n divisions.
     """
@@ -290,7 +352,10 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
         tri = n * (n - 1) // 2 * ncol
         flops.add(adds=tri, muls=tri, divs=n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
-    x, info = trtrs(U.T, b, lower=1, trans=1)
+    if U.flags.f_contiguous:
+        x, info = trtrs(U, b)
+    else:
+        x, info = trtrs(U.T, b, lower=1, trans=1)
     if info > 0:
         raise SingularTriangular(info - 1)
     return x
@@ -317,11 +382,13 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
     The upper triangle comes from BLAS ?syrk (roughly m*n**2 FLOPs instead
     of 2*m*n**2), and the result is exactly symmetric by construction.
     An n x n `top` (read as upper triangular: its strictly lower part is
-    ignored) adds top.T @ top through ?trmm, and ?syrk accumulates A.T @ A
-    onto it with beta = 1, so [top; A] is never stacked. top's part is
-    counted as the upper half of a product of two triangular factors,
-    n**3 / 3 FLOPs against n**3 for a ?syrk over its zeros (?trmm itself
-    multiplies the triangle into a full square, about n**3).
+    ignored) adds top.T @ top through ?trmm, which reads only top's
+    triangle, on a Fortran-ordered copy of top with its strictly lower
+    part zeroed, and ?syrk accumulates A.T @ A onto it with beta = 1, so
+    [top; A] is never stacked. top's part is counted as the upper half of
+    a product of two triangular factors, n**3 / 3 FLOPs against n**3 for a
+    ?syrk over its zeros (?trmm itself multiplies the triangle into a full
+    square, about n**3).
     """
     m, n = A.shape
     syrk, trmm = scipy.linalg.blas.get_blas_funcs(("syrk", "trmm"), (A,))
@@ -330,11 +397,9 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
     if top is None:
         S = np.zeros((n, n), dtype=A.dtype, order="F")
     else:
-        # top.T @ top as L @ L.T for the Fortran-ordered lower L = top.T
-        L = np.array(top.T, order="F")
-        np.copyto(L, 0, where=_strictly_lower(n).T)
-        S = trmm(1.0, np.asarray(top).T, L, side=1, lower=1, trans_a=1,
-                 overwrite_b=1)
+        T = np.array(top, dtype=A.dtype, order="F")
+        np.copyto(T, 0, where=_strictly_lower(n))
+        S = trmm(1.0, top, T, lower=0, trans_a=1, overwrite_b=1)
     if m:    # ?syrk rejects the leading dimension of an empty A
         S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
     np.copyto(S, S.T, where=_strictly_lower(n))

@@ -521,6 +521,27 @@ class TestPreconditioner:
         x = preconditioner_solve_vec(pc, z)
         assert np.allclose(preconditioner_dense(R22, [0, 6]) @ x, z, atol=1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inverse_matches_definition_on_graded_columns(self, dtype):
+        # column norms from 1e-3 to 1e3 in the prior and in the operand:
+        # A M^-1 = A M_SPAI^-1 M_Jacobi^-1 must hold column by column, so
+        # no small column may be lost next to a large one
+        rng = np.random.default_rng(31)
+        n2, offsets = 30, [4, 10, 16]
+        g = np.logspace(-3, 3, n2)
+        R22 = (random_spd_factor(rng, n2) * g).astype(dtype)
+        A = (rng.normal(size=(40, n2)) * g).astype(dtype)
+        pc = build_preconditioner(R22, offsets)
+        M_spai = np.eye(n2)
+        M_spai[4:22, 4:22] = pc.tri
+        ref = (A.astype(np.float64) @ np.linalg.inv(M_spai)
+               / pc.jacobi.astype(np.float64))
+        got = apply_preconditioner_inverse(pc, A)
+        assert got.dtype == dtype
+        err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert err.max() <= 10 * n2 * eps_of(dtype)
+        assert pc.jacobi.max() / pc.jacobi.min() > 1e5
+
     def test_zero_column_norm_pinned_to_one(self):
         R22 = np.eye(6)
         R22[3, 3] = 0.0

@@ -12,9 +12,11 @@ from srifkit.linalg import (
     cholesky_upper,
     cond_spectral,
     form_normal_half,
+    fortran_copy,
     givens_triangularize,
     householder_qr,
     rotate_rows,
+    row_rotator,
     sign_normalize_rows,
     solve_upper,
 )
@@ -233,6 +235,53 @@ class TestRotateRows:
         assert np.array_equal(V, np.arange(48.0).reshape(6, 8))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rotator_is_rotate_rows_on_each_trailing_view(self, dtype):
+        # marginalize_block's calls: one rotator per permuted copy, one
+        # chain per trailing view V[k:, k:], its top rows only
+        rng = np.random.default_rng(21)
+        V = rng.normal(size=(10, 10)).astype(dtype)
+        W = V.copy()
+        rotate = row_rotator(V)
+        for k, rows in ((0, 10), (2, 5), (7, 3), (8, 2)):
+            theta = rng.uniform(-np.pi, np.pi, size=rows - 1)
+            c, s = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+            rotate(k, c, s, "V", "B")
+            rotate_rows(W[k:k + rows, k:], c, s, "V", "B")
+            assert V.tobytes() == W.tobytes()
+
+    def test_rotator_rejects_rows_outside_the_matrix(self):
+        V = np.arange(36.0).reshape(6, 6)
+        rotate = row_rotator(V)
+        bad = {
+            "negative k": (-1, np.ones(2)),
+            "rows past the end": (3, np.ones(3)),
+            "k past the columns": (6, np.ones(0)),
+            "c not a vector": (0, np.ones((2, 1))),
+        }
+        for name, (k, c) in bad.items():
+            with pytest.raises(ValueError):
+                rotate(k, c, np.zeros_like(c), "V", "F")
+            assert np.array_equal(V, np.arange(36.0).reshape(6, 6)), name
+        with pytest.raises(ValueError):
+            rotate(0, np.ones(2), np.ones(3), "V", "F")
+        with pytest.raises(ValueError):
+            row_rotator(V[:, ::2])
+
+
+class TestFortranCopy:
+    @pytest.mark.parametrize("rows", [0, 1, 4, 9, 12])
+    def test_copies_across_slabs(self, monkeypatch, rows):
+        monkeypatch.setattr(linalg, "COPY_ROWS", 4)
+        A = np.arange(rows * 3, dtype=np.float64).reshape(rows, 3)
+        for dtype in (None, np.float32):
+            X = fortran_copy(A, dtype)
+            assert X.flags.f_contiguous and X.shape == A.shape
+            assert X.dtype == (A.dtype if dtype is None else dtype)
+            assert np.array_equal(X, A)
+            assert not np.shares_memory(X, A)
+
+
 class TestGivensTriangularize:
     def test_matches_householder_gram(self):
         rng = np.random.default_rng(7)
@@ -320,6 +369,29 @@ class TestTriangularSolves:
         U[1, 1] = 0.0
         with pytest.raises(SingularTriangular) as e:
             solve_upper(U, np.ones(3))
+        assert e.value.index == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_either_memory_order_reads_the_upper_triangle(self, dtype):
+        # ?trtrs reads a Fortran-ordered U as it is and a C-ordered one as
+        # its transpose; neither reads the strictly lower part
+        rng = np.random.default_rng(15)
+        U = (np.triu(rng.normal(size=(20, 20))) + 8.0 * np.eye(20))
+        b = rng.normal(size=20)
+        junk = U + np.tril(rng.normal(size=(20, 20)), -1)
+        big = np.zeros((25, 25))
+        big[:20, :20] = junk
+        want = np.linalg.solve(U, b)
+        for A in (junk.astype(dtype), np.asfortranarray(junk, dtype=dtype),
+                  big.astype(dtype)[:20, :20]):
+            x = solve_upper(A, b.astype(dtype))
+            assert x.dtype == dtype
+            assert np.abs(x - want).max() <= 100 * eps_of(dtype) * np.abs(
+                want).max()
+        F = np.asfortranarray(np.eye(3, dtype=dtype))
+        F[1, 1] = 0.0
+        with pytest.raises(SingularTriangular) as e:
+            solve_upper(F, np.ones(3, dtype=dtype))
         assert e.value.index == 1
 
 

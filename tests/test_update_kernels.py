@@ -154,6 +154,63 @@ class TestStructuredNormalEquation:
                               form_normal_half(A, top=top))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_top_garbage_below_the_diagonal_is_ignored(self, dtype):
+        # NaN, infinities and huge values under top's diagonal change
+        # nothing, whatever top's memory order, and top is left as it was
+        rng = np.random.default_rng(8)
+        top = _spd_factor(rng, 9).astype(dtype)
+        A = rng.normal(size=(30, 9)).astype(dtype)
+        want = form_normal_half(A, top=top)
+        lower = np.tril_indices(9, -1)
+        junk = top.copy()
+        junk[lower] = rng.choice([np.nan, np.inf, -np.inf, 3e38, -7.0],
+                                 size=lower[0].size).astype(dtype)
+        for t in (junk, np.asfortranarray(junk)):
+            before = t.tobytes()
+            assert form_normal_half(A, top=t).tobytes() == want.tobytes()
+            assert t.tobytes() == before
+
+
+class TestSignNormalizeFactors:
+    """sign_normalize_rows on the factor ?tpqrt hands the QR update, whose
+    rows all flip, against the row-by-row definition: a row whose
+    diagonal entry is negative or NaN is multiplied by that entry's sign,
+    and every other row keeps every bit."""
+
+    @staticmethod
+    def _row_by_row(R, rhs):
+        for i in range(min(R.shape)):
+            if not R[i, i] >= 0:
+                s = np.sign(R[i, i])
+                R[i] *= s
+                rhs[i] *= s
+        return R
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("special", [{}, {3: np.nan, 7: 0.0, 11: -0.0},
+                                         {0: np.nan, 19: -0.0}])
+    def test_every_row_flipping_is_bitwise_the_definition(self, dtype, order,
+                                                          special):
+        rng = np.random.default_rng(4)
+        R22 = _spd_factor(rng, 20).astype(dtype)
+        H2 = rng.normal(size=(50, 20)).astype(dtype, order="F")
+        R, _ = householder_qr(H2, top=R22)
+        # a positive leading entry gets a negative diagonal from ?tpqrt
+        assert np.all(np.diagonal(R) < 0)
+        R = np.array(R, order=order)
+        for k, v in special.items():
+            R[k, k] = v
+        rhs = rng.normal(size=(20, 2)).astype(dtype)
+        want_rhs = rhs.copy()
+        want = self._row_by_row(R.copy(order=order), want_rhs)
+        got = sign_normalize_rows(R, rhs)
+        assert got is R and R.flags[order + "_CONTIGUOUS"]
+        assert R.tobytes() == want.tobytes()
+        assert rhs.tobytes() == want_rhs.tobytes()
+
+
 class TestStructuredPcsrif:
     @given(seed=SEEDS, rows=ROWS, poses=st.integers(0, 2),
            extra=st.integers(1, 4), n1=st.integers(0, 3),
