@@ -3,10 +3,10 @@
 Matrix-level operations shared by the three estimators:
 
 * Givens-based block marginalization exploiting the upper-triangular
-  structure (O(n*p) per scalar, one chain of rotations applied in closed
-  form), run over the whole block in one in-place pass, plus a dense
-  Householder oracle for one scalar with the classical O(n*p^2) cost for
-  cross-validation.
+  structure (O(n*p) per scalar, one chain of rotations in one ?lasr
+  call), run over the whole block in one in-place pass. The classical
+  dense marginalization, O(n*p^2) per scalar, is a reference in the
+  tests.
 * State augmentation folding the linearized process model into the factor
   and re-triangularizing with one structured QR of the embedded prior and
   the 15 constraint rows (?tpqrt, which reflects only the constraint rows
@@ -134,28 +134,6 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
         flops.add(adds=2 * rots + 2 * ncols, muls=4 * rots + 4 * ncols,
                   divs=2 * rots, sqrts=rots)
     return V
-
-
-def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
-    """`marginalize_block(R, [p])` via permutation and dense Householder QR.
-
-    Re-triangularizes the non-triangular top block (rows 0..p) densely,
-    reproducing the classical O(n*p^2) marginalization cost. A state with
-    no information (column p zero in rows 0..p) is deleted instead, and a
-    dense QR re-triangularizes the rows p.. it leaves.
-    """
-    n = R.shape[0]
-    if not 0 <= p < n:
-        raise IndexError(f"p={p} out of range for n={n}")
-    W = R[:, np.r_[p, 0:p, p + 1:n]]
-    if W[:p + 1, 0].any():
-        W[:p + 1] = householder_qr(W[:p + 1], flops=flops)[0]
-        out = W[1:, 1:].copy()
-    else:
-        out = W[:-1, 1:].copy()
-        out[p:, p:] = householder_qr(W[p:, p + 1:], flops=flops)[0]
-    sign_normalize_rows(out)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -63,17 +63,16 @@ class FlopCounter:
         return self.adds + self.muls + self.divs + self.sqrts
 
 
-def sign_normalize_rows(R, rhs=None):
+def sign_normalize_rows(R):
     """Flip rows of an upper-triangular factor so its diagonal is >= 0.
 
     Triangular factors are unique only up to row signs; normalizing makes
-    factors from different QR/Cholesky paths directly comparable. If rhs
-    is given its rows are flipped consistently. Only the rows whose
-    diagonal entry is negative change (a NaN one spreads along its row);
-    a zero or -0.0 diagonal keeps its row. When most rows flip, as in a
-    Householder factor, the rows from the first flipped one to the last
-    are multiplied in one pass, each by its sign or by 1, which keeps every
-    bit of a row that does not flip; gathering them would cost more.
+    factors from different QR/Cholesky paths directly comparable. Only the
+    rows whose diagonal entry is negative change (a NaN one spreads along
+    its row); a zero or -0.0 diagonal keeps its row. When most rows flip,
+    as in a Householder factor, the rows from the first flipped one to the
+    last are multiplied in one pass, each by its sign or by 1, which keeps
+    every bit of a row that does not flip; gathering them would cost more.
     """
     d = np.diagonal(R)[:min(R.shape)]
     flip = np.flatnonzero(~(d >= 0))
@@ -82,9 +81,6 @@ def sign_normalize_rows(R, rhs=None):
         s = np.sign(d[rows])
         s[s == 0] = 1
         R[rows] *= s[:, None]
-        if rhs is not None:
-            shape = (-1,) + (1,) * (rhs.ndim - 1)
-            rhs[rows] *= s.reshape(shape).astype(rhs.dtype)
     return R
 
 
@@ -155,7 +151,7 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
             raise ValueError("a right-hand side needs top")
         geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (A,))
         qr = geqrf(A, overwrite_a=overwrite)[0]
-        R = np.triu(qr[:n, :n]) if m >= n else np.triu(qr)
+        R = np.triu(qr[:n, :n])
         cols = min(n, m - 1)
     else:
         tpqrt, tpmqrt = scipy.linalg.lapack.get_lapack_funcs(
@@ -249,23 +245,13 @@ def row_rotator(V):
     return rotate
 
 
-def rotate_rows(X, c, s, pivot, direct):
-    """Rotate all rows of X, any view with contiguous rows, in one ?lasr:
-    `row_rotator(X)(0, c, s, pivot, direct)` for c and s of length
-    X.shape[0] - 1, and ValueError for any other."""
-    if not np.shape(c) == np.shape(s) == (X.shape[0] - 1,):
-        raise ValueError(f"cannot rotate the {X.shape[0]} rows of a view by "
-                         f"(c, s) of shapes {np.shape(c)}, {np.shape(s)}")
-    row_rotator(X)(0, c, s, pivot, direct)
-
-
 def givens_triangularize(A, flops: FlopCounter | None = None):
     """Zero all below-diagonal entries of A in place with Givens rotations.
 
     Sweeps column by column and rotates only the entries that are nonzero
     when their column is reached, so nearly-triangular inputs cost far less
     than a dense QR. Each column's rotations are one chain against its
-    diagonal row, one ?lasr call (`rotate_rows`), through whose exact
+    diagonal row, one ?lasr call (`row_rotator`), through whose exact
     identities a NaN or inf does not spread. Only rows that start with
     entries below the diagonal are ever rotated into it, because rotations
     keep every other row zero left of its diagonal. Returns A. Its one
@@ -287,7 +273,7 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
         # rotation i zeroes B[i, 0] against row 0, which then leads r[i]
         B = A[idx, j:]
         r = np.hypot.accumulate(B[:, 0])
-        rotate_rows(B, r[:-1] / r[1:], B[1:, 0] / r[1:], "T", "F")
+        row_rotator(B)(0, r[:-1] / r[1:], B[1:, 0] / r[1:], "T", "F")
         B[1:, 0] = 0.0
         B[0, 0] = r[-1]
         A[idx, j:] = B
@@ -377,15 +363,16 @@ def cholesky_solve(U, b, flops: FlopCounter | None = None):
 
 
 def form_normal_half(A, flops: FlopCounter | None = None, top=None):
-    """A.T @ A, plus top.T @ top for an upper-triangular top, mirrored.
+    """The upper triangle of A.T @ A, plus top.T @ top for a triangular top.
 
     The upper triangle comes from BLAS ?syrk (roughly m*n**2 FLOPs instead
-    of 2*m*n**2), and the result is exactly symmetric by construction.
-    An n x n `top` (read as upper triangular: its strictly lower part is
-    ignored) adds top.T @ top through ?trmm, which reads only top's
-    triangle, on a Fortran-ordered copy of top with its strictly lower
-    part zeroed, and ?syrk accumulates A.T @ A onto it with beta = 1, so
-    [top; A] is never stacked. top's part is counted as the upper half of
+    of 2*m*n**2); the strictly lower part of the result is unspecified,
+    as ?potrf (`cholesky_upper`) never reads it. An n x n `top` (read as
+    upper triangular: its strictly lower part is ignored) adds
+    top.T @ top through ?trmm, which reads only top's triangle, on a
+    Fortran-ordered copy of top with its strictly lower part zeroed, and
+    ?syrk accumulates A.T @ A onto it with beta = 1, so [top; A] is never
+    stacked. top's part is counted as the upper half of
     a product of two triangular factors, n**3 / 3 FLOPs against n**3 for a
     ?syrk over its zeros (?trmm itself multiplies the triangle into a full
     square, about n**3).
@@ -402,7 +389,6 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
         S = trmm(1.0, top, T, lower=0, trans_a=1, overwrite_b=1)
     if m:    # ?syrk rejects the leading dimension of an empty A
         S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
-    np.copyto(S, S.T, where=_strictly_lower(n))
     if flops is not None:
         nup = n * (n + 1) // 2
         flops.add(adds=(m - 1) * nup, muls=m * nup)

@@ -1,7 +1,7 @@
 """Sliding-window VINS state vector and its error-state layout.
 
 The window is held as arrays: S SLAM features (ids, anchor pose ids and
-(alpha, beta, rho) parameters) and L poses (ids, times, positions and
+(alpha, beta, rho) parameters) and L poses (ids, positions and
 quaternions), each in chronological order. The error state orders them
 as gyro bias, accel bias, velocity, the features, the time offset, the
 poses, then the camera calibration (intrinsics, then camera-in-IMU
@@ -129,7 +129,6 @@ class VinsStateVector:
     params: np.ndarray       # (S, 3) alpha, beta, rho (1/m) in the anchor camera
     tsync: float
     pose_ids: np.ndarray     # (L,) int64, increasing
-    times: np.ndarray        # (L,)
     positions: np.ndarray    # (L, 3) IMU positions
     quats: np.ndarray        # (L, 4) global-from-IMU rotations, xyzw
     intrinsics: np.ndarray   # (fx, fy, cx, cy)
@@ -147,7 +146,7 @@ class VinsStateVector:
         return VinsStateVector(
             bg=np.zeros(3), ba=np.zeros(3), v=np.zeros(3),
             feature_ids=ids, anchor_ids=ids.copy(), params=np.zeros((0, 3)),
-            tsync=0.0, pose_ids=ids.copy(), times=np.zeros(0),
+            tsync=0.0, pose_ids=ids.copy(),
             positions=np.zeros((0, 3)), quats=np.zeros((0, 4)),
             intrinsics=np.array([400.0, 400.0, 320.0, 240.0]),
             p_ic=np.zeros(3), q_ic=QUAT_IDENTITY.copy(),

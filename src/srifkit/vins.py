@@ -151,7 +151,6 @@ class VinsEstimator:
         x.p_ic = np.asarray(spec.p_ic, dtype=float).copy()
         x.q_ic = np.asarray(spec.q_ic, dtype=float).copy()
         x.pose_ids = np.zeros(1, dtype=np.int64)
-        x.times = np.zeros(1)
         x.positions = truth.positions[:1].copy()
         x.quats = truth.quats[:1].copy()
         self.x = x
@@ -176,8 +175,6 @@ class VinsEstimator:
     # -- representation helpers ------------------------------------------
 
     def _covariance(self, idx):
-        if self.is_kf:
-            return np.asarray(self.P, dtype=np.float64)[np.ix_(idx, idx)]
         # the float64 block P[idx, idx] = Y.T Y, where R.T Y = I[:, idx]
         Y = scipy.linalg.solve_triangular(
             np.asarray(self.R, dtype=np.float64),
@@ -196,7 +193,6 @@ class VinsEstimator:
         tb = imu_transition(x.bg, x.ba, x.v, x.positions[-1], x.quats[-1],
                             omega, accel, dt, self.ds.spec.noise)
         x.pose_ids = np.append(x.pose_ids, frame.index)
-        x.times = np.append(x.times, frame.t)
         x.positions = np.vstack([x.positions, tb.p])
         x.quats = np.vstack([x.quats, tb.q])
         x.v = tb.v.copy()
@@ -239,7 +235,7 @@ class VinsEstimator:
         kept, stay = ~features, ~poses
         x.feature_ids, x.anchor_ids = x.feature_ids[kept], x.anchor_ids[kept]
         x.params = x.params[kept]
-        x.pose_ids, x.times = x.pose_ids[stay], x.times[stay]
+        x.pose_ids = x.pose_ids[stay]
         x.positions, x.quats = x.positions[stay], x.quats[stay]
         self.motion = self.motion[stay]
 

@@ -1,7 +1,7 @@
 """Rotation-by-rotation Givens sweeps, the reference for the ?lasr ones.
 
 `givens_triangularize` and `marginalize_block` apply each chain of rotations
-with one LAPACK ?lasr call (`linalg.rotate_rows`). The functions here apply
+with one LAPACK ?lasr call (`linalg.row_rotator`). The functions here apply
 the same rotations one at a time, in the same order, and count FLOPs per
 rotation, so the tests can compare the two to roundoff and their FLOP
 counts exactly.

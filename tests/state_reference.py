@@ -53,15 +53,13 @@ def walk_layout(n_features: int, n_poses: int):
     return blocks
 
 
-def set_poses(st: VinsStateVector, positions, quats, ids=None, times=None):
-    """Give `st` a window of these poses, with ids 0, 1, ... and times
-    0.1 s apart unless given; returns `st`."""
+def set_poses(st: VinsStateVector, positions, quats, ids=None):
+    """Give `st` a window of these poses, with ids 0, 1, ... unless given;
+    returns `st`."""
     st.positions = np.array(positions, dtype=float).reshape(-1, 3)
     st.quats = np.array(quats, dtype=float).reshape(-1, 4)
-    count = len(st.positions)
-    st.pose_ids = np.arange(count) if ids is None else np.array(ids)
-    st.pose_ids = st.pose_ids.astype(np.int64)
-    st.times = 0.1 * np.arange(count) if times is None else np.array(times)
+    ids = np.arange(len(st.positions)) if ids is None else np.array(ids)
+    st.pose_ids = ids.astype(np.int64)
     return st
 
 

@@ -22,15 +22,15 @@ from srifkit.filters import (
     apply_preconditioner_inverse,
     build_preconditioner,
     marginalize_block,
-    marginalize_oracle_householder,
     pcsrif_update,
     srif_update_partitioned,
 )
-from srifkit.linalg import FlopCounter, form_normal_half
+from srifkit.linalg import FlopCounter
 from srifkit.sim import conditioning_scenario, default_scenario, gen_dataset
 from srifkit.state import boxplus, layout_of
 from srifkit.vins import FilterConfig, run_filter
 
+from householder_reference import marginalize_oracle_householder
 from test_filters import random_factor, schur_marginal_info
 from model_reference import BehindCamera
 from test_models import make_scene, project_one, scene_motion

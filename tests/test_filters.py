@@ -15,7 +15,6 @@ from srifkit.filters import (
     kf_propagate,
     kf_update,
     marginalize_block,
-    marginalize_oracle_householder,
     pcsrif_update,
     preconditioner_solve_vec,
     srif_augment,
@@ -31,6 +30,7 @@ from srifkit.models import TransitionBlock
 from srifkit.state import Layout
 
 from givens_reference import marginalize_by_rotation
+from householder_reference import marginalize_oracle_householder
 from state_reference import walk_layout
 from tolerances import eps_of
 

@@ -15,7 +15,6 @@ from srifkit.linalg import (
     fortran_copy,
     givens_triangularize,
     householder_qr,
-    rotate_rows,
     row_rotator,
     sign_normalize_rows,
     solve_upper,
@@ -128,7 +127,7 @@ class TestHouseholderQR:
         assert np.allclose(np.diag(R)[1:], 0.0)
 
 
-def sign_normalize_by_multiply(R, rhs=None):
+def sign_normalize_by_multiply(R):
     """Every row of the first min(R.shape) times the sign of its diagonal
     entry, a zero diagonal counting as +1: the form `sign_normalize_rows`
     must match bitwise."""
@@ -136,18 +135,14 @@ def sign_normalize_by_multiply(R, rhs=None):
     d = np.sign(np.diag(R)[:n])
     d[d == 0] = 1.0
     R[:n, :] *= d[:, None].astype(R.dtype)
-    if rhs is not None:
-        rhs[:n] *= d.reshape((n,) + (1,) * (rhs.ndim - 1)).astype(rhs.dtype)
     return R
 
 
 class TestSignNormalizeRows:
     @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
            n=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
-           negative=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-           rhs_cols=st.sampled_from([None, 0, 1, 3]))
-    def test_bitwise_the_multiply_by_sign(self, seed, m, n, dtype, negative,
-                                          rhs_cols):
+           negative=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_bitwise_the_multiply_by_sign(self, seed, m, n, dtype, negative):
         rng = np.random.default_rng(seed)
         R = np.triu(rng.normal(size=(m, n))).astype(dtype)
         # a share of negative diagonal entries, with zero, -0.0 and NaN
@@ -157,20 +152,14 @@ class TestSignNormalizeRows:
         special = rng.random(k) < 0.2
         signs[special] = rng.choice([0.0, -0.0, np.nan], size=special.sum())
         R[range(k), range(k)] = np.abs(np.diag(R)[:k]) * signs.astype(dtype)
-        rhs = None
-        if rhs_cols is not None:
-            rhs = rng.normal(size=(m,) if rhs_cols == 0 else (m, rhs_cols))
-        want_R = sign_normalize_by_multiply(
-            R.copy(), None if rhs is None else (want_rhs := rhs.copy()))
-        got = sign_normalize_rows(R, rhs)
+        want_R = sign_normalize_by_multiply(R.copy())
+        got = sign_normalize_rows(R)
         assert got is R and R.dtype == dtype
         assert R.tobytes() == want_R.tobytes()
-        if rhs is not None:
-            assert rhs.tobytes() == want_rhs.tobytes()
 
 
-class TestRotateRows:
-    """rotate_rows, one ?lasr call, against rotations applied one by one."""
+class TestRowRotator:
+    """row_rotator, one ?lasr call, against rotations applied one by one."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pivot", ["V", "T"])
@@ -188,7 +177,7 @@ class TestRotateRows:
             i = k if pivot == "V" else 0
             apply_givens_rows(ref, GivensRotation(float(c[k]), float(s[k]),
                                                   i, k + 1))
-        rotate_rows(V[3:9, 3:], c, s, pivot, direct)
+        row_rotator(V[3:9, 3:])(0, c, s, pivot, direct)
         assert V.dtype == dtype
         outside = np.ones(V.shape, dtype=bool)
         outside[3:9, 3:] = False
@@ -200,7 +189,7 @@ class TestRotateRows:
     def test_exact_identity_does_not_spread_nan(self, dtype):
         X = np.ones((3, 4), dtype=dtype)
         X[1, 2] = np.nan
-        rotate_rows(X, [1.0, 0.6], [0.0, 0.8], "V", "F")
+        row_rotator(X)(0, [1.0, 0.6], [0.0, 0.8], "V", "F")
         assert np.array_equal(np.isnan(X), [[0, 0, 0, 0], [0, 0, 1, 0],
                                             [0, 0, 1, 0]])
 
@@ -224,19 +213,17 @@ class TestRotateRows:
             "s too short": (V[:4], c, np.ones(2)),
             "c not a vector": (V[:4], np.ones((3, 1)), s),
             "c and s too long": (V[:4], np.ones(4), np.ones(4)),
-            "c and s too short": (V[:4], np.ones(2), np.ones(2)),
             "c and s not vectors": (V[:4], np.ones((3, 1)), np.ones((3, 1))),
         }
         for name, (X, cc, ss) in bad.items():
             copy = X.copy()
             with pytest.raises(ValueError):
-                rotate_rows(X, cc, ss, "V", "F")
+                row_rotator(X)(0, cc, ss, "V", "F")
             assert np.array_equal(X, copy), name
         assert np.array_equal(V, np.arange(48.0).reshape(6, 8))
 
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_rotator_is_rotate_rows_on_each_trailing_view(self, dtype):
+    def test_rotator_at_k_is_a_rotator_of_the_trailing_view(self, dtype):
         # marginalize_block's calls: one rotator per permuted copy, one
         # chain per trailing view V[k:, k:], its top rows only
         rng = np.random.default_rng(21)
@@ -247,7 +234,7 @@ class TestRotateRows:
             theta = rng.uniform(-np.pi, np.pi, size=rows - 1)
             c, s = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
             rotate(k, c, s, "V", "B")
-            rotate_rows(W[k:k + rows, k:], c, s, "V", "B")
+            row_rotator(W[k:k + rows, k:])(0, c, s, "V", "B")
             assert V.tobytes() == W.tobytes()
 
     def test_rotator_rejects_rows_outside_the_matrix(self):
@@ -396,12 +383,11 @@ class TestTriangularSolves:
 
 
 class TestNormalHalf:
-    def test_exact_symmetry_and_value(self):
+    def test_upper_triangle_value(self):
         rng = np.random.default_rng(12)
         A = rng.normal(size=(40, 10))
         S = form_normal_half(A)
-        assert np.array_equal(S, S.T)
-        assert np.allclose(S, A.T @ A)
+        assert np.allclose(np.triu(S), np.triu(A.T @ A))
 
     def test_flops_half_of_qr(self):
         m, n = 600, 40
@@ -537,13 +523,12 @@ class TestKernelProperties:
         assert np.isnan(e.value.value)
 
     @given(dtype=DTYPES, seed=SEEDS, m=st.integers(1, 30), n=st.integers(1, 12))
-    def test_normal_half_exactly_symmetric(self, dtype, seed, m, n):
+    def test_normal_half_upper_triangle(self, dtype, seed, m, n):
         A = np.random.default_rng(seed).normal(size=(m, n)).astype(dtype)
         S = form_normal_half(A)
         assert S.dtype == dtype
-        assert np.array_equal(S, S.T)
         A64 = A.astype(np.float64)
-        assert np.allclose(S, A64.T @ A64, rtol=0,
+        assert np.allclose(np.triu(S), np.triu(A64.T @ A64), rtol=0,
                            atol=4 * m * eps_of(dtype) * np.abs(A64).max() ** 2)
 
     def test_cholesky_failure_flops_by_hand(self):

@@ -202,7 +202,7 @@ class TestBoxplus:
         out = boxplus(st, np.ones(layout_of(st).n) * 0.1)
         for name, value in vars(st).items():
             assert np.array_equal(value, getattr(before, name)), name
-        for name in ("feature_ids", "anchor_ids", "pose_ids", "times"):
+        for name in ("feature_ids", "anchor_ids", "pose_ids"):
             assert np.array_equal(getattr(out, name), getattr(st, name)), name
             assert getattr(out, name) is not getattr(st, name), name
 

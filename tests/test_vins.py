@@ -463,7 +463,7 @@ class TestCrossEstimatorEquivalence:
                 getattr(sr, phase)(frame)
                 assert window_ids(kf) == window_ids(sr)
                 every = np.arange(layout_of(kf.x).n)
-                P_kf, P_sr = kf._covariance(every), sr._covariance(every)
+                P_kf, P_sr = kf.P, sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
@@ -529,7 +529,7 @@ class TestCrossEstimatorEquivalence:
                                    for fid in feats[1:])
                 assert window_ids(kf) == window_ids(sr)
                 every = np.arange(layout_of(kf.x).n)
-                P_kf, P_sr = kf._covariance(every), sr._covariance(every)
+                P_kf, P_sr = kf.P, sr._covariance(every)
                 s = np.sqrt(np.diag(P_sr))
                 div = float(np.abs((P_kf - P_sr) / np.outer(s, s)).max())
                 assert div <= 1e-9, f"{phase} at t={frame.t}: {div}"
