@@ -36,7 +36,7 @@ class TrajectoryMetrics:
 
 
 def _kappa2(A):
-    k, _, _ = cond_spectral(np.asarray(A, dtype=np.float64))
+    k = cond_spectral(A)
     return k * k
 
 

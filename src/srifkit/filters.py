@@ -131,8 +131,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
         ncols += p * (n - k) - p * (p + 1) // 2
     V = sign_normalize_rows(V[b:, b:])
     if flops is not None and rots:
-        flops.add(adds=2 * rots + 2 * ncols, muls=4 * rots + 4 * ncols,
-                  divs=2 * rots, sqrts=rots)
+        flops.add(9 * rots + 6 * ncols)
     return V
 
 
@@ -167,7 +166,7 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
     C[:, rows] += tb.sqrt_info.astype(dtype)
     if flops is not None:
-        flops.add(adds=15 * 15 * 15, muls=2 * 15 * 15 * 15)  # L @ Phi and embed
+        flops.add(3 * 15 * 15 * 15)  # L @ Phi and embed
     R_aug, _ = householder_qr(C, flops=flops, overwrite=True, top=T)
     sign_normalize_rows(R_aug)
     return R_aug
@@ -189,7 +188,7 @@ def _posterior(R, n1, R22_post, dx2, flops):
         rhs = R[:n1, n1:] @ dx2
         dx[:n1] = -solve_upper(R[:n1, :n1], rhs, flops=flops)
         if flops is not None:
-            flops.add(adds=n1 * (n - n1), muls=n1 * (n - n1))
+            flops.add(2 * n1 * (n - n1))
     R_post = np.empty_like(R)
     R_post[:, :n1] = R[:, :n1]
     R_post[:n1, n1:] = R[:n1, n1:]
@@ -265,8 +264,7 @@ class Preconditioner:
             trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
             trsm(1.0, self.tri, X[:, self.cols], side=1, overwrite_b=1)
         if flops is not None:
-            nflops = X.shape[0] * self.per_row
-            flops.add(adds=nflops // 2, muls=nflops - nflops // 2)
+            flops.add(X.shape[0] * self.per_row)
         return X
 
 
@@ -304,7 +302,7 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     pc.r22p = R22p
     if flops is not None:
         # the column norms, and the Jacobi scaling of R22p
-        flops.add(adds=(n2 - 1) * n2, muls=n2 * n2, divs=n2 * n2, sqrts=n2)
+        flops.add(3 * n2 * n2)
     return pc
 
 
@@ -315,7 +313,7 @@ def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
     X = pc.solve_spai(fortran_copy(A, pc.jacobi.dtype), flops)
     X /= pc.jacobi
     if flops is not None:
-        flops.add(divs=X.shape[0] * pc.jacobi.size)
+        flops.add(X.shape[0] * pc.jacobi.size)
     return X
 
 
@@ -327,8 +325,7 @@ def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
         trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
         trmm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
     if flops is not None:
-        m, nnz = A.shape[0], pc.nnz()
-        flops.add(muls=2 * m * pc.jacobi.size + 2 * m * nnz, adds=m * nnz)
+        flops.add(A.shape[0] * (2 * pc.jacobi.size + 3 * pc.nnz()))
     return X
 
 
@@ -339,8 +336,7 @@ def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
         trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (x,))
         x[pc.cols] = trtrs(pc.tri, x[pc.cols])[0]
     if flops is not None:
-        nnz = pc.nnz()
-        flops.add(adds=nnz, muls=nnz, divs=2 * pc.jacobi.size)
+        flops.add(2 * (pc.nnz() + pc.jacobi.size))
     return x
 
 
@@ -352,7 +348,7 @@ def _normal_solve(T, H, r, flops):
     U = cholesky_upper(form_normal_half(H, flops=flops, top=T), flops=flops)
     w = H.T @ r.astype(H.dtype, copy=False)
     if flops is not None:    # H.T r
-        flops.add(adds=m * n, muls=m * n)
+        flops.add(2 * m * n)
     return U, cholesky_solve(U, w, flops=flops)
 
 
@@ -424,8 +420,7 @@ def kf_propagate(P, keep, sel, rows, tb, flops=None):
     P_new[np.ix_(rows, rows)] = 0.5 * (corner + corner.T)
     if flops is not None:
         # Phi P[sel, :], the corner's two 15 x 15 products and their sum
-        flops.add(adds=210 * P.shape[0] + 2 * 3150 + 225,
-                  muls=225 * P.shape[0] + 2 * 3375)
+        flops.add(435 * P.shape[0] + 13275)
     return P_new
 
 
@@ -448,13 +443,11 @@ def kf_update(P, H2, r, n1, flops=None):
     A = P - K @ HP
     P_new = A - (A[:, n1:] @ H2.T) @ K.T + K @ K.T
     if flops is not None:
-        # H P and H P H.T; the Cholesky of S and its two solves for K; K r;
-        # K (H P), (A H.T) K.T and K K.T; A H.T; the three n x n sums
+        # H P and H P H.T + I; the Cholesky of S and its two solves for K;
+        # K r; K (H P), (A H.T) K.T and K K.T; A H.T; the three n x n sums
         mm, mn = m * m, m * n
-        flops.add(adds=mn * (n2 - 1) + mm * (n2 - 1) + m + m ** 3 // 6
-                  + mm * n + n * (m - 1) + 3 * n * n * (m - 1)
-                  + n * m * (n2 - 1) + 3 * n * n,
-                  muls=mn * n2 + mm * n2 + m ** 3 // 6 + mm * n + n * m
-                  + 3 * n * n * m + n * m * n2,
-                  divs=m * (m + 1) // 2, sqrts=m)
+        flops.add((mn + mm) * (2 * n2 - 1) + m
+                  + 2 * (m ** 3 // 6) + m * (m + 1) // 2 + m + 2 * mm * n
+                  + n * (2 * m - 1) + 3 * n * n * (2 * m - 1)
+                  + mn * (2 * n2 - 1) + 3 * n * n)
     return dx, 0.5 * (P_new + P_new.T)

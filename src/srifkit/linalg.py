@@ -41,26 +41,21 @@ class SingularTriangular(Exception):
 
 @dataclass
 class FlopCounter:
-    """Accumulates floating-point operation counts by kind.
+    """Accumulates a floating-point operation count.
 
     Counts are model-level: each kernel reports the arithmetic its
-    algorithm performs, so counts are identical across precisions and
-    platforms.
+    algorithm performs, every add, multiply, division and square root one
+    FLOP (Golub & Van Loan's convention), so counts are identical across
+    precisions and platforms.
     """
 
-    adds: int = 0
-    muls: int = 0
-    divs: int = 0
-    sqrts: int = 0
+    count: int = 0
 
-    def add(self, adds=0, muls=0, divs=0, sqrts=0):
-        self.adds += int(adds)
-        self.muls += int(muls)
-        self.divs += int(divs)
-        self.sqrts += int(sqrts)
+    def add(self, flops):
+        self.count += int(flops)
 
     def total(self) -> int:
-        return self.adds + self.muls + self.divs + self.sqrts
+        return self.count
 
 
 def sign_normalize_rows(R):
@@ -101,12 +96,12 @@ def _strictly_lower(n):
 COPY_ROWS = 512
 
 
-def fortran_copy(A, dtype=None):
-    """A Fortran-ordered copy of the 2-D A, in `dtype` (default A's),
-    written in slabs of COPY_ROWS rows."""
+def fortran_copy(A, dtype):
+    """A Fortran-ordered copy of the 2-D A, in `dtype`, written in slabs of
+    COPY_ROWS rows."""
     A = np.asarray(A)
     m, n = A.shape
-    X = np.empty((n, m), dtype=A.dtype if dtype is None else dtype).T
+    X = np.empty((n, m), dtype=dtype).T
     for i in range(0, m, COPY_ROWS):
         X[i:i + COPY_ROWS] = A[i:i + COPY_ROWS]
     return X
@@ -169,11 +164,12 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
     if b is not None and np.ndim(rhs) == 1:
         b = b[:, 0]
     if flops is not None:
-        # column k spans m - k rows, or m + 1 with top; with a reflector
-        # (a nonzero diagonal entry) it updates the c - k trailing
-        # columns, c = n - 1 + nrhs, at (1 + 2 (c - k)) FLOPs per row; the
-        # sums over those columns need only the count, sum and sum of
-        # squares of their indices, in closed form when every column has one
+        # column k's norm costs 2 FLOPs per row it spans, m - k rows or
+        # m + 1 with top; with a reflector (a nonzero diagonal entry) it
+        # updates the c - k trailing columns, c = n - 1 + nrhs, at
+        # 2 (1 + 2 (c - k)) FLOPs per row plus c - k; the sums over those
+        # columns need only the count, sum and sum of squares of their
+        # indices, in closed form when every column has one
         d = np.diagonal(R)[:cols]
         h = int(np.count_nonzero(d))
         if h == cols:
@@ -188,8 +184,7 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
         else:
             spans = cols * (m + 1)
             reflect = (m + 1) * (h * (1 + 2 * c) - 2 * k1)
-        flops.add(adds=spans - cols + reflect,
-                  muls=spans + reflect + h * c - k1, sqrts=cols)
+        flops.add(2 * (spans + reflect) + h * c - k1)
     return R, b
 
 
@@ -259,8 +254,8 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
     `filters.marginalize_block`.
 
     The FLOP count is the rotation-by-rotation one: forming a rotation costs
-    1 add, 2 muls, 2 divs and 1 sqrt, and applying it in column j costs 2
-    adds and 4 muls per column of j..n-1.
+    6 (1 add, 2 muls, 2 divs and 1 sqrt), and applying it in column j
+    costs 6 (2 adds and 4 muls) per column of j..n-1.
     """
     m, n = A.shape
     rows = np.flatnonzero(np.any(np.tril(A, -1) != 0, axis=1))
@@ -280,8 +275,7 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
         nrot += nz.size
         nwork += nz.size * (n - j)
     if flops is not None:
-        flops.add(adds=nrot + 2 * nwork, muls=2 * nrot + 4 * nwork,
-                  divs=2 * nrot, sqrts=nrot)
+        flops.add(6 * (nrot + nwork))
     return A
 
 
@@ -310,14 +304,13 @@ def cholesky_upper(S, flops: FlopCounter | None = None):
     if flops is not None:
         # the column sweep's count: q full steps, then the failing pivot;
         # step k's pivot and each of its n - k - 1 off-diagonal entries
-        # subtract a k-term dot product (k muls, k adds), and each
-        # off-diagonal entry divides by the pivot
+        # subtract a k-term dot product (k muls, k adds), each
+        # off-diagonal entry divides by the pivot, and the pivot takes a
+        # square root
         steps = q + failed
         nc = q * (n - 1) - q * (q - 1) // 2                 # sum of n - k - 1
         knc = (n - 1) * q * (q - 1) // 2 - (q - 1) * q * (2 * q - 1) // 6
-        flops.add(adds=steps * (steps - 1) // 2 + knc,
-                  muls=steps * (steps - 1) // 2 + knc,
-                  divs=nc, sqrts=steps)
+        flops.add(steps * steps + 2 * knc + nc)
     if failed:
         d = float(U[q, q])
         raise NotPositiveDefinite(q, d * d if bad.size else d)
@@ -330,13 +323,12 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
     ?trtrs reads a Fortran-ordered U as it is and any other U as the
     lower-triangular U.T, so a C-ordered U is not copied either.
     Counted per right-hand side as the substitution's n(n - 1)/2
-    multiply-adds and n divisions.
+    multiply-adds and n divisions, n**2 FLOPs.
     """
     n = U.shape[0]
     if flops is not None:
         ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        tri = n * (n - 1) // 2 * ncol
-        flops.add(adds=tri, muls=tri, divs=n * ncol)
+        flops.add(n * n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
     if U.flags.f_contiguous:
         x, info = trtrs(U, b)
@@ -351,13 +343,12 @@ def cholesky_solve(U, b, flops: FlopCounter | None = None):
     """Solve U.T U x = b with one ?potrs call on ?potrf's factor as it is.
 
     Counted per right-hand side as the forward and the back substitution it
-    performs, n(n - 1)/2 multiply-adds and n divisions each.
+    performs, n(n - 1)/2 multiply-adds and n divisions each, 2 n**2 FLOPs.
     """
     n = U.shape[0]
     if flops is not None:
         ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        tri = n * (n - 1) * ncol
-        flops.add(adds=tri, muls=tri, divs=2 * n * ncol)
+        flops.add(2 * n * n * ncol)
     potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
     return potrs(U, b, lower=0)[0]
 
@@ -390,27 +381,24 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
     if m:    # ?syrk rejects the leading dimension of an empty A
         S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
     if flops is not None:
-        nup = n * (n + 1) // 2
-        flops.add(adds=(m - 1) * nup, muls=m * nup)
+        flops.add((2 * m - 1) * (n * (n + 1) // 2))
         if top is not None:
             # entry (i, j), i <= j, is a dot product of i + 1 terms,
             # i + 1 adds with the one onto the ?syrk part
-            tri = n * (n + 1) * (n + 2) // 6
-            flops.add(adds=tri, muls=tri)
+            flops.add(n * (n + 1) * (n + 2) // 3)
     return S
 
 
 def cond_spectral(A):
-    """(kappa, sigma_max, sigma_min) via full SVD at float64.
+    """The spectral condition number sigma_max / sigma_min via full SVD at
+    float64.
 
     Diagnostic-grade: always evaluated in double precision regardless of
-    the input dtype. sigma_min = 0 reports kappa = +inf.
+    the input dtype. sigma_min = 0 reports +inf.
     """
     A64 = np.asarray(A, dtype=np.float64)
     if A64.size == 0 or not np.any(A64):
         raise ValueError("cond_spectral needs a nonzero matrix")
     s = np.linalg.svd(A64, compute_uv=False)
-    smax = float(s[0])
     smin = float(s[-1])
-    kappa = float("inf") if smin == 0.0 else smax / smin
-    return kappa, smax, smin
+    return float("inf") if smin == 0.0 else float(s[0]) / smin

@@ -95,7 +95,6 @@ class InstabilityEvent:
 
 @dataclass
 class RunResult:
-    config: FilterConfig
     times: np.ndarray        # (K,) frame timestamps
     positions: np.ndarray    # (K, 3) newest-pose estimates per frame
     quats: np.ndarray        # (K, 4)
@@ -272,8 +271,7 @@ class VinsEstimator:
             T = J @ P
             corner = T @ J.T
             # multiply-adds of J P and of its corner (J P) J.T
-            fc.add(adds=3 * m * (lay.n - 1) * (lay.n + 3 * m),
-                   muls=3 * m * lay.n * (lay.n + 3 * m))
+            fc.add(3 * m * (2 * lay.n - 1) * (lay.n + 3 * m))
             P[fidx] = T
             P[:, fidx] = T.T
             P[np.ix_(fidx, fidx)] = 0.5 * (corner + corner.T)
@@ -291,7 +289,7 @@ class VinsEstimator:
             R[:, ab] -= colf @ G
             # multiply-adds: G, then R's feature columns times the m
             # 3 x 3 inverses and times G
-            fc.add(adds=45 * rows * m + 108 * m, muls=45 * rows * m + 108 * m)
+            fc.add(2 * (45 * rows * m + 108 * m))
             # each feature's 3 x 3 diagonal block went dense; its rows are
             # the only ones with entries below the diagonal, so each
             # feature's 3-row slab is re-triangularized on its own
@@ -595,7 +593,7 @@ class VinsEstimator:
             self.positions.append(self.x.positions[-1].copy())
             self.quats.append(self.x.quats[-1].copy())
         return RunResult(
-            self.cfg, np.array(self.times), np.array(self.positions),
+            np.array(self.times), np.array(self.positions),
             np.array(self.quats),
             {ph: self.flops[ph].total() for ph in PHASES},
             self.conditioning, self.events, seconds=seconds)

@@ -35,7 +35,7 @@ def givens_from_pair(a, b, i=0, j=1, flops: FlopCounter | None = None) -> Givens
     a = np.asarray(a, dtype=dt)[()]
     b = np.asarray(b, dtype=dt)[()]
     if flops is not None:
-        flops.add(adds=1, muls=2, divs=2, sqrts=1)
+        flops.add(6)    # 1 add, 2 muls, 2 divs and 1 sqrt
     if b == 0 and a == 0:
         return GivensRotation(dt.type(1.0), dt.type(0.0), i, j)
     r = np.hypot(a, b)
@@ -55,7 +55,7 @@ def apply_givens_rows(M, G: GivensRotation, cols=slice(None), flops: FlopCounter
     M[j, cols] = -G.s * ri + G.c * rj
     if flops is not None:
         ncol = ri.shape[0] if ri.ndim else 1
-        flops.add(adds=2 * ncol, muls=4 * ncol)
+        flops.add(6 * ncol)    # 2 adds and 4 muls per column
     return M
 
 
@@ -85,7 +85,7 @@ def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
         W[j - 1, 0] = G.c * W[j - 1, 0] + G.s * W[j, 0]
         W[j, 0] = 0.0
         if flops is not None:
-            flops.add(adds=1, muls=2)
+            flops.add(3)    # 1 add and 2 muls
     if W[0, 0] == 0:
         # every rotation was the identity: the state has no information,
         # so delete its column and rotate rows p.. back into a triangle

@@ -1,11 +1,14 @@
-"""Every module-level function and class in src/srifkit is used by src/.
+"""Every module-level function and class in src/srifkit is used by src/,
+and every dataclass field is read.
 
 A definition that only tests, demos or the benchmark call is surface the
 engine does not need: it belongs beside the other references in tests/, or
 nowhere. A name counts as used when another place in src/ loads it,
 imports it or reads it as an attribute. Exempt are the console entry point
 `cli.main` and the functions the benchmark's tracer rebinds by name
-(`TARGETS` in `perfbench/spans.py`).
+(`TARGETS` in `perfbench/spans.py`). A field of a `@dataclass` in src/
+counts as read when src/, perfbench/ or demos/ reads an attribute of its
+name; one that only tests read is carried for nothing.
 """
 
 import ast
@@ -16,7 +19,8 @@ from pathlib import Path
 import srifkit
 
 SRC = Path(srifkit.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parents[1]
+SPANS = REPO / "perfbench" / "spans.py"
 
 
 def modules():
@@ -54,6 +58,31 @@ def used_names():
     return used
 
 
+def dataclass_fields():
+    """(module, class, field) of each annotated field of a module-level
+    `@dataclass` class."""
+    for module, tree in modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "dataclass"
+                    for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        yield module, node.name, stmt.target.id
+
+
+def attributes_read():
+    """Every attribute name src/, perfbench/ and demos/ read."""
+    read = set()
+    for path in [*SRC.glob("*.py"), *(REPO / "perfbench").glob("*.py"),
+                 *(REPO / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+    return read
+
+
 def span_targets():
     """(defining module, name) of each function the benchmark rebinds."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
@@ -78,3 +107,17 @@ def test_the_walk_sees_the_definitions():
     found = {f"{module}.{name}" for module, name in definitions()}
     assert {"linalg.householder_qr", "filters.marginalize_block",
             "vins.VinsEstimator", "cli.main"} <= found
+
+
+def test_every_dataclass_field_is_read():
+    read = attributes_read()
+    unread = [f"{module}.{cls}.{name}"
+              for module, cls, name in dataclass_fields() if name not in read]
+    assert unread == []
+
+
+def test_the_walk_sees_the_fields():
+    found = {f"{module}.{cls}.{name}"
+             for module, cls, name in dataclass_fields()}
+    assert {"linalg.FlopCounter.count", "vins.RunResult.flops",
+            "vins.FilterConfig.window", "sim.ScenarioSpec.seed"} <= found

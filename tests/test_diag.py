@@ -60,7 +60,7 @@ class TestConditioningRecord:
         R22 = cholesky_upper(A @ A.T + np.eye(19))
         pc = build_preconditioner(R22, [1, 7, 13])
         rec = record_conditioning(2.0, R22, pc, R22, np.eye(19))
-        k, _, _ = cond_spectral(apply_preconditioner_inverse(pc, R22))
+        k = cond_spectral(apply_preconditioner_inverse(pc, R22))
         assert rec.kappa2_r22_post_precond == k * k
 
 

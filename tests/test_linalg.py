@@ -261,10 +261,10 @@ class TestFortranCopy:
     def test_copies_across_slabs(self, monkeypatch, rows):
         monkeypatch.setattr(linalg, "COPY_ROWS", 4)
         A = np.arange(rows * 3, dtype=np.float64).reshape(rows, 3)
-        for dtype in (None, np.float32):
+        for dtype in (np.float64, np.float32):
             X = fortran_copy(A, dtype)
             assert X.flags.f_contiguous and X.shape == A.shape
-            assert X.dtype == (A.dtype if dtype is None else dtype)
+            assert X.dtype == dtype
             assert np.array_equal(X, A)
             assert not np.shares_memory(X, A)
 
@@ -311,7 +311,7 @@ class TestCholesky:
         Rq, _ = householder_qr(A)
         sign_normalize_rows(Rq)
         Uc = cholesky_upper(form_normal_half(A))
-        kappa, *_ = cond_spectral(A)
+        kappa = cond_spectral(A)
         assert np.allclose(Uc, Rq, atol=1e-10 * kappa ** 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -400,31 +400,29 @@ class TestNormalHalf:
 
 class TestCondSpectral:
     def test_identity(self):
-        k, smax, smin = cond_spectral(np.eye(7))
-        assert k == 1.0 and smax == 1.0 and smin == 1.0
+        assert cond_spectral(np.eye(7)) == 1.0
 
     def test_diagonal(self):
-        k, *_ = cond_spectral(np.diag([10.0, 1.0]))
+        k = cond_spectral(np.diag([10.0, 1.0]))
         assert np.isclose(k, 10.0)
 
     def test_scale_and_permutation_invariance(self):
         rng = np.random.default_rng(14)
         A = rng.normal(size=(50, 50))
-        k, *_ = cond_spectral(A)
+        k = cond_spectral(A)
         assert k >= 1.0
-        k2, *_ = cond_spectral(3.7 * A)
+        k2 = cond_spectral(3.7 * A)
         assert np.isclose(k, k2, rtol=1e-10)
         perm = rng.permutation(50)
-        k3, *_ = cond_spectral(A[perm])
+        k3 = cond_spectral(A[perm])
         assert np.isclose(k, k3, rtol=1e-10)
-        kt, *_ = cond_spectral(A.T)
+        kt = cond_spectral(A.T)
         assert np.isclose(k, kt, rtol=1e-10)
 
     def test_singular_is_inf(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
-        k, _, smin = cond_spectral(A)
-        assert smin == 0.0 and k == float("inf")
+        assert cond_spectral(A) == float("inf")
 
 
 # -- properties over random shapes, both precisions --------------------------
@@ -441,13 +439,13 @@ def householder_flops_by_loop(A, nrhs=0):
     for k in range(min(n, m - 1)):
         x = W[k:, k].copy()
         normx = np.linalg.norm(x)
-        fc.add(adds=m - k - 1, muls=m - k, sqrts=1)
+        fc.add(2 * (m - k))
         if normx == 0.0:
             continue
         x[0] += np.copysign(normx, x[0])
         W[k:, k:] -= np.outer(x, (2.0 / (x @ x)) * (x @ W[k:, k:]))
         nc = n - k - 1 + nrhs
-        fc.add(adds=(m - k) * (1 + 2 * nc), muls=(m - k) * (1 + 2 * nc) + nc)
+        fc.add(2 * (m - k) * (1 + 2 * nc) + nc)
     return fc
 
 
@@ -462,13 +460,13 @@ def cholesky_flops_by_loop(S):
     fc = FlopCounter()
     for k in range(n):
         d = S[k, k] - U[:k, k] @ U[:k, k]
-        fc.add(adds=k, muls=k, sqrts=1)
+        fc.add(2 * k + 1)
         if not (d > 0 and np.isfinite(d)):
             break
         U[k, k] = np.sqrt(d)
         for j in range(k + 1, n):
             U[k, j] = (S[k, j] - U[:k, k] @ U[:k, j]) / U[k, k]
-            fc.add(adds=k, muls=k, divs=1)
+            fc.add(2 * k + 1)
     return fc
 
 
@@ -537,7 +535,7 @@ class TestKernelProperties:
         fc = FlopCounter()
         with pytest.raises(NotPositiveDefinite):
             cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]), flops=fc)
-        assert (fc.adds, fc.muls, fc.divs, fc.sqrts) == (1, 1, 1, 2)
+        assert fc.total() == 5
 
     @given(seed=SEEDS, n=st.integers(1, 12),
            fail=st.sampled_from(["none", "negative", "nan"]), data=st.data())
@@ -615,7 +613,7 @@ class TestGivensSweeps:
         triangularize_by_rotation(ref, flops=fr)
         assert got.dtype == dtype
         assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
-        assert (fg.adds, fg.muls, fg.divs, fg.sqrts) == (fr.adds, fr.muls, fr.divs, fr.sqrts)
+        assert fg == fr
         # same rotations, same signs: no sign normalization needed
         tol = 8 * sum(A.shape) * eps_of(dtype)
         assert np.abs(got.astype(np.float64) - ref).max() <= tol * np.linalg.norm(

@@ -671,6 +671,32 @@ class TestDeterminism:
         assert a.quats.tobytes() == b.quats.tobytes()
 
 
+@pytest.fixture(scope="module")
+def ten_seconds():
+    return gen_dataset(_short(seed=0, duration=10.0))
+
+
+class TestFlopTotals:
+    """Each phase's counted FLOPs on 10 s of `default` seed 0, pinned: they
+    cover every kernel's closed form, `kf_update`'s and `srif_augment`'s
+    and, at window 4, the reanchoring counts of both backends."""
+
+    @pytest.mark.parametrize("estimator,precision,window,flops", [
+        ("kf", "binary64", 11, (2553900, 0, 237984035)),
+        ("srif", "binary64", 11, (21163075, 5563323, 38191723)),
+        ("pcsrif", "binary32", 11, (21163075, 5563323, 60250932)),
+        ("pcsrif", "binary64", 11, (21163075, 5563323, 60250932)),
+        ("if-oracle", "binary32", 11, (21163075, 5563323, 50543918)),
+        ("kf", "binary64", 4, (1950990, 4505895, 98334666)),
+        ("srif", "binary64", 4, (10977856, 4771647, 14533405)),
+    ])
+    def test_per_phase_totals(self, ten_seconds, estimator, precision, window,
+                              flops):
+        res = run_filter(ten_seconds, FilterConfig(
+            estimator=estimator, precision=precision, window=window))
+        assert res.flops == dict(zip(vins.PHASES, flops))
+
+
 def perturbed_position_nees(ds, rng):
     """Per-frame NEES of the newest position of a srif run whose initial
     state is drawn from its prior, so the error the filter starts from
