@@ -7,12 +7,12 @@ Subcommands:
 A scenario is a preset name or a scenario JSON path; the dataset is
 generated from it at its seed, or at --seed. A scenario that cannot be read,
 or that holds a bad value, is a usage error (exit code 2), as is a compare
-run directory that does not exist or has no manifest.json.
+run directory that is missing, did not complete or lacks an artifact.
 
 A run directory contains:
   trajectory.txt    one line per pose: t x y z qx qy qz qw (17 sig. digits)
-  conditioning.csv  per-recorded-step condition numbers (versioned header)
-  metrics.csv       ATE/RTE summary (versioned header)
+  conditioning.csv  posterior R22 condition numbers (versioned header)
+  metrics.csv       ATE/RTE (versioned header); RTE nan with no poses 1 s apart
   flops.csv         counted FLOPs per phase (versioned header)
   timing.csv        wall-clock seconds per phase (not deterministic)
   events.csv        numerical instability events, if any
@@ -45,10 +45,10 @@ from .vins import ESTIMATORS, PRECISIONS, EstimatorAbort, FilterConfig, run_filt
 
 MANIFEST_FORMAT = "srifkit-run/2"
 CONDITIONING_HEADER = (
-    "# srifkit-conditioning/1\n"
+    "# srifkit-conditioning/2\n"
     "# t [s], squared condition numbers [unitless], sigma [unitless]\n"
     "t,kappa2_r22_post,kappa2_r22_post_scaled,kappa2_r22_post_precond,"
-    "kappa2_r22_precond,sigma_max_p,sigma_min_p\n")
+    "sigma_max_p,sigma_min_p\n")
 METRICS_HEADER = (
     "# srifkit-metrics/1\n"
     "# ate_translation [m RMS], ate_rotation [deg RMS],"
@@ -109,10 +109,9 @@ def write_run_artifacts(outdir, spec, cfg, res, truth):
 
     put("trajectory.txt", format_trajectory(res.times, res.positions, res.quats))
 
-    rows = [f"{r.t:.17g},{r.kappa2_r22_post:.17g},"
-            f"{r.kappa2_r22_post_scaled:.17g},"
-            f"{r.kappa2_r22_post_precond:.17g},{r.kappa2_r22_precond:.17g},"
-            f"{r.sigma_max_p:.17g},{r.sigma_min_p:.17g}"
+    rows = [",".join(f"{v:.17g}" for v in (
+                r.t, r.kappa2_r22_post, r.kappa2_r22_post_scaled,
+                r.kappa2_r22_post_precond, r.sigma_max_p, r.sigma_min_p))
             for r in res.conditioning]
     put("conditioning.csv", CONDITIONING_HEADER + "\n".join(rows)
         + ("\n" if rows else ""))
@@ -192,12 +191,18 @@ def cmd_run(args):
 
 
 def _read_run(d):
+    """A completed run's artifacts; ValueError names what is wrong."""
+    if not os.path.isdir(d):
+        raise ValueError(f"run directory {d} does not exist")
     def read(name):
+        if not os.path.isfile(os.path.join(d, name)):
+            raise ValueError(f"run directory {d} has no {name}")
         with open(os.path.join(d, name)) as fh:
             return fh.read()
     manifest = json.loads(read("manifest.json"))
     if manifest.get("status") != "completed":
-        raise ValueError(f"{d}: run did not complete")
+        raise ValueError(f"run directory {d} did not complete "
+                         f"(status {manifest.get('status')!r})")
     times, positions, quats = parse_trajectory(read("trajectory.txt"))
     head, *rows = [ln.split(",") for ln in read("metrics.csv").splitlines()
                    if not ln.startswith("#")]
@@ -208,15 +213,14 @@ def _read_run(d):
 
 
 def cmd_compare(args):
-    runs = [_read_run(d) for d in args.rundirs]
-    ref_hash = runs[0][0]["scenario_hash"]
-    for d, (man, *_rest) in zip(args.rundirs, runs):
+    ref_hash = args.runs[0][0]["scenario_hash"]
+    for d, (man, *_rest) in zip(args.rundirs, args.runs):
         if man["scenario_hash"] != ref_hash:
             print(f"error: {d} was produced on a different scenario "
                   f"({man['scenario_hash'][:12]} != {ref_hash[:12]})",
                   file=sys.stderr)
             return 1
-    ref_pos = runs[0][2]
+    ref_pos = args.runs[0][2]
     name_w = max(len(os.path.basename(os.path.normpath(d)))
                  for d in args.rundirs)
     hdr = (f"{'run':<{name_w}}  {'estimator':<10} {'prec':<8} "
@@ -224,7 +228,7 @@ def cmd_compare(args):
            f"{'divergence[m]':>14}")
     print(hdr)
     worst = 0.0
-    for d, (man, times, pos, metrics, flops) in zip(args.rundirs, runs):
+    for d, (man, times, pos, metrics, flops) in zip(args.rundirs, args.runs):
         n = min(len(pos), len(ref_pos))
         div = float(np.abs(pos[:n] - ref_pos[:n]).max())
         worst = max(worst, div)
@@ -272,11 +276,10 @@ def main(argv=None):
     if args.command == "compare":
         if len(args.rundirs) < 2:
             parser.error("compare needs at least two run directories")
-        for d in args.rundirs:
-            if not os.path.isdir(d):
-                parser.error(f"run directory {d} does not exist")
-            if not os.path.isfile(os.path.join(d, "manifest.json")):
-                parser.error(f"run directory {d} has no manifest.json")
+        try:
+            args.runs = [_read_run(d) for d in args.rundirs]
+        except ValueError as err:
+            parser.error(str(err))
     if args.command == "run":
         try:
             args.spec = load_scenario(args.scenario, args.seed)

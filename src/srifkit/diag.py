@@ -1,8 +1,8 @@
-"""Run diagnostics: conditioning instrumentation and trajectory metrics.
+"""Run diagnostics: posterior conditioning and trajectory metrics.
 
 Condition numbers are always evaluated in float64 via SVD regardless of
 the filter's working precision; they are diagnostics, never part of the
-estimator path, and run at a configurable stride since each costs O(n^3).
+estimator path, and the engine records them every vins.SVD_STRIDE frames.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class ConditioningRecord:
     kappa2_r22_post: float           # squared cond. of posterior R22 factor
     kappa2_r22_post_scaled: float    # after diagonal (Jacobi) column scaling
     kappa2_r22_post_precond: float   # after the full preconditioner
-    kappa2_r22_precond: float        # prior-side factor, preconditioned
     sigma_max_p: float               # extremal singular values of the
     sigma_min_p: float               # scale-normalized covariance block
 
@@ -40,27 +39,23 @@ def _kappa2(A):
     return k * k
 
 
-def record_conditioning(t, R22_post, precond, R22_prior, P_scaled):
-    """Snapshot the conditioning of one update step.
+def record_conditioning(t, R22_post, pose_offsets, P_scaled):
+    """Snapshot the conditioning of the posterior after one update step.
 
-    `precond` must be built from `R22_post` (`build_preconditioner`), so
-    its own R22_post M^-1 is the preconditioned posterior. It is applied
-    to the prior factor too, which shows how well a preconditioner built
-    after the update transfers to the factor it would have preconditioned.
-    `P_scaled` is the scale-normalized covariance block tracked by the
-    runner; its extremal singular values land in sigma_max/min.
+    The posterior R22 factor is read raw, Jacobi-scaled and preconditioned
+    by its own `build_preconditioner(R22_post, pose_offsets)`. `P_scaled`
+    is the scale-normalized covariance block tracked by the runner; its
+    extremal singular values land in sigma_max/min.
     """
     R22_post = np.asarray(R22_post, dtype=np.float64)
     d = np.sqrt(np.einsum("ij,ij->j", R22_post, R22_post))
     d[d == 0.0] = 1.0
     k_post = _kappa2(R22_post)
     k_scaled = _kappa2(R22_post / d[None, :])
-    k_pre = _kappa2(precond.r22p)
-    k_prior = _kappa2(filters.apply_preconditioner_inverse(
-        precond, np.asarray(R22_prior, dtype=np.float64)))
+    k_pre = _kappa2(filters.build_preconditioner(R22_post, pose_offsets).r22p)
     sv = np.linalg.svd(np.asarray(P_scaled, dtype=np.float64),
                        compute_uv=False)
-    return ConditioningRecord(float(t), k_post, k_scaled, k_pre, k_prior,
+    return ConditioningRecord(float(t), k_post, k_scaled, k_pre,
                               float(sv[0]), float(sv[-1]))
 
 
@@ -147,8 +142,12 @@ def compute_rte(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat):
 
 
 def compute_metrics(est_times, est_pos, est_quat, gt_times, gt_pos, gt_quat):
+    """ATE and RTE; RTE is NaN when no two poses lie RTE_INTERVAL apart."""
     ate_t, ate_r = compute_ate(est_times, est_pos, est_quat,
                                gt_times, gt_pos, gt_quat)
-    rte_t, rte_r = compute_rte(est_times, est_pos, est_quat,
-                               gt_times, gt_pos, gt_quat)
+    try:
+        rte_t, rte_r = compute_rte(est_times, est_pos, est_quat,
+                                   gt_times, gt_pos, gt_quat)
+    except ValueError:   # no pose pair RTE_INTERVAL apart
+        rte_t = rte_r = float("nan")
     return TrajectoryMetrics(ate_t, ate_r, rte_t, rte_r)

@@ -249,7 +249,7 @@ class Preconditioner:
     tri: np.ndarray               # M_SPAI[cols, cols], Fortran-ordered
     per_row: int
     jacobi: np.ndarray | None = None  # positive diagonal of M_Jacobi
-    r22p: np.ndarray | None = None    # prior R22 @ M^-1, Fortran-ordered
+    r22p: np.ndarray | None = None    # R22 @ M^-1, Fortran-ordered
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
@@ -269,7 +269,7 @@ class Preconditioner:
 
 
 def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
-    """SPAI + Jacobi preconditioner from the prior R22 factor.
+    """SPAI + Jacobi preconditioner from an R22 factor.
 
     pose_offsets are the offsets of the 6-dim pose error blocks within the
     x2 partition; they must be ascending and contiguous, inside [0, n2),

@@ -69,11 +69,12 @@ class FilterConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.precision not in PRECISIONS:
             raise ValueError(f"unknown precision {self.precision!r}")
-        # a track leaves the buffer at window - 1 observations, so a
-        # smaller window never gathers MIN_TRACK of them
-        if self.window < MIN_TRACK + 1:
-            raise ValueError(f"window must hold at least "
-                             f"{MIN_TRACK + 1} poses, got {self.window}")
+        # a window counts poses, and a track leaves the buffer at window - 1
+        # observations, so a smaller window never gathers MIN_TRACK of them
+        if (not isinstance(self.window, (int, np.integer))
+                or self.window < MIN_TRACK + 1):
+            raise ValueError(f"window must be an integer of at least "
+                             f"{MIN_TRACK + 1} poses, got {self.window!r}")
 
 
 class EstimatorAbort(RuntimeError):
@@ -546,22 +547,17 @@ class VinsEstimator:
 
     def _update(self, frame):
         rows = self._collect_measurements(frame)
-        # diagnostics from the first frame on, every SVD_STRIDE frames; the
-        # prior factor is only read when they are due
-        due = not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0
-        prior_R22 = np.array(self.R[N1:, N1:], dtype=np.float64) if due else None
         if rows is not None:
             dx = self._apply_update(*rows, frame.t)
             self.x = boxplus(self.x, dx)
-        if due:
-            self._record_diagnostics(frame, prior_R22)
+        # diagnostics from the first frame on, every SVD_STRIDE frames
+        if not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0:
+            self._record_diagnostics(frame)
 
     # -- diagnostics ------------------------------------------------------
 
-    def _record_diagnostics(self, frame, prior_R22):
+    def _record_diagnostics(self, frame):
         lay = layout_of(self.x)
-        R22_post = np.asarray(self.R[N1:, N1:], dtype=np.float64)
-        pc = filters.build_preconditioner(R22_post, _pose_offsets_x2(lay))
         # the states every window keeps: biases, velocity, tsync, the
         # newest pose and the calibration
         Psub = self._covariance(np.r_[0:N1, lay.tsync,
@@ -573,7 +569,7 @@ class VinsEstimator:
              else np.sqrt(np.diag(Psub)))
         P_scaled = Psub / np.outer(s, s)
         self.conditioning.append(record_conditioning(
-            frame.t, R22_post, pc, prior_R22, P_scaled))
+            frame.t, self.R[N1:, N1:], _pose_offsets_x2(lay), P_scaled))
 
     # -- main loop ---------------------------------------------------------
 

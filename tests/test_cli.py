@@ -38,6 +38,12 @@ def test_run_writes_all_artifacts(scenario_file, tmp_path):
     for name in ("conditioning.csv", "metrics.csv", "flops.csv"):
         first = open(os.path.join(out, name)).readline()
         assert first.startswith("# srifkit-")
+    conditioning = open(os.path.join(out, "conditioning.csv")).readlines()
+    assert conditioning[0] == "# srifkit-conditioning/2\n"
+    assert conditioning[2] == ("t,kappa2_r22_post,kappa2_r22_post_scaled,"
+                               "kappa2_r22_post_precond,sigma_max_p,"
+                               "sigma_min_p\n")
+    assert all(len(row.split(",")) == 6 for row in conditioning[2:])
     flops_text = open(os.path.join(out, "flops.csv")).read()
     for row in ("Propagation", "Marginalization", "Update", "Estimator Total"):
         assert f"\n{row}," in flops_text
@@ -80,16 +86,30 @@ class TestCompare:
             cli.main(["compare", d])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("case", ["missing", "no-manifest"])
+    @pytest.mark.parametrize("case", ["missing", "no-manifest", "aborted",
+                                      "no-flops"])
     def test_bad_run_directory_is_usage_error(self, case, scenario_file,
-                                              tmp_path, capsys):
+                                              tmp_path, capsys, monkeypatch):
         good = str(tmp_path / "good")
         assert cli.main(["run", "--scenario", scenario_file, "--out", good]) == 0
         bad = tmp_path / "bad"
         if case == "no-manifest":
             bad.mkdir()
-        cause = ("does not exist" if case == "missing"
-                 else "has no manifest.json")
+        elif case == "aborted":
+            def boom(dataset, config):
+                raise EstimatorAbort(1.25, "update", "synthetic failure")
+            with monkeypatch.context() as m:
+                m.setattr(cli, "run_filter", boom)
+                assert cli.main(["run", "--scenario", scenario_file,
+                                 "--out", str(bad)]) == 1
+        elif case == "no-flops":
+            assert cli.main(["run", "--scenario", scenario_file,
+                             "--out", str(bad)]) == 0
+            (bad / "flops.csv").unlink()
+        cause = {"missing": "does not exist",
+                 "no-manifest": "has no manifest.json",
+                 "aborted": "did not complete",
+                 "no-flops": "has no flops.csv"}[case]
         for dirs in ([good, str(bad)], [str(bad), good]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["compare", *dirs])
@@ -105,6 +125,30 @@ class TestCompare:
         cli.main(["run", "--scenario", scenario_file, "--seed", "99",
                   "--out", d2])
         assert cli.main(["compare", d1, d2]) == 1
+
+
+def test_run_without_one_second_pairs_reports_nan_rte(tmp_path, capsys):
+    # frames 2/3 s apart: no two poses lie the RTE interval of 1 s apart
+    spec = dataclasses.replace(default_scenario(0), duration=6.0,
+                               imu_rate=150.0, cam_rate=1.5)
+    path = tmp_path / "scen.json"
+    path.write_text(spec.to_json())
+    dirs = [str(tmp_path / name) for name in ("srif", "pcsrif")]
+    for est, d in zip(("srif", "pcsrif"), dirs):
+        assert cli.main(["run", "--scenario", str(path), "--estimator", est,
+                         "--out", d]) == 0
+        for name in ARTIFACTS:
+            assert os.path.exists(os.path.join(d, name)), name
+        manifest = json.loads(open(os.path.join(d, "manifest.json")).read())
+        assert manifest["status"] == "completed"
+        metrics_csv = open(os.path.join(d, "metrics.csv")).read()
+        head, row = metrics_csv.splitlines()[2:]
+        metrics = dict(zip(head.split(","), row.split(",")))
+        assert metrics["rte_translation"] == metrics["rte_rotation"] == "nan"
+        assert np.isfinite(float(metrics["ate_translation"]))
+    capsys.readouterr()
+    assert cli.main(["compare", *dirs]) == 0
+    assert "nan" in capsys.readouterr().out
 
 
 def test_trajectory_text_round_trips_the_run(scenario_file, tmp_path):

@@ -19,6 +19,14 @@ def run_demo(name):
                           capture_output=True, text=True, env=env)
 
 
+def test_conditioning_growth_demo_runs():
+    cp = run_demo("02_conditioning_growth.py")
+    assert cp.returncode == 0, cp.stderr
+    header = next(line for line in cp.stdout.splitlines() if "k2(R22)" in line)
+    assert "k2(R22/M)" in header
+    assert "max k2 preconditioned:" in cp.stdout
+
+
 def test_flop_economics_demo_runs():
     cp = run_demo("04_flop_economics.py")
     assert cp.returncode == 0, cp.stderr

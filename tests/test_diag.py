@@ -32,12 +32,10 @@ def yawed_shifted(pos, quats, yaw_deg=10.0, shift=(1.0, 0.0, 0.0)):
 class TestConditioningRecord:
     def test_identity_all_unit(self):
         R22 = np.eye(8)
-        pc = build_preconditioner(R22, [0])
-        rec = record_conditioning(0.0, R22, pc, R22, np.eye(8))
+        rec = record_conditioning(0.0, R22, [0], np.eye(8))
         assert rec.kappa2_r22_post == 1.0
         assert rec.kappa2_r22_post_scaled == 1.0
         assert rec.kappa2_r22_post_precond == 1.0
-        assert rec.kappa2_r22_precond == 1.0
         assert rec.sigma_max_p == rec.sigma_min_p == 1.0
 
     def test_all_kappas_at_least_one(self):
@@ -45,10 +43,9 @@ class TestConditioningRecord:
         A = rng.normal(size=(12, 12)) * 0.4
         from srifkit.linalg import cholesky_upper
         R22 = cholesky_upper(A @ A.T + np.eye(12))
-        pc = build_preconditioner(R22, [0, 6])
-        rec = record_conditioning(1.5, R22, pc, R22, np.eye(12))
+        rec = record_conditioning(1.5, R22, [0, 6], np.eye(12))
         for v in (rec.kappa2_r22_post, rec.kappa2_r22_post_scaled,
-                  rec.kappa2_r22_post_precond, rec.kappa2_r22_precond):
+                  rec.kappa2_r22_post_precond):
             assert v >= 1.0
 
     def test_precond_kappa_reuses_the_preconditioners_product(self):
@@ -58,9 +55,10 @@ class TestConditioningRecord:
         A = rng.normal(size=(19, 19)) * 0.4
         from srifkit.linalg import cholesky_upper, cond_spectral
         R22 = cholesky_upper(A @ A.T + np.eye(19))
-        pc = build_preconditioner(R22, [1, 7, 13])
-        rec = record_conditioning(2.0, R22, pc, R22, np.eye(19))
-        k = cond_spectral(apply_preconditioner_inverse(pc, R22))
+        offsets = [1, 7, 13]
+        rec = record_conditioning(2.0, R22, offsets, np.eye(19))
+        k = cond_spectral(apply_preconditioner_inverse(
+            build_preconditioner(R22, offsets), R22))
         assert rec.kappa2_r22_post_precond == k * k
 
 
@@ -118,3 +116,10 @@ class TestRte:
         times, pos, quats = straight_trajectory(n=5, dt=0.1)
         with pytest.raises(ValueError):
             compute_rte(times, pos, quats, times, pos, quats)
+
+    def test_metrics_report_nan_rte_without_a_pair(self):
+        times, pos, quats = straight_trajectory(n=5, dt=0.1)
+        m = compute_metrics(times, pos, quats, times, pos, quats)
+        assert np.allclose((m.ate_translation, m.ate_rotation), 0.0,
+                           atol=1e-12)
+        assert np.isnan(m.rte_translation) and np.isnan(m.rte_rotation)

@@ -196,7 +196,9 @@ class TestConfigValidation:
               ("min_track", 1), ("min_track", 0), ("fallback_qr", True)]
            # a track leaves the buffer at window - 1 observations, so these
            # windows never gather MIN_TRACK of them for an update
-           + [("window", 3), ("window", 2)])
+           + [("window", 3), ("window", 2)]
+           # a window counts poses: it must be an integer
+           + [("window", 4.5), ("window", "11")])
 
     def test_only_the_callers_choices_are_fields(self):
         # every caller sets only these; a new knob needs a caller
@@ -211,6 +213,10 @@ class TestConfigValidation:
         error = ValueError if name in self.CHOICES else TypeError
         with pytest.raises(error, match=name):
             FilterConfig(**{name: value})
+
+    @pytest.mark.parametrize("window", [np.int64(4), np.int32(11)])
+    def test_numpy_integer_window_accepted(self, window):
+        assert FilterConfig(window=window).window == window
 
     def test_pixel_noise_is_the_datasets(self):
         ds = gen_dataset(dataclasses.replace(default_scenario(0), duration=1.0,
