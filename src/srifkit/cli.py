@@ -7,7 +7,8 @@ Subcommands:
 A scenario is a preset name or a scenario JSON path; the dataset is
 generated from it at its seed, or at --seed. A scenario that cannot be read,
 or that holds a bad value, is a usage error (exit code 2), as is a compare
-run directory that is missing, did not complete or lacks an artifact.
+run directory that is missing, did not complete, or lacks an artifact or
+holds a malformed one.
 
 A run directory contains:
   trajectory.txt    one line per pose: t x y z qx qy qz qw (17 sig. digits)
@@ -151,14 +152,21 @@ def write_manifest(outdir, spec, cfg, **outcome):
         "seed": spec.seed,
         **dataclasses.asdict(cfg),
         **outcome,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
-            "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "environment": environment(),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def environment():
+    """The interpreter, numpy, scipy and the BLAS each bundles, and the BLAS
+    thread setting: what a run's numbers and times depend on besides its
+    configuration. manifest.json and the claims file both record it."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def _blas(module):
@@ -191,25 +199,47 @@ def cmd_run(args):
 
 
 def _read_run(d):
-    """A completed run's artifacts; ValueError names what is wrong."""
+    """A completed run's manifest fields, positions, ATE, RTE and update
+    FLOPs; ValueError names the directory, and the file when one is
+    missing or malformed."""
     if not os.path.isdir(d):
         raise ValueError(f"run directory {d} does not exist")
-    def read(name):
+
+    def read(name, parse):
         if not os.path.isfile(os.path.join(d, name)):
             raise ValueError(f"run directory {d} has no {name}")
         with open(os.path.join(d, name)) as fh:
-            return fh.read()
-    manifest = json.loads(read("manifest.json"))
-    if manifest.get("status") != "completed":
-        raise ValueError(f"run directory {d} did not complete "
-                         f"(status {manifest.get('status')!r})")
-    times, positions, quats = parse_trajectory(read("trajectory.txt"))
-    head, *rows = [ln.split(",") for ln in read("metrics.csv").splitlines()
-                   if not ln.startswith("#")]
-    metrics = {k: float(v) for k, v in zip(head, rows[0])}
-    _, *rows = [ln.split(",") for ln in read("flops.csv").splitlines()
+            text = fh.read()
+        try:
+            return parse(text)
+        except (ValueError, IndexError, KeyError, TypeError) as err:
+            raise ValueError(f"run directory {d} has a malformed {name} "
+                             f"({err!r})") from err
+
+    def manifest(text):
+        fields = json.loads(text)
+        return {k: fields[k] for k in
+                ("status", "scenario_hash", "estimator", "precision")}
+
+    def csv_rows(text):
+        return [ln.split(",") for ln in text.splitlines()
                 if not ln.startswith("#")]
-    return manifest, times, positions, metrics, {k: int(v) for k, v in rows}
+
+    def metrics(text):
+        head, *rows = csv_rows(text)
+        row = dict(zip(head, rows[0]))
+        return float(row["ate_translation"]), float(row["rte_translation"])
+
+    def update_flops(text):
+        return {k: int(v) for k, v in csv_rows(text)[1:]}["Update"]
+
+    fields = read("manifest.json", manifest)
+    if fields["status"] != "completed":
+        raise ValueError(f"run directory {d} did not complete "
+                         f"(status {fields['status']!r})")
+    _, positions, _ = read("trajectory.txt", parse_trajectory)
+    return (fields, positions, *read("metrics.csv", metrics),
+            read("flops.csv", update_flops))
 
 
 def cmd_compare(args):
@@ -220,7 +250,7 @@ def cmd_compare(args):
                   f"({man['scenario_hash'][:12]} != {ref_hash[:12]})",
                   file=sys.stderr)
             return 1
-    ref_pos = args.runs[0][2]
+    ref_pos = args.runs[0][1]
     name_w = max(len(os.path.basename(os.path.normpath(d)))
                  for d in args.rundirs)
     hdr = (f"{'run':<{name_w}}  {'estimator':<10} {'prec':<8} "
@@ -228,15 +258,15 @@ def cmd_compare(args):
            f"{'divergence[m]':>14}")
     print(hdr)
     worst = 0.0
-    for d, (man, times, pos, metrics, flops) in zip(args.rundirs, args.runs):
+    for d, (man, pos, ate, rte, update_flops) in zip(args.rundirs,
+                                                     args.runs):
         n = min(len(pos), len(ref_pos))
         div = float(np.abs(pos[:n] - ref_pos[:n]).max())
         worst = max(worst, div)
         print(f"{os.path.basename(os.path.normpath(d)):<{name_w}}  "
               f"{man['estimator']:<10} {man['precision']:<8} "
-              f"{metrics['ate_translation']:>10.4f} "
-              f"{metrics['rte_translation']:>10.4f} "
-              f"{flops['Update']:>14d} {div:>14.3e}")
+              f"{ate:>10.4f} {rte:>10.4f} "
+              f"{update_flops:>14d} {div:>14.3e}")
     if args.tolerance is not None and worst > args.tolerance:
         print(f"error: max divergence {worst:.3e} exceeds tolerance "
               f"{args.tolerance:.3e}", file=sys.stderr)

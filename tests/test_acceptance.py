@@ -1,13 +1,24 @@
 """Acceptance suite: one pass/fail line per headline claim.
 
-Each test exercises a full claim end to end and prints a single
+Each of claims 1-7 is a `measure_<k>` function that returns the claim's
+numbers, beside a `verdict_<k>` that reads them: the claim's label, whether
+it holds, and the numbers its line shows. Each test prints a single
 `[PASS]`/`[FAIL]` line (visible under `pytest -s` or in failure output)
 before asserting.
+
+Run as a script, the file measures claims 1-7 once, prints their lines and
+writes the claims file: JSON holding each claim's label, pass flag and
+numbers, its wall times apart under "noisy", and the environment
+manifest.json records. Run from the repository root:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_acceptance.py OUTPUT.json
 """
 
+import collections
 import dataclasses
+import functools
+import json
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -18,6 +29,8 @@ import pytest
 
 import srifkit
 
+from srifkit import cli
+from srifkit.diag import compute_metrics
 from srifkit.filters import (
     apply_preconditioner_inverse,
     build_preconditioner,
@@ -36,34 +49,55 @@ from model_reference import BehindCamera
 from test_models import make_scene, project_one, scene_motion
 
 
-def report(number, label, ok, detail=""):
-    tag = "PASS" if ok else "FAIL"
+def line(number, label, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
-    print(f"[{tag}] {number}. {label}{suffix}")
-    assert ok, f"{label}{suffix}"
+    return f"[{'PASS' if ok else 'FAIL'}] {number}. {label}{suffix}"
+
+
+def report(number, label, ok, detail=""):
+    text = line(number, label, ok, detail)
+    print(text)
+    assert ok, text
+
+
+class Measured(dict):
+    """Claim number -> its numbers, measured on first lookup and then kept,
+    so claims 5 and 6 share one set of conditioning runs and the claims
+    file holds what the claim tests measured."""
+
+    @functools.cached_property
+    def conditioning_runs(self):
+        ds = gen_dataset(conditioning_scenario(0))
+        return {
+            "dataset": ds,
+            "srif64": run_filter(ds, FilterConfig(estimator="srif",
+                                                  precision="binary64")),
+            "pcsrif32": run_filter(ds, FilterConfig(estimator="pcsrif",
+                                                    precision="binary32")),
+            "if32": run_filter(ds, FilterConfig(estimator="if-oracle",
+                                                precision="binary32")),
+        }
+
+    def __missing__(self, k):
+        measure = CLAIMS[k][0]
+        self[k] = (measure(self.conditioning_runs) if k in (5, 6)
+                   else measure())
+        return self[k]
 
 
 @pytest.fixture(scope="module")
-def conditioning_runs():
-    ds = gen_dataset(conditioning_scenario(0))
-    return {
-        "dataset": ds,
-        "srif64": run_filter(ds, FilterConfig(estimator="srif",
-                                              precision="binary64")),
-        "pcsrif32": run_filter(ds, FilterConfig(estimator="pcsrif",
-                                                precision="binary32")),
-        "if32": run_filter(ds, FilterConfig(estimator="if-oracle",
-                                            precision="binary32")),
-    }
+def measured():
+    return Measured()
 
 
 def _ate(res, truth):
-    from srifkit.diag import compute_metrics
-    return compute_metrics(res.times, res.positions, res.quats,
-                           truth.times, truth.positions, truth.quats)
+    m = compute_metrics(res.times, res.positions, res.quats,
+                        truth.times, truth.positions, truth.quats)
+    return {"ate_translation_m": m.ate_translation,
+            "ate_rotation_deg": m.ate_rotation}
 
 
-def test_1_estimator_equivalence():
+def measure_1():
     ds = gen_dataset(default_scenario(0))
     t0 = time.perf_counter()
     runs = {est: run_filter(ds, FilterConfig(estimator=est))
@@ -76,12 +110,27 @@ def test_1_estimator_equivalence():
         worst = max(worst, float(
             (np.abs(res.positions - ref.positions) / scale).max()))
         worst = max(worst, float(np.abs(res.quats - ref.quats).max()))
-    report(1, "KF/SRIF/PC-SRIF equivalence on 60 s scenario",
-           worst <= 1e-6 and elapsed <= 120.0,
-           f"max normalized divergence {worst:.2e}, {elapsed:.0f} s")
+    return {
+        "scenario": json.loads(ds.spec.to_json()),
+        "estimators": {est: {
+            **_ate(res, ds.truth),
+            "update_flops": res.flops["update"],
+            "max_position_divergence_from_srif_m": float(
+                np.abs(res.positions - ref.positions).max()),
+        } for est, res in runs.items()},
+        "max_normalized_divergence": worst,
+        "noisy": {"elapsed_s": elapsed},
+    }
 
 
-def test_2_marginalization_oracle():
+def verdict_1(m):
+    worst, elapsed = m["max_normalized_divergence"], m["noisy"]["elapsed_s"]
+    return ("KF/SRIF/PC-SRIF equivalence on 60 s scenario",
+            worst <= 1e-6 and elapsed <= 120.0,
+            f"max normalized divergence {worst:.2e}, {elapsed:.0f} s")
+
+
+def measure_2():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(200):
@@ -95,39 +144,51 @@ def test_2_marginalization_oracle():
             hh = marginalize_oracle_householder(R, p)
             worst = max(worst, np.linalg.norm(out.T @ out - hh.T @ hh)
                         / np.linalg.norm(ref))
-    report(2, "marginalization matches Schur complement over 200 factors",
-           worst <= 1e-10, f"worst relative error {worst:.2e}")
+    return {"factors": 200, "worst_relative_error": float(worst)}
 
 
-def test_3_marginalization_complexity():
+def verdict_2(m):
+    worst = m["worst_relative_error"]
+    return ("marginalization matches Schur complement over 200 factors",
+            worst <= 1e-10, f"worst relative error {worst:.2e}")
+
+
+def _marginalization_flops(rng, n, p):
+    R = random_factor(rng, n)
+    fg, fh = FlopCounter(), FlopCounter()
+    marginalize_block(R, [p], flops=fg)
+    marginalize_oracle_householder(R, p, flops=fh)
+    return {"n": n, "p": p, "givens_flops": fg.total(),
+            "householder_flops": fh.total(),
+            "ratio": fg.total() / fh.total()}
+
+
+def measure_3():
     rng = np.random.default_rng(1)
-    n = 128
+    table = [_marginalization_flops(rng, 128, p)
+             for p in (8, 16, 20, 30, 32, 45, 64, 120)]
     # p <= 0.35 n keeps the leading-order term dominant; the exact cost of
     # both paths tapers as p approaches n
-    ps = np.array([20, 30, 45])
-    giv, hh = [], []
-    for p in ps:
-        R = random_factor(rng, n)
-        fg, fh = FlopCounter(), FlopCounter()
-        marginalize_block(R, [int(p)], flops=fg)
-        marginalize_oracle_householder(R, int(p), flops=fh)
-        giv.append(fg.total())
-        hh.append(fh.total())
-    slope_g = np.polyfit(np.log(ps), np.log(giv), 1)[0]
-    slope_h = np.polyfit(np.log(ps), np.log(hh), 1)[0]
-    R = random_factor(rng, 120)
-    fg, fh = FlopCounter(), FlopCounter()
-    marginalize_block(R, [119], flops=fg)
-    marginalize_oracle_householder(R, 119, flops=fh)
-    ratio = fg.total() / fh.total()
-    ok = (abs(slope_g - 1.0) <= 0.2 and abs(slope_h - 2.0) <= 0.2
-          and ratio <= 0.2)
-    report(3, "Givens marginalization is O(np) vs O(np^2) Householder", ok,
-           f"slopes {slope_g:.2f}/{slope_h:.2f}, cost ratio {ratio:.3f} at "
-           f"p=n=120")
+    fit = [row for row in table if row["p"] in (20, 30, 45)]
+    logp = np.log([row["p"] for row in fit])
+    slopes = {f"slope_{path}": float(np.polyfit(
+        logp, np.log([row[f"{path}_flops"] for row in fit]), 1)[0])
+        for path in ("givens", "householder")}
+    return {"table": table, **slopes,
+            "last_state": _marginalization_flops(rng, 120, 119)}
 
 
-def test_4_update_flop_ratios():
+def verdict_3(m):
+    slope_g, slope_h = m["slope_givens"], m["slope_householder"]
+    ratio = m["last_state"]["ratio"]
+    return ("Givens marginalization is O(np) vs O(np^2) Householder",
+            abs(slope_g - 1.0) <= 0.2 and abs(slope_h - 2.0) <= 0.2
+            and ratio <= 0.2,
+            f"slopes {slope_g:.2f}/{slope_h:.2f}, cost ratio {ratio:.3f} at "
+            f"p=n=120")
+
+
+def measure_4():
     rng = np.random.default_rng(2)
     m, n1, n2 = 995, 9, 122
     offsets = [1 + 6 * i for i in range(11)]
@@ -143,53 +204,88 @@ def test_4_update_flop_ratios():
     fa = FlopCounter()
     apply_preconditioner_inverse(pc, H2, flops=fa)
     apply_preconditioner_inverse(pc, R[n1:, n1:], flops=fa)
-    ok = (abs(fq.total() - target) <= 0.15 * target
-          and fp.total() <= 0.75 * fq.total()
-          and fa.total() <= 0.10 * fq.total())
-    report(4, "update FLOPs: QR ~ 2mn2^2, Cholesky path <= 0.75x, "
-              "preconditioning <= 10%", ok,
-           f"QR/2mn2^2 = {fq.total() / target:.3f}, "
-           f"PC/QR = {fp.total() / fq.total():.3f}, "
-           f"precond/QR = {fa.total() / fq.total():.3f}")
+    return {"m": m, "n1": n1, "n2": n2, "qr_flops": fq.total(),
+            "two_m_n2_squared": target, "pc_flops": fp.total(),
+            "preconditioning_flops": fa.total(),
+            "qr_over_two_m_n2_squared": fq.total() / target,
+            "pc_over_qr": fp.total() / fq.total(),
+            "preconditioning_over_qr": fa.total() / fq.total()}
 
 
-def test_5_conditioning_reproduction(conditioning_runs):
-    rec = conditioning_runs["srif64"].conditioning
+def verdict_4(m):
+    qr, pc, pre = (m["qr_over_two_m_n2_squared"], m["pc_over_qr"],
+                   m["preconditioning_over_qr"])
+    return ("update FLOPs: QR ~ 2mn2^2, Cholesky path <= 0.75x, "
+            "preconditioning <= 10%",
+            abs(qr - 1.0) <= 0.15 and pc <= 0.75 and pre <= 0.10,
+            f"QR/2mn2^2 = {qr:.3f}, PC/QR = {pc:.3f}, "
+            f"precond/QR = {pre:.3f}")
+
+
+def measure_5(runs):
+    rec = runs["srif64"].conditioning
     ts = np.array([c.t for c in rec])
-    k_post = np.array([c.kappa2_r22_post for c in rec])
-    k_scaled = np.array([c.kappa2_r22_post_scaled for c in rec])
-    k_pc = np.array([c.kappa2_r22_post_precond for c in rec])
     smax = np.array([c.sigma_max_p for c in rec])
     smin = np.array([c.sigma_min_p for c in rec])
     i10 = int(np.searchsorted(ts, 10.0))
-    smax_growth = smax[-1] / smax[i10]
-    smin_growth = max(smin[-1] / smin[i10], smin[i10] / smin[-1])
-    ok = (k_post.max() > 8.4e6 and k_scaled.max() > 8.4e6
-          and k_pc.max() < 1e5
-          and smax_growth >= 10.0 and smin_growth < 10.0)
-    report(5, "conditioning growth, diagonal scaling insufficient, "
-              "preconditioner sufficient", ok,
-           f"max k2 {k_post.max():.2e}, scaled {k_scaled.max():.2e}, "
-           f"precond {k_pc.max():.2e}, sigma_max x{smax_growth:.1f}, "
-           f"sigma_min x{smin_growth:.1f}")
+    return {
+        "scenario": json.loads(runs["dataset"].spec.to_json()),
+        "records": [{k: float(v) for k, v in dataclasses.asdict(c).items()}
+                    for c in rec],
+        **{f"max_{field}": max(float(getattr(c, field)) for c in rec)
+           for field in ("kappa2_r22_post", "kappa2_r22_post_scaled",
+                         "kappa2_r22_post_precond")},
+        "sigma_max_growth": float(smax[-1] / smax[i10]),
+        "sigma_min_growth": float(max(smin[-1] / smin[i10],
+                                      smin[i10] / smin[-1])),
+    }
 
 
-def test_6_mixed_precision_stability(conditioning_runs):
-    truth = conditioning_runs["dataset"].truth
-    r32 = conditioning_runs["pcsrif32"]
-    r64 = conditioning_runs["srif64"]
-    npd = sum(1 for e in r32.events if e.kind == "not-positive-definite")
-    ate32 = _ate(r32, truth).ate_translation
-    ate64 = _ate(r64, truth).ate_translation
-    n_if = len(conditioning_runs["if32"].events)
-    ok = (npd == 0 and abs(ate32 - ate64) <= 0.05 * ate64 and n_if >= 1)
-    report(6, "binary32 PC-SRIF stays stable where the information filter "
-              "does not", ok,
-           f"PC-SRIF NPD events {npd}, ATE {ate32:.4f} vs {ate64:.4f} m, "
-           f"IF instability events {n_if}")
+def verdict_5(m):
+    k_post, k_scaled, k_pc = (m["max_kappa2_r22_post"],
+                              m["max_kappa2_r22_post_scaled"],
+                              m["max_kappa2_r22_post_precond"])
+    smax_growth, smin_growth = m["sigma_max_growth"], m["sigma_min_growth"]
+    return ("conditioning growth, diagonal scaling insufficient, "
+            "preconditioner sufficient",
+            k_post > 8.4e6 and k_scaled > 8.4e6 and k_pc < 1e5
+            and smax_growth >= 10.0 and smin_growth < 10.0,
+            f"max k2 {k_post:.2e}, scaled {k_scaled:.2e}, "
+            f"precond {k_pc:.2e}, sigma_max x{smax_growth:.1f}, "
+            f"sigma_min x{smin_growth:.1f}")
 
 
-def test_7_jacobian_and_posterior_properties():
+def measure_6(runs):
+    truth = runs["dataset"].truth
+    out = {name: {"ate_translation_m": _ate(runs[name], truth)[
+                      "ate_translation_m"],
+                  "events": len(runs[name].events),
+                  "events_by_kind": dict(collections.Counter(
+                      e.kind for e in runs[name].events))}
+           for name in ("srif64", "pcsrif32", "if32")}
+    ate32 = out["pcsrif32"]["ate_translation_m"]
+    ate64 = out["srif64"]["ate_translation_m"]
+    out["pcsrif32_ate_relative_difference"] = abs(ate32 - ate64) / ate64
+    first = runs["if32"].events[:1]
+    out["first_if_event"] = ({"t": first[0].t, "kind": first[0].kind}
+                             if first else None)
+    return out
+
+
+def verdict_6(m):
+    npd = m["pcsrif32"]["events_by_kind"].get("not-positive-definite", 0)
+    ate32 = m["pcsrif32"]["ate_translation_m"]
+    ate64 = m["srif64"]["ate_translation_m"]
+    n_if = m["if32"]["events"]
+    return ("binary32 PC-SRIF stays stable where the information filter "
+            "does not",
+            npd == 0 and m["pcsrif32_ate_relative_difference"] <= 0.05
+            and n_if >= 1,
+            f"PC-SRIF NPD events {npd}, ATE {ate32:.4f} vs {ate64:.4f} m, "
+            f"IF instability events {n_if}")
+
+
+def measure_7():
     worst_jac = 0.0
     checked = 0
     h = 1e-6
@@ -230,12 +326,55 @@ def test_7_jacobian_and_posterior_properties():
                          np.linalg.norm(res.R_post.T @ res.R_post - info)
                          / np.linalg.norm(info))
         triangular &= bool(np.allclose(np.tril(res.R_post, -1), 0.0))
-    ok = (checked >= 80 and worst_jac <= 1e-4 and worst_post <= 1e-9
-          and triangular)
-    report(7, "Jacobians match finite differences; posterior factor exact "
-              "and triangular", ok,
-           f"{checked} scenes, worst Jacobian error {worst_jac:.2e}, "
-           f"worst posterior identity {worst_post:.2e}")
+    return {"scenes_checked": checked, "worst_jacobian_error": worst_jac,
+            "worst_posterior_identity_error": float(worst_post),
+            "triangular": triangular}
+
+
+def verdict_7(m):
+    checked = m["scenes_checked"]
+    worst_jac = m["worst_jacobian_error"]
+    worst_post = m["worst_posterior_identity_error"]
+    return ("Jacobians match finite differences; posterior factor exact "
+            "and triangular",
+            checked >= 80 and worst_jac <= 1e-4 and worst_post <= 1e-9
+            and m["triangular"],
+            f"{checked} scenes, worst Jacobian error {worst_jac:.2e}, "
+            f"worst posterior identity {worst_post:.2e}")
+
+
+CLAIMS = {1: (measure_1, verdict_1), 2: (measure_2, verdict_2),
+          3: (measure_3, verdict_3), 4: (measure_4, verdict_4),
+          5: (measure_5, verdict_5), 6: (measure_6, verdict_6),
+          7: (measure_7, verdict_7)}
+
+
+def test_1_estimator_equivalence(measured):
+    report(1, *verdict_1(measured[1]))
+
+
+def test_2_marginalization_oracle(measured):
+    report(2, *verdict_2(measured[2]))
+
+
+def test_3_marginalization_complexity(measured):
+    report(3, *verdict_3(measured[3]))
+
+
+def test_4_update_flop_ratios(measured):
+    report(4, *verdict_4(measured[4]))
+
+
+def test_5_conditioning_reproduction(measured):
+    report(5, *verdict_5(measured[5]))
+
+
+def test_6_mixed_precision_stability(measured):
+    report(6, *verdict_6(measured[6]))
+
+
+def test_7_jacobian_and_posterior_properties(measured):
+    report(7, *verdict_7(measured[7]))
 
 
 def test_8_determinism(tmp_path):
@@ -262,3 +401,41 @@ def test_8_determinism(tmp_path):
         identical &= ((outs[0] / name).read_bytes()
                       == (outs[1] / name).read_bytes())
     report(8, "repeated invocations are byte-identical", identical)
+
+
+def write_claims(path, measured):
+    """Print each of claims 1-7's line, measuring what `measured` does not
+    yet hold, and write the claims file to `path`. True when all hold."""
+    claims, noisy = {}, {}
+    for k, (_, verdict) in CLAIMS.items():
+        numbers = dict(measured[k])
+        label, ok, detail = verdict(numbers)
+        print(line(k, label, ok, detail), flush=True)
+        if "noisy" in numbers:
+            noisy[k] = numbers.pop("noisy")
+        claims[k] = {"label": label, "pass": bool(ok), "numbers": numbers}
+    Path(path).write_text(json.dumps(
+        {"environment": cli.environment(), "claims": claims, "noisy": noisy},
+        indent=1, sort_keys=True) + "\n")
+    return all(claim["pass"] for claim in claims.values())
+
+
+def test_claims_file(measured, tmp_path, capsys):
+    # placed after claims 1-7, so it reuses their numbers and runs nothing
+    path = tmp_path / "BENCH.json"
+    assert write_claims(path, measured)
+    assert capsys.readouterr().out.count("[PASS]") == 7
+    data = json.loads(path.read_text())
+    assert data["environment"] == cli.environment()
+    assert list(data["claims"]) == [str(k) for k in CLAIMS]
+    for k, claim in data["claims"].items():
+        assert claim["pass"] is True
+        exact = {f: v for f, v in measured[int(k)].items() if f != "noisy"}
+        assert claim["numbers"] == exact
+    assert data["noisy"] == {"1": measured[1]["noisy"]}
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTPUT.json")
+    sys.exit(0 if write_claims(sys.argv[1], Measured()) else 1)

@@ -86,8 +86,10 @@ class TestCompare:
             cli.main(["compare", d])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("case", ["missing", "no-manifest", "aborted",
-                                      "no-flops"])
+    @pytest.mark.parametrize("case", [
+        "missing", "no-manifest", "aborted", "no-flops", "bad-manifest",
+        "list-manifest", "no-hash-manifest", "no-metrics-row",
+        "no-update-row"])
     def test_bad_run_directory_is_usage_error(self, case, scenario_file,
                                               tmp_path, capsys, monkeypatch):
         good = str(tmp_path / "good")
@@ -102,14 +104,34 @@ class TestCompare:
                 m.setattr(cli, "run_filter", boom)
                 assert cli.main(["run", "--scenario", scenario_file,
                                  "--out", str(bad)]) == 1
-        elif case == "no-flops":
+        elif case != "missing":
             assert cli.main(["run", "--scenario", scenario_file,
                              "--out", str(bad)]) == 0
+        if case == "no-flops":
             (bad / "flops.csv").unlink()
+        elif case == "bad-manifest":
+            (bad / "manifest.json").write_text("{not json")
+        elif case == "list-manifest":
+            (bad / "manifest.json").write_text("[]")
+        elif case == "no-hash-manifest":
+            manifest = json.loads((bad / "manifest.json").read_text())
+            del manifest["scenario_hash"]
+            (bad / "manifest.json").write_text(json.dumps(manifest))
+        elif case == "no-metrics-row":
+            (bad / "metrics.csv").write_text(cli.METRICS_HEADER)
+        elif case == "no-update-row":
+            rows = (bad / "flops.csv").read_text().splitlines(keepends=True)
+            (bad / "flops.csv").write_text("".join(
+                row for row in rows if not row.startswith("Update,")))
         cause = {"missing": "does not exist",
                  "no-manifest": "has no manifest.json",
                  "aborted": "did not complete",
-                 "no-flops": "has no flops.csv"}[case]
+                 "no-flops": "has no flops.csv",
+                 "bad-manifest": "has a malformed manifest.json",
+                 "list-manifest": "has a malformed manifest.json",
+                 "no-hash-manifest": "has a malformed manifest.json",
+                 "no-metrics-row": "has a malformed metrics.csv",
+                 "no-update-row": "has a malformed flops.csv"}[case]
         for dirs in ([good, str(bad)], [str(bad), good]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["compare", *dirs])
