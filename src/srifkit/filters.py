@@ -19,8 +19,9 @@ Matrix-level operations shared by the three estimators:
   demonstrator), and Cholesky on the preconditioned normal equation
   (SPAI + Jacobi, built from the prior factor), whose normal matrix is
   ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1. M_SPAI is one
-  upper triangle on the contiguous pose columns, so each application of
-  the preconditioner is one ?trsm, ?trmm or ?trtrs call.
+  upper triangle on the contiguous pose columns, inverted once per
+  update, so M^-1 reaches H2 as one product on those columns of a copy
+  in H2's own memory order, and M as one ?trmm.
 * Covariance-form (EKF) propagation over the same index arrays as the
   augmentation, rewriting only the 15 transitioned rows and columns
   (O(15 n^2)), and the Joseph-form update on H2, which never widens the
@@ -219,27 +220,31 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
 
 
 @functools.lru_cache(maxsize=8)
-def _outside_spai(poses):
-    """Read-only mask of the zeros of M_SPAI's triangle on `poses` pose
-    blocks: the strictly lower entries and pairs of different components."""
+def _spai_pattern(poses):
+    """Read-only, Fortran-ordered mask of M_SPAI's triangle on `poses` pose
+    blocks: True on and above the diagonal between equal components."""
     k = np.arange(6 * poses) % 6
-    mask = np.asfortranarray((k[:, None] != k) | _strictly_lower(6 * poses))
+    mask = np.asfortranarray((k[:, None] == k) & ~_strictly_lower(6 * poses))
     mask.flags.writeable = False
     return mask
 
 
 @dataclass
 class Preconditioner:
-    """M = M_Jacobi @ M_SPAI, stored implicitly.
+    """M = M_Jacobi @ M_SPAI, with its SPAI block's explicit inverse.
 
     M_SPAI copies the prior R22's entries on the sparsity set S, which
     pairs component k of pose i with component k of pose j >= i, and is
     the identity elsewhere. The pose blocks are contiguous, so M_SPAI is
     the identity but on their columns `cols`, where it is the upper
-    triangle `tri`, and each application is one BLAS/LAPACK call on
-    X[:, cols]. M_Jacobi holds the column norms of R22 @ M_SPAI^-1.
-    `r22p` = R22 @ M^-1 is exactly upper triangular, since its strictly
-    lower entries are sums of products with zeros; the update reuses it.
+    triangle `tri`: six interleaved l x l triangles, one per component.
+    `inv` = tri^-1 keeps tri's structural zeros as exact zeros, so it is
+    upper triangular and zero between different components too. M_Jacobi
+    holds the column norms of R22 @ M_SPAI^-1. Applying M^-1 is one
+    product with `inv` on the pose columns of a copy and one division by
+    `jacobi`; applying M is one ?trmm with the exact `tri`. `r22p` =
+    R22 @ M^-1 is exactly upper triangular, since its strictly lower
+    entries are sums of products with zeros; the update reuses it.
     `per_row` is the FLOPs of the sparse back substitution with `tri` per
     row of its operand: 2 per off-diagonal entry and 1 per diagonal entry
     other than 1.
@@ -247,6 +252,7 @@ class Preconditioner:
 
     cols: slice                   # the pose blocks' columns
     tri: np.ndarray               # M_SPAI[cols, cols], Fortran-ordered
+    inv: np.ndarray               # tri^-1, Fortran-ordered
     per_row: int
     jacobi: np.ndarray | None = None  # positive diagonal of M_Jacobi
     r22p: np.ndarray | None = None    # R22 @ M^-1, Fortran-ordered
@@ -256,13 +262,14 @@ class Preconditioner:
         l = self.tri.shape[0] // 6
         return 6 * l * (l - 1) // 2
 
-    def solve_spai(self, X, flops):
-        """X[:, cols] <- X[:, cols] @ M_SPAI[cols, cols]^-1 for a
-        Fortran-ordered X, in place: one ?trsm, counted as the sparse back
-        substitution."""
-        if X.shape[0] and self.tri.size:
-            trsm, = scipy.linalg.blas.get_blas_funcs(("trsm",), (X,))
-            trsm(1.0, self.tri, X[:, self.cols], side=1, overwrite_b=1)
+    def spai_inverse(self, A, flops):
+        """A @ M_SPAI^-1 in the preconditioner's dtype and A's memory
+        order: a copy of A whose pose columns are overwritten by one
+        product A[:, cols] @ inv. Counted as the sparse back substitution
+        with tri, which the product matches row for row."""
+        X = np.array(A, dtype=self.tri.dtype)
+        np.matmul(A[:, self.cols], self.inv, out=X[:, self.cols],
+                  dtype=self.tri.dtype)
         if flops is not None:
             flops.add(X.shape[0] * self.per_row)
         return X
@@ -276,6 +283,12 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     or ValueError is raised. Zero column norms are pinned to 1. A zero
     diagonal entry of M_SPAI makes it singular and raises
     scipy.linalg.LinAlgError naming the pose and component.
+
+    tri is inverted once per build, one ?trtri per component's triangle.
+    The FLOPs counted are those of the sparse back substitution of R22's
+    rows with tri, the column norms and the Jacobi scaling; the O(l^3)
+    inversion is not counted, just as the products with the structural
+    zeros of tri and inv never are.
     """
     n2 = R22.shape[0]
     poses = len(pose_offsets)
@@ -285,20 +298,30 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
             or not 0 <= first <= n2 - 6 * poses):
         raise ValueError(f"the pose offsets {list(pose_offsets)} are not "
                          f"contiguous 6-column blocks inside [0, {n2})")
-    tri = np.array(R22[cols, cols], order="F")
-    np.copyto(tri, 0, where=_outside_spai(poses))
-    if not np.diagonal(tri).all():
-        k = int(np.flatnonzero(np.diagonal(tri) == 0)[0])
+    # a Fortran-ordered R22 gives a Fortran-ordered r22p, which ?trmm
+    # reads in place when the update forms its normal matrix
+    R22 = np.asfortranarray(R22)
+    tri = np.multiply(R22[cols, cols], _spai_pattern(poses), order="F")
+    diag = np.diagonal(tri)
+    if not diag.all():
+        k = int(np.flatnonzero(diag == 0)[0])
         raise scipy.linalg.LinAlgError(
             f"singular SPAI block: zero diagonal at pose {k // 6}, "
             f"component {k % 6}")
-    pc = Preconditioner(cols, tri, 6 * poses * (poses - 1)
-                        + int(np.count_nonzero(np.diagonal(tri) != 1)))
-    R22p = pc.solve_spai(np.array(R22, order="F"), flops)
+    # inverting each component's triangle on its own skips the zeros
+    # between them
+    inv = np.zeros(tri.shape, dtype=tri.dtype, order="F")
+    if poses:    # ?trtri rejects an empty triangle
+        trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (tri,))
+        for k in range(6):
+            inv[k::6, k::6] = trtri(tri[k::6, k::6])[0]
+    pc = Preconditioner(cols, tri, inv, 6 * poses * (poses - 1)
+                        + int(np.count_nonzero(diag != 1)))
+    R22p = pc.spai_inverse(R22, flops)
     norms = np.sqrt(np.einsum("ij,ij->j", R22p, R22p))
     norms[norms == 0] = 1.0
-    pc.jacobi = norms.astype(R22.dtype, copy=False)
-    R22p /= pc.jacobi
+    pc.jacobi = norms
+    R22p /= norms
     pc.r22p = R22p
     if flops is not None:
         # the column norms, and the Jacobi scaling of R22p
@@ -308,9 +331,11 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
 
 def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
     """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 in the preconditioner's
-    dtype: one ?trsm on the pose columns of a Fortran-ordered copy, then
-    the Jacobi scaling in place."""
-    X = pc.solve_spai(fortran_copy(A, pc.jacobi.dtype), flops)
+    dtype and A's memory order: one product on the pose columns of a copy
+    of A (`Preconditioner.spai_inverse`), then the Jacobi division in
+    place. On a Fortran-ordered R22 this is bitwise the r22p that
+    `build_preconditioner` computes the same way."""
+    X = pc.spai_inverse(A, flops)
     X /= pc.jacobi
     if flops is not None:
         flops.add(X.shape[0] * pc.jacobi.size)
@@ -330,11 +355,10 @@ def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
 
 
 def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
-    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z), one ?trtrs on the pose entries."""
+    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z): z / jacobi, then one product
+    with inv on the pose entries."""
     x = z / pc.jacobi
-    if pc.tri.size:
-        trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (x,))
-        x[pc.cols] = trtrs(pc.tri, x[pc.cols])[0]
+    x[pc.cols] = pc.inv @ x[pc.cols]
     if flops is not None:
         flops.add(2 * (pc.nnz() + pc.jacobi.size))
     return x

@@ -8,8 +8,9 @@ before asserting.
 
 Run as a script, the file measures claims 1-7 once, prints their lines and
 writes the claims file: JSON holding each claim's label, pass flag and
-numbers, its wall times apart under "noisy", and the environment
-manifest.json records. Run from the repository root:
+numbers, the update-kernel sweep's counted FLOPs, all wall times apart
+under "noisy", and the environment manifest.json records. Run from the
+repository root:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_acceptance.py OUTPUT.json
 """
@@ -34,6 +35,7 @@ from srifkit.diag import compute_metrics
 from srifkit.filters import (
     apply_preconditioner_inverse,
     build_preconditioner,
+    if_update_oracle,
     marginalize_block,
     pcsrif_update,
     srif_update_partitioned,
@@ -403,28 +405,111 @@ def test_8_determinism(tmp_path):
     report(8, "repeated invocations are byte-identical", identical)
 
 
+# The update-kernel sweep runs on perfbench's update-m995 input (its first
+# input set at seed 0: the prior is the Cholesky factor of I + A A^T with
+# A of scale 0.3, H2 and r are Gaussian), cut to its first m rows.
+SWEEP_ROWS = (36, 100, 254, 500, 663, 995)
+SWEEP_N1, SWEEP_N2 = 9, 122
+SWEEP_OFFSETS = [1 + 6 * i for i in range(11)]
+SWEEP_ROUNDS = 25
+
+
+def sweep_input():
+    rng = np.random.default_rng(0)
+    n = SWEEP_N1 + SWEEP_N2
+    A = rng.normal(size=(n, n)) * 0.3
+    R = np.linalg.cholesky(A @ A.T + np.eye(n)).T
+    return (R, rng.normal(size=(max(SWEEP_ROWS), SWEEP_N2)),
+            rng.normal(size=max(SWEEP_ROWS)))
+
+
+def sweep_calls(R, H2, r, m):
+    """Each kernel at each precision on the first m rows, as a call that
+    takes the FlopCounter."""
+    calls = {}
+    for bits, dtype in (("32", np.float32), ("64", np.float64)):
+        args = [x.astype(dtype) for x in (R, H2[:m], r[:m])]
+        calls["srif" + bits] = functools.partial(
+            srif_update_partitioned, *args, SWEEP_N1)
+        calls["pcsrif" + bits] = functools.partial(
+            pcsrif_update, *args, SWEEP_N1, SWEEP_OFFSETS)
+        calls["if" + bits] = functools.partial(
+            if_update_oracle, *args, SWEEP_N1)
+    return calls
+
+
+def sweep_flops(calls):
+    counts = {}
+    for name, call in calls.items():
+        fc = FlopCounter()
+        call(flops=fc)
+        counts[name] = fc.total()
+    return counts
+
+
+def measure_kernels():
+    """Counted FLOPs of every kernel at each m, and under "noisy" the
+    median ms of SWEEP_ROUNDS interleaved rounds of calls (each call
+    counting its FLOPs, as the engine's do) with pcsrif32's ratios."""
+    inp = sweep_input()
+    rows, noisy = [], []
+    for m in SWEEP_ROWS:
+        calls = sweep_calls(*inp, m)
+        rows.append({"m": m, "flops": sweep_flops(calls)})
+        ms = collections.defaultdict(list)
+        for _ in range(SWEEP_ROUNDS):
+            for name, call in calls.items():
+                t0 = time.perf_counter()
+                call(flops=FlopCounter())
+                ms[name].append((time.perf_counter() - t0) * 1e3)
+        med = {name: float(np.median(v)) for name, v in ms.items()}
+        noisy.append({"m": m, "median_ms": med, **{
+            f"pcsrif32_over_{k}": med["pcsrif32"] / med[k]
+            for k in ("srif64", "srif32", "if32")}})
+    return {"n1": SWEEP_N1, "n2": SWEEP_N2, "poses": len(SWEEP_OFFSETS),
+            "rounds": SWEEP_ROUNDS, "rows": rows, "noisy": noisy}
+
+
+def kernel_line(row, times):
+    f, t = row["flops"], times["median_ms"]
+    return (f"m={row['m']}: FLOPs QR {f['srif64'] / 1e6:.1f} M, PC "
+            f"{f['pcsrif64'] / 1e6:.1f} M; pcsrif32 {t['pcsrif32']:.3f} ms"
+            f" = {times['pcsrif32_over_srif64']:.2f}x srif64, "
+            f"{times['pcsrif32_over_srif32']:.2f}x srif32, "
+            f"{times['pcsrif32_over_if32']:.2f}x if32")
+
+
 def write_claims(path, measured):
     """Print each of claims 1-7's line, measuring what `measured` does not
-    yet hold, and write the claims file to `path`. True when all hold."""
+    yet hold, and one line per m of the kernel sweep, and write the claims
+    file to `path`. True when all claims hold."""
     claims, noisy = {}, {}
     for k, (_, verdict) in CLAIMS.items():
         numbers = dict(measured[k])
         label, ok, detail = verdict(numbers)
         print(line(k, label, ok, detail), flush=True)
         if "noisy" in numbers:
-            noisy[k] = numbers.pop("noisy")
+            noisy[str(k)] = numbers.pop("noisy")
         claims[k] = {"label": label, "pass": bool(ok), "numbers": numbers}
+    kernels = measure_kernels()
+    noisy["kernels"] = kernels.pop("noisy")
+    for row, times in zip(kernels["rows"], noisy["kernels"]):
+        print(kernel_line(row, times), flush=True)
     Path(path).write_text(json.dumps(
-        {"environment": cli.environment(), "claims": claims, "noisy": noisy},
+        {"environment": cli.environment(), "claims": claims,
+         "kernels": kernels, "noisy": noisy},
         indent=1, sort_keys=True) + "\n")
     return all(claim["pass"] for claim in claims.values())
 
 
 def test_claims_file(measured, tmp_path, capsys):
-    # placed after claims 1-7, so it reuses their numbers and runs nothing
+    # placed after claims 1-7, so it reuses their numbers; of the file's
+    # contents only the kernel sweep is measured here
     path = tmp_path / "BENCH.json"
     assert write_claims(path, measured)
-    assert capsys.readouterr().out.count("[PASS]") == 7
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 7
+    assert out.count("x srif64") == len(SWEEP_ROWS)
     data = json.loads(path.read_text())
     assert data["environment"] == cli.environment()
     assert list(data["claims"]) == [str(k) for k in CLAIMS]
@@ -432,7 +517,27 @@ def test_claims_file(measured, tmp_path, capsys):
         assert claim["pass"] is True
         exact = {f: v for f, v in measured[int(k)].items() if f != "noisy"}
         assert claim["numbers"] == exact
-    assert data["noisy"] == {"1": measured[1]["noisy"]}
+    # the sweep's counted FLOPs are exact: a recount gives them, at every
+    # precision, and at m = 995 they are the closed-form update totals
+    # `test_filters.py::TestUpdateFlopTotals` pins
+    kernels = data["kernels"]
+    assert [row["m"] for row in kernels["rows"]] == list(SWEEP_ROWS)
+    inp = sweep_input()
+    for row in kernels["rows"]:
+        assert row["flops"] == sweep_flops(sweep_calls(*inp, row["m"]))
+        for kind in ("srif", "pcsrif", "if"):
+            assert row["flops"][kind + "32"] == row["flops"][kind + "64"]
+    assert kernels["rows"][-1]["flops"]["srif64"] == 30402664
+    assert kernels["rows"][-1]["flops"]["pcsrif64"] == 17559721
+    assert set(data["noisy"]) == {"1", "kernels"}
+    assert data["noisy"]["1"] == measured[1]["noisy"]
+    names = {f"{kind}{bits}" for kind in ("srif", "pcsrif", "if")
+             for bits in ("32", "64")}
+    for row in data["noisy"]["kernels"]:
+        assert set(row["median_ms"]) == names
+        assert all(t > 0 for t in row["median_ms"].values())
+        assert {"pcsrif32_over_srif64", "pcsrif32_over_srif32",
+                "pcsrif32_over_if32"} < set(row)
 
 
 if __name__ == "__main__":

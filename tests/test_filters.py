@@ -541,6 +541,19 @@ class TestPreconditioner:
         assert err.max() <= 10 * n2 * eps_of(dtype)
         assert pc.jacobi.max() / pc.jacobi.min() > 1e5
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inverse_keeps_the_operands_memory_order(self, order):
+        # a binary64 operand on a binary32 preconditioner is cast first
+        rng = np.random.default_rng(32)
+        R22 = random_spd_factor(rng, 20).astype(np.float32)
+        pc = build_preconditioner(R22, [2, 8, 14])
+        A = np.array(rng.normal(size=(30, 20)), order=order)
+        X = apply_preconditioner_inverse(pc, A)
+        assert X.dtype == np.float32 and X.flags[order + "_CONTIGUOUS"]
+        X32 = apply_preconditioner_inverse(pc, A.astype(np.float32))
+        assert X32.flags[order + "_CONTIGUOUS"]
+        assert np.array_equal(X, X32)
+
     def test_zero_column_norm_pinned_to_one(self):
         R22 = np.eye(6)
         R22[3, 3] = 0.0
@@ -598,7 +611,15 @@ class TestPreconditioner:
         Y = apply_preconditioner_right(pc, A)
         x = preconditioner_solve_vec(pc, z)
         R22p = pc.r22p
-        assert {X.dtype, Y.dtype, x.dtype, R22p.dtype} == {np.dtype(dtype)}
+        assert {X.dtype, Y.dtype, x.dtype, R22p.dtype,
+                pc.inv.dtype} == {np.dtype(dtype)}
+        # tri^-1 is exactly zero wherever M_SPAI's triangle is: below the
+        # diagonal and between different components
+        k = np.arange(6 * poses) % 6
+        on = (k[:, None] == k) & np.triu(np.ones((6 * poses,) * 2, bool))
+        assert np.array_equal(pc.inv[~on], np.zeros((~on).sum(), dtype))
+        near(pc.tri.astype(np.float64) @ pc.inv, np.eye(6 * poses),
+             np.linalg.norm(pc.tri) * np.linalg.norm(pc.inv))
         near(X @ M, A64, np.linalg.norm(X) * np.linalg.norm(M))
         near(Y, A64 @ M, np.linalg.norm(A64) * np.linalg.norm(M))
         near(M @ x, z, np.linalg.norm(M) * np.linalg.norm(x))

@@ -249,6 +249,40 @@ class TestStructuredPcsrif:
         assert np.linalg.norm(pc.R_post - ref.R_post) <= tol * np.linalg.norm(
             ref.R_post)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary32_on_a_graded_ill_conditioned_spai_block(self, seed):
+        # 11 poses on a chain, neighbours tied by information 1e6 g_k^2
+        # for component k, g graded over six decades, so kappa(tri) is
+        # about 1e6: binary32 PC-SRIF, whose tri^-1 is an explicit
+        # product, still meets the binary64 QR update within perfbench's
+        # update-m995 tolerances (posterior identity 1e-5, dx 1e-4)
+        rng = np.random.default_rng(seed)
+        n1, extra, poses, m = 3, 8, 11, 60
+        n2 = 6 * poses + extra
+        n = n1 + n2
+        offsets = [extra + 6 * i for i in range(poses)]
+        A = rng.normal(size=(n, n)) * 0.3
+        info = A @ A.T + 1e-2 * np.eye(n)
+        tie = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        for i in range(poses - 1):
+            for k, g in enumerate(np.logspace(-3, 3, 6)):
+                j = [n1 + offsets[i] + k, n1 + offsets[i + 1] + k]
+                info[np.ix_(j, j)] += 1e6 * g * g * tie
+        R = np.linalg.cholesky(info).T
+        H2 = rng.normal(size=(m, n2))
+        r = rng.normal(size=m)
+        tri = filters.build_preconditioner(R[n1:, n1:], offsets).tri
+        assert np.linalg.cond(tri) >= 1e4
+        ref = filters.srif_update_partitioned(R, H2, r, n1)
+        R32, H32, r32 = (x.astype(np.float32) for x in (R, H2, r))
+        res = filters.pcsrif_update(R32, H32, r32, n1, offsets)
+        post = R.T @ R
+        post[n1:, n1:] += H2.T @ H2
+        Rp = res.R_post.astype(np.float64)
+        assert np.linalg.norm(Rp.T @ Rp - post) <= 1e-5 * np.linalg.norm(post)
+        assert np.linalg.norm(res.dx - ref.dx) <= 1e-4 * np.linalg.norm(
+            ref.dx)
+
     def test_spai_factor_is_upper_triangular_on_an_engine_factor(
             self, monkeypatch):
         seen = []
