@@ -2,7 +2,9 @@
 
 Condition numbers are always evaluated in float64 via SVD regardless of
 the filter's working precision; they are diagnostics, never part of the
-estimator path, and the engine records them every vins.SVD_STRIDE frames.
+estimator path. The engine records them every vins.SVD_STRIDE frames, on
+a worker thread beside the frames that follow, so every SVD here is
+`linalg.svdvals`, a ?gesdd call that releases the GIL.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters
-from .linalg import cond_spectral
+from .linalg import cond_spectral, svdvals
 from .state import quat_to_mat
 
 
@@ -53,8 +55,7 @@ def record_conditioning(t, R22_post, pose_offsets, P_scaled):
     k_post = _kappa2(R22_post)
     k_scaled = _kappa2(R22_post / d[None, :])
     k_pre = _kappa2(filters.build_preconditioner(R22_post, pose_offsets).r22p)
-    sv = np.linalg.svd(np.asarray(P_scaled, dtype=np.float64),
-                       compute_uv=False)
+    sv = svdvals(P_scaled)
     return ConditioningRecord(float(t), k_post, k_scaled, k_pre,
                               float(sv[0]), float(sv[-1]))
 

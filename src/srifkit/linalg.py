@@ -8,8 +8,11 @@ block), triangular solves (?trtrs) and spectral condition numbers, all
 preserving the dtype of their inputs (float32 or float64) and optionally
 instrumented with a FLOP counter that records the textbook algorithm's
 operation count, one closed-form count per call.
-Condition numbers are always evaluated in float64 so the diagnostics do
-not inherit the instability they are measuring.
+Singular values and condition numbers are always evaluated in float64 so
+the diagnostics do not inherit the instability they are measuring. They
+come from LAPACK ?gesdd, bound through ctypes as ?lasr is: a ctypes call
+releases the GIL, so the engine's diagnostics thread runs its SVDs beside
+the frames instead of taking turns with them.
 """
 
 from __future__ import annotations
@@ -188,18 +191,24 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
     return R, b
 
 
-def _bind_lasr(name):
-    """scipy's compiled LAPACK ?lasr, called through its Cython capsule."""
+def _lapack(name, *argtypes):
+    """scipy's compiled LAPACK routine `name`, called through its Cython
+    capsule as a ctypes function, which releases the GIL while it runs."""
     cap, api, fn = (scipy.linalg.cython_lapack.__pyx_capi__[name],
                     ctypes.pythonapi, ctypes.PYFUNCTYPE)
     label = fn(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     addr = fn(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))(cap, label(cap))
-    ch, n, p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    return ctypes.CFUNCTYPE(None, ch, ch, ch, n, n, p, p, p, n)(addr)
+    return ctypes.CFUNCTYPE(None, *argtypes)(addr)
 
 
-_LASR = {np.dtype(t): _bind_lasr(t[0] + "lasr") for t in ("single", "double")}
+_CH, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+_LASR = {np.dtype(t): _lapack(t[0] + "lasr", _CH, _CH, _CH, _INT, _INT,
+                              _PTR, _PTR, _PTR, _INT)
+         for t in ("single", "double")}
+# jobz, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, iwork, info
+_GESDD = _lapack("dgesdd", _CH, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT,
+                 _PTR, _INT, _PTR, _INT, _PTR, _INT)
 
 
 def row_rotator(V):
@@ -389,9 +398,40 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
     return S
 
 
+def svdvals(A):
+    """The singular values of the 2-D A at float64, in descending order,
+    from one LAPACK ?gesdd call (jobz = 'N') that releases the GIL.
+
+    ?gesdd overwrites a Fortran-ordered float64 copy of A, made before any
+    pointer reaches LAPACK, in a workspace of LAPACK's minimum for
+    jobz = 'N': 3k + max(m, n, 7k) reals and 8k integers, k = min(m, n).
+    np.linalg.svd(A, compute_uv=False) calls ?gesdd with jobz = 'N' too,
+    so with numpy and scipy on one OpenBLAS release the values are bitwise
+    those it returns for the float64 A. A NaN entry (info = -4) or a
+    failure to converge raises np.linalg.LinAlgError.
+    """
+    A = np.array(A, dtype=np.float64, order="F")
+    if A.ndim != 2:
+        raise ValueError(f"svdvals needs a 2-D matrix, got shape {A.shape}")
+    m, n = A.shape
+    k = min(m, n)
+    s = np.empty(k)
+    if not k:
+        return s
+    work = np.empty(3 * k + max(m, n, 7 * k))
+    iwork = np.empty(8 * k, dtype=np.intc)
+    c, info = ctypes.c_int, ctypes.c_int()
+    _GESDD(b"N", c(m), c(n), A.ctypes.data, c(m), s.ctypes.data, None, c(1),
+           None, c(1), work.ctypes.data, c(work.size), iwork.ctypes.data, info)
+    if info.value:
+        raise np.linalg.LinAlgError(
+            f"SVD did not converge (?gesdd info {info.value})")
+    return s
+
+
 def cond_spectral(A):
-    """The spectral condition number sigma_max / sigma_min via full SVD at
-    float64.
+    """The spectral condition number sigma_max / sigma_min via `svdvals`
+    at float64.
 
     Diagnostic-grade: always evaluated in double precision regardless of
     the input dtype. sigma_min = 0 reports +inf.
@@ -399,6 +439,6 @@ def cond_spectral(A):
     A64 = np.asarray(A, dtype=np.float64)
     if A64.size == 0 or not np.any(A64):
         raise ValueError("cond_spectral needs a nonzero matrix")
-    s = np.linalg.svd(A64, compute_uv=False)
+    s = svdvals(A64)
     smin = float(s[-1])
     return float("inf") if smin == 0.0 else float(s[0]) / smin

@@ -15,11 +15,20 @@ observation to project; the second projects them all with one
 `project_feature` call, eliminates every short track's feature with one
 `msckf_nullspace_project` call, and writes the whitened rows straight
 into H2.
+
+Every SVD_STRIDE-th frame's conditioning record is a diagnostic, not part
+of the estimate. Within `run()` the frame only snapshots what the record
+needs (a float64 copy of the factor and the covariance indices) and hands
+it to one worker thread, which computes the records in frame order while
+the next frames run; its SVDs release the GIL, so on a second core they
+leave the frame's critical path. The records are bitwise those computed
+inline, as they still are for an estimator stepped by hand.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +65,7 @@ PRIOR_SIGMA = {
 }
 MIN_TRACK = 3   # observations needed before a track is used
 SVD_STRIDE = 10  # conditioning recorded every this many frames
+DIAGNOSTICS_THREAD = "srifkit-diagnostics"   # name prefix of run()'s worker
 
 
 @dataclass
@@ -120,6 +130,15 @@ def _pose_offsets_x2(lay):
     return list(range(lay.tsync + 1 - N1, lay.intr - N1, 6))
 
 
+def _covariance_block(R, idx):
+    """The float64 block P[idx, idx] = Y.T Y of the factor R, where
+    R.T Y = I[:, idx]."""
+    Y = scipy.linalg.solve_triangular(
+        np.asarray(R, dtype=np.float64), np.eye(R.shape[0])[:, idx],
+        trans="T", check_finite=False)
+    return Y.T @ Y
+
+
 def _scatter_rows(H, cols, J):
     """Write observation i's 2 x c Jacobian J[i] into rows 2i and 2i + 1 of
     H, at the columns cols[i].
@@ -142,6 +161,10 @@ class VinsEstimator:
         self.conditioning = []    # of ConditioningRecord, every SVD_STRIDE frames
         self.events = []
         self._scale_freeze = None
+        # run()'s diagnostics worker, and its (t, Future) of each record not
+        # yet appended; outside run() records are computed inline
+        self._worker = None
+        self._pending = []
 
         truth = dataset.truth
         spec = dataset.spec
@@ -175,11 +198,7 @@ class VinsEstimator:
     # -- representation helpers ------------------------------------------
 
     def _covariance(self, idx):
-        # the float64 block P[idx, idx] = Y.T Y, where R.T Y = I[:, idx]
-        Y = scipy.linalg.solve_triangular(
-            np.asarray(self.R, dtype=np.float64),
-            np.eye(self.R.shape[0])[:, idx], trans="T", check_finite=False)
-        return Y.T @ Y
+        return _covariance_block(self.R, idx)
 
     # -- propagation ------------------------------------------------------
 
@@ -557,37 +576,73 @@ class VinsEstimator:
     # -- diagnostics ------------------------------------------------------
 
     def _record_diagnostics(self, frame):
+        """Snapshot what the frame's record needs and hand it to the worker,
+        or compute it here when no run is in progress. The snapshot is a
+        copy: `_reanchor` edits R in place."""
         lay = layout_of(self.x)
         # the states every window keeps: biases, velocity, tsync, the
         # newest pose and the calibration
-        Psub = self._covariance(np.r_[0:N1, lay.tsync,
-                                      lay.pose_cols(lay.n_poses - 1),
-                                      lay.intr:lay.n])
-        if self._scale_freeze is None and frame.t >= 10.0:
+        job = (frame.t, np.array(self.R, dtype=np.float64),
+               np.r_[0:N1, lay.tsync, lay.pose_cols(lay.n_poses - 1),
+                     lay.intr:lay.n], _pose_offsets_x2(lay))
+        if self._worker is None:
+            self.conditioning.append(self._condition(*job))
+        else:
+            self._pending.append((frame.t,
+                                  self._worker.submit(self._condition, *job)))
+
+    def _condition(self, t, R, idx, pose_offsets):
+        """The conditioning record of the float64 factor R at time t; the
+        covariance's scale is frozen at the first record from 10 s on."""
+        Psub = _covariance_block(R, idx)
+        if self._scale_freeze is None and t >= 10.0:
             self._scale_freeze = np.sqrt(np.diag(Psub))
         s = (self._scale_freeze if self._scale_freeze is not None
              else np.sqrt(np.diag(Psub)))
         P_scaled = Psub / np.outer(s, s)
-        self.conditioning.append(record_conditioning(
-            frame.t, self.R[N1:, N1:], _pose_offsets_x2(lay), P_scaled))
+        return record_conditioning(t, R[N1:, N1:], pose_offsets, P_scaled)
+
+    def _settle(self, block=True):
+        """Append the worker's records in frame order: all of them, or only
+        those already finished. A record that raised aborts the run at its
+        own frame's update."""
+        while self._pending and (block or self._pending[0][1].done()):
+            t, record = self._pending.pop(0)
+            try:
+                self.conditioning.append(record.result())
+            except Exception as exc:
+                raise EstimatorAbort(t, "update", exc) from exc
 
     # -- main loop ---------------------------------------------------------
 
     def run(self):
         seconds = dict.fromkeys(PHASES, 0.0)
-        for frame in self.ds.frames[1:]:
-            for phase, work in (("propagation", self._propagate),
-                                ("marginalization", self._marginalize),
-                                ("update", self._update)):
-                t0 = time.perf_counter()
-                try:
-                    work(frame)
-                except Exception as exc:
-                    raise EstimatorAbort(frame.t, phase, exc) from exc
-                seconds[phase] += time.perf_counter() - t0
-            self.times.append(frame.t)
-            self.positions.append(self.x.positions[-1].copy())
-            self.quats.append(self.x.quats[-1].copy())
+        # the worker thread starts at the first record, so a KF run, which
+        # records none, starts none; leaving the block joins it
+        with ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=DIAGNOSTICS_THREAD
+        ) as self._worker:
+            try:
+                for frame in self.ds.frames[1:]:
+                    for phase, work in (("propagation", self._propagate),
+                                        ("marginalization", self._marginalize),
+                                        ("update", self._update)):
+                        t0 = time.perf_counter()
+                        try:
+                            work(frame)
+                        except Exception as exc:
+                            # an earlier frame's failed record aborts first
+                            self._settle()
+                            raise EstimatorAbort(frame.t, phase, exc) from exc
+                        seconds[phase] += time.perf_counter() - t0
+                    self.times.append(frame.t)
+                    self.positions.append(self.x.positions[-1].copy())
+                    self.quats.append(self.x.quats[-1].copy())
+                    self._settle(block=False)
+                self._settle()
+            finally:
+                # a record left unread after an abort goes with its run
+                self._worker, self._pending = None, []
         return RunResult(
             np.array(self.times), np.array(self.positions),
             np.array(self.quats),

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from srifkit.linalg import (
     row_rotator,
     sign_normalize_rows,
     solve_upper,
+    svdvals,
 )
 
 from givens_reference import (
@@ -423,6 +426,64 @@ class TestCondSpectral:
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
         assert cond_spectral(A) == float("inf")
+
+
+    @pytest.mark.parametrize("A", [np.zeros((0, 0)), np.zeros((0, 4)),
+                                   np.zeros((3, 4)), np.zeros((2, 2),
+                                                              np.float32)])
+    def test_empty_or_zero_is_refused(self, A):
+        with pytest.raises(ValueError, match="nonzero"):
+            cond_spectral(A)
+
+
+class TestSvdvals:
+    @staticmethod
+    def _matrix(kind, dtype, order):
+        rng = np.random.default_rng(15)
+        shape = {"square": (40, 40), "tall": (90, 17), "wide": (17, 90),
+                 "triangular": (110, 110)}[kind]
+        A = rng.normal(size=shape)
+        if kind == "triangular":
+            A = np.triu(A)
+        return np.array(A, dtype=dtype, order=order)
+
+    @pytest.mark.parametrize("kind", ["square", "tall", "wide", "triangular"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_numpys_singular_values(self, kind, order, dtype):
+        # both call LAPACK ?gesdd on the float64 matrix; a float32 A is
+        # widened exactly first
+        A = self._matrix(kind, dtype, order)
+        before = A.copy()
+        s = svdvals(A)
+        want = np.linalg.svd(A.astype(np.float64), compute_uv=False)
+        assert s.dtype == np.float64 and s.shape == want.shape
+        assert s.tobytes() == want.tobytes()
+        assert np.array_equal(A, before)     # ?gesdd overwrote a copy
+
+    def test_strided_view(self):
+        A = self._matrix("square", np.float64, "C")[::2, 1::3]
+        assert svdvals(A).tobytes() == np.linalg.svd(
+            A, compute_uv=False).tobytes()
+
+    def test_nan_raises_linalg_error(self):
+        A = np.eye(6)
+        A[2, 4] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="info -4"):
+            svdvals(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(A, compute_uv=False)
+
+    def test_empty_and_not_a_matrix(self):
+        assert svdvals(np.zeros((0, 5))).shape == (0,)
+        with pytest.raises(ValueError, match="2-D"):
+            svdvals(np.ones(4))
+
+    def test_the_call_releases_the_gil(self):
+        # ctypes holds the GIL through a call only for a PYFUNCTYPE
+        # function, which carries FUNCFLAG_PYTHONAPI
+        for fn in (linalg._GESDD, *linalg._LASR.values()):
+            assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 # -- properties over random shapes, both precisions --------------------------

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -776,6 +778,116 @@ class TestConditioningLog:
         res = run_filter(ds, FilterConfig(estimator="srif"))
         assert [rec.t for rec in res.conditioning] == [
             f.t for f in ds.frames[1::3]]
+
+
+def _workers():
+    return [t for t in threading.enumerate()
+            if t.name.startswith(vins.DIAGNOSTICS_THREAD)]
+
+
+def _record_bytes(records):
+    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def twenty_five_seconds():
+    return gen_dataset(_short(seed=0, duration=25.0))
+
+
+class TestDiagnosticsWorker:
+    """run() computes the conditioning records on one worker thread beside
+    the frames; stepped by hand, the engine computes them inline."""
+
+    @staticmethod
+    def _patch_record(monkeypatch, fail_at=None):
+        """record_conditioning raising on its fail_at-th call; returns the
+        names of the threads each call ran on."""
+        threads = []
+        record = vins.record_conditioning
+
+        def faulty(*args):
+            threads.append(threading.current_thread().name)
+            if len(threads) == fail_at:
+                raise ValueError("record failed")
+            return record(*args)
+
+        monkeypatch.setattr(vins, "record_conditioning", faulty)
+        return threads
+
+    @pytest.mark.parametrize("config", [
+        dict(estimator="pcsrif", precision="binary32"),
+        dict(estimator="srif", precision="binary64", window=4),
+    ])
+    def test_run_records_equal_records_stepped_by_hand(
+            self, monkeypatch, twenty_five_seconds, config):
+        ds, cfg = twenty_five_seconds, FilterConfig(**config)
+        threads = self._patch_record(monkeypatch)
+        # switching threads every 10 us interleaves the worker's Python
+        # steps with the frames' as finely as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = run_filter(ds, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(nm.startswith(vins.DIAGNOSTICS_THREAD) for nm in threads)
+        est = vins.VinsEstimator(ds, cfg)
+        for frame in ds.frames[1:]:
+            for phase in (est._propagate, est._marginalize, est._update):
+                phase(frame)
+        assert len(res.conditioning) == len(ds.frames[1::vins.SVD_STRIDE])
+        assert [r.t for r in res.conditioning] == [
+            f.t for f in ds.frames[1::vins.SVD_STRIDE]]
+        assert (_record_bytes(res.conditioning)
+                == _record_bytes(est.conditioning))
+        assert not _workers()
+
+    def test_failed_record_aborts_at_its_frame(self, monkeypatch):
+        ds = gen_dataset(_short(seed=1, duration=8.0))
+        self._patch_record(monkeypatch, fail_at=3)
+        with pytest.raises(vins.EstimatorAbort) as info:
+            run_filter(ds, FilterConfig(estimator="pcsrif"))
+        assert info.value.t == ds.frames[1 + 2 * vins.SVD_STRIDE].t
+        assert info.value.phase == "update"
+        assert str(info.value.__cause__) == "record failed"
+        assert not _workers()
+
+    def test_failed_record_aborts_before_a_later_frame(self, monkeypatch):
+        # the first record fails, and the update of the frame after it
+        # raises too, most likely while the record is still on the worker
+        ds = gen_dataset(_short(seed=1, duration=5.0))
+        self._patch_record(monkeypatch, fail_at=1)
+        update = vins.filters.pcsrif_update
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NotPositiveDefinite(0)
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(vins.filters, "pcsrif_update", faulty)
+        with pytest.raises(vins.EstimatorAbort) as info:
+            run_filter(ds, FilterConfig(estimator="pcsrif"))
+        assert info.value.t == ds.frames[1].t
+        assert str(info.value.__cause__) == "record failed"
+        assert not _workers()
+
+    def test_kf_run_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        ds = gen_dataset(_short(seed=6, duration=4.0))
+        res = run_filter(ds, FilterConfig(estimator="kf"))
+        assert res.conditioning == [] and started == []
+        run_filter(ds, FilterConfig(estimator="srif"))
+        assert len(started) == 1
+        assert started[0].startswith(vins.DIAGNOSTICS_THREAD)
 
 
 class TestCheckedInputs:
