@@ -14,7 +14,8 @@ Matrix-level operations shared by the three estimators:
   supplies; the state ordering is the engine's.
 * The partitioned measurement update in three mathematically equivalent
   flavors, each exploiting the triangular prior R22: structured QR of
-  [R22; H2] (?tpqrt, which never reflects the zeros under R22),
+  Bierman's data array [R22 0; H2 r] (one ?tpqrt, which never reflects
+  the zeros under R22, and whose last column is the right-hand side),
   Cholesky on the unpreconditioned normal equation (the instability
   demonstrator), and Cholesky on the preconditioned normal equation
   (SPAI + Jacobi, built from the prior factor), whose normal matrix is
@@ -45,7 +46,6 @@ from .linalg import (
     cholesky_solve,
     cholesky_upper,
     form_normal_half,
-    fortran_copy,
     givens_triangularize,
     householder_qr,
     row_rotator,
@@ -160,15 +160,15 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     """
     n_aug = R.shape[0] + 15
     dtype = R.dtype
-    T = np.zeros((n_aug, n_aug), dtype=dtype)
+    # Fortran-ordered, so ?tpqrt overwrites both in place
+    T = np.zeros((n_aug, n_aug), dtype=dtype, order="F")
     T[np.ix_(colmap, colmap)] = R
-    # a Fortran-ordered constraint block, which ?tpqrt overwrites in place
     C = np.zeros((15, n_aug), dtype=dtype, order="F")
     C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
     C[:, rows] += tb.sqrt_info.astype(dtype)
     if flops is not None:
         flops.add(3 * 15 * 15 * 15)  # L @ Phi and embed
-    R_aug, _ = householder_qr(C, flops=flops, overwrite=True, top=T)
+    R_aug = householder_qr(C, flops=flops, overwrite=True, top=T)
     sign_normalize_rows(R_aug)
     return R_aug
 
@@ -200,21 +200,27 @@ def _posterior(R, n1, R22_post, dx2, flops):
 def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
     """QR-based SRIF update for measurements with H = [0 H2].
 
-    Triangularizes [R22; H2] with one structured QR (?tpqrt), which
-    reflects only the m rows of H2 into the triangular R22 and never the
-    zeros under its diagonal, carrying the right-hand side [0; r] through
-    ?tpmqrt; then back-substitutes for dx2 and dx1.
+    Triangularizes Bierman's data array [R22 0; H2 r] with one structured
+    QR (?tpqrt), which reflects only the m rows [H2 r] into the triangular
+    [R22 0] and never the zeros under its diagonal. The factor's last
+    column holds Q.T [0; r] above the post-fit residual norm; dx2 is back
+    substituted from its first n2 entries, then dx1. H2 and r are read at
+    R's dtype.
     """
     n = R.shape[0]
     n2 = n - n1
     m = H2.shape[0]
-    rhs = np.zeros(n2 + m, dtype=R.dtype)
-    rhs[n2:] = r
-    # a Fortran-ordered copy, which ?tpqrt overwrites in place
-    R22_post, t = householder_qr(fortran_copy(H2, R.dtype), rhs,
-                                 flops=flops, overwrite=True, top=R[n1:, n1:])
-    # row signs do not change the solution, so only the factor is flipped
-    dx2 = solve_upper(R22_post, t[:n2], flops=flops)
+    # Fortran-ordered, so ?tpqrt overwrites both in place
+    X = np.empty((m, n2 + 1), dtype=R.dtype, order="F")
+    X[:, :n2] = H2
+    X[:, n2] = r
+    T = np.zeros((n2 + 1, n2 + 1), dtype=R.dtype, order="F")
+    T[:n2, :n2] = R[n1:, n1:]
+    F = householder_qr(X, flops=flops, overwrite=True, top=T)
+    # a contiguous copy of the factor, which ?trtrs reads in place; row
+    # signs do not change the solution, so only the factor is flipped
+    R22_post = np.asfortranarray(F[:n2, :n2])
+    dx2 = solve_upper(R22_post, F[:n2, n2], flops=flops)
     sign_normalize_rows(R22_post)
     return _posterior(R, n1, R22_post, dx2, flops)
 

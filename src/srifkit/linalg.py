@@ -2,12 +2,13 @@
 
 Givens sweeps (one LAPACK ?lasr call per chain of rotations, bound through
 ctypes), Householder QR (LAPACK ?geqrf, or ?tpqrt when the top block is
-already triangular), Cholesky factorization and solves (?potrf, ?potrs),
-normal-equation products (BLAS ?syrk, with ?trmm for a triangular top
-block), triangular solves (?trtrs) and spectral condition numbers, all
-preserving the dtype of their inputs (float32 or float64) and optionally
-instrumented with a FLOP counter that records the textbook algorithm's
-operation count, one closed-form count per call.
+already triangular; only the factor is returned, so a right-hand side
+rides along as a last column), Cholesky factorization and solves (?potrf,
+?potrs), normal-equation products (BLAS ?syrk, with ?trmm for a
+triangular top block), triangular solves (?trtrs) and spectral condition
+numbers, all preserving the dtype of their inputs (float32 or float64) and
+optionally instrumented with a FLOP counter that records the textbook
+algorithm's operation count, one closed-form count per call.
 Singular values and condition numbers are always evaluated in float64 so
 the diagnostics do not inherit the instability they are measuring. They
 come from LAPACK ?gesdd, bound through ctypes as ?lasr is: a ctypes call
@@ -92,95 +93,71 @@ def _strictly_lower(n):
     return mask
 
 
-# rows per slab of `fortran_copy`: on a 2-core Xeon, one
-# np.array(A, order="F") of a C-ordered 995 x 122 matrix takes 1.3-1.6x as
-# long as slabs of 256-512 rows, whose source rows stay cache-resident
-# while their columns are written
-COPY_ROWS = 512
-
-
-def fortran_copy(A, dtype):
-    """A Fortran-ordered copy of the 2-D A, in `dtype`, written in slabs of
-    COPY_ROWS rows."""
-    A = np.asarray(A)
-    m, n = A.shape
-    X = np.empty((n, m), dtype=dtype).T
-    for i in range(0, m, COPY_ROWS):
-        X[i:i + COPY_ROWS] = A[i:i + COPY_ROWS]
-    return X
-
-
 # panel width of ?tpqrt's compact-WY blocks; 8 was the fastest of 2-32 at
 # m = 36..995, n = 107..122 with single-threaded OpenBLAS
 TPQRT_NB = 8
 
 
-def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
-                   overwrite=False, top=None):
+def householder_qr(A, flops: FlopCounter | None = None, overwrite=False,
+                   top=None):
     """Householder QR of A, or of [top; A] for an upper-triangular top.
 
-    Returns (R, transformed_rhs) and never forms Q explicitly. Rank
-    deficiency is permitted and shows up as (near-)zero diagonal entries.
+    Returns the triangular factor R and never forms Q. Rank deficiency is
+    permitted and shows up as (near-)zero diagonal entries. `overwrite`
+    lets LAPACK work in A, and in top, when they are Fortran-ordered.
 
     Without `top` this is LAPACK ?geqrf. For m >= n, R is the n x n
     upper-triangular factor with A.T @ A = R.T @ R; for wide inputs the
-    full m x n upper-trapezoidal factor is returned. A right-hand side is
-    taken only with `top`.
+    full m x n upper-trapezoidal factor is returned.
 
     With an n x n `top` (read as upper triangular: its strictly lower part
     is ignored) this is ?tpqrt with l = 0, which never touches the zeros
-    under top's diagonal: R is n x n with top.T @ top + A.T @ A = R.T @ R,
-    and rhs has n + m rows, [rhs for top; rhs for A], of which Q.T @ rhs
-    (via ?tpmqrt) is returned. Column k's reflector then spans 1 + m rows
-    instead of n + m - k (Schreiber & Van Loan's compact WY form), about
-    2 m n**2 FLOPs instead of 2 m n**2 + 4/3 n**3 for a stacked ?geqrf.
+    under top's diagonal: R is n x n with top.T @ top + A.T @ A = R.T @ R.
+    Column k's reflector then spans 1 + m rows instead of n + m - k
+    (Schreiber & Van Loan's compact WY form), about 2 m n**2 FLOPs instead
+    of 2 m n**2 + 4/3 n**3 for a stacked ?geqrf. A right-hand side rides
+    along as one more column of A and top: for the data array
+    [top z; A y], R's last column holds Q.T [z; y] above the residual
+    norm.
 
     The FLOP count is that of the textbook column sweep (Golub & Van Loan
     Alg. 5.2.1) over the rows each reflector spans: min(n, m - 1) columns
     of m - k rows, or with `top` n columns of 1 + m rows (none if m = 0).
     A column whose norm is zero when reached, i.e. a zero diagonal entry
-    of R, only pays for its norm.
+    of R, only pays for its norm; with `top`, the last column (a data
+    array's residual norm) always pays for its reflector too, since
+    whether a zero residual comes out exactly zero depends on the
+    precision.
     """
     m, n = A.shape
-    nrhs = 0 if rhs is None else (1 if np.ndim(rhs) == 1 else rhs.shape[1])
-    b = None
     if top is None:
-        if rhs is not None:
-            raise ValueError("a right-hand side needs top")
         geqrf, = scipy.linalg.lapack.get_lapack_funcs(("geqrf",), (A,))
         qr = geqrf(A, overwrite_a=overwrite)[0]
         R = np.triu(qr[:n, :n])
         cols = min(n, m - 1)
     else:
-        tpqrt, tpmqrt = scipy.linalg.lapack.get_lapack_funcs(
-            ("tpqrt", "tpmqrt"), (top, A))
-        R, v, t, _ = tpqrt(0, max(1, min(n, TPQRT_NB)), top, A,
-                           overwrite_b=overwrite)
+        tpqrt, = scipy.linalg.lapack.get_lapack_funcs(("tpqrt",), (top, A))
+        R = tpqrt(0, max(1, min(n, TPQRT_NB)), top, A, overwrite_a=overwrite,
+                  overwrite_b=overwrite)[0]
         np.copyto(R, 0, where=_strictly_lower(n))
-        if rhs is not None:
-            b = np.asarray(rhs).reshape(n + m, -1)
-            if m:
-                c1, c2, _ = tpmqrt(0, v, t, b[:n], b[n:], trans="T",
-                                   overwrite_b=overwrite)
-                b = np.concatenate([c1, c2])
         cols = n if m else 0
-    if b is not None and np.ndim(rhs) == 1:
-        b = b[:, 0]
     if flops is not None:
         # column k's norm costs 2 FLOPs per row it spans, m - k rows or
         # m + 1 with top; with a reflector (a nonzero diagonal entry) it
-        # updates the c - k trailing columns, c = n - 1 + nrhs, at
+        # updates the c - k trailing columns, c = n - 1, at
         # 2 (1 + 2 (c - k)) FLOPs per row plus c - k; the sums over those
         # columns need only the count, sum and sum of squares of their
         # indices, in closed form when every column has one
-        d = np.diagonal(R)[:cols]
+        d = np.diagonal(R)[:cols] != 0
+        if top is not None and cols:
+            d[-1] = True
         h = int(np.count_nonzero(d))
         if h == cols:
             k1, k2 = h * (h - 1) // 2, (h - 1) * h * (2 * h - 1) // 6
         else:
             k = np.flatnonzero(d)
             k1, k2 = int(k.sum()), int(k @ k)
-        c = n - 1 + nrhs
+        c = n - 1
         if top is None:
             spans = cols * m - cols * (cols - 1) // 2
             reflect = h * m * (1 + 2 * c) - k1 * (1 + 2 * c + 2 * m) + 2 * k2
@@ -188,7 +165,7 @@ def householder_qr(A, rhs=None, flops: FlopCounter | None = None,
             spans = cols * (m + 1)
             reflect = (m + 1) * (h * (1 + 2 * c) - 2 * k1)
         flops.add(2 * (spans + reflect) + h * c - k1)
-    return R, b
+    return R
 
 
 def _lapack(name, *argtypes):

@@ -195,11 +195,6 @@ class VinsEstimator:
         self.positions = [x.positions[-1].copy()]
         self.quats = [x.quats[-1].copy()]
 
-    # -- representation helpers ------------------------------------------
-
-    def _covariance(self, idx):
-        return _covariance_block(self.R, idx)
-
     # -- propagation ------------------------------------------------------
 
     def _propagate(self, frame):
@@ -314,7 +309,7 @@ class VinsEstimator:
             # the only ones with entries below the diagonal, so each
             # feature's 3-row slab is re-triangularized on its own
             for s in fcols[:, 0].tolist():
-                slab, _ = linalg.householder_qr(R[s:s + 3, s:], flops=fc)
+                slab = linalg.householder_qr(R[s:s + 3, s:], flops=fc)
                 R[s:s + 3, s:] = linalg.sign_normalize_rows(slab)
         x.anchor_ids[moved] = new_id
         x.params[moved] = re.params[ok]
@@ -545,8 +540,7 @@ class VinsEstimator:
                 flops=fc)
         else:  # if-oracle, with a float64 QR shadow for error flagging
             ref = filters.srif_update_partitioned(
-                self.R.astype(np.float64), H2.astype(np.float64),
-                r.astype(np.float64), N1)
+                self.R.astype(np.float64), H2, r, N1)
             try:
                 res = filters.if_update_oracle(self.R, H2, r, N1, flops=fc)
                 scale = max(float(np.abs(ref.dx).max()), 1e-12)

@@ -26,10 +26,10 @@ def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
         raise IndexError(f"p={p} out of range for n={n}")
     W = R[:, np.r_[p, 0:p, p + 1:n]]
     if W[:p + 1, 0].any():
-        W[:p + 1] = householder_qr(W[:p + 1], flops=flops)[0]
+        W[:p + 1] = householder_qr(W[:p + 1], flops=flops)
         out = W[1:, 1:].copy()
     else:
         out = W[:-1, 1:].copy()
-        out[p:, p:] = householder_qr(W[p:, p + 1:], flops=flops)[0]
+        out[p:, p:] = householder_qr(W[p:, p + 1:], flops=flops)
     sign_normalize_rows(out)
     return out

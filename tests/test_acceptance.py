@@ -527,7 +527,7 @@ def test_claims_file(measured, tmp_path, capsys):
         assert row["flops"] == sweep_flops(sweep_calls(*inp, row["m"]))
         for kind in ("srif", "pcsrif", "if"):
             assert row["flops"][kind + "32"] == row["flops"][kind + "64"]
-    assert kernels["rows"][-1]["flops"]["srif64"] == 30402664
+    assert kernels["rows"][-1]["flops"]["srif64"] == 30406648
     assert kernels["rows"][-1]["flops"]["pcsrif64"] == 17559721
     assert set(data["noisy"]) == {"1", "kernels"}
     assert data["noisy"]["1"] == measured[1]["noisy"]

@@ -743,8 +743,9 @@ class TestUpdateProperties:
 
 class TestUpdateFlopTotals:
     """Counted FLOPs at the claim-4 instance (m=995, n2=122), pinned to
-    the closed-form counts of the structured kernels: the QR sweep over
-    the 1 + m rows each reflector spans, and the Cholesky path's
+    the closed-form counts of the structured kernels: the QR sweep of the
+    data array's n2 + 1 columns over the 1 + m rows each reflector spans,
+    and the Cholesky path's
     triangular R22p.T R22p and its column sweep's k-term dot products.
     Each triangular solve counts n(n - 1)/2 multiply-adds per right-hand
     side: dx2's 122 x 122 back substitution (the Cholesky path's ?potrs
@@ -761,7 +762,7 @@ class TestUpdateFlopTotals:
         fq, fp = FlopCounter(), FlopCounter()
         srif_update_partitioned(R, H2, r, n1, flops=fq)
         pcsrif_update(R, H2, r, n1, offsets, flops=fp)
-        assert fq.total() == 30402664
+        assert fq.total() == 30406648
         assert fp.total() == 17559721
 
 

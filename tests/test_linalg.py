@@ -14,7 +14,6 @@ from srifkit.linalg import (
     cholesky_upper,
     cond_spectral,
     form_normal_half,
-    fortran_copy,
     givens_triangularize,
     householder_qr,
     row_rotator,
@@ -86,35 +85,47 @@ class TestGivens:
 
 class TestHouseholderQR:
     def test_identity(self):
-        R, _ = householder_qr(np.eye(3))
+        R = householder_qr(np.eye(3))
         sign_normalize_rows(R)
         assert np.allclose(R, np.eye(3))
 
     def test_two_vector(self):
         # hand QR of the column [3; 4]
-        R, _ = householder_qr(np.array([[3.0], [4.0]]))
+        R = householder_qr(np.array([[3.0], [4.0]]))
         assert R.shape == (1, 1)
         assert np.isclose(abs(R[0, 0]), 5.0)
 
     def test_normal_equation_oracle(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(20, 8))
-        R, _ = householder_qr(A)
+        R = householder_qr(A)
         G = A.T @ A
         assert np.linalg.norm(G - R.T @ R) / np.linalg.norm(G) <= 1e-13
 
     def test_orthogonal_invariance_large(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(100, 30))
-        R, _ = householder_qr(A)
+        R = householder_qr(A)
         G = A.T @ A
         assert np.linalg.norm(G - R.T @ R) / np.linalg.norm(G) <= 1e-12
 
-    def test_rhs_needs_top(self):
-        # the only right-hand side a caller carries is the structured
-        # update's, through ?tpmqrt
-        with pytest.raises(ValueError, match="top"):
-            householder_qr(np.eye(3), np.arange(3.0))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overwrite_covers_top_and_a(self, dtype):
+        # on Fortran-ordered inputs, overwrite lets ?tpqrt work in top and
+        # A without a copy; the factor is bitwise the copying call's, and
+        # without overwrite neither input changes
+        rng = np.random.default_rng(5)
+        top = np.asfortranarray(
+            np.triu(rng.normal(size=(7, 7)) + 5 * np.eye(7)).astype(dtype))
+        A = np.asfortranarray(rng.normal(size=(12, 7)).astype(dtype))
+        top0, A0 = top.copy(order="F"), A.copy(order="F")
+        want = householder_qr(A, top=top)
+        assert np.array_equal(top, top0) and np.array_equal(A, A0)
+        assert not np.shares_memory(want, top)
+        got = householder_qr(A, overwrite=True, top=top)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, top)
+        assert not np.array_equal(A, A0)
 
     def test_flop_count_2mn2(self):
         m, n = 600, 40
@@ -126,7 +137,7 @@ class TestHouseholderQR:
     def test_rank_deficient_allowed(self):
         A = np.zeros((5, 3))
         A[:, 0] = 1.0
-        R, _ = householder_qr(A)
+        R = householder_qr(A)
         assert np.allclose(np.diag(R)[1:], 0.0)
 
 
@@ -259,25 +270,12 @@ class TestRowRotator:
             row_rotator(V[:, ::2])
 
 
-class TestFortranCopy:
-    @pytest.mark.parametrize("rows", [0, 1, 4, 9, 12])
-    def test_copies_across_slabs(self, monkeypatch, rows):
-        monkeypatch.setattr(linalg, "COPY_ROWS", 4)
-        A = np.arange(rows * 3, dtype=np.float64).reshape(rows, 3)
-        for dtype in (np.float64, np.float32):
-            X = fortran_copy(A, dtype)
-            assert X.flags.f_contiguous and X.shape == A.shape
-            assert X.dtype == dtype
-            assert np.array_equal(X, A)
-            assert not np.shares_memory(X, A)
-
-
 class TestGivensTriangularize:
     def test_matches_householder_gram(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(15, 9))
         R1 = givens_triangularize(A.copy())[:9]
-        R2, _ = householder_qr(A)
+        R2 = householder_qr(A)
         assert np.allclose(R1.T @ R1, R2.T @ R2, atol=1e-12)
         assert np.allclose(np.tril(R1, -1), 0.0)
 
@@ -311,7 +309,7 @@ class TestCholesky:
     def test_agrees_with_qr(self):
         rng = np.random.default_rng(9)
         A = rng.normal(size=(50, 12))
-        Rq, _ = householder_qr(A)
+        Rq = householder_qr(A)
         sign_normalize_rows(Rq)
         Uc = cholesky_upper(form_normal_half(A))
         kappa = cond_spectral(A)
@@ -492,7 +490,7 @@ DTYPES = st.sampled_from([np.float32, np.float64])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
-def householder_flops_by_loop(A, nrhs=0):
+def householder_flops_by_loop(A):
     """FLOPs of the textbook column sweep, counted as it runs in float64."""
     W = np.array(A, dtype=np.float64)
     m, n = W.shape
@@ -505,7 +503,7 @@ def householder_flops_by_loop(A, nrhs=0):
             continue
         x[0] += np.copysign(normx, x[0])
         W[k:, k:] -= np.outer(x, (2.0 / (x @ x)) * (x @ W[k:, k:]))
-        nc = n - k - 1 + nrhs
+        nc = n - k - 1
         fc.add(2 * (m - k) * (1 + 2 * nc) + nc)
     return fc
 
@@ -540,9 +538,9 @@ class TestKernelProperties:
         zero = rng.choice(n, size=min(nzero, n), replace=False)
         A[:, zero] = 0.0
         fc = FlopCounter()
-        R, t = householder_qr(A, flops=fc)
+        R = householder_qr(A, flops=fc)
         A64, R64 = A.astype(np.float64), R.astype(np.float64)
-        assert R.dtype == dtype and t is None
+        assert R.dtype == dtype
         assert R.shape == (min(m, n), n)
         assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
         assert np.all(R[:, zero] == 0.0)

@@ -1,11 +1,12 @@
 """Oracles for the structured update kernels, and the layer names they run
 under.
 
-The QR path triangularizes [R22; H2] with ?tpqrt, which must give the
-factor a dense QR of the stacked rows gives; the PC path forms its normal
-matrix with ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1, which
-must give the unpreconditioned normal equation's answer. Instances cover
-both precisions, one row, fewer rows than states and many more, Jacobian
+The QR path triangularizes Bierman's data array [R22 0; H2 r] with
+?tpqrt, which must give the factor a dense QR of the stacked rows gives;
+the PC path forms its normal matrix with ?trmm on the triangular
+R22 M^-1 plus ?syrk on H2 M^-1, which must give the unpreconditioned
+normal equation's answer. Instances cover both precisions, no rows (QR
+only), one row, fewer rows than states and many more, Jacobian
 columns that are all zero and a prior with a zero column.
 """
 
@@ -35,7 +36,7 @@ ROWS = st.sampled_from(["one", "few", "many"])
 
 
 def _rows(kind, n2, rng):
-    return {"one": 1, "few": int(rng.integers(1, n2 + 1)),
+    return {"none": 0, "one": 1, "few": int(rng.integers(1, n2 + 1)),
             "many": 4 * n2 + int(rng.integers(0, 20))}[kind]
 
 
@@ -44,24 +45,22 @@ def _spd_factor(rng, n):
     return np.linalg.cholesky(A @ A.T + np.eye(n)).T
 
 
-def flip_row_by_row(R, rhs=None):
+def flip_row_by_row(R):
     """The definition of a sign-normalized factor, one row at a time: a row
-    of R whose diagonal entry is negative or NaN, and the same row of rhs,
-    is multiplied by that entry's sign, and every other row keeps every
-    bit."""
+    of R whose diagonal entry is negative or NaN is multiplied by that
+    entry's sign, and every other row keeps every bit."""
     for i in range(min(R.shape)):
         if not R[i, i] >= 0:
-            s = np.sign(R[i, i])
-            R[i] *= s
-            if rhs is not None:
-                rhs[i] *= s
+            R[i] *= np.sign(R[i, i])
     return R
 
 
-def structured_flops_by_loop(top, A, nrhs=0):
+def structured_flops_by_loop(top, A):
     """FLOPs of the column sweep over [top; A] that reflects, for column k,
     only row k of the triangular top and the m rows of A, counted as it
-    runs in float64."""
+    runs in float64. The last column pays for its reflector even at a zero
+    norm, which for a data array is a residual that rounds to zero or not
+    depending on the precision."""
     n = top.shape[0]
     m = A.shape[0]
     W = np.vstack([np.triu(top), A]).astype(np.float64)
@@ -74,18 +73,31 @@ def structured_flops_by_loop(top, A, nrhs=0):
         normx = np.linalg.norm(x)
         fc.add(2 * (m + 1))
         if normx == 0.0:
+            if k == n - 1:
+                fc.add(2 * (m + 1))
             continue
         x[0] += np.copysign(normx, x[0])
         W[np.ix_(rows, np.arange(k, n))] -= np.outer(
             x, (2.0 / (x @ x)) * (x @ W[rows, k:]))
-        nc = n - k - 1 + nrhs
+        nc = n - k - 1
         fc.add(2 * (m + 1) * (1 + 2 * nc) + nc)
     return fc
 
 
+def data_array(R22, H2, r):
+    """Bierman's data array as ?tpqrt takes it: the top [R22 0] and the
+    rows [H2 r]."""
+    n2 = R22.shape[0]
+    top = np.zeros((n2 + 1, n2 + 1), dtype=R22.dtype)
+    top[:n2, :n2] = R22
+    return top, np.column_stack([H2, r])
+
+
 class TestStructuredQr:
-    @given(dtype=DTYPES, seed=SEEDS, rows=ROWS, n2=st.integers(1, 14),
-           zero_h=st.integers(0, 3), zero_prior=st.booleans())
+    @given(dtype=DTYPES, seed=SEEDS,
+           rows=st.sampled_from(["none", "one", "few", "many"]),
+           n2=st.integers(1, 14), zero_h=st.integers(0, 3),
+           zero_prior=st.booleans())
     def test_matches_dense_qr_of_the_stack(self, dtype, seed, rows, n2,
                                            zero_h, zero_prior):
         rng = np.random.default_rng(seed)
@@ -94,38 +106,35 @@ class TestStructuredQr:
         H2 = rng.normal(size=(m, n2))
         H2[:, rng.choice(n2, size=min(zero_h, n2), replace=False)] = 0.0
         if zero_prior:
-            R22[:, rng.integers(n2)] = 0.0    # a rank-deficient prior
+            R22[:, rng.integers(n2)] = 0.0
         R22, H2 = R22.astype(dtype), H2.astype(dtype)
-        rhs = np.zeros(n2 + m, dtype=dtype)
-        rhs[n2:] = rng.normal(size=m)
+        r = rng.normal(size=m).astype(dtype)
+        top, X = data_array(R22, H2, r)
         fc = FlopCounter()
-        R, t = householder_qr(H2, rhs, flops=fc, top=R22)
-        Q, Rd = np.linalg.qr(np.vstack([R22, H2]))
-        td = Q.T @ rhs
-        assert R.dtype == dtype and t.dtype == dtype
-        assert R.shape == (n2, n2) and t.shape == (n2 + m,)
+        R = householder_qr(X, flops=fc, top=top)
+        Rd = np.linalg.qr(np.vstack([top, X]), mode="r")
+        assert R.dtype == dtype and R.shape == (n2 + 1, n2 + 1)
         assert np.array_equal(np.tril(R, -1), np.zeros_like(R))
-        # the same factor and Q.T rhs up to row signs
-        R, t, Rd, td = (x.astype(np.float64) for x in (R, t, Rd, td))
-        flip_row_by_row(R, t)
-        flip_row_by_row(Rd, td)
-        scale = np.linalg.norm(np.vstack([R22, H2]).astype(np.float64))
+        if m == 0:
+            assert np.array_equal(R, top)
+        # the same factor, and a last column of the Q.T [0; r] head above
+        # the post-fit residual norm, up to row signs
+        R, Rd = (flip_row_by_row(x.astype(np.float64)) for x in (R, Rd))
+        A = np.vstack([R22, H2]).astype(np.float64)
+        scale, rnorm = np.linalg.norm(A), np.linalg.norm(r.astype(np.float64))
         tol = 20 * (n2 + m) * eps_of(dtype)
-        assert np.linalg.norm(R - Rd) <= tol * scale
-        assert np.linalg.norm(t[:n2] - td[:n2]) <= tol * np.linalg.norm(rhs)
-        assert abs(np.linalg.norm(t) - np.linalg.norm(rhs)) <= (
-            tol * np.linalg.norm(rhs))
+        assert np.linalg.norm(R[:, :n2] - Rd[:, :n2]) <= tol * scale
+        assert np.linalg.norm(R[:, n2] - Rd[:, n2]) <= tol * rnorm
         # posterior identity
-        info = (R22.T.astype(np.float64) @ R22 + H2.T.astype(np.float64) @ H2)
-        assert np.linalg.norm(R.T @ R - info) <= tol * scale ** 2
-        assert fc == structured_flops_by_loop(R22, H2, nrhs=1)
+        assert np.linalg.norm(R[:n2, :n2].T @ R[:n2, :n2] - A.T @ A) <= (
+            tol * scale ** 2)
+        assert fc == structured_flops_by_loop(top, X)
 
     def test_no_rows_returns_the_prior(self):
         R22 = _spd_factor(np.random.default_rng(0), 5)
         fc = FlopCounter()
-        R, t = householder_qr(np.zeros((0, 5)), np.arange(5.0), flops=fc,
-                              top=R22)
-        assert np.array_equal(R, R22) and np.array_equal(t, np.arange(5.0))
+        R = householder_qr(np.zeros((0, 5)), flops=fc, top=R22)
+        assert np.array_equal(R, R22)
         assert fc.total() == 0
 
     def test_count_is_about_2mn2_squared(self):
@@ -139,6 +148,25 @@ class TestStructuredQr:
         householder_qr(np.vstack([R22, H2]), flops=fd)
         assert abs(fs.total() / (2 * m * n2 * n2) - 1) <= 0.03
         assert fd.total() - fs.total() >= 4 / 3 * n2 ** 3 * 0.9
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 9, 12])
+    def test_update_reads_any_h2_bitwise_alike(self, m):
+        # a C-ordered, a Fortran-ordered and a float32 H2 (with r) on a
+        # float64 R give bitwise one result, and are left as they were
+        rng = np.random.default_rng(m)
+        n1, n2 = 3, 9
+        R = _spd_factor(rng, n1 + n2)
+        H32 = rng.normal(size=(m, n2)).astype(np.float32)
+        r32 = rng.normal(size=m).astype(np.float32)
+        H64, r64 = H32.astype(np.float64), r32.astype(np.float64)
+        got = []
+        for H2, r in ((H64, r64), (np.asfortranarray(H64), r64), (H32, r32)):
+            before = H2.tobytes()
+            res = filters.srif_update_partitioned(R, H2, r, n1)
+            assert H2.tobytes() == before
+            assert res.dx.dtype == res.R_post.dtype == np.float64
+            got.append((res.dx.tobytes(), res.R_post.tobytes()))
+        assert got[0] == got[1] == got[2]
 
 
 class TestStructuredNormalEquation:
@@ -200,7 +228,7 @@ class TestSignNormalizeFactors:
         rng = np.random.default_rng(4)
         R22 = _spd_factor(rng, 20).astype(dtype)
         H2 = rng.normal(size=(50, 20)).astype(dtype, order="F")
-        R, _ = householder_qr(H2, top=R22)
+        R = householder_qr(H2, top=R22)
         # a positive leading entry gets a negative diagonal from ?tpqrt
         assert np.all(np.diagonal(R) < 0)
         R = np.array(R, order=order)
