@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters
-from .linalg import cond_spectral, svdvals
+from .linalg import svdvals
 from .state import quat_to_mat
 
 
@@ -37,7 +37,9 @@ class TrajectoryMetrics:
 
 
 def _kappa2(A):
-    k = cond_spectral(A)
+    """(sigma_max / sigma_min)**2 of A at float64; inf when sigma_min = 0."""
+    s = svdvals(A)
+    k = float(s[0]) / float(s[-1]) if s[-1] else float("inf")
     return k * k
 
 

@@ -28,8 +28,9 @@ Matrix-level operations shared by the three estimators:
   (O(15 n^2)), and the Joseph-form update on H2, which never widens the
   Jacobian over the n1 columns it skips (O(m n^2)), for parity runs.
 
-All routines preserve the dtype of their matrix inputs and accept an
-optional FlopCounter.
+All routines preserve the dtype of their matrix inputs and add their
+counted FLOPs to the FlopCounter they are given (`linalg.UNCOUNTED`, which
+discards them, by default).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
+    UNCOUNTED,
     FlopCounter,
     _strictly_lower,
     cholesky_solve,
@@ -67,7 +69,7 @@ class UpdateResult:
 # --------------------------------------------------------------------------
 
 
-def marginalize_block(R, indices, flops: FlopCounter | None = None):
+def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
     """Marginalize the scalar states at `indices` (0-based) from factor R.
 
     Returns the upper-triangular marginal factor over the remaining states,
@@ -131,7 +133,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
         rots += p
         ncols += p * (n - k) - p * (p + 1) // 2
     V = sign_normalize_rows(V[b:, b:])
-    if flops is not None and rots:
+    if rots:
         flops.add(9 * rots + 6 * ncols)
     return V
 
@@ -142,7 +144,7 @@ def marginalize_block(R, indices, flops: FlopCounter | None = None):
 
 
 def srif_augment(R, colmap, rows, old_cols, tb,
-                 flops: FlopCounter | None = None):
+                 flops: FlopCounter = UNCOUNTED):
     """Fold the process model into the factor, adding the new IMU state.
 
     The augmented factor has n + 15 columns for the n columns of R.
@@ -166,8 +168,7 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     C = np.zeros((15, n_aug), dtype=dtype, order="F")
     C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
     C[:, rows] += tb.sqrt_info.astype(dtype)
-    if flops is not None:
-        flops.add(3 * 15 * 15 * 15)  # L @ Phi and embed
+    flops.add(3 * 15 * 15 * 15)  # L @ Phi and embed
     R_aug = householder_qr(C, flops=flops, overwrite=True, top=T)
     sign_normalize_rows(R_aug)
     return R_aug
@@ -178,7 +179,7 @@ def srif_augment(R, colmap, rows, old_cols, tb,
 # --------------------------------------------------------------------------
 
 
-def _posterior(R, n1, R22_post, dx2, flops):
+def _posterior(R, n1, R22_post, dx2, flops: FlopCounter = UNCOUNTED):
     """An update's result from its x2 part: dx1 by back substitution
     through the prior's R11, and the prior factor, in R's memory order,
     with R22 replaced."""
@@ -188,8 +189,7 @@ def _posterior(R, n1, R22_post, dx2, flops):
     if n1 > 0:
         rhs = R[:n1, n1:] @ dx2
         dx[:n1] = -solve_upper(R[:n1, :n1], rhs, flops=flops)
-        if flops is not None:
-            flops.add(2 * n1 * (n - n1))
+        flops.add(2 * n1 * (n - n1))
     R_post = np.empty_like(R)
     R_post[:, :n1] = R[:, :n1]
     R_post[:n1, n1:] = R[:n1, n1:]
@@ -197,7 +197,7 @@ def _posterior(R, n1, R22_post, dx2, flops):
     return UpdateResult(dx, R_post)
 
 
-def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter | None = None):
+def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter = UNCOUNTED):
     """QR-based SRIF update for measurements with H = [0 H2].
 
     Triangularizes Bierman's data array [R22 0; H2 r] with one structured
@@ -268,7 +268,7 @@ class Preconditioner:
         l = self.tri.shape[0] // 6
         return 6 * l * (l - 1) // 2
 
-    def spai_inverse(self, A, flops):
+    def spai_inverse(self, A, flops: FlopCounter = UNCOUNTED):
         """A @ M_SPAI^-1 in the preconditioner's dtype and A's memory
         order: a copy of A whose pose columns are overwritten by one
         product A[:, cols] @ inv. Counted as the sparse back substitution
@@ -276,12 +276,11 @@ class Preconditioner:
         X = np.array(A, dtype=self.tri.dtype)
         np.matmul(A[:, self.cols], self.inv, out=X[:, self.cols],
                   dtype=self.tri.dtype)
-        if flops is not None:
-            flops.add(X.shape[0] * self.per_row)
+        flops.add(X.shape[0] * self.per_row)
         return X
 
 
-def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
+def build_preconditioner(R22, pose_offsets, flops: FlopCounter = UNCOUNTED):
     """SPAI + Jacobi preconditioner from an R22 factor.
 
     pose_offsets are the offsets of the 6-dim pose error blocks within the
@@ -329,13 +328,12 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter | None = None):
     pc.jacobi = norms
     R22p /= norms
     pc.r22p = R22p
-    if flops is not None:
-        # the column norms, and the Jacobi scaling of R22p
-        flops.add(3 * n2 * n2)
+    flops.add(3 * n2 * n2)    # the column norms, and the Jacobi scaling
     return pc
 
 
-def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
+def apply_preconditioner_inverse(pc: Preconditioner, A,
+                                 flops: FlopCounter = UNCOUNTED):
     """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 in the preconditioner's
     dtype and A's memory order: one product on the pose columns of a copy
     of A (`Preconditioner.spai_inverse`), then the Jacobi division in
@@ -343,47 +341,45 @@ def apply_preconditioner_inverse(pc: Preconditioner, A, flops=None):
     `build_preconditioner` computes the same way."""
     X = pc.spai_inverse(A, flops)
     X /= pc.jacobi
-    if flops is not None:
-        flops.add(X.shape[0] * pc.jacobi.size)
+    flops.add(X.shape[0] * pc.jacobi.size)
     return X
 
 
-def apply_preconditioner_right(pc: Preconditioner, A, flops=None):
+def apply_preconditioner_right(pc: Preconditioner, A,
+                               flops: FlopCounter = UNCOUNTED):
     """A @ M = (A @ M_Jacobi) @ M_SPAI: one ?trmm on the pose columns of
     a Fortran-ordered product, which it overwrites in place."""
     X = np.multiply(A, pc.jacobi, order="F")
     if X.shape[0] and pc.tri.size:
         trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
         trmm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
-    if flops is not None:
-        flops.add(A.shape[0] * (2 * pc.jacobi.size + 3 * pc.nnz()))
+    flops.add(A.shape[0] * (2 * pc.jacobi.size + 3 * pc.nnz()))
     return X
 
 
-def preconditioner_solve_vec(pc: Preconditioner, z, flops=None):
+def preconditioner_solve_vec(pc: Preconditioner, z,
+                             flops: FlopCounter = UNCOUNTED):
     """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z): z / jacobi, then one product
     with inv on the pose entries."""
     x = z / pc.jacobi
     x[pc.cols] = pc.inv @ x[pc.cols]
-    if flops is not None:
-        flops.add(2 * (pc.nnz() + pc.jacobi.size))
+    flops.add(2 * (pc.nnz() + pc.jacobi.size))
     return x
 
 
-def _normal_solve(T, H, r, flops):
+def _normal_solve(T, H, r, flops: FlopCounter = UNCOUNTED):
     """The Cholesky factor U of T.T T + H.T H for an upper-triangular T,
     and z with U.T U z = H.T r: the normal-equation core of both
     Cholesky updates."""
     m, n = H.shape
     U = cholesky_upper(form_normal_half(H, flops=flops, top=T), flops=flops)
     w = H.T @ r.astype(H.dtype, copy=False)
-    if flops is not None:    # H.T r
-        flops.add(2 * m * n)
+    flops.add(2 * m * n)    # H.T r
     return U, cholesky_solve(U, w, flops=flops)
 
 
 def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
-                  flops: FlopCounter | None = None):
+                  flops: FlopCounter = UNCOUNTED):
     """Preconditioned Cholesky SRIF update.
 
     Builds M from the prior R22, preconditions the rows first, and forms
@@ -408,7 +404,7 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     return _posterior(R, n1, R22_post, dx2, flops)
 
 
-def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
+def if_update_oracle(R, H2, r, n1, flops: FlopCounter = UNCOUNTED):
     """Unpreconditioned Cholesky update on the normal equation.
 
     The instability demonstrator: forms R22.T R22 + H2.T H2 at the active
@@ -425,7 +421,7 @@ def if_update_oracle(R, H2, r, n1, flops: FlopCounter | None = None):
 # --------------------------------------------------------------------------
 
 
-def kf_propagate(P, keep, sel, rows, tb, flops=None):
+def kf_propagate(P, keep, sel, rows, tb, flops: FlopCounter = UNCOUNTED):
     """Covariance form of the augmentation `srif_augment` folds in.
 
     keep[j] is the new index of old state j, sel the 15 old indices the
@@ -448,13 +444,12 @@ def kf_propagate(P, keep, sel, rows, tb, flops=None):
     P_new[np.ix_(rows, keep)] = A
     P_new[np.ix_(keep, rows)] = A.T
     P_new[np.ix_(rows, rows)] = 0.5 * (corner + corner.T)
-    if flops is not None:
-        # Phi P[sel, :], the corner's two 15 x 15 products and their sum
-        flops.add(435 * P.shape[0] + 13275)
+    # Phi P[sel, :], the corner's two 15 x 15 products and their sum
+    flops.add(435 * P.shape[0] + 13275)
     return P_new
 
 
-def kf_update(P, H2, r, n1, flops=None):
+def kf_update(P, H2, r, n1, flops: FlopCounter = UNCOUNTED):
     """Joseph-form EKF update for H = [0 H2], whitened (unit-covariance) noise.
 
     H is never formed: H P is H2 @ P[n1:, :], H P H.T and A H.T take the
@@ -468,16 +463,13 @@ def kf_update(P, H2, r, n1, flops=None):
     HP = H2 @ P[n1:, :]
     S = HP[:, n1:] @ H2.T
     S[np.diag_indices_from(S)] += 1.0
-    K = cholesky_solve(cholesky_upper(S), HP).T
+    K = cholesky_solve(cholesky_upper(S, flops=flops), HP, flops=flops).T
     dx = K @ r.astype(P.dtype, copy=False)
     A = P - K @ HP
     P_new = A - (A[:, n1:] @ H2.T) @ K.T + K @ K.T
-    if flops is not None:
-        # H P and H P H.T + I; the Cholesky of S and its two solves for K;
-        # K r; K (H P), (A H.T) K.T and K K.T; A H.T; the three n x n sums
-        mm, mn = m * m, m * n
-        flops.add((mn + mm) * (2 * n2 - 1) + m
-                  + 2 * (m ** 3 // 6) + m * (m + 1) // 2 + m + 2 * mm * n
-                  + n * (2 * m - 1) + 3 * n * n * (2 * m - 1)
-                  + mn * (2 * n2 - 1) + 3 * n * n)
+    # H P and H P H.T + I; K r; K (H P), (A H.T) K.T and K K.T; A H.T;
+    # the three n x n sums (the Cholesky of S and its solves count
+    # themselves)
+    flops.add((m * n + m * m) * (2 * n2 - 1) + m + n * (2 * m - 1)
+              + 3 * n * n * (2 * m - 1) + m * n * (2 * n2 - 1) + 3 * n * n)
     return dx, 0.5 * (P_new + P_new.T)

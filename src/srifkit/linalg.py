@@ -5,15 +5,16 @@ ctypes), Householder QR (LAPACK ?geqrf, or ?tpqrt when the top block is
 already triangular; only the factor is returned, so a right-hand side
 rides along as a last column), Cholesky factorization and solves (?potrf,
 ?potrs), normal-equation products (BLAS ?syrk, with ?trmm for a
-triangular top block), triangular solves (?trtrs) and spectral condition
-numbers, all preserving the dtype of their inputs (float32 or float64) and
-optionally instrumented with a FLOP counter that records the textbook
-algorithm's operation count, one closed-form count per call.
-Singular values and condition numbers are always evaluated in float64 so
-the diagnostics do not inherit the instability they are measuring. They
-come from LAPACK ?gesdd, bound through ctypes as ?lasr is: a ctypes call
-releases the GIL, so the engine's diagnostics thread runs its SVDs beside
-the frames instead of taking turns with them.
+triangular top block) and triangular solves (?trtrs), all preserving the
+dtype of their inputs (float32 or float64). Every kernel counts: it adds
+the textbook algorithm's operation count, one closed form per call, to
+the FlopCounter it is given, and a call that counts nothing gets the
+default `UNCOUNTED`, which discards it.
+Singular values are always evaluated in float64 so the diagnostics do
+not inherit the instability they are measuring. They come from LAPACK
+?gesdd, bound through ctypes as ?lasr is: a ctypes call releases the
+GIL, so the engine's diagnostics thread runs its SVDs beside the frames
+instead of taking turns with them.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ class FlopCounter:
         return self.count
 
 
+class _Uncounted(FlopCounter):
+    """A counter that discards every count: the default of each kernel's
+    `flops`, for calls that count nothing."""
+
+    def add(self, flops):
+        pass
+
+
+UNCOUNTED = _Uncounted()
+
+
 def sign_normalize_rows(R):
     """Flip rows of an upper-triangular factor so its diagonal is >= 0.
 
@@ -98,7 +110,7 @@ def _strictly_lower(n):
 TPQRT_NB = 8
 
 
-def householder_qr(A, flops: FlopCounter | None = None, overwrite=False,
+def householder_qr(A, flops: FlopCounter = UNCOUNTED, overwrite=False,
                    top=None):
     """Householder QR of A, or of [top; A] for an upper-triangular top.
 
@@ -141,30 +153,29 @@ def householder_qr(A, flops: FlopCounter | None = None, overwrite=False,
                   overwrite_b=overwrite)[0]
         np.copyto(R, 0, where=_strictly_lower(n))
         cols = n if m else 0
-    if flops is not None:
-        # column k's norm costs 2 FLOPs per row it spans, m - k rows or
-        # m + 1 with top; with a reflector (a nonzero diagonal entry) it
-        # updates the c - k trailing columns, c = n - 1, at
-        # 2 (1 + 2 (c - k)) FLOPs per row plus c - k; the sums over those
-        # columns need only the count, sum and sum of squares of their
-        # indices, in closed form when every column has one
-        d = np.diagonal(R)[:cols] != 0
-        if top is not None and cols:
-            d[-1] = True
-        h = int(np.count_nonzero(d))
-        if h == cols:
-            k1, k2 = h * (h - 1) // 2, (h - 1) * h * (2 * h - 1) // 6
-        else:
-            k = np.flatnonzero(d)
-            k1, k2 = int(k.sum()), int(k @ k)
-        c = n - 1
-        if top is None:
-            spans = cols * m - cols * (cols - 1) // 2
-            reflect = h * m * (1 + 2 * c) - k1 * (1 + 2 * c + 2 * m) + 2 * k2
-        else:
-            spans = cols * (m + 1)
-            reflect = (m + 1) * (h * (1 + 2 * c) - 2 * k1)
-        flops.add(2 * (spans + reflect) + h * c - k1)
+    # column k's norm costs 2 FLOPs per row it spans, m - k rows or m + 1
+    # with top; with a reflector (a nonzero diagonal entry) it updates the
+    # c - k trailing columns, c = n - 1, at 2 (1 + 2 (c - k)) FLOPs per
+    # row plus c - k; the sums over those columns need only the count, sum
+    # and sum of squares of their indices, in closed form when every
+    # column has one
+    d = np.diagonal(R)[:cols] != 0
+    if top is not None and cols:
+        d[-1] = True
+    h = int(np.count_nonzero(d))
+    if h == cols:
+        k1, k2 = h * (h - 1) // 2, (h - 1) * h * (2 * h - 1) // 6
+    else:
+        k = np.flatnonzero(d)
+        k1, k2 = int(k.sum()), int(k @ k)
+    c = n - 1
+    if top is None:
+        spans = cols * m - cols * (cols - 1) // 2
+        reflect = h * m * (1 + 2 * c) - k1 * (1 + 2 * c + 2 * m) + 2 * k2
+    else:
+        spans = cols * (m + 1)
+        reflect = (m + 1) * (h * (1 + 2 * c) - 2 * k1)
+    flops.add(2 * (spans + reflect) + h * c - k1)
     return R
 
 
@@ -226,7 +237,7 @@ def row_rotator(V):
     return rotate
 
 
-def givens_triangularize(A, flops: FlopCounter | None = None):
+def givens_triangularize(A, flops: FlopCounter = UNCOUNTED):
     """Zero all below-diagonal entries of A in place with Givens rotations.
 
     Sweeps column by column and rotates only the entries that are nonzero
@@ -260,12 +271,11 @@ def givens_triangularize(A, flops: FlopCounter | None = None):
         A[idx, j:] = B
         nrot += nz.size
         nwork += nz.size * (n - j)
-    if flops is not None:
-        flops.add(6 * (nrot + nwork))
+    flops.add(6 * (nrot + nwork))
     return A
 
 
-def cholesky_upper(S, flops: FlopCounter | None = None):
+def cholesky_upper(S, flops: FlopCounter = UNCOUNTED):
     """Upper-triangular U with U.T @ U = S and positive diagonal, read from
     S's upper triangle.
 
@@ -287,23 +297,21 @@ def cholesky_upper(S, flops: FlopCounter | None = None):
     failed = bad.size > 0 or info > 0
     if bad.size:
         q = int(bad[0])
-    if flops is not None:
-        # the column sweep's count: q full steps, then the failing pivot;
-        # step k's pivot and each of its n - k - 1 off-diagonal entries
-        # subtract a k-term dot product (k muls, k adds), each
-        # off-diagonal entry divides by the pivot, and the pivot takes a
-        # square root
-        steps = q + failed
-        nc = q * (n - 1) - q * (q - 1) // 2                 # sum of n - k - 1
-        knc = (n - 1) * q * (q - 1) // 2 - (q - 1) * q * (2 * q - 1) // 6
-        flops.add(steps * steps + 2 * knc + nc)
+    # the column sweep's count: q full steps, then the failing pivot;
+    # step k's pivot and each of its n - k - 1 off-diagonal entries
+    # subtract a k-term dot product (k muls, k adds), each off-diagonal
+    # entry divides by the pivot, and the pivot takes a square root
+    steps = q + failed
+    nc = q * (n - 1) - q * (q - 1) // 2                 # sum of n - k - 1
+    knc = (n - 1) * q * (q - 1) // 2 - (q - 1) * q * (2 * q - 1) // 6
+    flops.add(steps * steps + 2 * knc + nc)
     if failed:
         d = float(U[q, q])
         raise NotPositiveDefinite(q, d * d if bad.size else d)
     return U
 
 
-def solve_upper(U, b, flops: FlopCounter | None = None):
+def solve_upper(U, b, flops: FlopCounter = UNCOUNTED):
     """Solve U x = b by back substitution (LAPACK ?trtrs).
 
     ?trtrs reads a Fortran-ordered U as it is and any other U as the
@@ -312,9 +320,8 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
     multiply-adds and n divisions, n**2 FLOPs.
     """
     n = U.shape[0]
-    if flops is not None:
-        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        flops.add(n * n * ncol)
+    ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
+    flops.add(n * n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
     if U.flags.f_contiguous:
         x, info = trtrs(U, b)
@@ -325,21 +332,20 @@ def solve_upper(U, b, flops: FlopCounter | None = None):
     return x
 
 
-def cholesky_solve(U, b, flops: FlopCounter | None = None):
+def cholesky_solve(U, b, flops: FlopCounter = UNCOUNTED):
     """Solve U.T U x = b with one ?potrs call on ?potrf's factor as it is.
 
     Counted per right-hand side as the forward and the back substitution it
     performs, n(n - 1)/2 multiply-adds and n divisions each, 2 n**2 FLOPs.
     """
     n = U.shape[0]
-    if flops is not None:
-        ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
-        flops.add(2 * n * n * ncol)
+    ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
+    flops.add(2 * n * n * ncol)
     potrs, = scipy.linalg.lapack.get_lapack_funcs(("potrs",), (U, b))
     return potrs(U, b, lower=0)[0]
 
 
-def form_normal_half(A, flops: FlopCounter | None = None, top=None):
+def form_normal_half(A, flops: FlopCounter = UNCOUNTED, top=None):
     """The upper triangle of A.T @ A, plus top.T @ top for a triangular top.
 
     The upper triangle comes from BLAS ?syrk (roughly m*n**2 FLOPs instead
@@ -366,12 +372,11 @@ def form_normal_half(A, flops: FlopCounter | None = None, top=None):
         S = trmm(1.0, top, T, lower=0, trans_a=1, overwrite_b=1)
     if m:    # ?syrk rejects the leading dimension of an empty A
         S = syrk(1.0, At, beta=1.0, c=S, trans=trans, lower=0, overwrite_c=1)
-    if flops is not None:
-        flops.add((2 * m - 1) * (n * (n + 1) // 2))
-        if top is not None:
-            # entry (i, j), i <= j, is a dot product of i + 1 terms,
-            # i + 1 adds with the one onto the ?syrk part
-            flops.add(n * (n + 1) * (n + 2) // 3)
+    flops.add((2 * m - 1) * (n * (n + 1) // 2))
+    if top is not None:
+        # entry (i, j), i <= j, is a dot product of i + 1 terms, i + 1
+        # adds with the one onto the ?syrk part
+        flops.add(n * (n + 1) * (n + 2) // 3)
     return S
 
 
@@ -405,17 +410,3 @@ def svdvals(A):
             f"SVD did not converge (?gesdd info {info.value})")
     return s
 
-
-def cond_spectral(A):
-    """The spectral condition number sigma_max / sigma_min via `svdvals`
-    at float64.
-
-    Diagnostic-grade: always evaluated in double precision regardless of
-    the input dtype. sigma_min = 0 reports +inf.
-    """
-    A64 = np.asarray(A, dtype=np.float64)
-    if A64.size == 0 or not np.any(A64):
-        raise ValueError("cond_spectral needs a nonzero matrix")
-    s = svdvals(A64)
-    smin = float(s[-1])
-    return float("inf") if smin == 0.0 else float(s[0]) / smin

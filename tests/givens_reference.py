@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srifkit.linalg import FlopCounter, sign_normalize_rows
+from srifkit.linalg import UNCOUNTED, FlopCounter, sign_normalize_rows
 
 
 @dataclass
@@ -26,7 +26,7 @@ class GivensRotation:
     j: int = 1
 
 
-def givens_from_pair(a, b, i=0, j=1, flops: FlopCounter | None = None) -> GivensRotation:
+def givens_from_pair(a, b, i=0, j=1, flops: FlopCounter = UNCOUNTED) -> GivensRotation:
     """Rotation G such that G.T @ [a, b] = [r, 0] with r >= 0.
 
     The a = b = 0 case returns the identity rotation (r = 0).
@@ -34,15 +34,14 @@ def givens_from_pair(a, b, i=0, j=1, flops: FlopCounter | None = None) -> Givens
     dt = np.result_type(a, b)
     a = np.asarray(a, dtype=dt)[()]
     b = np.asarray(b, dtype=dt)[()]
-    if flops is not None:
-        flops.add(6)    # 1 add, 2 muls, 2 divs and 1 sqrt
+    flops.add(6)    # 1 add, 2 muls, 2 divs and 1 sqrt
     if b == 0 and a == 0:
         return GivensRotation(dt.type(1.0), dt.type(0.0), i, j)
     r = np.hypot(a, b)
     return GivensRotation(a / r, b / r, i, j)
 
 
-def apply_givens_rows(M, G: GivensRotation, cols=slice(None), flops: FlopCounter | None = None):
+def apply_givens_rows(M, G: GivensRotation, cols=slice(None), flops: FlopCounter = UNCOUNTED):
     """Apply G.T to rows G.i and G.j of M over the given columns, in place.
 
     Returns M. Frobenius norm of the two affected rows (restricted to the
@@ -53,13 +52,12 @@ def apply_givens_rows(M, G: GivensRotation, cols=slice(None), flops: FlopCounter
     rj = np.array(M[j, cols], copy=True)
     M[i, cols] = G.c * ri + G.s * rj
     M[j, cols] = -G.s * ri + G.c * rj
-    if flops is not None:
-        ncol = ri.shape[0] if ri.ndim else 1
-        flops.add(6 * ncol)    # 2 adds and 4 muls per column
+    ncol = ri.shape[0] if ri.ndim else 1
+    flops.add(6 * ncol)    # 2 adds and 4 muls per column
     return M
 
 
-def triangularize_by_rotation(A, flops: FlopCounter | None = None):
+def triangularize_by_rotation(A, flops: FlopCounter = UNCOUNTED):
     """`givens_triangularize`, one rotation at a time. Returns A."""
     m, n = A.shape
     for j in range(min(n, m - 1)):
@@ -71,7 +69,7 @@ def triangularize_by_rotation(A, flops: FlopCounter | None = None):
     return A
 
 
-def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
+def marginalize_by_rotation(R, p, flops: FlopCounter = UNCOUNTED):
     """`marginalize_block(R, [p])`, one rotation of adjacent rows at a time."""
     n = R.shape[0]
     if p == 0 and R[0, 0] != 0:
@@ -84,8 +82,7 @@ def marginalize_by_rotation(R, p, flops: FlopCounter | None = None):
         # the leading column pair rotates to (r, 0)
         W[j - 1, 0] = G.c * W[j - 1, 0] + G.s * W[j, 0]
         W[j, 0] = 0.0
-        if flops is not None:
-            flops.add(3)    # 1 add and 2 muls
+        flops.add(3)    # 1 add and 2 muls
     if W[0, 0] == 0:
         # every rotation was the identity: the state has no information,
         # so delete its column and rotate rows p.. back into a triangle

@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from srifkit.linalg import FlopCounter, householder_qr, sign_normalize_rows
+from srifkit.linalg import (
+    UNCOUNTED,
+    FlopCounter,
+    householder_qr,
+    sign_normalize_rows,
+)
 
 
-def marginalize_oracle_householder(R, p, flops: FlopCounter | None = None):
+def marginalize_oracle_householder(R, p, flops: FlopCounter = UNCOUNTED):
     """`marginalize_block(R, [p])` via permutation and dense Householder QR.
 
     Re-triangularizes the non-triangular top block (rows 0..p) densely,

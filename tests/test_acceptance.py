@@ -517,6 +517,11 @@ def test_claims_file(measured, tmp_path, capsys):
         assert claim["pass"] is True
         exact = {f: v for f, v in measured[int(k)].items() if f != "noisy"}
         assert claim["numbers"] == exact
+    # claim 1's counted update FLOPs, every Cholesky counted by
+    # `cholesky_upper`'s model
+    assert {est: numbers["update_flops"] for est, numbers in
+            data["claims"]["1"]["numbers"]["estimators"].items()} == {
+        "kf": 1574903378, "srif": 254646841, "pcsrif": 406991012}
     # the sweep's counted FLOPs are exact: a recount gives them, at every
     # precision, and at m = 995 they are the closed-form update totals
     # `test_filters.py::TestUpdateFlopTotals` pins

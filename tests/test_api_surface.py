@@ -1,5 +1,5 @@
 """Every module-level function and class in src/srifkit is used by src/,
-and every dataclass field is read.
+every dataclass field is read, and every kernel counts its FLOPs.
 
 A definition that only tests, demos or the benchmark call is surface the
 engine does not need: it belongs beside the other references in tests/, or
@@ -8,7 +8,9 @@ imports it or reads it as an attribute. Exempt are the console entry point
 `cli.main` and the functions the benchmark's tracer rebinds by name
 (`TARGETS` in `perfbench/spans.py`). A field of a `@dataclass` in src/
 counts as read when src/, perfbench/ or demos/ reads an attribute of its
-name; one that only tests read is carried for nothing.
+name; one that only tests read is carried for nothing. A kernel has no
+uncounted mode: its `flops` is never compared with None, and a defaulted
+`flops` parameter defaults to `UNCOUNTED`, the counter that discards.
 """
 
 import ast
@@ -121,3 +123,38 @@ def test_the_walk_sees_the_fields():
              for module, cls, name in dataclass_fields()}
     assert {"linalg.FlopCounter.count", "vins.RunResult.flops",
             "vins.FilterConfig.window", "sim.ScenarioSpec.seed"} <= found
+
+
+def _name(node):
+    """The name a Name or an Attribute node reads, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def flops_modes():
+    """(where, what) of each comparison of a `flops` with None in src/, and
+    the default of each defaulted `flops` parameter."""
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if ("flops" in map(_name, operands) and any(
+                        isinstance(x, ast.Constant) and x.value is None
+                        for x in operands)):
+                    yield f"{module}:{node.lineno}", "compares flops with None"
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                params = (positional[len(positional) - len(a.defaults):]
+                          + a.kwonlyargs)
+                for arg, default in zip(params, a.defaults + a.kw_defaults):
+                    if arg.arg == "flops" and default is not None:
+                        yield (f"{module}.{getattr(node, 'name', 'lambda')}",
+                               f"defaults flops to {ast.unparse(default)}")
+
+
+def test_flops_are_always_counted():
+    modes = list(flops_modes())
+    assert [m for m in modes if m[1] != "defaults flops to UNCOUNTED"] == []
+    # the kernels are seen, so the check is not vacuous
+    assert {"linalg.householder_qr", "filters.kf_update",
+            "filters.spai_inverse"} <= {where for where, _ in modes}

@@ -10,6 +10,8 @@ from srifkit.diag import (
 from srifkit.filters import apply_preconditioner_inverse, build_preconditioner
 from srifkit.state import quat_from_rotvec, quat_mul
 
+from tolerances import cond2
+
 
 def straight_trajectory(n=51, dt=0.1, speed=1.0):
     times = np.arange(n) * dt
@@ -38,6 +40,14 @@ class TestConditioningRecord:
         assert rec.kappa2_r22_post_precond == 1.0
         assert rec.sigma_max_p == rec.sigma_min_p == 1.0
 
+    def test_singular_factor_records_infinite_kappas(self):
+        # sigma_min = 0 reads inf, with no division warning
+        R22 = np.eye(8)
+        R22[7, 7] = 0.0
+        rec = record_conditioning(0.0, R22, [0], np.eye(8))
+        assert (rec.kappa2_r22_post == rec.kappa2_r22_post_scaled
+                == rec.kappa2_r22_post_precond == float("inf"))
+
     def test_all_kappas_at_least_one(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(12, 12)) * 0.4
@@ -53,11 +63,11 @@ class TestConditioningRecord:
         # scaled, it is the preconditioned posterior a second solve gives
         rng = np.random.default_rng(1)
         A = rng.normal(size=(19, 19)) * 0.4
-        from srifkit.linalg import cholesky_upper, cond_spectral
+        from srifkit.linalg import cholesky_upper
         R22 = cholesky_upper(A @ A.T + np.eye(19))
         offsets = [1, 7, 13]
         rec = record_conditioning(2.0, R22, offsets, np.eye(19))
-        k = cond_spectral(apply_preconditioner_inverse(
+        k = cond2(apply_preconditioner_inverse(
             build_preconditioner(R22, offsets), R22))
         assert rec.kappa2_r22_post_precond == k * k
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -21,9 +23,9 @@ from srifkit.filters import (
     srif_update_partitioned,
 )
 from srifkit.linalg import (
+    UNCOUNTED,
     FlopCounter,
     NotPositiveDefinite,
-    cond_spectral,
     givens_triangularize,
 )
 from srifkit.models import TransitionBlock
@@ -32,7 +34,7 @@ from srifkit.state import Layout
 from givens_reference import marginalize_by_rotation
 from householder_reference import marginalize_oracle_householder
 from state_reference import walk_layout
-from tolerances import eps_of
+from tolerances import cond2, eps_of
 
 
 def random_factor(rng, n, diag_floor=0.5):
@@ -273,7 +275,7 @@ def augment_maps(layout, old_pose):
 
 
 class TestAugment:
-    def _augment(self, R, layout, tb, old_pose, flops=None):
+    def _augment(self, R, layout, tb, old_pose, flops=UNCOUNTED):
         new_pose, colmap, rows, old_cols = augment_maps(layout, old_pose)
         R_aug = srif_augment(R, colmap, rows, old_cols, tb, flops=flops)
         return R_aug, new_pose
@@ -488,7 +490,7 @@ class TestPreconditioner:
         M = preconditioner_dense(np.diag(d), [])
         assert np.allclose(np.diag(M), d)
         assert np.allclose(pc.jacobi, d)
-        k = cond_spectral(np.diag(d) @ np.linalg.inv(M))
+        k = cond2(np.diag(d) @ np.linalg.inv(M))
         assert np.isclose(k, 1.0)
 
     def test_beats_plain_jacobi_on_coupled_poses(self):
@@ -496,8 +498,8 @@ class TestPreconditioner:
         R22 = coupled_pose_factor(rng)
         pc = build_preconditioner(R22, [0, 6])
         D = np.sqrt(np.einsum("ij,ij->j", R22, R22))
-        k_jacobi = cond_spectral(R22 / D[None, :])
-        k_pc = cond_spectral(apply_preconditioner_inverse(pc, R22))
+        k_jacobi = cond2(R22 / D[None, :])
+        k_pc = cond2(apply_preconditioner_inverse(pc, R22))
         assert k_pc <= k_jacobi / 10
 
     def test_apply_inverse_matches_dense(self):
@@ -785,7 +787,7 @@ class TestIfOracle:
         rng = np.random.default_rng(15)
         n1, n2 = 0, 12
         R = coupled_pose_factor(rng, common_info=1e-4, relative_info=1e6)
-        k = cond_spectral(R)
+        k = cond2(R)
         assert k ** 2 > 8.4e6
         H2 = rng.normal(size=(20, n2)).astype(np.float32) * 0.1
         r = rng.normal(size=20).astype(np.float32)
@@ -917,3 +919,107 @@ class TestKfPropagate:
                      flops=fc)
         assert old.n == 44
         assert fc.total() == 435 * 44 + 16650 == 35790
+
+
+def counting_calls():
+    """Each kernel of linalg and filters that takes a FlopCounter, by
+    qualified name, as a call on one small input that passes its keyword
+    arguments on; the call returns what the kernel returns."""
+    rng = np.random.default_rng(900)
+    n1, n2, m = 3, 12, 5
+    R = random_spd_factor(rng, n1 + n2)
+    R22, H2, r = R[n1:, n1:], rng.normal(size=(m, n2)), rng.normal(size=m)
+    z = rng.normal(size=n2)
+    pc = build_preconditioner(R22, [0, 6])
+    A = rng.normal(size=(8, 5))
+    S = linalg.form_normal_half(A)
+    U = linalg.cholesky_upper(S)
+    G = np.triu(rng.normal(size=(7, 5)))
+    G[5:, :2] = rng.normal(size=(2, 2))
+    old, new = Layout(1, 3), Layout(1, 4)
+    tb = make_tb(rng)
+    _, colmap, rows, old_cols = augment_maps(old, 2)
+    keep, sel, prows = propagate_maps(old, new, 2, 3)
+    P = random_spd(rng, old.n)
+    return {
+        "linalg.householder_qr": lambda **kw: linalg.householder_qr(
+            A, top=U, **kw),
+        "linalg.givens_triangularize": lambda **kw: givens_triangularize(
+            G.copy(), **kw),
+        "linalg.cholesky_upper": lambda **kw: linalg.cholesky_upper(S, **kw),
+        "linalg.solve_upper": lambda **kw: linalg.solve_upper(U, A.T, **kw),
+        "linalg.cholesky_solve": lambda **kw: linalg.cholesky_solve(
+            U, A[0], **kw),
+        "linalg.form_normal_half": lambda **kw: linalg.form_normal_half(
+            A, top=U, **kw),
+        "filters.marginalize_block": lambda **kw: marginalize_block(
+            R, [4, 9], **kw),
+        "filters.srif_augment": lambda **kw: srif_augment(
+            random_spd_factor(np.random.default_rng(1), old.n), colmap, rows,
+            old_cols, tb, **kw),
+        "filters._posterior": lambda **kw: filters._posterior(
+            R, n1, R22, z, **kw),
+        "filters.Preconditioner.spai_inverse": lambda **kw: pc.spai_inverse(
+            H2, **kw),
+        "filters.build_preconditioner": lambda **kw: build_preconditioner(
+            R22, [0, 6], **kw),
+        "filters.apply_preconditioner_inverse":
+            lambda **kw: apply_preconditioner_inverse(pc, H2, **kw),
+        "filters.apply_preconditioner_right":
+            lambda **kw: apply_preconditioner_right(pc, R22, **kw),
+        "filters.preconditioner_solve_vec":
+            lambda **kw: preconditioner_solve_vec(pc, z, **kw),
+        "filters._normal_solve": lambda **kw: filters._normal_solve(
+            R22, H2, r, **kw),
+        "filters.srif_update_partitioned":
+            lambda **kw: srif_update_partitioned(R, H2, r, n1, **kw),
+        "filters.pcsrif_update": lambda **kw: pcsrif_update(
+            R, H2, r, n1, [0, 6], **kw),
+        "filters.if_update_oracle": lambda **kw: if_update_oracle(
+            R, H2, r, n1, **kw),
+        "filters.kf_propagate": lambda **kw: kf_propagate(
+            P, keep, sel, prows, tb, **kw),
+        "filters.kf_update": lambda **kw: kf_update(
+            random_spd(np.random.default_rng(2), n1 + n2), H2, r, n1, **kw),
+    }
+
+
+def result_bytes(out):
+    """Every field of a kernel's result, arrays as (dtype, shape, bytes)."""
+    if dataclasses.is_dataclass(out):
+        out = tuple(vars(out).values())
+    if not isinstance(out, tuple):
+        out = (out,)
+    return [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+            else v for v in out]
+
+
+class TestCountingIsUnconditional:
+    """Counting is the only mode: a kernel called without a counter gets
+    `UNCOUNTED`, which discards its count, and returns bitwise what it
+    returns while counting."""
+
+    @pytest.mark.parametrize("name", sorted(counting_calls()))
+    def test_uncounted_call_returns_the_counted_result(self, name):
+        call = counting_calls()[name]
+        fc = FlopCounter()
+        counted = result_bytes(call(flops=fc))
+        assert fc.total() > 0
+        assert result_bytes(call()) == counted
+        assert UNCOUNTED.total() == 0
+
+    def test_every_kernel_that_counts_is_covered(self):
+        # every function and method with a `flops` parameter, other than
+        # the counters' own `add`
+        found = set()
+        for mod in (linalg, filters):
+            short = mod.__name__.rsplit(".", 1)[-1]
+            for obj in vars(mod).values():
+                if (getattr(obj, "__module__", None) != mod.__name__
+                        or obj in (FlopCounter, type(UNCOUNTED))):
+                    continue
+                fns = (vars(obj).values() if inspect.isclass(obj) else [obj])
+                found |= {f"{short}.{fn.__qualname__}" for fn in fns
+                          if inspect.isfunction(fn)
+                          and "flops" in inspect.signature(fn).parameters}
+        assert found == set(counting_calls())
