@@ -11,7 +11,8 @@ Matrix-level operations shared by the three estimators:
   and re-triangularizing with one structured QR of the embedded prior and
   the 15 constraint rows (?tpqrt, which reflects only the constraint rows
   into the triangular prior). It works on index arrays the caller
-  supplies; the state ordering is the engine's.
+  supplies, and embeds the prior with one contiguous block copy per pair
+  of their runs; the state ordering is the engine's.
 * The partitioned measurement update in three mathematically equivalent
   flavors, each exploiting the triangular prior R22: structured QR of
   Bierman's data array [R22 0; H2 r] (one ?tpqrt, which never reflects
@@ -65,6 +66,33 @@ class UpdateResult:
 
 
 # --------------------------------------------------------------------------
+# re-embedding
+# --------------------------------------------------------------------------
+
+
+def _runs(idx):
+    """The maximal runs of consecutive values in the index array idx, as
+    (position in idx, first value, length) triples."""
+    idx = np.asarray(idx)
+    if not idx.size:
+        return []
+    starts = [0, *(np.flatnonzero(idx[1:] - idx[:-1] != 1) + 1).tolist()]
+    stops = [*starts[1:], idx.size]
+    return [(i, v, j - i)
+            for i, j, v in zip(starts, stops, idx.take(starts).tolist())]
+
+
+def _embed(dst, rows, cols, src):
+    """dst[rows, cols] = src over the outer product of two index arrays,
+    given as their `_runs`: one contiguous block copy per pair of runs,
+    which writes the same bits as the element-wise scatter and keeps
+    dst's memory order."""
+    for i, r, m in rows:
+        for j, c, k in cols:
+            dst[r:r + m, c:c + k] = src[i:i + m, j:j + k]
+
+
+# --------------------------------------------------------------------------
 # marginalization
 # --------------------------------------------------------------------------
 
@@ -98,8 +126,8 @@ def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
     idx = np.sort(np.asarray(indices, dtype=int))
     b = idx.size
     if b and (idx[0] < 0 or idx[-1] >= n or (idx[1:] == idx[:-1]).any()):
-        bad = np.unique(np.r_[idx[1:][idx[1:] == idx[:-1]],
-                              idx[(idx < 0) | (idx >= n)]])
+        bad = np.unique(np.concatenate([idx[1:][idx[1:] == idx[:-1]],
+                                        idx[(idx < 0) | (idx >= n)]]))
         raise IndexError(f"indices {bad.tolist()} are duplicated or out of "
                          f"range for n={n}")
     rest = np.ones(n, dtype=bool)
@@ -164,7 +192,8 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     dtype = R.dtype
     # Fortran-ordered, so ?tpqrt overwrites both in place
     T = np.zeros((n_aug, n_aug), dtype=dtype, order="F")
-    T[np.ix_(colmap, colmap)] = R
+    runs = _runs(colmap)
+    _embed(T, runs, runs, R)
     C = np.zeros((15, n_aug), dtype=dtype, order="F")
     C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
     C[:, rows] += tb.sqrt_info.astype(dtype)
@@ -426,24 +455,27 @@ def kf_propagate(P, keep, sel, rows, tb, flops: FlopCounter = UNCOUNTED):
 
     keep[j] is the new index of old state j, sel the 15 old indices the
     transition reads and rows the 15 new indices it writes, both in
-    transition order. Kept states outside `rows` keep their covariance;
-    the transitioned rows become Phi P[sel, :] and their 15 x 15 corner
-    Phi P[sel, sel] Phi.T + Q, with Q = (L.T L)^-1 for L = tb.sqrt_info.
+    transition order; keep and rows together cover the n new indices.
+    Kept states outside `rows` keep their covariance; the transitioned
+    rows become Phi P[sel, :] and their 15 x 15 corner
+    Phi P[sel, sel] Phi.T + Q, with Q = (L.T L)^-1 for L = tb.sqrt_info,
+    each block written by one copy per pair of runs of the maps.
     This is F P F.T + Q for the n x n_old F that embeds the old state and
     applies Phi, at O(15 n^2) instead of O(n^3); a symmetric P gives an
     exactly symmetric result. The FLOPs counted are those of Phi P[sel, :],
     the corner and Q: 435 n_old + 16650.
     """
-    n = np.union1d(keep, rows).size
+    keep_runs, row_runs = _runs(keep), _runs(rows)
+    n = max(v + k for _, v, k in keep_runs + row_runs)
     phi = tb.phi.astype(P.dtype)
     Linv = solve_upper(tb.sqrt_info, np.eye(15), flops=flops)
     A = phi @ P[sel]
     corner = A[:, sel] @ phi.T + (Linv @ Linv.T).astype(P.dtype)
     P_new = np.empty((n, n), dtype=P.dtype)
-    P_new[np.ix_(keep, keep)] = P
-    P_new[np.ix_(rows, keep)] = A
-    P_new[np.ix_(keep, rows)] = A.T
-    P_new[np.ix_(rows, rows)] = 0.5 * (corner + corner.T)
+    _embed(P_new, keep_runs, keep_runs, P)
+    _embed(P_new, row_runs, keep_runs, A)
+    _embed(P_new, keep_runs, row_runs, A.T)
+    _embed(P_new, row_runs, row_runs, 0.5 * (corner + corner.T))
     # Phi P[sel, :], the corner's two 15 x 15 products and their sum
     flops.add(435 * P.shape[0] + 13275)
     return P_new

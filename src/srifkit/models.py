@@ -39,6 +39,7 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 MIN_DEPTH = 0.05  # m; guards Jacobian blow-up as rho -> inf
 TRIANGULATION_ITERS = 10  # Gauss-Newton iterations per track, at most
 NOISE_FLOOR = 1e-8  # process-noise std. dev. added to each transitioned state
+_EYE15 = np.eye(15)   # each sample's transition starts from a copy
 
 
 @dataclass
@@ -159,7 +160,7 @@ def imu_transition(bg, ba, v, p, q, omega, accel, dt, noise: ImuNoise):
     d2 = 0.5 * d1 * d1
     Ssacc = skew(sacc)
     SRJ = Ssacc @ (R_mid @ Jr[K:])
-    F = np.tile(np.eye(15), (K, 1, 1))
+    F = np.broadcast_to(_EYE15, (K, 15, 15)).copy()
     F[:, 12:15, 0:3] = -R[1:] @ Jr[:K] * d1
     F[:, 6:9, 12:15] = -Ssacc * d1
     F[:, 6:9, 0:3] = SRJ * d2
@@ -500,11 +501,11 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
 
     Each track runs up to TRIANGULATION_ITERS Gauss-Newton steps of its
     own: it fails when a live view sees the point at depth <= 1e-3
-    (BEHIND_CAMERA) or when cond(J.T J) > 1e12 (DEGENERATE), and it stops
-    once its step norm is below 1e-10. A track that stops leaves the
-    batch; in the iteration a track fails, the batched solve sees the
-    identity in place of its J.T J, so its singular matrix cannot fail
-    the others.
+    (BEHIND_CAMERA) or when cond(J.T J) > 1e12 (DEGENERATE), read from
+    the eigenvalues of the symmetric J.T J, and it stops once its step
+    norm is below 1e-10. A track that stops leaves the batch; in the
+    iteration a track fails, the batched solve sees the identity in place
+    of its J.T J, so its singular matrix cannot fail the others.
     """
     fx, fy, cx, cy = intrinsics
     px = np.asarray(pixels, dtype=np.float64)
@@ -528,7 +529,8 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     rays = (Bs @ rays[..., None])[..., 0]
     rho = _init_inverse_depth(rays[:, 0], rays[:, 1:],
                               ts[:, 1:] - t_A[:, None], live[:, 1:])
-    theta = np.stack([alpha, beta, np.clip(rho, 1e-3, 1e3)], axis=1)
+    theta = np.stack([alpha, beta, np.minimum(np.maximum(rho, 1e-3), 1e3)],
+                     axis=1)
     C = Bs.transpose(0, 1, 3, 2) @ A[:, None]
     c = ((t_A[:, None] - ts)[:, :, None, :] @ Bs)[:, :, 0, :]
     # a padded view sees every point on its optical axis at unit depth,
@@ -543,14 +545,15 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
     for _ in range(TRIANGULATION_ITERS):
         if not len(k):
             break
-        a, b, rho = th.T
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        rho = th[:, 2]
+        (ca, cb), (sa, sb) = np.cos(th[:, :2]).T, np.sin(th[:, :2]).T
+        cacb, sacb = ca * cb, sa * cb
         # columns: d f / d (alpha, beta, rho), then f itself, for the
         # bearing u(alpha, beta) and f = u / rho
         G = np.empty((len(k), 1, 3, 4))
-        G[:, 0, 0, 0], G[:, 0, 0, 1], G[:, 0, 0, 3] = ca * cb, -sa * sb, sa * cb
+        G[:, 0, 0, 0], G[:, 0, 0, 1], G[:, 0, 0, 3] = cacb, -sa * sb, sacb
         G[:, 0, 1, 0], G[:, 0, 1, 1], G[:, 0, 1, 3] = 0.0, cb, sb
-        G[:, 0, 2, 0], G[:, 0, 2, 1], G[:, 0, 2, 3] = -sa * cb, -ca * sb, ca * cb
+        G[:, 0, 2, 0], G[:, 0, 2, 1], G[:, 0, 2, 3] = -sacb, -ca * sb, cacb
         G /= rho[:, None, None, None]
         G[..., 2] = -G[..., 3] / rho[:, None, None]
         CG = C @ G
@@ -566,16 +569,17 @@ def triangulate_inverse_depth(pixels, cam_rots, cam_centers, intrinsics,
         J = J.reshape(len(k), -1, 3)
         Jt = J.transpose(0, 2, 1)
         JtJ = Jt @ J
-        # cond(JtJ) > 1e12, from the singular values cond would use
-        sv = np.linalg.svd(JtJ, compute_uv=False)
-        failed = behind | (sv[:, 0] > 1e12 * sv[:, -1]) | (sv[:, -1] == 0.0)
+        # cond(JtJ) > 1e12: JtJ is symmetric positive semidefinite, so
+        # its singular values are its eigenvalues, in ascending order
+        ev = np.linalg.eigvalsh(JtJ)
+        failed = behind | (ev[:, -1] > 1e12 * ev[:, 0]) | (ev[:, 0] <= 0.0)
         if failed.any():
             status[k[failed]] = np.where(behind[failed], BEHIND_CAMERA,
                                          DEGENERATE)
             JtJ[failed] = np.eye(3)
         step = np.linalg.solve(JtJ, Jt @ r)[..., 0]
         th = th + step
-        th[:, 2] = np.clip(th[:, 2], 1e-4, 1e4)
+        th[:, 2] = np.minimum(np.maximum(th[:, 2], 1e-4), 1e4)
         stop = failed | (np.linalg.norm(step, axis=1) < 1e-10)
         if stop.any():
             theta[k[stop]] = th[stop]

@@ -63,6 +63,9 @@ PRIOR_SIGMA = {
     "intr": 1e-1, "p_ic": 1e-3, "q_ic": 1e-3,
     "feat": (0.1, 0.1, 1.0),
 }
+# a new feature's prior variances and information square roots
+_FEAT_VAR = np.array(PRIOR_SIGMA["feat"]) ** 2
+_FEAT_INFO = 1.0 / np.array(PRIOR_SIGMA["feat"])
 MIN_TRACK = 3   # observations needed before a track is used
 SVD_STRIDE = 10  # conditioning recorded every this many frames
 DIAGNOSTICS_THREAD = "srifkit-diagnostics"   # name prefix of run()'s worker
@@ -213,9 +216,11 @@ class VinsEstimator:
         # every old state keeps its value at its new index (the calibration
         # moves past the new pose), and the transition maps (bias,
         # velocity, old pose) to (bias, velocity, new pose)
-        keep = np.r_[0:old.intr, old.intr + 6:old.n + 6]
-        sel = np.r_[0:N1, old.pose_cols(old.n_poses - 1)]
-        rows = np.r_[0:N1, layout_of(x).pose_cols(old.n_poses)]
+        keep = np.arange(old.n)
+        keep[old.intr:] += 6
+        sel = np.concatenate([np.arange(N1), old.pose_cols(old.n_poses - 1)])
+        rows = np.concatenate([np.arange(N1),
+                               layout_of(x).pose_cols(old.n_poses)])
 
         if self.is_kf:
             self.P = filters.kf_propagate(self.P, keep, sel, rows, tb,
@@ -224,7 +229,8 @@ class VinsEstimator:
             # augmented ordering: the old bias/velocity block in front of
             # the new layout; it is marginalized right after (p = 0 nine
             # times, which for a triangular factor is dropping the corner)
-            colmap = np.r_[0:9, 9 + keep[9:]]
+            colmap = keep + 9
+            colmap[:9] = np.arange(9)
             R_aug = filters.srif_augment(self.R, colmap, 9 + rows,
                                          colmap[sel], tb, flops=fc)
             self.R = R_aug[9:, 9:].copy()
@@ -241,7 +247,9 @@ class VinsEstimator:
         gone[N1:lay.tsync] = np.repeat(features, 3)
         gone[lay.tsync + 1:lay.intr] = np.repeat(poses, 6)
         if self.is_kf:
-            self.P = self.P[np.ix_(~gone, ~gone)]
+            # C-ordered, as the products that read P expect
+            k = np.flatnonzero(~gone)
+            self.P = self.P.take(k, 0).take(k, 1)
         else:
             self.R = filters.marginalize_block(
                 self.R, np.flatnonzero(gone),
@@ -289,7 +297,8 @@ class VinsEstimator:
             fc.add(3 * m * (2 * lay.n - 1) * (lay.n + 3 * m))
             P[fidx] = T
             P[:, fidx] = T.T
-            P[np.ix_(fidx, fidx)] = 0.5 * (corner + corner.T)
+            runs = filters._runs(fidx)
+            filters._embed(P, runs, runs, 0.5 * (corner + corner.T))
         else:
             # R <- R J^-1 stays upper triangular: the feature columns sit
             # left of both pose columns, so the correction only spreads
@@ -358,13 +367,12 @@ class VinsEstimator:
         # state keeps its value
         t, b = lay.tsync, 3 * len(ids)
         n = lay.n + b
-        idx = np.r_[0:t, t + b:n]
+        runs = [(0, 0, t), (t, t + b, lay.n - t)]
         new = np.arange(t, t + b)
-        sig = np.tile(PRIOR_SIGMA["feat"], len(ids))
-        old, diag = (self.P, sig ** 2) if self.is_kf else (self.R, 1.0 / sig)
+        old, diag = (self.P, _FEAT_VAR) if self.is_kf else (self.R, _FEAT_INFO)
         M = np.zeros((n, n), dtype=old.dtype)
-        M[np.ix_(idx, idx)] = old
-        M[new, new] = diag
+        filters._embed(M, runs, runs, old)
+        M[new, new] = np.tile(diag, len(ids))
         if self.is_kf:
             self.P = M
         else:
@@ -477,41 +485,43 @@ class VinsEstimator:
         # feature has none (its block is eliminated before writing), so
         # its feature columns are never read
         lay = layout_of(self.x)
-        sizes = [len(obs) for *_, obs in groups]
-        feature = np.repeat([k for k, *_ in groups], sizes)
+        ks = np.array([k for k, *_ in groups])
+        sizes = np.array([len(obs) for *_, obs in groups])
+        feature = np.repeat(ks, sizes)
         cols = np.empty((len(J), J.shape[2]), dtype=np.intp)
         cols[:, 0:6] = lay.pose_cols(cameras.rows(anchor)) - N1
         cols[:, 6:12] = lay.pose_cols(cameras.rows(observer)) - N1
         cols[:, 12:15] = lay.feature_cols(feature) - N1
-        cols[:, 15:] = np.r_[lay.p_ic:lay.q_ic + 3, lay.tsync,
-                             lay.intr:lay.p_ic] - N1
-        no_feature = np.r_[0:12, 15:cols.shape[1]]
+        cols[:, 15:] = np.concatenate([np.arange(lay.p_ic, lay.q_ic + 3),
+                                       [lay.tsync],
+                                       np.arange(lay.intr, lay.p_ic)]) - N1
+        no_feature = np.concatenate([np.arange(12),
+                                     np.arange(15, cols.shape[1])])
 
-        slam = np.zeros(len(views), dtype=bool)
-        tracks = []   # each short track's observations in front of the camera
-        stop = 0
-        for (k, *_), size in zip(groups, sizes):
-            start, stop = stop, stop + size
-            front = proj.in_front[start:stop]
-            if k < 0:
-                keep = start + np.flatnonzero(front)
-                if len(keep) >= 2:
-                    tracks.append(keep)
-                continue
-            good = size if front.all() else int(np.argmin(front))
-            slam[start:start + good] = True
-            if good < size:
-                self._drop_next.add(int(self.x.feature_ids[k]))
+        # observations behind the camera, counted through each observation
+        # and up to each group's start and end
+        behind = np.concatenate([[0], np.cumsum(~proj.in_front)])
+        stop = np.cumsum(sizes)
+        first, last = behind[stop - sizes], behind[stop]
+        # a SLAM feature's observations up to its first one behind the
+        # camera, after which the feature leaves the state
+        slam = (feature >= 0) & (behind[1:] == np.repeat(first, sizes))
+        gone = ks[(ks >= 0) & (last > first)]
+        self._drop_next.update(self.x.feature_ids[gone].tolist())
+        # a short track's observations in front of the camera, if it has
+        # two of them
+        front = sizes - (last - first)
+        used = (ks < 0) & (front >= 2)
+        keep = np.flatnonzero(proj.in_front & np.repeat(used, sizes))
 
         Hx, rx = np.empty((0, lay.n2)), np.empty(0)
-        if tracks:
-            keep = np.concatenate(tracks)
+        if len(keep):
             Hx = np.zeros((2 * len(keep), lay.n2))
             _scatter_rows(Hx, cols[keep][:, no_feature],
                           J[keep][:, :, no_feature])
             Hx, rx, _ = msckf_nullspace_project(
                 proj.feature[keep].reshape(-1, 3), Hx, resid[keep].ravel(),
-                [2 * len(k) for k in tracks])
+                (2 * front[used]).tolist())
         m_slam = 2 * int(slam.sum())
         m = m_slam + len(rx)
         if not m:
@@ -576,9 +586,11 @@ class VinsEstimator:
         lay = layout_of(self.x)
         # the states every window keeps: biases, velocity, tsync, the
         # newest pose and the calibration
-        job = (frame.t, np.array(self.R, dtype=np.float64),
-               np.r_[0:N1, lay.tsync, lay.pose_cols(lay.n_poses - 1),
-                     lay.intr:lay.n], _pose_offsets_x2(lay))
+        idx = np.concatenate([np.arange(N1), [lay.tsync],
+                              lay.pose_cols(lay.n_poses - 1),
+                              np.arange(lay.intr, lay.n)])
+        job = (frame.t, np.array(self.R, dtype=np.float64), idx,
+               _pose_offsets_x2(lay))
         if self._worker is None:
             self.conditioning.append(self._condition(*job))
         else:

@@ -11,6 +11,9 @@ counts as read when src/, perfbench/ or demos/ reads an attribute of its
 name; one that only tests read is carried for nothing. A kernel has no
 uncounted mode: its `flops` is never compared with None, and a defaulted
 `flops` parameter defaults to `UNCOUNTED`, the counter that discards.
+No re-embedding goes through numpy's fancy-index builders `np.ix_` or
+`np.r_`: a block copy per run writes the same bits at a fraction of the
+interpreter cost.
 """
 
 import ast
@@ -158,3 +161,29 @@ def test_flops_are_always_counted():
     # the kernels are seen, so the check is not vacuous
     assert {"linalg.householder_qr", "filters.kf_update",
             "filters.spai_inverse"} <= {where for where, _ in modes}
+
+
+def index_builders(trees):
+    """(where, what) of each use of numpy's `ix_` or `r_` in the
+    (module, syntax tree) pairs."""
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("ix_", "r_")
+                    and _name(node.value) in ("np", "numpy")):
+                yield f"{module}:{node.lineno}", f"np.{node.attr}"
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and {a.name for a in node.names} & {"ix_", "r_"}):
+                yield f"{module}:{node.lineno}", "imports ix_ or r_"
+
+
+def test_no_fancy_index_builders():
+    assert list(index_builders(modules())) == []
+
+
+def test_the_walk_sees_index_builders():
+    # the check above is not vacuous
+    tree = ast.parse("import numpy as np\nfrom numpy import r_\n"
+                     "P[np.ix_(k, k)] = np.r_[0:3, 5]\n")
+    assert sorted(index_builders([("snippet", tree)])) == [
+        ("snippet:2", "imports ix_ or r_"), ("snippet:3", "np.ix_"),
+        ("snippet:3", "np.r_")]

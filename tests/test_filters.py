@@ -1023,3 +1023,85 @@ class TestCountingIsUnconditional:
                           if inspect.isfunction(fn)
                           and "flops" in inspect.signature(fn).parameters}
         assert found == set(counting_calls())
+
+
+@st.composite
+def index_arrays(draw):
+    """An index array of 1-4 runs of consecutive values with gaps between
+    them, the runs in any order."""
+    start, runs = draw(st.integers(0, 3)), []
+    for gap, length in draw(st.lists(st.tuples(st.integers(1, 4),
+                                                st.integers(1, 5)),
+                                     min_size=1, max_size=4)):
+        runs.append(np.arange(start, start + length))
+        start += length + gap
+    return np.concatenate(draw(st.permutations(runs)))
+
+
+class TestEmbed:
+    """`filters._embed` copies the runs `filters._runs` splits an index
+    array into, and writes bitwise what the element-wise scatter
+    `dst[np.ix_(rows, cols)] = src` writes."""
+
+    @given(rows=index_arrays(), cols=index_arrays(), square=st.booleans(),
+           transposed=st.booleans(), order=st.sampled_from("CF"),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_writes_what_the_elementwise_scatter_writes(
+            self, rows, cols, square, transposed, order, dtype, seed):
+        if square:
+            cols = rows
+        rng = np.random.default_rng(seed)
+        dst = np.array(rng.normal(size=(rows.max() + 3, cols.max() + 2)),
+                       dtype=dtype, order=order)
+        src = rng.normal(size=(len(cols), len(rows))).astype(dtype).T
+        if not transposed:
+            src = np.ascontiguousarray(src)
+        # a signed zero and a NaN are copied bit for bit
+        src[0, 0], src[-1, -1] = -0.0, np.nan
+        ref = dst.copy(order="K")
+        ref[np.ix_(rows, cols)] = src
+        row_runs = filters._runs(rows)
+        filters._embed(dst, row_runs,
+                       row_runs if square else filters._runs(cols), src)
+        assert dst.tobytes() == ref.tobytes()
+        assert dst.flags.f_contiguous == (order == "F")
+
+    @given(idx=index_arrays())
+    def test_runs_cover_the_array(self, idx):
+        runs = filters._runs(idx)
+        assert np.array_equal(
+            np.concatenate([np.arange(v, v + k) for _, v, k in runs]), idx)
+        assert [i for i, _, _ in runs] == np.cumsum(
+            [0] + [k for _, _, k in runs[:-1]]).tolist()
+        # maximal: no run continues the one before it
+        assert all(v != w + k for (_, w, k), (_, v, _) in zip(runs, runs[1:]))
+
+    def test_no_runs_in_an_empty_array(self):
+        assert filters._runs(np.arange(0)) == []
+
+    def test_augment_embeds_into_a_fortran_top_block(self, monkeypatch):
+        # ?tpqrt overwrites a Fortran-ordered top block in place
+        tops = []
+        qr = filters.householder_qr
+
+        def spy(A, flops=UNCOUNTED, overwrite=False, top=None):
+            tops.append(top.flags.f_contiguous)
+            return qr(A, flops=flops, overwrite=overwrite, top=top)
+
+        monkeypatch.setattr(filters, "householder_qr", spy)
+        rng = np.random.default_rng(1000)
+        layout = Layout(2, 3)
+        _, colmap, rows, old_cols = augment_maps(layout, 2)
+        srif_augment(random_spd_factor(rng, layout.n), colmap, rows,
+                     old_cols, make_tb(rng))
+        assert tops == [True]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_propagated_covariance_is_c_ordered(self, dtype):
+        rng = np.random.default_rng(1001)
+        old, new = Layout(2, 3), Layout(2, 4)
+        keep, sel, rows = propagate_maps(old, new, 2, 3)
+        P = kf_propagate(random_spd(rng, old.n).astype(dtype), keep, sel,
+                         rows, make_tb(rng))
+        assert P.flags.c_contiguous

@@ -32,6 +32,8 @@ from model_reference import (
     NonPositiveDepth,
     RankDeficientFeature,
     bearing_angles,
+    bearing_jacobian,
+    bearing_vector,
     camera_pose_at,
     feature_point_global,
     imu_transition_by_sample,
@@ -816,6 +818,53 @@ class TestTriangulation:
         got, ref = self._both(pixels, rots, centers, self.INTR)
         assert str(ref) == "degenerate triangulation geometry"
         assert type(got) is type(ref) and str(got) == str(ref)
+
+    @staticmethod
+    def _normal_matrix(X, rots, centers, intr):
+        """J.T J of a track's pixels in (alpha, beta, rho) at the true
+        point X, one view at a time."""
+        fx, fy = intr[:2]
+        A, t_A = rots[0], centers[0]
+        alpha, beta = bearing_angles(A.T @ (X - t_A))
+        rho = 1.0 / np.linalg.norm(X - t_A)
+        u, Ju = bearing_vector(alpha, beta), bearing_jacobian(alpha, beta)
+        J = []
+        for B, t in zip(rots, centers):
+            y = B.T @ (X - t)
+            dy = np.column_stack([B.T @ A @ Ju / rho, -B.T @ A @ u / rho ** 2])
+            Jz = np.array([[fx / y[2], 0.0, -fx * y[0] / y[2] ** 2],
+                           [0.0, fy / y[2], -fy * y[1] / y[2] ** 2]])
+            J.append(Jz @ dy)
+        J = np.vstack(J)
+        return J.T @ J
+
+    @pytest.mark.parametrize("cond", [1.5e12, 5e12, 2e11, 7e11])
+    def test_degeneracy_bound(self, cond):
+        # three views on a baseline b: cond(J.T J) grows as 1 / b^2, so b
+        # is scaled from a first track to put the condition number within
+        # 10x of the 1e12 bound, on either side of it
+        rng = np.random.default_rng(17)
+        X = np.array([0.3, -0.2, 3.0])
+        rots = [quat_to_mat(quat_from_rotvec(rng.normal(size=3) * 0.05))
+                for _ in range(3)]
+        shape = np.array([[0.0, 0.0, 0.0], [1.0, 0.3, 0.0], [2.0, -0.2, 0.1]])
+        c0 = np.linalg.cond(self._normal_matrix(X, rots, 1e-6 * shape,
+                                                self.INTR))
+        centers = list(1e-6 * np.sqrt(c0 / cond) * shape)
+        got = np.linalg.cond(self._normal_matrix(X, rots, centers, self.INTR))
+        assert abs(got / cond - 1.0) <= 0.05
+        fx, fy, cx, cy = self.INTR
+        ys = [B.T @ (X - c) for B, c in zip(rots, centers)]
+        pixels = [np.array([fx * y[0] / y[2] + cx, fy * y[1] / y[2] + cy])
+                  for y in ys]
+        want = "degenerate triangulation geometry" if cond > 1e12 else None
+        for fn in (triangulate_one, triangulate_by_view):
+            try:
+                fn(pixels, rots, centers, self.INTR)
+                reason = None
+            except RankDeficientFeature as exc:
+                reason = str(exc)
+            assert reason == want, fn.__name__
 
     @staticmethod
     def _track(rng, kind, k, noise_px=0.0):

@@ -750,6 +750,34 @@ class TestMarginalizationPass:
         assert res.flops["marginalization"] == sum(got for got, _, _ in counted) > 0
 
 
+class TestEmbeddingOrder:
+    @pytest.mark.parametrize("site,estimator", [
+        ("_propagate", "kf"), ("_insert_features", "kf"),
+        ("_insert_features", "srif"), ("_marginalize_blocks", "kf"),
+        ("_reanchor", "kf")])
+    def test_embedding_keeps_a_c_ordered_gaussian(self, site, estimator):
+        # each site that re-embeds P or R copies blocks into a C-ordered
+        # array, which the products that read it next expect: BLAS roundoff
+        # depends on memory order
+        ds = gen_dataset(_short(seed=0, duration=8.0))
+        est = vins.VinsEstimator(ds, FilterConfig(estimator=estimator,
+                                                  window=4))
+        orders = []
+        call = getattr(est, site)
+
+        def checked(*args):
+            out = call(*args)
+            # a frame without new features embeds nothing
+            if site != "_insert_features" or len(args[0]):
+                gaussian = est.P if est.is_kf else est.R
+                orders.append(gaussian.flags.c_contiguous)
+            return out
+
+        setattr(est, site, checked)
+        est.run()
+        assert orders and all(orders)
+
+
 class TestTrackBuffer:
     @pytest.mark.parametrize("window", [4, 5, 11])
     @pytest.mark.parametrize("estimator", ["kf", "srif"])
