@@ -52,7 +52,6 @@ from .linalg import (
     givens_triangularize,
     householder_qr,
     row_rotator,
-    sign_normalize_rows,
     solve_upper,
 )
 
@@ -101,11 +100,11 @@ def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
     """Marginalize the scalar states at `indices` (0-based) from factor R.
 
     Returns the upper-triangular marginal factor over the remaining states,
-    in their order, with a non-negative diagonal. Any set of states leaves
-    in one call; the engine removes everything that leaves in a frame,
-    features and pose together, with one. The block's columns are permuted
-    to the front in one copy of R, and the scalars leave in ascending order
-    in one in-place pass; the k-th runs on the trailing view that starts at
+    in their order. Any set of states leaves in one call; the engine
+    removes everything that leaves in a frame, features and pose together,
+    with one. The block's columns are permuted to the front in one
+    Fortran-ordered copy of R, and the scalars leave in ascending order in
+    one in-place pass; the k-th runs on the trailing view that starts at
     row and column k, whose column 0 is its own and whose rows are the
     current factor's. Marginalizing the scalar at p in that factor is one
     chain of Givens rotations of adjacent rows (O(n*p)) in one ?lasr call
@@ -117,9 +116,11 @@ def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
     0..p carries no information, so its column is deleted instead: rows
     p.. of the factor, one row too many for their columns, are
     re-triangularized in the factor's own column order, and the zero row
-    left at the bottom rolls to the discarded row 0. Row signs are
-    normalized once at the end; a sign flip of a chain's input row only
-    flips its output row. The result is a view of the permuted copy.
+    left at the bottom rolls to the discarded row 0. The pass reads no row
+    sign: a chain carries its diagonal with its sign, which
+    np.hypot.accumulate returns unchanged as its first element, and a
+    sign flip of an input row only flips the row it becomes. The result
+    is a column-major view of the permuted copy.
     Raises IndexError for a duplicated or out-of-range index.
     """
     n = R.shape[0]
@@ -133,9 +134,7 @@ def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
     rest = np.ones(n, dtype=bool)
     rest[idx] = False
     order = np.concatenate([idx, np.flatnonzero(rest)])
-    # a C-ordered copy (R[:, order] is Fortran-ordered): the chains run
-    # along rows, and the result's layout is what later kernels read
-    V = R.take(order, axis=1)
+    V = R[:, order]     # Fortran-ordered, whatever R's order
     rotate = row_rotator(V)
     rots = ncols = 0
     for k, p in enumerate((idx - np.arange(b)).tolist()):
@@ -160,10 +159,9 @@ def marginalize_block(R, indices, flops: FlopCounter = UNCOUNTED):
         # trailing columns, and rotate the leading pair
         rots += p
         ncols += p * (n - k) - p * (p + 1) // 2
-    V = sign_normalize_rows(V[b:, b:])
     if rots:
         flops.add(9 * rots + 6 * ncols)
-    return V
+    return V[b:, b:]
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +196,7 @@ def srif_augment(R, colmap, rows, old_cols, tb,
     C[:, old_cols] = -(tb.sqrt_info @ tb.phi).astype(dtype)
     C[:, rows] += tb.sqrt_info.astype(dtype)
     flops.add(3 * 15 * 15 * 15)  # L @ Phi and embed
-    R_aug = householder_qr(C, flops=flops, overwrite=True, top=T)
-    sign_normalize_rows(R_aug)
-    return R_aug
+    return householder_qr(C, flops=flops, overwrite=True, top=T)
 
 
 # --------------------------------------------------------------------------
@@ -246,12 +242,8 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter = UNCOUNTED):
     T = np.zeros((n2 + 1, n2 + 1), dtype=R.dtype, order="F")
     T[:n2, :n2] = R[n1:, n1:]
     F = householder_qr(X, flops=flops, overwrite=True, top=T)
-    # a contiguous copy of the factor, which ?trtrs reads in place; row
-    # signs do not change the solution, so only the factor is flipped
-    R22_post = np.asfortranarray(F[:n2, :n2])
-    dx2 = solve_upper(R22_post, F[:n2, n2], flops=flops)
-    sign_normalize_rows(R22_post)
-    return _posterior(R, n1, R22_post, dx2, flops)
+    dx2 = solve_upper(F[:n2, :n2], F[:n2, n2], flops=flops)
+    return _posterior(R, n1, F[:n2, :n2], dx2, flops)
 
 
 @functools.lru_cache(maxsize=8)
@@ -259,7 +251,8 @@ def _spai_pattern(poses):
     """Read-only, Fortran-ordered mask of M_SPAI's triangle on `poses` pose
     blocks: True on and above the diagonal between equal components."""
     k = np.arange(6 * poses) % 6
-    mask = np.asfortranarray((k[:, None] == k) & ~_strictly_lower(6 * poses))
+    mask = np.logical_and(k[:, None] == k, ~_strictly_lower(6 * poses),
+                          order="F")
     mask.flags.writeable = False
     return mask
 
@@ -290,7 +283,7 @@ class Preconditioner:
     inv: np.ndarray               # tri^-1, Fortran-ordered
     per_row: int
     jacobi: np.ndarray | None = None  # positive diagonal of M_Jacobi
-    r22p: np.ndarray | None = None    # R22 @ M^-1, Fortran-ordered
+    r22p: np.ndarray | None = None    # R22 @ M^-1, in R22's memory order
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
@@ -332,9 +325,6 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter = UNCOUNTED):
             or not 0 <= first <= n2 - 6 * poses):
         raise ValueError(f"the pose offsets {list(pose_offsets)} are not "
                          f"contiguous 6-column blocks inside [0, {n2})")
-    # a Fortran-ordered R22 gives a Fortran-ordered r22p, which ?trmm
-    # reads in place when the update forms its normal matrix
-    R22 = np.asfortranarray(R22)
     tri = np.multiply(R22[cols, cols], _spai_pattern(poses), order="F")
     diag = np.diagonal(tri)
     if not diag.all():
@@ -366,8 +356,8 @@ def apply_preconditioner_inverse(pc: Preconditioner, A,
     """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 in the preconditioner's
     dtype and A's memory order: one product on the pose columns of a copy
     of A (`Preconditioner.spai_inverse`), then the Jacobi division in
-    place. On a Fortran-ordered R22 this is bitwise the r22p that
-    `build_preconditioner` computes the same way."""
+    place. On R22 this is bitwise the r22p that `build_preconditioner`
+    computes the same way."""
     X = pc.spai_inverse(A, flops)
     X /= pc.jacobi
     flops.add(X.shape[0] * pc.jacobi.size)
@@ -429,7 +419,6 @@ def pcsrif_update(R, H2, r, n1, pose_offsets_x2,
     U, z = _normal_solve(pc.r22p, H2p, r, flops)
     dx2 = preconditioner_solve_vec(pc, z, flops=flops)
     R22_post = apply_preconditioner_right(pc, U, flops=flops)
-    sign_normalize_rows(R22_post)
     return _posterior(R, n1, R22_post, dx2, flops)
 
 

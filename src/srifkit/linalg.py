@@ -6,7 +6,10 @@ already triangular; only the factor is returned, so a right-hand side
 rides along as a last column), Cholesky factorization and solves (?potrf,
 ?potrs), normal-equation products (BLAS ?syrk, with ?trmm for a
 triangular top block) and triangular solves (?trtrs), all preserving the
-dtype of their inputs (float32 or float64). Every kernel counts: it adds
+dtype of their inputs (float32 or float64). Triangular factors stay as
+LAPACK leaves them, Fortran-ordered and with the row signs its
+reflections and rotations give: a factor is defined only up to those
+signs, and nothing here reads them. Every kernel counts: it adds
 the textbook algorithm's operation count, one closed form per call, to
 the FlopCounter it is given, and a call that counts nothing gets the
 default `UNCOUNTED`, which discards it.
@@ -72,27 +75,6 @@ class _Uncounted(FlopCounter):
 
 
 UNCOUNTED = _Uncounted()
-
-
-def sign_normalize_rows(R):
-    """Flip rows of an upper-triangular factor so its diagonal is >= 0.
-
-    Triangular factors are unique only up to row signs; normalizing makes
-    factors from different QR/Cholesky paths directly comparable. Only the
-    rows whose diagonal entry is negative change (a NaN one spreads along
-    its row); a zero or -0.0 diagonal keeps its row. When most rows flip,
-    as in a Householder factor, the rows from the first flipped one to the
-    last are multiplied in one pass, each by its sign or by 1, which keeps
-    every bit of a row that does not flip; gathering them would cost more.
-    """
-    d = np.diagonal(R)[:min(R.shape)]
-    flip = np.flatnonzero(~(d >= 0))
-    if flip.size:
-        rows = slice(flip[0], flip[-1] + 1) if 2 * flip.size > d.size else flip
-        s = np.sign(d[rows])
-        s[s == 0] = 1
-        R[rows] *= s[:, None]
-    return R
 
 
 @functools.lru_cache(maxsize=8)
@@ -201,23 +183,26 @@ _GESDD = _lapack("dgesdd", _CH, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT,
 
 def row_rotator(V):
     """rotate(k, c, s, pivot, direct): rotate the top len(c) + 1 rows of
-    the trailing view V[k:, k:] in one ?lasr call.
+    the trailing view V[k:, k:] in one ?lasr call (SIDE = 'L').
 
     Rotation i maps rows (a, b) = (i, i + 1) of the view for pivot "V", or
     (0, i + 1) for "T", to (c[i] a + s[i] b, c[i] b - s[i] a), in
     ascending i for direct "F" and descending i for "B"; one whose (c, s)
     is exactly (1, 0) is skipped, so a NaN or inf does not spread through
-    it. V is checked, and its address taken, once: ValueError for a dtype
-    other than float32/float64, a read-only V, a column stride other than
-    1 or a row stride shorter than a row. Each call raises ValueError,
-    before LAPACK sees a pointer, for c and s that are not vectors of one
-    length or rows outside V.
+    it. V is column-major, as LAPACK leaves its factors: a row stride of
+    one item and a column stride of at least a column, which a single
+    column does not need. V is checked, and its address taken, once:
+    ValueError, naming its shape and strides, for a dtype other than
+    float32/float64, a read-only V or any other layout (a C-ordered V
+    among them). Each call raises ValueError, before LAPACK sees a
+    pointer, for c and s that are not vectors of one length or rows
+    outside V.
     """
     lasr = _LASR.get(V.dtype)
     rows, cols = V.shape
-    lda, rem = divmod(V.strides[0], V.itemsize)
-    if (lasr is None or not V.flags.writeable or V.strides[1] != V.itemsize
-            or rem or lda < cols):
+    lda, rem = divmod(V.strides[1], V.itemsize) if cols > 1 else (rows, 0)
+    if (lasr is None or not V.flags.writeable or rem or lda < rows
+            or V.strides[0] != V.itemsize):
         raise ValueError(f"cannot rotate a {V.dtype} view of shape {V.shape}"
                          f" and strides {V.strides}")
     base, size, n = V.ctypes.data, V.itemsize, ctypes.c_int
@@ -230,8 +215,8 @@ def row_rotator(V):
             raise ValueError(f"cannot rotate rows {k}.. of a view of shape "
                              f"{V.shape} by (c, s) of shape {cs.shape}")
         at = ctypes.addressof(ctypes.c_char.from_buffer(cs))
-        lasr(b"R", pivot.encode(), direct.encode(), n(cols - k),
-             n(cs.shape[1] + 1), at, at + cs.strides[0],
+        lasr(b"L", pivot.encode(), direct.encode(), n(cs.shape[1] + 1),
+             n(cols - k), at, at + cs.strides[0],
              base + (k * lda + k) * size, n(max(lda, 1)))
 
     return rotate
@@ -262,8 +247,9 @@ def givens_triangularize(A, flops: FlopCounter = UNCOUNTED):
         if nz.size == 0:
             continue
         idx = np.concatenate(([j], nz))
-        # rotation i zeroes B[i, 0] against row 0, which then leads r[i]
-        B = A[idx, j:]
+        # rotation i zeroes B[i, 0] against row 0, which then leads r[i];
+        # the gathered rows are copied column-major, as ?lasr reads them
+        B = np.asfortranarray(A[idx, j:])
         r = np.hypot.accumulate(B[:, 0])
         row_rotator(B)(0, r[:-1] / r[1:], B[1:, 0] / r[1:], "T", "F")
         B[1:, 0] = 0.0
@@ -312,10 +298,8 @@ def cholesky_upper(S, flops: FlopCounter = UNCOUNTED):
 
 
 def solve_upper(U, b, flops: FlopCounter = UNCOUNTED):
-    """Solve U x = b by back substitution (LAPACK ?trtrs).
-
-    ?trtrs reads a Fortran-ordered U as it is and any other U as the
-    lower-triangular U.T, so a C-ordered U is not copied either.
+    """Solve U x = b by back substitution (LAPACK ?trtrs), which reads a
+    Fortran-ordered U, as LAPACK leaves its factors, in place.
     Counted per right-hand side as the substitution's n(n - 1)/2
     multiply-adds and n divisions, n**2 FLOPs.
     """
@@ -323,10 +307,7 @@ def solve_upper(U, b, flops: FlopCounter = UNCOUNTED):
     ncol = 1 if np.ndim(b) == 1 else np.shape(b)[1]
     flops.add(n * n * ncol)
     trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (U, b))
-    if U.flags.f_contiguous:
-        x, info = trtrs(U, b)
-    else:
-        x, info = trtrs(U.T, b, lower=1, trans=1)
+    x, info = trtrs(U, b)
     if info > 0:
         raise SingularTriangular(info - 1)
     return x

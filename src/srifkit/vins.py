@@ -185,7 +185,8 @@ class VinsEstimator:
             self.P = np.diag(sig ** 2).astype(self.dtype)
             self.R = None
         else:
-            self.R = np.diag(1.0 / sig).astype(self.dtype)
+            # Fortran-ordered from here on, as LAPACK writes and reads it
+            self.R = np.diag(1.0 / sig).astype(self.dtype, order="F")
             self.P = None
         self.sigma_px = spec.sigma_px if spec.sigma_px > 0 else 1.0
         # each window pose's (velocity, body rate) under a time shift,
@@ -233,7 +234,7 @@ class VinsEstimator:
             colmap[:9] = np.arange(9)
             R_aug = filters.srif_augment(self.R, colmap, 9 + rows,
                                          colmap[sel], tb, flops=fc)
-            self.R = R_aug[9:, 9:].copy()
+            self.R = R_aug[9:, 9:]
 
         self.motion = np.vstack([self.motion, [[x.v, omega[-1] - x.bg]]])
 
@@ -318,8 +319,8 @@ class VinsEstimator:
             # the only ones with entries below the diagonal, so each
             # feature's 3-row slab is re-triangularized on its own
             for s in fcols[:, 0].tolist():
-                slab = linalg.householder_qr(R[s:s + 3, s:], flops=fc)
-                R[s:s + 3, s:] = linalg.sign_normalize_rows(slab)
+                R[s:s + 3, s:] = linalg.householder_qr(R[s:s + 3, s:],
+                                                       flops=fc)
         x.anchor_ids[moved] = new_id
         x.params[moved] = re.params[ok]
         return k[~ok]
@@ -370,7 +371,8 @@ class VinsEstimator:
         runs = [(0, 0, t), (t, t + b, lay.n - t)]
         new = np.arange(t, t + b)
         old, diag = (self.P, _FEAT_VAR) if self.is_kf else (self.R, _FEAT_INFO)
-        M = np.zeros((n, n), dtype=old.dtype)
+        # in old's memory order: Fortran for R, C for P
+        M = np.zeros_like(old, shape=(n, n))
         filters._embed(M, runs, runs, old)
         M[new, new] = np.tile(diag, len(ids))
         if self.is_kf:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srifkit.linalg import UNCOUNTED, FlopCounter, sign_normalize_rows
+from srifkit.linalg import UNCOUNTED, FlopCounter
 
 
 @dataclass
@@ -73,7 +73,7 @@ def marginalize_by_rotation(R, p, flops: FlopCounter = UNCOUNTED):
     """`marginalize_block(R, [p])`, one rotation of adjacent rows at a time."""
     n = R.shape[0]
     if p == 0 and R[0, 0] != 0:
-        return sign_normalize_rows(R[1:, 1:].copy())
+        return R[1:, 1:].copy()
     perm = [p] + list(range(p)) + list(range(p + 1, n))
     W = R[:, perm]
     for j in range(p, 0, -1):
@@ -87,5 +87,5 @@ def marginalize_by_rotation(R, p, flops: FlopCounter = UNCOUNTED):
         # every rotation was the identity: the state has no information,
         # so delete its column and rotate rows p.. back into a triangle
         triangularize_by_rotation(W[p:, p + 1:], flops=flops)
-        return sign_normalize_rows(W[:-1, 1:].copy())
-    return sign_normalize_rows(W[1:, 1:].copy())
+        return W[:-1, 1:].copy()
+    return W[1:, 1:].copy()

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from srifkit.linalg import (
-    UNCOUNTED,
-    FlopCounter,
-    householder_qr,
-    sign_normalize_rows,
-)
+from srifkit.linalg import UNCOUNTED, FlopCounter, householder_qr
 
 
 def marginalize_oracle_householder(R, p, flops: FlopCounter = UNCOUNTED):
@@ -36,5 +31,4 @@ def marginalize_oracle_householder(R, p, flops: FlopCounter = UNCOUNTED):
     else:
         out = W[:-1, 1:].copy()
         out[p:, p:] = householder_qr(W[p:, p + 1:], flops=flops)
-    sign_normalize_rows(out)
     return out

@@ -13,7 +13,10 @@ uncounted mode: its `flops` is never compared with None, and a defaulted
 `flops` parameter defaults to `UNCOUNTED`, the counter that discards.
 No re-embedding goes through numpy's fancy-index builders `np.ix_` or
 `np.r_`: a block copy per run writes the same bits at a fraction of the
-interpreter cost.
+interpreter cost. The engine and its filters keep the square-root factor
+as LAPACK leaves it: no memory-order conversion (`np.asfortranarray`,
+`np.ascontiguousarray`) and no row-sign normalization appears in
+`filters.py` or `vins.py`.
 """
 
 import ast
@@ -187,3 +190,45 @@ def test_the_walk_sees_index_builders():
     assert sorted(index_builders([("snippet", tree)])) == [
         ("snippet:2", "imports ix_ or r_"), ("snippet:3", "np.ix_"),
         ("snippet:3", "np.r_")]
+
+
+CONVERSIONS = ("asfortranarray", "ascontiguousarray")
+
+
+def factor_rewrites(trees):
+    """(where, what) of each memory-order conversion through numpy and each
+    name that mentions sign normalization in the (module, syntax tree)
+    pairs."""
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Attribute) and node.attr in CONVERSIONS
+                    and _name(node.value) in ("np", "numpy")):
+                yield where, f"np.{node.attr}"
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and {a.name for a in node.names} & set(CONVERSIONS)):
+                yield where, "imports a conversion"
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                    else "")
+            if "sign_normalize" in name:
+                yield where, name
+
+
+def test_the_factor_stays_as_lapack_leaves_it():
+    engine = [(m, t) for m, t in modules() if m in ("filters", "vins")]
+    assert [m for m, _ in engine] == ["filters", "vins"]
+    assert list(factor_rewrites(engine)) == []
+
+
+def test_the_walk_sees_factor_rewrites():
+    # the check above is not vacuous
+    tree = ast.parse("import numpy as np\nfrom numpy import asfortranarray\n"
+                     "R = np.ascontiguousarray(np.asfortranarray(R))\n"
+                     "linalg.sign_normalize_rows(R)\n"
+                     "def sign_normalize(R):\n    pass\n")
+    assert sorted(factor_rewrites([("snippet", tree)])) == [
+        ("snippet:2", "imports a conversion"),
+        ("snippet:3", "np.ascontiguousarray"), ("snippet:3", "np.asfortranarray"),
+        ("snippet:4", "sign_normalize_rows"), ("snippet:5", "sign_normalize")]

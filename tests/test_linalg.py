@@ -1,4 +1,5 @@
 import ctypes
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from srifkit.linalg import (
     givens_triangularize,
     householder_qr,
     row_rotator,
-    sign_normalize_rows,
     solve_upper,
     svdvals,
 )
@@ -27,7 +27,7 @@ from givens_reference import (
     givens_from_pair,
     triangularize_by_rotation,
 )
-from tolerances import cond2, eps_of
+from tolerances import canonical_signs, cond2, eps_of
 
 
 class TestGivens:
@@ -85,8 +85,7 @@ class TestGivens:
 class TestHouseholderQR:
     def test_identity(self):
         R = householder_qr(np.eye(3))
-        sign_normalize_rows(R)
-        assert np.allclose(R, np.eye(3))
+        assert np.allclose(canonical_signs(R), np.eye(3))
 
     def test_two_vector(self):
         # hand QR of the column [3; 4]
@@ -140,56 +139,36 @@ class TestHouseholderQR:
         assert np.allclose(np.diag(R)[1:], 0.0)
 
 
-def sign_normalize_by_multiply(R):
-    """Every row of the first min(R.shape) times the sign of its diagonal
-    entry, a zero diagonal counting as +1: the form `sign_normalize_rows`
-    must match bitwise."""
-    n = min(R.shape)
-    d = np.sign(np.diag(R)[:n])
-    d[d == 0] = 1.0
-    R[:n, :] *= d[:, None].astype(R.dtype)
-    return R
-
-
-class TestSignNormalizeRows:
-    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 12),
-           n=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
-           negative=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
-    def test_bitwise_the_multiply_by_sign(self, seed, m, n, dtype, negative):
-        rng = np.random.default_rng(seed)
-        R = np.triu(rng.normal(size=(m, n))).astype(dtype)
-        # a share of negative diagonal entries, with zero, -0.0 and NaN
-        # ones among them
-        k = min(m, n)
-        signs = rng.choice([1.0, -1.0], size=k, p=[1 - negative, negative])
-        special = rng.random(k) < 0.2
-        signs[special] = rng.choice([0.0, -0.0, np.nan], size=special.sum())
-        R[range(k), range(k)] = np.abs(np.diag(R)[:k]) * signs.astype(dtype)
-        want_R = sign_normalize_by_multiply(R.copy())
-        got = sign_normalize_rows(R)
-        assert got is R and R.dtype == dtype
-        assert R.tobytes() == want_R.tobytes()
-
-
 class TestRowRotator:
-    """row_rotator, one ?lasr call, against rotations applied one by one."""
+    """row_rotator, one ?lasr call, against rotations applied one by one,
+    on column-major operands as LAPACK leaves its factors."""
+
+    @staticmethod
+    def _chain(dtype, rng, size):
+        theta = rng.uniform(-np.pi, np.pi, size=size)
+        return np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+
+    @staticmethod
+    def _reference(X, c, s, pivot, direct):
+        ref = X.astype(np.float64)
+        for k in (range(len(c)) if direct == "F" else range(len(c) - 1, -1, -1)):
+            i = k if pivot == "V" else 0
+            apply_givens_rows(ref, GivensRotation(float(c[k]), float(s[k]),
+                                                  i, k + 1))
+        return ref
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pivot", ["V", "T"])
     @pytest.mark.parametrize("direct", ["F", "B"])
     def test_strided_trailing_view(self, dtype, pivot, direct):
         # marginalize_block's case: the top rows of a trailing view of a
-        # C-ordered matrix, whose rows are longer than the view's (LDA > M)
+        # Fortran-ordered matrix, whose columns are longer than the view's
+        # (LDA > M)
         rng = np.random.default_rng(20)
-        V = rng.normal(size=(12, 12)).astype(dtype)
-        theta = rng.uniform(-np.pi, np.pi, size=5)
-        c, s = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+        V = np.asfortranarray(rng.normal(size=(12, 12)).astype(dtype))
+        c, s = self._chain(dtype, rng, 5)
         before = V.copy()
-        ref = V[3:9, 3:].astype(np.float64)
-        for k in (range(5) if direct == "F" else range(4, -1, -1)):
-            i = k if pivot == "V" else 0
-            apply_givens_rows(ref, GivensRotation(float(c[k]), float(s[k]),
-                                                  i, k + 1))
+        ref = self._reference(V[3:9, 3:], c, s, pivot, direct)
         row_rotator(V[3:9, 3:])(0, c, s, pivot, direct)
         assert V.dtype == dtype
         outside = np.ones(V.shape, dtype=bool)
@@ -199,17 +178,68 @@ class TestRowRotator:
         assert np.abs(V[3:9, 3:] - ref).max() <= tol
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_column_operands(self, dtype):
+        # givens_triangularize's last column: a (k, 1) gather, whose column
+        # stride numpy reports as one item, and a new (k, 1) array in
+        # either order are rotated alike
+        rng = np.random.default_rng(22)
+        A = rng.normal(size=(9, 6)).astype(dtype)
+        c, s = self._chain(dtype, rng, 3)
+        gathered = A[[0, 2, 5, 7], 5:]
+        assert gathered.strides == (A.itemsize, A.itemsize)
+        ref = self._reference(gathered, c, s, "T", "F")
+        for X in (gathered, np.array(gathered, order="F"),
+                  np.array(gathered, order="C")):
+            row_rotator(X)(0, c, s, "T", "F")
+            assert np.abs(X - ref).max() <= 16 * eps_of(dtype) * np.abs(
+                ref).max()
+
+    def test_one_row_operand(self):
+        # a new single row is accepted; it holds no pair of rows to rotate
+        X = np.arange(5.0).reshape(1, 5).copy(order="F")
+        rotate = row_rotator(X)
+        with pytest.raises(ValueError):
+            rotate(0, [1.0], [0.0], "V", "F")
+        assert np.array_equal(X, np.arange(5.0).reshape(1, 5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trailing_view_at_the_last_column(self, dtype):
+        # k = n - 1: the trailing view is one column, m - n + 1 rows deep
+        rng = np.random.default_rng(23)
+        m, n = 8, 5
+        V = np.asfortranarray(rng.normal(size=(m, n)).astype(dtype))
+        c, s = self._chain(dtype, rng, m - n)
+        before = V.copy()
+        ref = self._reference(V[n - 1:, n - 1:], c, s, "T", "F")
+        row_rotator(V)(n - 1, c, s, "T", "F")
+        assert np.array_equal(V[:, :n - 1], before[:, :n - 1])
+        assert np.array_equal(V[:n - 1], before[:n - 1])
+        assert np.abs(V[n - 1:, n - 1:] - ref).max() <= 16 * eps_of(
+            dtype) * np.abs(ref).max()
+        # one rotation more reaches past the last row
+        with pytest.raises(ValueError):
+            row_rotator(V)(n - 1, np.ones(m - n + 1), np.zeros(m - n + 1),
+                           "T", "F")
+
+    def test_c_ordered_view_is_refused_by_shape_and_strides(self):
+        V = np.arange(48.0).reshape(6, 8)
+        for X in (V, V[1:5, 2:]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"of shape {X.shape} and strides {X.strides}")):
+                row_rotator(X)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_exact_identity_does_not_spread_nan(self, dtype):
-        X = np.ones((3, 4), dtype=dtype)
+        X = np.ones((3, 4), dtype=dtype, order="F")
         X[1, 2] = np.nan
         row_rotator(X)(0, [1.0, 0.6], [0.0, 0.8], "V", "F")
         assert np.array_equal(np.isnan(X), [[0, 0, 0, 0], [0, 0, 1, 0],
                                             [0, 0, 1, 0]])
 
     def test_rejects_before_calling_lapack(self):
-        V = np.arange(48.0).reshape(6, 8)
+        V = np.asfortranarray(np.arange(80.0).reshape(10, 8))
         c = s = np.ones(3)
-        read_only = V[:4].copy()
+        read_only = V[:4].copy(order="F")
         read_only.flags.writeable = False
         bad = {
             "dtype int": (V[:4].astype(int), c, s),
@@ -217,11 +247,12 @@ class TestRowRotator:
             "dtype complex": (V[:4].astype(complex), c, s),
             "dtype datetime64": (V[:4].astype("datetime64[s]"), c, s),
             "read-only": (read_only, c, s),
-            "column stride 2": (V[:4, ::2], c, s),
-            "column stride -1": (V[:4, ::-1], c, s),
-            "overlapping rows": (np.lib.stride_tricks.as_strided(
-                V, shape=(4, 8), strides=(4 * 8, 8)), c, s),
-            "negative row stride": (V[3::-1], c, s),
+            "C-ordered": (V[:4].copy(order="C"), c, s),
+            "row stride 2": (V[:8:2], c, s),
+            "row stride -1": (V[3::-1], c, s),
+            "overlapping columns": (np.lib.stride_tricks.as_strided(
+                V, shape=(4, 8), strides=(8, 8 * 2)), c, s),
+            "negative column stride": (V[:4, ::-1], c, s),
             "c too long": (V[:4], np.ones(4), s),
             "s too short": (V[:4], c, np.ones(2)),
             "c not a vector": (V[:4], np.ones((3, 1)), s),
@@ -233,25 +264,24 @@ class TestRowRotator:
             with pytest.raises(ValueError):
                 row_rotator(X)(0, cc, ss, "V", "F")
             assert np.array_equal(X, copy), name
-        assert np.array_equal(V, np.arange(48.0).reshape(6, 8))
+        assert np.array_equal(V, np.arange(80.0).reshape(10, 8))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rotator_at_k_is_a_rotator_of_the_trailing_view(self, dtype):
         # marginalize_block's calls: one rotator per permuted copy, one
         # chain per trailing view V[k:, k:], its top rows only
         rng = np.random.default_rng(21)
-        V = rng.normal(size=(10, 10)).astype(dtype)
-        W = V.copy()
+        V = np.asfortranarray(rng.normal(size=(10, 10)).astype(dtype))
+        W = V.copy(order="F")
         rotate = row_rotator(V)
         for k, rows in ((0, 10), (2, 5), (7, 3), (8, 2)):
-            theta = rng.uniform(-np.pi, np.pi, size=rows - 1)
-            c, s = np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+            c, s = self._chain(dtype, rng, rows - 1)
             rotate(k, c, s, "V", "B")
             row_rotator(W[k:k + rows, k:])(0, c, s, "V", "B")
             assert V.tobytes() == W.tobytes()
 
     def test_rotator_rejects_rows_outside_the_matrix(self):
-        V = np.arange(36.0).reshape(6, 6)
+        V = np.asfortranarray(np.arange(36.0).reshape(6, 6))
         rotate = row_rotator(V)
         bad = {
             "negative k": (-1, np.ones(2)),
@@ -266,7 +296,7 @@ class TestRowRotator:
         with pytest.raises(ValueError):
             rotate(0, np.ones(2), np.ones(3), "V", "F")
         with pytest.raises(ValueError):
-            row_rotator(V[:, ::2])
+            row_rotator(V[::2])
 
 
 class TestGivensTriangularize:
@@ -308,8 +338,7 @@ class TestCholesky:
     def test_agrees_with_qr(self):
         rng = np.random.default_rng(9)
         A = rng.normal(size=(50, 12))
-        Rq = householder_qr(A)
-        sign_normalize_rows(Rq)
+        Rq = canonical_signs(householder_qr(A))
         Uc = cholesky_upper(form_normal_half(A))
         kappa = cond2(A)
         assert np.allclose(Uc, Rq, atol=1e-10 * kappa ** 2)
@@ -360,8 +389,9 @@ class TestTriangularSolves:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_either_memory_order_reads_the_upper_triangle(self, dtype):
-        # ?trtrs reads a Fortran-ordered U as it is and a C-ordered one as
-        # its transpose; neither reads the strictly lower part
+        # ?trtrs reads a Fortran-ordered U in place, and the binding hands
+        # it a Fortran copy of any other; neither reads the strictly lower
+        # part
         rng = np.random.default_rng(15)
         U = (np.triu(rng.normal(size=(20, 20))) + 8.0 * np.eye(20))
         b = rng.normal(size=20)

@@ -23,12 +23,11 @@ from srifkit.linalg import (
     FlopCounter,
     form_normal_half,
     householder_qr,
-    sign_normalize_rows,
 )
 from srifkit.sim import default_scenario, gen_dataset
 from srifkit.vins import FilterConfig
 
-from tolerances import eps_of
+from tolerances import canonical_signs, eps_of
 
 DTYPES = st.sampled_from([np.float32, np.float64])
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -44,16 +43,6 @@ def _rows(kind, n2, rng):
 def _spd_factor(rng, n):
     A = rng.normal(size=(n, n)) * 0.3
     return np.linalg.cholesky(A @ A.T + np.eye(n)).T
-
-
-def flip_row_by_row(R):
-    """The definition of a sign-normalized factor, one row at a time: a row
-    of R whose diagonal entry is negative or NaN is multiplied by that
-    entry's sign, and every other row keeps every bit."""
-    for i in range(min(R.shape)):
-        if not R[i, i] >= 0:
-            R[i] *= np.sign(R[i, i])
-    return R
 
 
 def structured_flops_by_loop(top, A):
@@ -120,7 +109,7 @@ class TestStructuredQr:
             assert np.array_equal(R, top)
         # the same factor, and a last column of the Q.T [0; r] head above
         # the post-fit residual norm, up to row signs
-        R, Rd = (flip_row_by_row(x.astype(np.float64)) for x in (R, Rd))
+        R, Rd = (canonical_signs(x.astype(np.float64)) for x in (R, Rd))
         A = np.vstack([R22, H2]).astype(np.float64)
         scale, rnorm = np.linalg.norm(A), np.linalg.norm(r.astype(np.float64))
         tol = 20 * (n2 + m) * eps_of(dtype)
@@ -214,31 +203,6 @@ class TestStructuredNormalEquation:
             got = np.triu(form_normal_half(A, top=t))
             assert got.tobytes() == want.tobytes()
             assert t.tobytes() == before
-
-
-class TestSignNormalizeFactors:
-    """sign_normalize_rows on the factor ?tpqrt hands the QR update, whose
-    rows all flip, against the row-by-row definition."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("special", [{}, {3: np.nan, 7: 0.0, 11: -0.0},
-                                         {0: np.nan, 19: -0.0}])
-    def test_every_row_flipping_is_bitwise_the_definition(self, dtype, order,
-                                                          special):
-        rng = np.random.default_rng(4)
-        R22 = _spd_factor(rng, 20).astype(dtype)
-        H2 = rng.normal(size=(50, 20)).astype(dtype, order="F")
-        R = householder_qr(H2, top=R22)
-        # a positive leading entry gets a negative diagonal from ?tpqrt
-        assert np.all(np.diagonal(R) < 0)
-        R = np.array(R, order=order)
-        for k, v in special.items():
-            R[k, k] = v
-        want = flip_row_by_row(R.copy(order=order))
-        got = sign_normalize_rows(R)
-        assert got is R and R.flags[order + "_CONTIGUOUS"]
-        assert R.tobytes() == want.tobytes()
 
 
 class TestStructuredPcsrif:

@@ -751,31 +751,38 @@ class TestMarginalizationPass:
 
 
 class TestEmbeddingOrder:
-    @pytest.mark.parametrize("site,estimator", [
-        ("_propagate", "kf"), ("_insert_features", "kf"),
-        ("_insert_features", "srif"), ("_marginalize_blocks", "kf"),
-        ("_reanchor", "kf")])
-    def test_embedding_keeps_a_c_ordered_gaussian(self, site, estimator):
-        # each site that re-embeds P or R copies blocks into a C-ordered
-        # array, which the products that read it next expect: BLAS roundoff
-        # depends on memory order
+    SITES = ("_propagate", "_insert_features", "_marginalize_blocks",
+             "_reanchor", "_apply_update")
+
+    @pytest.mark.parametrize("estimator", vins.ESTIMATORS)
+    def test_every_site_keeps_the_gaussian_in_its_order(self, estimator):
+        # after each site that writes the Gaussian, R is column-major, as
+        # ?tpqrt, ?potrf and ?lasr write and read it (a unit row stride and
+        # a column stride of at least a column; a view into a larger factor
+        # counts), and the KF's P is C-ordered, as the products that read it
+        # expect: BLAS roundoff depends on memory order
         ds = gen_dataset(_short(seed=0, duration=8.0))
         est = vins.VinsEstimator(ds, FilterConfig(estimator=estimator,
                                                   window=4))
-        orders = []
-        call = getattr(est, site)
+        seen = {site: [] for site in self.SITES}
 
-        def checked(*args):
-            out = call(*args)
-            # a frame without new features embeds nothing
-            if site != "_insert_features" or len(args[0]):
-                gaussian = est.P if est.is_kf else est.R
-                orders.append(gaussian.flags.c_contiguous)
-            return out
+        def checked(site, call):
+            def wrapper(*args):
+                out = call(*args)
+                if est.is_kf:
+                    seen[site].append(est.P.flags.c_contiguous)
+                else:
+                    R = est.R
+                    seen[site].append(R.strides[0] == R.itemsize and
+                                      R.strides[1] >= R.shape[0] * R.itemsize)
+                return out
+            return wrapper
 
-        setattr(est, site, checked)
+        for site in self.SITES:
+            setattr(est, site, checked(site, getattr(est, site)))
         est.run()
-        assert orders and all(orders)
+        for site, ok in seen.items():
+            assert ok and all(ok), site
 
 
 class TestTrackBuffer:
