@@ -20,10 +20,11 @@ Matrix-level operations shared by the three estimators:
   Cholesky on the unpreconditioned normal equation (the instability
   demonstrator), and Cholesky on the preconditioned normal equation
   (SPAI + Jacobi, built from the prior factor), whose normal matrix is
-  ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1. M_SPAI is one
-  upper triangle on the contiguous pose columns, inverted once per
-  update, so M^-1 reaches H2 as one product on those columns of a copy
-  in H2's own memory order, and M as one ?trmm.
+  ?trmm on the triangular R22 M^-1 plus ?syrk on H2 M^-1. M_SPAI is six
+  independent upper triangles, one per pose component, each coupling
+  that component of every pose and inverted once per update, so M^-1
+  reaches H2 as one batched product on the component stack of a copy's
+  pose columns, in H2's own memory order, and M as one batched product.
 * Covariance-form (EKF) propagation over the same index arrays as the
   augmentation, rewriting only the 15 transitioned rows and columns
   (O(15 n^2)), and the Joseph-form update on H2, which never widens the
@@ -36,7 +37,6 @@ discards them, by default).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +45,6 @@ import scipy.linalg
 from .linalg import (
     UNCOUNTED,
     FlopCounter,
-    _strictly_lower,
     cholesky_solve,
     cholesky_upper,
     form_normal_half,
@@ -246,57 +245,51 @@ def srif_update_partitioned(R, H2, r, n1, flops: FlopCounter = UNCOUNTED):
     return _posterior(R, n1, F[:n2, :n2], dx2, flops)
 
 
-@functools.lru_cache(maxsize=8)
-def _spai_pattern(poses):
-    """Read-only, Fortran-ordered mask of M_SPAI's triangle on `poses` pose
-    blocks: True on and above the diagonal between equal components."""
-    k = np.arange(6 * poses) % 6
-    mask = np.logical_and(k[:, None] == k, ~_strictly_lower(6 * poses),
-                          order="F")
-    mask.flags.writeable = False
-    return mask
-
-
 @dataclass
 class Preconditioner:
     """M = M_Jacobi @ M_SPAI, with its SPAI block's explicit inverse.
 
     M_SPAI copies the prior R22's entries on the sparsity set S, which
     pairs component k of pose i with component k of pose j >= i, and is
-    the identity elsewhere. The pose blocks are contiguous, so M_SPAI is
-    the identity but on their columns `cols`, where it is the upper
-    triangle `tri`: six interleaved l x l triangles, one per component.
-    `inv` = tri^-1 keeps tri's structural zeros as exact zeros, so it is
-    upper triangular and zero between different components too. M_Jacobi
-    holds the column norms of R22 @ M_SPAI^-1. Applying M^-1 is one
-    product with `inv` on the pose columns of a copy and one division by
-    `jacobi`; applying M is one ?trmm with the exact `tri`. `r22p` =
-    R22 @ M^-1 is exactly upper triangular, since its strictly lower
-    entries are sums of products with zeros; the update reuses it.
-    `per_row` is the FLOPs of the sparse back substitution with `tri` per
-    row of its operand: 2 per off-diagonal entry and 1 per diagonal entry
-    other than 1.
+    the identity elsewhere. So on the contiguous pose columns `cols` it
+    is six independent l x l upper triangles: `tri[k]` on component k's
+    columns, every 6th of `cols` from its k-th. `inv[k]` = tri[k]^-1.
+    M_Jacobi holds the column norms of R22 @ M_SPAI^-1. Applying M^-1 is
+    one batched product with `inv` on the `components` view of a copy
+    and one division by `jacobi`; applying M is one batched product with
+    `tri`. `r22p` = R22 @ M^-1 is exactly upper triangular, since its
+    strictly lower entries are sums of products with zeros; the update
+    reuses it. `per_row` is the FLOPs of the sparse back substitution
+    with M_SPAI per row of its operand: 2 per off-diagonal entry and 1
+    per diagonal entry other than 1.
     """
 
     cols: slice                   # the pose blocks' columns
-    tri: np.ndarray               # M_SPAI[cols, cols], Fortran-ordered
-    inv: np.ndarray               # tri^-1, Fortran-ordered
+    tri: np.ndarray               # (6, l, l): M_SPAI per pose component
+    inv: np.ndarray               # (6, l, l): tri^-1 per pose component
     per_row: int
     jacobi: np.ndarray | None = None  # positive diagonal of M_Jacobi
     r22p: np.ndarray | None = None    # R22 @ M^-1, in R22's memory order
 
     def nnz(self):
         """Off-diagonal entries of M_SPAI."""
-        l = self.tri.shape[0] // 6
+        l = self.tri.shape[1]
         return 6 * l * (l - 1) // 2
+
+    def components(self, A):
+        """A's pose columns as a (6, rows, l) view whose entry k holds
+        component k's columns of the l poses."""
+        return A[:, self.cols].reshape(len(A), self.tri.shape[1],
+                                       6).transpose(2, 0, 1)
 
     def spai_inverse(self, A, flops: FlopCounter = UNCOUNTED):
         """A @ M_SPAI^-1 in the preconditioner's dtype and A's memory
         order: a copy of A whose pose columns are overwritten by one
-        product A[:, cols] @ inv. Counted as the sparse back substitution
-        with tri, which the product matches row for row."""
+        batched product of their component stack with inv. Counted as the
+        sparse back substitution with M_SPAI, which the product matches
+        row for row."""
         X = np.array(A, dtype=self.tri.dtype)
-        np.matmul(A[:, self.cols], self.inv, out=X[:, self.cols],
+        np.matmul(self.components(A), self.inv, out=self.components(X),
                   dtype=self.tri.dtype)
         flops.add(X.shape[0] * self.per_row)
         return X
@@ -311,11 +304,12 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter = UNCOUNTED):
     diagonal entry of M_SPAI makes it singular and raises
     scipy.linalg.LinAlgError naming the pose and component.
 
-    tri is inverted once per build, one ?trtri per component's triangle.
-    The FLOPs counted are those of the sparse back substitution of R22's
-    rows with tri, the column norms and the Jacobi scaling; the O(l^3)
-    inversion is not counted, just as the products with the structural
-    zeros of tri and inv never are.
+    Component k's triangle is an np.triu copy of R22 on component k's
+    rows and columns, so R22's strictly lower part is never read and no
+    array of the preconditioner aliases R22; one ?trtri inverts it. The
+    FLOPs counted are those of the sparse back substitution of R22's rows
+    with M_SPAI, the column norms and the Jacobi scaling; the O(l^3)
+    inversion is not counted.
     """
     n2 = R22.shape[0]
     poses = len(pose_offsets)
@@ -325,20 +319,19 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter = UNCOUNTED):
             or not 0 <= first <= n2 - 6 * poses):
         raise ValueError(f"the pose offsets {list(pose_offsets)} are not "
                          f"contiguous 6-column blocks inside [0, {n2})")
-    tri = np.multiply(R22[cols, cols], _spai_pattern(poses), order="F")
-    diag = np.diagonal(tri)
+    tri = np.triu(R22[cols, cols].reshape(poses, 6, poses, 6)
+                  .diagonal(axis1=1, axis2=3).transpose(2, 0, 1))
+    diag = np.diagonal(tri, axis1=1, axis2=2)     # (6, poses)
     if not diag.all():
-        k = int(np.flatnonzero(diag == 0)[0])
+        pose, k = np.argwhere(diag.T == 0)[0].tolist()
         raise scipy.linalg.LinAlgError(
-            f"singular SPAI block: zero diagonal at pose {k // 6}, "
-            f"component {k % 6}")
-    # inverting each component's triangle on its own skips the zeros
-    # between them
-    inv = np.zeros(tri.shape, dtype=tri.dtype, order="F")
+            f"singular SPAI block: zero diagonal at pose {pose}, "
+            f"component {k}")
+    inv = np.empty_like(tri)
     if poses:    # ?trtri rejects an empty triangle
         trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (tri,))
         for k in range(6):
-            inv[k::6, k::6] = trtri(tri[k::6, k::6])[0]
+            inv[k] = trtri(tri[k])[0]
     pc = Preconditioner(cols, tri, inv, 6 * poses * (poses - 1)
                         + int(np.count_nonzero(diag != 1)))
     R22p = pc.spai_inverse(R22, flops)
@@ -354,9 +347,9 @@ def build_preconditioner(R22, pose_offsets, flops: FlopCounter = UNCOUNTED):
 def apply_preconditioner_inverse(pc: Preconditioner, A,
                                  flops: FlopCounter = UNCOUNTED):
     """A @ M^-1 = (A @ M_SPAI^-1) @ M_Jacobi^-1 in the preconditioner's
-    dtype and A's memory order: one product on the pose columns of a copy
-    of A (`Preconditioner.spai_inverse`), then the Jacobi division in
-    place. On R22 this is bitwise the r22p that `build_preconditioner`
+    dtype and A's memory order: one batched product on the pose columns of
+    a copy of A (`Preconditioner.spai_inverse`), then the Jacobi division
+    in place. On R22 this is bitwise the r22p that `build_preconditioner`
     computes the same way."""
     X = pc.spai_inverse(A, flops)
     X /= pc.jacobi
@@ -366,22 +359,24 @@ def apply_preconditioner_inverse(pc: Preconditioner, A,
 
 def apply_preconditioner_right(pc: Preconditioner, A,
                                flops: FlopCounter = UNCOUNTED):
-    """A @ M = (A @ M_Jacobi) @ M_SPAI: one ?trmm on the pose columns of
-    a Fortran-ordered product, which it overwrites in place."""
+    """A @ M = (A @ M_Jacobi) @ M_SPAI: a Fortran-ordered product, whose
+    pose columns are overwritten by one batched product of their component
+    stack with tri."""
     X = np.multiply(A, pc.jacobi, order="F")
-    if X.shape[0] and pc.tri.size:
-        trmm, = scipy.linalg.blas.get_blas_funcs(("trmm",), (X,))
-        trmm(1.0, pc.tri, X[:, pc.cols], side=1, overwrite_b=1)
+    V = pc.components(X)
+    V[...] = V @ pc.tri
     flops.add(A.shape[0] * (2 * pc.jacobi.size + 3 * pc.nnz()))
     return X
 
 
 def preconditioner_solve_vec(pc: Preconditioner, z,
                              flops: FlopCounter = UNCOUNTED):
-    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z): z / jacobi, then one product
-    with inv on the pose entries."""
+    """M^-1 z = M_SPAI^-1 (M_Jacobi^-1 z): z / jacobi, then one batched
+    product of inv with the pose entries' component stack, taken as rows
+    (v inv^T = (inv v)^T)."""
     x = z / pc.jacobi
-    x[pc.cols] = pc.inv @ x[pc.cols]
+    v = pc.components(x[None])
+    v[...] = v @ pc.inv.transpose(0, 2, 1)
     flops.add(2 * (pc.nnz() + pc.jacobi.size))
     return x
 

@@ -195,8 +195,8 @@ def row_rotator(V):
     ValueError, naming its shape and strides, for a dtype other than
     float32/float64, a read-only V or any other layout (a C-ordered V
     among them). Each call raises ValueError, before LAPACK sees a
-    pointer, for c and s that are not vectors of one length or rows
-    outside V.
+    pointer, for c and s that are not nonempty vectors of one length or
+    rows outside V.
     """
     lasr = _LASR.get(V.dtype)
     rows, cols = V.shape
@@ -211,7 +211,8 @@ def row_rotator(V):
         # c and s in one fresh array, whose address costs less than
         # .ctypes.data
         cs = np.array((c, s), dtype=V.dtype)
-        if cs.ndim != 2 or not 0 <= k <= min(rows - 1 - cs.shape[1], cols):
+        if (cs.ndim != 2 or not cs.shape[1]
+                or not 0 <= k <= min(rows - 1 - cs.shape[1], cols)):
             raise ValueError(f"cannot rotate rows {k}.. of a view of shape "
                              f"{V.shape} by (c, s) of shape {cs.shape}")
         at = ctypes.addressof(ctypes.c_char.from_buffer(cs))

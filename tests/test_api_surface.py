@@ -16,7 +16,9 @@ No re-embedding goes through numpy's fancy-index builders `np.ix_` or
 interpreter cost. The engine and its filters keep the square-root factor
 as LAPACK leaves it: no memory-order conversion (`np.asfortranarray`,
 `np.ascontiguousarray`) and no row-sign normalization appears in
-`filters.py` or `vins.py`.
+`filters.py` or `vins.py`. PC-SRIF's SPAI block is six component
+triangles: `filters.py` caches no mask (`functools.lru_cache`) and takes
+no slice with step 6, the stride of the interleaved 6l x 6l triangle.
 """
 
 import ast
@@ -232,3 +234,35 @@ def test_the_walk_sees_factor_rewrites():
         ("snippet:2", "imports a conversion"),
         ("snippet:3", "np.ascontiguousarray"), ("snippet:3", "np.asfortranarray"),
         ("snippet:4", "sign_normalize_rows"), ("snippet:5", "sign_normalize")]
+
+
+def interleaved_spai(trees):
+    """(where, what) of each `lru_cache` and each slice with step 6 in the
+    (module, syntax tree) pairs."""
+    for module, tree in trees:
+        for node in ast.walk(tree):
+            where = f"{module}:{getattr(node, 'lineno', 0)}"
+            if (_name(node) == "lru_cache" or isinstance(node, ast.alias)
+                    and node.name.rsplit(".", 1)[-1] == "lru_cache"):
+                yield where, "lru_cache"
+            elif (isinstance(node, ast.Slice)
+                  and isinstance(node.step, ast.Constant)
+                  and node.step.value == 6):
+                yield where, "a slice with step 6"
+
+
+def test_the_spai_block_is_six_component_triangles():
+    filters = [(m, t) for m, t in modules() if m == "filters"]
+    assert len(filters) == 1
+    assert list(interleaved_spai(filters)) == []
+
+
+def test_the_walk_sees_interleaved_spai():
+    # the check above is not vacuous
+    tree = ast.parse("import functools\nfrom functools import lru_cache\n"
+                     "@functools.lru_cache(maxsize=8)\ndef mask(p):\n"
+                     "    return inv[k::6, k::6], x[::2], y[1:7]\n")
+    assert sorted(interleaved_spai([("snippet", tree)])) == [
+        ("snippet:2", "lru_cache"), ("snippet:3", "lru_cache"),
+        ("snippet:5", "a slice with step 6"),
+        ("snippet:5", "a slice with step 6")]

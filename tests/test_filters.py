@@ -482,11 +482,31 @@ def preconditioner_dense(R22, pose_offsets):
     return np.diag(norms) @ M
 
 
+def spai_pattern(poses):
+    """Mask of M_SPAI's triangle on `poses` interleaved pose blocks: True
+    on and above the diagonal between equal components."""
+    k = np.arange(6 * poses) % 6
+    return (k[:, None] == k) & np.triu(np.ones((6 * poses,) * 2, bool))
+
+
+def interleave(stack):
+    """The 6l x 6l matrix holding stack[k] at component k's rows and
+    columns of the l pose blocks (every 6th from the k-th), zero
+    elsewhere."""
+    l = stack.shape[1]
+    X = np.zeros((6 * l, 6 * l), dtype=stack.dtype)
+    for k in range(6):
+        X[k::6, k::6] = stack[k]
+    return X
+
+
 class TestPreconditioner:
     def test_identity(self):
         pc = build_preconditioner(np.eye(10), [0])
         assert np.allclose(preconditioner_dense(np.eye(10), [0]), np.eye(10))
-        assert np.array_equal(pc.tri, np.eye(6))
+        assert np.array_equal(pc.tri, np.ones((6, 1, 1)))
+        assert np.array_equal(pc.inv, np.ones((6, 1, 1)))
+        assert np.array_equal(interleave(pc.tri), np.eye(6))
         assert np.array_equal(pc.jacobi, np.ones(10))
 
     def test_pure_jacobi_diagonal(self):
@@ -539,7 +559,7 @@ class TestPreconditioner:
         A = (rng.normal(size=(40, n2)) * g).astype(dtype)
         pc = build_preconditioner(R22, offsets)
         M_spai = np.eye(n2)
-        M_spai[4:22, 4:22] = pc.tri
+        M_spai[4:22, 4:22] = interleave(pc.tri)
         ref = (A.astype(np.float64) @ np.linalg.inv(M_spai)
                / pc.jacobi.astype(np.float64))
         got = apply_preconditioner_inverse(pc, A)
@@ -618,21 +638,59 @@ class TestPreconditioner:
         Y = apply_preconditioner_right(pc, A)
         x = preconditioner_solve_vec(pc, z)
         R22p = pc.r22p
-        assert {X.dtype, Y.dtype, x.dtype, R22p.dtype,
+        assert {X.dtype, Y.dtype, x.dtype, R22p.dtype, pc.tri.dtype,
                 pc.inv.dtype} == {np.dtype(dtype)}
-        # tri^-1 is exactly zero wherever M_SPAI's triangle is: below the
-        # diagonal and between different components
-        k = np.arange(6 * poses) % 6
-        on = (k[:, None] == k) & np.triu(np.ones((6 * poses,) * 2, bool))
-        assert np.array_equal(pc.inv[~on], np.zeros((~on).sum(), dtype))
-        near(pc.tri.astype(np.float64) @ pc.inv, np.eye(6 * poses),
-             np.linalg.norm(pc.tri) * np.linalg.norm(pc.inv))
+        assert pc.tri.shape == pc.inv.shape == (6, poses, poses)
+        # each component's tri^-1 is exactly zero below its diagonal, as
+        # its triangle is
+        for tri, inv in zip(pc.tri, pc.inv):
+            assert np.array_equal(np.tril(tri, -1), np.zeros_like(tri))
+            assert np.array_equal(np.tril(inv, -1), np.zeros_like(inv))
+            near(tri.astype(np.float64) @ inv, np.eye(poses),
+                 np.linalg.norm(tri) * np.linalg.norm(inv))
         near(X @ M, A64, np.linalg.norm(X) * np.linalg.norm(M))
         near(Y, A64 @ M, np.linalg.norm(A64) * np.linalg.norm(M))
         near(M @ x, z, np.linalg.norm(M) * np.linalg.norm(x))
         near(R22p @ M, R22.astype(np.float64),
              np.linalg.norm(R22p) * np.linalg.norm(M))
         assert np.array_equal(np.tril(R22p, -1), np.zeros_like(R22p))
+
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 32 - 1), poses=st.integers(0, 11),
+           first=st.integers(0, 20), extra=st.integers(0, 4),
+           order=st.sampled_from("CF"))
+    def test_the_stack_is_the_interleaved_triangle(self, dtype, seed, poses,
+                                                   first, extra, order):
+        # embedded at every 6th pose column, tri is bitwise R22's pose
+        # block under the interleaved mask and inv bitwise that
+        # triangle's per-component ?trtri; R22's strictly lower part is
+        # never read for them, and nothing of the preconditioner aliases R22
+        rng = np.random.default_rng(seed)
+        n2 = first + 6 * poses + extra
+        assume(n2 > 0)
+        cols = slice(first, first + 6 * poses)
+        offsets = list(range(cols.start, cols.stop, 6))
+        R22 = np.array(random_spd_factor(rng, n2), dtype=dtype, order=order)
+        pc = build_preconditioner(R22, offsets)
+        tri = R22[cols, cols] * spai_pattern(poses)
+        assert np.array_equal(interleave(pc.tri), tri)
+        inv = np.zeros_like(tri)
+        if poses:
+            trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (tri,))
+            for k in range(6):
+                inv[k::6, k::6] = trtri(tri[k::6, k::6])[0]
+        assert np.array_equal(interleave(pc.inv), inv)
+
+        garbage = R22 + np.tril(rng.normal(size=(n2, n2)), -1).astype(dtype)
+        pg = build_preconditioner(garbage, offsets)
+        assert pg.tri.tobytes() == pc.tri.tobytes()
+        assert pg.inv.tobytes() == pc.inv.tobytes()
+        assert pg.per_row == pc.per_row
+
+        kept = [x.copy() for x in (pc.tri, pc.inv, pc.r22p)]
+        R22[...] = np.nan
+        for x, y in zip((pc.tri, pc.inv, pc.r22p), kept):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestPcsrifUpdate:

@@ -298,6 +298,15 @@ class TestRowRotator:
         with pytest.raises(ValueError):
             row_rotator(V[::2])
 
+    def test_rotator_refuses_an_empty_chain_by_name(self):
+        # no rotation to do is refused with the view's and the chain's
+        # shapes, before a pointer reaches LAPACK
+        V = np.asfortranarray(np.arange(36.0).reshape(6, 6))
+        with pytest.raises(ValueError, match=re.escape(
+                "of a view of shape (6, 6) by (c, s) of shape (2, 0)")):
+            row_rotator(V)(0, [], [], "V", "B")
+        assert np.array_equal(V, np.arange(36.0).reshape(6, 6))
+
 
 class TestGivensTriangularize:
     def test_matches_householder_gram(self):

@@ -14,6 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -245,10 +246,11 @@ class TestStructuredPcsrif:
     @pytest.mark.parametrize("seed", range(3))
     def test_binary32_on_a_graded_ill_conditioned_spai_block(self, seed):
         # 11 poses on a chain, neighbours tied by information 1e6 g_k^2
-        # for component k, g graded over six decades, so kappa(tri) is
-        # about 1e6: binary32 PC-SRIF, whose tri^-1 is an explicit
-        # product, still meets the binary64 QR update within perfbench's
-        # update-m995 tolerances (posterior identity 1e-5, dx 1e-4)
+        # for component k, g graded over six decades, so kappa of M_SPAI's
+        # block, its six component triangles together, is about 1e6:
+        # binary32 PC-SRIF, whose tri^-1 is an explicit product, still
+        # meets the binary64 QR update within perfbench's update-m995
+        # tolerances (posterior identity 1e-5, dx 1e-4)
         rng = np.random.default_rng(seed)
         n1, extra, poses, m = 3, 8, 11, 60
         n2 = 6 * poses + extra
@@ -265,7 +267,7 @@ class TestStructuredPcsrif:
         H2 = rng.normal(size=(m, n2))
         r = rng.normal(size=m)
         tri = filters.build_preconditioner(R[n1:, n1:], offsets).tri
-        assert np.linalg.cond(tri) >= 1e4
+        assert np.linalg.cond(scipy.linalg.block_diag(*tri)) >= 1e4
         ref = filters.srif_update_partitioned(R, H2, r, n1)
         R32, H32, r32 = (x.astype(np.float32) for x in (R, H2, r))
         res = filters.pcsrif_update(R32, H32, r32, n1, offsets)
