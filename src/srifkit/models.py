@@ -249,23 +249,19 @@ def window_cameras(state, motion=None) -> WindowCameras:
 
 class Projection(NamedTuple):
     """k projections, whether each lies in front of its camera, and their
-    Jacobian blocks d pixel / d (error block), each (k, 2, dim).
+    Jacobians d pixel / d (error blocks).
 
-    The blocks are views of one (k, 2, 26) array, in field order. Pose
-    blocks are (position, left-global orientation); both are zero where a
-    feature is seen from its own anchor pose. Entries behind the camera
-    hold finite values of no meaning.
+    Pose blocks are (position, left-global orientation); both are zero
+    where a feature is seen from its own anchor pose. Entries behind the
+    camera hold finite values of no meaning.
     """
 
     pixel: np.ndarray     # (k, 2)
     in_front: np.ndarray  # (k,) depth in the observing camera > MIN_DEPTH
-    anchor: np.ndarray    # (k, 2, 6)
-    observer: np.ndarray  # (k, 2, 6)
-    feature: np.ndarray   # (k, 2, 3) inverse-depth parameters
-    p_ic: np.ndarray      # (k, 2, 3)
-    q_ic: np.ndarray      # (k, 2, 3)
-    tsync: np.ndarray     # (k, 2, 1)
-    intr: np.ndarray      # (k, 2, 4)
+    # (k, 2, 26), columns 0:6 the anchor pose, 6:12 the observing pose,
+    # 12:15 the feature's inverse-depth parameters, 15:18 p_ic, 18:21
+    # q_ic, 21 tsync and 22:26 the intrinsics
+    jac: np.ndarray
 
 
 def _point_in_camera(cameras: WindowCameras, ia, io, params):
@@ -361,8 +357,7 @@ def project_feature(cameras: WindowCameras, intrinsics, anchor_ids,
     jac[:, :, :22] = Jz @ dy
     jac[:, 0, 22], jac[:, 1, 23] = xn, yn
     jac[:, 0, 24] = jac[:, 1, 25] = 1.0
-    return Projection(pixel, in_front,
-                      *np.split(jac, [6, 12, 15, 18, 21, 22], axis=2))
+    return Projection(pixel, in_front, jac)
 
 
 class Reanchoring(NamedTuple):

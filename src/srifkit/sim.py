@@ -85,6 +85,11 @@ class ScenarioSpec:
         ratio = self.imu_rate / self.cam_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("cam_rate must divide imu_rate")
+        # the last frame is stamped at duration, the end of the IMU stream
+        frames = self.duration * self.cam_rate
+        if round(frames) < 1 or abs(frames - round(frames)) > 1e-9:
+            raise ValueError(f"duration = {self.duration!r} is not a positive "
+                             "whole number of camera periods")
         if self.trajectory not in ("circle", "sinusoid-3d", "figure-eight"):
             raise ValueError(f"unknown trajectory kind {self.trajectory!r}")
 

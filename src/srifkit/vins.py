@@ -16,20 +16,21 @@ observation to project; the second projects them all with one
 `msckf_nullspace_project` call, and writes the whitened rows straight
 into H2.
 
-Every SVD_STRIDE-th frame's conditioning record is a diagnostic, not part
-of the estimate. Within `run()` the frame only snapshots what the record
-needs (a float64 copy of the factor and the covariance indices) and hands
-it to one worker thread, which computes the records in frame order while
-the next frames run; its SVDs release the GIL, so on a second core they
-leave the frame's critical path. The records are bitwise those computed
-inline, as they still are for an estimator stepped by hand.
+`VinsEstimator` holds the estimate and the three phases that change it;
+`run()` owns the run: the phase loop and its timing, the trajectory, and
+the conditioning records. Every SVD_STRIDE-th frame's record is a
+diagnostic, not part of the estimate. After the frame's update `run()`
+only snapshots what the record needs (a float64 copy of the factor and
+the covariance indices) and hands it to one worker thread, which computes
+the records in frame order while the next frames run; its SVDs release
+the GIL, so on a second core they leave the frame's critical path.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -115,7 +116,7 @@ class RunResult:
     flops: dict              # phase -> counted FLOPs
     conditioning: list       # of ConditioningRecord
     events: list             # of InstabilityEvent
-    seconds: dict = field(default_factory=dict)  # phase -> wall seconds
+    seconds: dict            # phase -> wall seconds
 
 
 def _prior_sigmas(lay):
@@ -161,13 +162,8 @@ class VinsEstimator:
         self.dtype = PRECISIONS[config.precision]
         self.is_kf = config.estimator == "kf"
         self.flops = {ph: FlopCounter() for ph in PHASES}
-        self.conditioning = []    # of ConditioningRecord, every SVD_STRIDE frames
         self.events = []
         self._scale_freeze = None
-        # run()'s diagnostics worker, and its (t, Future) of each record not
-        # yet appended; outside run() records are computed inline
-        self._worker = None
-        self._pending = []
 
         truth = dataset.truth
         spec = dataset.spec
@@ -195,9 +191,6 @@ class VinsEstimator:
         self.track_buf = {}       # fid -> list of (pose_id, pixel)
         self._drop_next = set()   # feature ids to marginalize out
         self._step_per_frame = int(round(spec.imu_rate / spec.cam_rate))
-        self.times = [0.0]
-        self.positions = [x.positions[-1].copy()]
-        self.quats = [x.quats[-1].copy()]
 
     # -- propagation ------------------------------------------------------
 
@@ -481,7 +474,7 @@ class VinsEstimator:
         anchor, observer, params, pixels = (np.array(c) for c in zip(*views))
         proj = project_feature(cameras, self.x.intrinsics, anchor, observer,
                                params)
-        J = np.concatenate(proj[2:], axis=2)     # (k, 2, 26)
+        J = proj.jac
         resid = pixels - proj.pixel
         # each observation's x2 column per Jacobian column; a short track's
         # feature has none (its block is eliminated before writing), so
@@ -522,7 +515,7 @@ class VinsEstimator:
             _scatter_rows(Hx, cols[keep][:, no_feature],
                           J[keep][:, :, no_feature])
             Hx, rx, _ = msckf_nullspace_project(
-                proj.feature[keep].reshape(-1, 3), Hx, resid[keep].ravel(),
+                J[keep, :, 12:15].reshape(-1, 3), Hx, resid[keep].ravel(),
                 (2 * front[used]).tolist())
         m_slam = 2 * int(slam.sum())
         m = m_slam + len(rx)
@@ -575,29 +568,20 @@ class VinsEstimator:
         if rows is not None:
             dx = self._apply_update(*rows, frame.t)
             self.x = boxplus(self.x, dx)
-        # diagnostics from the first frame on, every SVD_STRIDE frames
-        if not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0:
-            self._record_diagnostics(frame)
 
     # -- diagnostics ------------------------------------------------------
 
-    def _record_diagnostics(self, frame):
-        """Snapshot what the frame's record needs and hand it to the worker,
-        or compute it here when no run is in progress. The snapshot is a
-        copy: `_reanchor` edits R in place."""
+    def _snapshot(self, frame):
+        """`_condition`'s arguments for the frame's record. The factor is
+        copied: `_reanchor` edits R in place."""
         lay = layout_of(self.x)
         # the states every window keeps: biases, velocity, tsync, the
         # newest pose and the calibration
         idx = np.concatenate([np.arange(N1), [lay.tsync],
                               lay.pose_cols(lay.n_poses - 1),
                               np.arange(lay.intr, lay.n)])
-        job = (frame.t, np.array(self.R, dtype=np.float64), idx,
-               _pose_offsets_x2(lay))
-        if self._worker is None:
-            self.conditioning.append(self._condition(*job))
-        else:
-            self._pending.append((frame.t,
-                                  self._worker.submit(self._condition, *job)))
+        return (frame.t, np.array(self.R, dtype=np.float64), idx,
+                _pose_offsets_x2(lay))
 
     def _condition(self, t, R, idx, pose_offsets):
         """The conditioning record of the float64 factor R at time t; the
@@ -610,52 +594,58 @@ class VinsEstimator:
         P_scaled = Psub / np.outer(s, s)
         return record_conditioning(t, R[N1:, N1:], pose_offsets, P_scaled)
 
-    def _settle(self, block=True):
-        """Append the worker's records in frame order: all of them, or only
-        those already finished. A record that raised aborts the run at its
-        own frame's update."""
-        while self._pending and (block or self._pending[0][1].done()):
-            t, record = self._pending.pop(0)
-            try:
-                self.conditioning.append(record.result())
-            except Exception as exc:
-                raise EstimatorAbort(t, "update", exc) from exc
-
     # -- main loop ---------------------------------------------------------
 
     def run(self):
         seconds = dict.fromkeys(PHASES, 0.0)
+        x = self.x
+        times, positions, quats = ([0.0], [x.positions[-1].copy()],
+                                   [x.quats[-1].copy()])
+        # the records in frame order, and the (t, Future) of each record
+        # the worker has not yet handed back
+        conditioning, pending = [], []
+
+        def settle(block=True):
+            """Append the worker's records in frame order: all of them, or
+            only those already finished. A record that raised aborts the
+            run at its own frame's update."""
+            while pending and (block or pending[0][1].done()):
+                t, record = pending.pop(0)
+                try:
+                    conditioning.append(record.result())
+                except Exception as exc:
+                    raise EstimatorAbort(t, "update", exc) from exc
+
         # the worker thread starts at the first record, so a KF run, which
         # records none, starts none; leaving the block joins it
         with ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=DIAGNOSTICS_THREAD
-        ) as self._worker:
-            try:
-                for frame in self.ds.frames[1:]:
-                    for phase, work in (("propagation", self._propagate),
-                                        ("marginalization", self._marginalize),
-                                        ("update", self._update)):
-                        t0 = time.perf_counter()
-                        try:
-                            work(frame)
-                        except Exception as exc:
-                            # an earlier frame's failed record aborts first
-                            self._settle()
-                            raise EstimatorAbort(frame.t, phase, exc) from exc
-                        seconds[phase] += time.perf_counter() - t0
-                    self.times.append(frame.t)
-                    self.positions.append(self.x.positions[-1].copy())
-                    self.quats.append(self.x.quats[-1].copy())
-                    self._settle(block=False)
-                self._settle()
-            finally:
-                # a record left unread after an abort goes with its run
-                self._worker, self._pending = None, []
+        ) as worker:
+            for frame in self.ds.frames[1:]:
+                for phase, work in (("propagation", self._propagate),
+                                    ("marginalization", self._marginalize),
+                                    ("update", self._update)):
+                    t0 = time.perf_counter()
+                    try:
+                        work(frame)
+                    except Exception as exc:
+                        # an earlier frame's failed record aborts first
+                        settle()
+                        raise EstimatorAbort(frame.t, phase, exc) from exc
+                    seconds[phase] += time.perf_counter() - t0
+                # diagnostics from the first frame on, every SVD_STRIDE frames
+                if not self.is_kf and (frame.index - 1) % SVD_STRIDE == 0:
+                    pending.append((frame.t, worker.submit(
+                        self._condition, *self._snapshot(frame))))
+                times.append(frame.t)
+                positions.append(self.x.positions[-1].copy())
+                quats.append(self.x.quats[-1].copy())
+                settle(block=False)
+            settle()
         return RunResult(
-            np.array(self.times), np.array(self.positions),
-            np.array(self.quats),
+            np.array(times), np.array(positions), np.array(quats),
             {ph: self.flops[ph].total() for ph in PHASES},
-            self.conditioning, self.events, seconds=seconds)
+            conditioning, self.events, seconds)
 
 
 def run_filter(dataset, config: FilterConfig) -> RunResult:

@@ -6,11 +6,12 @@ engine does not need: it belongs beside the other references in tests/, or
 nowhere. A name counts as used when another place in src/ loads it,
 imports it or reads it as an attribute. Exempt are the console entry point
 `cli.main` and the functions the benchmark's tracer rebinds by name
-(`TARGETS` in `perfbench/spans.py`). A field of a `@dataclass` in src/
-counts as read when src/, perfbench/ or demos/ reads an attribute of its
-name; one that only tests read is carried for nothing. A kernel has no
-uncounted mode: its `flops` is never compared with None, and a defaulted
-`flops` parameter defaults to `UNCOUNTED`, the counter that discards.
+(`TARGETS` in `perfbench/spans.py`). A field of a `@dataclass` or a
+`NamedTuple` in src/ counts as read when src/, perfbench/ or demos/ reads
+an attribute of its name; one that only tests read is carried for
+nothing. A kernel has no uncounted mode: its `flops` is never compared
+with None, and a defaulted `flops` parameter defaults to `UNCOUNTED`, the
+counter that discards.
 No re-embedding goes through numpy's fancy-index builders `np.ix_` or
 `np.r_`: a block copy per run writes the same bits at a fraction of the
 interpreter cost. The engine and its filters keep the square-root factor
@@ -19,6 +20,9 @@ as LAPACK leaves it: no memory-order conversion (`np.asfortranarray`,
 `filters.py` or `vins.py`. PC-SRIF's SPAI block is six component
 triangles: `filters.py` caches no mask (`functools.lru_cache`) and takes
 no slice with step 6, the stride of the interleaved 6l x 6l triangle.
+The estimator's phases make no diagnostics: `VinsEstimator.__init__`,
+`_propagate`, `_marginalize` and `_update` name neither the record nor its
+stride or worker, which `run()` alone owns.
 """
 
 import ast
@@ -70,12 +74,13 @@ def used_names():
 
 def dataclass_fields():
     """(module, class, field) of each annotated field of a module-level
-    `@dataclass` class."""
+    `@dataclass` or `NamedTuple` class."""
     for module, tree in modules():
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and any(
-                    isinstance(d, ast.Name) and d.id == "dataclass"
-                    for d in node.decorator_list):
+                    isinstance(m, ast.Name)
+                    and m.id in ("dataclass", "NamedTuple")
+                    for m in [*node.decorator_list, *node.bases]):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign):
                         yield module, node.name, stmt.target.id
@@ -130,7 +135,8 @@ def test_the_walk_sees_the_fields():
     found = {f"{module}.{cls}.{name}"
              for module, cls, name in dataclass_fields()}
     assert {"linalg.FlopCounter.count", "vins.RunResult.flops",
-            "vins.FilterConfig.window", "sim.ScenarioSpec.seed"} <= found
+            "vins.FilterConfig.window", "sim.ScenarioSpec.seed",
+            "models.Projection.jac", "state.Layout.n_poses"} <= found
 
 
 def _name(node):
@@ -266,3 +272,49 @@ def test_the_walk_sees_interleaved_spai():
         ("snippet:2", "lru_cache"), ("snippet:3", "lru_cache"),
         ("snippet:5", "a slice with step 6"),
         ("snippet:5", "a slice with step 6")]
+
+
+PHASES = ("__init__", "_propagate", "_marginalize", "_update")
+DIAGNOSTICS = ("SVD_STRIDE", "record_conditioning", "_condition", "_snapshot",
+               "ThreadPoolExecutor", "submit")
+
+
+def phase_methods(tree):
+    """Each of `VinsEstimator`'s methods in PHASES, by name."""
+    return {fn.name: fn for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "VinsEstimator"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in PHASES}
+
+
+def diagnostics_in_phases(tree):
+    """(method, name) of each name in DIAGNOSTICS that a phase loads or
+    reads as an attribute."""
+    for method, fn in phase_methods(tree).items():
+        for node in ast.walk(fn):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and _name(node) in DIAGNOSTICS):
+                yield method, _name(node)
+
+
+def test_the_phases_make_no_diagnostics():
+    vins = dict(modules())["vins"]
+    assert set(phase_methods(vins)) == set(PHASES)
+    assert list(diagnostics_in_phases(vins)) == []
+
+
+def test_the_walk_sees_diagnostics_in_phases():
+    # the check above is not vacuous
+    tree = ast.parse(
+        "class VinsEstimator:\n"
+        "    def __init__(self):\n"
+        "        self.pool = ThreadPoolExecutor(1)\n"
+        "    def _update(self, frame):\n"
+        "        if frame.index % SVD_STRIDE == 0:\n"
+        "            self.pool.submit(self._condition, *self._snapshot(frame))\n"
+        "    def run(self):\n"
+        "        record_conditioning()\n")
+    assert sorted(diagnostics_in_phases(tree)) == [
+        ("__init__", "ThreadPoolExecutor"), ("_update", "SVD_STRIDE"),
+        ("_update", "_condition"), ("_update", "_snapshot"),
+        ("_update", "submit")]

@@ -246,6 +246,9 @@ BAD_SCENARIOS = {
     "out-of-range": (lambda d: {**d, "noise": {**d["noise"],
                                                "gyro_density": np.nan}},
                      "noise.gyro_density = nan is out of range"),
+    "partial-period": (lambda d: {**d, "duration": 6.1},
+                       "duration = 6.1 is not a positive whole number of "
+                       "camera periods"),
 }
 
 

@@ -69,6 +69,13 @@ def make_scene(seed=0, tsync=0.0):
     return set_features(st, [0], [[0.08, -0.06, 0.4]])
 
 
+# the columns of each error block in `Projection.jac`
+JAC_COLS = {"anchor": slice(0, 6), "observer": slice(6, 12),
+            "feature": slice(12, 15), "p_ic": slice(15, 18),
+            "q_ic": slice(18, 21), "tsync": slice(21, 22),
+            "intr": slice(22, 26)}
+
+
 def project_one(state, k, observing_pose_id, motion=None):
     """The batched `project_feature` at k = 1 for the state's feature k,
     shaped like the oracle's output: (pixel, {error-state offset: 2 x dim
@@ -83,11 +90,12 @@ def project_one(state, k, observing_pose_id, motion=None):
         raise BehindCamera(f"feature {k} from pose {observing_pose_id}")
     lay = layout_of(state)
     ia, io = cameras.rows([anchor, observing_pose_id])
-    blocks = {lay.pose_cols(io)[0]: p.observer[0],
-              lay.feature_cols(k)[0]: p.feature[0], lay.p_ic: p.p_ic[0],
-              lay.q_ic: p.q_ic[0], lay.tsync: p.tsync[0], lay.intr: p.intr[0]}
+    J = {name: p.jac[0][:, cols] for name, cols in JAC_COLS.items()}
+    blocks = {lay.pose_cols(io)[0]: J["observer"],
+              lay.feature_cols(k)[0]: J["feature"], lay.p_ic: J["p_ic"],
+              lay.q_ic: J["q_ic"], lay.tsync: J["tsync"], lay.intr: J["intr"]}
     if ia != io:
-        blocks[lay.pose_cols(ia)[0]] = p.anchor[0]
+        blocks[lay.pose_cols(ia)[0]] = J["anchor"]
     return p.pixel[0], blocks
 
 
@@ -401,7 +409,7 @@ class TestProjectFeature:
             scale = max(np.abs(J).max() for J in [Jf, *blocks.values()])
             if a == o:
                 # the engine writes both blocks over the same columns
-                assert not got.anchor[i].any() and not got.observer[i].any()
+                assert not got.jac[i, :, :12].any()
             want = {"observer": blocks[lay.pose_cols(row[o])[0]],
                     "anchor": (np.zeros((2, 6)) if a == o
                                else blocks[lay.pose_cols(row[a])[0]]),
@@ -410,7 +418,7 @@ class TestProjectFeature:
                 want[name] = blocks[getattr(lay, name)]
             assert len(blocks) == (5 if a == o else 6)
             for name, J in want.items():
-                err = np.abs(getattr(got, name)[i] - J).max()
+                err = np.abs(got.jac[i, :, JAC_COLS[name]] - J).max()
                 assert err <= 1e-12 * scale, (i, name, err / scale)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),

@@ -52,7 +52,9 @@ class TestSpec:
            {"q_ic": (0.0, 0.0, 0.0, 0.0)}, {"q_ic": (1.0, 1.0, 0.0, 0.0)},
            {"noise.accel_density": -1.0}, {"noise.gyro_density": np.nan},
            {"noise.gyro_bias_rw": np.inf}, {"n_features": 2.5},
-           {"n_features": True}, {"seed": -1}, {"seed": 1.5}]
+           {"n_features": True}, {"seed": -1}, {"seed": 1.5},
+           # a duration that is not a whole number of camera periods
+           {"duration": 10.1}]
 
     @pytest.mark.parametrize("kw", BAD, ids=lambda kw: ",".join(
         f"{k}={v}" for k, v in kw.items()))

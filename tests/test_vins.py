@@ -941,7 +941,7 @@ def twenty_five_seconds():
 
 class TestDiagnosticsWorker:
     """run() computes the conditioning records on one worker thread beside
-    the frames; stepped by hand, the engine computes them inline."""
+    the frames; stepped by hand, the engine computes none."""
 
     @staticmethod
     def _patch_record(monkeypatch, fail_at=None):
@@ -976,16 +976,30 @@ class TestDiagnosticsWorker:
         finally:
             sys.setswitchinterval(interval)
         assert all(nm.startswith(vins.DIAGNOSTICS_THREAD) for nm in threads)
+        # the reference: each record computed on this thread from the
+        # snapshot of its frame, right after the frame's update
         est = vins.VinsEstimator(ds, cfg)
+        want = []
         for frame in ds.frames[1:]:
             for phase in (est._propagate, est._marginalize, est._update):
                 phase(frame)
-        assert len(res.conditioning) == len(ds.frames[1::vins.SVD_STRIDE])
+            if (frame.index - 1) % vins.SVD_STRIDE == 0:
+                want.append(est._condition(*est._snapshot(frame)))
         assert [r.t for r in res.conditioning] == [
             f.t for f in ds.frames[1::vins.SVD_STRIDE]]
-        assert (_record_bytes(res.conditioning)
-                == _record_bytes(est.conditioning))
+        assert _record_bytes(res.conditioning) == _record_bytes(want)
         assert not _workers()
+
+    def test_stepping_by_hand_records_nothing(self, monkeypatch):
+        # the phases change the estimate only; the records are run()'s
+        ds = gen_dataset(_short(seed=6, duration=4.0))
+        threads = self._patch_record(monkeypatch)
+        est = vins.VinsEstimator(ds, FilterConfig(estimator="srif"))
+        for frame in ds.frames[1:]:
+            for phase in (est._propagate, est._marginalize, est._update):
+                phase(frame)
+        assert len(ds.frames[1::vins.SVD_STRIDE]) >= 2
+        assert threads == []
 
     def test_failed_record_aborts_at_its_frame(self, monkeypatch):
         ds = gen_dataset(_short(seed=1, duration=8.0))
